@@ -1,0 +1,134 @@
+"""Golden outputs: exact stdout/stderr bytes and exit code of `cli.main`.
+
+Each job's recorded output lives in `tests/golden/<job>.txt`.  A change
+that is meant to keep behaviour must keep every byte.  To record the
+files for a new job (never to paper over a changed byte), run
+
+    PYTHONPATH=src python tests/test_golden_cli.py
+"""
+
+import contextlib
+import io
+import pathlib
+import sys
+
+import pytest
+
+from cidcurve.cli import main
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+INPUTS = ROOT / "inputs"
+GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
+FP = "Fp:32003"
+
+# written by the test: a zero-dimensional affine ideal A and a
+# homogeneous ideal B with an irrelevant component
+TWO_IDEALS = (
+    "ring/1 over QQ vars x y z\n"
+    "ideal A = x^3 - y*z, y^2 - x*z, z^3 - 1;\n"
+    "ideal B = x^2*z - y^3, x*y*z, x^4;\n"
+)
+# plane nodal cubic in P^3: the singular branch of the saturation route
+NODAL = "ring/1 over QQ vars x0 x1 x2 x3\nideal X = x1^2*x2 - x0^3 - x0^2*x2, x3;\n"
+WRITTEN = {"two.ring": TWO_IDEALS, "nodal.ring": NODAL}
+
+
+def _jobs():
+    """(name, argv without --output, output modes); `{dir}` in an argv
+    entry is the directory holding the written fixtures."""
+    jobs = []
+
+    def add(name, argv, modes=("json",)):
+        jobs.append((name, tuple(argv), modes))
+
+    for curve, seeds in (("twisted_cubic", (0, 7)), ("rnc4", (0,))):
+        path = str(INPUTS / f"{curve}.ring")
+        for tag, field in (("qq", ()), ("fp", ("--field", FP))):
+            for seed in seeds:
+                for command in ("cid", "genus", "verify", "construct-ci",
+                                "invariants"):
+                    modes = ("json", "text") if command in ("genus",
+                                                            "verify") \
+                        else ("json",)
+                    add(f"{command}-{curve}-{tag}-s{seed}",
+                        (command, "--input", path, "--seed", str(seed))
+                        + field, modes)
+            for order in ("grevlex", "lex", "block(1)"):
+                add(f"gb-{curve}-{tag}-{order}",
+                    ("gb", "--input", path, "--order", order) + field)
+
+    tc = str(INPUTS / "twisted_cubic.ring")
+    for tag, field in (("qq", ()), ("fp", ("--field", FP))):
+        for route in ("auto", "direct", "smooth", "lci", "aci"):
+            add(f"cid-route-{route}-{tag}",
+                ("cid", "--input", tc, "--seed", "7", "--route", route)
+                + field)
+        add(f"cid-transversal-{tag}",
+            ("cid", "--input", tc, "--seed", "7", "--transversal") + field)
+    nodal = "{dir}/nodal.ring"
+    for route in ("direct", "smooth", "lci"):
+        add(f"cid-nodal-{route}",
+            ("cid", "--input", nodal, "--route", route))
+
+    for germ in ("cusp", "node"):
+        for command in ("local", "verify"):
+            add(f"{command}-{germ}",
+                (command, "--input", str(INPUTS / f"{germ}.germ")),
+                ("json", "text"))
+
+    for op in ("sum", "product", "intersect", "quotient", "saturate",
+               "saturate-irrelevant", "eliminate", "radical"):
+        left = "B" if op == "saturate-irrelevant" else "A"
+        add(f"ideal-op-{op}",
+            ("ideal-op", "--input", "{dir}/two.ring", "--op", op,
+             "--left", left, "--right", "B", "--vars", "x"))
+    return jobs
+
+
+CASES = [(f"{name}.{mode}", argv, mode)
+         for name, argv, modes in _jobs() for mode in modes]
+
+
+def _run(argv, mode, fixture_dir):
+    argv = [a.replace("{dir}", str(fixture_dir)) for a in argv]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv + ["--output", mode])
+    return (f"exit {code}\n--- stdout\n{out.getvalue()}"
+            f"--- stderr\n{err.getvalue()}")
+
+
+def _write_fixtures(directory):
+    for name, text in WRITTEN.items():
+        (directory / name).write_text(text)
+
+
+@pytest.fixture(scope="module")
+def fixture_dir(tmp_path_factory):
+    directory = tmp_path_factory.mktemp("golden")
+    _write_fixtures(directory)
+    return directory
+
+
+@pytest.mark.parametrize("name,argv,mode", CASES, ids=[c[0] for c in CASES])
+def test_golden_output(name, argv, mode, fixture_dir):
+    expected = (GOLDEN / f"{name}.txt").read_text()
+    assert _run(argv, mode, fixture_dir) == expected
+
+
+def _record():
+    import tempfile
+
+    GOLDEN.mkdir(exist_ok=True)
+    with tempfile.TemporaryDirectory() as tmp:
+        directory = pathlib.Path(tmp)
+        _write_fixtures(directory)
+        for name, argv, mode in CASES:
+            target = GOLDEN / f"{name}.txt"
+            if not target.exists():
+                target.write_text(_run(argv, mode, directory))
+                print(f"recorded {target.name}", file=sys.stderr)
+
+
+if __name__ == "__main__":
+    _record()
