@@ -223,11 +223,15 @@ def _cmd_cid(args, ring_file):
 
 
 def _cmd_genus(args, ring_file):
+    """The genus report; `verify` adds the witness certification tests."""
     name, curve, witness = _curve(ring_file, args.ideal, args.seed,
                                   args.transversal, args.max_attempts)
     report = genus_report(curve, witness, seed=args.seed)
     result = report.to_dict()
     checks = dict(result.pop("checks"))
+    if args.command == "verify":
+        for test, verdict in witness.tests.items():
+            checks[f"witness_{test}"] = verdict
     result["ideal"] = name
     result["witness"] = witness_to_dict(witness)
     return result, checks
@@ -249,21 +253,6 @@ def _cmd_local(args, germ_file):
         result["cid_direct"] = direct
         result["ci"] = [str(g) for g in z_gens]
         checks["multiplicities_match_direct"] = inv.cid == direct
-    return result, checks
-
-
-def _cmd_verify(args, parsed, kind):
-    if kind == "germ":
-        return _cmd_local(args, parsed)
-    name, curve, witness = _curve(parsed, args.ideal, args.seed,
-                                  args.transversal, args.max_attempts)
-    report = genus_report(curve, witness, seed=args.seed)
-    result = report.to_dict()
-    checks = dict(result.pop("checks"))
-    for test, verdict in witness.tests.items():
-        checks[f"witness_{test}"] = verdict
-    result["ideal"] = name
-    result["witness"] = witness_to_dict(witness)
     return result, checks
 
 
@@ -331,7 +320,8 @@ def run(args) -> int:
                 raise InputError("`local` needs a germ input file")
             result, checks = _cmd_local(args, parsed)
         elif args.command == "verify":
-            result, checks = _cmd_verify(args, parsed, kind)
+            verify = _cmd_local if kind == "germ" else _cmd_genus
+            result, checks = verify(args, parsed)
         else:
             if kind != "ring":
                 raise InputError(f"`{args.command}` needs a ring input file")

@@ -26,6 +26,7 @@ from .errors import (
     NotContained,
     NotSmooth,
     NotSmoothableRoute,
+    NotZeroDimensional,
     OutOfHypothesis,
     RouteDisagreement,
     TooManySubsets,
@@ -73,6 +74,27 @@ def _determinant(rows):
     return total
 
 
+def _minor_stream(gens, codim: int, seed=None):
+    """Minors of the Jacobian matrix, one at a time; with a seed, in a
+    seeded random order so that early minors sample many row subsets."""
+    ring = gens[0].ring
+    pairs = [
+        (ri, ci)
+        for ri in combinations(range(len(gens)), codim)
+        for ci in combinations(range(ring.arity), codim)
+    ]
+    if seed is not None:
+        rng = SplitMix64(seed ^ 0x3140085)
+        for k in range(len(pairs) - 1, 0, -1):
+            j = rng.randint(0, k)
+            pairs[k], pairs[j] = pairs[j], pairs[k]
+    rows = [
+        [partial_derivative(g, j) for j in range(ring.arity)] for g in gens
+    ]
+    for ri, ci in pairs:
+        yield _determinant([[rows[i][j] for j in ci] for i in ri])
+
+
 def jacobian_ideal(gens, codim: int, ambient: Ideal | None = None) -> Ideal:
     """Ideal of all codim x codim minors of the Jacobian matrix of gens.
 
@@ -88,19 +110,14 @@ def jacobian_ideal(gens, codim: int, ambient: Ideal | None = None) -> Ideal:
         raise BadCodim(
             f"codim {codim} outside 1..min({len(gens)}, {ring.arity})"
         )
-    rows = [
-        [partial_derivative(g, j) for j in range(ring.arity)] for g in gens
-    ]
     reduce = ambient.gb().normal_form if ambient is not None else (lambda f: f)
     minors = []
-    for ri in combinations(range(len(gens)), codim):
-        for ci in combinations(range(ring.arity), codim):
-            d = _determinant([[rows[i][j] for j in ci] for i in ri])
-            d = reduce(d)
-            if d:
-                # content normalization keeps downstream basis
-                # computations in small integers
-                minors.append(d.primitive_int())
+    for d in _minor_stream(gens, codim):
+        d = reduce(d)
+        if d:
+            # content normalization keeps downstream basis
+            # computations in small integers
+            minors.append(d.primitive_int())
     return Ideal(ring, minors)
 
 
@@ -110,29 +127,6 @@ def curve_codim(ring) -> int:
     return ring.arity - 2
 
 
-_smooth_memo: dict = {}
-
-
-def _shuffled_minor_stream(gens, codim: int, seed: int):
-    """Minors of the Jacobian matrix, one at a time, in a seeded random
-    order so that early minors sample many row subsets."""
-    ring = gens[0].ring
-    pairs = [
-        (ri, ci)
-        for ri in combinations(range(len(gens)), codim)
-        for ci in combinations(range(ring.arity), codim)
-    ]
-    rng = SplitMix64(seed ^ 0x3140085)
-    for k in range(len(pairs) - 1, 0, -1):
-        j = rng.randint(0, k)
-        pairs[k], pairs[j] = pairs[j], pairs[k]
-    rows = [
-        [partial_derivative(g, j) for j in range(ring.arity)] for g in gens
-    ]
-    for ri, ci in pairs:
-        yield _determinant([[rows[i][j] for j in ci] for i in ri])
-
-
 def is_smooth_curve(i_x: Ideal, seed: int = 0) -> bool:
     """Jacobian criterion: the singular scheme of the curve is empty.
 
@@ -140,16 +134,15 @@ def is_smooth_curve(i_x: Ideal, seed: int = 0) -> bool:
     already cuts out the empty set together with the curve ideal, the
     full one does too and smoothness is certified without computing the
     remaining minors.  A negative answer always consumes every minor.
+    The answer is kept with the ideal.
     """
-    memo = _smooth_memo.get(id(i_x))
-    if memo is not None and memo[0] is i_x:
-        return memo[1]
-    gens = [g for g in i_x.generators if g]
+    answer = i_x._data_cache.get("smooth")
+    if answer is not None:
+        return answer
     gb = i_x.gb()
     collected = list(i_x.generators)
     pending, checkpoint = 0, 8
-    answer = None
-    for minor in _shuffled_minor_stream(gens, curve_codim(i_x.ring), seed):
+    for minor in _minor_stream(i_x.generators, curve_codim(i_x.ring), seed):
         m = gb.normal_form(minor)
         if not m:
             continue
@@ -162,8 +155,19 @@ def is_smooth_curve(i_x: Ideal, seed: int = 0) -> bool:
             pending, checkpoint = 0, checkpoint * 2
     if answer is None:
         answer = vdim(Ideal(i_x.ring, collected)) != INFINITE
-    _smooth_memo[id(i_x)] = (i_x, answer)
+    i_x._data_cache["smooth"] = answer
     return answer
+
+
+def _singular_locus(i_x: Ideal) -> Ideal:
+    """I_X plus the curve's Jacobian minors, built once per ideal."""
+    locus = i_x._data_cache.get("singular_locus")
+    if locus is None:
+        minors = jacobian_ideal(i_x.generators, curve_codim(i_x.ring),
+                                ambient=i_x)
+        locus = ideal_sum(i_x, minors)
+        i_x._data_cache["singular_locus"] = locus
+    return locus
 
 
 # --- residual and charts -----------------------------------------------
@@ -179,6 +183,12 @@ def residual(i_z: Ideal, i_x: Ideal, seed: int = 0) -> Ideal:
     return saturate_irrelevant(quotient_ideal)
 
 
+def _witness_residual(i_x: Ideal, witness, seed: int):
+    """(I_Z, I_W) for the witness complete intersection Z."""
+    i_z = Ideal(i_x.ring, list(witness.F))
+    return i_z, residual(i_z, i_x, seed=seed)
+
+
 def _check_chart(finite_ideal: Ideal, h: Polynomial) -> Chart:
     """The hyperplane h must miss the (finite) projective support."""
     with_h = Ideal(finite_ideal.ring,
@@ -190,6 +200,14 @@ def _check_chart(finite_ideal: Ideal, h: Polynomial) -> Chart:
     return Chart.from_form(h)
 
 
+def _length(affine: Ideal) -> int:
+    """Length of a finite affine scheme."""
+    value = vdim(affine)
+    if value == INFINITE:
+        raise NotZeroDimensional("the measured scheme is not finite")
+    return value
+
+
 # --- the four routes ---------------------------------------------------
 
 
@@ -198,13 +216,25 @@ def cid_direct(i_x: Ideal, i_w: Ideal, h: Polynomial) -> int:
     h = 1."""
     meet = ideal_sum(i_x, i_w)
     chart = _check_chart(meet, h)
-    value = vdim(chart_ideal(meet, chart))
-    assert value != INFINITE
-    return value
+    return _length(chart_ideal(meet, chart))
 
 
 def _jacobian_of_witness(i_x: Ideal, witness) -> Ideal:
-    return jacobian_ideal(witness.F, len(witness.F), ambient=i_x)
+    return ideal_sum(i_x, jacobian_ideal(witness.F, len(witness.F),
+                                         ambient=i_x))
+
+
+def _witness_locus(i_x: Ideal, witness) -> Ideal:
+    """The witness Jacobian scheme on X in the chart h = 1, with the
+    singular locus of X saturated away.  On a smooth curve that locus is
+    empty and saturation by it is the identity, so that step is skipped
+    rather than paid for (the curve's full minor ideal is large)."""
+    jac_z = _jacobian_of_witness(i_x, witness)
+    chart = _check_chart(jac_z, witness.h)
+    affine = chart_ideal(jac_z, chart)
+    if not is_smooth_curve(i_x):
+        affine = saturate(affine, chart_ideal(_singular_locus(i_x), chart))
+    return affine
 
 
 def cid_smooth_jacobian(i_x: Ideal, witness) -> int:
@@ -212,35 +242,14 @@ def cid_smooth_jacobian(i_x: Ideal, witness) -> int:
     valid when X is smooth."""
     if not is_smooth_curve(i_x):
         raise NotSmooth("the Jacobian route requires a smooth curve")
-    locus = ideal_sum(i_x, _jacobian_of_witness(i_x, witness))
-    chart = _check_chart(locus, witness.h)
-    value = vdim(chart_ideal(locus, chart))
-    assert value != INFINITE
-    return value
+    return _length(_witness_locus(i_x, witness))
 
 
 def cid_lci_general(i_x: Ideal, witness) -> int:
     """Discrepancy for a reduced local complete intersection X with a
     general witness: contributions along the singular locus of X are
-    stripped by saturation.
-
-    On a smooth curve the singular locus is empty, its chart ideal is
-    the unit ideal and saturation by it is the identity, so that step is
-    skipped rather than paid for (the curve's full minor ideal is large).
-    """
-    jac_z = ideal_sum(i_x, _jacobian_of_witness(i_x, witness))
-    chart = _check_chart(jac_z, witness.h)
-    affine = chart_ideal(jac_z, chart)
-    if not is_smooth_curve(i_x):
-        jac_x = ideal_sum(
-            i_x,
-            jacobian_ideal(i_x.generators, curve_codim(i_x.ring),
-                           ambient=i_x),
-        )
-        affine = saturate(affine, chart_ideal(jac_x, chart))
-    value = vdim(affine)
-    assert value != INFINITE
-    return value
+    stripped by saturation."""
+    return _length(_witness_locus(i_x, witness))
 
 
 def cid_aci(degrees, deg_x: int) -> int:
@@ -256,15 +265,15 @@ def cid_aci(degrees, deg_x: int) -> int:
     return prod(degrees) - degrees[-1] * deg_x
 
 
-def cid_routes(curve, witness, route: str = "auto",
-               assume_lci: bool = False, seed: int = 0) -> dict:
-    """Discrepancy by the selected route, or by every applicable route
-    under "auto" with agreement demanded."""
+def _route_values(curve, witness, route, assume_lci, seed, i_w=None,
+                  deg_x=None) -> dict:
+    """Route values as selected by `route`; i_w and deg X are computed
+    here only when a selected route needs them and none is passed."""
     i_x = curve.ideal()
-    i_z = Ideal(i_x.ring, list(witness.F))
     values = {}
     if route in ("auto", "direct"):
-        i_w = residual(i_z, i_x, seed=seed)
+        if i_w is None:
+            i_w = _witness_residual(i_x, witness, seed)[1]
         values["direct"] = cid_direct(i_x, i_w, witness.h)
     smooth = is_smooth_curve(i_x)
     if route == "smooth" or (route == "auto" and smooth):
@@ -272,9 +281,19 @@ def cid_routes(curve, witness, route: str = "auto",
     if route == "lci" or (route == "auto" and (smooth or assume_lci)):
         values["lci_general"] = cid_lci_general(i_x, witness)
     if route == "aci" or (route == "auto" and curve.r == curve.n):
-        values["aci"] = cid_aci(curve.degrees, _hilbert.proj_degree(i_x))
+        if deg_x is None:
+            deg_x = _hilbert.proj_degree(i_x)
+        values["aci"] = cid_aci(curve.degrees, deg_x)
     if not values:
         raise ValueError(f"unknown route {route!r}")
+    return values
+
+
+def cid_routes(curve, witness, route: str = "auto",
+               assume_lci: bool = False, seed: int = 0) -> dict:
+    """Discrepancy by the selected route, or by every applicable route
+    under "auto" with agreement demanded."""
+    values = _route_values(curve, witness, route, assume_lci, seed)
     if route == "auto" and len(set(values.values())) > 1:
         others = [v for k, v in values.items() if k != "lci_general"]
         if "lci_general" in values and len(set(others)) == 1:
@@ -342,8 +361,7 @@ class GenusReport:
 def genus_report(curve, witness, assume_lci: bool = False,
                  seed: int = 0) -> GenusReport:
     i_x = curve.ideal()
-    i_z = Ideal(i_x.ring, list(witness.F))
-    i_w = residual(i_z, i_x, seed=seed)
+    i_z, i_w = _witness_residual(i_x, witness, seed)
 
     degrees = curve.degrees[: curve.n - 1]
     sigma = sum(d - 1 for d in degrees)
@@ -362,15 +380,8 @@ def genus_report(curve, witness, assume_lci: bool = False,
     p_a_x = data_x.p_a
     p_a_w = data_w.p_a
 
-    values = {}
-    values["direct"] = cid_direct(i_x, i_w, witness.h)
-    smooth = is_smooth_curve(i_x)
-    if smooth:
-        values["smooth_jacobian"] = cid_smooth_jacobian(i_x, witness)
-    if smooth or assume_lci:
-        values["lci_general"] = cid_lci_general(i_x, witness)
-    if curve.r == curve.n:
-        values["aci"] = cid_aci(curve.degrees, deg_x)
+    values = _route_values(curve, witness, "auto", assume_lci, seed, i_w,
+                           deg_x)
     cid = values["direct"]
 
     numerator = (sigma - 2) * deg_x - cid
@@ -417,9 +428,8 @@ def degree_lower_bound(n: int, d_n: int) -> Fraction:
 def omega_jacobian(i_x: Ideal, witness, seed: int = 0) -> Ideal:
     """The colon of the witness Jacobian by the residual ideal inside the
     curve's coordinate ring; presented as an ambient ideal over I_X."""
-    jac = ideal_sum(i_x, _jacobian_of_witness(i_x, witness))
-    i_z = Ideal(i_x.ring, list(witness.F))
-    i_w = residual(i_z, i_x, seed=seed)
+    jac = _jacobian_of_witness(i_x, witness)
+    i_w = _witness_residual(i_x, witness, seed)[1]
     if i_w.is_unit():
         return jac
     return colon_certified(jac, i_w, seed=seed)
@@ -440,9 +450,7 @@ def omega_matches_jacobian(i_x: Ideal, witness, seed: int = 0) -> bool:
         # is irrelevant-primary by the smoothness certificate itself, so
         # only the omega side still needs checking.
         return saturate_irrelevant(j).is_unit()
-    jac_x = ideal_sum(
-        i_x, jacobian_ideal(i_x.generators, curve_codim(i_x.ring), ambient=i_x)
-    )
+    jac_x = _singular_locus(i_x)
     if ideal_equal(j, jac_x):
         return True
     return ideal_equal(saturate_irrelevant(j), saturate_irrelevant(jac_x))
@@ -503,16 +511,6 @@ def transversality_count(curve, witness, seed: int = 0):
     i_x = curve.ideal()
     if i_x.ring.field.characteristic != 0:
         raise WrongCharacteristic("transversality analysis needs char 0")
-    jac_z = ideal_sum(i_x, _jacobian_of_witness(i_x, witness))
-    chart = _check_chart(jac_z, witness.h)
-    stripped = chart_ideal(jac_z, chart)
-    if not is_smooth_curve(i_x):
-        jac_x = ideal_sum(
-            i_x,
-            jacobian_ideal(i_x.generators, curve_codim(i_x.ring),
-                           ambient=i_x),
-        )
-        stripped = saturate(stripped, chart_ideal(jac_x, chart))
-    count = distinct_point_count(stripped, seed=seed)
-    i_w = residual(Ideal(i_x.ring, list(witness.F)), i_x, seed=seed)
+    count = distinct_point_count(_witness_locus(i_x, witness), seed=seed)
+    i_w = _witness_residual(i_x, witness, seed)[1]
     return count, count == cid_direct(i_x, i_w, witness.h)

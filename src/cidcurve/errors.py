@@ -21,10 +21,6 @@ class MathPrecondition(CidError):
 
 # --- scalars -----------------------------------------------------------
 
-class FieldMismatch(MathPrecondition):
-    """Operands belong to different coefficient fields."""
-
-
 class DivisionByZero(MathPrecondition, ZeroDivisionError):
     """Division by the zero scalar or zero polynomial."""
 

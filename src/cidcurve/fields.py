@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DivisionByZero, FieldMismatch, NotPrime
+from .errors import DivisionByZero, NotPrime
 
 DEFAULT_PRIME = 32003
 MAX_CHARACTERISTIC = 2**31 - 1
@@ -141,54 +141,3 @@ class Field:
     def __repr__(self):
         return f"Field({self.name()})"
 
-
-@dataclass(frozen=True)
-class Scalar:
-    """A field element tagged with its field; the checked public wrapper."""
-
-    field: Field
-    value: object
-
-    def _check(self, other: "Scalar"):
-        if self.field != other.field:
-            raise FieldMismatch(
-                f"cannot mix {self.field.name()} and {other.field.name()}"
-            )
-
-    def __add__(self, other):
-        self._check(other)
-        return Scalar(self.field, self.field.add(self.value, other.value))
-
-    def __sub__(self, other):
-        self._check(other)
-        return Scalar(self.field, self.field.sub(self.value, other.value))
-
-    def __mul__(self, other):
-        self._check(other)
-        return Scalar(self.field, self.field.mul(self.value, other.value))
-
-    def __truediv__(self, other):
-        self._check(other)
-        return Scalar(self.field, self.field.div(self.value, other.value))
-
-    def __neg__(self):
-        return Scalar(self.field, self.field.neg(self.value))
-
-    def __bool__(self):
-        return bool(self.value)
-
-    def __str__(self):
-        return self.field.to_str(self.value)
-
-
-def scalar_arith(a: Scalar, b: Scalar, op: str) -> Scalar:
-    """Dispatch one of '+', '-', '*', '/' on tagged scalars."""
-    if op == "+":
-        return a + b
-    if op == "-":
-        return a - b
-    if op == "*":
-        return a * b
-    if op == "/":
-        return a / b
-    raise ValueError(f"unknown operation {op!r}")

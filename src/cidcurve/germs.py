@@ -258,11 +258,7 @@ def branch_ideal(branch: BranchParam, ambient: PolyRing) -> Ideal:
         for e, c in p.terms.items():
             expr = expr - join.polynomial({(e[0],) + (0,) * ambient.arity: c})
         gens.append(expr)
-    eliminated = eliminate(Ideal(join, gens), (0,))
-    return Ideal(ambient, [
-        p.compose(ambient, list(ambient.variables()))
-        for p in eliminated.generators
-    ])
+    return eliminate(Ideal(join, gens), (0,))
 
 
 def delta_invariant(branches,

@@ -49,18 +49,6 @@ def poly_to_int_dict(f: Polynomial):
     return out, Fraction(den, content)
 
 
-def int_dict_to_poly(ring: PolyRing, d: dict, divisor=1) -> Polynomial:
-    field = ring.field
-    if field.characteristic:
-        p = field.characteristic
-        if divisor == 1:
-            inv = 1
-        else:
-            inv = pow(divisor % p, -1, p)
-        return ring.polynomial({e: c * inv % p for e, c in d.items()})
-    return ring.polynomial({e: Fraction(c, divisor) for e, c in d.items()})
-
-
 def _strip_content(d: dict) -> dict:
     content = 0
     for c in d.values():
@@ -98,8 +86,7 @@ class _Reducer:
         self.char = char
         self.entries = []  # (lm, lc, items) treating items as full term list
 
-    def add(self, d: dict):
-        lm = max(d, key=self.order.key)
+    def add(self, lm, d: dict):
         self.entries.append((lm, d[lm], list(d.items())))
 
     def find(self, m):
@@ -110,7 +97,9 @@ class _Reducer:
 
     def reduce(self, d: dict, scale=1):
         """Full normal form.  Returns (dict, final_scale): the input d at
-        scale `scale` reduces to dict/final_scale modulo the basis."""
+        scale `scale` reduces to dict/final_scale modulo the basis.  The
+        dict lists its terms in descending order, so its first key is
+        its leading monomial."""
         heap_key = self.order.heap_key
         char = self.char
         work = dict(d)
@@ -169,10 +158,8 @@ class _Reducer:
         return out, scale
 
 
-def _spoly(a, b, order, char):
-    """S-polynomial of two integer dicts."""
-    lma = max(a, key=order.key)
-    lmb = max(b, key=order.key)
+def _spoly(a, lma, b, lmb, char):
+    """S-polynomial of two integer dicts with leading monomials lma, lmb."""
     l = _lcm(lma, lmb)
     sa = tuple(x - y for x, y in zip(l, lma))
     sb = tuple(x - y for x, y in zip(l, lmb))
@@ -245,12 +232,12 @@ def _buchberger(int_gens, order, char):
             continue
         r = r if char else _strip_content(r)
         basis.append(r)
-        lms.append(max(r, key=order.key))
-        reducer.add(r)
+        lms.append(next(iter(r)))
+        reducer.add(lms[-1], r)
         pairs = _update_pairs(pairs, lms, len(basis) - 1, order)
     while pairs:
         _, l, i, j = heapq.heappop(pairs)
-        s = _spoly(basis[i], basis[j], order, char)
+        s = _spoly(basis[i], lms[i], basis[j], lms[j], char)
         if not s:
             continue
         r, _ = reducer.reduce(s)
@@ -258,18 +245,15 @@ def _buchberger(int_gens, order, char):
             continue
         r = r if char else _strip_content(r)
         basis.append(r)
-        lms.append(max(r, key=order.key))
-        reducer.add(r)
+        lms.append(next(iter(r)))
+        reducer.add(lms[-1], r)
         pairs = _update_pairs(pairs, lms, len(basis) - 1, order)
-    return _interreduce(basis, order, char)
+    return _interreduce(basis, lms, order, char)
 
 
-def _interreduce(basis, order, char):
+def _interreduce(basis, lms, order, char):
     """Minimalize by leading monomials, then tail-reduce to the unique
-    reduced basis (primitive integer form)."""
-    if not basis:
-        return []
-    lms = [max(b, key=order.key) for b in basis]
+    reduced basis (primitive integer form), as (lm, dict) pairs."""
     keep = []
     for i, lm in enumerate(lms):
         redundant = False
@@ -282,16 +266,17 @@ def _interreduce(basis, order, char):
         if not redundant:
             keep.append(i)
     reduced = []
-    kept = [basis[i] for i in keep]
-    for idx, b in enumerate(kept):
+    for i in keep:
         others = _Reducer(order, char)
-        for jdx, other in enumerate(kept):
-            if jdx != idx:
-                others.add(other)
-        r, _ = others.reduce(b)
+        for j in keep:
+            if j != i:
+                others.add(lms[j], basis[j])
+        # a minimal basis element keeps its leading term under tail
+        # reduction, so its leading monomial carries over
+        r, _ = others.reduce(basis[i])
         if r:
-            reduced.append(r if char else _strip_content(r))
-    reduced.sort(key=lambda d: order.key(max(d, key=order.key)))
+            reduced.append((lms[i], r if char else _strip_content(r)))
+    reduced.sort(key=lambda pair: order.key(pair[0]))
     return reduced
 
 
@@ -303,18 +288,16 @@ class GroebnerBasis:
     ring: PolyRing
     order: object
     elements: tuple
+    # (leading monomial, integer dict) per element
     _ints: tuple = dc_field(repr=False, compare=False, default=())
-
-    def leading_monomials(self):
-        return tuple(f.leading(self.order)[0] for f in self.elements)
 
     def is_unit(self) -> bool:
         return len(self.elements) == 1 and self.elements[0].is_constant() and bool(self.elements[0])
 
     def _reducer(self):
         red = _Reducer(self.order, self.ring.field.characteristic)
-        for d in self._ints:
-            red.add(d)
+        for lm, d in self._ints:
+            red.add(lm, d)
         return red
 
     def normal_form(self, f: Polynomial) -> Polynomial:
@@ -327,7 +310,7 @@ class GroebnerBasis:
         if not r:
             return self.ring.zero()
         if self.ring.field.characteristic:
-            return int_dict_to_poly(self.ring, r)
+            return self.ring.polynomial(r)
         return self.ring.polynomial({e: Fraction(c, scale) / mult for e, c in r.items()})
 
     def contains(self, f: Polynomial) -> bool:
@@ -345,13 +328,20 @@ def groebner_basis(gens, order=GREVLEX, ring: PolyRing = None) -> GroebnerBasis:
             raise RingMismatch("generators live in different rings")
     char = ring.field.characteristic
     int_gens = [poly_to_int_dict(g)[0] for g in gens]
-    reduced = _buchberger(int_gens, order, char)
-    elements = tuple(int_dict_to_poly(ring, d).monic(order) for d in reduced)
-    monic_ints = []
-    for f in elements:
-        d, _ = poly_to_int_dict(f)
-        monic_ints.append(d)
-    return GroebnerBasis(ring, order, elements, tuple(monic_ints))
+    elements, ints = [], []
+    for lm, d in _buchberger(int_gens, order, char):
+        lc = d[lm]
+        if char:
+            inv = pow(lc, -1, char)
+            d = {e: c * inv % char for e, c in d.items()}
+            elements.append(ring.polynomial(d))
+        else:
+            elements.append(ring.polynomial(
+                {e: Fraction(c, lc) for e, c in d.items()}))
+            if lc < 0:
+                d = {e: -c for e, c in d.items()}
+        ints.append((lm, d))
+    return GroebnerBasis(ring, order, tuple(elements), tuple(ints))
 
 
 def normal_form(f: Polynomial, basis, order=GREVLEX) -> Polynomial:
@@ -359,10 +349,11 @@ def normal_form(f: Polynomial, basis, order=GREVLEX) -> Polynomial:
     latter is divided as-is, without completing it to a basis)."""
     if isinstance(basis, GroebnerBasis):
         return basis.normal_form(f)
+    ints = [poly_to_int_dict(g)[0] for g in basis if g]
     gb_like = GroebnerBasis(
         f.ring, order,
         tuple(basis),
-        tuple(poly_to_int_dict(g)[0] for g in basis if g),
+        tuple((max(d, key=order.key), d) for d in ints),
     )
     return gb_like.normal_form(f)
 

@@ -305,7 +305,8 @@ def arithmetic_genus(ideal_like, auto_saturate=False) -> int:
     data = hilbert_series(ideal_like, auto_saturate=auto_saturate)
     if data.proj_dim != 1:
         raise NotACurve(f"projective dimension is {data.proj_dim}, not 1")
-    assert data.p_a.denominator == 1
+    if data.p_a.denominator != 1:
+        raise NotACurve(f"arithmetic genus {data.p_a} is not an integer")
     return int(data.p_a)
 
 

@@ -28,7 +28,7 @@ from .errors import (
 from . import hilbert as _hilbert
 from .groebner import GroebnerBasis, groebner_basis
 from .orders import Block, GREVLEX, LEX
-from .polynomials import Chart, Polynomial, PolyRing, map_poly
+from .polynomials import Chart, Polynomial, PolyRing
 from .rng import SplitMix64
 
 INFINITE = float("inf")
@@ -70,10 +70,6 @@ class Ideal:
 
     def contains(self, f: Polynomial) -> bool:
         return self.gb().contains(f)
-
-    def contains_ideal(self, other: "Ideal") -> bool:
-        gb = self.gb()
-        return all(gb.contains(g) for g in other.generators)
 
     def is_unit(self) -> bool:
         return self.gb().is_unit()
@@ -128,16 +124,30 @@ def _fresh_name(ring: PolyRing, stem="t"):
     return name
 
 
-def _with_aux_first(ring: PolyRing):
-    """(aux ring with one extra leading variable, embedding index map)."""
-    name = _fresh_name(ring)
-    aux = PolyRing(ring.field, (name,) + ring.names)
-    index_map = [i + 1 for i in range(ring.arity)]
-    return aux, index_map
-
-
-def map_ideal(a: Ideal, target: PolyRing, index_map) -> Ideal:
-    return Ideal(target, [map_poly(g, target, index_map) for g in a.generators])
+def _relabel(gens, target: PolyRing) -> Ideal:
+    """The ideal in `target` of those gens that use only variables named
+    in `target`, each variable kept by name: a permutation, an extra
+    auxiliary variable, or, applied to an elimination basis, the
+    projection onto the kept variables."""
+    gens = list(gens)
+    if not gens:
+        return Ideal(target, [])
+    where = {name: j for j, name in enumerate(target.names)}
+    index_map = [where.get(name) for name in gens[0].ring.names]
+    dropped = [i for i, j in enumerate(index_map) if j is None]
+    out = []
+    for g in gens:
+        if any(e[i] for e in g.terms for i in dropped):
+            continue
+        terms = {}
+        for e, c in g.terms.items():
+            exps = [0] * target.arity
+            for i, k in enumerate(e):
+                if k:
+                    exps[index_map[i]] = k
+            terms[tuple(exps)] = c
+        out.append(Polynomial(target, terms))
+    return Ideal(target, out)
 
 
 def chart_ideal(a: Ideal, chart: Chart) -> Ideal:
@@ -153,21 +163,13 @@ def intersect(a: Ideal, b: Ideal) -> Ideal:
         raise RingMismatch("intersecting ideals in different rings")
     if a.is_zero() or b.is_zero():
         return Ideal(a.ring, [])
-    aux, emb = _with_aux_first(a.ring)
+    aux = PolyRing(a.ring.field, (_fresh_name(a.ring),) + a.ring.names)
     t = aux.variable(0)
     one_minus_t = aux.one() - t
-    gens = [t * map_poly(g, aux, emb) for g in a.generators]
-    gens += [one_minus_t * map_poly(g, aux, emb) for g in b.generators]
+    gens = [t * g for g in _relabel(a.generators, aux).generators]
+    gens += [one_minus_t * g for g in _relabel(b.generators, aux).generators]
     gb = groebner_basis(gens, Block(1), ring=aux)
-    back = [None] * aux.arity
-    for i in range(a.ring.arity):
-        back[i + 1] = i
-    kept = [
-        map_poly(g, a.ring, back)
-        for g in gb.elements
-        if all(e[0] == 0 for e in g.terms)
-    ]
-    return Ideal(a.ring, kept)
+    return _relabel(gb.elements, a.ring)
 
 
 def divide_exact(f: Polynomial, g: Polynomial) -> Polynomial:
@@ -281,17 +283,9 @@ def _sat_var_inf(a: Ideal, index: int) -> Ideal:
     ring = a.ring
     if index == ring.arity - 1:
         return _sat_last_var_grevlex(a)
-    perm = [i for i in range(ring.arity) if i != index] + [index]
-    permuted = PolyRing(ring.field, tuple(ring.names[i] for i in perm))
-    fwd = [None] * ring.arity
-    for new_pos, old in enumerate(perm):
-        fwd[old] = new_pos
-    moved = map_ideal(a, permuted, fwd)
-    sat = _sat_last_var_grevlex(moved)
-    back = [None] * ring.arity
-    for new_pos, old in enumerate(perm):
-        back[new_pos] = old
-    return map_ideal(sat, ring, back)
+    names = ring.names[:index] + ring.names[index + 1:] + (ring.names[index],)
+    moved = _relabel(a.generators, PolyRing(ring.field, names))
+    return _relabel(_sat_last_var_grevlex(moved).generators, ring)
 
 
 def _sat_linear_inf(a: Ideal, coeffs) -> Ideal:
@@ -362,24 +356,11 @@ def eliminate(a: Ideal, var_indices) -> Ideal:
         return a
     if len(drop) >= ring.arity:
         raise ValueError("cannot eliminate every variable")
-    keep = [i for i in range(ring.arity) if i not in drop]
-    perm = drop + keep
-    permuted = PolyRing(ring.field, tuple(ring.names[i] for i in perm))
-    fwd = [None] * ring.arity
-    for new_pos, old in enumerate(perm):
-        fwd[old] = new_pos
-    moved = map_ideal(a, permuted, fwd)
+    keep = tuple(n for i, n in enumerate(ring.names) if i not in drop)
+    dropped = tuple(ring.names[i] for i in drop)
+    moved = _relabel(a.generators, PolyRing(ring.field, dropped + keep))
     gb = moved.gb(Block(len(drop)))
-    small = PolyRing(ring.field, tuple(ring.names[i] for i in keep))
-    back = [None] * permuted.arity
-    for j, old in enumerate(keep):
-        back[len(drop) + j] = j
-    kept = [
-        map_poly(g, small, back)
-        for g in gb.elements
-        if all(all(e[k] == 0 for k in range(len(drop))) for e in g.terms)
-    ]
-    return Ideal(small, kept)
+    return _relabel(gb.elements, PolyRing(ring.field, keep))
 
 
 # --- dimensions --------------------------------------------------------

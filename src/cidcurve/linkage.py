@@ -26,6 +26,7 @@ from .errors import (
     ExhaustedCandidates,
     InputError,
     MaxAttemptsExceeded,
+    NotContained,
     NotGenericallyCI,
     NotHomogeneous,
     NotLinear,
@@ -298,7 +299,9 @@ def _construct(curve: CurveInput, seed: int, max_attempts: int,
         coeffs = coeff_matrix if coeff_matrix is not None else _draw_coeffs(
             curve, rng)
         F = _combine_rows(curve, ells, coeffs, transversal)
-        assert all(gb_x.contains(f) for f in F)
+        for f in F:
+            if not gb_x.contains(f):
+                raise NotContained(f"witness form {f} is not in I_X")
         tests = {}
 
         def fail(name):

@@ -57,10 +57,6 @@ class PolyRing:
                 raise ValueError(f"duplicate variable name {name!r}")
             seen.add(name)
 
-    @classmethod
-    def make(cls, field: Field, *names: str) -> "PolyRing":
-        return cls(field, tuple(names))
-
     @property
     def arity(self) -> int:
         return len(self.names)
@@ -230,9 +226,6 @@ class Polynomial:
     def is_constant(self) -> bool:
         return all(sum(e) == 0 for e in self.terms)
 
-    def constant_value(self):
-        return self.terms.get(self.ring.zero_exps(), self.ring.field.zero())
-
     def is_linear_form(self) -> bool:
         return bool(self.terms) and all(sum(e) == 1 for e in self.terms)
 
@@ -247,13 +240,6 @@ class Polynomial:
     def sorted_terms(self, order=GREVLEX):
         key = order.key
         return sorted(self.terms.items(), key=lambda item: key(item[0]), reverse=True)
-
-    def monic(self, order=GREVLEX) -> "Polynomial":
-        if not self.terms:
-            return self
-        _, lc = self.leading(order)
-        field = self.ring.field
-        return self.scale(field.inv(lc))
 
     def coefficient_of(self, exps):
         return self.terms.get(tuple(exps), self.ring.field.zero())
@@ -378,6 +364,11 @@ def render_polynomial(f: Polynomial, order=GREVLEX) -> str:
 
 # --- parsing -----------------------------------------------------------
 
+# Each open parenthesis costs the recursive-descent parser four stack
+# frames; the bound keeps deep input far from the interpreter's recursion
+# limit, so it fails as a ParseError.
+MAX_NESTING = 100
+
 _TOKEN_RE = re.compile(
     r"(?P<int>\d+)|(?P<name>[A-Za-z][A-Za-z0-9_]*)|(?P<op>[-+*^/()])|(?P<ws>\s+)|(?P<bad>.)"
 )
@@ -408,6 +399,7 @@ class _Parser:
         self.ring = ring
         self.tokens = tokens
         self.pos = 0
+        self.depth = 0
         self.var_index = {name: i for i, name in enumerate(ring.names)}
 
     def peek(self):
@@ -498,7 +490,12 @@ class _Parser:
                 raise UnknownVariable(f"unknown variable {value!r}", line, col)
             return self.ring.variable(index)
         if kind == "op" and value == "(":
+            if self.depth == MAX_NESTING:
+                raise ParseError(
+                    f"parentheses nested deeper than {MAX_NESTING}", line, col)
+            self.depth += 1
             inner = self.expr()
+            self.depth -= 1
             kind2, value2, _, _ = self.peek()
             if not (kind2 == "op" and value2 == ")"):
                 self.fail("expected ')'")
@@ -594,20 +591,3 @@ def homogenize(g: Polynomial, ambient: PolyRing, pivot: int) -> Polynomial:
         full = list(e[:pivot]) + [pad] + list(e[pivot:])
         out[tuple(full)] = c
     return Polynomial(ambient, out)
-
-
-def map_poly(f: Polynomial, target: PolyRing, index_map) -> Polynomial:
-    """Transport f along a variable embedding: source variable i becomes
-    target variable index_map[i].  Fails if f uses an unmapped variable."""
-    out = {}
-    for e, c in f.terms.items():
-        exps = [0] * target.arity
-        for i, k in enumerate(e):
-            if k == 0:
-                continue
-            j = index_map[i]
-            if j is None:
-                raise RingMismatch(f"variable {f.ring.names[i]} has no image")
-            exps[j] = k
-        out[tuple(exps)] = c
-    return Polynomial(target, out)

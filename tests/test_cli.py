@@ -129,6 +129,14 @@ def test_syntax_error_exit_code(tmp_path, capsys):
     code, payload = run_json(capsys, "gb", "--input", str(path))
     assert code == 1
     assert payload["errors"][0]["type"] == "ParseError"
+    # nesting far past the parser's bound is a ParseError, not a
+    # RecursionError escaping the envelope
+    deep = "(" * 3000 + "x" + ")" * 3000
+    path.write_text(f"ring/1 over QQ vars x\nideal A = {deep};\n")
+    code, payload = run_json(capsys, "gb", "--input", str(path))
+    assert code == 1
+    assert payload["errors"][0]["type"] == "ParseError"
+    assert "nested deeper" in payload["errors"][0]["message"]
 
 
 def test_math_precondition_exit_code(tmp_path, capsys):
