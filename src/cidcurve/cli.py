@@ -345,7 +345,12 @@ def run(args) -> int:
         errors.append({"type": type(err).__name__, "message": str(err)})
         code = 1
     except MathPrecondition as err:
-        errors.append({"type": type(err).__name__, "message": str(err)})
+        record = {"type": type(err).__name__, "message": str(err)}
+        for key in ("failures", "cap"):
+            value = getattr(err, key, None)
+            if value is not None:
+                record[key] = value
+        errors.append(record)
         code = 2
     payload = _envelope(args.command, args.seed, field_name, result, checks,
                         errors)

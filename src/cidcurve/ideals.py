@@ -3,15 +3,20 @@ saturation, elimination, vector-space dimensions and zero-dimensional
 radicals.
 
 Intersections use the classic auxiliary-variable trick (eliminate t
-from t*I + (1-t)*J), quotients reduce to principal quotients via
-intersection plus exact division, and saturation iterates quotients to
-stabilization.  Saturation by the irrelevant maximal ideal of a
-homogeneous ideal has a dedicated fast path: saturating by a single
-linear form is one grevlex basis computation (divide every element by
-the top power of the last variable), and a Hilbert-polynomial
-comparison certifies that the chosen form missed every relevant
-associated prime; on certificate failure the exact intersection
-formula over all coordinate saturations is used instead.
+from t*I + (1-t)*J).  A principal quotient (I : g) of homogeneous I and
+g is one weighted-grevlex basis of I + (y - g) in a fresh last variable
+y of weight deg g (Bayer's trick): the basis elements divisible by y,
+divided by y once and mapped back by y -> g, generate (I : g) together
+with I.  Other principal quotients divide the generators of I ∩ (g) by
+g.  Quotients by several generators intersect principal ones, and
+saturation iterates quotients to stabilization.  Saturation by the
+irrelevant maximal ideal of a homogeneous ideal has a dedicated fast
+path: saturating by a single linear form is one grevlex basis
+computation (divide every element by the top power of the last
+variable), and a Hilbert-polynomial comparison certifies that the
+chosen form missed every relevant associated prime; on certificate
+failure the exact intersection formula over all coordinate saturations
+is used instead.
 """
 
 from __future__ import annotations
@@ -27,7 +32,7 @@ from .errors import (
 )
 from . import hilbert as _hilbert
 from .groebner import GroebnerBasis, groebner_basis
-from .orders import Block, GREVLEX, LEX
+from .orders import Block, GREVLEX, LEX, WeightedGrevLex
 from .polynomials import Chart, Polynomial, PolyRing
 from .rng import SplitMix64
 
@@ -190,14 +195,46 @@ def divide_exact(f: Polynomial, g: Polynomial) -> Polynomial:
     return quotient_poly
 
 
+def _colon_homogeneous(a: Ideal, g: Polynomial) -> Ideal:
+    """(a : g) for homogeneous a and g of degree d, from one basis in a
+    fresh last variable y of weight d (Bayer's trick; Eisenbud, Prop.
+    15.12).  J = a + (y - g) is weighted-homogeneous, so in weighted
+    grevlex y divides a basis element exactly when it divides its
+    leading term, and the basis elements y divides, divided by y once,
+    generate (J : y) together with J.  Mapping y to g sends J onto a
+    and (J : y) onto (a : g)."""
+    ring = a.ring
+    aux = PolyRing(ring.field, ring.names + (_fresh_name(ring, "y"),))
+    y = aux.variable(ring.arity)
+    gens = list(_relabel(a.generators, aux).generators)
+    gens.append(y - _relabel([g], aux).generators[0])
+    weights = (1,) * ring.arity + (g.total_degree(),)
+    basis = groebner_basis(gens, WeightedGrevLex(weights), ring=aux)
+    images = ring.variables() + [g]
+    found = list(a.generators)
+    for f in basis.elements:
+        if all(e[-1] for e in f.terms):
+            lowered = aux.polynomial(
+                {e[:-1] + (e[-1] - 1,): c for e, c in f.terms.items()})
+            found.append(lowered.compose(ring, images))
+    gb = groebner_basis(found, GREVLEX, ring=ring)
+    out = Ideal(ring, gb.elements)
+    out._gb_cache[GREVLEX] = gb
+    return out
+
+
 def colon_principal(a: Ideal, g: Polynomial) -> Ideal:
-    """(a : g) for a single polynomial."""
+    """(a : g) for a single polynomial: one weighted-grevlex basis when
+    a and g are homogeneous (returned as its reduced grevlex basis),
+    otherwise exact division of the generators of a ∩ (g)."""
     if g.ring != a.ring:
         raise RingMismatch("colon divisor outside the ideal's ring")
     if not g:
         return Ideal(a.ring, [a.ring.one()])
     if g.is_constant():
         return a
+    if a.is_homogeneous() and g.is_homogeneous():
+        return _colon_homogeneous(a, g)
     meet = intersect(a, Ideal(a.ring, [g]))
     return Ideal(a.ring, [divide_exact(f, g) for f in meet.generators])
 
@@ -218,7 +255,10 @@ def quotient(a: Ideal, b: Ideal) -> Ideal:
 def colon_certified(a: Ideal, b: Ideal, seed=0) -> Ideal:
     """(a : b) via a single random combination g of b's generators,
     certified exact by the product test (a : g) * b ⊆ a; falls back to
-    the full quotient when certification fails."""
+    the full quotient when certification fails.  When a and b are
+    homogeneous but b's generators differ in degree, each generator is
+    first raised to the top degree by a power of one random linear
+    form, so g is homogeneous and (a : g) takes the homogeneous colon."""
     if a.ring != b.ring:
         raise RingMismatch("ideal quotient across different rings")
     if not b.generators:
@@ -227,10 +267,18 @@ def colon_certified(a: Ideal, b: Ideal, seed=0) -> Ideal:
         return colon_principal(a, b.generators[0])
     rng = SplitMix64(seed ^ 0x5EED_C010)
     field = a.ring.field
+    gens = b.generators
+    degrees = [gen.total_degree() for gen in gens]
+    top = max(degrees)
+    if a.is_homogeneous() and b.is_homogeneous() and min(degrees) < top:
+        ell = a.ring.linear_form(
+            [field.from_int(rng.unit_coefficient())
+             for _ in range(a.ring.arity)])
+        gens = [gen * ell**(top - d) for gen, d in zip(gens, degrees)]
     gb_a = a.gb()
     for _ in range(2):
         g = a.ring.zero()
-        for gen in b.generators:
+        for gen in gens:
             g = g + gen.scale(field.from_int(rng.unit_coefficient()))
         if not g:
             continue

@@ -26,6 +26,7 @@ from .errors import (
     ExhaustedCandidates,
     InputError,
     MaxAttemptsExceeded,
+    NotACurve,
     NotContained,
     NotGenericallyCI,
     NotHomogeneous,
@@ -288,6 +289,9 @@ def _construct(curve: CurveInput, seed: int, max_attempts: int,
 
     i_x = curve.ideal()
     gb_x = i_x.gb()
+    dim_x = krull_dimension(i_x)
+    if dim_x != 2:
+        raise NotACurve(f"projective dimension is {dim_x - 1}, not 1")
     sat_x = None
     tallies = {name: 0 for name in TEST_NAMES}
     attempts_allowed = 1 if coeff_matrix is not None else max_attempts

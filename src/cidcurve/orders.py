@@ -2,9 +2,10 @@
 
 Each order exposes two views of the same comparison: `key` (bigger key
 means bigger monomial, for max()/sort) and `heap_key` (smaller key means
-bigger monomial, so a min-heap pops the largest monomial first).  All
-three orders are total, multiplicative and have 1 as least element;
-the property tests exercise exactly those axioms.
+bigger monomial, so a min-heap pops the largest monomial first).  Every
+order here is total, multiplicative and has 1 as least element (the
+weighted one needs positive weights); the property tests exercise
+exactly those axioms.
 """
 
 from __future__ import annotations
@@ -60,6 +61,24 @@ class Block:
     def heap_key(self, exps):
         s = self.split
         return (_grevlex_heap_key(exps[:s]), _grevlex_heap_key(exps[s:]))
+
+
+@dataclass(frozen=True)
+class WeightedGrevLex:
+    """Weighted degree sum(w_i * e_i) first, then ties broken as in
+    grevlex (the smaller exponent of the last variable wins).  Weights
+    must be positive.  Not offered by `order_from_name`: the weighted
+    colon in `ideals` is its only user."""
+
+    weights: tuple
+
+    def key(self, exps):
+        return (sum(w * e for w, e in zip(self.weights, exps)),
+                tuple(-e for e in reversed(exps)))
+
+    def heap_key(self, exps):
+        return (-sum(w * e for w, e in zip(self.weights, exps)),
+                tuple(reversed(exps)))
 
 
 LEX = Lex()

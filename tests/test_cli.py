@@ -2,11 +2,16 @@
 
 import json
 import pathlib
+import sys
 
+import cidcurve
+from cidcurve import Ideal, PolyRing, intersect
 from cidcurve.cli import main
+from cidcurve.orders import Block
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 TC = str(ROOT / "inputs" / "twisted_cubic.ring")
+RNC4 = str(ROOT / "inputs" / "rnc4.ring")
 CUSP = str(ROOT / "inputs" / "cusp.germ")
 
 
@@ -102,6 +107,84 @@ def test_ideal_op_quotient(tmp_path, capsys):
                              "--right", "B")
     assert code == 0
     assert payload["result"]["generators"] == ["y"]
+
+
+def test_ideal_op_quotient_homogeneous(tmp_path, capsys):
+    # homogeneous input: the quotient prints its monic reduced grevlex
+    # basis (division of an elimination basis gave 1/2*x*z, 1/2*x*y)
+    path = tmp_path / "hom.ring"
+    path.write_text("ring/1 over QQ vars x y z\n"
+                    "ideal A = x*y, x*z;\nideal B = 2*x + 3*y;\n")
+    code, payload = run_json(capsys, "ideal-op", "--input", str(path),
+                             "--op", "quotient", "--left", "A",
+                             "--right", "B")
+    assert code == 0
+    assert payload["result"]["generators"] == ["x*z", "x*y"]
+
+
+def test_genus_computes_no_block_basis(monkeypatch, capsys):
+    # every colon on a homogeneous curve takes the weighted-grevlex
+    # route; a Block-order basis here means a silent fallback to
+    # elimination
+    orders = []
+    real = cidcurve.groebner.groebner_basis
+
+    def spy(gens, order=cidcurve.GREVLEX, ring=None):
+        orders.append(order)
+        return real(gens, order, ring=ring)
+
+    for module in list(sys.modules.values()):
+        if getattr(module, "__name__", "").startswith("cidcurve") and \
+                getattr(module, "groebner_basis", None) is real:
+            monkeypatch.setattr(module, "groebner_basis", spy)
+    code, payload = run_json(capsys, "genus", "--input", RNC4)
+    assert code == 0
+    assert orders
+    assert not [o for o in orders if isinstance(o, Block)]
+    assert set(payload["result"]["cid_routes"].values()) == {6}
+
+
+def test_error_records_carry_structured_data(tmp_path, capsys):
+    # a line with an embedded point fails every double link
+    ring = PolyRing(cidcurve.Field.rationals(), ("x0", "x1", "x2", "x3"))
+    x0, x1, x2, x3 = ring.variables()
+    mixed = intersect(Ideal(ring, [x1, x2]), Ideal(ring, [x0, x1**2, x3]))
+    path = tmp_path / "embedded.ring"
+    path.write_text("ring/1 over QQ vars x0 x1 x2 x3\nideal X = "
+                    + ", ".join(str(g) for g in mixed.generators) + ";\n")
+    code, payload = run_json(capsys, "genus", "--input", str(path),
+                             "--max-attempts", "3")
+    assert code == 2
+    (record,) = payload["errors"]
+    assert record["type"] == "NotGenericallyCI"
+    assert record["failures"]["double_link"] == 3
+    assert sum(record["failures"].values()) == 3
+    assert "cap" not in record
+    # the text report is unchanged: type and message only
+    assert main(["genus", "--input", str(path), "--max-attempts", "3"]) == 2
+    out = capsys.readouterr().out
+    assert out.rstrip().splitlines()[-1].startswith(
+        "error (NotGenericallyCI): every attempt failed")
+    # a germ whose delta does not certify below the precision cap
+    germ = tmp_path / "slow.germ"
+    germ.write_text("germ/1 over QQ vars x y\n"
+                    "branch a: x = t^4; y = t^6 + t^7\n")
+    code, payload = run_json(capsys, "local", "--input", str(germ),
+                             "--precision-cap", "16")
+    assert code == 2
+    (record,) = payload["errors"]
+    assert record["type"] == "PrecisionCapExceeded"
+    assert record["cap"] == 16
+    assert "failures" not in record
+
+
+def test_non_curve_exit_code(tmp_path, capsys):
+    for gens in ("x0*x1, x0*x2", "x2, x3, x0*x1"):
+        path = tmp_path / "bad.ring"
+        path.write_text(f"ring/1 over QQ vars x0 x1 x2 x3\nideal X = {gens};\n")
+        code, payload = run_json(capsys, "genus", "--input", str(path))
+        assert code == 2
+        assert payload["errors"][0]["type"] == "NotACurve"
 
 
 def test_verify_ring(capsys):

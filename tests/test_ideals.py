@@ -26,11 +26,15 @@ from cidcurve import (
     saturate_irrelevant,
     vdim,
 )
+from cidcurve import ideals as ideals_module
 from cidcurve.errors import NotZeroDimensional, RingMismatch
 from cidcurve.ideals import (
+    colon_principal,
+    divide_exact,
     minimal_polynomial_of_variable,
     reduce_mod_prime,
 )
+from cidcurve.orders import Block
 from cidcurve.rng import SplitMix64
 
 from conftest import twisted_cubic_gens
@@ -111,6 +115,82 @@ def test_colon_certified_matches_quotient():
         a = random_ideal(ring, seed)
         b = random_ideal(ring, seed + 7)
         assert ideal_equal(colon_certified(a, b), quotient(a, b))
+
+
+def random_form(ring, rng, degree, terms=4):
+    f = ring.zero()
+    while not f:
+        for _ in range(terms):
+            exps = [0] * ring.arity
+            for _ in range(degree):
+                exps[rng.randint(0, ring.arity - 1)] += 1
+            f = f + ring.polynomial(
+                {tuple(exps): ring.field.from_int(rng.randint(-5, 5))})
+    return f
+
+
+def colon_by_elimination(a, g):
+    """(a : g) the old way: exact division of a ∩ (g) by g."""
+    meet = intersect(a, Ideal(a.ring, [g]))
+    return Ideal(a.ring, [divide_exact(f, g) for f in meet.generators])
+
+
+@pytest.mark.parametrize("field", [QQ, Field.prime_field(32003)],
+                         ids=["QQ", "Fp32003"])
+@pytest.mark.parametrize("degree", [1, 2, 3])
+def test_homogeneous_colon_matches_elimination(field, degree):
+    ring = PolyRing(field, ("x0", "x1", "x2", "x3"))
+    for seed in (1, 2):
+        rng = SplitMix64(seed * 10 + degree)
+        u = random_form(ring, rng, 1)
+        # u divides two generators, so (a : g) is bigger than a when g
+        # shares the factor u
+        a = Ideal(ring, [u * random_form(ring, rng, 2),
+                         u * random_form(ring, rng, 1),
+                         random_form(ring, rng, 3)])
+        g = u * random_form(ring, rng, degree - 1) if degree > 1 else u
+        new = colon_principal(a, g)
+        assert ideal_equal(new, colon_by_elimination(a, g))
+        # returned as its monic reduced grevlex basis, already cached
+        assert new.generators == new.gb().elements
+        assert new.gb() is new._gb_cache[GREVLEX]
+
+
+def test_homogeneous_colon_edge_cases():
+    ring = PolyRing(QQ, ("x0", "x1", "x2", "x3"))
+    tc = Ideal(ring, twisted_cubic_gens(ring))
+    x0, x1, x2, x3 = ring.variables()
+    # g inside a: the unit ideal
+    assert colon_principal(tc, x2**2 - x1 * x3).is_unit()
+    assert colon_principal(tc, x0 * (x1**2 - x0 * x2)).is_unit()
+    # a nonzerodivisor modulo the prime a: a comes back
+    assert ideal_equal(colon_principal(tc, x0), tc)
+    assert ideal_equal(colon_principal(tc, x0 * x3 + x1**2), tc)
+    # the zero ideal stays zero
+    assert colon_principal(Ideal(ring, []), x0).is_zero()
+
+
+def test_colon_certified_mixed_degrees(monkeypatch):
+    ring = PolyRing(QQ, ("x0", "x1", "x2", "x3"))
+    x0, x1, x2, x3 = ring.variables()
+    tc = Ideal(ring, twisted_cubic_gens(ring))
+    # the cubic plus the line x0 = x1 = 0 through its point (0:0:0:1)
+    a = intersect(tc, ideal(x0, x1))
+    # b cuts out the line but not the cubic, and mixes degrees 1 and 2
+    b = ideal(x0, x1**2 + x0 * x3)
+    orders = []
+    real = ideals_module.groebner_basis
+
+    def spy(gens, order, ring=None):
+        orders.append(order)
+        return real(gens, order, ring=ring)
+
+    monkeypatch.setattr(ideals_module, "groebner_basis", spy)
+    result = colon_certified(a, b, seed=4)
+    assert not any(isinstance(order, Block) for order in orders)
+    monkeypatch.undo()
+    assert ideal_equal(result, tc)
+    assert ideal_equal(result, quotient(a, b))
 
 
 def test_saturation():

@@ -18,6 +18,7 @@ from cidcurve import (
 from cidcurve.errors import (
     EmptyInput,
     InputError,
+    NotACurve,
     NotGenericallyCI,
     NotHomogeneous,
     NotZeroDimensional,
@@ -128,6 +129,14 @@ def test_too_few_generators(p3):
     # one surface generator cannot produce n-1 = 2 combinations
     with pytest.raises(InputError):
         construct_ci(CurveInput(p3, [x0 * x3 - x1 * x2]), seed=0)
+
+
+def test_non_curves_rejected_up_front(p3):
+    x0, x1, x2, x3 = p3.variables()
+    # a plane plus a line (dimension 2) and two points (dimension 0)
+    for gens in ([x0 * x1, x0 * x2], [x2, x3, x0 * x1]):
+        with pytest.raises(NotACurve):
+            construct_ci(CurveInput(p3, gens), seed=0)
 
 
 def test_not_generically_ci(p3):

@@ -8,12 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cidcurve import GREVLEX, LEX, order_from_name
-from cidcurve.orders import Block
+from cidcurve.orders import Block, WeightedGrevLex
 
 exps = st.tuples(*[st.integers(0, 6)] * 3)
 
-ORDERS = [GREVLEX, LEX, Block(1)]
-IDS = ["grevlex", "lex", "block(1)"]
+ORDERS = [GREVLEX, LEX, Block(1), WeightedGrevLex((1, 1, 3)),
+          WeightedGrevLex((2, 1, 1))]
+IDS = ["grevlex", "lex", "block(1)", "wgrevlex(1,1,3)", "wgrevlex(2,1,1)"]
 
 
 def less(order, a, b):
@@ -68,11 +69,24 @@ def test_known_comparisons():
     assert less(GREVLEX, (1, 0, 1), (0, 2, 0))
     # block(1) eliminates x0: any x0 power dominates the rest
     assert less(Block(1), (0, 9, 9), (1, 0, 0))
+    # weighted grevlex: weighted degree first ...
+    heavy = WeightedGrevLex((1, 1, 3))
+    assert less(heavy, (1, 1, 0), (0, 0, 1))
+    # ... then grevlex, so among equal weights the last variable loses
+    assert less(heavy, (0, 0, 1), (3, 0, 0))
+    assert less(heavy, (0, 0, 1), (1, 2, 0))
+    # unit weights give grevlex
+    flat = WeightedGrevLex((1, 1, 1))
+    for a, b in (((1, 1, 0), (3, 0, 0)), ((0, 1, 1), (1, 1, 0))):
+        assert less(flat, a, b) and less(GREVLEX, a, b)
 
 
 def test_order_from_name():
     assert order_from_name("lex") is LEX
     assert order_from_name("grevlex") is GREVLEX
     assert order_from_name("block(2)") == Block(2)
+    # the weighted order is internal to the colon, not a CLI order
+    with pytest.raises(ValueError):
+        order_from_name("wgrevlex(1,1,3)")
     with pytest.raises(ValueError):
         order_from_name("mystery")
