@@ -211,7 +211,7 @@ def _cmd_construct_ci(args, ring_file):
 def _cmd_cid(args, ring_file):
     name, curve, witness = _curve(ring_file, args.ideal, args.seed,
                                   args.transversal, args.max_attempts)
-    routes = cid_routes(curve, witness, route=args.route, seed=args.seed)
+    routes = cid_routes(curve, witness, route=args.route)
     result = {
         "ideal": name,
         "cid": next(iter(routes.values())),
@@ -226,7 +226,7 @@ def _cmd_genus(args, ring_file):
     """The genus report; `verify` adds the witness certification tests."""
     name, curve, witness = _curve(ring_file, args.ideal, args.seed,
                                   args.transversal, args.max_attempts)
-    report = genus_report(curve, witness, seed=args.seed)
+    report = genus_report(curve, witness)
     result = report.to_dict()
     checks = dict(result.pop("checks"))
     if args.command == "verify":

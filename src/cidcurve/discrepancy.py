@@ -6,7 +6,11 @@ length of the intersection scheme X ∩ W.  It is computed by several
 independent routes (direct chart length, Jacobian length for smooth X,
 a saturation variant for local complete intersections, and a pure
 degree count for almost complete intersections); route agreement is the
-designed detector for insufficiently general witnesses.  The genus
+designed detector for insufficiently general witnesses.  The routes
+read I_Z, I_W and the witness Jacobian scheme on X from the certified
+witness (`linkage.CIWitness`), which derived them once.  On a smooth
+curve the Jacobian and saturation routes are one computation, so it
+runs once and its value is filed under both names.  The genus
 report bundles the discrepancy with the Hilbert-polynomial invariants
 and verifies the adjunction-type genus formula, Bezout, the linkage
 genus exchange, and the degree/e-term identity.
@@ -174,19 +178,15 @@ def _singular_locus(i_x: Ideal) -> Ideal:
 
 
 def residual(i_z: Ideal, i_x: Ideal, seed: int = 0) -> Ideal:
-    """Saturated ideal of the residual curve W = closure of Z minus X."""
+    """Saturated ideal (I_Z : I_X) of the residual curve W = closure of
+    Z minus X, for a complete intersection I_Z inside I_X.  That I_Z is
+    unmixed, hence saturated, so the colon needs no saturation step:
+    (I_Z : I_X) : m^inf = (I_Z : m^inf) : I_X = I_Z : I_X."""
     gb_x = i_x.gb()
     for g in i_z.generators:
         if not gb_x.contains(g):
             raise NotContained(f"{g} does not lie in the curve ideal")
-    quotient_ideal = colon_certified(i_z, i_x, seed=seed)
-    return saturate_irrelevant(quotient_ideal)
-
-
-def _witness_residual(i_x: Ideal, witness, seed: int):
-    """(I_Z, I_W) for the witness complete intersection Z."""
-    i_z = Ideal(i_x.ring, list(witness.F))
-    return i_z, residual(i_z, i_x, seed=seed)
+    return colon_certified(i_z, i_x, seed=seed)
 
 
 def _check_chart(finite_ideal: Ideal, h: Polynomial) -> Chart:
@@ -219,19 +219,13 @@ def cid_direct(i_x: Ideal, i_w: Ideal, h: Polynomial) -> int:
     return _length(chart_ideal(meet, chart))
 
 
-def _jacobian_of_witness(i_x: Ideal, witness) -> Ideal:
-    return ideal_sum(i_x, jacobian_ideal(witness.F, len(witness.F),
-                                         ambient=i_x))
-
-
 def _witness_locus(i_x: Ideal, witness) -> Ideal:
     """The witness Jacobian scheme on X in the chart h = 1, with the
     singular locus of X saturated away.  On a smooth curve that locus is
     empty and saturation by it is the identity, so that step is skipped
     rather than paid for (the curve's full minor ideal is large)."""
-    jac_z = _jacobian_of_witness(i_x, witness)
-    chart = _check_chart(jac_z, witness.h)
-    affine = chart_ideal(jac_z, chart)
+    chart = _check_chart(witness.on_curve, witness.h)
+    affine = chart_ideal(witness.on_curve, chart)
     if not is_smooth_curve(i_x):
         affine = saturate(affine, chart_ideal(_singular_locus(i_x), chart))
     return affine
@@ -265,21 +259,22 @@ def cid_aci(degrees, deg_x: int) -> int:
     return prod(degrees) - degrees[-1] * deg_x
 
 
-def _route_values(curve, witness, route, assume_lci, seed, i_w=None,
-                  deg_x=None) -> dict:
-    """Route values as selected by `route`; i_w and deg X are computed
-    here only when a selected route needs them and none is passed."""
+def _route_values(curve, witness, route, assume_lci, deg_x=None) -> dict:
+    """Route values as selected by `route`; deg X is computed here only
+    when the aci route needs it and none is passed.  Under "auto" on a
+    smooth curve the lci_general route is the smooth_jacobian
+    computation, so its value is reused."""
     i_x = curve.ideal()
     values = {}
     if route in ("auto", "direct"):
-        if i_w is None:
-            i_w = _witness_residual(i_x, witness, seed)[1]
-        values["direct"] = cid_direct(i_x, i_w, witness.h)
+        values["direct"] = cid_direct(i_x, witness.i_w, witness.h)
     smooth = is_smooth_curve(i_x)
     if route == "smooth" or (route == "auto" and smooth):
         values["smooth_jacobian"] = cid_smooth_jacobian(i_x, witness)
-    if route == "lci" or (route == "auto" and (smooth or assume_lci)):
+    if route == "lci" or (route == "auto" and assume_lci and not smooth):
         values["lci_general"] = cid_lci_general(i_x, witness)
+    elif route == "auto" and smooth:
+        values["lci_general"] = values["smooth_jacobian"]
     if route == "aci" or (route == "auto" and curve.r == curve.n):
         if deg_x is None:
             deg_x = _hilbert.proj_degree(i_x)
@@ -290,10 +285,10 @@ def _route_values(curve, witness, route, assume_lci, seed, i_w=None,
 
 
 def cid_routes(curve, witness, route: str = "auto",
-               assume_lci: bool = False, seed: int = 0) -> dict:
+               assume_lci: bool = False) -> dict:
     """Discrepancy by the selected route, or by every applicable route
     under "auto" with agreement demanded."""
-    values = _route_values(curve, witness, route, assume_lci, seed)
+    values = _route_values(curve, witness, route, assume_lci)
     if route == "auto" and len(set(values.values())) > 1:
         others = [v for k, v in values.items() if k != "lci_general"]
         if "lci_general" in values and len(set(others)) == 1:
@@ -358,10 +353,8 @@ class GenusReport:
         }
 
 
-def genus_report(curve, witness, assume_lci: bool = False,
-                 seed: int = 0) -> GenusReport:
+def genus_report(curve, witness, assume_lci: bool = False) -> GenusReport:
     i_x = curve.ideal()
-    i_z, i_w = _witness_residual(i_x, witness, seed)
 
     degrees = curve.degrees[: curve.n - 1]
     sigma = sum(d - 1 for d in degrees)
@@ -370,8 +363,8 @@ def genus_report(curve, witness, assume_lci: bool = False,
     # Hilbert-polynomial invariants (degree, e-term, genus) are
     # insensitive to irrelevant-primary junk, so no saturation here.
     data_x = _hilbert.hilbert_series(i_x)
-    data_z = _hilbert.hilbert_series(i_z)
-    data_w = _hilbert.hilbert_series(i_w)
+    data_z = _hilbert.hilbert_series(witness.i_z)
+    data_w = _hilbert.hilbert_series(witness.i_w)
 
     deg_x, deg_z, deg_w = data_x.degree, data_z.degree, data_w.degree
     e_x = data_x.e_term if data_x.e_term is not None else Fraction(0)
@@ -380,8 +373,7 @@ def genus_report(curve, witness, assume_lci: bool = False,
     p_a_x = data_x.p_a
     p_a_w = data_w.p_a
 
-    values = _route_values(curve, witness, "auto", assume_lci, seed, i_w,
-                           deg_x)
+    values = _route_values(curve, witness, "auto", assume_lci, deg_x)
     cid = values["direct"]
 
     numerator = (sigma - 2) * deg_x - cid
@@ -428,11 +420,9 @@ def degree_lower_bound(n: int, d_n: int) -> Fraction:
 def omega_jacobian(i_x: Ideal, witness, seed: int = 0) -> Ideal:
     """The colon of the witness Jacobian by the residual ideal inside the
     curve's coordinate ring; presented as an ambient ideal over I_X."""
-    jac = _jacobian_of_witness(i_x, witness)
-    i_w = _witness_residual(i_x, witness, seed)[1]
-    if i_w.is_unit():
-        return jac
-    return colon_certified(jac, i_w, seed=seed)
+    if witness.i_w.is_unit():
+        return witness.on_curve
+    return colon_certified(witness.on_curve, witness.i_w, seed=seed)
 
 
 def omega_matches_jacobian(i_x: Ideal, witness, seed: int = 0) -> bool:
@@ -512,5 +502,4 @@ def transversality_count(curve, witness, seed: int = 0):
     if i_x.ring.field.characteristic != 0:
         raise WrongCharacteristic("transversality analysis needs char 0")
     count = distinct_point_count(_witness_locus(i_x, witness), seed=seed)
-    i_w = _witness_residual(i_x, witness, seed)[1]
-    return count, count == cid_direct(i_x, i_w, witness.h)
+    return count, count == cid_direct(i_x, witness.i_w, witness.h)

@@ -208,8 +208,11 @@ def _attained_orders(branch: BranchParam, precision: int):
 
 def _certified_gap_count(attained, precision: int):
     """Gap count, or None when the window shows no multiplicity-long
-    gap-free run (then the semigroup argument cannot conclude yet)."""
-    mult = min(o for o in attained if o > 0)
+    gap-free run, or no positive order at all (then the semigroup
+    argument cannot conclude yet)."""
+    mult = min((o for o in attained if o > 0), default=None)
+    if mult is None:
+        return None
     run = 0
     for v in range(precision):
         run = run + 1 if v in attained else 0

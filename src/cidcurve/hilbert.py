@@ -64,7 +64,6 @@ def _divide_one_minus_t(a):
     if not a:
         return []
     out = [0] * (len(a) - 1)
-    carry = 0
     # (1 - t) * q = a  =>  q_i = a_i + q_{i-1}
     prev = 0
     for i in range(len(a) - 1):
@@ -174,8 +173,7 @@ def count_standard_monomials(gens, arity):
         memo[key] = total
         return total
 
-    trimmed = tuple(g for g in gens_m)
-    return rec(trimmed, arity)
+    return rec(tuple(gens_m), arity)
 
 
 # --- series data -------------------------------------------------------
@@ -263,7 +261,7 @@ def _lt_gens(ideal_like):
     return [f.leading(GREVLEX)[0] for f in gb.elements]
 
 
-def hilbert_series(ideal_like, auto_saturate=False, sigma=None, pi=None) -> HilbertData:
+def hilbert_series(ideal_like, auto_saturate=False) -> HilbertData:
     """HilbertData of S/I.  The input must be homogeneous; with
     auto_saturate the irrelevant-ideal saturation is taken first so the
     reported numerator is the saturated one."""
@@ -274,7 +272,7 @@ def hilbert_series(ideal_like, auto_saturate=False, sigma=None, pi=None) -> Hilb
         ideal_like = saturate_irrelevant(ideal_like)
     arity = ideal_like.ring.arity
     num = lt_numerator(_lt_gens(ideal_like), arity)
-    return data_from_numerator(num, arity, sigma, pi)
+    return data_from_numerator(num, arity)
 
 
 def krull_dimension(ideal_like) -> int:

@@ -14,13 +14,18 @@ existence of a measuring hyperplane, and the double-link identity that
 coloning W back out of Z recovers X).  A failing attempt is discarded
 and redrawn; persistent double-link failure is reported as evidence
 that the input curve is not generically a complete intersection.
+
+Certification derives I_Z, the residual I_W = (I_Z : I_X) and the
+Jacobian scheme of Z on X; the accepted witness carries all three, so
+the discrepancy routes and the genus report read them instead of
+deriving them again.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 
-from .discrepancy import jacobian_ideal
+from .discrepancy import jacobian_ideal, residual
 from .errors import (
     EmptyInput,
     ExhaustedCandidates,
@@ -128,7 +133,10 @@ def choose_chart(avoid: Ideal, seed: int = 0) -> Polynomial:
 class CIWitness:
     """Accepted construction data: the complete-intersection forms, the
     auxiliary draws that produced them, the measuring hyperplane, and
-    the per-test certification outcomes."""
+    the per-test certification outcomes.  The ideals certification
+    derived ride along outside equality, repr and `witness_to_dict`:
+    i_z = (F), i_w = (I_Z : I_X), and on_curve = I_X plus the Jacobian
+    minors of F mod I_X, the scheme h was certified against."""
 
     F: tuple
     ells: tuple
@@ -136,6 +144,9 @@ class CIWitness:
     h: Polynomial
     seed: int
     attempts: int
+    i_z: Ideal = dc_field(compare=False, repr=False)
+    i_w: Ideal = dc_field(compare=False, repr=False)
+    on_curve: Ideal = dc_field(compare=False, repr=False)
     tests: dict = dc_field(default_factory=dict)
     transversal: bool = False
 
@@ -255,9 +266,9 @@ def _plane_curve_witness(curve: CurveInput, seed: int,
         raise InputError("a plane curve must be given by a single form")
     i_x = curve.ideal()
     F = (curve.generators[0],)
-    jac = jacobian_ideal(F, 1, ambient=i_x)
+    on_curve = ideal_sum(i_x, jacobian_ideal(F, 1, ambient=i_x))
     try:
-        h = choose_chart(ideal_sum(i_x, jac), seed=seed)
+        h = choose_chart(on_curve, seed=seed)
     except NotZeroDimensional:
         # Singular locus is a curve (non-reduced input); the residual is
         # still empty, so any chart measures the empty intersection.
@@ -268,8 +279,9 @@ def _plane_curve_witness(curve: CurveInput, seed: int,
         "double_link": True,
     }
     return CIWitness(F=F, ells=(), coeffs=((curve.ring.field.one(),),),
-                     h=h, seed=seed, attempts=1, tests=tests,
-                     transversal=transversal)
+                     h=h, seed=seed, attempts=1, i_z=i_x,
+                     i_w=residual(i_x, i_x), on_curve=on_curve,
+                     tests=tests, transversal=transversal)
 
 
 def _construct(curve: CurveInput, seed: int, max_attempts: int,
@@ -308,56 +320,46 @@ def _construct(curve: CurveInput, seed: int, max_attempts: int,
                 raise NotContained(f"witness form {f} is not in I_X")
         tests = {}
 
-        def fail(name):
-            tests[name] = False
-            tallies[name] += 1
+        def record(name, verdict):
+            tests[name] = verdict
+            tallies[name] += not verdict
+            return verdict
 
-        if any(not f for f in F):
-            fail("complete_intersection")
-            continue
         i_z = Ideal(curve.ring, list(F))
         # n-1 forms force dimension >= 2, so <= 2 is the whole test
-        tests["complete_intersection"] = dimension_at_most(i_z, 2)
-        if not tests["complete_intersection"]:
-            tallies["complete_intersection"] += 1
+        if not record("complete_intersection",
+                      all(F) and dimension_at_most(i_z, 2)):
             continue
 
         jac = jacobian_ideal(F, curve.n - 1, ambient=i_x)
         on_curve = ideal_sum(i_x, jac)
-        reduced = vdim(
-            Ideal(curve.ring, list(on_curve.generators) + [ells[-1]])
-        ) != INFINITE
-        tests["reduced_along_input"] = reduced
-        if not reduced:
-            tallies["reduced_along_input"] += 1
+        along = Ideal(curve.ring, list(on_curve.generators) + [ells[-1]])
+        if not record("reduced_along_input", vdim(along) != INFINITE):
             continue
 
         if transversal:
             full_jac = jacobian_ideal(F, curve.n - 1)
-            finite_sing = dimension_at_most(ideal_sum(i_z, full_jac), 1)
-            tests["singular_locus_finite"] = finite_sing
-            if not finite_sing:
-                tallies["singular_locus_finite"] += 1
+            if not record("singular_locus_finite",
+                          dimension_at_most(ideal_sum(i_z, full_jac), 1)):
                 continue
 
         try:
             h = choose_chart(on_curve, seed=seed ^ attempt)
-            tests["chart_misses_intersection"] = True
         except (NotZeroDimensional, ExhaustedCandidates):
-            fail("chart_misses_intersection")
+            h = None
+        if not record("chart_misses_intersection", h is not None):
             continue
 
-        w_raw = colon_certified(i_z, i_x, seed=seed ^ attempt)
-        back = colon_certified(i_z, w_raw, seed=seed ^ attempt)
+        i_w = residual(i_z, i_x, seed=seed ^ attempt)
+        back = colon_certified(i_z, i_w, seed=seed ^ attempt)
         if sat_x is None:
             sat_x = saturate_irrelevant(i_x)
-        tests["double_link"] = ideal_equal(back, sat_x)
-        if not tests["double_link"]:
-            tallies["double_link"] += 1
+        if not record("double_link", ideal_equal(back, sat_x)):
             continue
 
         return CIWitness(F=F, ells=ells, coeffs=coeffs, h=h, seed=seed,
-                         attempts=attempt, tests=tests,
+                         attempts=attempt, i_z=i_z, i_w=i_w,
+                         on_curve=on_curve, tests=tests,
                          transversal=transversal)
 
     if tallies["double_link"] == attempts_allowed:

@@ -121,7 +121,7 @@ def rnc_instances():
             rows = {}
             for seed in (0, 1, 2):
                 witness = construct_ci(curve, seed=seed)
-                report = genus_report(curve, witness, seed=seed)
+                report = genus_report(curve, witness)
                 rows[seed] = (witness, report)
             data[n] = (curve, rows)
         _CACHE["rnc"] = data

@@ -1,8 +1,13 @@
 """Command-line interface: reports, exit codes, determinism."""
 
+import contextlib
+import io
 import json
 import pathlib
 import sys
+
+from hypothesis import Phase, given, settings
+from hypothesis import strategies as st
 
 import cidcurve
 from cidcurve import Ideal, PolyRing, intersect
@@ -253,3 +258,60 @@ def test_text_output(capsys):
     assert code == 0
     assert "result.degree: 3" in out
     assert "field: QQ" in out
+
+
+def test_precision_cap_below_first_order(capsys):
+    # caps too small to see any positive order of the cusp t^2, t^3
+    for cap in ("0", "1", "2"):
+        code, payload = run_json(capsys, "local", "--input", CUSP,
+                                 "--precision-cap", cap)
+        assert code == 2
+        (record,) = payload["errors"]
+        assert record["type"] == "PrecisionCapExceeded"
+        assert record["cap"] == int(cap)
+
+
+def _combine(terms):
+    """{k: c} of a sum of c*t^k terms, cancelled terms dropped."""
+    out = {}
+    for c, k in terms:
+        out[k] = out.get(k, 0) + c
+    return {k: c for k, c in sorted(out.items()) if c}
+
+
+_coordinate = st.lists(
+    st.tuples(st.integers(-3, 3).filter(bool), st.integers(1, 8)),
+    min_size=1, max_size=2,
+).map(_combine)
+# A reparametrization keeps the order of each coordinate, so branches
+# with different (ord x, ord y) are different curves; two copies of one
+# curve would meet in a curve, which is slow to measure.
+_branches = st.lists(
+    st.tuples(_coordinate, _coordinate), min_size=1, max_size=2,
+    unique_by=lambda b: tuple(min(p, default=0) for p in b),
+)
+
+
+def _coordinate_text(poly):
+    return " + ".join(f"{c}*t^{k}" for k, c in poly.items()) or "0"
+
+
+# no explain phase: on a failing draw it re-runs variants for minutes
+@settings(max_examples=40, deadline=None, derandomize=True,
+          phases=(Phase.generate, Phase.shrink))
+@given(branches=_branches, cap=st.integers(-2, 48))
+def test_local_envelope_property(tmp_path_factory, branches, cap):
+    lines = ["germ/1 over QQ vars x y"]
+    for i, (xs, ys) in enumerate(branches):
+        lines.append(f"branch b{i}: x = {_coordinate_text(xs)}; "
+                     f"y = {_coordinate_text(ys)}")
+    path = tmp_path_factory.mktemp("germ") / "drawn.germ"
+    path.write_text("\n".join(lines) + "\n")
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(out):
+        code = main(["local", "--input", str(path), "--precision-cap",
+                     str(cap), "--output", "json"])
+    assert code in (0, 1, 2)
+    payload = json.loads(out.getvalue())
+    assert payload["command"] == "local"
+    assert (code == 0) == (not payload["errors"])

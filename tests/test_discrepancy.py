@@ -1,10 +1,15 @@
 """Discrepancy routes, genus reports, and the Jacobian comparisons."""
 
+import json
+import pathlib
+import sys
 from fractions import Fraction
 
 import pytest
 import sympy
 
+import cidcurve
+import cidcurve.cli
 from cidcurve import (
     CurveInput,
     Field,
@@ -36,6 +41,8 @@ from cidcurve.errors import (
 from conftest import rnc_curve, twisted_cubic_gens
 
 QQ = Field.rationals()
+RNC4 = str(pathlib.Path(__file__).resolve().parent.parent
+           / "inputs" / "rnc4.ring")
 
 
 def test_jacobian_ideal_matches_sympy():
@@ -184,8 +191,65 @@ def test_routes_seed_independent_small():
     baseline = None
     for seed in (0, 1, 2):
         witness = construct_ci(curve, seed=seed)
-        values = cid_routes(curve, witness, seed=seed)
+        values = cid_routes(curve, witness)
         assert len(set(values.values())) == 1
         value = next(iter(values.values()))
         baseline = value if baseline is None else baseline
         assert value == baseline == 2
+
+
+def _spy(monkeypatch, real, calls):
+    """Record the arguments of every call to `real` made through any
+    cidcurve module's binding of it."""
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    for module in list(sys.modules.values()):
+        if getattr(module, "__name__", "").startswith("cidcurve") and \
+                getattr(module, real.__name__, None) is real:
+            monkeypatch.setattr(module, real.__name__, spy)
+
+
+def test_genus_reads_certified_witness(monkeypatch, capsys):
+    # certification derives I_W and the witness Jacobian scheme on X
+    # once; the report reads them from the witness, and on a smooth
+    # curve lci_general is the smooth_jacobian computation
+    colons, jacobians, lci = [], [], []
+    _spy(monkeypatch, cidcurve.ideals.colon_certified, colons)
+    _spy(monkeypatch, cidcurve.discrepancy.jacobian_ideal, jacobians)
+    _spy(monkeypatch, cidcurve.discrepancy.cid_lci_general, lci)
+    code = cidcurve.cli.main(["genus", "--input", RNC4, "--output", "json"])
+    payload = json.loads(capsys.readouterr().out)
+    assert code == 0
+    witness = payload["result"]["witness"]
+    assert all(witness["tests"].values())
+    # W = (I_Z : I_X) and the back colon (I_Z : I_W), per attempt
+    assert len(colons) == 2 * witness["attempts"]
+    builds = [args for args in jacobians
+              if [str(g) for g in args[0]] == witness["forms"]]
+    assert len(builds) == 1
+    assert lci == []
+    routes = payload["result"]["cid_routes"]
+    assert sorted(routes) == ["direct", "lci_general", "smooth_jacobian"]
+    assert set(routes.values()) == {6}
+
+
+def test_lci_route_computed_when_not_shared(monkeypatch):
+    # lci_general reuses the smooth_jacobian value only under "auto" on
+    # a smooth curve; on a singular curve, or when selected, it runs
+    calls = []
+    _spy(monkeypatch, cidcurve.discrepancy.cid_lci_general, calls)
+    ring = PolyRing(QQ, ("x0", "x1", "x2", "x3"))
+    nodal = CurveInput(ring, [ring.parse("x1^2*x2 - x0^3 - x0^2*x2"),
+                              ring.parse("x3")])
+    witness = construct_ci(nodal, seed=0)
+    assert cid_routes(nodal, witness) == {"direct": 0}
+    assert calls == []
+    assert cid_routes(nodal, witness, assume_lci=True) == {
+        "direct": 0, "lci_general": 0}
+    assert len(calls) == 1
+    twisted = rnc_curve(3)
+    assert cid_routes(twisted, construct_ci(twisted, seed=0),
+                      route="lci") == {"lci_general": 2}
+    assert len(calls) == 2

@@ -151,6 +151,13 @@ def test_precision_cap():
                         precision_cap=16)
 
 
+def test_precision_cap_below_first_order():
+    # the window [0, 1) holds no positive order of the cusp
+    with pytest.raises(PrecisionCapExceeded) as info:
+        delta_invariant([BranchParam((t**2, t**3))], precision_cap=1)
+    assert info.value.cap == 1
+
+
 def test_branch_ideal_cusp():
     out = branch_ideal(BranchParam((t**2, t**3)), R2)
     assert ideal_equal(out, Ideal(R2, [Y**2 - X**3]))

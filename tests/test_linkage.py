@@ -10,8 +10,12 @@ from cidcurve import (
     choose_chart,
     construct_ci,
     construct_ci_transversal,
+    ideal_equal,
     ideal_sum,
     intersect,
+    is_saturated,
+    jacobian_ideal,
+    residual,
     vdim,
     witness_to_dict,
 )
@@ -31,6 +35,24 @@ from cidcurve.linkage import TEST_NAMES
 from conftest import rnc_curve, twisted_cubic_gens
 
 QQ = Field.rationals()
+
+
+def _ring_curve(names, texts):
+    ring = PolyRing(QQ, names)
+    return CurveInput(ring, [ring.parse(t) for t in texts])
+
+
+P3 = ("x0", "x1", "x2", "x3")
+WITNESS_CURVES = {
+    "twisted_cubic": lambda: rnc_curve(3),
+    "rnc4": lambda: rnc_curve(4),
+    "ci_2_3": lambda: _ring_curve(
+        P3, ["x0*x3 - x1*x2", "x0^3 + x1^3 + x2^3 + x3^3"]),
+    "nodal_cubic_in_p3": lambda: _ring_curve(
+        P3, ["x1^2*x2 - x0^3 - x0^2*x2", "x3"]),
+    "fermat_cubic": lambda: _ring_curve(
+        ("x", "y", "z"), ["x^3 + y^3 + z^3"]),
+}
 
 
 def test_curve_input_validation(p3):
@@ -166,3 +188,19 @@ def test_witness_degrees_weakly_descending(twisted_cubic):
     witness = construct_ci(twisted_cubic, seed=3)
     degs = [f.total_degree() for f in witness.F]
     assert degs == sorted(degs, reverse=True)
+
+
+@pytest.mark.parametrize("name", sorted(WITNESS_CURVES))
+def test_witness_carries_certified_ideals(name):
+    curve = WITNESS_CURVES[name]()
+    i_x = curve.ideal()
+    witness = construct_ci(curve, seed=0)
+    i_z = Ideal(curve.ring, list(witness.F))
+    assert ideal_equal(witness.i_z, i_z)
+    assert ideal_equal(witness.i_w, residual(i_z, i_x))
+    assert is_saturated(witness.i_w)
+    minors = jacobian_ideal(witness.F, curve.n - 1, ambient=i_x)
+    assert ideal_equal(witness.on_curve, ideal_sum(i_x, minors))
+    # the certification tests are recorded in the order they run
+    assert list(witness.tests) == [t for t in TEST_NAMES
+                                   if t in witness.tests]
