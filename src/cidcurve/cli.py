@@ -43,7 +43,7 @@ from .ideals import (
     vdim,
 )
 from .linkage import CurveInput, construct_ci, construct_ci_transversal, witness_to_dict
-from .orders import order_from_name
+from .orders import Block, order_from_name
 
 VERSION = "0.1.0"
 
@@ -126,9 +126,20 @@ def _curve(ring_file, name, seed, transversal, max_attempts):
     return picked, curve, witness
 
 
+def _order(name, arity):
+    try:
+        order = order_from_name(name)
+    except ValueError:
+        raise InputError(f"unknown monomial order {name!r}") from None
+    if isinstance(order, Block) and not 0 < order.split < arity:
+        raise InputError(f"{name} needs 0 < k < {arity}")
+    return order
+
+
 def _cmd_gb(args, ring_file):
     name, gens = _pick(ring_file, args.ideal)
-    basis = groebner_basis(list(gens), order=order_from_name(args.order),
+    basis = groebner_basis(list(gens),
+                           order=_order(args.order, ring_file.ring.arity),
                            ring=ring_file.ring)
     result = {
         "ideal": name,
@@ -171,6 +182,8 @@ def _cmd_ideal_op(args, ring_file):
             drop = tuple(index[v.strip()] for v in args.vars.split(","))
         except KeyError as err:
             raise InputError(f"unknown variable {err.args[0]!r}")
+        if len(set(drop)) == ring.arity:
+            raise InputError("cannot eliminate every variable")
         out = eliminate(left, drop)
     result = {
         "op": args.op,
@@ -239,21 +252,19 @@ def _cmd_genus(args, ring_file):
 
 def _cmd_local(args, germ_file):
     branches = list(germ_file.branches)
-    base = germ_invariants(branches, precision_cap=args.precision_cap)
-    result = base.to_dict()
-    checks = {}
-    if germ_file.ideal_gens is not None:
-        x_gens = list(germ_file.ideal_gens)
-        z_gens = list(germ_file.ci_gens) if germ_file.ci_gens is not None \
-            else list(general_ci_germ(x_gens, seed=args.seed))
-        inv = cid_local_multiplicities(x_gens, branches, z_gens,
-                                 precision_cap=args.precision_cap)
-        direct = cid_local_direct(x_gens, z_gens)
-        result = inv.to_dict()
-        result["cid_direct"] = direct
-        result["ci"] = [str(g) for g in z_gens]
-        checks["multiplicities_match_direct"] = inv.cid == direct
-    return result, checks
+    if germ_file.ideal_gens is None:
+        base = germ_invariants(branches, precision_cap=args.precision_cap)
+        return base.to_dict(), {}
+    x_gens = list(germ_file.ideal_gens)
+    z_gens = list(germ_file.ci_gens) if germ_file.ci_gens is not None \
+        else list(general_ci_germ(x_gens, seed=args.seed))
+    inv = cid_local_multiplicities(x_gens, branches, z_gens,
+                                   precision_cap=args.precision_cap)
+    direct = cid_local_direct(x_gens, z_gens)
+    result = inv.to_dict()
+    result["cid_direct"] = direct
+    result["ci"] = [str(g) for g in z_gens]
+    return result, {"multiplicities_match_direct": inv.cid == direct}
 
 
 # --- report plumbing ---------------------------------------------------

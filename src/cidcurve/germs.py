@@ -10,13 +10,20 @@ follow.
 
 The delta invariant of one branch is the gap count of the set of orders
 attained by the parametrization subalgebra of k[t].  That order set is
-computed exactly below a working precision by an order-echelon closure,
-and the computation certifies its own answer: attained orders form a
-numerical semigroup, so once a gap-free run of length equal to the
-multiplicity appears, every larger order is attained and the gap count
-below the run is final.  Several branches glue: delta of a union adds
-the origin-length of the pairwise intersection scheme, branch ideals
-being recovered by elimination from their parametrizations.
+computed exactly below a working precision P by a worklist: modulo t^P
+the positive part of k[p_1..p_n] is the span of the coordinates closed
+under multiplication by the coordinates, so each new order-echelon
+representative is multiplied by each coordinate (a few terms) and the
+product reduced into the echelon, until no representative is new.  The
+computation certifies its own answer: attained orders form a numerical
+semigroup, so once a gap-free run of length equal to the multiplicity
+appears, every larger order is attained and the gap count below the run
+is final.  No window can prove the opposite, so a branch is declared
+not primitive only on a certificate read off the input: when every
+exponent of every coordinate is divisible by some d > 1 the subalgebra
+lies in k[t^d].  Several branches glue: delta of a union adds the
+origin-length of the pairwise intersection scheme, branch ideals being
+recovered by elimination from their parametrizations.
 """
 
 from __future__ import annotations
@@ -24,6 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
+from .discrepancy import _determinant, jacobian_ideal
 from .errors import (
     DerivativeVanishes,
     EmptyInput,
@@ -44,7 +52,7 @@ from .ideals import (
     local_vdim_origin,
     quotient,
 )
-from .polynomials import Polynomial, PolyRing
+from .polynomials import Polynomial, PolyRing, partial_derivative
 from .rng import SplitMix64
 
 DEFAULT_PRECISION_CAP = 256
@@ -146,63 +154,47 @@ def is_tame(branches) -> bool:
 # --- delta invariant ---------------------------------------------------
 
 
-def _truncated(p: Polynomial, field, precision: int):
-    out = [field.zero()] * precision
-    for e, c in p.terms.items():
-        if e[0] < precision:
-            out[e[0]] = c
-    return out
-
-
 def _attained_orders(branch: BranchParam, precision: int):
     """Orders attained by the parametrization subalgebra, exactly on
-    [0, precision): echelon by order, closed under pairwise products."""
+    [0, precision): an order-echelon basis of the span of the
+    coordinates, closed under multiplication by each coordinate."""
     field = branch.ring.field
+    coords = [[(e[0], c) for e, c in p.terms.items() if e[0] < precision]
+              for p in branch.coords]
     reps = {}
 
     def insert(vec):
-        created = False
+        """Reduce vec by the echelon; a nonzero remainder becomes the
+        representative of its order, which is returned (else None)."""
         while True:
             order = next((i for i in range(precision) if vec[i]), None)
             if order is None:
-                return created
+                return None
             rep = reps.get(order)
             if rep is None:
                 inv = field.inv(vec[order])
                 reps[order] = [field.mul(inv, c) for c in vec]
-                created = True
-                return created
+                return order
             factor = vec[order]
             vec = [
                 field.sub(c, field.mul(factor, rc))
                 for c, rc in zip(vec, rep)
             ]
 
-    for p in branch.coords:
-        if p:
-            insert(_truncated(p, field, precision))
-    processed = set()
-    changed = True
-    while changed:
-        changed = False
-        orders = sorted(reps)
-        for i, o1 in enumerate(orders):
-            for o2 in orders[i:]:
-                if o1 + o2 >= precision or (o1, o2) in processed:
-                    continue
-                processed.add((o1, o2))
-                a, b = reps[o1], reps[o2]
-                prod = [field.zero()] * precision
-                for k, ca in enumerate(a):
-                    if ca:
-                        for l in range(precision - k):
-                            cb = b[l]
-                            if cb:
-                                prod[k + l] = field.add(
-                                    prod[k + l], field.mul(ca, cb)
-                                )
-                if insert(prod):
-                    changed = True
+    # the unit seeds the worklist: its products are the coordinates
+    todo = [[field.one()] + [field.zero()] * (precision - 1)]
+    while todo:
+        vec = todo.pop()
+        for terms in coords:
+            prod = [field.zero()] * precision
+            for e, c in terms:
+                for k in range(precision - e):
+                    if vec[k]:
+                        prod[k + e] = field.add(prod[k + e],
+                                                field.mul(vec[k], c))
+            order = insert(prod)
+            if order is not None:
+                todo.append(reps[order])
     return set(reps) | {0}
 
 
@@ -224,6 +216,12 @@ def _certified_gap_count(attained, precision: int):
 
 def _delta_single(branch: BranchParam,
                   precision_cap: int = DEFAULT_PRECISION_CAP) -> int:
+    common = gcd(*(e[0] for p in branch.coords for e in p.terms))
+    if common > 1:
+        raise NotPrimitive(
+            f"attained orders of branch {branch.label!r} share the "
+            f"factor {common}; the parametrization is not primitive"
+        )
     precision = min(32, precision_cap)
     while True:
         attained = _attained_orders(branch, precision)
@@ -231,15 +229,6 @@ def _delta_single(branch: BranchParam,
         if delta is not None:
             return delta
         if precision >= precision_cap:
-            positive = [o for o in attained if o > 0]
-            common = 0
-            for o in positive:
-                common = gcd(common, o)
-            if common > 1:
-                raise NotPrimitive(
-                    f"attained orders of branch {branch.label!r} share the "
-                    f"factor {common}; the parametrization is not primitive"
-                )
             raise PrecisionCapExceeded(
                 f"delta of branch {branch.label!r} did not certify below "
                 f"precision {precision_cap}",
@@ -323,12 +312,6 @@ def hs_multiplicity_pullback(gens, branches) -> int:
     return total
 
 
-def _jacobian_minors(gens, size: int):
-    from .discrepancy import jacobian_ideal
-
-    return jacobian_ideal(gens, size).generators
-
-
 # --- local discrepancy routes ------------------------------------------
 
 
@@ -403,16 +386,16 @@ def cid_local_multiplicities(X_ideal, branches, Z_germ,
         if not gb_x.contains(g):
             raise InputError(f"{g} is not in the germ ideal")
     base = germ_invariants(branches, precision_cap)
-    e_jac_z = hs_multiplicity_pullback(_jacobian_minors(Z_gens, n - 1),
-                                       branches)
+    e_jac_z = hs_multiplicity_pullback(
+        jacobian_ideal(Z_gens, n - 1).generators, branches)
     cid = e_jac_z - 2 * base.delta - base.e_ramification
     if cid < 0:
         raise NonNegativityViolation(
             f"discrepancy {cid} is negative: the chosen complete "
             "intersection is not general enough for this germ"
         )
-    e_jac_x = hs_multiplicity_pullback(_jacobian_minors(X_gens, n - 1),
-                                       branches)
+    e_jac_x = hs_multiplicity_pullback(
+        jacobian_ideal(X_gens, n - 1).generators, branches)
     return GermInvariants(
         m=base.m,
         r=base.r,
@@ -517,9 +500,6 @@ def e_jacobian_single_minor(Z_germ, branches, seed: int = 0) -> int:
                 expr = expr - q[j].scale(upper[(i, j)])
             q[i] = expr
         new_branches.append(BranchParam(tuple(q), label=b.label))
-    from .discrepancy import _determinant
-    from .polynomials import partial_derivative
-
     rows = [
         [partial_derivative(g, j) for j in range(1, n)] for g in moved
     ]

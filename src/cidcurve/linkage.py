@@ -286,6 +286,9 @@ def _plane_curve_witness(curve: CurveInput, seed: int,
 
 def _construct(curve: CurveInput, seed: int, max_attempts: int,
                coeff_matrix, ells_arg, transversal: bool) -> CIWitness:
+    if max_attempts < 1:
+        raise InputError(
+            f"max_attempts must be at least 1, not {max_attempts}")
     if curve.n == 2:
         return _plane_curve_witness(curve, seed, transversal)
     if curve.r < curve.n - 1:

@@ -5,6 +5,7 @@ import io
 import json
 import pathlib
 import sys
+from itertools import product
 
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
@@ -271,6 +272,36 @@ def test_precision_cap_below_first_order(capsys):
         assert record["cap"] == int(cap)
 
 
+def test_bad_order_is_an_input_error(capsys):
+    # twisted_cubic.ring has four variables, so block(k) needs 0 < k < 4
+    for order in ("foo", "block(x)", "block(0)", "block(4)", "block(-1)"):
+        code, payload = run_json(capsys, "gb", "--input", TC,
+                                 "--order", order)
+        assert code == 1
+        (record,) = payload["errors"]
+        assert record["type"] == "InputError"
+    code, payload = run_json(capsys, "gb", "--input", TC,
+                             "--order", "block(3)")
+    assert code == 0
+    assert payload["result"]["order"] == "block(3)"
+
+
+def test_eliminate_every_variable_is_an_input_error(capsys):
+    code, payload = run_json(capsys, "ideal-op", "--input", TC,
+                             "--op", "eliminate", "--vars", "x0,x1,x2,x3")
+    assert code == 1
+    assert payload["errors"][0]["type"] == "InputError"
+
+
+def test_max_attempts_below_one_is_an_input_error(capsys):
+    for attempts in ("0", "-2"):
+        code, payload = run_json(capsys, "genus", "--input", TC,
+                                 "--max-attempts", attempts)
+        assert code == 1
+        (record,) = payload["errors"]
+        assert record["type"] == "InputError"
+
+
 def _combine(terms):
     """{k: c} of a sum of c*t^k terms, cancelled terms dropped."""
     out = {}
@@ -315,3 +346,58 @@ def test_local_envelope_property(tmp_path_factory, branches, cap):
     payload = json.loads(out.getvalue())
     assert payload["command"] == "local"
     assert (code == 0) == (not payload["errors"])
+
+
+_RING_ORDERS = (
+    ["grevlex", "lex"] + [f"block({k})" for k in range(-1, 5)]
+    + ["junk", "block(x)"]
+)
+_RING_OPS = ("sum", "product", "intersect", "quotient", "radical",
+             "eliminate")
+
+
+@st.composite
+def _ring_case(draw):
+    names = ("x", "y", "z")[:draw(st.integers(2, 3))]
+    exponents = [e for e in product(range(3), repeat=len(names))
+                 if sum(e) <= 2]
+
+    def poly():
+        terms = draw(st.dictionaries(
+            st.sampled_from(exponents), st.integers(-3, 3).filter(bool),
+            min_size=1, max_size=3))
+        return " + ".join(
+            f"{c}" + "".join(f"*{v}^{k}" for v, k in zip(names, e) if k)
+            for e, c in sorted(terms.items())
+        )
+
+    def ideal():
+        return ", ".join(poly() for _ in range(draw(st.integers(1, 3))))
+
+    drop = draw(st.lists(st.sampled_from(names + ("w",)), max_size=3))
+    return (names, ideal(), ideal(), draw(st.sampled_from(_RING_ORDERS)),
+            draw(st.sampled_from(_RING_OPS)), ",".join(drop))
+
+
+def _envelope_of(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(out):
+        code = main(argv + ["--output", "json"])
+    payload = json.loads(out.getvalue())
+    assert code in (0, 1, 2)
+    assert payload["command"] == argv[0]
+    assert (code == 0) == (not payload["errors"])
+
+
+@settings(max_examples=40, deadline=None, derandomize=True,
+          phases=(Phase.generate, Phase.shrink))
+@given(case=_ring_case())
+def test_ring_envelope_property(tmp_path_factory, case):
+    names, left, right, order, op, drop = case
+    path = tmp_path_factory.mktemp("ring") / "drawn.ring"
+    path.write_text(f"ring/1 over QQ vars {' '.join(names)}\n"
+                    f"ideal A = {left};\nideal B = {right};\n")
+    _envelope_of(["gb", "--input", str(path), "--order", order])
+    argv = ["ideal-op", "--input", str(path), "--op", op,
+            "--left", "A", "--right", "B"]
+    _envelope_of(argv + (["--vars", drop] if op == "eliminate" else []))

@@ -2,8 +2,13 @@
 local discrepancy routes checked against each other and against an
 independent Milnor-number computation."""
 
-import pytest
+import pathlib
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import cidcurve
 from cidcurve import (
     BranchParam,
     Field,
@@ -35,6 +40,8 @@ from cidcurve.errors import (
     PrecisionCapExceeded,
     RingMismatch,
 )
+from cidcurve.cli import main
+from cidcurve.germs import _attained_orders
 from cidcurve.polynomials import partial_derivative
 
 QQ = Field.rationals()
@@ -151,6 +158,21 @@ def test_precision_cap():
                         precision_cap=16)
 
 
+def test_not_primitive_is_certified():
+    # every exponent is even: the subalgebra lies in k[t^2] at any cap
+    branch = BranchParam((t**2, t**4 + t**6))
+    for cap in (0, 256):
+        with pytest.raises(NotPrimitive, match="share the factor 2"):
+            delta_invariant([branch], precision_cap=cap)
+
+
+def test_cap_before_certificate_is_not_a_verdict():
+    # the window [0, 3) sees order 2 alone; the cusp is primitive
+    with pytest.raises(PrecisionCapExceeded) as info:
+        delta_invariant([BranchParam((t**2, t**3))], precision_cap=3)
+    assert info.value.cap == 3
+
+
 def test_precision_cap_below_first_order():
     # the window [0, 1) holds no positive order of the cusp
     with pytest.raises(PrecisionCapExceeded) as info:
@@ -244,7 +266,7 @@ def test_single_minor_cross_check():
     branch = BranchParam((t**3, t**4, t**5))
     z_germ = general_ci_germ(gens, seed=1)
     full = hs_multiplicity_pullback(
-        __import__("cidcurve").germs._jacobian_minors(list(z_germ), 2),
+        __import__("cidcurve").jacobian_ideal(list(z_germ), 2).generators,
         [branch],
     )
     assert e_jacobian_single_minor(list(z_germ), [branch], seed=0) == full
@@ -287,3 +309,92 @@ def test_germ_invariants_to_dict():
         "e_ramification": 1,
         "tame": True,
     }
+
+
+def _brute_orders(branch, precision):
+    """Orders of the echelon span of every coordinate monomial of total
+    degree < precision, each truncated at t^precision."""
+    ring = branch.ring
+    field = ring.field
+
+    def truncate(p):
+        return ring.polynomial(
+            {e: c for e, c in p.terms.items() if e[0] < precision})
+
+    echelon = {}
+
+    def reduce_into(p):
+        vec = {e[0]: c for e, c in p.terms.items()}
+        while vec:
+            order = min(vec)
+            rep = echelon.get(order)
+            if rep is None:
+                inv = field.inv(vec[order])
+                echelon[order] = {k: field.mul(inv, c) for k, c in vec.items()}
+                return
+            factor = vec[order]
+            for k, c in rep.items():
+                vec[k] = field.sub(vec.get(k, field.zero()),
+                                   field.mul(factor, c))
+            vec = {k: c for k, c in vec.items() if c}
+
+    coords = list(branch.coords)
+    # monomials as nondecreasing index sequences, so each comes once;
+    # a monomial that truncates to zero has no nonzero multiples
+    layer = [(0, ring.one())]
+    for _ in range(1, precision):
+        layer = [
+            (i, mono)
+            for last, p in layer
+            for i in range(last, len(coords))
+            for mono in (truncate(p * coords[i]),)
+            if mono
+        ]
+        for _, mono in layer:
+            reduce_into(mono)
+    return set(echelon) | {0}
+
+
+_FIELDS = (QQ, Field.prime_field(32003), Field.prime_field(3))
+
+
+@st.composite
+def _branch_and_precision(draw):
+    field = draw(st.sampled_from(_FIELDS))
+    ring = PolyRing(field, ("t",))
+    coords = []
+    for _ in range(draw(st.integers(1, 3))):
+        terms = draw(st.dictionaries(
+            st.integers(1, 12), st.integers(-3, 3).filter(bool),
+            min_size=1, max_size=3))
+        coords.append(ring.polynomial(
+            {(k,): field.from_int(c) for k, c in terms.items()}))
+    if all(not p for p in coords):
+        coords[0] = ring.variable(0) ** draw(st.integers(1, 12))
+    return BranchParam(tuple(coords)), draw(st.integers(0, 48))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(case=_branch_and_precision())
+def test_attained_orders_match_brute_force(case):
+    branch, precision = case
+    assert _attained_orders(branch, precision) == \
+        _brute_orders(branch, precision)
+
+
+def test_local_computes_delta_once(monkeypatch, capsys):
+    # cusp.germ carries an ideal, so `local` also runs the multiplicity
+    # route; the branch delta must still be computed once
+    calls = []
+    real = cidcurve.germs._delta_single
+
+    def spy(branch, precision_cap):
+        calls.append(branch)
+        return real(branch, precision_cap)
+
+    monkeypatch.setattr(cidcurve.germs, "_delta_single", spy)
+    cusp = pathlib.Path(__file__).resolve().parent.parent / "inputs" \
+        / "cusp.germ"
+    assert main(["local", "--input", str(cusp)]) == 0
+    capsys.readouterr()
+    assert len(calls) == 1

@@ -172,6 +172,13 @@ def test_not_generically_ci(p3):
     assert info.value.failures["double_link"] == 3
 
 
+def test_max_attempts_below_one(twisted_cubic):
+    # zero attempts would report a double-link failure nothing tested
+    for attempts in (0, -1):
+        with pytest.raises(InputError, match="at least 1"):
+            construct_ci(twisted_cubic, seed=0, max_attempts=attempts)
+
+
 def test_choose_chart(twisted_cubic):
     i_x = twisted_cubic.ideal()
     ring = i_x.ring
