@@ -3,17 +3,21 @@
 Given a curve X and a complete intersection Z through it, the residual
 curve W satisfies I_W = (I_Z : I_X), and the discrepancy is the total
 length of the intersection scheme X ∩ W.  It is computed by several
-independent routes (direct chart length, Jacobian length for smooth X,
-a saturation variant for local complete intersections, and a pure
-degree count for almost complete intersections); route agreement is the
-designed detector for insufficiently general witnesses.  The routes
-read I_Z, I_W and the witness Jacobian scheme on X from the certified
-witness (`linkage.CIWitness`), which derived them once.  On a smooth
-curve the Jacobian and saturation routes are one computation, so it
-runs once and its value is filed under both names.  The genus
-report bundles the discrepancy with the Hilbert-polynomial invariants
-and verifies the adjunction-type genus formula, Bezout, the linkage
-genus exchange, and the degree/e-term identity.
+independent routes (direct length of I_X + I_W, Jacobian length for
+smooth X, a chart saturation variant for local complete intersections,
+and a pure degree count for almost complete intersections); route
+agreement is the designed detector for insufficiently general
+witnesses.  The direct and Jacobian lengths are constant Hilbert
+polynomials, read off a grevlex basis with no chart.  The routes read
+I_Z, I_W and the witness Jacobian scheme on X from the certified
+witness (`linkage.CIWitness`), which derived them once, and decide
+smoothness on that scheme.  On a smooth curve the Jacobian and
+saturation routes are one computation, so it runs once and its value
+is filed under both names.  The genus report bundles the discrepancy
+with the Hilbert-polynomial invariants and verifies the adjunction-type
+genus formula, Bezout (which the degree-certified linkage colon makes
+hold by construction), the linkage genus exchange, and the degree/e-term
+identity.
 """
 
 from __future__ import annotations
@@ -133,19 +137,28 @@ def curve_codim(ring) -> int:
 
 def is_smooth_curve(i_x: Ideal, seed: int = 0) -> bool:
     """Jacobian criterion: the singular scheme of the curve is empty.
-
-    Minors are accumulated incrementally: once the partial minor ideal
-    already cuts out the empty set together with the curve ideal, the
-    full one does too and smoothness is certified without computing the
-    remaining minors.  A negative answer always consumes every minor.
-    The answer is kept with the ideal.
-    """
+    The answer is kept with the ideal."""
     answer = i_x._data_cache.get("smooth")
-    if answer is not None:
-        return answer
-    gb = i_x.gb()
-    collected = list(i_x.generators)
-    pending, checkpoint = 0, 8
+    if answer is None:
+        answer = _empty_with_minors(i_x, i_x, 8, seed)
+        i_x._data_cache["smooth"] = answer
+    return answer
+
+
+def _empty_with_minors(base: Ideal, i_x: Ideal, checkpoint: int,
+                       seed: int) -> bool:
+    """Whether base plus the curve's Jacobian minors cut out the empty
+    projective scheme.
+
+    Minors are accumulated incrementally, with a finiteness check after
+    `checkpoint` new ones (doubling each time): once a partial minor
+    ideal already cuts out the empty set, the full one does too and the
+    remaining minors are not computed.  A negative answer always
+    consumes every minor.
+    """
+    gb = base.gb()
+    collected = list(base.generators)
+    pending = 0
     for minor in _minor_stream(i_x.generators, curve_codim(i_x.ring), seed):
         m = gb.normal_form(minor)
         if not m:
@@ -154,13 +167,9 @@ def is_smooth_curve(i_x: Ideal, seed: int = 0) -> bool:
         pending += 1
         if pending >= checkpoint:
             if vdim(Ideal(i_x.ring, collected)) != INFINITE:
-                answer = True
-                break
+                return True
             pending, checkpoint = 0, checkpoint * 2
-    if answer is None:
-        answer = vdim(Ideal(i_x.ring, collected)) != INFINITE
-    i_x._data_cache["smooth"] = answer
-    return answer
+    return vdim(Ideal(i_x.ring, collected)) != INFINITE
 
 
 def _singular_locus(i_x: Ideal) -> Ideal:
@@ -181,12 +190,32 @@ def residual(i_z: Ideal, i_x: Ideal, seed: int = 0) -> Ideal:
     """Saturated ideal (I_Z : I_X) of the residual curve W = closure of
     Z minus X, for a complete intersection I_Z inside I_X.  That I_Z is
     unmixed, hence saturated, so the colon needs no saturation step:
-    (I_Z : I_X) : m^inf = (I_Z : m^inf) : I_X = I_Z : I_X."""
+    (I_Z : I_X) : m^inf = (I_Z : m^inf) : I_X = I_Z : I_X.
+
+    When I_Z visibly is a complete intersection (codim-many generators
+    and the matching Krull dimension) and I_X has the same dimension,
+    linkage fixes the colon's degree at deg Z - deg X = prod d_i -
+    deg X (Peskine-Szpiro 1974), and that degree certifies it."""
     gb_x = i_x.gb()
     for g in i_z.generators:
         if not gb_x.contains(g):
             raise NotContained(f"{g} does not lie in the curve ideal")
-    return colon_certified(i_z, i_x, seed=seed)
+    return colon_certified(i_z, i_x, seed=seed,
+                           degree=_linked_degree(i_z, i_x))
+
+
+def _linked_degree(i_z: Ideal, i_x: Ideal):
+    """deg (I_Z : I_X) when I_Z is a homogeneous complete intersection
+    and I_X, which contains it, has its dimension; None otherwise."""
+    if not (i_z.is_homogeneous() and i_x.is_homogeneous()):
+        return None
+    dim_z = _hilbert.krull_dimension(i_z)
+    if len(i_z.generators) != i_z.ring.arity - dim_z:
+        return None
+    data_x = _hilbert.hilbert_series(i_x)
+    if data_x.krull_dim != dim_z:
+        return None
+    return prod(g.total_degree() for g in i_z.generators) - data_x.degree
 
 
 def _check_chart(finite_ideal: Ideal, h: Polynomial) -> Chart:
@@ -208,15 +237,44 @@ def _length(affine: Ideal) -> int:
     return value
 
 
+def _projective_length(finite: Ideal) -> int:
+    """Length of a finite projective scheme: the constant Hilbert
+    polynomial of any homogeneous ideal defining it, read off its
+    grevlex basis with no chart."""
+    data = _hilbert.hilbert_series(finite)
+    if data.krull_dim > 1:
+        raise NotZeroDimensional("the measured scheme is not finite")
+    return data.degree
+
+
 # --- the four routes ---------------------------------------------------
 
 
-def cid_direct(i_x: Ideal, i_w: Ideal, h: Polynomial) -> int:
-    """Total intersection length of X and W, read off in the chart where
-    h = 1."""
-    meet = ideal_sum(i_x, i_w)
-    chart = _check_chart(meet, h)
-    return _length(chart_ideal(meet, chart))
+def cid_direct(i_x: Ideal, i_w: Ideal) -> int:
+    """Total intersection length of X and W: the constant Hilbert
+    polynomial of I_X + I_W."""
+    return _projective_length(ideal_sum(i_x, i_w))
+
+
+def _smooth_on_witness(i_x: Ideal, witness) -> bool:
+    """`is_smooth_curve(i_x)`, decided on the witness Jacobian scheme.
+
+    F lies in I_X, so on X the Jacobian of F is A times that of the
+    curve's generators, and by Cauchy-Binet every singular point of X
+    lies on V(on_curve).  Adding the curve's minors to `on_curve`
+    instead of to I_X therefore cuts out the same singular scheme.
+    When `on_curve` is already empty (every smooth complete intersection
+    and plane curve), X is smooth with no minor drawn.  Otherwise it is
+    finite on a witness that passed `reduced_along_input`, so a single
+    minor may already finish the check.
+    """
+    answer = i_x._data_cache.get("smooth")
+    if answer is None:
+        on_curve = witness.on_curve
+        answer = (_hilbert.krull_dimension(on_curve) == 0
+                  or _empty_with_minors(on_curve, i_x, 1, 0))
+        i_x._data_cache["smooth"] = answer
+    return answer
 
 
 def _witness_locus(i_x: Ideal, witness) -> Ideal:
@@ -226,7 +284,7 @@ def _witness_locus(i_x: Ideal, witness) -> Ideal:
     rather than paid for (the curve's full minor ideal is large)."""
     chart = _check_chart(witness.on_curve, witness.h)
     affine = chart_ideal(witness.on_curve, chart)
-    if not is_smooth_curve(i_x):
+    if not _smooth_on_witness(i_x, witness):
         affine = saturate(affine, chart_ideal(_singular_locus(i_x), chart))
     return affine
 
@@ -234,9 +292,9 @@ def _witness_locus(i_x: Ideal, witness) -> Ideal:
 def cid_smooth_jacobian(i_x: Ideal, witness) -> int:
     """Discrepancy as the length of the witness Jacobian scheme on X;
     valid when X is smooth."""
-    if not is_smooth_curve(i_x):
+    if not _smooth_on_witness(i_x, witness):
         raise NotSmooth("the Jacobian route requires a smooth curve")
-    return _length(_witness_locus(i_x, witness))
+    return _projective_length(witness.on_curve)
 
 
 def cid_lci_general(i_x: Ideal, witness) -> int:
@@ -267,8 +325,8 @@ def _route_values(curve, witness, route, assume_lci, deg_x=None) -> dict:
     i_x = curve.ideal()
     values = {}
     if route in ("auto", "direct"):
-        values["direct"] = cid_direct(i_x, witness.i_w, witness.h)
-    smooth = is_smooth_curve(i_x)
+        values["direct"] = cid_direct(i_x, witness.i_w)
+    smooth = _smooth_on_witness(i_x, witness)
     if route == "smooth" or (route == "auto" and smooth):
         values["smooth_jacobian"] = cid_smooth_jacobian(i_x, witness)
     if route == "lci" or (route == "auto" and assume_lci and not smooth):
@@ -276,6 +334,9 @@ def _route_values(curve, witness, route, assume_lci, deg_x=None) -> dict:
     elif route == "auto" and smooth:
         values["lci_general"] = values["smooth_jacobian"]
     if route == "aci" or (route == "auto" and curve.r == curve.n):
+        if curve.r != curve.n:
+            raise OutOfHypothesis(
+                f"the aci route needs {curve.n} generators, not {curve.r}")
         if deg_x is None:
             deg_x = _hilbert.proj_degree(i_x)
         values["aci"] = cid_aci(curve.degrees, deg_x)
@@ -435,7 +496,7 @@ def omega_matches_jacobian(i_x: Ideal, witness, seed: int = 0) -> bool:
     which is exactly sheaf equality, decides.
     """
     j = omega_jacobian(i_x, witness, seed=seed)
-    if is_smooth_curve(i_x):
+    if _smooth_on_witness(i_x, witness):
         # Both sheaves are trivial on a smooth curve: the Jacobian side
         # is irrelevant-primary by the smoothness certificate itself, so
         # only the omega side still needs checking.
@@ -502,4 +563,4 @@ def transversality_count(curve, witness, seed: int = 0):
     if i_x.ring.field.characteristic != 0:
         raise WrongCharacteristic("transversality analysis needs char 0")
     count = distinct_point_count(_witness_locus(i_x, witness), seed=seed)
-    return count, count == cid_direct(i_x, witness.i_w, witness.h)
+    return count, count == cid_direct(i_x, witness.i_w)

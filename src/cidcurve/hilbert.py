@@ -12,7 +12,8 @@ can saturate first.
 
 This module deliberately avoids importing the ideal layer (which
 imports us); public functions accept any object exposing `.ring` and
-`.gb(order)`.
+`.gb(order)`.  `hilbert_series` keeps its result in the object's
+`_data_cache` when it has one (an `Ideal` is immutable).
 """
 
 from __future__ import annotations
@@ -270,9 +271,15 @@ def hilbert_series(ideal_like, auto_saturate=False) -> HilbertData:
         from .ideals import saturate_irrelevant
 
         ideal_like = saturate_irrelevant(ideal_like)
-    arity = ideal_like.ring.arity
-    num = lt_numerator(_lt_gens(ideal_like), arity)
-    return data_from_numerator(num, arity)
+    cache = getattr(ideal_like, "_data_cache", None)
+    data = cache.get("hilbert") if cache is not None else None
+    if data is None:
+        arity = ideal_like.ring.arity
+        num = lt_numerator(_lt_gens(ideal_like), arity)
+        data = data_from_numerator(num, arity)
+        if cache is not None:
+            cache["hilbert"] = data
+    return data
 
 
 def krull_dimension(ideal_like) -> int:

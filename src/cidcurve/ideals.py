@@ -252,13 +252,20 @@ def quotient(a: Ideal, b: Ideal) -> Ideal:
     return result
 
 
-def colon_certified(a: Ideal, b: Ideal, seed=0) -> Ideal:
+def colon_certified(a: Ideal, b: Ideal, seed=0, degree=None) -> Ideal:
     """(a : b) via a single random combination g of b's generators,
     certified exact by the product test (a : g) * b ⊆ a; falls back to
     the full quotient when certification fails.  When a and b are
     homogeneous but b's generators differ in degree, each generator is
     first raised to the top degree by a power of one random linear
-    form, so g is homogeneous and (a : g) takes the homogeneous colon."""
+    form, so g is homogeneous and (a : g) takes the homogeneous colon.
+
+    `degree`, when given, is the known degree of (a : b) for a
+    homogeneous unmixed a; the caller vouches for both.  Then (a : g) is
+    unmixed too and contains (a : b), so a candidate of a's Krull
+    dimension and that degree equals (a : b) and is accepted without the
+    product test.  A candidate of any other degree takes the product
+    test."""
     if a.ring != b.ring:
         raise RingMismatch("ideal quotient across different rings")
     if not b.generators:
@@ -275,6 +282,8 @@ def colon_certified(a: Ideal, b: Ideal, seed=0) -> Ideal:
             [field.from_int(rng.unit_coefficient())
              for _ in range(a.ring.arity)])
         gens = [gen * ell**(top - d) for gen, d in zip(gens, degrees)]
+    if degree is not None:
+        dim_a = _hilbert.krull_dimension(a)
     gb_a = a.gb()
     for _ in range(2):
         g = a.ring.zero()
@@ -283,6 +292,10 @@ def colon_certified(a: Ideal, b: Ideal, seed=0) -> Ideal:
         if not g:
             continue
         candidate = colon_principal(a, g)
+        if degree is not None:
+            data = _hilbert.hilbert_series(candidate)
+            if data.krull_dim == dim_a and data.degree == degree:
+                return candidate
         if all(
             gb_a.contains(q * h)
             for q in candidate.generators

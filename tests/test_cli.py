@@ -387,6 +387,7 @@ def _envelope_of(argv):
     assert code in (0, 1, 2)
     assert payload["command"] == argv[0]
     assert (code == 0) == (not payload["errors"])
+    return code, payload
 
 
 @settings(max_examples=40, deadline=None, derandomize=True,
@@ -401,3 +402,54 @@ def test_ring_envelope_property(tmp_path_factory, case):
     argv = ["ideal-op", "--input", str(path), "--op", op,
             "--left", "A", "--right", "B"]
     _envelope_of(argv + (["--vars", drop] if op == "eliminate" else []))
+
+
+@st.composite
+def _curve_case(draw):
+    plane = draw(st.booleans())
+    names = ("x", "y", "z") if plane else ("x0", "x1", "x2", "x3")
+
+    def form(degree):
+        monomials = [e for e in product(range(degree + 1), repeat=len(names))
+                     if sum(e) == degree]
+        terms = draw(st.dictionaries(
+            st.sampled_from(monomials), st.integers(-3, 3).filter(bool),
+            min_size=1, max_size=4))
+        return " + ".join(
+            f"{c}" + "".join(f"*{v}^{k}" for v, k in zip(names, e) if k)
+            for e, c in sorted(terms.items()))
+
+    if plane:
+        gens = [form(draw(st.integers(1, 3)))
+                for _ in range(draw(st.integers(1, 2)))]
+    elif draw(st.booleans()):
+        gens = [form(draw(st.integers(1, 2)))
+                for _ in range(draw(st.integers(2, 3)))]
+    else:
+        # the product of two line ideals: skew, meeting or equal lines
+        first, second = ([form(1), form(1)] for _ in range(2))
+        gens = [f"({u})*({v})" for u in first for v in second]
+    field = draw(st.sampled_from(("QQ", "Fp:32003")))
+    route = draw(st.sampled_from(("auto", "direct", "smooth", "lci", "aci")))
+    transversal = draw(st.booleans())
+    return names, gens, field, route, transversal, draw(st.integers(0, 9))
+
+
+@settings(max_examples=80, deadline=None, derandomize=True,
+          phases=(Phase.generate, Phase.shrink))
+@given(case=_curve_case())
+def test_curve_envelope_property(tmp_path_factory, case):
+    # drawn forms are mostly not curves, or not general enough to link:
+    # every outcome must still be a typed envelope
+    names, gens, field, route, transversal, seed = case
+    path = tmp_path_factory.mktemp("curve") / "drawn.ring"
+    path.write_text(f"ring/1 over QQ vars {' '.join(names)}\n"
+                    f"ideal X = {', '.join(gens)};\n")
+    common = ["--input", str(path), "--field", field, "--seed", str(seed),
+              "--max-attempts", "3"]
+    _envelope_of(["genus"] + common)
+    code, payload = _envelope_of(["cid"] + common + ["--route", route]
+                                 + (["--transversal"] if transversal else []))
+    if code == 0:
+        # a length is never negative
+        assert min(payload["result"]["routes"].values()) >= 0

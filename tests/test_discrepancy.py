@@ -16,6 +16,7 @@ from cidcurve import (
     Ideal,
     PolyRing,
     cid_aci,
+    cid_direct,
     cid_routes,
     construct_ci,
     degree_lower_bound,
@@ -26,9 +27,14 @@ from cidcurve import (
     jacobian_cover_check,
     jacobian_ideal,
     omega_matches_jacobian,
+    quotient,
     residual,
     transversality_count,
+    vdim,
 )
+from cidcurve import discrepancy as discrepancy_module
+from cidcurve import hilbert as hilbert_module
+from cidcurve import ideals as ideals_module
 from cidcurve.errors import (
     BadCodim,
     NotContained,
@@ -37,6 +43,9 @@ from cidcurve.errors import (
     TooManySubsets,
     WrongCharacteristic,
 )
+from cidcurve.groebner import GroebnerBasis
+from cidcurve.ideals import chart_ideal
+from cidcurve.polynomials import Chart
 
 from conftest import rnc_curve, twisted_cubic_gens
 
@@ -115,6 +124,19 @@ def test_smooth_route_guard():
     witness = construct_ci(cusp, seed=0)
     with pytest.raises(NotSmooth):
         cid_routes(cusp, witness, route="smooth")
+
+
+def test_aci_route_needs_n_generators():
+    # the aci count prod d_i - d_n deg X describes a curve cut out by n
+    # forms in P^n; on the (2,3) complete intersection it would read
+    # 6 - 3*6 = -12
+    ring = PolyRing(QQ, ("x0", "x1", "x2", "x3"))
+    curve = CurveInput(ring, [ring.parse("x0*x3 - x1*x2"),
+                              ring.parse("x0^3 + x1^3 + x2^3 + x3^3")])
+    witness = construct_ci(curve, seed=0)
+    with pytest.raises(OutOfHypothesis):
+        cid_routes(curve, witness, route="aci")
+    assert set(cid_routes(curve, witness).values()) == {0}
 
 
 def test_aci_route_closed_form():
@@ -253,3 +275,185 @@ def test_lci_route_computed_when_not_shared(monkeypatch):
     assert cid_routes(twisted, construct_ci(twisted, seed=0),
                       route="lci") == {"lci_general": 2}
     assert len(calls) == 2
+
+
+# --- certificates from data in hand ------------------------------------
+
+
+def _four_lines():
+    """I_Z = (x0*x2, x1*x3) is the complete intersection of four lines;
+    J = (x0, x1) is one of them, and (I_Z : J) is the other three."""
+    ring = PolyRing(QQ, ("x0", "x1", "x2", "x3"))
+    x0, x1, x2, x3 = ring.variables()
+    return ring, Ideal(ring, [x0 * x2, x1 * x3]), Ideal(ring, [x0, x1])
+
+
+class _ScriptedDraws:
+    """Stands in for the colon's SplitMix64: the first combination is
+    g = x0, one generator of J, and the second is x0 + 2*x1."""
+
+    def __init__(self, seed):
+        self.values = iter((1, 0, 1, 2))
+
+    def unit_coefficient(self):
+        return next(self.values)
+
+
+def test_linkage_colon_rejects_a_larger_candidate(monkeypatch):
+    ring, i_z, j = _four_lines()
+    candidates = []
+    real = ideals_module.colon_principal
+
+    def spy(a, g):
+        out = real(a, g)
+        candidates.append((g, hilbert_module.hilbert_series(out)))
+        return out
+
+    monkeypatch.setattr(ideals_module, "colon_principal", spy)
+    monkeypatch.setattr(ideals_module, "SplitMix64", _ScriptedDraws)
+    result = residual(i_z, j)
+    monkeypatch.undo()
+    # (I_Z : x0) is two of the lines: right dimension, degree 2, not 3
+    (g1, first), (g2, second) = candidates
+    assert g1 == ring.variable(0)
+    assert (first.krull_dim, first.degree) == (2, 2)
+    assert (second.krull_dim, second.degree) == (2, 3)
+    assert ideal_equal(result, quotient(i_z, j))
+    assert hilbert_module.proj_degree(result) == 4 - 1
+
+
+def _spy_colon_degrees(monkeypatch):
+    degrees = []
+    real = discrepancy_module.colon_certified
+
+    def spy(a, b, seed=0, degree=None):
+        degrees.append(degree)
+        return real(a, b, seed=seed, degree=degree)
+
+    monkeypatch.setattr(discrepancy_module, "colon_certified", spy)
+    return degrees
+
+
+def test_residual_certifies_only_complete_intersections(monkeypatch):
+    ring, i_z, j = _four_lines()
+    x0, x1, x2, x3 = ring.variables()
+    degrees = _spy_colon_degrees(monkeypatch)
+    assert ideal_equal(residual(i_z, j), quotient(i_z, j))
+    # three generators in codimension 2: not a complete intersection,
+    # so the colon takes the product test
+    extra = Ideal(ring, [x0 * x2, x1 * x3, x0 * x3])
+    assert ideal_equal(residual(extra, j), quotient(extra, j))
+    # J a point, not a curve: its degree says nothing about the colon
+    point = Ideal(ring, [x0, x1, x3])
+    assert ideal_equal(residual(i_z, point), quotient(i_z, point))
+    assert degrees == [3, None, None]
+
+
+def _skew_lines():
+    ring = PolyRing(QQ, ("x0", "x1", "x2", "x3"))
+    return CurveInput(ring, [ring.parse(f"({u})*({v})")
+                             for u in ("x0 - 2*x2", "x1 - 3*x3")
+                             for v in ("x2 - 5*x0", "x3 - 7*x1")])
+
+
+def _p3_curve(*gens):
+    ring = PolyRing(QQ, ("x0", "x1", "x2", "x3"))
+    return CurveInput(ring, [ring.parse(g) for g in gens])
+
+
+def _plane_curve(gen):
+    ring = PolyRing(QQ, ("x", "y", "z"))
+    return CurveInput(ring, [ring.parse(gen)])
+
+
+LENGTH_CURVES = {
+    "twisted_cubic": lambda: rnc_curve(3),
+    "rnc4": lambda: rnc_curve(4),
+    "ci_2_3": lambda: _p3_curve("x0*x3 - x1*x2",
+                                "x0^3 + x1^3 + x2^3 + x3^3"),
+    "skew_lines": _skew_lines,
+    "nodal_cubic_in_p3": lambda: _p3_curve("x1^2*x2 - x0^3 - x0^2*x2",
+                                           "x3"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LENGTH_CURVES))
+def test_projective_lengths_match_the_chart(name):
+    # the chart route, kept as the oracle: dehomogenize at h = 1, which
+    # certification made miss the witness Jacobian scheme on X, and
+    # count standard monomials of the affine ideal
+    curve = LENGTH_CURVES[name]()
+    i_x = curve.ideal()
+    witness = construct_ci(curve, seed=0)
+    chart = Chart.from_form(witness.h)
+    meet = ideal_sum(i_x, witness.i_w)
+    assert cid_direct(i_x, witness.i_w) == vdim(chart_ideal(meet, chart))
+    assert discrepancy_module._projective_length(witness.on_curve) == \
+        vdim(chart_ideal(witness.on_curve, chart))
+
+
+SMOOTHNESS_CURVES = {
+    "twisted_cubic": lambda: rnc_curve(3),
+    "rnc4": lambda: rnc_curve(4),
+    "fermat_cubic": lambda: _plane_curve("x^3 + y^3 + z^3"),
+    "skew_lines": _skew_lines,
+    "nodal_cubic": lambda: _plane_curve("y^2*z - x^2*(x + z)"),
+    "cuspidal_cubic": lambda: _plane_curve("y^2*z - x^3"),
+    "nodal_cubic_in_p3": lambda: _p3_curve("x1^2*x2 - x0^3 - x0^2*x2",
+                                           "x3"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SMOOTHNESS_CURVES))
+def test_smoothness_on_the_witness_scheme(name):
+    curve = SMOOTHNESS_CURVES[name]()
+    witness = construct_ci(curve, seed=0)
+    on_witness = discrepancy_module._smooth_on_witness(curve.ideal(), witness)
+    # a fresh ideal, so the cached answer is not read back
+    plain = is_smooth_curve(Ideal(curve.ring, list(curve.generators)))
+    assert on_witness == plain
+
+
+def test_genus_certifies_from_data_in_hand(monkeypatch, capsys):
+    # on RNC4 the chart is never used for a length, the linkage colons
+    # are certified by degree, and smoothness needs few curve minors
+    charts, products, minors = [], [], []
+    _spy(monkeypatch, cidcurve.ideals.chart_ideal, charts)
+    depth = []
+    real_colon = cidcurve.ideals.colon_certified
+
+    def colon(*args, **kwargs):
+        depth.append(1)
+        try:
+            return real_colon(*args, **kwargs)
+        finally:
+            depth.pop()
+
+    for module in list(sys.modules.values()):
+        if getattr(module, "__name__", "").startswith("cidcurve") and \
+                getattr(module, "colon_certified", None) is real_colon:
+            monkeypatch.setattr(module, "colon_certified", colon)
+    real_contains = GroebnerBasis.contains
+
+    def contains(self, f):
+        if depth:
+            products.append(f)
+        return real_contains(self, f)
+
+    monkeypatch.setattr(GroebnerBasis, "contains", contains)
+    real_stream = discrepancy_module._minor_stream
+
+    def stream(gens, codim, seed=None):
+        for minor in real_stream(gens, codim, seed):
+            if len(gens) == 6:  # RNC4's own generators, not the witness
+                minors.append(minor)
+            yield minor
+
+    monkeypatch.setattr(discrepancy_module, "_minor_stream", stream)
+    code = cidcurve.cli.main(["genus", "--input", RNC4, "--output", "json"])
+    payload = json.loads(capsys.readouterr().out)
+    assert code == 0
+    assert payload["checks"] == dict.fromkeys(payload["checks"], True)
+    assert charts == []
+    assert products == []
+    assert 0 < len(minors) < 200
