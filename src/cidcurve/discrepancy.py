@@ -191,31 +191,13 @@ def residual(i_z: Ideal, i_x: Ideal, seed: int = 0) -> Ideal:
     Z minus X, for a complete intersection I_Z inside I_X.  That I_Z is
     unmixed, hence saturated, so the colon needs no saturation step:
     (I_Z : I_X) : m^inf = (I_Z : m^inf) : I_X = I_Z : I_X.
-
-    When I_Z visibly is a complete intersection (codim-many generators
-    and the matching Krull dimension) and I_X has the same dimension,
-    linkage fixes the colon's degree at deg Z - deg X = prod d_i -
-    deg X (Peskine-Szpiro 1974), and that degree certifies it."""
+    When I_X has the dimension of I_Z, linkage fixes the colon's degree,
+    and `colon_certified` certifies it by that degree."""
     gb_x = i_x.gb()
     for g in i_z.generators:
         if not gb_x.contains(g):
             raise NotContained(f"{g} does not lie in the curve ideal")
-    return colon_certified(i_z, i_x, seed=seed,
-                           degree=_linked_degree(i_z, i_x))
-
-
-def _linked_degree(i_z: Ideal, i_x: Ideal):
-    """deg (I_Z : I_X) when I_Z is a homogeneous complete intersection
-    and I_X, which contains it, has its dimension; None otherwise."""
-    if not (i_z.is_homogeneous() and i_x.is_homogeneous()):
-        return None
-    dim_z = _hilbert.krull_dimension(i_z)
-    if len(i_z.generators) != i_z.ring.arity - dim_z:
-        return None
-    data_x = _hilbert.hilbert_series(i_x)
-    if data_x.krull_dim != dim_z:
-        return None
-    return prod(g.total_degree() for g in i_z.generators) - data_x.degree
+    return colon_certified(i_z, i_x, seed=seed)
 
 
 def _check_chart(finite_ideal: Ideal, h: Polynomial) -> Chart:
@@ -266,14 +248,20 @@ def _smooth_on_witness(i_x: Ideal, witness) -> bool:
     When `on_curve` is already empty (every smooth complete intersection
     and plane curve), X is smooth with no minor drawn.  Otherwise it is
     finite on a witness that passed `reduced_along_input`, so a single
-    minor may already finish the check.
+    minor may already finish the check.  The answer depends on the
+    witness, so it is kept with `on_curve` for this I_X and never under
+    the key that `is_smooth_curve` answers from.
     """
     answer = i_x._data_cache.get("smooth")
-    if answer is None:
-        on_curve = witness.on_curve
-        answer = (_hilbert.krull_dimension(on_curve) == 0
-                  or _empty_with_minors(on_curve, i_x, 1, 0))
-        i_x._data_cache["smooth"] = answer
+    if answer is not None:
+        return answer
+    on_curve = witness.on_curve
+    cached = on_curve._data_cache.get("curve_smooth")
+    if cached is not None and cached[0] is i_x:
+        return cached[1]
+    answer = (_hilbert.krull_dimension(on_curve) == 0
+              or _empty_with_minors(on_curve, i_x, 1, 0))
+    on_curve._data_cache["curve_smooth"] = (i_x, answer)
     return answer
 
 

@@ -22,6 +22,7 @@ is used instead.
 from __future__ import annotations
 
 from itertools import combinations_with_replacement
+from math import prod
 
 from .errors import (
     DivisionFailure,
@@ -252,7 +253,7 @@ def quotient(a: Ideal, b: Ideal) -> Ideal:
     return result
 
 
-def colon_certified(a: Ideal, b: Ideal, seed=0, degree=None) -> Ideal:
+def colon_certified(a: Ideal, b: Ideal, seed=0) -> Ideal:
     """(a : b) via a single random combination g of b's generators,
     certified exact by the product test (a : g) * b ⊆ a; falls back to
     the full quotient when certification fails.  When a and b are
@@ -260,12 +261,14 @@ def colon_certified(a: Ideal, b: Ideal, seed=0, degree=None) -> Ideal:
     first raised to the top degree by a power of one random linear
     form, so g is homogeneous and (a : g) takes the homogeneous colon.
 
-    `degree`, when given, is the known degree of (a : b) for a
-    homogeneous unmixed a; the caller vouches for both.  Then (a : g) is
-    unmixed too and contains (a : b), so a candidate of a's Krull
-    dimension and that degree equals (a : b) and is accepted without the
-    product test.  A candidate of any other degree takes the product
-    test."""
+    When a is a homogeneous complete intersection and b contains it with
+    the same Krull dimension, linkage fixes the degree of (a : b) (see
+    `_linked_degree`).  Then (a : g) is unmixed too and contains (a : b),
+    so it equals (a : b) exactly when it has a's Krull dimension and that
+    degree; a candidate that matches is accepted without the product
+    test, and one that does not is strictly larger than (a : b), cannot
+    pass it, and is discarded for the next draw.  Degree 0 leaves no
+    component, so that colon is the unit ideal and nothing is drawn."""
     if a.ring != b.ring:
         raise RingMismatch("ideal quotient across different rings")
     if not b.generators:
@@ -282,8 +285,10 @@ def colon_certified(a: Ideal, b: Ideal, seed=0, degree=None) -> Ideal:
             [field.from_int(rng.unit_coefficient())
              for _ in range(a.ring.arity)])
         gens = [gen * ell**(top - d) for gen, d in zip(gens, degrees)]
-    if degree is not None:
-        dim_a = _hilbert.krull_dimension(a)
+    degree = _linked_degree(a, b)
+    if degree == 0:
+        # b's top-dimensional part is a itself, so (a : b) = (a : a)
+        return Ideal(a.ring, [a.ring.one()])
     gb_a = a.gb()
     for _ in range(2):
         g = a.ring.zero()
@@ -294,8 +299,10 @@ def colon_certified(a: Ideal, b: Ideal, seed=0, degree=None) -> Ideal:
         candidate = colon_principal(a, g)
         if degree is not None:
             data = _hilbert.hilbert_series(candidate)
-            if data.krull_dim == dim_a and data.degree == degree:
+            if (data.krull_dim == _hilbert.krull_dimension(a)
+                    and data.degree == degree):
                 return candidate
+            continue
         if all(
             gb_a.contains(q * h)
             for q in candidate.generators
@@ -303,6 +310,31 @@ def colon_certified(a: Ideal, b: Ideal, seed=0, degree=None) -> Ideal:
         ):
             return candidate
     return quotient(a, b)
+
+
+def _linked_degree(a: Ideal, b: Ideal):
+    """deg (a : b) when a is a homogeneous complete intersection (forms
+    of positive degree, as many as its codimension) and b is homogeneous,
+    contains a and has a's Krull dimension; None otherwise.
+
+    Only the top-dimensional part of b meets the associated primes of
+    the unmixed a, and it has b's degree, so Gorenstein linkage gives
+    deg (a : b) = deg a - deg b = prod d_i - deg b (Peskine-Szpiro
+    1974)."""
+    if not (a.is_homogeneous() and b.is_homogeneous()):
+        return None
+    if any(g.total_degree() < 1 for g in a.generators):
+        return None
+    dim_a = _hilbert.krull_dimension(a)
+    if len(a.generators) != a.ring.arity - dim_a:
+        return None
+    gb_b = b.gb()
+    if not all(gb_b.contains(g) for g in a.generators):
+        return None
+    data_b = _hilbert.hilbert_series(b)
+    if data_b.krull_dim != dim_a:
+        return None
+    return prod(g.total_degree() for g in a.generators) - data_b.degree
 
 
 def saturate(a: Ideal, b: Ideal, cap: int = SATURATION_CAP) -> Ideal:

@@ -19,8 +19,8 @@ Certification derives I_Z, the residual I_W = (I_Z : I_X) and the
 Jacobian scheme of Z on X; the accepted witness carries all three, so
 the discrepancy routes and the genus report read them instead of
 deriving them again.  Both linkage colons, I_W and the double-link
-colon (I_Z : I_W), go through `discrepancy.residual`, which certifies
-them by the degree linkage fixes.
+colon (I_Z : I_W), are certified by the degree linkage fixes (see
+`ideals.colon_certified`).
 """
 
 from __future__ import annotations
@@ -46,6 +46,7 @@ from .hilbert import krull_dimension
 from .ideals import (
     INFINITE,
     Ideal,
+    colon_certified,
     dimension_at_most,
     ideal_equal,
     ideal_sum,
@@ -355,7 +356,7 @@ def _construct(curve: CurveInput, seed: int, max_attempts: int,
             continue
 
         i_w = residual(i_z, i_x, seed=seed ^ attempt)
-        back = residual(i_z, i_w, seed=seed ^ attempt)
+        back = colon_certified(i_z, i_w, seed=seed ^ attempt)
         if sat_x is None:
             sat_x = saturate_irrelevant(i_x)
         if not record("double_link", ideal_equal(back, sat_x)):

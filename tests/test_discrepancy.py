@@ -44,7 +44,7 @@ from cidcurve.errors import (
     WrongCharacteristic,
 )
 from cidcurve.groebner import GroebnerBasis
-from cidcurve.ideals import chart_ideal
+from cidcurve.ideals import chart_ideal, colon_certified
 from cidcurve.polynomials import Chart
 
 from conftest import rnc_curve, twisted_cubic_gens
@@ -309,10 +309,21 @@ def test_linkage_colon_rejects_a_larger_candidate(monkeypatch):
         candidates.append((g, hilbert_module.hilbert_series(out)))
         return out
 
+    products = []
+    real_contains = GroebnerBasis.contains
+
+    def contains(self, f):
+        if self is i_z.gb():
+            products.append(f)
+        return real_contains(self, f)
+
     monkeypatch.setattr(ideals_module, "colon_principal", spy)
     monkeypatch.setattr(ideals_module, "SplitMix64", _ScriptedDraws)
+    monkeypatch.setattr(GroebnerBasis, "contains", contains)
     result = residual(i_z, j)
     monkeypatch.undo()
+    # the smaller degree alone rejects the first candidate
+    assert products == []
     # (I_Z : x0) is two of the lines: right dimension, degree 2, not 3
     (g1, first), (g2, second) = candidates
     assert g1 == ring.variable(0)
@@ -322,22 +333,23 @@ def test_linkage_colon_rejects_a_larger_candidate(monkeypatch):
     assert hilbert_module.proj_degree(result) == 4 - 1
 
 
-def _spy_colon_degrees(monkeypatch):
+def _spy_linked_degrees(monkeypatch):
     degrees = []
-    real = discrepancy_module.colon_certified
+    real = ideals_module._linked_degree
 
-    def spy(a, b, seed=0, degree=None):
+    def spy(a, b):
+        degree = real(a, b)
         degrees.append(degree)
-        return real(a, b, seed=seed, degree=degree)
+        return degree
 
-    monkeypatch.setattr(discrepancy_module, "colon_certified", spy)
+    monkeypatch.setattr(ideals_module, "_linked_degree", spy)
     return degrees
 
 
 def test_residual_certifies_only_complete_intersections(monkeypatch):
     ring, i_z, j = _four_lines()
     x0, x1, x2, x3 = ring.variables()
-    degrees = _spy_colon_degrees(monkeypatch)
+    degrees = _spy_linked_degrees(monkeypatch)
     assert ideal_equal(residual(i_z, j), quotient(i_z, j))
     # three generators in codimension 2: not a complete intersection,
     # so the colon takes the product test
@@ -346,7 +358,17 @@ def test_residual_certifies_only_complete_intersections(monkeypatch):
     # J a point, not a curve: its degree says nothing about the colon
     point = Ideal(ring, [x0, x1, x3])
     assert ideal_equal(residual(i_z, point), quotient(i_z, point))
-    assert degrees == [3, None, None]
+    # J not containing I_Z: linkage says nothing either
+    assert ideal_equal(colon_certified(i_z, Ideal(ring, [x0, x2 + x3])),
+                       quotient(i_z, Ideal(ring, [x0, x2 + x3])))
+    # J = I_Z: the colon has degree 0, so it is the unit ideal, with no
+    # fallback to the full quotient
+    fallbacks = []
+    monkeypatch.setattr(ideals_module, "quotient",
+                        lambda a, b: fallbacks.append(b) or quotient(a, b))
+    assert residual(i_z, i_z).is_unit()
+    assert fallbacks == []
+    assert degrees == [3, None, None, None, 0]
 
 
 def _skew_lines():
@@ -414,6 +436,16 @@ def test_smoothness_on_the_witness_scheme(name):
     assert on_witness == plain
 
 
+def test_witness_smoothness_stays_off_the_public_answer():
+    # a complete-intersection witness has an empty Jacobian scheme on its
+    # own curve; handed in with a singular curve it must not make the
+    # public smoothness answer for that curve say smooth
+    nodal = LENGTH_CURVES["nodal_cubic_in_p3"]()
+    foreign = construct_ci(LENGTH_CURVES["ci_2_3"](), seed=0)
+    discrepancy_module._route_values(nodal, foreign, "smooth", False)
+    assert is_smooth_curve(nodal.ideal()) is False
+
+
 def test_genus_certifies_from_data_in_hand(monkeypatch, capsys):
     # on RNC4 the chart is never used for a length, the linkage colons
     # are certified by degree, and smoothness needs few curve minors
@@ -422,10 +454,10 @@ def test_genus_certifies_from_data_in_hand(monkeypatch, capsys):
     depth = []
     real_colon = cidcurve.ideals.colon_certified
 
-    def colon(*args, **kwargs):
-        depth.append(1)
+    def colon(a, *args, **kwargs):
+        depth.append(a)
         try:
-            return real_colon(*args, **kwargs)
+            return real_colon(a, *args, **kwargs)
         finally:
             depth.pop()
 
@@ -436,7 +468,9 @@ def test_genus_certifies_from_data_in_hand(monkeypatch, capsys):
     real_contains = GroebnerBasis.contains
 
     def contains(self, f):
-        if depth:
+        # the product test reduces modulo the dividend's basis; the
+        # containment check of the divisor's basis is not counted
+        if depth and self is depth[-1].gb():
             products.append(f)
         return real_contains(self, f)
 
