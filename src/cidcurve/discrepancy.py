@@ -4,20 +4,19 @@ Given a curve X and a complete intersection Z through it, the residual
 curve W satisfies I_W = (I_Z : I_X), and the discrepancy is the total
 length of the intersection scheme X ∩ W.  It is computed by several
 independent routes (direct length of I_X + I_W, Jacobian length for
-smooth X, a chart saturation variant for local complete intersections,
-and a pure degree count for almost complete intersections); route
-agreement is the designed detector for insufficiently general
-witnesses.  The direct and Jacobian lengths are constant Hilbert
-polynomials, read off a grevlex basis with no chart.  The routes read
-I_Z, I_W and the witness Jacobian scheme on X from the certified
-witness (`linkage.CIWitness`), which derived them once, and decide
-smoothness on that scheme.  On a smooth curve the Jacobian and
-saturation routes are one computation, so it runs once and its value
-is filed under both names.  The genus report bundles the discrepancy
-with the Hilbert-polynomial invariants and verifies the adjunction-type
-genus formula, Bezout (which the degree-certified linkage colon makes
-hold by construction), the linkage genus exchange, and the degree/e-term
-identity.
+smooth X, a saturation variant for local complete intersections, and
+a pure degree count for almost complete intersections); route agreement
+is the designed detector for insufficiently general witnesses.  Every
+length is a constant Hilbert polynomial, read off a grevlex basis with
+no chart.  The routes read I_Z, I_W and the witness Jacobian scheme on
+X from the certified witness (`linkage.CIWitness`), which derived them
+once, and decide smoothness on that scheme.  On a smooth curve the
+Jacobian and saturation routes are one computation, so it runs once
+and its value is filed under both names.  The genus report bundles the
+discrepancy with the Hilbert-polynomial invariants and verifies the
+adjunction-type genus formula, Bezout (which the degree-certified
+linkage colon makes hold by construction), the linkage genus exchange,
+and the degree/e-term identity.
 """
 
 from __future__ import annotations
@@ -200,7 +199,7 @@ def residual(i_z: Ideal, i_x: Ideal, seed: int = 0) -> Ideal:
     return colon_certified(i_z, i_x, seed=seed)
 
 
-def _check_chart(finite_ideal: Ideal, h: Polynomial) -> Chart:
+def _check_chart(finite_ideal: Ideal, h: Polynomial) -> None:
     """The hyperplane h must miss the (finite) projective support."""
     with_h = Ideal(finite_ideal.ring,
                    list(finite_ideal.generators) + [h])
@@ -208,15 +207,6 @@ def _check_chart(finite_ideal: Ideal, h: Polynomial) -> Chart:
         raise ChartMeetsIntersection(
             f"hyperplane {h} meets the finite scheme being measured"
         )
-    return Chart.from_form(h)
-
-
-def _length(affine: Ideal) -> int:
-    """Length of a finite affine scheme."""
-    value = vdim(affine)
-    if value == INFINITE:
-        raise NotZeroDimensional("the measured scheme is not finite")
-    return value
 
 
 def _projective_length(finite: Ideal) -> int:
@@ -266,15 +256,14 @@ def _smooth_on_witness(i_x: Ideal, witness) -> bool:
 
 
 def _witness_locus(i_x: Ideal, witness) -> Ideal:
-    """The witness Jacobian scheme on X in the chart h = 1, with the
-    singular locus of X saturated away.  On a smooth curve that locus is
-    empty and saturation by it is the identity, so that step is skipped
-    rather than paid for (the curve's full minor ideal is large)."""
-    chart = _check_chart(witness.on_curve, witness.h)
-    affine = chart_ideal(witness.on_curve, chart)
-    if not _smooth_on_witness(i_x, witness):
-        affine = saturate(affine, chart_ideal(_singular_locus(i_x), chart))
-    return affine
+    """The witness Jacobian scheme on X with the singular locus of X
+    saturated away, as a homogeneous ideal.  On a smooth curve that
+    locus is empty and saturation by it is the identity, so that step is
+    skipped rather than paid for (the curve's full minor ideal is
+    large)."""
+    if _smooth_on_witness(i_x, witness):
+        return witness.on_curve
+    return saturate(witness.on_curve, _singular_locus(i_x))
 
 
 def cid_smooth_jacobian(i_x: Ideal, witness) -> int:
@@ -289,7 +278,7 @@ def cid_lci_general(i_x: Ideal, witness) -> int:
     """Discrepancy for a reduced local complete intersection X with a
     general witness: contributions along the singular locus of X are
     stripped by saturation."""
-    return _length(_witness_locus(i_x, witness))
+    return _projective_length(_witness_locus(i_x, witness))
 
 
 def cid_aci(degrees, deg_x: int) -> int:
@@ -546,9 +535,15 @@ def jacobian_cover_check(curve, seed: int = 0, degenerate: bool = False,
 
 def transversality_count(curve, witness, seed: int = 0):
     """(number of distinct witness-singular points on the smooth part of
-    X, whether that count equals the full intersection length)."""
+    X, whether that count equals the full intersection length).  The
+    points are counted on the chart h = 1, which certification made
+    miss them all, as the ideal locus + (h - 1) in the same ring."""
     i_x = curve.ideal()
     if i_x.ring.field.characteristic != 0:
         raise WrongCharacteristic("transversality analysis needs char 0")
-    count = distinct_point_count(_witness_locus(i_x, witness), seed=seed)
+    _check_chart(witness.on_curve, witness.h)
+    locus = _witness_locus(i_x, witness)
+    in_chart = ideal_sum(locus,
+                         Ideal(locus.ring, [witness.h - locus.ring.one()]))
+    count = distinct_point_count(in_chart, seed=seed)
     return count, count == cid_direct(i_x, witness.i_w)

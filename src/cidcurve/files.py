@@ -97,10 +97,11 @@ def _header(lines, expect: str, field_override: Field = None):
         names = tuple(parts[4:])
         if not names:
             raise ParseError("header lists no variables", line=no, column=1)
-        if len(set(names)) != len(names):
-            raise ParseError("repeated variable name", line=no, column=1)
         field = field_override or parse_field_token(parts[2], line=no)
-        return PolyRing(field, names), no
+        try:
+            return PolyRing(field, names), no
+        except ValueError as err:
+            raise ParseError(str(err), line=no, column=1)
     raise ParseError(f"empty file; expected a `{expect}` header")
 
 

@@ -19,9 +19,12 @@ computation certifies its own answer: attained orders form a numerical
 semigroup, so once a gap-free run of length equal to the multiplicity
 appears, every larger order is attained and the gap count below the run
 is final.  No window can prove the opposite, so a branch is declared
-not primitive only on a certificate read off the input: when every
-exponent of every coordinate is divisible by some d > 1 the subalgebra
-lies in k[t^d].  Several branches glue: delta of a union adds the
+not primitive only on a certificate: when every exponent of every
+coordinate is divisible by some d > 1 the subalgebra lies in k[t^d];
+and, before the precision cap is reported, when the branch ideal meets
+the hyperplane of a least-order coordinate with a length below that
+order (a reparametrization such as x = t^2 + t^3, y = x^2).  Several
+branches glue: delta of a union adds the
 origin-length of the pairwise intersection scheme, branch ideals being
 recovered by elimination from their parametrizations.
 """
@@ -214,6 +217,24 @@ def _certified_gap_count(attained, precision: int):
     return None
 
 
+def _check_degree_one(branch: BranchParam) -> None:
+    """NotPrimitive when t -> p(t) is visibly not of degree 1 onto its
+    image.  For the coordinate x_i of least positive order m, the branch
+    meets the hyperplane x_i = 0 at the origin with length L >= m / d,
+    where d is that degree; so m > L forces d > 1."""
+    m = branch_multiplicity(branch)
+    i = next(k for k, p in enumerate(branch.coords) if _ord(p) == m)
+    ambient = _germ_ambient(branch)
+    cut = Ideal(ambient, [ambient.variable(i)])
+    length = local_vdim_origin(ideal_sum(branch_ideal(branch, ambient), cut))
+    if m > length:
+        raise NotPrimitive(
+            f"branch {branch.label!r} has order {m} in coordinate {i + 1} "
+            f"but meets its hyperplane with length {length}; the "
+            f"parametrization is not primitive"
+        )
+
+
 def _delta_single(branch: BranchParam,
                   precision_cap: int = DEFAULT_PRECISION_CAP) -> int:
     common = gcd(*(e[0] for p in branch.coords for e in p.terms))
@@ -229,12 +250,19 @@ def _delta_single(branch: BranchParam,
         if delta is not None:
             return delta
         if precision >= precision_cap:
+            _check_degree_one(branch)
             raise PrecisionCapExceeded(
                 f"delta of branch {branch.label!r} did not certify below "
                 f"precision {precision_cap}",
                 cap=precision_cap,
             )
         precision = min(precision * 2, precision_cap)
+
+
+def _germ_ambient(branch: BranchParam) -> PolyRing:
+    """Coordinate ring u0, u1, ... for the branch's implicit ideal."""
+    return PolyRing(branch.ring.field,
+                    tuple(f"u{i}" for i in range(branch.arity)))
 
 
 def branch_ideal(branch: BranchParam, ambient: PolyRing) -> Ideal:
@@ -265,10 +293,7 @@ def delta_invariant(branches,
     total = _delta_single(branches[0], precision_cap)
     if len(branches) == 1:
         return total
-    field = branches[0].ring.field
-    ambient = PolyRing(
-        field, tuple(f"u{i}" for i in range(branches[0].arity))
-    )
+    ambient = _germ_ambient(branches[0])
     union = branch_ideal(branches[0], ambient)
     for b in branches[1:]:
         total += _delta_single(b, precision_cap)

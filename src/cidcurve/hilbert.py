@@ -191,8 +191,6 @@ class HilbertData:
     e_term: object  # Fraction or None when the scheme is not a curve
     p_a: object     # Fraction; integer-valued for curves
     hilbert_poly: tuple  # power-basis coefficients, constant first
-    sigma: object = None
-    pi: object = None
 
 
 def _binomial_poly(shift, k):
@@ -212,12 +210,11 @@ def _binomial_poly(shift, k):
     return [c * f for c in coeffs]
 
 
-def data_from_numerator(numerator, arity, sigma=None, pi=None) -> HilbertData:
+def data_from_numerator(numerator, arity) -> HilbertData:
     num = _poly_trim(list(numerator))
     if not num:
         # zero ring (unit ideal): empty scheme
-        return HilbertData(tuple(), 0, -1, 0, None, Fraction(1), (Fraction(0),),
-                           sigma, pi)
+        return HilbertData(tuple(), 0, -1, 0, None, Fraction(1), (Fraction(0),))
     q = list(num)
     e = 0
     while True:
@@ -247,8 +244,7 @@ def data_from_numerator(numerator, arity, sigma=None, pi=None) -> HilbertData:
         p0 = hp_list[0]
         p_a = Fraction(1) - p0
         e_term = Fraction(_poly_derivative_at_one(q)) if krull == 2 else None
-    return HilbertData(tuple(num), krull, proj_dim, degree, e_term, p_a, hp,
-                       sigma, pi)
+    return HilbertData(tuple(num), krull, proj_dim, degree, e_term, p_a, hp)
 
 
 def _check_homogeneous(ideal_like):
@@ -332,16 +328,11 @@ def graded_dimension(ideal_like, mu: int) -> int:
 
 
 def ci_hilbert_data(degrees, arity) -> HilbertData:
-    """HilbertData of a complete intersection of the given form degrees,
-    with the degree-sum invariants sigma and pi attached."""
+    """HilbertData of a complete intersection of the given form degrees."""
     num = [1]
     for d in degrees:
         factor = [0] * (d + 1)
         factor[0] = 1
         factor[-1] = -1
         num = _poly_mul(num, factor)
-    sigma = sum(d - 1 for d in degrees)
-    pi = 1
-    for d in degrees:
-        pi *= d
-    return data_from_numerator(num, arity, sigma, pi)
+    return data_from_numerator(num, arity)

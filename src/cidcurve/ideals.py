@@ -532,98 +532,52 @@ def _standard_monomial_basis(a: Ideal):
     return basis
 
 
-def _univ_trim(c):
-    while c and not c[-1]:
-        c.pop()
-    return c
+def _univariate(ring: PolyRing, index: int, coeffs) -> Polynomial:
+    """sum_k coeffs[k] * x_index^k, from a coefficient list (constant
+    first)."""
+    terms = {}
+    for k, c in enumerate(coeffs):
+        e = [0] * ring.arity
+        e[index] = k
+        terms[tuple(e)] = c
+    return ring.polynomial(terms)
 
 
-def _univ_monic(c, field):
-    inv = field.inv(c[-1])
-    return [field.mul(x, inv) for x in c]
+def _gcd(f: Polynomial, g: Polynomial) -> Polynomial:
+    """Monic gcd of two polynomials in one variable: the single element
+    of their reduced basis."""
+    return groebner_basis([f, g], GREVLEX, ring=f.ring).elements[0]
 
 
-def _univ_derivative(c, field):
-    return _univ_trim([field.mul(c[k], field.from_int(k)) for k in range(1, len(c))])
-
-
-def _univ_mod(a, b, field):
-    a = list(a)
-    while len(a) >= len(b):
-        if not a[-1]:
-            a.pop()
-            continue
-        factor = field.div(a[-1], b[-1])
-        shift = len(a) - len(b)
-        for i, bc in enumerate(b):
-            a[shift + i] = field.sub(a[shift + i], field.mul(factor, bc))
-        a.pop()
-    return _univ_trim(a)
-
-def _univ_gcd(a, b, field):
-    a, b = _univ_trim(list(a)), _univ_trim(list(b))
-    while b:
-        a, b = b, _univ_mod(a, b, field)
-    return _univ_monic(a, field) if a else a
-
-
-def _univ_exact_div(a, b, field):
-    a = list(a)
-    out = [field.zero()] * (len(a) - len(b) + 1)
-    while len(a) >= len(b):
-        if not a[-1]:
-            a.pop()
-            continue
-        factor = field.div(a[-1], b[-1])
-        out[len(a) - len(b)] = factor
-        shift = len(a) - len(b)
-        for i, bc in enumerate(b):
-            a[shift + i] = field.sub(a[shift + i], field.mul(factor, bc))
-        a.pop()
-    if _univ_trim(a):
-        raise DivisionFailure("inexact univariate division")
-    return _univ_trim(out)
-
-
-def _univ_squarefree(c, field):
-    """Monic squarefree part, handling the char-p descent m = g(x^p)."""
-    c = _univ_monic(_univ_trim(list(c)), field)
-    if len(c) <= 1:
-        return c
-    p = field.characteristic
-    d = _univ_derivative(c, field)
+def _squarefree_part(f: Polynomial, index: int) -> Polynomial:
+    """Monic squarefree part of a nonzero f in the variable `index`
+    alone, handling the char-p descent f = g(x^p)."""
+    f = f.scale(f.ring.field.inv(f.leading(GREVLEX)[1]))
+    if f.is_constant():
+        return f
+    p = f.ring.field.characteristic
+    d = f.derivative(index)
     if not d:
         # every exponent divisible by p: take p-th root (prime field)
-        root = [c[i] for i in range(0, len(c), p)]
-        return _univ_squarefree(root, field)
-    g = _univ_gcd(c, d, field)
-    if len(g) == 1:
-        return c
-    w = _univ_exact_div(c, g, field)
+        root = f.ring.polynomial(
+            {e[:index] + (e[index] // p,) + e[index + 1:]: c
+             for e, c in f.terms.items()})
+        return _squarefree_part(root, index)
+    g = _gcd(f, d)
+    if g.is_constant():
+        return f
+    w = divide_exact(f, g)
     if p == 0:
-        return _univ_monic(w, field)
-    # strip w-factors out of g; what is left is a p-th power
+        return w
+    # strip w-factors out of g; what is left is a p-th power, coprime
+    # to w, so its squarefree part completes w
     y = g
     while True:
-        common = _univ_gcd(y, w, field)
-        if len(common) == 1:
+        common = _gcd(y, w)
+        if common.is_constant():
             break
-        y = _univ_exact_div(y, common, field)
-    rest = _univ_squarefree(y, field) if len(y) > 1 else [field.one()]
-    merged = _univ_gcd(w, rest, field)
-    if len(merged) > 1:
-        rest = _univ_exact_div(rest, merged, field)
-    product = _univ_mul(w, rest, field)
-    return _univ_monic(product, field)
-
-
-def _univ_mul(a, b, field):
-    out = [field.zero()] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] = field.add(out[i + j], field.mul(x, y))
-    return _univ_trim(out)
+        y = divide_exact(y, common)
+    return w * _squarefree_part(y, index)
 
 
 def minimal_polynomial_of_element(a: Ideal, f):
@@ -738,9 +692,9 @@ def distinct_point_count(a: Ideal, seed: int = 0, tries: int = 3) -> int:
     for _ in range(tries):
         coeffs = [field.from_int(rng.unit_coefficient())
                   for _ in range(ring.arity)]
-        mp = minimal_polynomial_of_element(a, ring.linear_form(coeffs))
-        sf = _univ_squarefree(mp, field)
-        if len(sf) - 1 == length:
+        form = ring.linear_form(coeffs)
+        mp = _univariate(ring, 0, minimal_polynomial_of_element(a, form))
+        if _squarefree_part(mp, 0).total_degree() == length:
             return length
     return vdim(radical_zero_dim(a))
 
@@ -753,16 +707,8 @@ def radical_zero_dim(a: Ideal) -> Ideal:
     if vdim(a) == INFINITE:
         raise NotZeroDimensional("radical_zero_dim needs a finite quotient")
     ring = a.ring
-    field = ring.field
     gens = list(a.generators)
     for i in range(ring.arity):
         mp = minimal_polynomial_of_variable(a, i)
-        sf = _univ_squarefree(mp, field)
-        terms = {}
-        for k, c in enumerate(sf):
-            if c:
-                e = [0] * ring.arity
-                e[i] = k
-                terms[tuple(e)] = c
-        gens.append(ring.polynomial(terms))
+        gens.append(_squarefree_part(_univariate(ring, i, mp), i))
     return Ideal(ring, gens)

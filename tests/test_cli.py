@@ -327,12 +327,24 @@ def _coordinate_text(poly):
     return " + ".join(f"{c}*t^{k}" for k, c in poly.items()) or "0"
 
 
+def _header_names(draw, names):
+    """names, or now and then names with one replaced by an invalid or
+    repeated name: a header that names no ring must still come back as a
+    typed envelope."""
+    if draw(st.sampled_from(range(5))):
+        return names
+    k = draw(st.integers(0, len(names) - 1))
+    bad = draw(st.sampled_from(("1x", "2y", "x-", "_z", "x.y", names[k - 1])))
+    return names[:k] + (bad,) + names[k + 1:]
+
+
 # no explain phase: on a failing draw it re-runs variants for minutes
 @settings(max_examples=40, deadline=None, derandomize=True,
           phases=(Phase.generate, Phase.shrink))
-@given(branches=_branches, cap=st.integers(-2, 48))
-def test_local_envelope_property(tmp_path_factory, branches, cap):
-    lines = ["germ/1 over QQ vars x y"]
+@given(branches=_branches, cap=st.integers(-2, 48),
+       names=st.composite(_header_names)(("x", "y")))
+def test_local_envelope_property(tmp_path_factory, branches, cap, names):
+    lines = [f"germ/1 over QQ vars {' '.join(names)}"]
     for i, (xs, ys) in enumerate(branches):
         lines.append(f"branch b{i}: x = {_coordinate_text(xs)}; "
                      f"y = {_coordinate_text(ys)}")
@@ -361,6 +373,7 @@ def _ring_case(draw):
     names = ("x", "y", "z")[:draw(st.integers(2, 3))]
     exponents = [e for e in product(range(3), repeat=len(names))
                  if sum(e) <= 2]
+    names = _header_names(draw, names)
 
     def poly():
         terms = draw(st.dictionaries(
@@ -453,3 +466,47 @@ def test_curve_envelope_property(tmp_path_factory, case):
     if code == 0:
         # a length is never negative
         assert min(payload["result"]["routes"].values()) >= 0
+
+
+def test_bad_header_names_are_parse_errors(tmp_path, capsys):
+    # a header name the ring refuses is a ParseError at the header line,
+    # never a raw ValueError
+    cases = [
+        ("gb", "bad.ring", "ring/1 over QQ vars 1x y z\nideal A = y;\n",
+         "bad variable name '1x'"),
+        ("gb", "dup.ring", "ring/1 over QQ vars x y x\nideal A = y;\n",
+         "duplicate variable name 'x'"),
+        ("local", "bad.germ", "# a comment\ngerm/1 over QQ vars x 2y\n"
+         "branch a: x = t^2\n", "bad variable name '2y'"),
+        ("local", "dup.germ", "germ/1 over QQ vars y y\n"
+         "branch a: y = t\n", "duplicate variable name 'y'"),
+    ]
+    for command, filename, text, reason in cases:
+        path = tmp_path / filename
+        path.write_text(text)
+        code, payload = run_json(capsys, command, "--input", str(path))
+        assert code == 1
+        (record,) = payload["errors"]
+        assert record["type"] == "ParseError"
+        line = 2 if text.startswith("#") else 1
+        assert record["message"] == f"{reason} (line {line}, column 1)"
+
+
+def test_reparametrized_branch_is_not_primitive(tmp_path, capsys):
+    # y = x^2 traced twice: the attained orders are the even ones, so no
+    # gap-free run certifies below any cap, and the branch meets x = 0
+    # with length 1 against its order 2
+    path = tmp_path / "twice.germ"
+    path.write_text("germ/1 over QQ vars x y\n"
+                    "branch a: x = t^2 + t^3; y = t^4 + 2*t^5 + t^6\n")
+    code, payload = run_json(capsys, "local", "--input", str(path))
+    assert code == 2
+    (record,) = payload["errors"]
+    assert record["type"] == "NotPrimitive"
+    # a primitive branch cut short by the cap is still reported as such
+    code, payload = run_json(capsys, "local", "--input", CUSP,
+                             "--precision-cap", "3")
+    assert code == 2
+    (record,) = payload["errors"]
+    assert record["type"] == "PrecisionCapExceeded"
+    assert record["cap"] == 3

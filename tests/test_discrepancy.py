@@ -39,6 +39,7 @@ from cidcurve.errors import (
     BadCodim,
     NotContained,
     NotSmooth,
+    NotSmoothableRoute,
     OutOfHypothesis,
     TooManySubsets,
     WrongCharacteristic,
@@ -491,3 +492,66 @@ def test_genus_certifies_from_data_in_hand(monkeypatch, capsys):
     assert charts == []
     assert products == []
     assert 0 < len(minors) < 200
+
+
+# --- the lci route on singular curves, with no chart ------------------
+
+
+def _twisted_cubic_and_line():
+    """The twisted cubic together with the line x0 = x1 = 0, which meets
+    it only at (0:0:0:1), tangent to it there: a singular local complete
+    intersection that is not a complete intersection."""
+    ring = PolyRing(QQ, ("x0", "x1", "x2", "x3"))
+    x0, x1 = ring.variable(0), ring.variable(1)
+    union = cidcurve.intersect(Ideal(ring, twisted_cubic_gens(ring)),
+                               Ideal(ring, [x0, x1]))
+    return CurveInput(ring, list(union.generators))
+
+
+def _coordinate_axes():
+    return _p3_curve("x1*x2", "x1*x3", "x2*x3")
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_lci_route_on_the_cubic_and_a_tangent_line(seed):
+    curve = _twisted_cubic_and_line()
+    witness = construct_ci(curve, seed=seed)
+    assert cid_routes(curve, witness, route="lci") == {"lci_general": 4}
+    assert cid_routes(curve, witness, assume_lci=True) == {
+        "direct": 4, "lci_general": 4, "aci": 4}
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_lci_route_on_the_coordinate_axes(seed):
+    # three concurrent lines are not a local complete intersection: the
+    # saturation strips the whole length, and "auto" says so
+    curve = _coordinate_axes()
+    witness = construct_ci(curve, seed=seed)
+    assert cid_routes(curve, witness, route="lci") == {"lci_general": 0}
+    with pytest.raises(NotSmoothableRoute):
+        cid_routes(curve, witness, assume_lci=True)
+    assert cid_routes(curve, witness) == {"direct": 2, "aci": 2}
+
+
+def test_lci_route_and_transversality_build_no_chart(monkeypatch):
+    charts, forms = [], []
+    _spy(monkeypatch, cidcurve.ideals.chart_ideal, charts)
+    real_from_form = Chart.from_form.__func__
+
+    def from_form(cls, h):
+        forms.append(h)
+        return real_from_form(cls, h)
+
+    monkeypatch.setattr(Chart, "from_form", classmethod(from_form))
+    # certification picks the chart h; only the routes must not use one
+    curves = [_twisted_cubic_and_line(), _coordinate_axes(), rnc_curve(4)]
+    witnesses = [construct_ci(curve, seed=0) for curve in curves]
+    twisted = rnc_curve(3)
+    transversal = cidcurve.construct_ci_transversal(twisted, seed=0)
+    charts.clear()
+    forms.clear()
+    for curve, witness in zip(curves, witnesses):
+        cid_routes(curve, witness, route="lci")
+    assert transversality_count(twisted, transversal, seed=0) == (2, True)
+    assert charts == []
+    assert forms == []

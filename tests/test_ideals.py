@@ -1,6 +1,8 @@
 """Ideal operations: membership laws, elimination, saturation, lengths."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cidcurve import (
     INFINITE,
@@ -320,3 +322,43 @@ def test_ring_mismatch_rejected():
     r2 = PolyRing(QQ, ("a", "b"))
     with pytest.raises(RingMismatch):
         ideal_sum(ideal(r1.variable(0)), ideal(r2.variable(0)))
+
+
+@st.composite
+def _univariate_products(draw):
+    """A product of powers (exponents up to 7, p-th powers included) of
+    small polynomials in one variable of a two-variable ring."""
+    field = draw(st.sampled_from((QQ, Field.prime_field(2),
+                                  Field.prime_field(3),
+                                  Field.prime_field(5))))
+    ring = PolyRing(field, ("x", "y"))
+    index = draw(st.integers(0, 1))
+    v = ring.variable(index)
+    f = ring.one()
+    for _ in range(draw(st.integers(0, 3))):
+        coeffs = draw(st.lists(st.integers(-4, 4), min_size=2, max_size=4))
+        factor = ring.zero()
+        for k, c in enumerate(coeffs):
+            factor = factor + v**k * ring.from_int(c)
+        if factor:
+            f = f * factor**draw(st.integers(1, 7))
+    return f, index
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(case=_univariate_products())
+def test_squarefree_part(case):
+    f, index = case
+    part = ideals_module._squarefree_part(f, index)
+    ring = f.ring
+    assert part.leading(GREVLEX)[1] == ring.field.one()
+    assert all(not e[1 - index] for e in part.terms)
+    # part divides f, and f divides part^deg f
+    assert Ideal(ring, [part]).contains(f)
+    multiple = Ideal(ring, [f]).gb()
+    power = multiple.normal_form(ring.one())
+    for _ in range(f.total_degree()):
+        power = multiple.normal_form(power * part)
+    assert not power
+    # squarefree: coprime to its derivative
+    assert Ideal(ring, [part, part.derivative(index)]).is_unit()
