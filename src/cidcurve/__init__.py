@@ -65,7 +65,6 @@ from .ideals import (
     INFINITE,
     Ideal,
     colon_certified,
-    dimension_at_most,
     distinct_point_count,
     eliminate,
     ideal,

@@ -41,7 +41,6 @@ from .errors import (
 )
 from . import hilbert as _hilbert
 from .ideals import (
-    INFINITE,
     Ideal,
     chart_ideal,
     colon_certified,
@@ -50,7 +49,6 @@ from .ideals import (
     ideal_sum,
     saturate,
     saturate_irrelevant,
-    vdim,
 )
 from .polynomials import Chart, Polynomial, partial_derivative
 from .rng import SplitMix64
@@ -165,10 +163,10 @@ def _empty_with_minors(base: Ideal, i_x: Ideal, checkpoint: int,
         collected.append(m)
         pending += 1
         if pending >= checkpoint:
-            if vdim(Ideal(i_x.ring, collected)) != INFINITE:
+            if _hilbert.krull_dimension(Ideal(i_x.ring, collected)) == 0:
                 return True
             pending, checkpoint = 0, checkpoint * 2
-    return vdim(Ideal(i_x.ring, collected)) != INFINITE
+    return _hilbert.krull_dimension(Ideal(i_x.ring, collected)) == 0
 
 
 def _singular_locus(i_x: Ideal) -> Ideal:
@@ -203,7 +201,7 @@ def _check_chart(finite_ideal: Ideal, h: Polynomial) -> None:
     """The hyperplane h must miss the (finite) projective support."""
     with_h = Ideal(finite_ideal.ring,
                    list(finite_ideal.generators) + [h])
-    if vdim(with_h) == INFINITE:
+    if _hilbert.krull_dimension(with_h) > 0:
         raise ChartMeetsIntersection(
             f"hyperplane {h} meets the finite scheme being measured"
         )
@@ -476,8 +474,9 @@ def omega_matches_jacobian(i_x: Ideal, witness, seed: int = 0) -> bool:
     if _smooth_on_witness(i_x, witness):
         # Both sheaves are trivial on a smooth curve: the Jacobian side
         # is irrelevant-primary by the smoothness certificate itself, so
-        # only the omega side still needs checking.
-        return saturate_irrelevant(j).is_unit()
+        # only the omega side still needs checking: it is trivial when it
+        # cuts out the empty projective scheme.
+        return _hilbert.krull_dimension(j) == 0
     jac_x = _singular_locus(i_x)
     if ideal_equal(j, jac_x):
         return True

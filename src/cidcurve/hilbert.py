@@ -258,15 +258,9 @@ def _lt_gens(ideal_like):
     return [f.leading(GREVLEX)[0] for f in gb.elements]
 
 
-def hilbert_series(ideal_like, auto_saturate=False) -> HilbertData:
-    """HilbertData of S/I.  The input must be homogeneous; with
-    auto_saturate the irrelevant-ideal saturation is taken first so the
-    reported numerator is the saturated one."""
+def hilbert_series(ideal_like) -> HilbertData:
+    """HilbertData of S/I.  The input must be homogeneous."""
     _check_homogeneous(ideal_like)
-    if auto_saturate:
-        from .ideals import saturate_irrelevant
-
-        ideal_like = saturate_irrelevant(ideal_like)
     cache = getattr(ideal_like, "_data_cache", None)
     data = cache.get("hilbert") if cache is not None else None
     if data is None:
@@ -296,14 +290,16 @@ def hilbert_polynomial(ideal_like) -> tuple:
 
 
 def arithmetic_genus(ideal_like, auto_saturate=False) -> int:
-    """p_a = 1 - P(0) for a projective curve."""
+    """p_a = 1 - P(0) for a projective curve.  Without auto_saturate an
+    unsaturated input is refused; with it, p_a is read off the input's
+    own Hilbert polynomial, which saturation does not change."""
     _check_homogeneous(ideal_like)
     if not auto_saturate:
         from .ideals import is_saturated
 
         if not is_saturated(ideal_like):
             raise NotSaturated("input ideal is not saturated; pass auto_saturate=True")
-    data = hilbert_series(ideal_like, auto_saturate=auto_saturate)
+    data = hilbert_series(ideal_like)
     if data.proj_dim != 1:
         raise NotACurve(f"projective dimension is {data.proj_dim}, not 1")
     if data.p_a.denominator != 1:

@@ -371,25 +371,14 @@ def _sat_last_var_grevlex(a: Ideal) -> Ideal:
     return Ideal(a.ring, out)
 
 
-def _sat_var_inf(a: Ideal, index: int) -> Ideal:
-    """(a : x_index^infinity) by moving the variable last."""
-    ring = a.ring
-    if index == ring.arity - 1:
-        return _sat_last_var_grevlex(a)
-    names = ring.names[:index] + ring.names[index + 1:] + (ring.names[index],)
-    moved = _relabel(a.generators, PolyRing(ring.field, names))
-    return _relabel(_sat_last_var_grevlex(moved).generators, ring)
-
-
 def _sat_linear_inf(a: Ideal, coeffs) -> Ideal:
-    """(a : h^infinity) for the linear form with given coefficients."""
+    """(a : h^infinity) for the linear form with given coefficients,
+    by a change of coordinates that takes h to the last variable (for a
+    coordinate form, a permutation of the variables)."""
     ring = a.ring
-    nz = [i for i, c in enumerate(coeffs) if c]
-    if len(nz) == 1 and coeffs[nz[0]] == ring.field.one():
-        return _sat_var_inf(a, nz[0])
     field = ring.field
     n = ring.arity
-    pivot = nz[-1]
+    pivot = max(i for i, c in enumerate(coeffs) if c)
     rest = [i for i in range(n) if i != pivot]
     # forward: x_i -> y_slot(i) for i != pivot, x_pivot -> (y_last - sum c_i y_slot(i)) / c_pivot
     slot = {old: new for new, old in enumerate(rest)}
@@ -431,9 +420,9 @@ def saturate_irrelevant(a: Ideal) -> Ideal:
         if _hilbert.hilbert_series(sat).hilbert_poly == target:
             return sat
     # exact fallback: intersection of all coordinate saturations
-    result = _sat_var_inf(a, 0)
-    for i in range(1, ring.arity):
-        result = intersect(result, _sat_var_inf(a, i))
+    result = _sat_linear_inf(a, candidates[0])
+    for coeffs in candidates[1:ring.arity]:
+        result = intersect(result, _sat_linear_inf(a, coeffs))
     return result
 
 
@@ -629,45 +618,6 @@ def minimal_polynomial_of_element(a: Ideal, f):
 
 def minimal_polynomial_of_variable(a: Ideal, index: int):
     return minimal_polynomial_of_element(a, a.ring.variable(index))
-
-
-def reduce_mod_prime(a: Ideal, p: int) -> Ideal:
-    """The generators of a rational ideal, scaled to primitive integer
-    form, mapped into the same variables over F_p.
-
-    For homogeneous input the graded quotient can only grow under this
-    specialization (Macaulay-matrix ranks can only drop mod p), so any
-    dimension bound or Hilbert-function vanishing established mod p is
-    a valid certificate for the rational ideal.  The converse fails for
-    unlucky primes; callers must fall back to the exact computation."""
-    from .fields import Field
-
-    fp = Field.prime_field(p)
-    ring_p = PolyRing(fp, a.ring.names)
-    gens = []
-    for g in a.generators:
-        gi = g.primitive_int()
-        image = ring_p.polynomial(
-            {e: fp.from_int(int(c)) for e, c in gi.terms.items()}
-        )
-        if image:
-            gens.append(image)
-    return Ideal(ring_p, gens)
-
-
-CERTIFICATE_PRIMES = (32003, 65537)
-
-
-def dimension_at_most(a: Ideal, bound: int) -> bool:
-    """Whether the projective-cone dimension of a homogeneous rational
-    ideal is at most `bound`; tries cheap mod-p certificates before the
-    exact rational basis."""
-    if a.ring.field.characteristic:
-        return _hilbert.krull_dimension(a) <= bound
-    for p in CERTIFICATE_PRIMES:
-        if _hilbert.krull_dimension(reduce_mod_prime(a, p)) <= bound:
-            return True
-    return _hilbert.krull_dimension(a) <= bound
 
 
 def distinct_point_count(a: Ideal, seed: int = 0, tries: int = 3) -> int:

@@ -30,7 +30,16 @@ TWO_IDEALS = (
 )
 # plane nodal cubic in P^3: the singular branch of the saturation route
 NODAL = "ring/1 over QQ vars x0 x1 x2 x3\nideal X = x1^2*x2 - x0^3 - x0^2*x2, x3;\n"
-WRITTEN = {"two.ring": TWO_IDEALS, "nodal.ring": NODAL}
+# the twisted cubic's generators times each variable: the same curve,
+# presented by an unsaturated ideal
+DIRTY_CUBIC = (
+    "ring/1 over QQ vars x0 x1 x2 x3\nideal X = "
+    + ", ".join(f"({g})*x{i}" for g in ("x2^2 - x1*x3", "x1^2 - x0*x2",
+                                       "x0*x3 - x1*x2") for i in range(4))
+    + ";\n"
+)
+WRITTEN = {"two.ring": TWO_IDEALS, "nodal.ring": NODAL,
+           "dirty_cubic.ring": DIRTY_CUBIC}
 
 
 def _jobs():
@@ -69,6 +78,8 @@ def _jobs():
     for route in ("direct", "smooth", "lci"):
         add(f"cid-nodal-{route}",
             ("cid", "--input", nodal, "--route", route))
+    add("invariants-dirty-cubic",
+        ("invariants", "--input", "{dir}/dirty_cubic.ring"))
 
     for germ in ("cusp", "node"):
         for command in ("local", "verify"):

@@ -8,6 +8,7 @@ from cidcurve import (
     Ideal,
     PolyRing,
     choose_chart,
+    colon_certified,
     construct_ci,
     construct_ci_transversal,
     ideal_equal,
@@ -16,12 +17,14 @@ from cidcurve import (
     is_saturated,
     jacobian_ideal,
     residual,
+    saturate_irrelevant,
     vdim,
     witness_to_dict,
 )
 from cidcurve.errors import (
     EmptyInput,
     InputError,
+    MaxAttemptsExceeded,
     NotACurve,
     NotGenericallyCI,
     NotHomogeneous,
@@ -30,6 +33,7 @@ from cidcurve.errors import (
     WrongCharacteristic,
 )
 from cidcurve.ideals import INFINITE
+from cidcurve import linkage
 from cidcurve.linkage import TEST_NAMES
 
 from conftest import rnc_curve, twisted_cubic_gens
@@ -211,3 +215,54 @@ def test_witness_carries_certified_ideals(name):
     # the certification tests are recorded in the order they run
     assert list(witness.tests) == [t for t in TEST_NAMES
                                    if t in witness.tests]
+
+
+def _line_with_embedded_point():
+    ring = PolyRing(QQ, P3)
+    x0, x1, x2, x3 = ring.variables()
+    mixed = intersect(Ideal(ring, [x1, x2]), Ideal(ring, [x0, x1**2, x3]))
+    return CurveInput(ring, list(mixed.generators))
+
+
+def _unsaturated_twisted_cubic():
+    ring = PolyRing(QQ, P3)
+    gens = twisted_cubic_gens(ring)
+    return CurveInput(ring, [v * g for v in ring.variables() for g in gens])
+
+
+DOUBLE_LINK_CURVES = dict(
+    {name: make for name, make in WITNESS_CURVES.items()
+     if name != "fermat_cubic"},
+    line_with_embedded_point=_line_with_embedded_point,
+    unsaturated_twisted_cubic=_unsaturated_twisted_cubic,
+)
+
+
+@pytest.mark.parametrize("name", sorted(DOUBLE_LINK_CURVES))
+def test_double_link_verdict_matches_saturated_comparison(name, monkeypatch):
+    # the verdict compares Hilbert polynomials; the oracle compares the
+    # double-link colon with the saturation of I_X itself
+    curve = DOUBLE_LINK_CURVES[name]()
+    sat_x = saturate_irrelevant(curve.ideal())
+    backs = []
+
+    def spy(a, b, seed=0):
+        back = colon_certified(a, b, seed=seed)
+        backs.append(back)
+        return back
+
+    monkeypatch.setattr(linkage, "colon_certified", spy)
+    verdicts = []
+    for seed in range(4):
+        backs.clear()
+        try:
+            verdict = construct_ci(curve, seed=seed,
+                                   max_attempts=1).tests["double_link"]
+        except (NotGenericallyCI, MaxAttemptsExceeded) as err:
+            verdict = err.failures["double_link"] == 0
+        if not backs:
+            continue  # an earlier test rejected the draw
+        assert verdict == ideal_equal(backs[0], sat_x)
+        verdicts.append(verdict)
+    assert verdicts
+    assert set(verdicts) == {name != "line_with_embedded_point"}
