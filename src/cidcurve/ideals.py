@@ -3,20 +3,19 @@ saturation, elimination, vector-space dimensions and zero-dimensional
 radicals.
 
 Intersections use the classic auxiliary-variable trick (eliminate t
-from t*I + (1-t)*J).  A principal quotient (I : g) of homogeneous I and
-g is one weighted-grevlex basis of I + (y - g) in a fresh last variable
-y of weight deg g (Bayer's trick): the basis elements divisible by y,
-divided by y once and mapped back by y -> g, generate (I : g) together
-with I.  Other principal quotients divide the generators of I ∩ (g) by
-g.  Quotients by several generators intersect principal ones, and
-saturation iterates quotients to stabilization.  Saturation by the
-irrelevant maximal ideal of a homogeneous ideal has a dedicated fast
-path: saturating by a single linear form is one grevlex basis
-computation (divide every element by the top power of the last
-variable), and a Hilbert-polynomial comparison certifies that the
-chosen form missed every relevant associated prime; on certificate
-failure the exact intersection formula over all coordinate saturations
-is used instead.
+from t*I + (1-t)*J).  For homogeneous I and g, the principal quotient
+(I : g) and the saturation (I : g^infinity) both come from one
+weighted-grevlex basis of I + (y - g) in a fresh last variable y of
+weight deg g (Bayer's trick), mapped back by y -> g: the quotient from
+the elements y divides, divided by y once, and the saturation from
+every element divided by its top power of y.  Otherwise a principal
+quotient divides the generators of I ∩ (g) by g, and a principal
+saturation eliminates t from I + (1 - t*g) (Rabinowitsch).  Quotients
+and saturations by several generators intersect the principal ones.
+Saturation by the irrelevant maximal ideal of a homogeneous ideal
+saturates by one linear form, and a Hilbert-polynomial comparison
+certifies that the form missed every relevant associated prime; when
+no form is certified, the ideal is saturated by all the coordinates.
 """
 
 from __future__ import annotations
@@ -33,13 +32,11 @@ from .errors import (
 )
 from . import hilbert as _hilbert
 from .groebner import GroebnerBasis, groebner_basis
-from .orders import Block, GREVLEX, LEX, WeightedGrevLex
+from .orders import Block, GREVLEX, WeightedGrevLex
 from .polynomials import Chart, Polynomial, PolyRing
 from .rng import SplitMix64
 
 INFINITE = float("inf")
-
-SATURATION_CAP = 64
 
 
 class Ideal:
@@ -196,14 +193,17 @@ def divide_exact(f: Polynomial, g: Polynomial) -> Polynomial:
     return quotient_poly
 
 
-def _colon_homogeneous(a: Ideal, g: Polynomial) -> Ideal:
-    """(a : g) for homogeneous a and g of degree d, from one basis in a
-    fresh last variable y of weight d (Bayer's trick; Eisenbud, Prop.
-    15.12).  J = a + (y - g) is weighted-homogeneous, so in weighted
-    grevlex y divides a basis element exactly when it divides its
-    leading term, and the basis elements y divides, divided by y once,
-    generate (J : y) together with J.  Mapping y to g sends J onto a
-    and (J : y) onto (a : g)."""
+def _bayer_basis(a: Ideal, g: Polynomial):
+    """The weighted-grevlex basis of J = a + (y - g) for homogeneous a
+    and g of degree d, in a fresh last variable y of weight d (Bayer's
+    trick; Eisenbud, Prop. 15.12), as pairs (k, f) of a basis element f
+    and the top power k of y dividing it, with the map f, k -> f / y^k
+    under y -> g.  J is weighted-homogeneous, so in weighted grevlex y
+    divides a basis element exactly when it divides its leading term:
+    the elements y divides, divided by y once, generate (J : y) together
+    with J, and every element divided by its top power of y gives a
+    basis of (J : y^infinity).  Mapping y to g sends J onto a, (J : y)
+    onto (a : g) and (J : y^infinity) onto (a : g^infinity)."""
     ring = a.ring
     aux = PolyRing(ring.field, ring.names + (_fresh_name(ring, "y"),))
     y = aux.variable(ring.arity)
@@ -212,16 +212,29 @@ def _colon_homogeneous(a: Ideal, g: Polynomial) -> Ideal:
     weights = (1,) * ring.arity + (g.total_degree(),)
     basis = groebner_basis(gens, WeightedGrevLex(weights), ring=aux)
     images = ring.variables() + [g]
-    found = list(a.generators)
-    for f in basis.elements:
-        if all(e[-1] for e in f.terms):
-            lowered = aux.polynomial(
-                {e[:-1] + (e[-1] - 1,): c for e, c in f.terms.items()})
-            found.append(lowered.compose(ring, images))
-    gb = groebner_basis(found, GREVLEX, ring=ring)
-    out = Ideal(ring, gb.elements)
+
+    def back(f, k):
+        lowered = aux.polynomial(
+            {e[:-1] + (e[-1] - k,): c for e, c in f.terms.items()})
+        return lowered.compose(ring, images)
+
+    pairs = [(min(e[-1] for e in f.terms), f) for f in basis.elements]
+    return pairs, back
+
+
+def _reduced(a: Ideal) -> Ideal:
+    """a presented by its monic reduced grevlex basis, kept cached."""
+    gb = a.gb()
+    out = Ideal(a.ring, gb.elements)
     out._gb_cache[GREVLEX] = gb
     return out
+
+
+def _colon_homogeneous(a: Ideal, g: Polynomial) -> Ideal:
+    """(a : g) for homogeneous a and g, from the Bayer basis."""
+    pairs, back = _bayer_basis(a, g)
+    lowered = [back(f, 1) for k, f in pairs if k]
+    return _reduced(Ideal(a.ring, list(a.generators) + lowered))
 
 
 def colon_principal(a: Ideal, g: Polynomial) -> Ideal:
@@ -337,69 +350,46 @@ def _linked_degree(a: Ideal, b: Ideal):
     return prod(g.total_degree() for g in a.generators) - data_b.degree
 
 
-def saturate(a: Ideal, b: Ideal, cap: int = SATURATION_CAP) -> Ideal:
-    """(a : b^infinity) by iterated quotients."""
-    current = a
-    for _ in range(cap):
-        nxt = quotient(current, b)
-        if ideal_equal(nxt, current):
-            return current
-        current = nxt
-    raise PrecisionCapExceeded(f"saturation did not stabilize within {cap} steps", cap=cap)
+def _saturate_principal(a: Ideal, g: Polynomial) -> Ideal:
+    """(a : g^infinity) for a single polynomial: the Bayer basis divided
+    by its top powers of y when a and g are homogeneous, otherwise the
+    elimination of t from a + (1 - t*g) (Rabinowitsch)."""
+    if not g:
+        return Ideal(a.ring, [a.ring.one()])
+    if g.is_constant():
+        return a
+    if a.is_homogeneous() and g.is_homogeneous():
+        pairs, back = _bayer_basis(a, g)
+        return Ideal(a.ring, [back(f, k) for k, f in pairs])
+    aux = PolyRing(a.ring.field, (_fresh_name(a.ring),) + a.ring.names)
+    t = aux.variable(0)
+    gens = list(_relabel(a.generators, aux).generators)
+    gens.append(aux.one() - t * _relabel([g], aux).generators[0])
+    gb = groebner_basis(gens, Block(1), ring=aux)
+    return _relabel(gb.elements, a.ring)
 
 
-# --- fast irrelevant saturation ----------------------------------------
-
-
-def _sat_last_var_grevlex(a: Ideal) -> Ideal:
-    """(a : x_last^infinity) for homogeneous a: divide every reduced
-    grevlex basis element by its top x_last power."""
-    gb = a.gb(GREVLEX)
-    last = a.ring.arity - 1
-    out = []
-    for g in gb.elements:
-        k = min(e[last] for e in g.terms)
-        if k == 0:
-            out.append(g)
-        else:
-            out.append(
-                g.ring.polynomial(
-                    {tuple(x - (k if i == last else 0) for i, x in enumerate(e)): c
-                     for e, c in g.terms.items()}
-                )
-            )
-    return Ideal(a.ring, out)
-
-
-def _sat_linear_inf(a: Ideal, coeffs) -> Ideal:
-    """(a : h^infinity) for the linear form with given coefficients,
-    by a change of coordinates that takes h to the last variable (for a
-    coordinate form, a permutation of the variables)."""
-    ring = a.ring
-    field = ring.field
-    n = ring.arity
-    pivot = max(i for i, c in enumerate(coeffs) if c)
-    rest = [i for i in range(n) if i != pivot]
-    # forward: x_i -> y_slot(i) for i != pivot, x_pivot -> (y_last - sum c_i y_slot(i)) / c_pivot
-    slot = {old: new for new, old in enumerate(rest)}
-    images = [None] * n
-    for i in rest:
-        images[i] = ring.variable(slot[i])
-    pivot_image = ring.variable(n - 1)
-    for i in rest:
-        if coeffs[i]:
-            pivot_image = pivot_image - ring.variable(slot[i]).scale(coeffs[i])
-    images[pivot] = pivot_image.scale(field.inv(coeffs[pivot]))
-    moved = Ideal(ring, [g.compose(ring, images) for g in a.generators])
-    sat = _sat_last_var_grevlex(moved)
-    # backward: y_j -> x_rest[j] for j < n-1, y_last -> h(x)
-    back_images = [ring.variable(rest[j]) for j in range(n - 1)]
-    back_images.append(ring.linear_form(coeffs))
-    return Ideal(ring, [g.compose(ring, back_images) for g in sat.generators])
+def saturate(a: Ideal, b: Ideal) -> Ideal:
+    """(a : b^infinity) as the intersection of the saturations by b's
+    generators.  Returns a itself when the saturation does not change
+    it, otherwise the saturation's monic reduced grevlex basis."""
+    if a.ring != b.ring:
+        raise RingMismatch("ideal saturation across different rings")
+    parts = [_saturate_principal(a, g) for g in b.generators]
+    result = parts[0] if parts else Ideal(a.ring, [a.ring.one()])
+    for part in parts[1:]:
+        result = intersect(result, part)
+    if ideal_equal(result, a):
+        return a
+    return _reduced(result)
 
 
 def saturate_irrelevant(a: Ideal) -> Ideal:
-    """Saturation of a homogeneous ideal by the irrelevant maximal ideal."""
+    """Saturation of a homogeneous ideal by the irrelevant maximal
+    ideal: the saturation by the first linear form (the coordinates,
+    then six random forms) whose Hilbert polynomial is that of a, which
+    certifies that the form missed every relevant associated prime;
+    otherwise the exact saturation by all the coordinates."""
     if not a.is_homogeneous():
         raise NotHomogeneous("irrelevant saturation needs a homogeneous ideal")
     if a.is_zero():
@@ -407,23 +397,17 @@ def saturate_irrelevant(a: Ideal) -> Ideal:
     ring = a.ring
     field = ring.field
     target = _hilbert.hilbert_series(a).hilbert_poly
-    candidates = []
-    for i in range(ring.arity):
-        coeffs = [field.zero()] * ring.arity
-        coeffs[i] = field.one()
-        candidates.append(coeffs)
+    candidates = ring.variables()
     rng = SplitMix64(0xC1D_5A7)
     for _ in range(6):
-        candidates.append([field.from_int(rng.unit_coefficient()) for _ in range(ring.arity)])
-    for coeffs in candidates:
-        sat = _sat_linear_inf(a, coeffs)
+        coeffs = [field.from_int(rng.unit_coefficient())
+                  for _ in range(ring.arity)]
+        candidates.append(ring.linear_form(coeffs))
+    for h in candidates:
+        sat = _saturate_principal(a, h)
         if _hilbert.hilbert_series(sat).hilbert_poly == target:
             return sat
-    # exact fallback: intersection of all coordinate saturations
-    result = _sat_linear_inf(a, candidates[0])
-    for coeffs in candidates[1:ring.arity]:
-        result = intersect(result, _sat_linear_inf(a, coeffs))
-    return result
+    return saturate(a, Ideal(ring, ring.variables()))
 
 
 # --- elimination -------------------------------------------------------

@@ -68,7 +68,8 @@ class WeightedGrevLex:
     """Weighted degree sum(w_i * e_i) first, then ties broken as in
     grevlex (the smaller exponent of the last variable wins).  Weights
     must be positive.  Not offered by `order_from_name`: the weighted
-    colon in `ideals` is its only user."""
+    basis behind the homogeneous colon and saturation in `ideals` is
+    its only user."""
 
     weights: tuple
 

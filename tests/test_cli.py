@@ -128,6 +128,19 @@ def test_ideal_op_quotient_homogeneous(tmp_path, capsys):
     assert payload["result"]["generators"] == ["x*z", "x*y"]
 
 
+def test_ideal_op_saturate_past_seventy_steps(tmp_path, capsys):
+    # (x^70*y - x^70) : x^infinity = (y - 1); iterated quotients need 71
+    # steps for it
+    path = tmp_path / "deep.ring"
+    path.write_text("ring/1 over QQ vars x y\n"
+                    "ideal A = x^70*y - x^70;\nideal B = x;\n")
+    code, payload = run_json(capsys, "ideal-op", "--input", str(path),
+                             "--op", "saturate", "--left", "A",
+                             "--right", "B")
+    assert code == 0
+    assert payload["result"]["generators"] == ["y - 1"]
+
+
 def test_genus_computes_no_block_basis(monkeypatch, capsys):
     # every colon on a homogeneous curve takes the weighted-grevlex
     # route; a Block-order basis here means a silent fallback to

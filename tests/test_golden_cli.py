@@ -38,8 +38,17 @@ DIRTY_CUBIC = (
                                        "x0*x3 - x1*x2") for i in range(4))
     + ";\n"
 )
+# homogeneous: P saturated by (x) changes in three colon steps, down to
+# the point (1:0:0); the conic C, presented with a redundant multiple,
+# does not change
+HOMOGENEOUS = (
+    "ring/1 over QQ vars x y z\n"
+    "ideal P = x*y^2 - x^2*z, x^2*y;\n"
+    "ideal C = y^2 - x*z, x*y^2 - x^2*z;\n"
+    "ideal L = x;\n"
+)
 WRITTEN = {"two.ring": TWO_IDEALS, "nodal.ring": NODAL,
-           "dirty_cubic.ring": DIRTY_CUBIC}
+           "dirty_cubic.ring": DIRTY_CUBIC, "homogeneous.ring": HOMOGENEOUS}
 
 
 def _jobs():
@@ -93,6 +102,10 @@ def _jobs():
         add(f"ideal-op-{op}",
             ("ideal-op", "--input", "{dir}/two.ring", "--op", op,
              "--left", left, "--right", "B", "--vars", "x"))
+    for tag, left in (("changes", "P"), ("unchanged", "C")):
+        add(f"ideal-op-saturate-{tag}",
+            ("ideal-op", "--input", "{dir}/homogeneous.ring", "--op",
+             "saturate", "--left", left, "--right", "L"))
     return jobs
 
 

@@ -204,6 +204,65 @@ def test_saturation():
     assert ideal_equal(saturate(sat, ideal(y)), sat)
 
 
+def test_saturation_takes_any_number_of_steps():
+    ring = PolyRing(QQ, ("x", "y"))
+    x, y = ring.variables()
+    # iterated quotients by (x) would need 70 and 71 steps
+    assert saturate(ideal(x**70), ideal(x)).is_unit()
+    sat = saturate(ideal(x**70 * y - x**70), ideal(x))
+    assert sat.generators == (y - ring.one(),)
+
+
+def saturate_by_quotients(a, b):
+    """(a : b^infinity) the old way: quotients until two steps agree."""
+    current = a
+    for _ in range(64):
+        following = quotient(current, b)
+        if ideal_equal(following, current):
+            return current
+        current = following
+    pytest.fail("iterated quotients did not stabilize within 64 steps")
+
+
+def _junk_ideals(field, seed):
+    """Seeded ideals of P^2 with embedded and irrelevant junk: a
+    homogeneous one, and one made non-homogeneous by unit shifts."""
+    ring = PolyRing(field, ("x0", "x1", "x2"))
+    rng = SplitMix64(seed)
+    u, v = random_form(ring, rng, 1), random_form(ring, rng, 1)
+    f, g = random_form(ring, rng, 2), random_form(ring, rng, 2)
+    homogeneous = Ideal(ring, [u**2 * f, u * v * g, f * g]
+                        + [x * f for x in ring.variables()])
+    one = ring.one()
+    shifted = Ideal(ring, [u**2 * (f + one), u * v * (g + one),
+                           (f + one) * (g - one)])
+    return ring, u, v, (homogeneous, shifted)
+
+
+@pytest.mark.parametrize("field", [QQ, Field.prime_field(32003)],
+                         ids=["QQ", "Fp32003"])
+def test_saturate_matches_iterated_quotients(field):
+    for seed in (1, 2):
+        ring, u, v, ideals = _junk_ideals(field, seed)
+        for a in ideals:
+            for b in (ideal(u), ideal(u * v), ideal(u, v),
+                      ideal(u**2, v * ring.variable(0))):
+                assert ideal_equal(saturate(a, b),
+                                   saturate_by_quotients(a, b))
+
+
+@pytest.mark.parametrize("field", [QQ, Field.prime_field(32003)],
+                         ids=["QQ", "Fp32003"])
+def test_saturate_principal_matches_iterated_quotients(field):
+    ring, _, _, ideals = _junk_ideals(field, 3)
+    rng = SplitMix64(4)
+    forms = ring.variables() + [random_form(ring, rng, 1) for _ in range(2)]
+    for a in ideals:
+        for h in forms:
+            assert ideal_equal(ideals_module._saturate_principal(a, h),
+                               saturate_by_quotients(a, ideal(h)))
+
+
 def test_saturate_irrelevant():
     ring = PolyRing(QQ, ("x0", "x1", "x2", "x3"))
     gens = twisted_cubic_gens(ring)
@@ -221,19 +280,20 @@ def test_saturate_irrelevant_exact_fallback(monkeypatch):
     ring = PolyRing(QQ, ("x0", "x1", "x2", "x3"))
     gens = twisted_cubic_gens(ring)
     dirty = Ideal(ring, [v * g for v in ring.variables() for g in gens])
-    real = ideals_module._sat_linear_inf
+    real = ideals_module._saturate_principal
     calls = []
 
-    def failing_candidates(a, coeffs):
+    def failing_candidates(a, h):
         # the 4 coordinate and 6 random candidates all fail their
         # Hilbert-polynomial certificate; the fallback saturations after
         # them are the real ones
-        calls.append(coeffs)
+        calls.append(h)
         if len(calls) <= 10:
             return Ideal(ring, [ring.one()])
-        return real(a, coeffs)
+        return real(a, h)
 
-    monkeypatch.setattr(ideals_module, "_sat_linear_inf", failing_candidates)
+    monkeypatch.setattr(ideals_module, "_saturate_principal",
+                        failing_candidates)
     recovered = saturate_irrelevant(dirty)
     assert ideal_equal(recovered, Ideal(ring, gens))
     assert calls[10:] == calls[:4]
