@@ -208,9 +208,7 @@ def _cmd_invariants(args, ring_file):
         "saturated": is_saturated(a),
     }
     if result["proj_dimension"] == 1:
-        result["arithmetic_genus"] = int(
-            _hilbert.arithmetic_genus(a, auto_saturate=True)
-        )
+        result["arithmetic_genus"] = _hilbert.arithmetic_genus(a)
     return result, {}
 
 

@@ -532,7 +532,7 @@ def jacobian_cover_check(curve, seed: int = 0, degenerate: bool = False,
     return ideal_equal(total, target)
 
 
-def transversality_count(curve, witness, seed: int = 0):
+def transversality_count(curve, witness):
     """(number of distinct witness-singular points on the smooth part of
     X, whether that count equals the full intersection length).  The
     points are counted on the chart h = 1, which certification made
@@ -544,5 +544,5 @@ def transversality_count(curve, witness, seed: int = 0):
     locus = _witness_locus(i_x, witness)
     in_chart = ideal_sum(locus,
                          Ideal(locus.ring, [witness.h - locus.ring.one()]))
-    count = distinct_point_count(in_chart, seed=seed)
+    count = distinct_point_count(in_chart)
     return count, count == cid_direct(i_x, witness.i_w)

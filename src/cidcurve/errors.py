@@ -80,10 +80,6 @@ class PrecisionCapExceeded(MathPrecondition):
         super().__init__(message)
 
 
-class NotSaturated(MathPrecondition):
-    """Input ideal is not saturated and auto-saturation was not requested."""
-
-
 class NotACurve(MathPrecondition):
     """The projective scheme is not one-dimensional."""
 

@@ -66,6 +66,8 @@ class Field:
 
     @classmethod
     def prime_field(cls, p: int = DEFAULT_PRIME) -> "Field":
+        if p == 0:
+            raise NotPrime("characteristic 0 is not prime")
         return cls(p)
 
     @property

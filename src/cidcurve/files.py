@@ -105,6 +105,11 @@ def _header(lines, expect: str, field_override: Field = None):
     raise ParseError(f"empty file; expected a `{expect}` header")
 
 
+def _keyword(stmt: str) -> str:
+    """The first word of a statement, read before any `:`."""
+    return (stmt.partition(":")[0].split() or stmt.split())[0]
+
+
 def _statements(lines):
     """Yield (line_no, text) per statement: `branch` lines stand alone,
     anything else accumulates until a terminating semicolon."""
@@ -114,7 +119,7 @@ def _statements(lines):
         text = _strip_comment(raw).strip()
         if not text:
             continue
-        if not pending and text.split(":")[0].split()[0] == "branch":
+        if not pending and _keyword(text) == "branch":
             yield no, text
             continue
         if start is None:
@@ -174,7 +179,7 @@ def parse_germ_text(text: str, field_override: Field = None) -> GermFile:
     ci_gens = None
     rest = [(no, raw) for no, raw in lines if no > header_no]
     for no, stmt in _statements(iter(rest)):
-        key = stmt.split(":")[0].split()[0] if ":" in stmt else stmt.split()[0]
+        key = _keyword(stmt)
         if key == "branch":
             head, _, body = stmt.partition(":")
             label = head[6:].strip() or f"b{len(branches)}"

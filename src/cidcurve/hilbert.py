@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import NotACurve, NotHomogeneous, NotSaturated
+from .errors import NotACurve, NotHomogeneous
 from .orders import GREVLEX
 
 
@@ -144,37 +144,15 @@ def lt_numerator(gens, arity):
 
 
 def count_standard_monomials(gens, arity):
-    """Number of monomials outside the zero-dimensional monomial ideal,
-    by slicing along the last variable; returns None if infinite."""
-    gens_m = minimalize(gens)
-    if any(sum(g) == 0 for g in gens_m):
-        return 0
-    for i in range(arity):
-        if not any(sum(g) == g[i] and g[i] > 0 for g in gens_m):
+    """Number of monomials outside the monomial ideal spanned by gens:
+    the K-polynomial divided by (1 - t)^arity, at t = 1.  Returns None
+    if infinite, when some division is not exact."""
+    num = lt_numerator(gens, arity)
+    for _ in range(arity):
+        num = _divide_one_minus_t(num)
+        if num is None:
             return None
-    memo = {}
-
-    def rec(gen_set, nvars):
-        if any(sum(g) == 0 for g in gen_set):
-            return 0
-        if nvars == 0:
-            return 1
-        key = (frozenset(gen_set), nvars)
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
-        last = nvars - 1
-        bound = min(g[last] for g in gen_set if sum(g) == g[last] and g[last] > 0)
-        total = 0
-        for k in range(bound):
-            slice_gens = tuple(
-                g[:last] for g in gen_set if g[last] <= k
-            )
-            total += rec(tuple(minimalize(slice_gens)) if slice_gens else (), last)
-        memo[key] = total
-        return total
-
-    return rec(tuple(gens_m), arity)
+    return sum(num)
 
 
 # --- series data -------------------------------------------------------
@@ -289,16 +267,10 @@ def hilbert_polynomial(ideal_like) -> tuple:
     return hilbert_series(ideal_like).hilbert_poly
 
 
-def arithmetic_genus(ideal_like, auto_saturate=False) -> int:
-    """p_a = 1 - P(0) for a projective curve.  Without auto_saturate an
-    unsaturated input is refused; with it, p_a is read off the input's
-    own Hilbert polynomial, which saturation does not change."""
+def arithmetic_genus(ideal_like) -> int:
+    """p_a = 1 - P(0) for a projective curve, read off the input's own
+    Hilbert polynomial, which saturation does not change."""
     _check_homogeneous(ideal_like)
-    if not auto_saturate:
-        from .ideals import is_saturated
-
-        if not is_saturated(ideal_like):
-            raise NotSaturated("input ideal is not saturated; pass auto_saturate=True")
     data = hilbert_series(ideal_like)
     if data.proj_dim != 1:
         raise NotACurve(f"projective dimension is {data.proj_dim}, not 1")

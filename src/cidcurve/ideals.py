@@ -16,6 +16,12 @@ Saturation by the irrelevant maximal ideal of a homogeneous ideal
 saturates by one linear form, and a Hilbert-polynomial comparison
 certifies that the form missed every relevant associated prime; when
 no form is certified, the ideal is saturated by all the coordinates.
+
+A zero-dimensional ideal has finite length `vdim`, counted from the
+Hilbert series numerator of its leading-term ideal.  Its radical adds
+the squarefree part of each variable's univariate generator, the single
+element of the elimination ideal a ∩ k[x_i] (Seidenberg's lemma), and
+its distinct points are the length of that radical.
 """
 
 from __future__ import annotations
@@ -432,10 +438,6 @@ def eliminate(a: Ideal, var_indices) -> Ideal:
 # --- dimensions --------------------------------------------------------
 
 
-def _lt_min_gens(a: Ideal, order=GREVLEX):
-    return _hilbert.minimalize([g.leading(order)[0] for g in a.gb(order).elements])
-
-
 def vdim(a: Ideal, order=GREVLEX):
     """dim_k of the quotient ring, or INFINITE.  Counts standard
     monomials of the leading-term ideal."""
@@ -481,41 +483,6 @@ def local_vdim_origin(a: Ideal, cap: int = 256):
 # --- zero-dimensional radical ------------------------------------------
 
 
-def _standard_monomial_basis(a: Ideal):
-    lt = _lt_min_gens(a)
-    bounds = []
-    for i in range(a.ring.arity):
-        pure = [g[i] for g in lt if sum(g) == g[i] and g[i] > 0]
-        if not pure:
-            raise NotZeroDimensional("no pure power for a variable in the staircase")
-        bounds.append(min(pure))
-    basis = []
-
-    def walk(prefix, i):
-        if i == a.ring.arity:
-            exps = tuple(prefix)
-            if not any(all(x <= y for x, y in zip(g, exps)) for g in lt):
-                basis.append(exps)
-            return
-        for k in range(bounds[i]):
-            walk(prefix + [k], i + 1)
-
-    walk([], 0)
-    basis.sort(key=GREVLEX.key)
-    return basis
-
-
-def _univariate(ring: PolyRing, index: int, coeffs) -> Polynomial:
-    """sum_k coeffs[k] * x_index^k, from a coefficient list (constant
-    first)."""
-    terms = {}
-    for k, c in enumerate(coeffs):
-        e = [0] * ring.arity
-        e[index] = k
-        terms[tuple(e)] = c
-    return ring.polynomial(terms)
-
-
 def _gcd(f: Polynomial, g: Polynomial) -> Polynomial:
     """Monic gcd of two polynomials in one variable: the single element
     of their reduced basis."""
@@ -553,89 +520,10 @@ def _squarefree_part(f: Polynomial, index: int) -> Polynomial:
     return w * _squarefree_part(y, index)
 
 
-def minimal_polynomial_of_element(a: Ideal, f):
-    """Monic minimal polynomial of the residue class of f acting on the
-    finite quotient, as a coefficient list (constant first)."""
-    ring = a.ring
-    field = ring.field
-    gb = a.gb()
-    if gb.is_unit():
-        return [field.one()]
-    basis = _standard_monomial_basis(a)
-    pos = {m: i for i, m in enumerate(basis)}
-    x = gb.normal_form(f)
-
-    def axpy(target, factor, row):
-        for k, v in row.items():
-            nv = field.sub(target.get(k, field.zero()), field.mul(factor, v))
-            if nv:
-                target[k] = nv
-            else:
-                target.pop(k, None)
-
-    # echelonized rows, pivot column -> (vector, power-combination)
-    pivots = {}
-    current = ring.one()
-    power = 0
-    while True:
-        vec = {pos[e]: c for e, c in gb.normal_form(current).terms.items()}
-        combo = {power: field.one()}
-        while vec:
-            j = min(vec)
-            row = pivots.get(j)
-            if row is None:
-                break
-            factor = field.div(vec[j], row[0][j])
-            axpy(vec, factor, row[0])
-            axpy(combo, factor, row[1])
-        if not vec:
-            degree = max(combo)
-            lead = combo[degree]
-            coeffs = [field.zero()] * (degree + 1)
-            for k, v in combo.items():
-                coeffs[k] = field.div(v, lead)
-            return coeffs
-        pivots[min(vec)] = (vec, combo)
-        power += 1
-        current = gb.normal_form(current * x)
-
-
-def minimal_polynomial_of_variable(a: Ideal, index: int):
-    return minimal_polynomial_of_element(a, a.ring.variable(index))
-
-
-def distinct_point_count(a: Ideal, seed: int = 0, tries: int = 3) -> int:
-    """Number of distinct points of a finite scheme, counted with
-    residue-field degree: the vdim of the radical.
-
-    Fast path: for a random linear form, the squarefree part of its
-    minimal polynomial has degree at most the radical's vdim, with
-    equality when the form separates the points.  If that degree
-    reaches vdim(a) the scheme is certified reduced and the count is
-    returned without computing the radical; otherwise (non-reduced, or
-    every draw non-separating) the exact radical route decides.
-    """
-    length = vdim(a)
-    if length == INFINITE:
-        raise NotZeroDimensional("point counting needs a finite quotient")
-    if length == 0:
-        return 0
-    ring = a.ring
-    field = ring.field
-    rng = SplitMix64(seed ^ 0xD157_C007)
-    for _ in range(tries):
-        coeffs = [field.from_int(rng.unit_coefficient())
-                  for _ in range(ring.arity)]
-        form = ring.linear_form(coeffs)
-        mp = _univariate(ring, 0, minimal_polynomial_of_element(a, form))
-        if _squarefree_part(mp, 0).total_degree() == length:
-            return length
-    return vdim(radical_zero_dim(a))
-
-
 def radical_zero_dim(a: Ideal) -> Ideal:
     """Radical of a zero-dimensional ideal: add the squarefree part of
-    each variable's minimal polynomial (Seidenberg)."""
+    each variable's univariate generator of a ∩ k[x_i], read off the
+    elimination basis (Seidenberg's lemma)."""
     if a.is_unit():
         return a
     if vdim(a) == INFINITE:
@@ -643,6 +531,14 @@ def radical_zero_dim(a: Ideal) -> Ideal:
     ring = a.ring
     gens = list(a.generators)
     for i in range(ring.arity):
-        mp = minimal_polynomial_of_variable(a, i)
-        gens.append(_squarefree_part(_univariate(ring, i, mp), i))
+        others = [j for j in range(ring.arity) if j != i]
+        meet = eliminate(a, others) if others else a
+        generator = meet.gb().elements[0]
+        gens += _relabel([_squarefree_part(generator, 0)], ring).generators
     return Ideal(ring, gens)
+
+
+def distinct_point_count(a: Ideal) -> int:
+    """Number of distinct points of a finite scheme, counted with
+    residue-field degree: the vdim of the radical."""
+    return vdim(radical_zero_dim(a))

@@ -229,8 +229,7 @@ def test_criterion_3_rational_normal_curves():
                 assert report.deg_W == 2 ** (n - 1) - n, (n, seed)
                 assert report.p_a_W == (n - 3) * (2 ** (n - 2) - n), (n, seed)
             t_witness = construct_ci_transversal(curve, seed=0)
-            count, all_reduced = transversality_count(curve, t_witness,
-                                                      seed=0)
+            count, all_reduced = transversality_count(curve, t_witness)
             assert count == n * (n - 3) + 2
             assert all_reduced
 

@@ -241,6 +241,37 @@ def test_syntax_error_exit_code(tmp_path, capsys):
     assert "nested deeper" in payload["errors"][0]["message"]
 
 
+def test_statement_without_keyword_is_a_parse_error(tmp_path, capsys):
+    # a statement that starts with `:` names no keyword: it is an
+    # unknown statement at its line, never a raw IndexError
+    cases = [
+        ("gb", "colon.ring", "ring/1 over QQ vars x y\n: x;\n", 2),
+        ("local", "colon.germ", "germ/1 over QQ vars x y\n"
+         "branch a: x = t^2; y = t^3\n: y;\n", 3),
+    ]
+    for command, filename, text, line in cases:
+        path = tmp_path / filename
+        path.write_text(text)
+        code, payload = run_json(capsys, command, "--input", str(path))
+        assert code == 1
+        (record,) = payload["errors"]
+        assert record["type"] == "ParseError"
+        assert record["message"] == (
+            f"unknown statement ':' (line {line}, column 1)")
+
+
+def test_prime_field_of_characteristic_zero_is_refused(tmp_path, capsys):
+    # Fp:0 and Fp(0) name no field; they must not fall back to QQ
+    code, payload = run_json(capsys, "gb", "--input", TC, "--field", "Fp:0")
+    assert code == 1
+    assert payload["errors"][0]["type"] == "NotPrime"
+    path = tmp_path / "zero.ring"
+    path.write_text("ring/1 over Fp(0) vars x y\nideal A = x;\n")
+    code, payload = run_json(capsys, "gb", "--input", str(path))
+    assert code == 1
+    assert payload["errors"][0]["type"] == "NotPrime"
+
+
 def test_math_precondition_exit_code(tmp_path, capsys):
     path = tmp_path / "sing.ring"
     path.write_text("ring/1 over QQ vars x y z\nideal X = x*x + y*y;\n")

@@ -198,7 +198,7 @@ def test_transversality_twisted_cubic(twisted_cubic):
     from cidcurve import construct_ci_transversal
 
     witness = construct_ci_transversal(twisted_cubic, seed=0)
-    count, all_reduced = transversality_count(twisted_cubic, witness, seed=0)
+    count, all_reduced = transversality_count(twisted_cubic, witness)
     assert count == 2
     assert all_reduced
     f5 = Field.prime_field(5)
@@ -206,7 +206,7 @@ def test_transversality_twisted_cubic(twisted_cubic):
     curve5 = CurveInput(ring5, twisted_cubic_gens(ring5))
     witness5 = construct_ci(curve5, seed=0)
     with pytest.raises(WrongCharacteristic):
-        transversality_count(curve5, witness5, seed=0)
+        transversality_count(curve5, witness5)
 
 
 def test_routes_seed_independent_small():
@@ -552,6 +552,6 @@ def test_lci_route_and_transversality_build_no_chart(monkeypatch):
     forms.clear()
     for curve, witness in zip(curves, witnesses):
         cid_routes(curve, witness, route="lci")
-    assert transversality_count(twisted, transversal, seed=0) == (2, True)
+    assert transversality_count(twisted, transversal) == (2, True)
     assert charts == []
     assert forms == []

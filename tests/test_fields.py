@@ -60,6 +60,10 @@ def test_characteristic_validation():
         Field(1)
     with pytest.raises(NotPrime):
         Field(2**31)
+    # Field(0) is QQ, but a prime field of characteristic 0 is no field
+    with pytest.raises(NotPrime):
+        Field.prime_field(0)
+    assert Field(0) == Field.rationals()
     assert Field(2).characteristic == 2
 
 

@@ -1,6 +1,7 @@
 """Hilbert series invariants against a brute-force monomial count."""
 
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -15,9 +16,11 @@ from cidcurve import (
     krull_dimension,
     proj_degree,
     proj_dimension,
+    vdim,
 )
-from cidcurve.errors import NotACurve, NotSaturated
-from cidcurve.hilbert import ci_hilbert_data
+from cidcurve.errors import NotACurve
+from cidcurve.hilbert import ci_hilbert_data, count_standard_monomials
+from cidcurve.rng import SplitMix64
 
 from conftest import twisted_cubic_gens
 
@@ -113,9 +116,7 @@ def test_genus_guards():
     ring = PolyRing(QQ, ("x0", "x1", "x2", "x3"))
     gens = twisted_cubic_gens(ring)
     dirty = Ideal(ring, [v * g for v in ring.variables() for g in gens])
-    with pytest.raises(NotSaturated):
-        arithmetic_genus(dirty)
-    assert arithmetic_genus(dirty, auto_saturate=True) == 0
+    assert arithmetic_genus(dirty) == 0
     x0 = ring.variable(0)
     with pytest.raises(NotACurve):
         arithmetic_genus(Ideal(ring, [x0]))
@@ -128,3 +129,67 @@ def test_points_have_degree_count():
     a = Ideal(ring, [x * y])
     assert proj_dimension(a) == 0
     assert proj_degree(a) == 2
+
+
+def brute_box_count(gens, arity, bound):
+    """Monomials with every exponent below `bound` that no generator
+    divides, by direct enumeration."""
+    return sum(
+        1 for exps in product(range(bound), repeat=arity)
+        if not any(all(g <= e for g, e in zip(gen, exps)) for gen in gens)
+    )
+
+
+def random_monomial_ideal(rng, arity, finite):
+    """A few mixed monomials plus a pure power of every variable when
+    `finite`, else of all but one variable."""
+    gens = []
+    for _ in range(rng.randint(0, 4)):
+        gens.append(tuple(rng.randint(0, 3) for _ in range(arity)))
+    skip = -1 if finite else rng.randint(0, arity - 1)
+    for i in range(arity):
+        if i != skip:
+            gens.append(tuple(rng.randint(1, 4) if j == i else 0
+                              for j in range(arity)))
+    return gens
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_count_standard_monomials_matches_enumeration(seed):
+    rng = SplitMix64(seed)
+    for arity in (1, 2, 3, 4):
+        for finite in (True, False):
+            gens = random_monomial_ideal(rng, arity, finite)
+            # every exponent of a standard monomial of a finite ideal is
+            # below its variable's pure power, so the count in a box past
+            # all generators stops growing exactly when it is finite
+            top = max((max(g) for g in gens), default=0) + 1
+            inner = brute_box_count(gens, arity, top)
+            outer = brute_box_count(gens, arity, top + 1)
+            count = count_standard_monomials(gens, arity)
+            if inner == outer:
+                assert count == inner
+            else:
+                assert count is None
+            assert finite <= (count is not None)
+
+
+@pytest.mark.parametrize("field", [QQ, Field.prime_field(7),
+                                   Field.prime_field(32003)],
+                         ids=["QQ", "F7", "F32003"])
+def test_vdim_matches_staircase_enumeration(field):
+    ring = PolyRing(field, ("x", "y", "z"))
+    rng = SplitMix64(0x5747_C0DE)
+    for _ in range(6):
+        gens = [v**rng.randint(1, 3) for v in ring.variables()]
+        for _ in range(2):
+            f = ring.zero()
+            for _ in range(3):
+                exps = tuple(rng.randint(0, 2) for _ in range(3))
+                f = f + ring.polynomial(
+                    {exps: field.from_int(rng.randint(-5, 5))})
+            gens.append(f)
+        a = Ideal(ring, gens)
+        lms = [g.leading()[0] for g in a.gb().elements]
+        top = max(max(m) for m in lms) + 1
+        assert vdim(a) == brute_box_count(lms, 3, top)

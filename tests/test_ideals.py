@@ -29,11 +29,7 @@ from cidcurve import (
 )
 from cidcurve import ideals as ideals_module
 from cidcurve.errors import NotZeroDimensional, RingMismatch
-from cidcurve.ideals import (
-    colon_principal,
-    divide_exact,
-    minimal_polynomial_of_variable,
-)
+from cidcurve.ideals import colon_principal, divide_exact
 from cidcurve.orders import Block
 from cidcurve.rng import SplitMix64
 
@@ -364,15 +360,87 @@ def test_distinct_point_count():
         distinct_point_count(ideal(x))
 
 
+def random_points_scheme(ring, rng):
+    """A union of 1 to 4 distinct points: some reduced, some fat (a
+    power of the maximal ideal or of one coordinate), one maybe of
+    residue degree 2 (x^2 + 1 in the first coordinate), returned with
+    the radical's generators and its point count."""
+    one = ring.one()
+    field = ring.field
+    coords = set()
+    parts = []
+    radicals = []
+    count = 0
+    for _ in range(rng.randint(1, 4)):
+        point = tuple(rng.randint(-3, 3) for _ in range(ring.arity))
+        if point in coords:
+            continue
+        coords.add(point)
+        lines = [v - one.scale(field.from_int(c))
+                 for v, c in zip(ring.variables(), point)]
+        radical = ideal(*lines)
+        shape = rng.randint(0, 2)
+        if shape == 0:
+            part = radical
+        elif shape == 1:
+            part = ideal_product(radical, radical)
+        else:
+            part = ideal(lines[0]**rng.randint(2, 3), *lines[1:])
+        parts.append(part)
+        radicals.append(radical)
+        count += 1
+    if rng.randint(0, 1):
+        # x^2 + 1 has no root over QQ, mod 7 or mod 32003, so these two
+        # conjugate points meet none of the rational ones
+        others = [v - one.scale(field.from_int(5))
+                  for v in ring.variables()[1:]]
+        conic = ring.variable(0)**2 + one
+        parts.append(ideal(conic**rng.randint(1, 2), *others))
+        radicals.append(ideal(conic, *others))
+        count += 2
+    scheme, rad = parts[0], radicals[0]
+    for part, radical in zip(parts[1:], radicals[1:]):
+        scheme = intersect(scheme, part)
+        rad = intersect(rad, radical)
+    return scheme, rad, count
+
+
+@pytest.mark.parametrize("field", [QQ, Field.prime_field(7),
+                                   Field.prime_field(32003)],
+                         ids=["QQ", "F7", "F32003"])
+@pytest.mark.parametrize("names", [("x", "y"), ("x", "y", "z")],
+                         ids=["plane", "space"])
+def test_radical_of_random_point_unions(field, names):
+    ring = PolyRing(field, names)
+    rng = SplitMix64(0x7AD1_CA15 + len(names))
+    for _ in range(4):
+        scheme, rad, count = random_points_scheme(ring, rng)
+        assert ideal_equal(radical_zero_dim(scheme), rad)
+        assert distinct_point_count(scheme) == count
+        assert vdim(rad) == count
+
+
+def test_radical_in_one_variable():
+    # a one-variable ring has no other variable to eliminate
+    for field in (QQ, Field.prime_field(7)):
+        ring = PolyRing(field, ("x",))
+        x = ring.variable(0)
+        one = ring.one()
+        a = ideal((x - one)**3 * (x + one) * x**2)
+        rad = radical_zero_dim(a)
+        assert ideal_equal(rad, ideal((x - one) * (x + one) * x))
+        assert distinct_point_count(a) == 3
+
+
 def test_minimal_polynomial():
     ring = PolyRing(QQ, ("x", "y"))
     x, y = ring.variables()
     one = ring.one()
     a = ideal(x**2 - x, y - x)
-    coeffs = minimal_polynomial_of_variable(a, 1)
-    # y satisfies y^2 - y
-    assert coeffs[0] == 0 and coeffs[2] != 0
-    assert len(coeffs) == 3
+    # y satisfies y^2 - y, the generator of a ∩ k[y]
+    (generator,) = eliminate(a, (0,)).generators
+    t = generator.ring.variable(0)
+    assert generator == t**2 - t
 
 
 def test_krull_dimension_bounds():

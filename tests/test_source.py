@@ -14,3 +14,36 @@ def test_no_assert_statements():
         found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
                   if isinstance(node, ast.Assert)]
     assert not found, f"assert statements in src: {found}"
+
+
+def _referenced_names(node):
+    names = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            names.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            names.add(sub.attr)
+        elif isinstance(sub, ast.alias):
+            names.add(sub.name)
+    return names
+
+
+def test_no_orphaned_private_functions():
+    # every module-level private function or class is used somewhere in
+    # the package other than inside its own definition
+    defined = []
+    used = {}
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in tree.body:
+            used[path.name, node.lineno] = _referenced_names(node)
+            if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    and node.name.startswith("_")
+                    and not node.name.startswith("__")):
+                defined.append((path.name, node.lineno, node.name))
+    orphans = [
+        f"{module}:{line} {name}" for module, line, name in defined
+        if not any(name in names for key, names in used.items()
+                   if key != (module, line))
+    ]
+    assert not orphans, f"private names nothing else uses: {orphans}"
