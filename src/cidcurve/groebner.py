@@ -1,19 +1,30 @@
 """Groebner bases via Buchberger's algorithm.
 
-The engine works on plain {exponent-tuple: int} dictionaries.  Over the
-rationals every intermediate polynomial is kept primitive with integer
-coefficients and reduction is fraction-free (the working polynomial is
-scaled by leading-coefficient factors, with per-term emission stamps so
-the true normal form can be recovered by one exact division at the
-end).  Over F_p coefficients are residues and reduction divides by
-inverses directly.
+The engine works on {monomial: int} dictionaries whose monomials are
+single ints (see `Packing`): a shift is an int addition, the order's
+comparison an int comparison, and a divisibility test one subtraction
+and one mask (Monagan and Pearce, "Sparse polynomial division using a
+heap", JSC 46, 2011).  Monomials are packed and unpacked only at the
+boundary, `groebner_basis` and `normal_form`; a basis packs its
+elements once, and `Polynomial` keeps its exponent tuples.  The
+exponent width comes from the input; a monomial that outgrows it during
+the computation sets a guard bit, and the basis is computed again at
+twice the width.
 
-Pair management follows Gebauer-Moeller: the coprimality and chain
-criteria prune S-pairs at insertion time, and the normal selection
-strategy (minimal lcm degree, then the order's comparison, then
-indices) picks the next pair.  Output bases are reduced, monic and
-listed in ascending leading-monomial order, which makes them unique
-for the ideal and order, hence byte-identical across runs.
+Over the rationals every intermediate polynomial is kept primitive with
+integer coefficients and reduction is fraction-free (the working
+polynomial is scaled by leading-coefficient factors, with per-term
+emission stamps so the true normal form can be recovered by one exact
+division at the end).  Over F_p coefficients are residues and reduction
+divides by inverses directly.
+
+Pair management follows Gebauer-Moeller on exponent tuples: the
+coprimality and chain criteria prune S-pairs at insertion time, and the
+normal selection strategy (minimal lcm degree, then the order's
+comparison, then indices) picks the next pair.  Output bases are
+reduced, monic and listed in ascending leading-monomial order, which
+makes them unique for the ideal and order, hence byte-identical across
+runs.
 """
 
 from __future__ import annotations
@@ -73,60 +84,125 @@ def _coprime(a, b):
     return all(x == 0 or y == 0 for x, y in zip(a, b))
 
 
+# --- packed monomials --------------------------------------------------
+
+
+class _FieldOverflow(Exception):
+    """A new monomial has an exponent too wide for its packing."""
+
+
+def _exponent_bits(top: int) -> int:
+    """Exponent width for monomials whose exponents reach `top`: room
+    for twice that.  A basis that outgrows it is recomputed at twice
+    the width, which squares the room."""
+    return max(top, 1).bit_length() + 1
+
+
+class Packing:
+    """Monomials of one order and arity packed into single ints.
+
+    The low bits hold the plain exponents, variable i in the bits from
+    i * (bits + 1) up, each field topped by a guard bit.  Above them sit
+    the order's `fields`, the last field lowest, each as wide as the
+    largest difference it can take between two monomials with exponents
+    below 2**bits; all the bits below a field then differ by less than
+    one unit of it, so the int order is the monomial order.  Packing is
+    linear, so a shift is an int addition, and lm divides m exactly when
+    (m - lm) & guard is 0, because a negative exponent difference
+    borrows into its own guard bit.  Adding two packed monomials sets a
+    guard bit exactly when some exponent reaches 2**bits: every new
+    monomial of an S-polynomial or a reduction is checked for that, and
+    `_FieldOverflow` sends the caller back to repack at twice the
+    width."""
+
+    __slots__ = ("order", "arity", "bits", "units", "guard")
+
+    def __init__(self, order, arity: int, bits: int):
+        self.order = order
+        self.arity = arity
+        self.bits = bits
+        width = bits + 1
+        unit_fields = [order.fields(tuple(int(i == j) for j in range(arity)))
+                       for i in range(arity)]
+        units = [1 << (i * width) for i in range(arity)]
+        offset = arity * width
+        top = (1 << bits) - 1
+        for coeffs in reversed(list(zip(*unit_fields))):
+            for i, c in enumerate(coeffs):
+                units[i] += c << offset
+            offset += (top * sum(abs(c) for c in coeffs)).bit_length()
+        self.units = tuple(units)
+        self.guard = sum(1 << (i * width + bits) for i in range(arity))
+
+    def pack(self, exps) -> int:
+        return sum(e * u for e, u in zip(exps, self.units))
+
+    def unpack(self, m: int) -> tuple:
+        width = self.bits + 1
+        mask = (1 << self.bits) - 1
+        return tuple((m >> (i * width)) & mask for i in range(self.arity))
+
+
+def _packing_for(order, arity, dicts):
+    """The packing for tuple-keyed dicts, sized by their exponents."""
+    top = max((max(e, default=0) for d in dicts for e in d), default=0)
+    return Packing(order, arity, _exponent_bits(top))
+
+
 # --- reduction ---------------------------------------------------------
 
 
 class _Reducer:
-    """Shared reduction core over a fixed basis list."""
+    """Shared reduction core over a fixed basis list of packed dicts."""
 
-    __slots__ = ("order", "char", "entries")
+    __slots__ = ("packing", "char", "entries")
 
-    def __init__(self, order, char):
-        self.order = order
+    def __init__(self, packing, char, entries=()):
+        self.packing = packing
         self.char = char
-        self.entries = []  # (lm, lc, items) treating items as full term list
+        self.entries = list(entries)  # (lm, lc, items) over all terms
 
     def add(self, lm, d: dict):
         self.entries.append((lm, d[lm], list(d.items())))
-
-    def find(self, m):
-        for entry in self.entries:
-            if _divides(entry[0], m):
-                return entry
-        return None
 
     def reduce(self, d: dict, scale=1):
         """Full normal form.  Returns (dict, final_scale): the input d at
         scale `scale` reduces to dict/final_scale modulo the basis.  The
         dict lists its terms in descending order, so its first key is
-        its leading monomial."""
-        heap_key = self.order.heap_key
+        its leading monomial.  Raises `_FieldOverflow` when a new term
+        does not fit the packing."""
         char = self.char
+        guard = self.packing.guard
+        entries = self.entries
+        heappush, heappop = heapq.heappush, heapq.heappop
         work = dict(d)
-        heap = [(heap_key(m), m) for m in work]
+        heap = [-m for m in work]
         heapq.heapify(heap)
         rem = []  # (monomial, coeff, scale stamp)
         while heap:
-            _, m = heapq.heappop(heap)
+            m = -heappop(heap)
             c = work.get(m)
             if not c:
                 work.pop(m, None)
                 continue
-            entry = self.find(m)
-            if entry is None:
+            for lm, lc, items in entries:
+                if not (m - lm) & guard:
+                    break
+            else:
                 del work[m]
                 rem.append((m, c, scale))
                 continue
-            lm, lc, items = entry
-            shift = tuple(a - b for a, b in zip(m, lm))
+            shift = m - lm
             if char:
                 factor = c * pow(lc, -1, char) % char
                 for e, cc in items:
-                    e2 = tuple(a + b for a, b in zip(e, shift)) if any(shift) else e
+                    e2 = e + shift
                     new = (work.get(e2, 0) - factor * cc) % char
                     if new:
                         if e2 not in work:
-                            heapq.heappush(heap, (heap_key(e2), e2))
+                            if e2 & guard:
+                                raise _FieldOverflow
+                            heappush(heap, -e2)
                         work[e2] = new
                     else:
                         work.pop(e2, None)
@@ -142,11 +218,13 @@ class _Reducer:
                     for k in work:
                         work[k] *= mult_work
                 for e, cc in items:
-                    e2 = tuple(a + b for a, b in zip(e, shift)) if any(shift) else e
+                    e2 = e + shift
                     new = work.get(e2, 0) - mult_poly * cc
                     if new:
                         if e2 not in work:
-                            heapq.heappush(heap, (heap_key(e2), e2))
+                            if e2 & guard:
+                                raise _FieldOverflow
+                            heappush(heap, -e2)
                         work[e2] = new
                     else:
                         work.pop(e2, None)
@@ -157,45 +235,72 @@ class _Reducer:
             out[m] = c * (scale // stamp)
         return out, scale
 
+    def widened(self, bits):
+        """The same basis repacked with `bits` exponent bits."""
+        old, new = self.packing, Packing(self.packing.order,
+                                         self.packing.arity, bits)
+        entries = []
+        for lm, lc, items in self.entries:
+            entries.append((new.pack(old.unpack(lm)), lc,
+                            [(new.pack(old.unpack(e)), c) for e, c in items]))
+        return _Reducer(new, self.char, entries)
 
-def _spoly(a, lma, b, lmb, char):
-    """S-polynomial of two integer dicts with leading monomials lma, lmb."""
-    l = _lcm(lma, lmb)
-    sa = tuple(x - y for x, y in zip(l, lma))
-    sb = tuple(x - y for x, y in zip(l, lmb))
-    ca, cb = a[lma], b[lmb]
-    if char:
-        out = {}
-        for e, c in a.items():
-            e2 = tuple(x + y for x, y in zip(e, sa))
-            out[e2] = (out.get(e2, 0) + cb * c) % char
-        for e, c in b.items():
-            e2 = tuple(x + y for x, y in zip(e, sb))
-            out[e2] = (out.get(e2, 0) - ca * c) % char
-        return {e: c for e, c in out.items() if c}
-    g = gcd(ca, cb)
-    fa, fb = cb // g, ca // g
+    def normal_form(self, d: dict):
+        """`reduce` for a tuple-keyed dict, repacking the basis wider
+        when d or its reduction does not fit."""
+        red = self
+        bits = _exponent_bits(max(max(e, default=0) for e in d))
+        while True:
+            if bits > red.packing.bits:
+                red = red.widened(bits)
+            packing = red.packing
+            try:
+                r, scale = red.reduce({packing.pack(e): c for e, c in d.items()})
+            except _FieldOverflow:
+                bits = 2 * packing.bits
+                continue
+            return {packing.unpack(m): c for m, c in r.items()}, scale
+
+
+def _spoly(a, b, l, guard, char):
+    """S-polynomial of two reducer entries with packed lcm l."""
+    lma, ca, items_a = a
+    lmb, cb, items_b = b
+    sa = l - lma
+    sb = l - lmb
     out = {}
-    for e, c in a.items():
-        e2 = tuple(x + y for x, y in zip(e, sa))
-        out[e2] = out.get(e2, 0) + fa * c
-    for e, c in b.items():
-        e2 = tuple(x + y for x, y in zip(e, sb))
-        out[e2] = out.get(e2, 0) - fb * c
-    return {e: c for e, c in out.items() if c}
+    if char:
+        for e, c in items_a:
+            e2 = e + sa
+            out[e2] = (out.get(e2, 0) + cb * c) % char
+        for e, c in items_b:
+            e2 = e + sb
+            out[e2] = (out.get(e2, 0) - ca * c) % char
+    else:
+        g = gcd(ca, cb)
+        fa, fb = cb // g, ca // g
+        for e, c in items_a:
+            e2 = e + sa
+            out[e2] = out.get(e2, 0) + fa * c
+        for e, c in items_b:
+            e2 = e + sb
+            out[e2] = out.get(e2, 0) - fb * c
+    out = {e: c for e, c in out.items() if c}
+    for e in out:
+        if e & guard:
+            raise _FieldOverflow
+    return out
 
 
 # --- Buchberger --------------------------------------------------------
 
 
-def _update_pairs(pairs, lms, t, order):
-    """Gebauer-Moeller pair update when basis element t is appended."""
+def _update_pairs(pairs, lms, t, packing):
+    """Gebauer-Moeller pair update when basis element t is appended.  A
+    pair is (lcm degree, packed lcm, i, t, lcm): the normal strategy's
+    key, then the lcm's exponents for the criteria."""
     lm_t = lms[t]
-    cand = []
-    for i in range(t):
-        if lms[i] is None:
-            continue
-        cand.append((i, _lcm(lms[i], lm_t)))
+    cand = [(i, _lcm(lms[i], lm_t)) for i in range(t)]
     kept = []
     for idx, (i, l) in enumerate(cand):
         drop = False
@@ -209,74 +314,75 @@ def _update_pairs(pairs, lms, t, order):
             kept.append((i, l))
     survivors = []
     for old in pairs:
-        _, l, i, j = old
+        _, _, i, j, l = old
         if _divides(lm_t, l) and _lcm(lms[i], lm_t) != l and _lcm(lms[j], lm_t) != l:
             continue
         survivors.append(old)
     for i, l in kept:
         if _coprime(lms[i], lm_t):
             continue
-        survivors.append(((sum(l), order.key(l), i, t), l, i, t))
+        survivors.append((sum(l), packing.pack(l), i, t, l))
     heapq.heapify(survivors)
     return survivors
 
 
-def _buchberger(int_gens, order, char):
-    basis = []  # integer dicts
-    lms = []
-    reducer = _Reducer(order, char)
-    pairs = []
-    for g in int_gens:
-        r, _ = reducer.reduce(g)
-        if not r:
-            continue
-        r = r if char else _strip_content(r)
-        basis.append(r)
-        lms.append(next(iter(r)))
-        reducer.add(lms[-1], r)
-        pairs = _update_pairs(pairs, lms, len(basis) - 1, order)
-    while pairs:
-        _, l, i, j = heapq.heappop(pairs)
-        s = _spoly(basis[i], lms[i], basis[j], lms[j], char)
-        if not s:
-            continue
+def _buchberger(gens, packing, char):
+    """Reduced basis of packed integer dicts, as (lm, dict) pairs in
+    ascending order; raises `_FieldOverflow` when a new monomial does
+    not fit the packing."""
+    lms = []  # leading exponent tuples, for the pair criteria
+    reducer = _Reducer(packing, char)
+    entries = reducer.entries
+
+    def insert(s, pairs):
         r, _ = reducer.reduce(s)
         if not r:
-            continue
+            return pairs
         r = r if char else _strip_content(r)
-        basis.append(r)
-        lms.append(next(iter(r)))
-        reducer.add(lms[-1], r)
-        pairs = _update_pairs(pairs, lms, len(basis) - 1, order)
-    return _interreduce(basis, lms, order, char)
+        lm = next(iter(r))
+        lms.append(packing.unpack(lm))
+        reducer.add(lm, r)
+        return _update_pairs(pairs, lms, len(lms) - 1, packing)
+
+    pairs = []
+    for g in gens:
+        pairs = insert(g, pairs)
+    while pairs:
+        _, l, i, j, _ = heapq.heappop(pairs)
+        s = _spoly(entries[i], entries[j], l, packing.guard, char)
+        if s:
+            pairs = insert(s, pairs)
+    return _interreduce(reducer, char)
 
 
-def _interreduce(basis, lms, order, char):
-    """Minimalize by leading monomials, then tail-reduce to the unique
-    reduced basis (primitive integer form), as (lm, dict) pairs."""
+def _interreduce(reducer, char):
+    """Minimalize the reducer's basis by leading monomials, then
+    tail-reduce to the unique reduced basis (primitive integer form),
+    as (lm, dict) pairs."""
+    guard = reducer.packing.guard
+    entries = reducer.entries
     keep = []
-    for i, lm in enumerate(lms):
+    for i, (lm, _, _) in enumerate(entries):
         redundant = False
-        for j, other in enumerate(lms):
+        for j, (other, _, _) in enumerate(entries):
             if i == j:
                 continue
-            if _divides(other, lm) and (other != lm or j < i):
+            if not (lm - other) & guard and (other != lm or j < i):
                 redundant = True
                 break
         if not redundant:
             keep.append(i)
     reduced = []
     for i in keep:
-        others = _Reducer(order, char)
-        for j in keep:
-            if j != i:
-                others.add(lms[j], basis[j])
+        others = _Reducer(reducer.packing, char,
+                          [entries[j] for j in keep if j != i])
         # a minimal basis element keeps its leading term under tail
         # reduction, so its leading monomial carries over
-        r, _ = others.reduce(basis[i])
+        lm, _, items = entries[i]
+        r, _ = others.reduce(dict(items))
         if r:
-            reduced.append((lms[i], r if char else _strip_content(r)))
-    reduced.sort(key=lambda pair: order.key(pair[0]))
+            reduced.append((lm, r if char else _strip_content(r)))
+    reduced.sort(key=lambda pair: pair[0])
     return reduced
 
 
@@ -288,17 +394,11 @@ class GroebnerBasis:
     ring: PolyRing
     order: object
     elements: tuple
-    # (leading monomial, integer dict) per element
-    _ints: tuple = dc_field(repr=False, compare=False, default=())
+    # the monic integer forms of the elements, packed once per basis
+    _reducer: _Reducer = dc_field(repr=False, compare=False)
 
     def is_unit(self) -> bool:
         return len(self.elements) == 1 and self.elements[0].is_constant() and bool(self.elements[0])
-
-    def _reducer(self):
-        red = _Reducer(self.order, self.ring.field.characteristic)
-        for lm, d in self._ints:
-            red.add(lm, d)
-        return red
 
     def normal_form(self, f: Polynomial) -> Polynomial:
         if f.ring != self.ring:
@@ -306,7 +406,7 @@ class GroebnerBasis:
         d, mult = poly_to_int_dict(f)
         if not d:
             return self.ring.zero()
-        r, scale = self._reducer().reduce(d)
+        r, scale = self._reducer.normal_form(d)
         if not r:
             return self.ring.zero()
         if self.ring.field.characteristic:
@@ -328,20 +428,31 @@ def groebner_basis(gens, order=GREVLEX, ring: PolyRing = None) -> GroebnerBasis:
             raise RingMismatch("generators live in different rings")
     char = ring.field.characteristic
     int_gens = [poly_to_int_dict(g)[0] for g in gens]
-    elements, ints = [], []
-    for lm, d in _buchberger(int_gens, order, char):
+    packing = _packing_for(order, ring.arity, int_gens)
+    while True:
+        try:
+            reduced = _buchberger(
+                [{packing.pack(e): c for e, c in d.items()} for d in int_gens],
+                packing, char)
+            break
+        except _FieldOverflow:
+            packing = Packing(order, ring.arity, 2 * packing.bits)
+    elements = []
+    reducer = _Reducer(packing, char)
+    for lm, d in reduced:
         lc = d[lm]
         if char:
             inv = pow(lc, -1, char)
             d = {e: c * inv % char for e, c in d.items()}
-            elements.append(ring.polynomial(d))
+            elements.append(ring.polynomial(
+                {packing.unpack(e): c for e, c in d.items()}))
         else:
             elements.append(ring.polynomial(
-                {e: Fraction(c, lc) for e, c in d.items()}))
+                {packing.unpack(e): Fraction(c, lc) for e, c in d.items()}))
             if lc < 0:
                 d = {e: -c for e, c in d.items()}
-        ints.append((lm, d))
-    return GroebnerBasis(ring, order, tuple(elements), tuple(ints))
+        reducer.add(lm, d)
+    return GroebnerBasis(ring, order, tuple(elements), reducer)
 
 
 def normal_form(f: Polynomial, basis, order=GREVLEX) -> Polynomial:
@@ -350,12 +461,12 @@ def normal_form(f: Polynomial, basis, order=GREVLEX) -> Polynomial:
     if isinstance(basis, GroebnerBasis):
         return basis.normal_form(f)
     ints = [poly_to_int_dict(g)[0] for g in basis if g]
-    gb_like = GroebnerBasis(
-        f.ring, order,
-        tuple(basis),
-        tuple((max(d, key=order.key), d) for d in ints),
-    )
-    return gb_like.normal_form(f)
+    packing = _packing_for(order, f.ring.arity, ints)
+    reducer = _Reducer(packing, f.ring.field.characteristic)
+    for d in ints:
+        packed = {packing.pack(e): c for e, c in d.items()}
+        reducer.add(max(packed), packed)
+    return GroebnerBasis(f.ring, order, tuple(basis), reducer).normal_form(f)
 
 
 def is_member(f: Polynomial, gb: GroebnerBasis) -> bool:

@@ -412,7 +412,7 @@ def saturate_irrelevant(a: Ideal) -> Ideal:
     for h in candidates:
         sat = _saturate_principal(a, h)
         if _hilbert.hilbert_series(sat).hilbert_poly == target:
-            return sat
+            return _reduced(sat)
     return saturate(a, Ideal(ring, ring.variables()))
 
 

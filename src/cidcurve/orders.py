@@ -1,11 +1,16 @@
 """Monomial orders on exponent tuples.
 
-Each order exposes two views of the same comparison: `key` (bigger key
-means bigger monomial, for max()/sort) and `heap_key` (smaller key means
-bigger monomial, so a min-heap pops the largest monomial first).  Every
-order here is total, multiplicative and has 1 as least element (the
-weighted one needs positive weights); the property tests exercise
-exactly those axioms.
+Each order exposes two views of the same comparison.  `key` (bigger key
+means bigger monomial) serves max() and sort.  `fields` is a linear map
+from exponents to a tuple of signed ints whose lexicographic order is the
+monomial order: fields(a + b) == fields(a) + fields(b) componentwise.
+Linearity is what lets `groebner.Packing` store each monomial as one int,
+with the fields in the high bits and the plain exponents below them, so
+that a shift is an addition and a comparison is an int comparison.
+
+Every order here is total, multiplicative and has 1 as least element (the
+weighted one needs positive weights); the property tests exercise exactly
+those axioms.
 """
 
 from __future__ import annotations
@@ -17,8 +22,8 @@ def _grevlex_key(exps):
     return (sum(exps), tuple(-e for e in reversed(exps)))
 
 
-def _grevlex_heap_key(exps):
-    return (-sum(exps), tuple(reversed(exps)))
+def _grevlex_fields(exps):
+    return (sum(exps),) + tuple(-e for e in reversed(exps))
 
 
 @dataclass(frozen=True)
@@ -28,8 +33,8 @@ class Lex:
     def key(self, exps):
         return exps
 
-    def heap_key(self, exps):
-        return tuple(-e for e in exps)
+    def fields(self, exps):
+        return tuple(exps)
 
 
 @dataclass(frozen=True)
@@ -39,8 +44,8 @@ class GrevLex:
     def key(self, exps):
         return _grevlex_key(exps)
 
-    def heap_key(self, exps):
-        return _grevlex_heap_key(exps)
+    def fields(self, exps):
+        return _grevlex_fields(exps)
 
 
 @dataclass(frozen=True)
@@ -58,9 +63,9 @@ class Block:
         s = self.split
         return (_grevlex_key(exps[:s]), _grevlex_key(exps[s:]))
 
-    def heap_key(self, exps):
+    def fields(self, exps):
         s = self.split
-        return (_grevlex_heap_key(exps[:s]), _grevlex_heap_key(exps[s:]))
+        return _grevlex_fields(exps[:s]) + _grevlex_fields(exps[s:])
 
 
 @dataclass(frozen=True)
@@ -77,9 +82,9 @@ class WeightedGrevLex:
         return (sum(w * e for w, e in zip(self.weights, exps)),
                 tuple(-e for e in reversed(exps)))
 
-    def heap_key(self, exps):
-        return (-sum(w * e for w, e in zip(self.weights, exps)),
-                tuple(reversed(exps)))
+    def fields(self, exps):
+        return ((sum(w * e for w, e in zip(self.weights, exps)),)
+                + tuple(-e for e in reversed(exps)))
 
 
 LEX = Lex()

@@ -95,6 +95,23 @@ def test_gb_command(capsys):
     assert len(payload["result"]["basis"]) == 3
 
 
+def test_gb_exponent_past_any_fixed_width(tmp_path, capsys):
+    # a monomial wider than any fixed exponent field: the packing is
+    # sized from the input, so the basis prints exactly as it always has
+    path = tmp_path / "wide.ring"
+    path.write_text("ring/1 over QQ vars x y\n"
+                    "ideal X = x^100000000 - y, y^2;\n")
+    code = main(["gb", "--input", str(path), "--output", "json"])
+    assert code == 0
+    assert capsys.readouterr().out == (
+        '{\n  "checks": {},\n  "command": "gb",\n  "errors": [],\n'
+        '  "field": "QQ",\n  "result": {\n    "basis": [\n'
+        '      "y^2",\n      "x^100000000 - y"\n    ],\n'
+        '    "ideal": "X",\n    "is_unit": false,\n'
+        '    "order": "grevlex"\n  },\n  "seed": 0,\n'
+        '  "version": "0.1.0"\n}\n')
+
+
 def test_invariants_command(capsys):
     code, payload = run_json(capsys, "invariants", "--input", TC)
     assert code == 0

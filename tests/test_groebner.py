@@ -5,6 +5,8 @@ import pytest
 import sympy
 
 from cidcurve import GREVLEX, LEX, Field, PolyRing, groebner_basis, is_member, normal_form
+from cidcurve import groebner
+from cidcurve.orders import Block, WeightedGrevLex
 from cidcurve.rng import SplitMix64
 
 QQ = Field.rationals()
@@ -45,7 +47,10 @@ def random_polys(ring, seed, count, max_deg=2, terms=3):
     return out
 
 
-@pytest.mark.parametrize("order", [GREVLEX, LEX], ids=["grevlex", "lex"])
+# each order packs its monomials with its own bit layout
+@pytest.mark.parametrize(
+    "order", [GREVLEX, LEX, Block(1), WeightedGrevLex((2, 1, 1))],
+    ids=["grevlex", "lex", "block(1)", "wgrevlex(2,1,1)"])
 @pytest.mark.parametrize("seed", [1, 2, 3, 4])
 def test_buchberger_criterion_and_reducedness(order, seed):
     ring = PolyRing(QQ, ("x", "y", "z"))
@@ -86,6 +91,61 @@ def test_matches_independent_system(seed):
     mine = {monic(sympy.sympify(str(f), names)) for f in basis.elements}
     theirs = {monic(p) for p in reference.exprs}
     assert mine == theirs
+
+
+# the inputs' exponents reach 2 or 3, so the first packing holds
+# exponents below 4 or 8; z^5 and z^6 first appear while an
+# S-polynomial is reduced, z^9 while one is formed
+WIDENED = {
+    "reduction": (("x*y - z^2", "y*z - x^2", "x*z - 1"),
+                  ("z^6 - 1", "y - z^3", "x - z^5")),
+    "spoly": (("x*y - z^2", "x*z - 1", "x^3 - y^2"),
+              ("z^9 - 1", "y - z^3", "x - z^8")),
+}
+
+
+@pytest.mark.parametrize("site", sorted(WIDENED))
+@pytest.mark.parametrize("field", [QQ, Field.prime_field(32003)],
+                         ids=["QQ", "Fp"])
+def test_basis_outgrowing_its_packing_is_widened(site, field, monkeypatch):
+    ring = PolyRing(field, ("x", "y", "z"))
+    gens, expected = WIDENED[site]
+    spoly_bits, overflows = [], []
+    real_spoly, real_reduce = groebner._spoly, groebner._Reducer.reduce
+
+    def spoly(a, b, l, guard, char):
+        spoly_bits.append(guard.bit_length())
+        try:
+            return real_spoly(a, b, l, guard, char)
+        except groebner._FieldOverflow:
+            overflows.append(("spoly", guard.bit_length()))
+            raise
+
+    def reduce(self, d, scale=1):
+        try:
+            return real_reduce(self, d, scale)
+        except groebner._FieldOverflow:
+            overflows.append(("reduction", self.packing.guard.bit_length()))
+            raise
+
+    monkeypatch.setattr(groebner, "_spoly", spoly)
+    monkeypatch.setattr(groebner._Reducer, "reduce", reduce)
+    basis = groebner_basis([ring.parse(g) for g in gens], order=LEX,
+                           ring=ring)
+    # the narrow packing overflowed after pairs were taken, and a wider
+    # one finished the basis
+    (where, bits), = overflows
+    assert where == site and bits in spoly_bits
+    assert max(spoly_bits) > bits
+    assert list(basis.elements) == [ring.parse(g) for g in expected]
+
+
+def test_normal_form_past_the_basis_packing():
+    ring = PolyRing(QQ, ("x", "y"))
+    x, y = ring.variables()
+    basis = groebner_basis([x * y - ring.one()], ring=ring)
+    assert basis.normal_form(x**300 * y**299) == x
+    assert normal_form(x**300 * y**299, [x * y - ring.one()]) == x
 
 
 def test_twisted_cubic_basis():

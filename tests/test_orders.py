@@ -1,4 +1,6 @@
-"""Monomial order laws: total, multiplicative, with 1 minimal.
+"""Monomial order laws: total, multiplicative, with 1 minimal; and the
+packing of monomials into ints that the Groebner core compares, shifts
+and divides.
 
 Orders expose an ascending sort key; `less` below compares keys.
 """
@@ -8,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cidcurve import GREVLEX, LEX, order_from_name
+from cidcurve.groebner import Packing
 from cidcurve.orders import Block, WeightedGrevLex
 
 exps = st.tuples(*[st.integers(0, 6)] * 3)
@@ -51,12 +54,47 @@ def test_one_is_minimal(order, a):
         assert less(order, one, a)
 
 
+@st.composite
+def packed_pairs(draw):
+    """An exponent width and two exponent tuples that fit it."""
+    bits = draw(st.integers(1, 12))
+    fit = st.tuples(*[st.integers(0, (1 << bits) - 1)] * 3)
+    return bits, draw(fit), draw(fit)
+
+
 @pytest.mark.parametrize("order", ORDERS, ids=IDS)
-@settings(max_examples=60, deadline=None)
-@given(a=exps, b=exps)
-def test_heap_key_reverses(order, a, b):
-    # the heap key simulates a max-heap on a min-heap structure
-    assert less(order, a, b) == (order.heap_key(b) < order.heap_key(a))
+@settings(max_examples=80, deadline=None)
+@given(case=packed_pairs())
+def test_packing_preserves_the_order(order, case):
+    bits, a, b = case
+    pack = Packing(order, 3, bits).pack
+    assert less(order, a, b) == (pack(a) < pack(b))
+
+
+@pytest.mark.parametrize("order", ORDERS, ids=IDS)
+@settings(max_examples=80, deadline=None)
+@given(case=packed_pairs())
+def test_packing_is_additive_and_invertible(order, case):
+    bits, a, b = case
+    packing = Packing(order, 3, bits)
+    total = tuple(x + y for x, y in zip(a, b))
+    assert packing.pack(total) == packing.pack(a) + packing.pack(b)
+    assert packing.unpack(packing.pack(a)) == a
+    # a sum that outgrows the width shows on a guard bit
+    fits = max(total) < 1 << bits
+    assert fits == (not packing.pack(total) & packing.guard)
+    if fits:
+        assert packing.unpack(packing.pack(total)) == total
+
+
+@pytest.mark.parametrize("order", ORDERS, ids=IDS)
+@settings(max_examples=80, deadline=None)
+@given(case=packed_pairs())
+def test_guard_mask_divisibility(order, case):
+    bits, a, b = case
+    packing = Packing(order, 3, bits)
+    divides = not (packing.pack(b) - packing.pack(a)) & packing.guard
+    assert divides == all(x <= y for x, y in zip(a, b))
 
 
 def test_known_comparisons():
