@@ -8,6 +8,7 @@ mathematical precondition fails (and for `verify` when a check fails).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -53,7 +54,10 @@ IDEAL_OPS = (
 )
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call and shared by
+    every later `main` in the process; parsing does not change it."""
     parser = argparse.ArgumentParser(
         prog="cidcurve",
         description="exact linkage invariants for projective curves "

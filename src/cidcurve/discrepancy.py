@@ -12,11 +12,13 @@ no chart.  The routes read I_Z, I_W and the witness Jacobian scheme on
 X from the certified witness (`linkage.CIWitness`), which derived them
 once, and decide smoothness on that scheme.  On a smooth curve the
 Jacobian and saturation routes are one computation, so it runs once
-and its value is filed under both names.  The genus report bundles the
-discrepancy with the Hilbert-polynomial invariants and verifies the
-adjunction-type genus formula, Bezout (which the degree-certified
-linkage colon makes hold by construction), the linkage genus exchange,
-and the degree/e-term identity.
+and its value is filed under both names.  Every Jacobian minor comes
+from one kernel, `_minors`, which works on integer rows and computes
+each shared sub-minor once per stream of minors.  The genus report
+bundles the discrepancy with the Hilbert-polynomial invariants and
+verifies the adjunction-type genus formula, Bezout (which the
+degree-certified linkage colon makes hold by construction), the linkage
+genus exchange, and the degree/e-term identity.
 """
 
 from __future__ import annotations
@@ -24,7 +26,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
-from math import comb, prod
+from math import comb, lcm, prod
+from operator import add
 
 from .errors import (
     BadCodim,
@@ -59,24 +62,69 @@ ROUTE_NAMES = ("direct", "smooth_jacobian", "lci_general", "aci")
 # --- Jacobian machinery ------------------------------------------------
 
 
-def _determinant(rows):
-    """Cofactor expansion; the matrices here are small (size <= 5)."""
-    size = len(rows)
-    if size == 1:
-        return rows[0][0]
+def _minors(rows, pairs):
+    """det(rows[i][j] for i in ri, j in ci) for each (ri, ci) in pairs,
+    in that order; ri and ci are equally long index tuples.
+
+    Each row is converted once to integer term dicts: over QQ it is
+    scaled by the lcm of its denominators, over F_p its entries are
+    already residues.  A minor is expanded along its first row, and
+    each sub-minor (row tail, column subset) is computed once for the
+    whole stream and kept until the stream is done; the minors
+    themselves are not kept.  Dividing each minor once by the product
+    of its rows' multipliers gives exactly the determinant of the
+    given entries."""
     ring = rows[0][0].ring
-    total = ring.zero()
-    sign = 1
-    for k in range(size):
-        pivot = rows[0][k]
-        if pivot:
-            minor = [
-                [row[j] for j in range(size) if j != k] for row in rows[1:]
-            ]
-            term = pivot * _determinant(minor)
-            total = total + term if sign > 0 else total - term
-        sign = -sign
-    return total
+    char = ring.field.characteristic
+    entries, mults = [], []
+    for row in rows:
+        if char:
+            entries.append([f.terms for f in row])
+            mults.append(1)
+            continue
+        m = lcm(*(c.denominator for f in row for c in f.terms.values()))
+        entries.append([{e: c.numerator * (m // c.denominator)
+                         for e, c in f.terms.items()} for f in row])
+        mults.append(m)
+    memo = {}
+
+    def det(ri, ci):
+        top = entries[ri[0]]
+        if len(ri) == 1:
+            return top[ci[0]]
+        tail = ri[1:]
+        total = {}
+        for k, c in enumerate(ci):
+            pivot = top[c]
+            if not pivot:
+                continue
+            key = (tail, ci[:k] + ci[k + 1:])
+            sub = memo.get(key)
+            if sub is None:
+                sub = memo[key] = det(*key)
+            for e1, c1 in pivot.items():
+                if k % 2:
+                    c1 = -c1
+                for e2, c2 in sub.items():
+                    e = tuple(map(add, e1, e2))
+                    total[e] = total.get(e, 0) + c1 * c2
+        if char:
+            return {e: c % char for e, c in total.items() if c % char}
+        return {e: c for e, c in total.items() if c}
+
+    for ri, ci in pairs:
+        d = det(ri, ci)
+        if char:
+            yield Polynomial(ring, d)
+            continue
+        m = prod(mults[i] for i in ri)
+        yield Polynomial(ring, {e: Fraction(c, m) for e, c in d.items()})
+
+
+def _determinant(rows):
+    """Determinant of one square matrix of polynomials."""
+    square = tuple(range(len(rows)))
+    return next(_minors(rows, [(square, square)]))
 
 
 def _minor_stream(gens, codim: int, seed=None):
@@ -96,8 +144,7 @@ def _minor_stream(gens, codim: int, seed=None):
     rows = [
         [partial_derivative(g, j) for j in range(ring.arity)] for g in gens
     ]
-    for ri, ci in pairs:
-        yield _determinant([[rows[i][j] for j in ci] for i in ri])
+    yield from _minors(rows, pairs)
 
 
 def jacobian_ideal(gens, codim: int, ambient: Ideal | None = None) -> Ideal:

@@ -18,7 +18,7 @@ emission stamps so the true normal form can be recovered by one exact
 division at the end).  Over F_p coefficients are residues and reduction
 divides by inverses directly.
 
-Pair management follows Gebauer-Moeller on exponent tuples: the
+Pair management follows Gebauer-Moeller on packed lcms: the
 coprimality and chain criteria prune S-pairs at insertion time, and the
 normal selection strategy (minimal lcm degree, then the order's
 comparison, then indices) picks the next pair.  Output bases are
@@ -67,13 +67,6 @@ def _strip_content(d: dict) -> dict:
     if content in (0, 1):
         return d
     return {e: c // content for e, c in d.items()}
-
-
-def _divides(a, b):
-    for x, y in zip(a, b):
-        if x > y:
-            return False
-    return True
 
 
 def _lcm(a, b):
@@ -297,31 +290,34 @@ def _spoly(a, b, l, guard, char):
 
 def _update_pairs(pairs, lms, t, packing):
     """Gebauer-Moeller pair update when basis element t is appended.  A
-    pair is (lcm degree, packed lcm, i, t, lcm): the normal strategy's
-    key, then the lcm's exponents for the criteria."""
+    pair is (lcm degree, packed lcm, i, t), the normal strategy's key.
+    Each candidate lcm is packed once, and the criteria test
+    divisibility on packed lcms with the guard mask."""
+    guard = packing.guard
     lm_t = lms[t]
-    cand = [(i, _lcm(lms[i], lm_t)) for i in range(t)]
+    packed_t = packing.pack(lm_t)
+    cand = []
+    for i in range(t):
+        l = _lcm(lms[i], lm_t)
+        cand.append((sum(l), packing.pack(l)))
     kept = []
-    for idx, (i, l) in enumerate(cand):
-        drop = False
-        for jdx, (j, lj) in enumerate(cand):
-            if i == j:
-                continue
-            if _divides(lj, l) and (lj != l or jdx < idx):
-                drop = True
+    for i, (deg, pl) in enumerate(cand):
+        for j, (_, plj) in enumerate(cand):
+            if i != j and not (pl - plj) & guard and (plj != pl or j < i):
                 break
-        if not drop:
-            kept.append((i, l))
+        else:
+            kept.append((deg, pl, i))
     survivors = []
     for old in pairs:
-        _, _, i, j, l = old
-        if _divides(lm_t, l) and _lcm(lms[i], lm_t) != l and _lcm(lms[j], lm_t) != l:
+        _, pl, i, j = old
+        if (not (pl - packed_t) & guard and cand[i][1] != pl
+                and cand[j][1] != pl):
             continue
         survivors.append(old)
-    for i, l in kept:
+    for deg, pl, i in kept:
         if _coprime(lms[i], lm_t):
             continue
-        survivors.append((sum(l), packing.pack(l), i, t, l))
+        survivors.append((deg, pl, i, t))
     heapq.heapify(survivors)
     return survivors
 
@@ -348,7 +344,7 @@ def _buchberger(gens, packing, char):
     for g in gens:
         pairs = insert(g, pairs)
     while pairs:
-        _, l, i, j, _ = heapq.heappop(pairs)
+        _, l, i, j = heapq.heappop(pairs)
         s = _spoly(entries[i], entries[j], l, packing.guard, char)
         if s:
             pairs = insert(s, pairs)

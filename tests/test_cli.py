@@ -571,3 +571,31 @@ def test_reparametrized_branch_is_not_primitive(tmp_path, capsys):
     (record,) = payload["errors"]
     assert record["type"] == "PrecisionCapExceeded"
     assert record["cap"] == 3
+
+
+def _captured(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def test_one_parser_serves_every_call_in_a_process():
+    jobs = [
+        ["genus", "--input", TC, "--route", "nope"],
+        ["genus", "--input", TC, "--output", "json"],
+        ["local", "--input", CUSP, "--output", "json"],
+        ["genus", "--input", TC],
+    ]
+    fresh = []
+    for argv in jobs:
+        cidcurve.cli._build_parser.cache_clear()
+        fresh.append(_captured(argv))
+    cidcurve.cli._build_parser.cache_clear()
+    shared = [_captured(argv) for argv in jobs]
+    assert cidcurve.cli._build_parser.cache_info().misses == 1
+    assert shared == fresh
+    # the rejection is argparse's own, before any job runs
+    code, out, err = shared[0]
+    assert code == 1 and out == "" and "invalid choice: 'nope'" in err
+    assert [code for code, _, _ in shared[1:]] == [0, 0, 0]

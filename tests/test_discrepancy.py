@@ -4,9 +4,12 @@ import json
 import pathlib
 import sys
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import cidcurve
 import cidcurve.cli
@@ -47,6 +50,7 @@ from cidcurve.errors import (
 from cidcurve.groebner import GroebnerBasis
 from cidcurve.ideals import chart_ideal, colon_certified
 from cidcurve.polynomials import Chart
+from cidcurve.rng import SplitMix64
 
 from conftest import rnc_curve, twisted_cubic_gens
 
@@ -81,6 +85,143 @@ def test_jacobian_ideal_codim_guard():
         jacobian_ideal([x * y], 2)
     with pytest.raises(BadCodim):
         jacobian_ideal([x * y], 0)
+
+
+# --- the minor kernel -------------------------------------------------
+
+
+def _cofactor_determinant(rows):
+    """Recursive cofactor expansion in polynomial arithmetic: the
+    oracle for the minor kernel."""
+    size = len(rows)
+    if size == 1:
+        return rows[0][0]
+    total = rows[0][0].ring.zero()
+    for k in range(size):
+        if rows[0][k]:
+            minor = [[row[j] for j in range(size) if j != k]
+                     for row in rows[1:]]
+            term = rows[0][k] * _cofactor_determinant(minor)
+            total = total + term if k % 2 == 0 else total - term
+    return total
+
+
+def _oracle_minor(rows, ri, ci):
+    return _cofactor_determinant([[rows[i][j] for j in ci] for i in ri])
+
+
+def _check_field_type(f):
+    field = f.ring.field
+    for c in f.terms.values():
+        if field.characteristic:
+            assert type(c) is int and 0 < c < field.characteristic
+        else:
+            assert type(c) is Fraction and c
+
+
+KERNEL_FIELDS = {"QQ": QQ, "Fp32003": Field.prime_field(32003),
+                 "F7": Field.prime_field(7), "F2": Field.prime_field(2)}
+
+
+@st.composite
+def _matrices(draw):
+    """An r x c matrix (1 <= r <= c <= 4) of polynomials in x, y, z of
+    degree <= 2, with zero entries and zero rows; over QQ the
+    coefficients have real denominators, and over F_7 and F_2 the
+    products cancel modulo p."""
+    field = KERNEL_FIELDS[draw(st.sampled_from(sorted(KERNEL_FIELDS)))]
+    ring = PolyRing(field, ("x", "y", "z"))
+    monomials = [e for e in ((a, b, c) for a in range(3) for b in range(3)
+                             for c in range(3)) if sum(e) <= 2]
+    if field.characteristic:
+        coefficient = st.integers(0, field.characteristic - 1).map(
+            field.from_int)
+    else:
+        coefficient = st.builds(Fraction, st.integers(-6, 6),
+                                st.integers(1, 6))
+    terms = st.dictionaries(st.sampled_from(monomials), coefficient,
+                            min_size=1, max_size=4).map(ring.polynomial)
+
+    def entry():
+        return ring.zero() if draw(st.integers(0, 4)) == 0 else draw(terms)
+
+    r = draw(st.integers(1, 4))
+    c = draw(st.integers(r, 4))
+    rows = []
+    for _ in range(r):
+        if draw(st.integers(0, 7)) == 0:
+            rows.append([ring.zero()] * c)
+        else:
+            rows.append([entry() for _ in range(c)])
+    return rows
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(rows=_matrices(), data=st.data())
+def test_minor_kernel_matches_cofactor_expansion(rows, data):
+    r, c = len(rows), len(rows[0])
+    pairs = [(ri, ci) for k in range(1, r + 1)
+             for ri in combinations(range(r), k)
+             for ci in combinations(range(c), k)]
+    pairs = data.draw(st.permutations(pairs))
+    got = list(discrepancy_module._minors(rows, pairs))
+    assert got == [_oracle_minor(rows, ri, ci) for ri, ci in pairs]
+    square = [row[:r] for row in rows]
+    det = discrepancy_module._determinant(square)
+    assert det == _cofactor_determinant(square)
+    for f in got + [det]:
+        assert f.ring == rows[0][0].ring
+        _check_field_type(f)
+
+
+def _oracle_stream(gens, codim, seed):
+    """The Jacobian's codim-minors in the stream's order: row subsets
+    outside, column subsets inside, shuffled by the seed."""
+    ring = gens[0].ring
+    pairs = [(ri, ci) for ri in combinations(range(len(gens)), codim)
+             for ci in combinations(range(ring.arity), codim)]
+    if seed is not None:
+        rng = SplitMix64(seed ^ 0x3140085)
+        for k in range(len(pairs) - 1, 0, -1):
+            j = rng.randint(0, k)
+            pairs[k], pairs[j] = pairs[j], pairs[k]
+    rows = [[g.derivative(j) for j in range(ring.arity)] for g in gens]
+    return [_oracle_minor(rows, ri, ci) for ri, ci in pairs]
+
+
+@pytest.mark.parametrize("seed", [None, 0, 5])
+@pytest.mark.parametrize("field", [QQ, Field.prime_field(7)],
+                         ids=["QQ", "F7"])
+@pytest.mark.parametrize("n", [3, 4])
+def test_minor_stream_order_matches_the_oracle(n, field, seed):
+    curve = rnc_curve(n, field)
+    gens = list(curve.generators)
+    # a rational row multiplier: the stream must divide it back out
+    gens[0] = gens[0].scale(field.from_fraction(Fraction(3, 2)))
+    got = list(discrepancy_module._minor_stream(gens, n - 1, seed))
+    assert got == _oracle_stream(gens, n - 1, seed)
+
+
+MINORS = pathlib.Path(__file__).resolve().parent / "jacobian_minors.json"
+
+
+def test_jacobian_minor_bytes_are_pinned():
+    """The printed generators of the witness Jacobian ideals of RNC4 and
+    RNC5 (seed 0) and of the twisted cubic's own Jacobian ideal, as the
+    cofactor expansion gave them."""
+    expected = json.loads(MINORS.read_text())
+    got = {}
+    for name, field in (("QQ", QQ), ("Fp32003", Field.prime_field(32003))):
+        for n in (4, 5):
+            curve = rnc_curve(n, field)
+            witness = construct_ci(curve, seed=0)
+            ideal = jacobian_ideal(list(witness.F), n - 1,
+                                   ambient=curve.ideal())
+            got[f"rnc{n}-{name}"] = [str(g) for g in ideal.generators]
+        cubic = rnc_curve(3, field)
+        got[f"twisted_cubic-{name}"] = [
+            str(g) for g in jacobian_ideal(cubic.generators, 2).generators]
+    assert got == expected
 
 
 def test_smoothness(twisted_cubic):

@@ -206,3 +206,51 @@ def test_lex_elimination_shape():
     univariate = [f for f in basis.elements
                   if all(e[0] == 0 for e in f.terms)]
     assert univariate
+
+
+def _ci33(ring):
+    """Two cubic forms in P^3 with seeded coefficients."""
+    rng = SplitMix64(33)
+    cubics = [e for e in ((a, b, c, 3 - a - b - c) for a in range(4)
+                          for b in range(4 - a) for c in range(4 - a - b))]
+    return [ring.polynomial({e: ring.field.from_int(rng.randint(-9, 9))
+                             for e in cubics}) for _ in range(2)]
+
+
+def _rnc5(ring):
+    x = ring.variables()
+    return [x[i] * x[j] - x[i + 1] * x[j - 1]
+            for i in range(6) for j in range(i + 2, 6)]
+
+
+# S-polynomials formed by each basis computation, as recorded when the
+# criteria still compared exponent tuples; the same count shows that the
+# criteria on packed lcms prune the same pairs
+SPOLY_COUNTS = {
+    ("twisted_cubic", "grevlex"): 2, ("twisted_cubic", "block(1)"): 2,
+    ("twisted_cubic", "lex"): 2,
+    ("rnc5", "grevlex"): 20, ("rnc5", "block(1)"): 20, ("rnc5", "lex"): 20,
+    ("ci33", "grevlex"): 3, ("ci33", "block(1)"): 32, ("ci33", "lex"): 77,
+}
+SPOLY_ORDERS = {"grevlex": GREVLEX, "block(1)": Block(1), "lex": LEX}
+SPOLY_IDEALS = {"twisted_cubic": tc_gens, "rnc5": _rnc5, "ci33": _ci33}
+
+
+@pytest.mark.parametrize("name,order", sorted(SPOLY_COUNTS))
+@pytest.mark.parametrize("field", [QQ, Field.prime_field(32003)],
+                         ids=["QQ", "Fp"])
+def test_pair_criteria_keep_the_spoly_count(name, order, field,
+                                            monkeypatch):
+    arity = 6 if name == "rnc5" else 4
+    ring = PolyRing(field, tuple(f"x{i}" for i in range(arity)))
+    calls = []
+    real_spoly = groebner._spoly
+
+    def spoly(*args):
+        calls.append(args)
+        return real_spoly(*args)
+
+    monkeypatch.setattr(groebner, "_spoly", spoly)
+    groebner_basis(SPOLY_IDEALS[name](ring), order=SPOLY_ORDERS[order],
+                   ring=ring)
+    assert len(calls) == SPOLY_COUNTS[name, order]
