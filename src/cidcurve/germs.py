@@ -9,29 +9,36 @@ the Milnor number and the local complete-intersection discrepancy
 follow.
 
 The delta invariant of one branch is the gap count of the set of orders
-attained by the parametrization subalgebra of k[t].  That order set is
-computed exactly below a working precision P by a worklist: modulo t^P
-the positive part of k[p_1..p_n] is the span of the coordinates closed
-under multiplication by the coordinates, so each new order-echelon
-representative is multiplied by each coordinate (a few terms) and the
-product reduced into the echelon, until no representative is new.  The
-computation certifies its own answer: attained orders form a numerical
-semigroup, so once a gap-free run of length equal to the multiplicity
-appears, every larger order is attained and the gap count below the run
-is final.  No window can prove the opposite, so a branch is declared
-not primitive only on a certificate: when every exponent of every
-coordinate is divisible by some d > 1 the subalgebra lies in k[t^d];
-and, before the precision cap is reported, when the branch ideal meets
-the hyperplane of a least-order coordinate with a length below that
-order (a reparametrization such as x = t^2 + t^3, y = x^2).  Several
-branches glue: delta of a union adds the
-origin-length of the pairwise intersection scheme, branch ideals being
-recovered by elimination from their parametrizations.
+attained by the parametrization subalgebra of k[t].  Modulo t^P the
+positive part of k[p_1..p_n] is the span of the coordinates closed under
+multiplication by the coordinates, so an order-echelon basis of it,
+seeded by the unit, is grown by multiplying each representative by each
+coordinate and reducing the product into the echelon.  Representatives
+are sparse {order: coeff} dicts cut at t^P and are taken in increasing
+order, so every representative still to come has order at least the
+least pending order plus the multiplicity m: the attained orders below
+that bound are final while the rest of the window is still open.  The
+computation certifies its own answer as soon as the final part allows:
+attained orders form a numerical semigroup, so once a gap-free run of
+length m lies below the bound, every larger order is attained and the
+gap count below the run is the delta.  A smooth branch certifies after
+its first representative; the window P doubles up to the precision cap
+only when a whole window shows no such run.  No window can prove the
+opposite, so a branch is declared not primitive only on a certificate:
+when every exponent of every coordinate is divisible by some d > 1 the
+subalgebra lies in k[t^d]; and, before the precision cap is reported,
+when the branch ideal meets the hyperplane of a least-order coordinate
+with a length below that order (a reparametrization such as
+x = t^2 + t^3, y = x^2).  Several branches glue: delta of a union adds
+the origin-length of the pairwise intersection scheme, branch ideals
+being recovered by elimination from their parametrizations; a branch
+lying on an earlier one is rejected before that length is measured.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from heapq import heappop, heappush
 from math import gcd
 
 from .discrepancy import _determinant, jacobian_ideal
@@ -158,58 +165,59 @@ def is_tame(branches) -> bool:
 
 
 def _attained_orders(branch: BranchParam, precision: int):
-    """Orders attained by the parametrization subalgebra, exactly on
-    [0, precision): an order-echelon basis of the span of the
-    coordinates, closed under multiplication by each coordinate."""
+    """Orders attained by the parametrization subalgebra on
+    [0, precision), as a stream: after each echelon representative is
+    multiplied out it yields (reps, bound), where reps maps every order
+    attained so far to its representative and the orders below bound
+    are final.  The last bound is precision."""
     field = branch.ring.field
-    coords = [[(e[0], c) for e, c in p.terms.items() if e[0] < precision]
-              for p in branch.coords]
-    reps = {}
+    m = branch_multiplicity(branch)
+    coords = [
+        {e[0]: c for e, c in p.terms.items() if e[0] < precision}
+        for p in branch.coords
+    ]
+    coords = [c for c in coords if c]
+    reps = {0: {0: field.one()}}
+    pending = [0]
+    while pending:
+        rep = reps[heappop(pending)]
+        for coord in coords:
+            prod = {}
+            for e, c in coord.items():
+                for k, v in rep.items():
+                    if k + e < precision:
+                        prod[k + e] = field.add(prod.get(k + e, 0),
+                                                field.mul(v, c))
+            # reduce into the echelon; cancelled terms are dropped
+            prod = {k: c for k, c in prod.items() if c}
+            while prod:
+                order = min(prod)
+                lead = prod[order]
+                pivot = reps.get(order)
+                if pivot is None:
+                    inv = field.inv(lead)
+                    reps[order] = {k: field.mul(inv, c)
+                                   for k, c in prod.items()}
+                    heappush(pending, order)
+                    break
+                for k, c in pivot.items():
+                    c = field.sub(prod.get(k, 0), field.mul(lead, c))
+                    if c:
+                        prod[k] = c
+                    else:
+                        del prod[k]
+        yield reps, min(pending[0] + m, precision) if pending else precision
 
-    def insert(vec):
-        """Reduce vec by the echelon; a nonzero remainder becomes the
-        representative of its order, which is returned (else None)."""
-        while True:
-            order = next((i for i in range(precision) if vec[i]), None)
-            if order is None:
-                return None
-            rep = reps.get(order)
-            if rep is None:
-                inv = field.inv(vec[order])
-                reps[order] = [field.mul(inv, c) for c in vec]
-                return order
-            factor = vec[order]
-            vec = [
-                field.sub(c, field.mul(factor, rc))
-                for c, rc in zip(vec, rep)
-            ]
 
-    # the unit seeds the worklist: its products are the coordinates
-    todo = [[field.one()] + [field.zero()] * (precision - 1)]
-    while todo:
-        vec = todo.pop()
-        for terms in coords:
-            prod = [field.zero()] * precision
-            for e, c in terms:
-                for k in range(precision - e):
-                    if vec[k]:
-                        prod[k + e] = field.add(prod[k + e],
-                                                field.mul(vec[k], c))
-            order = insert(prod)
-            if order is not None:
-                todo.append(reps[order])
-    return set(reps) | {0}
-
-
-def _certified_gap_count(attained, precision: int):
-    """Gap count, or None when the window shows no multiplicity-long
-    gap-free run, or no positive order at all (then the semigroup
-    argument cannot conclude yet)."""
+def _certified_gap_count(attained, bound: int):
+    """Gap count, or None when the final part [0, bound) shows no
+    multiplicity-long gap-free run, or no positive order at all (then
+    the semigroup argument cannot conclude yet)."""
     mult = min((o for o in attained if o > 0), default=None)
     if mult is None:
         return None
     run = 0
-    for v in range(precision):
+    for v in range(bound):
         run = run + 1 if v in attained else 0
         if run >= mult:
             start = v - mult + 1
@@ -237,6 +245,11 @@ def _check_degree_one(branch: BranchParam) -> None:
 
 def _delta_single(branch: BranchParam,
                   precision_cap: int = DEFAULT_PRECISION_CAP) -> int:
+    """Delta of one branch, read off the attained-order stream at the
+    first bound whose final part holds a multiplicity-long gap-free run.
+    Windows of 32, 64, ... up to precision_cap are tried in turn; a
+    window that ends without the run is followed by the next, and the
+    last one by the degree-one check and PrecisionCapExceeded."""
     common = gcd(*(e[0] for p in branch.coords for e in p.terms))
     if common > 1:
         raise NotPrimitive(
@@ -245,10 +258,10 @@ def _delta_single(branch: BranchParam,
         )
     precision = min(32, precision_cap)
     while True:
-        attained = _attained_orders(branch, precision)
-        delta = _certified_gap_count(attained, precision)
-        if delta is not None:
-            return delta
+        for attained, bound in _attained_orders(branch, precision):
+            delta = _certified_gap_count(attained, bound)
+            if delta is not None:
+                return delta
         if precision >= precision_cap:
             _check_degree_one(branch)
             raise PrecisionCapExceeded(
@@ -288,19 +301,36 @@ def delta_invariant(branches,
     One branch: certified gap count of the attained-order semigroup.
     Several branches: single-branch deltas plus gluing lengths, where
     branch k meets the union of its predecessors in a finite scheme
-    whose origin-length is added."""
+    whose origin-length is added.  That scheme is not finite when
+    branch k lies on an earlier branch: then every generator of the
+    union pulls back to zero along it (exact, a branch being
+    irreducible), and the germ is NotMPrimary."""
     branches = _check_branches(branches)
     total = _delta_single(branches[0], precision_cap)
     if len(branches) == 1:
         return total
     ambient = _germ_ambient(branches[0])
-    union = branch_ideal(branches[0], ambient)
+    ideals = [branch_ideal(branches[0], ambient)]
+    union = ideals[0]
     for b in branches[1:]:
         total += _delta_single(b, precision_cap)
+        if _lies_on(b, union):
+            a = next(a for a, ia in zip(branches, ideals) if _lies_on(b, ia))
+            raise NotMPrimary(
+                f"branch {b.label!r} traces the curve of branch "
+                f"{a.label!r}; the two meet in a curve, not a point"
+            )
         ib = branch_ideal(b, ambient)
         total += local_vdim_origin(ideal_sum(union, ib))
-        union = intersect(union, ib)
+        ideals.append(ib)
+        if len(ideals) < len(branches):
+            union = intersect(union, ib)
     return total
+
+
+def _lies_on(branch: BranchParam, ideal: Ideal) -> bool:
+    """Every generator of the ideal pulls back to zero along the branch."""
+    return not any(_pullback(g, branch) for g in ideal.generators)
 
 
 def milnor_number(branches,

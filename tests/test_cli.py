@@ -7,6 +7,7 @@ import pathlib
 import sys
 from itertools import product
 
+import pytest
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
@@ -377,7 +378,8 @@ _coordinate = st.lists(
 ).map(_combine)
 # A reparametrization keeps the order of each coordinate, so branches
 # with different (ord x, ord y) are different curves; two copies of one
-# curve would meet in a curve, which is slow to measure.
+# curve meet in a curve, a NotMPrimary germ covered by
+# test_branch_on_an_earlier_branch_is_not_m_primary.
 _branches = st.lists(
     st.tuples(_coordinate, _coordinate), min_size=1, max_size=2,
     unique_by=lambda b: tuple(min(p, default=0) for p in b),
@@ -551,6 +553,28 @@ def test_bad_header_names_are_parse_errors(tmp_path, capsys):
         assert record["type"] == "ParseError"
         line = 2 if text.startswith("#") else 1
         assert record["message"] == f"{reason} (line {line}, column 1)"
+
+
+@pytest.mark.parametrize("branches", [
+    ("x = t^2; y = t^3", "x = t^2; y = t^3"),
+    ("x = t^2; y = t^3", "x = t^2; y = -t^3"),
+    ("x = t; y = 2*t", "x = 2*t; y = 4*t"),
+])
+def test_branch_on_an_earlier_branch_is_not_m_primary(tmp_path, capsys,
+                                                      branches):
+    # the second branch traces the first one's curve, so the two meet in
+    # a curve: no gluing length exists, whatever the precision cap
+    path = tmp_path / "twice.germ"
+    path.write_text("germ/1 over QQ vars x y\n"
+                    f"branch a: {branches[0]}\n"
+                    f"branch b: {branches[1]}\n")
+    code, payload = run_json(capsys, "local", "--input", str(path),
+                             "--precision-cap", "64")
+    assert code == 2
+    (record,) = payload["errors"]
+    assert record["type"] == "NotMPrimary"
+    assert "'a'" in record["message"] and "'b'" in record["message"]
+    assert "cap" not in record
 
 
 def test_reparametrized_branch_is_not_primitive(tmp_path, capsys):

@@ -3,9 +3,10 @@ local discrepancy routes checked against each other and against an
 independent Milnor-number computation."""
 
 import pathlib
+from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import cidcurve
@@ -41,7 +42,11 @@ from cidcurve.errors import (
     RingMismatch,
 )
 from cidcurve.cli import main
-from cidcurve.germs import _attained_orders
+from cidcurve.germs import (
+    _attained_orders,
+    _certified_gap_count,
+    _delta_single,
+)
 from cidcurve.polynomials import partial_derivative
 
 QQ = Field.rationals()
@@ -95,8 +100,11 @@ def test_e_ramification():
 
 
 def test_delta_monomial_closed_form():
-    # for coprime (a, b) the gap count is (a-1)(b-1)/2
-    for a, b in ((2, 3), (3, 4), (2, 5), (3, 5), (4, 5)):
+    # for coprime (a, b) the gap count is (a-1)(b-1)/2; the certifying
+    # run [(a-1)(b-1), (a-1)(b-1) + a) of the last three ends past the
+    # windows 64, 64 and 128, so they certify at 128, 128 and 256
+    for a, b in ((2, 3), (3, 4), (2, 5), (3, 5), (4, 5),
+                 (8, 11), (9, 11), (11, 13)):
         delta = delta_invariant([BranchParam((t**a, t**b))])
         assert delta == (a - 1) * (b - 1) // 2
 
@@ -355,7 +363,8 @@ def _brute_orders(branch, precision):
     return set(echelon) | {0}
 
 
-_FIELDS = (QQ, Field.prime_field(32003), Field.prime_field(3))
+_FIELDS = (QQ, Field.prime_field(32003), Field.prime_field(3),
+           Field.prime_field(2))
 
 
 @st.composite
@@ -378,8 +387,63 @@ def _branch_and_precision(draw):
 @given(case=_branch_and_precision())
 def test_attained_orders_match_brute_force(case):
     branch, precision = case
-    assert _attained_orders(branch, precision) == \
-        _brute_orders(branch, precision)
+    expected = _brute_orders(branch, precision)
+    # at every step the orders below the bound are already final, and
+    # the stream run to its end holds the complete window
+    for reps, bound in _attained_orders(branch, precision):
+        assert {o for o in reps if o < bound} == \
+            {o for o in expected if o < bound}
+    assert bound == precision
+    assert set(reps) == expected
+
+
+@st.composite
+def _cofinite_branch(draw):
+    """A branch whose coordinate orders have gcd 1, with a window past
+    its certificate: some coprime orders a, b generate a semigroup with
+    conductor (a-1)(b-1), which bounds the branch's, so a gap-free run
+    of multiplicity length starts at or below it."""
+    field = draw(st.sampled_from(_FIELDS))
+    ring = PolyRing(field, ("t",))
+    coords = []
+    for _ in range(draw(st.integers(1, 3))):
+        terms = draw(st.dictionaries(
+            st.integers(2, 9), st.integers(-3, 3).filter(bool),
+            min_size=1, max_size=3))
+        coords.append(ring.polynomial(
+            {(k,): field.from_int(c) for k, c in terms.items()}))
+    orders = {min(e[0] for e in p.terms) for p in coords if p}
+    assume(gcd(*orders) == 1)
+    conductor = min((a - 1) * (b - 1) for a in orders for b in orders
+                    if gcd(a, b) == 1)
+    window = conductor + 2 * min(orders) + draw(st.integers(0, 8))
+    return BranchParam(tuple(coords)), window
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(case=_cofinite_branch())
+def test_early_certificate_matches_brute_force(case):
+    branch, window = case
+    expected = _certified_gap_count(_brute_orders(branch, window), window)
+    assert expected is not None
+    assert _delta_single(branch, window) == expected
+
+
+def test_line_certifies_without_filling_the_window(monkeypatch):
+    # the unit's products settle orders 0 and 1 below the bound 2, and
+    # a gap-free run of length m = 1 certifies delta 0 there
+    streamed = []
+    real = cidcurve.germs._attained_orders
+
+    def spy(branch, precision):
+        for reps, bound in real(branch, precision):
+            streamed.append((sorted(reps), bound, precision))
+            yield reps, bound
+
+    monkeypatch.setattr(cidcurve.germs, "_attained_orders", spy)
+    five = QQ.from_int(5)
+    assert delta_invariant([BranchParam((t, t.scale(five)))]) == 0
+    assert streamed == [([0, 1], 2, 32)]
 
 
 def test_local_computes_delta_once(monkeypatch, capsys):
