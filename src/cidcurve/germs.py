@@ -62,7 +62,12 @@ from .ideals import (
     local_vdim_origin,
     quotient,
 )
-from .polynomials import Polynomial, PolyRing, partial_derivative
+from .polynomials import (
+    Polynomial,
+    PolyRing,
+    _substitute,
+    partial_derivative,
+)
 from .rng import SplitMix64
 
 DEFAULT_PRECISION_CAP = 256
@@ -329,8 +334,10 @@ def delta_invariant(branches,
 
 
 def _lies_on(branch: BranchParam, ideal: Ideal) -> bool:
-    """Every generator of the ideal pulls back to zero along the branch."""
-    return not any(_pullback(g, branch) for g in ideal.generators)
+    """Every generator of the ideal pulls back to zero along the branch,
+    exactly; the pullbacks share one table of coordinate powers and stop
+    at the first nonzero one."""
+    return not any(_pullbacks(ideal.generators, branch))
 
 
 def milnor_number(branches,
@@ -342,23 +349,25 @@ def milnor_number(branches,
 # --- multiplicities by valuation pullback ------------------------------
 
 
-def _pullback(g: Polynomial, branch: BranchParam) -> Polynomial:
-    return g.compose(branch.ring, list(branch.coords))
+def _pullbacks(gens, branch: BranchParam):
+    """The generators composed with the branch's parametrization, one
+    after another, through one table of powers of its coordinates."""
+    return _substitute(gens, branch.ring, branch.coords)
 
 
 def hs_multiplicity_pullback(gens, branches) -> int:
     """Hilbert-Samuel multiplicity of an m-primary ideal of the germ:
     per branch, the minimal pullback order over the generators; summed.
-    Exact for reduced one-dimensional germs."""
+    Exact for reduced one-dimensional germs.  Per branch, the generators
+    are pulled back through one table of the coordinates' powers, each
+    power made from the one before it."""
     gens = [g for g in gens if g]
     if not gens:
         raise EmptyInput("no generators")
     branches = _check_branches(branches)
     total = 0
     for b in branches:
-        orders = [
-            o for o in (_ord(_pullback(g, b)) for g in gens) if o is not None
-        ]
+        orders = [_ord(q) for q in _pullbacks(gens, b) if q]
         if not orders:
             raise NotMPrimary(
                 f"every generator vanishes along branch {b.label!r}"

@@ -143,16 +143,24 @@ def lt_numerator(gens, arity):
     return rec(tuple(gens))
 
 
+def _h_polynomial(numerator, arity):
+    """The numerator divided by (1 - t)^arity, as a coefficient list.
+    For a quotient of finite length that is its Hilbert function: the
+    sum is the length and the degree the socle degree.  None when some
+    division is not exact (the quotient is infinite)."""
+    for _ in range(arity):
+        numerator = _divide_one_minus_t(numerator)
+        if numerator is None:
+            return None
+    return numerator
+
+
 def count_standard_monomials(gens, arity):
     """Number of monomials outside the monomial ideal spanned by gens:
     the K-polynomial divided by (1 - t)^arity, at t = 1.  Returns None
     if infinite, when some division is not exact."""
-    num = lt_numerator(gens, arity)
-    for _ in range(arity):
-        num = _divide_one_minus_t(num)
-        if num is None:
-            return None
-    return sum(num)
+    h = _h_polynomial(lt_numerator(gens, arity), arity)
+    return None if h is None else sum(h)
 
 
 # --- series data -------------------------------------------------------

@@ -39,7 +39,7 @@ from .errors import (
 from . import hilbert as _hilbert
 from .groebner import GroebnerBasis, groebner_basis
 from .orders import Block, GREVLEX, WeightedGrevLex
-from .polynomials import Chart, Polynomial, PolyRing
+from .polynomials import Chart, Polynomial, PolyRing, _substitute
 from .rng import SplitMix64
 
 INFINITE = float("inf")
@@ -203,8 +203,9 @@ def _bayer_basis(a: Ideal, g: Polynomial):
     """The weighted-grevlex basis of J = a + (y - g) for homogeneous a
     and g of degree d, in a fresh last variable y of weight d (Bayer's
     trick; Eisenbud, Prop. 15.12), as pairs (k, f) of a basis element f
-    and the top power k of y dividing it, with the map f, k -> f / y^k
-    under y -> g.  J is weighted-homogeneous, so in weighted grevlex y
+    and the top power k of y dividing it, with the map that sends a list
+    of such pairs to the f / y^k under y -> g, all through one table of
+    powers of g.  J is weighted-homogeneous, so in weighted grevlex y
     divides a basis element exactly when it divides its leading term:
     the elements y divides, divided by y once, generate (J : y) together
     with J, and every element divided by its top power of y gives a
@@ -219,10 +220,11 @@ def _bayer_basis(a: Ideal, g: Polynomial):
     basis = groebner_basis(gens, WeightedGrevLex(weights), ring=aux)
     images = ring.variables() + [g]
 
-    def back(f, k):
-        lowered = aux.polynomial(
+    def back(pairs):
+        lowered = [aux.polynomial(
             {e[:-1] + (e[-1] - k,): c for e, c in f.terms.items()})
-        return lowered.compose(ring, images)
+            for k, f in pairs]
+        return list(_substitute(lowered, ring, images))
 
     pairs = [(min(e[-1] for e in f.terms), f) for f in basis.elements]
     return pairs, back
@@ -239,7 +241,7 @@ def _reduced(a: Ideal) -> Ideal:
 def _colon_homogeneous(a: Ideal, g: Polynomial) -> Ideal:
     """(a : g) for homogeneous a and g, from the Bayer basis."""
     pairs, back = _bayer_basis(a, g)
-    lowered = [back(f, 1) for k, f in pairs if k]
+    lowered = back((1, f) for k, f in pairs if k)
     return _reduced(Ideal(a.ring, list(a.generators) + lowered))
 
 
@@ -366,7 +368,7 @@ def _saturate_principal(a: Ideal, g: Polynomial) -> Ideal:
         return a
     if a.is_homogeneous() and g.is_homogeneous():
         pairs, back = _bayer_basis(a, g)
-        return Ideal(a.ring, [back(f, k) for k, f in pairs])
+        return Ideal(a.ring, back(pairs))
     aux = PolyRing(a.ring.field, (_fresh_name(a.ring),) + a.ring.names)
     t = aux.variable(0)
     gens = list(_relabel(a.generators, aux).generators)
@@ -462,19 +464,39 @@ def _degree_monomials(ring: PolyRing, degree: int):
 
 
 def local_vdim_origin(a: Ideal, cap: int = 256):
-    """Length of the quotient localized at the origin: vdim(a + m^N) for
-    doubling N until two consecutive values agree."""
+    """Length of the quotient localized at the origin: vdim(a + m^n) for
+    n = 2, 4, 8, ... up to cap, returned once two consecutive values
+    agree; PrecisionCapExceeded when none do.
+
+    A homogeneous a takes one grevlex basis instead, and the same cap.
+    When S/a is finite it is graded, so it lives at the origin and its
+    length is vdim(a), its h-polynomial at t = 1.  The doubling returns
+    that at n = 2N, N the least power of two >= 2 above the socle degree
+    D (the degree of the h-polynomial), since while n <= D the step to
+    2n adds H(n) > 0.  When S/a is infinite every step adds H(n) > 0,
+    and the doubling never returns."""
     if a.is_unit():
         return 0
-    previous = None
-    n = 2
-    while n <= cap:
-        truncated = Ideal(a.ring, list(a.generators) + _degree_monomials(a.ring, n))
-        value = vdim(truncated)
-        if previous is not None and value == previous:
-            return value
-        previous = value
-        n *= 2
+    if a.is_homogeneous():
+        numerator = _hilbert.hilbert_series(a).numerator
+        h = _hilbert._h_polynomial(numerator, a.ring.arity)
+        if h is not None:
+            n = 4
+            while n // 2 < len(h):
+                n *= 2
+            if n <= cap:
+                return sum(h)
+    else:
+        previous = None
+        n = 2
+        while n <= cap:
+            truncated = Ideal(a.ring, list(a.generators)
+                              + _degree_monomials(a.ring, n))
+            value = vdim(truncated)
+            if previous is not None and value == previous:
+                return value
+            previous = value
+            n *= 2
     raise PrecisionCapExceeded(
         f"local length did not stabilize up to truncation order {cap}", cap=cap
     )

@@ -264,22 +264,12 @@ class Polynomial:
         return Polynomial(self.ring, out)
 
     def compose(self, target: PolyRing, images) -> "Polynomial":
-        """Substitute images[i] (a polynomial of `target`) for variable i."""
+        """Substitute images[i] (a polynomial of `target`) for variable i,
+        by `_substitute`: each power of an image is computed once, from
+        the one before it, and the terms are summed in place."""
         if len(images) != self.ring.arity:
             raise ValueError("need one image per variable")
-        result = target.zero()
-        power_cache = [dict() for _ in images]
-        for e, c in self.terms.items():
-            term = target.constant(c)
-            for i, k in enumerate(e):
-                if k == 0:
-                    continue
-                cache = power_cache[i]
-                if k not in cache:
-                    cache[k] = images[i] ** k
-                term = term * cache[k]
-            result = result + term
-        return result
+        return next(_substitute([self], target, images))
 
     def evaluate(self, point):
         """Value at a scalar point (list of field elements)."""
@@ -323,6 +313,85 @@ class Polynomial:
 
     def __repr__(self):
         return f"<{render_polynomial(self)}>"
+
+
+# --- substitution ------------------------------------------------------
+
+
+def _times(a: dict, b: dict, p: int) -> dict:
+    """Product of two packed term dicts, reduced mod p when p > 0."""
+    out = {}
+    get = out.get
+    for ka, va in a.items():
+        for kb, vb in b.items():
+            k = ka + kb
+            out[k] = get(k, 0) + va * vb
+    if p:
+        return {k: r for k, v in out.items() if (r := v % p)}
+    return {k: v for k, v in out.items() if v}
+
+
+def _substitute(polys, target: PolyRing, images):
+    """Yield each of polys with images[i], a polynomial of `target`,
+    put for its variable i.  They share one table of image powers:
+    power k of image i is power k - 1 times image i, made the first
+    time a term asks for it.
+
+    The work is done on {packed exponent: coefficient} dicts: variable j
+    of `target` sits in the bits from j * w up, with w wide enough for
+    every exponent a product can reach, so a monomial product is an int
+    addition and, in one variable, the key is the exponent itself.
+    Every term's product is added into its polynomial's dict in place.
+    Over F_p residues are reduced as each power is stored and at the
+    end; over QQ integral coefficients work as ints, and each sum
+    becomes a Fraction at the end."""
+    for g in images:
+        if g.ring != target:
+            raise RingMismatch("substituted polynomial outside the target ring")
+    polys = list(polys)
+    p = target.field.characteristic
+
+    def raw(c):
+        return c.numerator if not p and c.denominator == 1 else c
+
+    tops = [max((k for e in g.terms for k in e), default=0) for g in images]
+    bound = max((sum(k * tops[i] for i, k in enumerate(e) if k)
+                 for f in polys for e in f.terms), default=0)
+    width = bound.bit_length()
+    shifts = [j * width for j in range(target.arity)]
+    mask = (1 << width) - 1
+    powers = [
+        [{0: 1}, {sum(k << s for k, s in zip(e, shifts)): raw(c)
+                  for e, c in g.terms.items()}]
+        for g in images
+    ]
+
+    def power(i, k):
+        table = powers[i]
+        while len(table) <= k:
+            table.append(_times(table[-1], table[1], p))
+        return table[k]
+
+    for f in polys:
+        acc = {}
+        get = acc.get
+        for e, c in f.terms.items():
+            factors = [power(i, k) for i, k in enumerate(e) if k]
+            head = {0: raw(c)}
+            for factor in factors[:-1]:
+                head = _times(head, factor, p)
+            last = factors[-1] if factors else {0: 1}
+            for kh, vh in head.items():
+                for kl, vl in last.items():
+                    k = kh + kl
+                    acc[k] = get(k, 0) + vh * vl
+        if p:
+            terms = {tuple(k >> s & mask for s in shifts): r
+                     for k, v in acc.items() if (r := v % p)}
+        else:
+            terms = {tuple(k >> s & mask for s in shifts): Fraction(v)
+                     for k, v in acc.items() if v}
+        yield Polynomial(target, terms)
 
 
 # --- printing ----------------------------------------------------------

@@ -38,3 +38,21 @@ def rnc_curve(n, field=None):
         for j in range(i + 2, n + 1):
             gens.append(x[i] * x[j] - x[i + 1] * x[j - 1])
     return CurveInput(ring, gens)
+
+
+def compose_by_powers(f, target, images):
+    """Substitution term by term, each image power by binary powering,
+    summed into a fresh polynomial per term; kept as the oracle."""
+    result = target.zero()
+    power_cache = [dict() for _ in images]
+    for e, c in f.terms.items():
+        term = target.constant(c)
+        for i, k in enumerate(e):
+            if k == 0:
+                continue
+            cache = power_cache[i]
+            if k not in cache:
+                cache[k] = images[i] ** k
+            term = term * cache[k]
+        result = result + term
+    return result

@@ -3,6 +3,7 @@ local discrepancy routes checked against each other and against an
 independent Milnor-number computation."""
 
 import pathlib
+from fractions import Fraction
 from math import gcd
 
 import pytest
@@ -13,6 +14,7 @@ import cidcurve
 from cidcurve import (
     BranchParam,
     Field,
+    GREVLEX,
     Ideal,
     PolyRing,
     branch_ideal,
@@ -46,8 +48,14 @@ from cidcurve.germs import (
     _attained_orders,
     _certified_gap_count,
     _delta_single,
+    _germ_ambient,
+    _lies_on,
+    _ord,
+    _pullbacks,
 )
 from cidcurve.polynomials import partial_derivative
+
+from conftest import compose_by_powers
 
 QQ = Field.rationals()
 T = PolyRing(QQ, ("t",))
@@ -462,3 +470,94 @@ def test_local_computes_delta_once(monkeypatch, capsys):
     assert main(["local", "--input", str(cusp)]) == 0
     capsys.readouterr()
     assert len(calls) == 1
+
+
+def test_gluing_length_builds_one_grevlex_basis(monkeypatch):
+    # five concurrent lines: every gluing ideal is homogeneous with a
+    # finite quotient, so its length is read off one grevlex basis
+    orders = []
+    real_basis = cidcurve.ideals.groebner_basis
+
+    def spy_basis(gens, order, ring=None):
+        orders.append(order)
+        return real_basis(gens, order, ring=ring)
+
+    lengths = []
+    real_length = cidcurve.germs.local_vdim_origin
+
+    def spy_length(a, cap=256):
+        start = len(orders)
+        value = real_length(a, cap)
+        lengths.append((value, orders[start:]))
+        return value
+
+    monkeypatch.setattr(cidcurve.ideals, "groebner_basis", spy_basis)
+    monkeypatch.setattr(cidcurve.germs, "local_vdim_origin", spy_length)
+    lines = [BranchParam((t, t.scale(QQ.from_int(s)))) for s in
+             (1, -2, 3, 5, 7)]
+    assert delta_invariant(lines) == 10
+    assert lengths == [(k, [GREVLEX]) for k in (1, 2, 3, 4)]
+
+
+@st.composite
+def _generators_and_branch(draw):
+    """Germ generators in 2-3 variables, zero and constants included,
+    and a branch, over QQ (with denominators), F_2 or F_3."""
+    field = draw(st.sampled_from((QQ, Field.prime_field(2),
+                                  Field.prime_field(3))))
+    arity = draw(st.integers(2, 3))
+    ring = PolyRing(field, ("x", "y", "z")[:arity])
+    gens = []
+    for _ in range(draw(st.integers(1, 4))):
+        g = ring.zero()
+        for _ in range(draw(st.integers(0, 4))):
+            exps = tuple(draw(st.integers(0, 3)) for _ in range(arity))
+            den = draw(st.integers(1, 3)) if field.is_rationals else 1
+            c = field.from_fraction(Fraction(draw(st.integers(-3, 3)), den))
+            g = g + ring.polynomial({exps: c})
+        gens.append(g)
+    t_ring = PolyRing(field, ("t",))
+    coords = []
+    for _ in range(arity):
+        p = t_ring.zero()
+        for _ in range(draw(st.integers(0, 3))):
+            c = field.from_int(draw(st.integers(-4, 4)))
+            p = p + t_ring.polynomial({(draw(st.integers(1, 6)),): c})
+        coords.append(p)
+    assume(any(coords))
+    return gens, BranchParam(tuple(coords))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(case=_generators_and_branch())
+def test_pullbacks_match_term_by_term_substitution(case):
+    gens, branch = case
+    expected = [compose_by_powers(g, branch.ring, list(branch.coords))
+                for g in gens]
+    got = list(_pullbacks(gens, branch))
+    assert [q.terms for q in got] == [q.terms for q in expected]
+    assert [_ord(q) for q in got] == [_ord(q) for q in expected]
+
+
+@pytest.mark.parametrize("field,coords", [
+    (QQ, ("t^2", "t^3")),
+    (QQ, ("t^4", "t^6 + t^7")),
+    (QQ, ("t^3", "t^4", "t^5")),
+    (QQ, ("t", "0", "2*t")),
+    (Field.prime_field(3), ("t^2", "t^3 + t^4")),
+    (Field.prime_field(2), ("t^3 + t^4", "t^5")),
+], ids=["cusp", "4_6_7", "space_3_4_5", "line_3", "cusp_f3", "branch_f2"])
+def test_lies_on_is_an_exact_zero_test(field, coords):
+    ring = PolyRing(field, ("t",))
+    branch = BranchParam(tuple(ring.parse(p) for p in coords))
+    ambient = _germ_ambient(branch)
+    own = branch_ideal(branch, ambient)
+    assert _lies_on(branch, own)
+    # adding x_i^2, x_i a nonzero coordinate, to any one generator
+    # leaves a pullback p_i^2 != 0
+    i = next(k for k, p in enumerate(branch.coords) if p)
+    bump = ambient.variable(i) ** 2
+    for k in range(len(own.generators)):
+        gens = list(own.generators)
+        gens[k] = gens[k] + bump
+        assert not _lies_on(branch, Ideal(ambient, gens))

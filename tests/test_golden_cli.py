@@ -47,8 +47,32 @@ HOMOGENEOUS = (
     "ideal C = y^2 - x*z, x*y^2 - x^2*z;\n"
     "ideal L = x;\n"
 )
+# germs whose delta glues branches: five concurrent lines over QQ (one
+# slope a fraction), three over F_p, and the coordinate axes in 3-space
+LINES5 = (
+    "germ/1 over QQ vars x y\n"
+    + "".join(f"branch l{i}: x = t; y = {s}*t\n"
+              for i, s in enumerate(("1", "-2", "3", "1/2", "5")))
+    + "ideal: (y - x)*(y + 2*x)*(y - 3*x)*(2*y - x)*(y - 5*x);\n"
+)
+LINES3_FP = (
+    "germ/1 over Fp(32003) vars x y\n"
+    "branch a: x = t; y = 7*t\n"
+    "branch b: x = t; y = 32000*t\n"
+    "branch c: x = 2*t; y = t\n"
+    "ideal: (y - 7*x)*(y + 3*x)*(2*y - x);\n"
+)
+AXES3 = (
+    "germ/1 over QQ vars x y z\n"
+    "branch a: x = t\n"
+    "branch b: y = t\n"
+    "branch c: z = t\n"
+    "ideal: x*y, x*z, y*z;\n"
+)
 WRITTEN = {"two.ring": TWO_IDEALS, "nodal.ring": NODAL,
-           "dirty_cubic.ring": DIRTY_CUBIC, "homogeneous.ring": HOMOGENEOUS}
+           "dirty_cubic.ring": DIRTY_CUBIC, "homogeneous.ring": HOMOGENEOUS,
+           "lines5.germ": LINES5, "lines3_fp.germ": LINES3_FP,
+           "axes3.germ": AXES3}
 
 
 def _jobs():
@@ -95,6 +119,10 @@ def _jobs():
             add(f"{command}-{germ}",
                 (command, "--input", str(INPUTS / f"{germ}.germ")),
                 ("json", "text"))
+    for germ in ("lines5", "lines3_fp", "axes3"):
+        add(f"local-{germ}",
+            ("local", "--input", f"{{dir}}/{germ}.germ", "--seed", "3"),
+            ("json", "text"))
 
     for op in ("sum", "product", "intersect", "quotient", "saturate",
                "saturate-irrelevant", "eliminate", "radical"):

@@ -28,7 +28,11 @@ from cidcurve import (
     vdim,
 )
 from cidcurve import ideals as ideals_module
-from cidcurve.errors import NotZeroDimensional, RingMismatch
+from cidcurve.errors import (
+    NotZeroDimensional,
+    PrecisionCapExceeded,
+    RingMismatch,
+)
 from cidcurve.ideals import colon_principal, divide_exact
 from cidcurve.orders import Block
 from cidcurve.rng import SplitMix64
@@ -498,3 +502,109 @@ def test_squarefree_part(case):
     assert not power
     # squarefree: coprime to its derivative
     assert Ideal(ring, [part, part.derivative(index)]).is_unit()
+
+
+def _doubling_local_vdim(a, cap=256):
+    """The doubling loop every ideal once took, kept as the oracle."""
+    if a.is_unit():
+        return 0
+    previous = None
+    n = 2
+    while n <= cap:
+        truncated = Ideal(a.ring, list(a.generators)
+                          + ideals_module._degree_monomials(a.ring, n))
+        value = vdim(truncated)
+        if previous is not None and value == previous:
+            return value
+        previous = value
+        n *= 2
+    raise PrecisionCapExceeded(
+        f"local length did not stabilize up to truncation order {cap}", cap=cap
+    )
+
+
+def _local_vdim_or_cap(a, cap):
+    try:
+        return local_vdim_origin(a, cap)
+    except PrecisionCapExceeded as exc:
+        return ("cap", exc.cap)
+
+
+def _oracle_or_cap(a, cap):
+    try:
+        return _doubling_local_vdim(a, cap)
+    except PrecisionCapExceeded as exc:
+        return ("cap", exc.cap)
+
+
+@st.composite
+def _local_length_cases(draw):
+    """(ideal, cap): half of the time an m-primary ideal (pure powers
+    plus forms, a power perturbed by a term of higher degree one time in
+    four), else a homogeneous one with fewer forms than variables or a
+    homogeneous monomial one, over QQ, F_32003 or F_2 in 2 or 3
+    variables."""
+    field = draw(st.sampled_from((QQ, Field.prime_field(32003),
+                                  Field.prime_field(2))))
+    ring = PolyRing(field, ("x", "y", "z")[:draw(st.integers(2, 3))])
+    n = ring.arity
+
+    def monomial(degree):
+        exps = [0] * n
+        for _ in range(degree):
+            exps[draw(st.integers(0, n - 1))] += 1
+        return ring.polynomial({tuple(exps): field.one()})
+
+    def form(degree):
+        f = ring.zero()
+        for _ in range(draw(st.integers(1, 3))):
+            c = draw(st.sampled_from((1, -1, 2, 3, -3)))
+            f = f + monomial(degree) * ring.from_int(c)
+        return f
+
+    kind = draw(st.sampled_from(("m_primary", "positive_dim", "monomial",
+                                 "m_primary")))
+    if kind == "m_primary":
+        gens = []
+        for i, v in enumerate(ring.variables()):
+            d = draw(st.integers(1, 3))
+            power = v**d
+            if draw(st.integers(0, 3)) == 0:
+                power = power + monomial(d + 1)
+            gens.append(power)
+        gens += [form(draw(st.integers(1, 3)))
+                 for _ in range(draw(st.integers(0, 2)))]
+    elif kind == "positive_dim":
+        gens = [form(draw(st.integers(1, 3)))
+                for _ in range(draw(st.integers(1, n - 1)))]
+    else:
+        gens = [monomial(draw(st.integers(1, 4)))
+                for _ in range(draw(st.integers(1, n + 1)))]
+    cap = draw(st.sampled_from((256, 16, 4, 2, 1)))
+    if cap == 256 and n == 3 and kind != "m_primary":
+        # the oracle runs to the cap on an infinite quotient, and m^256
+        # in three variables makes that too slow to repeat
+        cap = 16
+    return Ideal(ring, gens), cap
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(case=_local_length_cases())
+def test_local_vdim_origin_matches_the_doubling_loop(case):
+    a, cap = case
+    assert _local_vdim_or_cap(a, cap) == _oracle_or_cap(a, cap)
+
+
+def test_local_vdim_origin_caps_where_the_doubling_did():
+    ring = PolyRing(QQ, ("x", "y"))
+    x, y = ring.variables()
+    cases = [(Ideal(ring, [x**128, y]), 256, 128),
+             (Ideal(ring, [x**129, y]), 256, ("cap", 256)),
+             (Ideal(ring, [x**3, y]), 8, 3),
+             (Ideal(ring, [x**3, y]), 4, ("cap", 4)),
+             # socle degree 0 still takes two doublings
+             (Ideal(ring, [x, y]), 4, 1),
+             (Ideal(ring, [x, y]), 2, ("cap", 2))]
+    for a, cap, expected in cases:
+        assert _local_vdim_or_cap(a, cap) == expected
+        assert _oracle_or_cap(a, cap) == expected

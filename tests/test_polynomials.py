@@ -14,7 +14,14 @@ from cidcurve.errors import (
     RingMismatch,
     UnknownVariable,
 )
-from cidcurve.polynomials import dehomogenize, homogenize, partial_derivative
+from cidcurve.polynomials import (
+    _substitute,
+    dehomogenize,
+    homogenize,
+    partial_derivative,
+)
+
+from conftest import compose_by_powers
 
 QQ = Field.rationals()
 F5 = Field.prime_field(5)
@@ -178,3 +185,57 @@ def test_evaluate():
 
 def test_parse_polynomial_function():
     assert parse_polynomial(R, "x*y - z") == R.variable(0) * R.variable(1) - R.variable(2)
+
+
+def _ring_of(field, arity, stem):
+    return PolyRing(field, tuple(f"{stem}{i}" for i in range(arity)))
+
+
+@st.composite
+def _random_polynomial(draw, ring, max_terms=4, max_exp=4):
+    """Zero, a constant, or up to max_terms terms; over QQ the
+    coefficients carry denominators up to 4."""
+    field = ring.field
+    f = ring.zero()
+    shape = draw(st.sampled_from(("terms", "terms", "terms", "zero",
+                                  "constant")))
+    if shape == "zero":
+        return f
+    for _ in range(1 if shape == "constant" else
+                   draw(st.integers(1, max_terms))):
+        exps = (0,) * ring.arity if shape == "constant" else tuple(
+            draw(st.integers(0, max_exp)) for _ in range(ring.arity))
+        num = draw(st.integers(-5, 5))
+        den = draw(st.integers(1, 4)) if field.is_rationals else 1
+        f = f + ring.polynomial({exps: field.from_fraction(Fraction(num,
+                                                                    den))})
+    return f
+
+
+@st.composite
+def _substitutions(draw):
+    """(polys, target, images) in 1-4 source and target variables over
+    QQ, F_2 or F_3; small characteristics make terms cancel."""
+    field = draw(st.sampled_from((QQ, Field.prime_field(2),
+                                  Field.prime_field(3))))
+    source = _ring_of(field, draw(st.integers(1, 4)), "x")
+    target = _ring_of(field, draw(st.integers(1, 4)), "u")
+    images = [draw(_random_polynomial(target, max_terms=3, max_exp=3))
+              for _ in range(source.arity)]
+    polys = [draw(_random_polynomial(source))
+             for _ in range(draw(st.integers(1, 3)))]
+    return polys, target, images
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(case=_substitutions())
+def test_compose_matches_term_by_term_substitution(case):
+    polys, target, images = case
+    expected = [compose_by_powers(f, target, images) for f in polys]
+    for f, want in zip(polys, expected):
+        got = f.compose(target, images)
+        assert got.ring == target
+        assert got.terms == want.terms
+    # one shared power table for several polynomials
+    batch = list(_substitute(polys, target, images))
+    assert [g.terms for g in batch] == [w.terms for w in expected]
