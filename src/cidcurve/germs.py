@@ -39,9 +39,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from heapq import heappop, heappush
+from itertools import combinations
 from math import gcd
 
-from .discrepancy import _determinant, jacobian_ideal
+from .discrepancy import _determinant, _minors, jacobian_ideal
 from .errors import (
     DerivativeVanishes,
     EmptyInput,
@@ -532,7 +533,13 @@ def e_jacobian_single_minor(Z_germ, branches, seed: int = 0) -> int:
     """Cross-check for the Jacobian multiplicity: after a seeded random
     triangular change of coordinates, the single minor obtained by
     deleting the first Jacobian column already computes it (for a
-    sufficiently general change)."""
+    sufficiently general change).
+
+    With x = U x', U the unipotent change, the moved Jacobian along the
+    moved branch is J(p(t)) U, so the minor is det(J U[:, 1..k]) for k
+    generators, pulled back along the branches as given.  Cauchy-Binet
+    expands it as the sum over k-subsets S of the coordinates of
+    det(U[S, 1..k]) times the Jacobian minor on the columns S."""
     Z_gens = [g for g in Z_germ if g]
     if not Z_gens:
         raise EmptyInput("no complete-intersection generators")
@@ -542,30 +549,18 @@ def e_jacobian_single_minor(Z_germ, branches, seed: int = 0) -> int:
     n = ring.arity
     rng = SplitMix64(seed ^ 0x51_4C7A)
     # x_i -> x_i + sum_{j > i} c_ij x_j: unipotent, hence invertible
-    upper = {
-        (i, j): field.from_int(rng.unit_coefficient())
-        for i in range(n) for j in range(i + 1, n)
-    }
-    images = []
+    change = [[ring.one() if i == j else ring.zero() for j in range(n)]
+              for i in range(n)]
     for i in range(n):
-        expr = ring.variable(i)
         for j in range(i + 1, n):
-            expr = expr + ring.variable(j).scale(upper[(i, j)])
-        images.append(expr)
-    moved = [g.compose(ring, images) for g in Z_gens]
-    # the parametrization transforms by the inverse substitution,
-    # solved by back-substitution from the last coordinate
-    new_branches = []
-    for b in branches:
-        q = list(b.coords)
-        for i in range(n - 1, -1, -1):
-            expr = b.coords[i]
-            for j in range(i + 1, n):
-                expr = expr - q[j].scale(upper[(i, j)])
-            q[i] = expr
-        new_branches.append(BranchParam(tuple(q), label=b.label))
-    rows = [
-        [partial_derivative(g, j) for j in range(1, n)] for g in moved
-    ]
-    minor = _determinant(rows)
-    return hs_multiplicity_pullback([minor], new_branches)
+            change[i][j] = ring.constant(
+                field.from_int(rng.unit_coefficient()))
+    k = len(Z_gens)
+    subsets = list(combinations(range(n), k))
+    jacobian = [[partial_derivative(g, j) for j in range(n)] for g in Z_gens]
+    minors = _minors(jacobian, [(tuple(range(k)), s) for s in subsets])
+    minor = ring.zero()
+    for s, m in zip(subsets, minors):
+        weight = _determinant([change[i][1:k + 1] for i in s])
+        minor = minor + weight * m
+    return hs_multiplicity_pullback([minor], branches)

@@ -262,10 +262,14 @@ def colon_principal(a: Ideal, g: Polynomial) -> Ideal:
 
 
 def quotient(a: Ideal, b: Ideal) -> Ideal:
-    """(a : b) as the intersection of single-generator quotients."""
+    """(a : b) as the intersection of single-generator quotients.  A
+    generator of b that lies in a has the unit ideal as its quotient,
+    the identity of the intersection, so it is skipped."""
     if a.ring != b.ring:
         raise RingMismatch("ideal quotient across different rings")
-    parts = [colon_principal(a, g) for g in b.generators]
+    gb_a = a.gb()
+    parts = [colon_principal(a, g) for g in b.generators
+             if not gb_a.contains(g)]
     if not parts:
         return Ideal(a.ring, [a.ring.one()])
     result = parts[0]

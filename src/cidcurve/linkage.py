@@ -13,40 +13,40 @@ of exact tests (expected dimension, reducedness along the input curve,
 existence of a measuring hyperplane, and the double-link identity that
 coloning W back out of Z recovers X).  Every test is read off the
 grevlex Hilbert series of an ideal at hand: a dimension or a finiteness
-is its Krull dimension, and the double link compares two Hilbert
-polynomials.  A failing attempt is discarded and redrawn; persistent
-double-link failure is reported as evidence that the input curve is not
-generically a complete intersection.
+is its Krull dimension, and the double link is the degree and genus
+relation that linkage by Z fixes between X and W, read off their
+Hilbert polynomials with no second colon.  A failing attempt is
+discarded and redrawn; persistent double-link failure is reported as
+evidence that the input curve is not generically a complete
+intersection.
 
 Certification derives I_Z, the residual I_W = (I_Z : I_X) and the
 Jacobian scheme of Z on X; the accepted witness carries all three, so
 the discrepancy routes and the genus report read them instead of
-deriving them again.  Both linkage colons, I_W and the double-link
-colon (I_Z : I_W), are certified by the degree linkage fixes (see
-`ideals.colon_certified`).
+deriving them again.  The one linkage colon, I_W, is certified by the
+degree linkage fixes (see `ideals.colon_certified`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
+from math import prod
 
-from .discrepancy import jacobian_ideal, residual
+from .discrepancy import _linkage_genus_holds, jacobian_ideal, residual
 from .errors import (
     EmptyInput,
     ExhaustedCandidates,
     InputError,
     MaxAttemptsExceeded,
     NotACurve,
-    NotContained,
     NotGenericallyCI,
     NotHomogeneous,
-    NotLinear,
     NotZeroDimensional,
     RingMismatch,
     WrongCharacteristic,
 )
-from .hilbert import hilbert_polynomial, krull_dimension
-from .ideals import Ideal, colon_certified, ideal_sum
+from .hilbert import hilbert_series, krull_dimension
+from .ideals import Ideal, ideal_sum
 from .polynomials import Polynomial, PolyRing
 from .rng import SplitMix64
 
@@ -164,16 +164,16 @@ def witness_to_dict(witness: CIWitness) -> dict:
 
 
 def construct_ci(curve: CurveInput, seed: int = 0, max_attempts: int = 24,
-                 coeff_matrix=None, ells=None) -> CIWitness:
+                 coeff_matrix=None) -> CIWitness:
     """Linking complete intersection with one fresh auxiliary linear
     form per elimination stage."""
-    return _construct(curve, seed, max_attempts, coeff_matrix, ells,
+    return _construct(curve, seed, max_attempts, coeff_matrix,
                       transversal=False)
 
 
 def construct_ci_transversal(curve: CurveInput, seed: int = 0,
-                             max_attempts: int = 24, coeff_matrix=None,
-                             ells=None) -> CIWitness:
+                             max_attempts: int = 24,
+                             coeff_matrix=None) -> CIWitness:
     """Variant sharing a single general linear form across every row, so
     that for a reduced local complete intersection curve the residual
     meets it transversally.  Requires characteristic zero."""
@@ -181,20 +181,8 @@ def construct_ci_transversal(curve: CurveInput, seed: int = 0,
         raise WrongCharacteristic(
             "the shared-form variant requires characteristic zero"
         )
-    return _construct(curve, seed, max_attempts, coeff_matrix, ells,
+    return _construct(curve, seed, max_attempts, coeff_matrix,
                       transversal=True)
-
-
-def _validate_ells(curve: CurveInput, ells, expected: int):
-    ells = tuple(ells)
-    if len(ells) != expected:
-        raise InputError(f"expected {expected} linear forms, got {len(ells)}")
-    for ell in ells:
-        if ell.ring != curve.ring:
-            raise RingMismatch("auxiliary form lives in a different ring")
-        if not ell.is_linear_form():
-            raise NotLinear(f"auxiliary form {ell} is not linear")
-    return ells
 
 
 def _validate_coeffs(curve: CurveInput, coeff_matrix):
@@ -282,7 +270,7 @@ def _plane_curve_witness(curve: CurveInput, seed: int,
 
 
 def _construct(curve: CurveInput, seed: int, max_attempts: int,
-               coeff_matrix, ells_arg, transversal: bool) -> CIWitness:
+               coeff_matrix, transversal: bool) -> CIWitness:
     if max_attempts < 1:
         raise InputError(
             f"max_attempts must be at least 1, not {max_attempts}")
@@ -294,29 +282,25 @@ def _construct(curve: CurveInput, seed: int, max_attempts: int,
             "complete-intersection forms"
         )
     n_ells = 1 if transversal else curve.n - 2
-    if ells_arg is not None:
-        ells_arg = _validate_ells(curve, ells_arg, n_ells)
     if coeff_matrix is not None:
         coeff_matrix = _validate_coeffs(curve, coeff_matrix)
 
     i_x = curve.ideal()
-    gb_x = i_x.gb()
-    dim_x = krull_dimension(i_x)
-    if dim_x != 2:
-        raise NotACurve(f"projective dimension is {dim_x - 1}, not 1")
+    data_x = hilbert_series(i_x)
+    if data_x.krull_dim != 2:
+        raise NotACurve(
+            f"projective dimension is {data_x.krull_dim - 1}, not 1")
+    degrees = curve.degrees[: curve.n - 1]
+    sigma = sum(d - 1 for d in degrees)
     tallies = {name: 0 for name in TEST_NAMES}
     attempts_allowed = 1 if coeff_matrix is not None else max_attempts
 
     for attempt in range(1, attempts_allowed + 1):
         rng = SplitMix64(seed).derive(attempt)
-        ells = ells_arg if ells_arg is not None else _draw_ells(
-            curve, rng, n_ells)
+        ells = _draw_ells(curve, rng, n_ells)
         coeffs = coeff_matrix if coeff_matrix is not None else _draw_coeffs(
             curve, rng)
         F = _combine_rows(curve, ells, coeffs, transversal)
-        for f in F:
-            if not gb_x.contains(f):
-                raise NotContained(f"witness form {f} is not in I_X")
         tests = {}
 
         def record(name, verdict):
@@ -350,17 +334,17 @@ def _construct(curve: CurveInput, seed: int, max_attempts: int,
             continue
 
         i_w = residual(i_z, i_x, seed=seed ^ attempt)
-        back = colon_certified(i_z, i_w, seed=seed ^ attempt)
-        # back = I_X^sat, decided by Hilbert polynomials alone.  I_Z is
-        # a complete intersection, hence saturated, so back = (I_Z : I_W)
-        # is saturated too.  I_X * I_W lies in I_Z, so back contains I_X
-        # and with it I_X^sat.  Saturated ideals J' ⊇ J with the same
-        # Hilbert polynomial are equal (J'/J vanishes in high degrees),
-        # and I_X has the Hilbert polynomial of I_X^sat.  Both series
-        # are cached already: back's by the degree certificate, I_X's
-        # by the curve check above.
+        # I_W is a colon into the unmixed I_Z, so it is unmixed, and
+        # back = (I_Z : I_W) is linked to W by Z: linkage fixes its
+        # Hilbert polynomial from W's (Peskine-Szpiro 1974).  back has
+        # I_X's Hilbert polynomial, which is back = I_X^sat, exactly when
+        # deg X + deg W = prod d_i and the linkage genus relation holds.
+        # Both series are cached: I_X's by the curve check above, I_W's
+        # by the degree certificate of its colon.
+        data_w = hilbert_series(i_w)
         if not record("double_link",
-                      hilbert_polynomial(back) == hilbert_polynomial(i_x)):
+                      data_x.degree + data_w.degree == prod(degrees)
+                      and _linkage_genus_holds(data_x, data_w, sigma)):
             continue
 
         return CIWitness(F=F, ells=ells, coeffs=coeffs, h=h, seed=seed,

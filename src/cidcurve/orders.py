@@ -1,12 +1,13 @@
 """Monomial orders on exponent tuples.
 
-Each order exposes two views of the same comparison.  `key` (bigger key
-means bigger monomial) serves max() and sort.  `fields` is a linear map
-from exponents to a tuple of signed ints whose lexicographic order is the
+Each order is one view of its comparison: `fields` is a linear map from
+exponents to a tuple of signed ints whose lexicographic order is the
 monomial order: fields(a + b) == fields(a) + fields(b) componentwise.
-Linearity is what lets `groebner.Packing` store each monomial as one int,
-with the fields in the high bits and the plain exponents below them, so
-that a shift is an addition and a comparison is an int comparison.
+`Polynomial.leading` and `sorted_terms` compare those tuples, and
+linearity is what lets `groebner.Packing` store each monomial as one
+int, with the fields in the high bits and the plain exponents below
+them, so that a shift is an addition and a comparison is an int
+comparison.
 
 Every order here is total, multiplicative and has 1 as least element (the
 weighted one needs positive weights); the property tests exercise exactly
@@ -18,10 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 
-def _grevlex_key(exps):
-    return (sum(exps), tuple(-e for e in reversed(exps)))
-
-
 def _grevlex_fields(exps):
     return (sum(exps),) + tuple(-e for e in reversed(exps))
 
@@ -30,9 +27,6 @@ def _grevlex_fields(exps):
 class Lex:
     name = "lex"
 
-    def key(self, exps):
-        return exps
-
     def fields(self, exps):
         return tuple(exps)
 
@@ -40,9 +34,6 @@ class Lex:
 @dataclass(frozen=True)
 class GrevLex:
     name = "grevlex"
-
-    def key(self, exps):
-        return _grevlex_key(exps)
 
     def fields(self, exps):
         return _grevlex_fields(exps)
@@ -59,10 +50,6 @@ class Block:
     def name(self):
         return f"block({self.split})"
 
-    def key(self, exps):
-        s = self.split
-        return (_grevlex_key(exps[:s]), _grevlex_key(exps[s:]))
-
     def fields(self, exps):
         s = self.split
         return _grevlex_fields(exps[:s]) + _grevlex_fields(exps[s:])
@@ -77,10 +64,6 @@ class WeightedGrevLex:
     its only user."""
 
     weights: tuple
-
-    def key(self, exps):
-        return (sum(w * e for w, e in zip(self.weights, exps)),
-                tuple(-e for e in reversed(exps)))
 
     def fields(self, exps):
         return ((sum(w * e for w, e in zip(self.weights, exps)),)

@@ -233,13 +233,13 @@ class Polynomial:
         """(exponent tuple, coefficient) of the largest monomial."""
         if not self.terms:
             raise ValueError("zero polynomial has no leading term")
-        key = order.key
-        e = max(self.terms, key=key)
+        e = max(self.terms, key=order.fields)
         return e, self.terms[e]
 
     def sorted_terms(self, order=GREVLEX):
-        key = order.key
-        return sorted(self.terms.items(), key=lambda item: key(item[0]), reverse=True)
+        fields = order.fields
+        return sorted(self.terms.items(), key=lambda item: fields(item[0]),
+                      reverse=True)
 
     def coefficient_of(self, exps):
         return self.terms.get(tuple(exps), self.ring.field.zero())

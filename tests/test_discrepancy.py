@@ -388,8 +388,8 @@ def test_genus_reads_certified_witness(monkeypatch, capsys):
     assert code == 0
     witness = payload["result"]["witness"]
     assert all(witness["tests"].values())
-    # W = (I_Z : I_X) and the back colon (I_Z : I_W), per attempt
-    assert len(colons) == 2 * witness["attempts"]
+    # W = (I_Z : I_X) per attempt, and no back colon (I_Z : I_W)
+    assert len(colons) == witness["attempts"]
     builds = [args for args in jacobians
               if [str(g) for g in args[0]] == witness["forms"]]
     assert len(builds) == 1

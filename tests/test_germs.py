@@ -4,6 +4,7 @@ independent Milnor-number computation."""
 
 import pathlib
 from fractions import Fraction
+from itertools import product
 from math import gcd
 
 import pytest
@@ -53,7 +54,9 @@ from cidcurve.germs import (
     _ord,
     _pullbacks,
 )
+from cidcurve.discrepancy import _determinant
 from cidcurve.polynomials import partial_derivative
+from cidcurve.rng import SplitMix64
 
 from conftest import compose_by_powers
 
@@ -286,6 +289,83 @@ def test_single_minor_cross_check():
         [branch],
     )
     assert e_jacobian_single_minor(list(z_germ), [branch], seed=0) == full
+
+
+def _moved_single_minor(Z_germ, branches, seed=0):
+    """The single minor by moving the germ: Z composed with the seeded
+    unipotent change, each branch back-substituted into the new
+    coordinates, and the first Jacobian column deleted; kept as the
+    oracle."""
+    Z_gens = [g for g in Z_germ if g]
+    if not Z_gens:
+        raise EmptyInput("no complete-intersection generators")
+    ring = Z_gens[0].ring
+    field = ring.field
+    n = ring.arity
+    rng = SplitMix64(seed ^ 0x51_4C7A)
+    upper = {
+        (i, j): field.from_int(rng.unit_coefficient())
+        for i in range(n) for j in range(i + 1, n)
+    }
+    images = []
+    for i in range(n):
+        expr = ring.variable(i)
+        for j in range(i + 1, n):
+            expr = expr + ring.variable(j).scale(upper[(i, j)])
+        images.append(expr)
+    moved = [g.compose(ring, images) for g in Z_gens]
+    new_branches = []
+    for b in branches:
+        q = list(b.coords)
+        for i in range(n - 1, -1, -1):
+            expr = b.coords[i]
+            for j in range(i + 1, n):
+                expr = expr - q[j].scale(upper[(i, j)])
+            q[i] = expr
+        new_branches.append(BranchParam(tuple(q), label=b.label))
+    rows = [[partial_derivative(g, j) for j in range(1, n)] for g in moved]
+    return hs_multiplicity_pullback([_determinant(rows)], new_branches)
+
+
+@st.composite
+def _ci_germ_and_branches(draw):
+    """Up to n - 1 random generators in n = 2 or 3 variables, now and
+    then a zero one, and one or two branches in the same coordinates."""
+    field = draw(st.sampled_from(_FIELDS + (Field.prime_field(5),)))
+    n = draw(st.integers(2, 3))
+    ring = PolyRing(field, ("x", "y", "z")[:n])
+    monomials = [e for e in product(range(4), repeat=n) if 1 <= sum(e) <= 3]
+    coefficient = st.integers(-3, 3).map(field.from_int).filter(bool)
+    gens = [ring.polynomial(draw(st.dictionaries(
+        st.sampled_from(monomials), coefficient, min_size=1, max_size=3)))
+        for _ in range(draw(st.integers(1, n - 1)))]
+    if draw(st.integers(0, 7)) == 0:
+        gens[0] = ring.zero()
+    branch_ring = PolyRing(field, ("t",))
+    branches = []
+    for _ in range(draw(st.integers(1, 2))):
+        coords = [branch_ring.polynomial(draw(st.dictionaries(
+            st.integers(1, 6).map(lambda k: (k,)), coefficient,
+            max_size=2))) for _ in range(n)]
+        if all(not p for p in coords):
+            coords[0] = branch_ring.variable(0)
+        branches.append(BranchParam(tuple(coords)))
+    return gens, branches, draw(st.integers(0, 2**16))
+
+
+def _value_or_error(fn, *args):
+    try:
+        return fn(*args)
+    except (EmptyInput, NotMPrimary) as err:
+        return type(err)
+
+
+@settings(max_examples=160, deadline=None, derandomize=True)
+@given(case=_ci_germ_and_branches())
+def test_single_minor_matches_the_moved_germ(case):
+    gens, branches, seed = case
+    assert _value_or_error(e_jacobian_single_minor, gens, branches, seed) \
+        == _value_or_error(_moved_single_minor, gens, branches, seed)
 
 
 def test_char_p_ramification():

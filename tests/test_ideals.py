@@ -109,6 +109,28 @@ def test_quotient_examples():
     assert quotient(ideal(x), ideal(x)).is_unit()
 
 
+def test_quotient_skips_generators_already_in_the_ideal(monkeypatch):
+    # (a : g) is the unit ideal for g in a, so only the other generators
+    # take a principal colon; the result is the full intersection's
+    ring = ring3()
+    x, y, z = ring.variables()
+    a = ideal(x * y, x * z**2)
+    divisors = []
+    real = ideals_module.colon_principal
+
+    def spy(a, g):
+        divisors.append(g)
+        return real(a, g)
+
+    monkeypatch.setattr(ideals_module, "colon_principal", spy)
+    assert quotient(a, ideal(x * y, x * y * z + x * z**2)).is_unit()
+    assert divisors == []
+    colon = quotient(a, ideal(x * y, z, x))
+    assert divisors == [z, x]
+    assert ideal_equal(colon, intersect(real(a, z), real(a, x)))
+    assert ideal_equal(colon, a)
+
+
 def test_colon_certified_matches_quotient():
     ring = ring3()
     for seed in (3, 5):

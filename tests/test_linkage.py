@@ -11,6 +11,7 @@ from cidcurve import (
     colon_certified,
     construct_ci,
     construct_ci_transversal,
+    hilbert_polynomial,
     ideal_equal,
     ideal_sum,
     intersect,
@@ -230,39 +231,54 @@ def _unsaturated_twisted_cubic():
     return CurveInput(ring, [v * g for v in ring.variables() for g in gens])
 
 
+FP = Field.prime_field(32003)
 DOUBLE_LINK_CURVES = dict(
     {name: make for name, make in WITNESS_CURVES.items()
      if name != "fermat_cubic"},
     line_with_embedded_point=_line_with_embedded_point,
     unsaturated_twisted_cubic=_unsaturated_twisted_cubic,
+    twisted_cubic_fp=lambda: rnc_curve(3, FP),
+    rnc4_fp=lambda: rnc_curve(4, FP),
+    skew_lines=lambda: _ring_curve(
+        P3, [f"({u})*({v})" for u in ("x0 - 2*x2", "x1 - 3*x3")
+             for v in ("x2 - 5*x0", "x3 - 7*x1")]),
+    concurrent_lines=lambda: _ring_curve(P3, ["x1*x2", "x1*x3", "x2*x3"]),
+    rational_quartic=lambda: _ring_curve(
+        P3, ["x0*x3 - x1*x2", "x1^3 - x0^2*x2", "x2^3 - x1*x3^2",
+             "x0*x2^2 - x1^2*x3"]),
 )
 
 
 @pytest.mark.parametrize("name", sorted(DOUBLE_LINK_CURVES))
 def test_double_link_verdict_matches_saturated_comparison(name, monkeypatch):
-    # the verdict compares Hilbert polynomials; the oracle compares the
-    # double-link colon with the saturation of I_X itself
+    # the verdict is read off the Hilbert data of I_X and I_W; the oracle
+    # computes the double-link colon back = (I_Z : I_W) and compares it
+    # with I_X by Hilbert polynomial and with the saturation of I_X
     curve = DOUBLE_LINK_CURVES[name]()
-    sat_x = saturate_irrelevant(curve.ideal())
-    backs = []
+    i_x = curve.ideal()
+    sat_x = saturate_irrelevant(i_x)
+    links = []
 
     def spy(a, b, seed=0):
-        back = colon_certified(a, b, seed=seed)
-        backs.append(back)
-        return back
+        i_w = residual(a, b, seed=seed)
+        links.append((a, i_w, seed))
+        return i_w
 
-    monkeypatch.setattr(linkage, "colon_certified", spy)
+    monkeypatch.setattr(linkage, "residual", spy)
     verdicts = []
     for seed in range(4):
-        backs.clear()
+        links.clear()
         try:
             verdict = construct_ci(curve, seed=seed,
                                    max_attempts=1).tests["double_link"]
         except (NotGenericallyCI, MaxAttemptsExceeded) as err:
             verdict = err.failures["double_link"] == 0
-        if not backs:
+        if not links:
             continue  # an earlier test rejected the draw
-        assert verdict == ideal_equal(backs[0], sat_x)
+        i_z, i_w, link_seed = links[0]
+        back = colon_certified(i_z, i_w, seed=link_seed)
+        assert verdict == (hilbert_polynomial(back) == hilbert_polynomial(i_x))
+        assert verdict == ideal_equal(back, sat_x)
         verdicts.append(verdict)
     assert verdicts
     assert set(verdicts) == {name != "line_with_embedded_point"}

@@ -2,7 +2,7 @@
 packing of monomials into ints that the Groebner core compares, shifts
 and divides.
 
-Orders expose an ascending sort key; `less` below compares keys.
+`less` below compares the `fields` tuples that `Packing` packs.
 """
 
 import pytest
@@ -21,7 +21,7 @@ IDS = ["grevlex", "lex", "block(1)", "wgrevlex(1,1,3)", "wgrevlex(2,1,1)"]
 
 
 def less(order, a, b):
-    return order.key(a) < order.key(b)
+    return order.fields(a) < order.fields(b)
 
 
 @pytest.mark.parametrize("order", ORDERS, ids=IDS)
