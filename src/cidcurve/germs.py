@@ -120,16 +120,32 @@ def branch_multiplicity(branch: BranchParam) -> int:
     return min(o for o in (_ord(p) for p in branch.coords) if o is not None)
 
 
-def _check_branches(branches):
+def _check_branches(branches, arity=None):
+    """The branches as a list, all in one parameter ring and with one
+    number of coordinates: `arity`, the germ ring's, when given."""
     branches = list(branches)
     if not branches:
         raise EmptyInput("no branches given")
-    arity = branches[0].arity
     ring = branches[0].ring
+    if arity is None:
+        arity = branches[0].arity
     for b in branches:
-        if b.arity != arity or b.ring != ring:
-            raise RingMismatch("branches disagree in ring or coordinates")
+        if b.ring != ring:
+            raise RingMismatch("branches disagree in ring")
+        if b.arity != arity:
+            raise RingMismatch(
+                f"a branch has {b.arity} coordinates, not {arity}")
     return branches
+
+
+def _check_ci_count(Z_gens, n: int) -> None:
+    """A complete-intersection germ in n variables has n - 1 nonzero
+    generators."""
+    if len(Z_gens) != n - 1:
+        raise InputError(
+            f"a complete-intersection germ needs {n - 1} generators, "
+            f"got {len(Z_gens)}"
+        )
 
 
 def germ_multiplicity(branches) -> int:
@@ -437,15 +453,11 @@ def cid_local_multiplicities(X_ideal, branches, Z_germ,
     X_gens = [g for g in X_ideal if g]
     if not X_gens:
         raise EmptyInput("no germ ideal generators")
-    branches = _check_branches(branches)
     ring = X_gens[0].ring
     n = ring.arity
+    branches = _check_branches(branches, n)
     Z_gens = [g for g in Z_germ if g]
-    if len(Z_gens) != n - 1:
-        raise InputError(
-            f"a complete-intersection germ needs {n - 1} generators, "
-            f"got {len(Z_gens)}"
-        )
+    _check_ci_count(Z_gens, n)
     gb_x = Ideal(ring, X_gens).gb()
     for g in Z_gens:
         if not gb_x.contains(g):
@@ -537,16 +549,19 @@ def e_jacobian_single_minor(Z_germ, branches, seed: int = 0) -> int:
 
     With x = U x', U the unipotent change, the moved Jacobian along the
     moved branch is J(p(t)) U, so the minor is det(J U[:, 1..k]) for k
-    generators, pulled back along the branches as given.  Cauchy-Binet
+    generators, pulled back along the branches as given, for the n - 1
+    generators of a complete intersection in n variables and branches
+    with n coordinates.  Cauchy-Binet
     expands it as the sum over k-subsets S of the coordinates of
     det(U[S, 1..k]) times the Jacobian minor on the columns S."""
     Z_gens = [g for g in Z_germ if g]
     if not Z_gens:
         raise EmptyInput("no complete-intersection generators")
-    branches = _check_branches(branches)
     ring = Z_gens[0].ring
     field = ring.field
     n = ring.arity
+    _check_ci_count(Z_gens, n)
+    branches = _check_branches(branches, n)
     rng = SplitMix64(seed ^ 0x51_4C7A)
     # x_i -> x_i + sum_{j > i} c_ij x_j: unipotent, hence invertible
     change = [[ring.one() if i == j else ring.zero() for j in range(n)]

@@ -21,7 +21,19 @@ divides by inverses directly.
 Pair management follows Gebauer-Moeller on packed lcms: the
 coprimality and chain criteria prune S-pairs at insertion time, and the
 normal selection strategy (minimal lcm degree, then the order's
-comparison, then indices) picks the next pair.  Output bases are
+comparison, then indices) picks the next pair.
+
+A caller that knows the Hilbert series of S/J for homogeneous J may pass
+its K-polynomial as a target.  The K-polynomial of the leading monomials
+of G is then kept up to date, one new leading monomial at a time, and
+the pair loop stops once it equals the target: G lies in J and LT(G) in
+LT(J), so S/LT(G) has at least the series of S/LT(J), which is that of
+S/J, in every degree; equal series make LT(G) = LT(J), so G is already a
+basis and every pair left would reduce to zero (Traverso, "Hilbert
+functions and the Buchberger algorithm", JSC 22, 1996).  A target that
+is only a lower bound of the series is safe for the same reason; one
+that is never reached leaves plain Buchberger.  Interreduction runs as
+before, so the output does not depend on the target.  Output bases are
 reduced, monic and listed in ascending leading-monomial order, which
 makes them unique for the ideal and order, hence byte-identical across
 runs.
@@ -35,6 +47,7 @@ from fractions import Fraction
 from math import gcd
 
 from .errors import RingMismatch
+from .hilbert import lt_numerator_extend
 from .orders import GREVLEX
 from .polynomials import Polynomial, PolyRing
 
@@ -322,21 +335,33 @@ def _update_pairs(pairs, lms, t, packing):
     return survivors
 
 
-def _buchberger(gens, packing, char):
+def _buchberger(gens, packing, char, target=None):
     """Reduced basis of packed integer dicts, as (lm, dict) pairs in
     ascending order; raises `_FieldOverflow` when a new monomial does
-    not fit the packing."""
+    not fit the packing.  With a `target` K-polynomial (see
+    `groebner_basis`) the K-polynomial of the leading monomials is kept
+    up to date, and the pair loop stops once it reaches the target."""
     lms = []  # leading exponent tuples, for the pair criteria
     reducer = _Reducer(packing, char)
     entries = reducer.entries
+    if target is not None:
+        target = list(target)
+        weights = getattr(packing.order, "weights", None)
+        memo = {}
+    numerator = [1]
 
     def insert(s, pairs):
+        nonlocal numerator
         r, _ = reducer.reduce(s)
         if not r:
             return pairs
         r = r if char else _strip_content(r)
         lm = next(iter(r))
-        lms.append(packing.unpack(lm))
+        exps = packing.unpack(lm)
+        if target is not None:
+            numerator = lt_numerator_extend(numerator, lms, exps, weights,
+                                            memo)
+        lms.append(exps)
         reducer.add(lm, r)
         return _update_pairs(pairs, lms, len(lms) - 1, packing)
 
@@ -344,6 +369,8 @@ def _buchberger(gens, packing, char):
     for g in gens:
         pairs = insert(g, pairs)
     while pairs:
+        if target is not None and numerator == target:
+            break
         _, l, i, j = heapq.heappop(pairs)
         s = _spoly(entries[i], entries[j], l, packing.guard, char)
         if s:
@@ -413,7 +440,16 @@ class GroebnerBasis:
         return not self.normal_form(f)
 
 
-def groebner_basis(gens, order=GREVLEX, ring: PolyRing = None) -> GroebnerBasis:
+def groebner_basis(gens, order=GREVLEX, ring: PolyRing = None,
+                   target=None) -> GroebnerBasis:
+    """The reduced basis of the ideal J the gens generate.  `target`, if
+    given, is the K-polynomial of S/J (its Hilbert series times
+    prod (1 - t^w_i)) for homogeneous gens, in the grading that gives
+    variable i the degree w_i = order.weights[i] for a weighted order
+    and 1 otherwise; a coefficientwise lower bound of that series
+    serves too.  Buchberger then stops as soon as the leading monomials
+    reach it (see the module docstring).  The basis is the same either
+    way."""
     gens = [g for g in gens if g]
     if ring is None:
         if not gens:
@@ -429,7 +465,7 @@ def groebner_basis(gens, order=GREVLEX, ring: PolyRing = None) -> GroebnerBasis:
         try:
             reduced = _buchberger(
                 [{packing.pack(e): c for e, c in d.items()} for d in int_gens],
-                packing, char)
+                packing, char, target)
             break
         except _FieldOverflow:
             packing = Packing(order, ring.arity, 2 * packing.bits)

@@ -20,6 +20,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import factorial
+from operator import le
 
 from .errors import NotACurve, NotHomogeneous
 from .orders import GREVLEX
@@ -29,6 +31,8 @@ from .orders import GREVLEX
 
 
 def _poly_mul(a, b):
+    if not a or not b:
+        return []
     out = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
         if x:
@@ -85,33 +89,46 @@ def minimalize(gens):
     gens = sorted(set(gens), key=lambda e: (sum(e), e))
     out = []
     for g in gens:
-        if not any(all(x <= y for x, y in zip(h, g)) for h in out):
+        for h in out:
+            if all(map(le, h, g)):
+                break
+        else:
             out.append(g)
     return out
 
 
-def lt_numerator(gens, arity):
-    """K-polynomial numerator of S/M for the monomial ideal M, as an
-    integer coefficient list in t."""
-    memo = {}
+def lt_numerator(gens, arity, weights=None, memo=None):
+    """K-polynomial numerator of S/M for the monomial ideal M, as a
+    trimmed integer coefficient list in t: the Hilbert series of S/M times
+    prod (1 - t^w_i), variable i of degree w_i = weights[i] (1 for
+    every variable by default).  Pure powers of distinct variables
+    contribute prod (1 - t^(w_i e_i)); otherwise a pivot variable x
+    splits M by K(M) = K(M + (x)) + t^w_x K(M : x).  Subproblems are
+    kept in `memo`, which callers may share across calls on related
+    ideals with the same weights."""
+    if weights is None:
+        weights = (1,) * arity
+    if memo is None:
+        memo = {}
 
-    def rec(gen_set):
-        key = frozenset(gen_set)
+    def rec(gens_m):
+        # gens_m is a minimal generating set
+        key = frozenset(gens_m)
         hit = memo.get(key)
         if hit is not None:
             return hit
-        gens_m = minimalize(gen_set)
         if not gens_m:
             result = [1]
-        elif any(sum(g) == 0 for g in gens_m):
-            result = [0]
+        elif not all(map(any, gens_m)):
+            result = []
         else:
-            mixed = [g for g in gens_m if sum(1 for e in g if e) >= 2]
+            mixed = [g for g in gens_m if arity - g.count(0) >= 2]
             if not mixed:
                 # pure powers of distinct variables: Koszul product
                 result = [1]
                 for g in gens_m:
-                    factor = [0] * (sum(g) + 1)
+                    top = sum(w * e for w, e in zip(weights, g))
+                    factor = [0] * (top + 1)
                     factor[0] = 1
                     factor[-1] = -1
                     result = _poly_mul(result, factor)
@@ -122,25 +139,40 @@ def lt_numerator(gens, arity):
                         if e:
                             counts[i] += 1
                 pivot = max(range(arity), key=lambda i: counts[i])
-                # branch: add (x_pivot)
                 px = tuple(1 if i == pivot else 0 for i in range(arity))
-                plus = [g for g in gens_m if g[pivot] == 0] + [px]
-                # branch: colon by x_pivot
-                colon = []
-                for g in gens_m:
-                    if g[pivot] > 0:
-                        h = list(g)
-                        h[pivot] -= 1
-                        colon.append(tuple(h))
-                    else:
-                        colon.append(g)
-                result = _poly_trim(
-                    _poly_add(rec(tuple(plus)), _poly_shift(rec(tuple(colon)), 1))
-                )
+                kept = [g for g in gens_m if not g[pivot]]
+                lowered = [g[:pivot] + (g[pivot] - 1,) + g[pivot + 1:]
+                           for g in gens_m if g[pivot]]
+                # M + (x) is minimal as it stands.  In M : x a lowered
+                # generator divides no other one, and no kept one
+                # divides it, as gens_m is minimal; only the lowered
+                # ones free of x can divide kept ones
+                free = [h for h in lowered if not h[pivot]]
+                colon = lowered + [
+                    g for g in kept
+                    if not any(all(map(le, h, g)) for h in free)]
+                result = _poly_trim(_poly_add(
+                    rec([px] + kept),
+                    _poly_shift(rec(colon), weights[pivot])))
         memo[key] = result
         return result
 
-    return rec(tuple(gens))
+    return rec(minimalize(gens))
+
+
+def lt_numerator_extend(numerator, gens, m, weights=None, memo=None):
+    """K-polynomial of S/(M + (m)) from `numerator`, that of S/M for the
+    monomial ideal M the exponent tuples `gens` generate:
+    K(M + (m)) = K(M) - t^(w.m) K(M : m), and M : m is generated by the
+    g / gcd(g, m).  `weights` and `memo` are as for `lt_numerator`;
+    one memo serves a chain of extensions."""
+    arity = len(m)
+    if weights is None:
+        weights = (1,) * arity
+    colon = [tuple(a - b if a > b else 0 for a, b in zip(g, m)) for g in gens]
+    step = _poly_shift(lt_numerator(colon, arity, weights, memo),
+                       sum(w * e for w, e in zip(weights, m)))
+    return _poly_trim(_poly_add(numerator, [-c for c in step]))
 
 
 def _h_polynomial(numerator, arity):
@@ -179,23 +211,6 @@ class HilbertData:
     hilbert_poly: tuple  # power-basis coefficients, constant first
 
 
-def _binomial_poly(shift, k):
-    """C(mu + shift, k) as power-basis Fraction coefficients in mu."""
-    coeffs = [Fraction(1)]
-    for i in range(k):
-        # multiply by (mu + shift - i)
-        lin = [Fraction(shift - i), Fraction(1)]
-        out = [Fraction(0)] * (len(coeffs) + 1)
-        for a, c in enumerate(coeffs):
-            out[a] += c * lin[0]
-            out[a + 1] += c * lin[1]
-        coeffs = out
-    from math import factorial
-
-    f = Fraction(1, factorial(k))
-    return [c * f for c in coeffs]
-
-
 def data_from_numerator(numerator, arity) -> HilbertData:
     num = _poly_trim(list(numerator))
     if not num:
@@ -219,16 +234,21 @@ def data_from_numerator(numerator, arity) -> HilbertData:
         p_a = Fraction(1)
         e_term = None
     else:
-        hp_list = [Fraction(0)] * krull
+        # P(mu) = sum_j q_j C(mu + k - j, k), k = krull - 1: sum the
+        # products prod_(i < k) (mu + k - j - i) in integers, then
+        # divide by k! once
+        k = krull - 1
+        scaled = [0] * krull
         for j, c in enumerate(q):
             if c:
-                term = _binomial_poly(krull - 1 - j, krull - 1)
+                term = [1]
+                for i in range(k):
+                    term = _poly_mul(term, [k - j - i, 1])
                 for a, v in enumerate(term):
-                    hp_list[a] += c * v
-        hp = tuple(hp_list)
+                    scaled[a] += c * v
+        hp = tuple(Fraction(v, factorial(k)) for v in scaled)
         degree = _poly_eval_one(q)
-        p0 = hp_list[0]
-        p_a = Fraction(1) - p0
+        p_a = Fraction(1) - hp[0]
         e_term = Fraction(_poly_derivative_at_one(q)) if krull == 2 else None
     return HilbertData(tuple(num), krull, proj_dim, degree, e_term, p_a, hp)
 

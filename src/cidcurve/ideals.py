@@ -70,10 +70,13 @@ class Ideal:
         self._gb_cache = {}
         self._data_cache = {}
 
-    def gb(self, order=GREVLEX) -> GroebnerBasis:
+    def gb(self, order=GREVLEX, target=None) -> GroebnerBasis:
+        """The reduced basis in `order`, computed once; `target` is
+        handed to `groebner_basis` when the basis is computed."""
         cached = self._gb_cache.get(order)
         if cached is None:
-            cached = groebner_basis(self.generators, order, ring=self.ring)
+            cached = groebner_basis(self.generators, order, ring=self.ring,
+                                    target=target)
             self._gb_cache[order] = cached
         return cached
 
@@ -210,14 +213,26 @@ def _bayer_basis(a: Ideal, g: Polynomial):
     the elements y divides, divided by y once, generate (J : y) together
     with J, and every element divided by its top power of y gives a
     basis of (J : y^infinity).  Mapping y to g sends J onto a, (J : y)
-    onto (a : g) and (J : y^infinity) onto (a : g^infinity)."""
+    onto (a : g) and (J : y^infinity) onto (a : g^infinity).
+
+    The same map is a graded isomorphism S[y]/J -> S/a, so S[y]/J has
+    a's Hilbert series, and its K-polynomial over (1 - t)^n (1 - t^d) is
+    a's times (1 - t^d).  When a's series is cached, that is the target
+    at which Buchberger stops (Traverso 1996)."""
     ring = a.ring
     aux = PolyRing(ring.field, ring.names + (_fresh_name(ring, "y"),))
     y = aux.variable(ring.arity)
     gens = list(_relabel(a.generators, aux).generators)
     gens.append(y - _relabel([g], aux).generators[0])
-    weights = (1,) * ring.arity + (g.total_degree(),)
-    basis = groebner_basis(gens, WeightedGrevLex(weights), ring=aux)
+    d = g.total_degree()
+    data = a._data_cache.get("hilbert")
+    target = None
+    if data is not None:
+        target = _hilbert._poly_mul(data.numerator,
+                                    [1] + [0] * (d - 1) + [-1])
+    weights = (1,) * ring.arity + (d,)
+    basis = groebner_basis(gens, WeightedGrevLex(weights), ring=aux,
+                           target=target)
     images = ring.variables() + [g]
 
     def back(pairs):

@@ -45,8 +45,9 @@ from .errors import (
     RingMismatch,
     WrongCharacteristic,
 )
-from .hilbert import hilbert_series, krull_dimension
+from .hilbert import ci_hilbert_data, hilbert_series, krull_dimension
 from .ideals import Ideal, ideal_sum
+from .orders import GREVLEX
 from .polynomials import Polynomial, PolyRing
 from .rng import SplitMix64
 
@@ -269,6 +270,23 @@ def _plane_curve_witness(curve: CurveInput, seed: int,
                      tests=tests, transversal=transversal)
 
 
+def _is_complete_intersection(i_z: Ideal) -> bool:
+    """Whether the n - 1 nonzero forms generating i_z cut out a curve.
+
+    n - 1 forms force dimension >= 2, so <= 2 is the whole test.  Forms
+    of degrees d_i have at least the series of a complete intersection,
+    prod (1 - t^d_i) / (1 - t)^(n + 1), in every degree: the degree-k
+    part of the ideal is the image of (a_i) -> sum a_i F_i, whose rank
+    is largest for generic forms, and generic forms are a regular
+    sequence.  So that series is a lower bound at which the grevlex
+    basis may stop, and reaching it proves the forms a regular
+    sequence; forms that are not one never reach it, and their basis
+    runs to the end."""
+    degrees = [f.total_degree() for f in i_z.generators]
+    i_z.gb(GREVLEX, target=ci_hilbert_data(degrees, i_z.ring.arity).numerator)
+    return krull_dimension(i_z) <= 2
+
+
 def _construct(curve: CurveInput, seed: int, max_attempts: int,
                coeff_matrix, transversal: bool) -> CIWitness:
     if max_attempts < 1:
@@ -309,9 +327,8 @@ def _construct(curve: CurveInput, seed: int, max_attempts: int,
             return verdict
 
         i_z = Ideal(curve.ring, list(F))
-        # n-1 forms force dimension >= 2, so <= 2 is the whole test
         if not record("complete_intersection",
-                      all(F) and krull_dimension(i_z) <= 2):
+                      all(F) and _is_complete_intersection(i_z)):
             continue
 
         jac = jacobian_ideal(F, curve.n - 1, ambient=i_x)

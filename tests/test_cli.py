@@ -166,9 +166,9 @@ def test_genus_computes_no_block_basis(monkeypatch, capsys):
     orders = []
     real = cidcurve.groebner.groebner_basis
 
-    def spy(gens, order=cidcurve.GREVLEX, ring=None):
+    def spy(gens, order=cidcurve.GREVLEX, ring=None, target=None):
         orders.append(order)
-        return real(gens, order, ring=ring)
+        return real(gens, order, ring=ring, target=target)
 
     for module in list(sys.modules.values()):
         if getattr(module, "__name__", "").startswith("cidcurve") and \

@@ -291,6 +291,21 @@ def test_single_minor_cross_check():
     assert e_jacobian_single_minor(list(z_germ), [branch], seed=0) == full
 
 
+def test_single_minor_checks_its_input():
+    fx = Y**2 - X**3
+    cusp = BranchParam((t**2, t**3))
+    # the plane needs one generator, not two
+    with pytest.raises(InputError):
+        e_jacobian_single_minor([fx, Y], [cusp], seed=0)
+    # a branch in space does not live in the plane
+    with pytest.raises(RingMismatch):
+        e_jacobian_single_minor([fx], [BranchParam((t**2, t**3, t**4))],
+                                seed=0)
+    with pytest.raises(RingMismatch):
+        e_jacobian_single_minor([fx], [cusp, BranchParam((t, t, t))],
+                                seed=0)
+
+
 def _moved_single_minor(Z_germ, branches, seed=0):
     """The single minor by moving the germ: Z composed with the seeded
     unipotent change, each branch back-substituted into the new
@@ -302,6 +317,8 @@ def _moved_single_minor(Z_germ, branches, seed=0):
     ring = Z_gens[0].ring
     field = ring.field
     n = ring.arity
+    if len(Z_gens) != n - 1:
+        raise InputError(f"{len(Z_gens)} generators in {n} variables")
     rng = SplitMix64(seed ^ 0x51_4C7A)
     upper = {
         (i, j): field.from_int(rng.unit_coefficient())
@@ -329,8 +346,8 @@ def _moved_single_minor(Z_germ, branches, seed=0):
 
 @st.composite
 def _ci_germ_and_branches(draw):
-    """Up to n - 1 random generators in n = 2 or 3 variables, now and
-    then a zero one, and one or two branches in the same coordinates."""
+    """n - 1 random generators in n = 2 or 3 variables, now and then a
+    zero one, and one or two branches in the same coordinates."""
     field = draw(st.sampled_from(_FIELDS + (Field.prime_field(5),)))
     n = draw(st.integers(2, 3))
     ring = PolyRing(field, ("x", "y", "z")[:n])
@@ -338,7 +355,7 @@ def _ci_germ_and_branches(draw):
     coefficient = st.integers(-3, 3).map(field.from_int).filter(bool)
     gens = [ring.polynomial(draw(st.dictionaries(
         st.sampled_from(monomials), coefficient, min_size=1, max_size=3)))
-        for _ in range(draw(st.integers(1, n - 1)))]
+        for _ in range(n - 1)]
     if draw(st.integers(0, 7)) == 0:
         gens[0] = ring.zero()
     branch_ring = PolyRing(field, ("t",))
@@ -356,7 +373,7 @@ def _ci_germ_and_branches(draw):
 def _value_or_error(fn, *args):
     try:
         return fn(*args)
-    except (EmptyInput, NotMPrimary) as err:
+    except (InputError, NotMPrimary) as err:
         return type(err)
 
 
@@ -558,9 +575,9 @@ def test_gluing_length_builds_one_grevlex_basis(monkeypatch):
     orders = []
     real_basis = cidcurve.ideals.groebner_basis
 
-    def spy_basis(gens, order, ring=None):
+    def spy_basis(gens, order, ring=None, target=None):
         orders.append(order)
-        return real_basis(gens, order, ring=ring)
+        return real_basis(gens, order, ring=ring, target=target)
 
     lengths = []
     real_length = cidcurve.germs.local_vdim_origin

@@ -4,10 +4,25 @@ against an independent computer-algebra system."""
 import pytest
 import sympy
 
-from cidcurve import GREVLEX, LEX, Field, PolyRing, groebner_basis, is_member, normal_form
-from cidcurve import groebner
+from cidcurve import (
+    GREVLEX,
+    LEX,
+    Field,
+    Ideal,
+    PolyRing,
+    construct_ci,
+    groebner_basis,
+    is_member,
+    krull_dimension,
+    normal_form,
+    saturate_irrelevant,
+)
+from cidcurve import groebner, ideals, linkage
+from cidcurve.hilbert import ci_hilbert_data
 from cidcurve.orders import Block, WeightedGrevLex
 from cidcurve.rng import SplitMix64
+
+from conftest import rnc_curve, twisted_cubic_gens
 
 QQ = Field.rationals()
 
@@ -254,3 +269,113 @@ def test_pair_criteria_keep_the_spoly_count(name, order, field,
     groebner_basis(SPOLY_IDEALS[name](ring), order=SPOLY_ORDERS[order],
                    ring=ring)
     assert len(calls) == SPOLY_COUNTS[name, order]
+
+
+# --- the Hilbert-driven stop -------------------------------------------
+
+
+def _targeted_bases(monkeypatch, run):
+    """The groebner_basis calls that `run()` makes through the ideal
+    layer with a target, as (gens, order, ring, target)."""
+    calls = []
+    real = ideals.groebner_basis
+
+    def spy(gens, order=GREVLEX, ring=None, target=None):
+        if target is not None:
+            calls.append((list(gens), order, ring, target))
+        return real(gens, order, ring=ring, target=target)
+
+    monkeypatch.setattr(ideals, "groebner_basis", spy)
+    run()
+    monkeypatch.undo()
+    return calls
+
+
+def _spolys(monkeypatch, gens, order, ring, target=None):
+    """The basis and the number of S-polynomials it formed."""
+    count = 0
+    real = groebner._spoly
+
+    def spoly(*args):
+        nonlocal count
+        count += 1
+        return real(*args)
+
+    monkeypatch.setattr(groebner, "_spoly", spoly)
+    basis = groebner_basis(gens, order, ring=ring, target=target)
+    monkeypatch.undo()
+    return basis.elements, count
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+@pytest.mark.parametrize("field", [QQ, Field.prime_field(32003)],
+                         ids=["QQ", "Fp"])
+def test_hilbert_stop_keeps_the_linkage_bases(n, field, monkeypatch):
+    # the I_Z test basis (grevlex, the complete-intersection series)
+    # and the residual colon's Bayer basis (weighted, I_Z's series
+    # times 1 - t^d) are the same with and without their targets, and
+    # each stops before its pair queue runs out
+    calls = _targeted_bases(
+        monkeypatch, lambda: construct_ci(rnc_curve(n, field), seed=0))
+    assert sorted(type(order).__name__ for _, order, _, _ in calls) == [
+        "GrevLex", "WeightedGrevLex"]
+    for gens, order, ring, target in calls:
+        with_target, count = _spolys(monkeypatch, gens, order, ring, target)
+        without, full = _spolys(monkeypatch, gens, order, ring)
+        assert with_target == without
+        assert count < full
+
+
+def test_hilbert_stop_keeps_the_irrelevant_saturation(monkeypatch):
+    # saturate_irrelevant reads a's series first, so its Bayer bases
+    # stop at a's series times 1 - t
+    ring = PolyRing(QQ, ("x0", "x1", "x2", "x3"))
+    gens = twisted_cubic_gens(ring)
+    dirty = Ideal(ring, [v * g for v in ring.variables() for g in gens])
+    calls = _targeted_bases(monkeypatch, lambda: saturate_irrelevant(dirty))
+    assert calls
+    for gens, order, ring_y, target in calls:
+        assert isinstance(order, WeightedGrevLex)
+        assert (_spolys(monkeypatch, gens, order, ring_y, target)[0]
+                == _spolys(monkeypatch, gens, order, ring_y)[0])
+
+
+@pytest.mark.parametrize("forms", [
+    ["x0*x1", "x0*x2"],                       # a plane and a line
+    ["(x0 + x1)*x2", "(x0 + x1)*(x3^2 + x1*x2)"],  # a common factor
+    ["x0^2", "x0*x1", "x1^2"],                # a double line
+], ids=["plane_plus_line", "common_factor", "double_line"])
+def test_hilbert_stop_undershoot_runs_plain_buchberger(forms, monkeypatch):
+    # forms that are not a regular sequence never reach the
+    # complete-intersection series, a lower bound of theirs: the pair
+    # queue runs to its end, to the same basis and, for the n - 1 = 2
+    # forms of a linkage draw in P^3, the same verdict
+    ring = PolyRing(QQ, ("x0", "x1", "x2", "x3"))
+    gens = [ring.parse(f) for f in forms]
+    target = ci_hilbert_data([g.total_degree() for g in gens], 4).numerator
+    with_target, count = _spolys(monkeypatch, gens, GREVLEX, ring, target)
+    without, full = _spolys(monkeypatch, gens, GREVLEX, ring)
+    assert with_target == without
+    assert count == full
+    if len(gens) == 2:
+        i_z = Ideal(ring, gens)
+        assert not linkage._is_complete_intersection(i_z)
+        assert i_z.gb().elements == without
+        assert krull_dimension(Ideal(ring, gens)) == 3
+
+
+# _Reducer.reduce calls in construct_ci(rnc_curve(5), seed=0) over QQ:
+# 508 when every basis runs its pair queue to the end, 465 with the
+# Hilbert-driven stop
+def test_hilbert_stop_reduces_fewer_pairs_on_rnc5(monkeypatch):
+    count = 0
+    real = groebner._Reducer.reduce
+
+    def reduce(self, d, scale=1):
+        nonlocal count
+        count += 1
+        return real(self, d, scale)
+
+    monkeypatch.setattr(groebner._Reducer, "reduce", reduce)
+    construct_ci(rnc_curve(5), seed=0)
+    assert count <= 465

@@ -19,7 +19,12 @@ from cidcurve import (
     vdim,
 )
 from cidcurve.errors import NotACurve
-from cidcurve.hilbert import ci_hilbert_data, count_standard_monomials
+from cidcurve.hilbert import (
+    ci_hilbert_data,
+    count_standard_monomials,
+    lt_numerator,
+    lt_numerator_extend,
+)
 from cidcurve.rng import SplitMix64
 
 from conftest import twisted_cubic_gens
@@ -193,3 +198,47 @@ def test_vdim_matches_staircase_enumeration(field):
         lms = [g.leading()[0] for g in a.gb().elements]
         top = max(max(m) for m in lms) + 1
         assert vdim(a) == brute_box_count(lms, 3, top)
+
+
+def brute_weighted_dimension(gens, weights, degree):
+    """Monomials of weighted degree `degree` that no generator divides,
+    by direct enumeration of the weighted staircase."""
+    ranges = [range(degree // w + 1) for w in weights]
+    return sum(
+        1 for exps in product(*ranges)
+        if sum(w * e for w, e in zip(weights, exps)) == degree
+        and not any(all(g <= e for g, e in zip(gen, exps)) for gen in gens)
+    )
+
+
+def series_coefficients(numerator, weights, top):
+    """The first top + 1 coefficients of numerator / prod (1 - t^w)."""
+    coeffs = [0] * (top + 1)
+    for k, c in enumerate(numerator[:top + 1]):
+        coeffs[k] = c
+    for w in weights:
+        for k in range(w, top + 1):
+            coeffs[k] += coeffs[k - w]
+    return coeffs
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_weighted_lt_numerator_matches_the_staircase(seed):
+    rng = SplitMix64(0x3E16 + seed)
+    for arity in (1, 2, 3, 4):
+        weights = tuple(rng.randint(1, 3) for _ in range(arity))
+        gens = random_monomial_ideal(rng, arity, rng.randint(0, 1) == 1)
+        numerator = lt_numerator(gens, arity, weights)
+        top = 14
+        assert series_coefficients(numerator, weights, top) == [
+            brute_weighted_dimension(gens, weights, k)
+            for k in range(top + 1)]
+        # one generator at a time, through one memo, to the same value
+        memo = {}
+        grown = [1]
+        for i, gen in enumerate(gens):
+            grown = lt_numerator_extend(grown, gens[:i], gen, weights, memo)
+        assert grown == numerator
+        # unit weights are the standard grading
+        assert lt_numerator(gens, arity, (1,) * arity) == lt_numerator(
+            gens, arity)

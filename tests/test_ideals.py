@@ -203,9 +203,9 @@ def test_colon_certified_mixed_degrees(monkeypatch):
     orders = []
     real = ideals_module.groebner_basis
 
-    def spy(gens, order, ring=None):
+    def spy(gens, order, ring=None, target=None):
         orders.append(order)
-        return real(gens, order, ring=ring)
+        return real(gens, order, ring=ring, target=target)
 
     monkeypatch.setattr(ideals_module, "groebner_basis", spy)
     result = colon_certified(a, b, seed=4)
