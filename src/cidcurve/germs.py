@@ -8,31 +8,26 @@ multiplicities of m-primary ideals, and the delta invariant, from which
 the Milnor number and the local complete-intersection discrepancy
 follow.
 
-The delta invariant of one branch is the gap count of the set of orders
-attained by the parametrization subalgebra of k[t].  Modulo t^P the
-positive part of k[p_1..p_n] is the span of the coordinates closed under
-multiplication by the coordinates, so an order-echelon basis of it,
-seeded by the unit, is grown by multiplying each representative by each
-coordinate and reducing the product into the echelon.  Representatives
-are sparse {order: coeff} dicts cut at t^P and are taken in increasing
-order, so every representative still to come has order at least the
-least pending order plus the multiplicity m: the attained orders below
-that bound are final while the rest of the window is still open.  The
-computation certifies its own answer as soon as the final part allows:
-attained orders form a numerical semigroup, so once a gap-free run of
-length m lies below the bound, every larger order is attained and the
-gap count below the run is the delta.  A smooth branch certifies after
-its first representative; the window P doubles up to the precision cap
-only when a whole window shows no such run.  No window can prove the
-opposite, so a branch is declared not primitive only on a certificate:
-when every exponent of every coordinate is divisible by some d > 1 the
-subalgebra lies in k[t^d]; and, before the precision cap is reported,
-when the branch ideal meets the hyperplane of a least-order coordinate
-with a length below that order (a reparametrization such as
-x = t^2 + t^3, y = x^2).  Several branches glue: delta of a union adds
-the origin-length of the pairwise intersection scheme, branch ideals
-being recovered by elimination from their parametrizations; a branch
-lying on an earlier one is rejected before that length is measured.
+The delta invariant is the colength of the germ's local ring O in its
+normalization, the direct sum of k[[t]] over the r branches (Serre,
+Groupes algebriques et corps de classes, ch. IV).  Modulo t^P, O is the
+span of the unit vector closed under multiplication by the coordinate
+vectors, so an echelon basis over the positions e*r + i (order e on
+branch i) is grown by multiplying each representative by each
+coordinate and reducing the product.  Representatives are taken in
+increasing position and a product gains at least the least branch
+multiplicity in order, so the low positions are final while the window
+is still open.  Delta is certified at the first N where every position
+of order N <= e < N + m_i on each branch i is attained: t^N k[[t]] on
+every branch then lies in O, and delta counts the positions missing
+below N.  For one branch that is a gap-free run of length m in the
+value semigroup.  The window P doubles up to the precision cap.  No
+window proves the opposite, so a germ that never certifies is judged
+only on certificates: a branch whose exponents share a factor d > 1, or
+that meets the hyperplane of a least-order coordinate with a length
+below that order (a reparametrization such as x = t^2 + t^3, y = x^2),
+is not primitive; a branch on the implicit curve of an earlier branch
+that maps only t = 0 to the origin is that branch again.
 """
 
 from __future__ import annotations
@@ -59,7 +54,6 @@ from .ideals import (
     eliminate,
     ideal_equal,
     ideal_sum,
-    intersect,
     local_vdim_origin,
     quotient,
 )
@@ -186,41 +180,45 @@ def is_tame(branches) -> bool:
 # --- delta invariant ---------------------------------------------------
 
 
-def _attained_orders(branch: BranchParam, precision: int):
-    """Orders attained by the parametrization subalgebra on
-    [0, precision), as a stream: after each echelon representative is
-    multiplied out it yields (reps, bound), where reps maps every order
-    attained so far to its representative and the orders below bound
-    are final.  The last bound is precision."""
-    field = branch.ring.field
-    m = branch_multiplicity(branch)
-    coords = [
-        {e[0]: c for e, c in p.terms.items() if e[0] < precision}
-        for p in branch.coords
-    ]
-    coords = [c for c in coords if c]
-    reps = {0: {0: field.one()}}
+def _attained_orders(branches, precision: int):
+    """Positions e*r + i (order e on branch i) attained by O modulo
+    t^precision, as a stream: after each echelon representative is
+    multiplied out it yields (reps, bound), where reps maps every position
+    attained so far to its representative and the positions of order below
+    bound are final.  The last bound is precision."""
+    field = branches[0].ring.field
+    r = len(branches)
+    step = min(branch_multiplicity(b) for b in branches)
+    limit = precision * r
+    # coordinate j as a vector: per branch, its terms shifted to e*r
+    coords = []
+    for j in range(branches[0].arity):
+        vector = [[(e[0] * r, c) for e, c in b.coords[j].terms.items()
+                   if e[0] < precision] for b in branches]
+        if any(vector):
+            coords.append(vector)
+    reps = {0: {i: field.one() for i in range(r)}}
     pending = [0]
     while pending:
         rep = reps[heappop(pending)]
         for coord in coords:
             prod = {}
-            for e, c in coord.items():
-                for k, v in rep.items():
-                    if k + e < precision:
-                        prod[k + e] = field.add(prod.get(k + e, 0),
+            for k, v in rep.items():
+                for s, c in coord[k % r]:
+                    if k + s < limit:
+                        prod[k + s] = field.add(prod.get(k + s, 0),
                                                 field.mul(v, c))
             # reduce into the echelon; cancelled terms are dropped
             prod = {k: c for k, c in prod.items() if c}
             while prod:
-                order = min(prod)
-                lead = prod[order]
-                pivot = reps.get(order)
+                position = min(prod)
+                lead = prod[position]
+                pivot = reps.get(position)
                 if pivot is None:
                     inv = field.inv(lead)
-                    reps[order] = {k: field.mul(inv, c)
-                                   for k, c in prod.items()}
-                    heappush(pending, order)
+                    reps[position] = {k: field.mul(inv, c)
+                                      for k, c in prod.items()}
+                    heappush(pending, position)
                     break
                 for k, c in pivot.items():
                     c = field.sub(prod.get(k, 0), field.mul(lead, c))
@@ -228,22 +226,30 @@ def _attained_orders(branch: BranchParam, precision: int):
                         prod[k] = c
                     else:
                         del prod[k]
-        yield reps, min(pending[0] + m, precision) if pending else precision
+        yield reps, (min(pending[0] // r + step, precision) if pending
+                     else precision)
 
 
-def _certified_gap_count(attained, bound: int):
-    """Gap count, or None when the final part [0, bound) shows no
-    multiplicity-long gap-free run, or no positive order at all (then
-    the semigroup argument cannot conclude yet)."""
-    mult = min((o for o in attained if o > 0), default=None)
-    if mult is None:
-        return None
-    run = 0
-    for v in range(bound):
-        run = run + 1 if v in attained else 0
-        if run >= mult:
-            start = v - mult + 1
-            return sum(1 for u in range(start) if u not in attained)
+def _conductor_delta(branches, precision: int):
+    """Delta certified in the window [0, precision), or None.  J_N, the
+    sum of the t^N k[[t]], lies in O once the positions of order
+    N <= e < N + m_i on each branch i are attained and final: their
+    representatives span J_N modulo m J_N, the sum of the t^(N + m_i)
+    k[[t]], so J_N lies in O + m^k J_N for every k, and O holds its
+    conductor.  No position from order N on is then missing, so N is one
+    above the last missing order and delta is the missing count."""
+    r = len(branches)
+    top = max(branch_multiplicity(b) for b in branches)
+    gaps = start = scanned = 0
+    for reps, bound in _attained_orders(branches, precision):
+        for e in range(scanned, bound):
+            for position in range(e * r, e * r + r):
+                if position not in reps:
+                    gaps += 1
+                    start = e + 1
+        scanned = bound
+        if start + top <= bound:
+            return gaps
     return None
 
 
@@ -263,35 +269,6 @@ def _check_degree_one(branch: BranchParam) -> None:
             f"but meets its hyperplane with length {length}; the "
             f"parametrization is not primitive"
         )
-
-
-def _delta_single(branch: BranchParam,
-                  precision_cap: int = DEFAULT_PRECISION_CAP) -> int:
-    """Delta of one branch, read off the attained-order stream at the
-    first bound whose final part holds a multiplicity-long gap-free run.
-    Windows of 32, 64, ... up to precision_cap are tried in turn; a
-    window that ends without the run is followed by the next, and the
-    last one by the degree-one check and PrecisionCapExceeded."""
-    common = gcd(*(e[0] for p in branch.coords for e in p.terms))
-    if common > 1:
-        raise NotPrimitive(
-            f"attained orders of branch {branch.label!r} share the "
-            f"factor {common}; the parametrization is not primitive"
-        )
-    precision = min(32, precision_cap)
-    while True:
-        for attained, bound in _attained_orders(branch, precision):
-            delta = _certified_gap_count(attained, bound)
-            if delta is not None:
-                return delta
-        if precision >= precision_cap:
-            _check_degree_one(branch)
-            raise PrecisionCapExceeded(
-                f"delta of branch {branch.label!r} did not certify below "
-                f"precision {precision_cap}",
-                cap=precision_cap,
-            )
-        precision = min(precision * 2, precision_cap)
 
 
 def _germ_ambient(branch: BranchParam) -> PolyRing:
@@ -316,38 +293,60 @@ def branch_ideal(branch: BranchParam, ambient: PolyRing) -> Ideal:
     return eliminate(Ideal(join, gens), (0,))
 
 
+def _meets_origin_once(branch: BranchParam) -> bool:
+    """The gcd of the coordinates, their ideal's generator in k[t], is a
+    monomial: only t = 0 maps to the origin."""
+    basis = Ideal(branch.ring, [p for p in branch.coords if p]).gb()
+    return len(basis.elements[0].terms) == 1
+
+
 def delta_invariant(branches,
                     precision_cap: int = DEFAULT_PRECISION_CAP) -> int:
-    """Colength of the germ's local ring inside its normalization.
-
-    One branch: certified gap count of the attained-order semigroup.
-    Several branches: single-branch deltas plus gluing lengths, where
-    branch k meets the union of its predecessors in a finite scheme
-    whose origin-length is added.  That scheme is not finite when
-    branch k lies on an earlier branch: then every generator of the
-    union pulls back to zero along it (exact, a branch being
-    irreducible), and the germ is NotMPrimary."""
+    """Colength of the germ's local ring in its normalization, at the
+    first conductor certificate in windows of 32, 64, ... up to
+    precision_cap.  Past the cap, a branch that does not certify alone
+    gets the degree-one check; a branch on the curve of an earlier branch
+    a that maps only t = 0 to the origin is a again, NotMPrimary, since
+    that curve has one branch there; else PrecisionCapExceeded."""
     branches = _check_branches(branches)
-    total = _delta_single(branches[0], precision_cap)
-    if len(branches) == 1:
-        return total
-    ambient = _germ_ambient(branches[0])
-    ideals = [branch_ideal(branches[0], ambient)]
-    union = ideals[0]
-    for b in branches[1:]:
-        total += _delta_single(b, precision_cap)
-        if _lies_on(b, union):
-            a = next(a for a, ia in zip(branches, ideals) if _lies_on(b, ia))
-            raise NotMPrimary(
-                f"branch {b.label!r} traces the curve of branch "
-                f"{a.label!r}; the two meet in a curve, not a point"
+    for b in branches:
+        common = gcd(*(e[0] for p in b.coords for e in p.terms))
+        if common > 1:
+            raise NotPrimitive(
+                f"attained orders of branch {b.label!r} share the "
+                f"factor {common}; the parametrization is not primitive"
             )
-        ib = branch_ideal(b, ambient)
-        total += local_vdim_origin(ideal_sum(union, ib))
-        ideals.append(ib)
-        if len(ideals) < len(branches):
-            union = intersect(union, ib)
-    return total
+    precision = min(32, precision_cap)
+    while True:
+        delta = _conductor_delta(branches, precision)
+        if delta is not None:
+            return delta
+        if precision >= precision_cap:
+            break
+        precision = min(precision * 2, precision_cap)
+    for b in branches:
+        if len(branches) == 1 or _conductor_delta([b], precision) is None:
+            _check_degree_one(b)
+            raise PrecisionCapExceeded(
+                f"delta of branch {b.label!r} did not certify below "
+                f"precision {precision_cap}",
+                cap=precision_cap,
+            )
+    ambient = _germ_ambient(branches[0])
+    curves = [branch_ideal(a, ambient) if _meets_origin_once(a) else None
+              for a in branches[:-1]]
+    for k, b in enumerate(branches):
+        for a, curve in zip(branches[:k], curves):
+            if curve is not None and _lies_on(b, curve):
+                raise NotMPrimary(
+                    f"branch {b.label!r} traces the curve of branch "
+                    f"{a.label!r}; the two meet in a curve, not a point"
+                )
+    raise PrecisionCapExceeded(
+        f"delta of the germ did not certify below precision "
+        f"{precision_cap}",
+        cap=precision_cap,
+    )
 
 
 def _lies_on(branch: BranchParam, ideal: Ideal) -> bool:

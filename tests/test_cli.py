@@ -563,7 +563,7 @@ def test_bad_header_names_are_parse_errors(tmp_path, capsys):
 def test_branch_on_an_earlier_branch_is_not_m_primary(tmp_path, capsys,
                                                       branches):
     # the second branch traces the first one's curve, so the two meet in
-    # a curve: no gluing length exists, whatever the precision cap
+    # a curve: no delta exists, whatever the precision cap
     path = tmp_path / "twice.germ"
     path.write_text("germ/1 over QQ vars x y\n"
                     f"branch a: {branches[0]}\n"
@@ -575,6 +575,32 @@ def test_branch_on_an_earlier_branch_is_not_m_primary(tmp_path, capsys,
     assert record["type"] == "NotMPrimary"
     assert "'a'" in record["message"] and "'b'" in record["message"]
     assert "cap" not in record
+
+
+# the node y^2 = x^3 + xy: a = (t^2 - t, t^3 - t^2) passes through the
+# origin at t = 0 and t = 1, and b = a(t + 1) is a's germ at t = 1
+NODE_TWICE = ("germ/1 over QQ vars x y\n"
+              "branch a: x = t^2 - t; y = t^3 - t^2\n"
+              "branch b: x = t^2 + t; y = t^3 + 2*t^2 + t\n")
+
+
+def test_branches_of_one_curve_at_two_parameters(tmp_path, capsys):
+    path = tmp_path / "node.germ"
+    path.write_text(NODE_TWICE)
+    code, payload = run_json(capsys, "local", "--input", str(path))
+    assert code == 0
+    assert payload["result"]["delta"] == 1
+    assert payload["result"]["milnor"] == 1
+    # at cap 1 each smooth branch certifies alone and the germ does not;
+    # b lies on a's image curve, but that curve has two branches at the
+    # origin, so b need not be a: no NotMPrimary verdict
+    code, payload = run_json(capsys, "local", "--input", str(path),
+                             "--precision-cap", "1")
+    assert code == 2
+    (record,) = payload["errors"]
+    assert record["type"] == "PrecisionCapExceeded"
+    assert record["cap"] == 1
+    assert "the germ" in record["message"]
 
 
 def test_reparametrized_branch_is_not_primitive(tmp_path, capsys):

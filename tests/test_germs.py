@@ -15,7 +15,6 @@ import cidcurve
 from cidcurve import (
     BranchParam,
     Field,
-    GREVLEX,
     Ideal,
     PolyRing,
     branch_ideal,
@@ -30,6 +29,8 @@ from cidcurve import (
     germ_multiplicity,
     hs_multiplicity_pullback,
     ideal_equal,
+    ideal_sum,
+    intersect,
     is_tame,
     local_vdim_origin,
     milnor_number,
@@ -47,8 +48,6 @@ from cidcurve.errors import (
 from cidcurve.cli import main
 from cidcurve.germs import (
     _attained_orders,
-    _certified_gap_count,
-    _delta_single,
     _germ_ambient,
     _lies_on,
     _ord,
@@ -72,8 +71,6 @@ def plane_milnor_oracle(branches):
     compute dim of the local ring modulo both partials of f."""
     total = branch_ideal(branches[0], R2)
     for b in branches[1:]:
-        from cidcurve import intersect
-
         total = intersect(total, branch_ideal(b, R2))
     assert len(total.generators) == 1
     f = total.generators[0]
@@ -165,6 +162,17 @@ def test_three_branch_star():
     assert plane_milnor_oracle(star) == 4
 
 
+def test_delta_counts_only_the_branches_at_the_origin():
+    # a = (t^2 - t, t^3 - t^2) also passes through the origin at t = 1,
+    # a second branch of its image curve y^2 = x^3 + xy; the germ of a at
+    # t = 0 is smooth with y of order 2 along it, so it meets the line
+    # y = 0 with multiplicity 2 and delta = 0 + 0 + 2
+    a = BranchParam((t**2 - t, t**3 - t**2), "a")
+    line = BranchParam((t, T.zero()), "line")
+    assert delta_invariant([a, line]) == 2
+    assert milnor_number([a, line]) == 3
+
+
 def test_not_primitive():
     with pytest.raises(NotPrimitive):
         delta_invariant([BranchParam((t**2, t**4))], precision_cap=64)
@@ -175,6 +183,19 @@ def test_precision_cap():
         # primitive, but the certifying gap-free run sits beyond the cap
         delta_invariant([BranchParam((t**4, t**6 + t**7))],
                         precision_cap=16)
+
+
+def test_cap_names_the_branch_that_does_not_certify_alone():
+    line = BranchParam((t, T.zero()), "line")
+    # y = x^2 traced twice never certifies; the degree-one check finds it
+    twice = BranchParam((t**2 + t**3, (t**2 + t**3) ** 2), "twice")
+    with pytest.raises(NotPrimitive, match="'twice'"):
+        delta_invariant([line, twice], precision_cap=64)
+    # primitive, but its own certificate lies beyond the cap
+    slow = BranchParam((t**4, t**6 + t**7), "slow")
+    with pytest.raises(PrecisionCapExceeded, match="branch 'slow'") as info:
+        delta_invariant([line, slow], precision_cap=16)
+    assert info.value.cap == 16
 
 
 def test_not_primitive_is_certified():
@@ -495,7 +516,7 @@ def test_attained_orders_match_brute_force(case):
     expected = _brute_orders(branch, precision)
     # at every step the orders below the bound are already final, and
     # the stream run to its end holds the complete window
-    for reps, bound in _attained_orders(branch, precision):
+    for reps, bound in _attained_orders([branch], precision):
         assert {o for o in reps if o < bound} == \
             {o for o in expected if o < bound}
     assert bound == precision
@@ -525,13 +546,25 @@ def _cofinite_branch(draw):
     return BranchParam(tuple(coords)), window
 
 
+def _gap_count(attained, bound):
+    """Gaps below the first gap-free run of multiplicity length in
+    [0, bound), or None when there is none."""
+    mult = min(o for o in attained if o > 0)
+    run = 0
+    for v in range(bound):
+        run = run + 1 if v in attained else 0
+        if run >= mult:
+            return sum(1 for u in range(v - mult + 1) if u not in attained)
+    return None
+
+
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(case=_cofinite_branch())
 def test_early_certificate_matches_brute_force(case):
     branch, window = case
-    expected = _certified_gap_count(_brute_orders(branch, window), window)
+    expected = _gap_count(_brute_orders(branch, window), window)
     assert expected is not None
-    assert _delta_single(branch, window) == expected
+    assert delta_invariant([branch], window) == expected
 
 
 def test_line_certifies_without_filling_the_window(monkeypatch):
@@ -540,8 +573,8 @@ def test_line_certifies_without_filling_the_window(monkeypatch):
     streamed = []
     real = cidcurve.germs._attained_orders
 
-    def spy(branch, precision):
-        for reps, bound in real(branch, precision):
+    def spy(branches, precision):
+        for reps, bound in real(branches, precision):
             streamed.append((sorted(reps), bound, precision))
             yield reps, bound
 
@@ -555,13 +588,13 @@ def test_local_computes_delta_once(monkeypatch, capsys):
     # cusp.germ carries an ideal, so `local` also runs the multiplicity
     # route; the branch delta must still be computed once
     calls = []
-    real = cidcurve.germs._delta_single
+    real = cidcurve.germs._conductor_delta
 
-    def spy(branch, precision_cap):
-        calls.append(branch)
-        return real(branch, precision_cap)
+    def spy(branches, precision):
+        calls.append(branches)
+        return real(branches, precision)
 
-    monkeypatch.setattr(cidcurve.germs, "_delta_single", spy)
+    monkeypatch.setattr(cidcurve.germs, "_conductor_delta", spy)
     cusp = pathlib.Path(__file__).resolve().parent.parent / "inputs" \
         / "cusp.germ"
     assert main(["local", "--input", str(cusp)]) == 0
@@ -569,9 +602,9 @@ def test_local_computes_delta_once(monkeypatch, capsys):
     assert len(calls) == 1
 
 
-def test_gluing_length_builds_one_grevlex_basis(monkeypatch):
-    # five concurrent lines: every gluing ideal is homogeneous with a
-    # finite quotient, so its length is read off one grevlex basis
+def test_concurrent_lines_build_no_groebner_basis(monkeypatch):
+    # delta is read off the parametrizations alone: no implicit ideal,
+    # intersection or local length is formed
     orders = []
     real_basis = cidcurve.ideals.groebner_basis
 
@@ -579,21 +612,69 @@ def test_gluing_length_builds_one_grevlex_basis(monkeypatch):
         orders.append(order)
         return real_basis(gens, order, ring=ring, target=target)
 
-    lengths = []
-    real_length = cidcurve.germs.local_vdim_origin
-
-    def spy_length(a, cap=256):
-        start = len(orders)
-        value = real_length(a, cap)
-        lengths.append((value, orders[start:]))
-        return value
-
     monkeypatch.setattr(cidcurve.ideals, "groebner_basis", spy_basis)
-    monkeypatch.setattr(cidcurve.germs, "local_vdim_origin", spy_length)
     lines = [BranchParam((t, t.scale(QQ.from_int(s)))) for s in
              (1, -2, 3, 5, 7)]
     assert delta_invariant(lines) == 10
-    assert lengths == [(k, [GREVLEX]) for k in (1, 2, 3, 4)]
+    assert orders == []
+
+
+def gluing_oracle(branches):
+    """Delta by the gluing formula: single-branch deltas plus, for each
+    further branch, the origin-length of its meeting with the union of
+    the earlier ones, every curve implicitized by elimination.  Exact
+    when only t = 0 maps to the origin along every branch."""
+    field = branches[0].ring.field
+    ambient = PolyRing(field, ("x", "y", "z")[:branches[0].arity])
+    total = sum(delta_invariant([b]) for b in branches)
+    union = branch_ideal(branches[0], ambient)
+    for k, b in enumerate(branches[1:], 2):
+        if not any(g.compose(b.ring, list(b.coords))
+                   for g in union.generators):
+            raise NotMPrimary(f"branch {b.label!r} lies on the union")
+        ib = branch_ideal(b, ambient)
+        total += local_vdim_origin(ideal_sum(union, ib))
+        if k < len(branches):
+            union = intersect(union, ib)
+    return total
+
+
+@st.composite
+def _germ_meeting_the_origin_once(draw):
+    """Up to three plane or two space branches whose first coordinate is
+    a monomial t^a, so that only t = 0 maps to the origin; exponents at
+    most 6, over QQ, F_32003 or F_5.  The exponent a is prime to those of
+    the other coordinates, so no branch lies in some k[t^d]."""
+    field = draw(st.sampled_from((QQ, Field.prime_field(32003),
+                                  Field.prime_field(5))))
+    arity = draw(st.integers(2, 3))
+    ring = PolyRing(field, ("t",))
+    coefficient = st.integers(-3, 3).filter(bool).map(field.from_int)
+    branches = []
+    for k in range(draw(st.integers(1, 5 - arity))):
+        others = [ring.polynomial(draw(st.dictionaries(
+            st.integers(1, 6).map(lambda e: (e,)), coefficient,
+            max_size=3))) for _ in range(arity - 1)]
+        common = gcd(*(e[0] for p in others for e in p.terms))
+        a = draw(st.sampled_from(
+            [a for a in range(1, 7) if gcd(a, common) == 1]))
+        branches.append(BranchParam((ring.variable(0) ** a, *others),
+                                    f"b{k}"))
+    return branches
+
+
+def _delta_or_error(fn, branches):
+    try:
+        return fn(branches)
+    except (NotMPrimary, NotPrimitive) as err:
+        return type(err)
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(branches=_germ_meeting_the_origin_once())
+def test_conductor_delta_matches_the_gluing_formula(branches):
+    assert _delta_or_error(delta_invariant, branches) \
+        == _delta_or_error(gluing_oracle, branches)
 
 
 @st.composite
