@@ -10,15 +10,14 @@ computation consumes.
 
 Random draws are certified, never trusted: each attempt runs a battery
 of exact tests (expected dimension, reducedness along the input curve,
-existence of a measuring hyperplane, and the double-link identity that
-coloning W back out of Z recovers X).  Every test is read off the
-grevlex Hilbert series of an ideal at hand: a dimension or a finiteness
-is its Krull dimension, and the double link is the degree and genus
-relation that linkage by Z fixes between X and W, read off their
-Hilbert polynomials with no second colon.  A failing attempt is
-discarded and redrawn; persistent double-link failure is reported as
-evidence that the input curve is not generically a complete
-intersection.
+finitely many singular points of Z for the shared-form variant, a
+measuring hyperplane, and the double link: W linked back by Z is X).
+Each reads the grevlex Hilbert series of an ideal of Z, X or W (Z's
+singular points on X and on W): a finiteness is a Krull dimension, and
+the double link is the degree and genus relation linkage by Z fixes
+between X and W, with no second colon.  A failing attempt is redrawn;
+persistent double-link failure is evidence that the input curve is not
+generically a complete intersection.
 
 Certification derives I_Z, the residual I_W = (I_Z : I_X) and the
 Jacobian scheme of Z on X; the accepted witness carries all three, so
@@ -266,8 +265,8 @@ def _plane_curve_witness(curve: CurveInput, seed: int,
     }
     return CIWitness(F=F, ells=(), coeffs=((curve.ring.field.one(),),),
                      h=h, seed=seed, attempts=1, i_z=i_x,
-                     i_w=residual(i_x, i_x), on_curve=on_curve,
-                     tests=tests, transversal=transversal)
+                     i_w=Ideal(curve.ring, [curve.ring.one()]),
+                     on_curve=on_curve, tests=tests, transversal=transversal)
 
 
 def _is_complete_intersection(i_z: Ideal) -> bool:
@@ -337,10 +336,15 @@ def _construct(curve: CurveInput, seed: int, max_attempts: int,
         if not record("reduced_along_input", krull_dimension(along) == 0):
             continue
 
+        i_w = residual(i_z, i_x, seed=seed ^ attempt)
         if transversal:
-            full_jac = jacobian_ideal(F, curve.n - 1)
+            # V(I_Z) = V(I_X) u V(I_W), and Z's Jacobian scheme on X is
+            # on_curve, finite once reduced_along_input passes.  So Z
+            # has finitely many singular points exactly when its
+            # Jacobian scheme on W is finite.
+            jac_w = jacobian_ideal(F, curve.n - 1, ambient=i_w)
             if not record("singular_locus_finite",
-                          krull_dimension(ideal_sum(i_z, full_jac)) <= 1):
+                          krull_dimension(ideal_sum(i_w, jac_w)) <= 1):
                 continue
 
         try:
@@ -350,7 +354,6 @@ def _construct(curve: CurveInput, seed: int, max_attempts: int,
         if not record("chart_misses_intersection", h is not None):
             continue
 
-        i_w = residual(i_z, i_x, seed=seed ^ attempt)
         # I_W is a colon into the unmixed I_Z, so it is unmixed, and
         # back = (I_Z : I_W) is linked to W by Z: linkage fixes its
         # Hilbert polynomial from W's (Peskine-Szpiro 1974).  back has

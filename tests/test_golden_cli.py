@@ -107,6 +107,11 @@ def _jobs():
                 + field)
         add(f"cid-transversal-{tag}",
             ("cid", "--input", tc, "--seed", "7", "--transversal") + field)
+    # a transversal witness in P^4: the singular-locus test reads the
+    # 3 x 3 Jacobian minors of Z on a residual curve W of degree 4
+    add("cid-transversal-rnc4-qq",
+        ("cid", "--input", str(INPUTS / "rnc4.ring"), "--seed", "0",
+         "--transversal"))
     nodal = "{dir}/nodal.ring"
     for route in ("direct", "smooth", "lci"):
         add(f"cid-nodal-{route}",

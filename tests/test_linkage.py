@@ -17,6 +17,8 @@ from cidcurve import (
     intersect,
     is_saturated,
     jacobian_ideal,
+    krull_dimension,
+    proj_degree,
     residual,
     saturate_irrelevant,
     vdim,
@@ -282,3 +284,42 @@ def test_double_link_verdict_matches_saturated_comparison(name, monkeypatch):
         verdicts.append(verdict)
     assert verdicts
     assert set(verdicts) == {name != "line_with_embedded_point"}
+
+
+def _reference_singular_locus_finite(curve, witness):
+    # Z's singular locus from the Jacobian ideal of Z over all of P^n
+    full_jac = jacobian_ideal(witness.F, curve.n - 1)
+    return krull_dimension(ideal_sum(witness.i_z, full_jac)) <= 1
+
+
+TRANSVERSAL_CURVES = {
+    name: DOUBLE_LINK_CURVES[name]
+    for name in ("twisted_cubic", "rnc4", "rational_quartic", "skew_lines")
+}
+
+
+@pytest.mark.parametrize("name", sorted(TRANSVERSAL_CURVES))
+def test_singular_locus_verdict_matches_full_jacobian(name):
+    # the verdict reads Z's Jacobian minors on W only; the reference
+    # reads them on all of Z
+    curve = TRANSVERSAL_CURVES[name]()
+    for seed in range(3):
+        witness = construct_ci_transversal(curve, seed=seed)
+        assert witness.tests["singular_locus_finite"]
+        assert _reference_singular_locus_finite(curve, witness)
+
+
+def test_transversal_rejects_singular_residual():
+    # Z = (x0*x3 - x1*x2, x0*x2) is the two lines L1 = (x0, x1) and
+    # L2 = (x2, x3) plus the double line 2M, M = (x0, x2): a fine link
+    # (deg W = 2), but Z is singular all along M
+    curve = _ring_curve(P3, ["x0*x3", "x1*x2", "x1*x3", "x0*x2"])
+    rows = [[1, -1, 0, 0], [0, 0, 1]]
+    witness = construct_ci(curve, seed=0, coeff_matrix=rows)
+    assert all(witness.tests.values())
+    assert proj_degree(witness.i_w) == 2
+    assert not _reference_singular_locus_finite(curve, witness)
+    with pytest.raises(MaxAttemptsExceeded) as info:
+        construct_ci_transversal(curve, seed=0, coeff_matrix=rows)
+    assert info.value.failures == {
+        name: int(name == "singular_locus_finite") for name in TEST_NAMES}
