@@ -563,14 +563,10 @@ def jacobian_cover_check(curve, seed: int = 0, degenerate: bool = False,
         raise ExhaustedCandidates("curve avoids every coordinate chart")
     fx = [chart.apply(f) for f in curve.generators]
     i_xc = Ideal(chart.ring, fx)
-    field_ = ring.field
     rng = SplitMix64(seed ^ 0xC0FE)
 
     def draw_matrix():
-        return [
-            [field_.from_int(rng.unit_coefficient()) for _ in range(r)]
-            for _ in range(e)
-        ]
+        return [rng.vector(ring.field, r) for _ in range(e)]
 
     shared = draw_matrix() if degenerate else None
     total = i_xc

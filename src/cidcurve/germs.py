@@ -534,8 +534,8 @@ def general_ci_germ(X_ideal, seed: int = 0):
     out = []
     for _ in range(n - 1):
         acc = ring.zero()
-        for g in X_gens:
-            acc = acc + g.scale(ring.field.from_int(rng.unit_coefficient()))
+        for g, c in zip(X_gens, rng.vector(ring.field, len(X_gens))):
+            acc = acc + g.scale(c)
         out.append(acc)
     return tuple(out)
 
@@ -565,10 +565,10 @@ def e_jacobian_single_minor(Z_germ, branches, seed: int = 0) -> int:
     # x_i -> x_i + sum_{j > i} c_ij x_j: unipotent, hence invertible
     change = [[ring.one() if i == j else ring.zero() for j in range(n)]
               for i in range(n)]
+    upper = iter(rng.vector(field, n * (n - 1) // 2))
     for i in range(n):
         for j in range(i + 1, n):
-            change[i][j] = ring.constant(
-                field.from_int(rng.unit_coefficient()))
+            change[i][j] = ring.constant(next(upper))
     k = len(Z_gens)
     subsets = list(combinations(range(n), k))
     jacobian = [[partial_derivative(g, j) for j in range(n)] for g in Z_gens]

@@ -11,12 +11,14 @@ exponent width comes from the input; a monomial that outgrows it during
 the computation sets a guard bit, and the basis is computed again at
 twice the width.
 
-Over the rationals every intermediate polynomial is kept primitive with
-integer coefficients and reduction is fraction-free (the working
-polynomial is scaled by leading-coefficient factors, with per-term
-emission stamps so the true normal form can be recovered by one exact
-division at the end).  Over F_p coefficients are residues and reduction
-divides by inverses directly.
+Every divisor a reduction runs against is made by `_normalize`: monic
+over F_p, primitive with integer coefficients and a positive leading
+coefficient over the rationals.  One term loop then serves both fields.
+Over F_p the multiplier is the term's coefficient and every result is
+taken mod p.  Over the rationals reduction is fraction-free: the
+working polynomial is scaled by leading-coefficient factors, with
+per-term emission stamps so the true normal form can be recovered by
+one exact division at the end.
 
 Pair management follows Gebauer-Moeller on packed lcms: the
 coprimality and chain criteria prune S-pairs at insertion time, and the
@@ -73,12 +75,20 @@ def poly_to_int_dict(f: Polynomial):
     return out, Fraction(den, content)
 
 
-def _strip_content(d: dict) -> dict:
+def _normalize(d: dict, lm, char) -> dict:
+    """d as a reducer entry with leading monomial lm: monic over F_p,
+    primitive with a positive leading coefficient over QQ."""
+    lc = d[lm]
+    if lc == 1:
+        return d
+    if char:
+        inv = pow(lc, -1, char)
+        return {e: c * inv % char for e, c in d.items()}
     content = 0
     for c in d.values():
         content = gcd(content, c)
-    if content in (0, 1):
-        return d
+    if lc < 0:
+        content = -content
     return {e: c // content for e, c in d.items()}
 
 
@@ -166,7 +176,8 @@ class _Reducer:
     def __init__(self, packing, char, entries=()):
         self.packing = packing
         self.char = char
-        self.entries = list(entries)  # (lm, lc, items) over all terms
+        # (lm, lc, items) over all terms, each made by `_normalize`
+        self.entries = list(entries)
 
     def add(self, lm, d: dict):
         self.entries.append((lm, d[lm], list(d.items())))
@@ -199,47 +210,29 @@ class _Reducer:
                 rem.append((m, c, scale))
                 continue
             shift = m - lm
-            if char:
-                factor = c * pow(lc, -1, char) % char
-                for e, cc in items:
-                    e2 = e + shift
-                    new = (work.get(e2, 0) - factor * cc) % char
-                    if new:
-                        if e2 not in work:
-                            if e2 & guard:
-                                raise _FieldOverflow
-                            heappush(heap, -e2)
-                        work[e2] = new
-                    else:
-                        work.pop(e2, None)
-            else:
+            # entries are monic over F_p, so only QQ scales the work
+            if lc != 1:
                 g = gcd(c, lc)
-                mult_work = abs(lc // g)
-                if lc // g < 0:
-                    mult_poly = -(c // g)
-                else:
-                    mult_poly = c // g
-                if mult_work != 1:
-                    scale *= mult_work
+                c //= g
+                mult = lc // g
+                if mult != 1:
+                    scale *= mult
                     for k in work:
-                        work[k] *= mult_work
-                for e, cc in items:
-                    e2 = e + shift
-                    new = work.get(e2, 0) - mult_poly * cc
-                    if new:
-                        if e2 not in work:
-                            if e2 & guard:
-                                raise _FieldOverflow
-                            heappush(heap, -e2)
-                        work[e2] = new
-                    else:
-                        work.pop(e2, None)
-        if char:
-            return {m: c for m, c, _ in rem}, 1
-        out = {}
-        for m, c, stamp in rem:
-            out[m] = c * (scale // stamp)
-        return out, scale
+                        work[k] *= mult
+            for e, cc in items:
+                e2 = e + shift
+                new = work.get(e2, 0) - c * cc
+                if char:
+                    new %= char
+                if new:
+                    if e2 not in work:
+                        if e2 & guard:
+                            raise _FieldOverflow
+                        heappush(heap, -e2)
+                    work[e2] = new
+                else:
+                    work.pop(e2, None)
+        return {m: c * (scale // stamp) for m, c, stamp in rem}, scale
 
     def widened(self, bits):
         """The same basis repacked with `bits` exponent bits."""
@@ -274,23 +267,17 @@ def _spoly(a, b, l, guard, char):
     lmb, cb, items_b = b
     sa = l - lma
     sb = l - lmb
+    g = gcd(ca, cb)
+    fa, fb = cb // g, ca // g
     out = {}
+    for e, c in items_a:
+        e2 = e + sa
+        out[e2] = out.get(e2, 0) + fa * c
+    for e, c in items_b:
+        e2 = e + sb
+        out[e2] = out.get(e2, 0) - fb * c
     if char:
-        for e, c in items_a:
-            e2 = e + sa
-            out[e2] = (out.get(e2, 0) + cb * c) % char
-        for e, c in items_b:
-            e2 = e + sb
-            out[e2] = (out.get(e2, 0) - ca * c) % char
-    else:
-        g = gcd(ca, cb)
-        fa, fb = cb // g, ca // g
-        for e, c in items_a:
-            e2 = e + sa
-            out[e2] = out.get(e2, 0) + fa * c
-        for e, c in items_b:
-            e2 = e + sb
-            out[e2] = out.get(e2, 0) - fb * c
+        out = {e: c % char for e, c in out.items()}
     out = {e: c for e, c in out.items() if c}
     for e in out:
         if e & guard:
@@ -336,11 +323,12 @@ def _update_pairs(pairs, lms, t, packing):
 
 
 def _buchberger(gens, packing, char, target=None):
-    """Reduced basis of packed integer dicts, as (lm, dict) pairs in
-    ascending order; raises `_FieldOverflow` when a new monomial does
-    not fit the packing.  With a `target` K-polynomial (see
-    `groebner_basis`) the K-polynomial of the leading monomials is kept
-    up to date, and the pair loop stops once it reaches the target."""
+    """The reduced basis of packed integer dicts, as a `_Reducer` whose
+    entries ascend by leading monomial; raises `_FieldOverflow` when a
+    new monomial does not fit the packing.  With a `target` K-polynomial
+    (see `groebner_basis`) the K-polynomial of the leading monomials is
+    kept up to date, and the pair loop stops once it reaches the
+    target."""
     lms = []  # leading exponent tuples, for the pair criteria
     reducer = _Reducer(packing, char)
     entries = reducer.entries
@@ -355,8 +343,8 @@ def _buchberger(gens, packing, char, target=None):
         r, _ = reducer.reduce(s)
         if not r:
             return pairs
-        r = r if char else _strip_content(r)
         lm = next(iter(r))
+        r = _normalize(r, lm, char)
         exps = packing.unpack(lm)
         if target is not None:
             numerator = lt_numerator_extend(numerator, lms, exps, weights,
@@ -380,8 +368,8 @@ def _buchberger(gens, packing, char, target=None):
 
 def _interreduce(reducer, char):
     """Minimalize the reducer's basis by leading monomials, then
-    tail-reduce to the unique reduced basis (primitive integer form),
-    as (lm, dict) pairs."""
+    tail-reduce it in place to the unique reduced basis, its entries
+    ascending by leading monomial; returns the reducer."""
     guard = reducer.packing.guard
     entries = reducer.entries
     keep = []
@@ -395,18 +383,14 @@ def _interreduce(reducer, char):
                 break
         if not redundant:
             keep.append(i)
-    reduced = []
-    for i in keep:
-        others = _Reducer(reducer.packing, char,
-                          [entries[j] for j in keep if j != i])
-        # a minimal basis element keeps its leading term under tail
-        # reduction, so its leading monomial carries over
-        lm, _, items = entries[i]
-        r, _ = others.reduce(dict(items))
-        if r:
-            reduced.append((lm, r if char else _strip_content(r)))
-    reduced.sort(key=lambda pair: pair[0])
-    return reduced
+    # no leading monomial of a minimal basis divides a smaller monomial,
+    # so reducing an element's tail never uses the element itself
+    minimal = _Reducer(reducer.packing, char, [entries[i] for i in keep])
+    reducer.entries = []
+    for lm, lc, items in sorted(minimal.entries, key=lambda entry: entry[0]):
+        r, scale = minimal.reduce({e: c for e, c in items if e != lm})
+        reducer.add(lm, _normalize({lm: lc * scale, **r}, lm, char))
+    return reducer
 
 
 # --- public surface ----------------------------------------------------
@@ -417,7 +401,8 @@ class GroebnerBasis:
     ring: PolyRing
     order: object
     elements: tuple
-    # the monic integer forms of the elements, packed once per basis
+    # the elements as reducer entries (see `_normalize`), packed once
+    # per basis
     _reducer: _Reducer = dc_field(repr=False, compare=False)
 
     def is_unit(self) -> bool:
@@ -463,28 +448,17 @@ def groebner_basis(gens, order=GREVLEX, ring: PolyRing = None,
     packing = _packing_for(order, ring.arity, int_gens)
     while True:
         try:
-            reduced = _buchberger(
+            reducer = _buchberger(
                 [{packing.pack(e): c for e, c in d.items()} for d in int_gens],
                 packing, char, target)
             break
         except _FieldOverflow:
             packing = Packing(order, ring.arity, 2 * packing.bits)
-    elements = []
-    reducer = _Reducer(packing, char)
-    for lm, d in reduced:
-        lc = d[lm]
-        if char:
-            inv = pow(lc, -1, char)
-            d = {e: c * inv % char for e, c in d.items()}
-            elements.append(ring.polynomial(
-                {packing.unpack(e): c for e, c in d.items()}))
-        else:
-            elements.append(ring.polynomial(
-                {packing.unpack(e): Fraction(c, lc) for e, c in d.items()}))
-            if lc < 0:
-                d = {e: -c for e, c in d.items()}
-        reducer.add(lm, d)
-    return GroebnerBasis(ring, order, tuple(elements), reducer)
+    elements = tuple(
+        ring.polynomial({packing.unpack(e): c if char else Fraction(c, lc)
+                         for e, c in items})
+        for _, lc, items in reducer.entries)
+    return GroebnerBasis(ring, order, elements, reducer)
 
 
 def normal_form(f: Polynomial, basis, order=GREVLEX) -> Polynomial:
@@ -494,10 +468,12 @@ def normal_form(f: Polynomial, basis, order=GREVLEX) -> Polynomial:
         return basis.normal_form(f)
     ints = [poly_to_int_dict(g)[0] for g in basis if g]
     packing = _packing_for(order, f.ring.arity, ints)
-    reducer = _Reducer(packing, f.ring.field.characteristic)
+    char = f.ring.field.characteristic
+    reducer = _Reducer(packing, char)
     for d in ints:
         packed = {packing.pack(e): c for e, c in d.items()}
-        reducer.add(max(packed), packed)
+        lm = max(packed)
+        reducer.add(lm, _normalize(packed, lm, char))
     return GroebnerBasis(f.ring, order, tuple(basis), reducer).normal_form(f)
 
 

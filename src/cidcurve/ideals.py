@@ -321,9 +321,7 @@ def colon_certified(a: Ideal, b: Ideal, seed=0) -> Ideal:
     degrees = [gen.total_degree() for gen in gens]
     top = max(degrees)
     if a.is_homogeneous() and b.is_homogeneous() and min(degrees) < top:
-        ell = a.ring.linear_form(
-            [field.from_int(rng.unit_coefficient())
-             for _ in range(a.ring.arity)])
+        ell = a.ring.linear_form(rng.vector(field, a.ring.arity))
         gens = [gen * ell**(top - d) for gen, d in zip(gens, degrees)]
     degree = _linked_degree(a, b)
     if degree == 0:
@@ -332,8 +330,8 @@ def colon_certified(a: Ideal, b: Ideal, seed=0) -> Ideal:
     gb_a = a.gb()
     for _ in range(2):
         g = a.ring.zero()
-        for gen in gens:
-            g = g + gen.scale(field.from_int(rng.unit_coefficient()))
+        for gen, c in zip(gens, rng.vector(field, len(gens))):
+            g = g + gen.scale(c)
         if not g:
             continue
         candidate = colon_principal(a, g)
@@ -398,11 +396,15 @@ def _saturate_principal(a: Ideal, g: Polynomial) -> Ideal:
 
 def saturate(a: Ideal, b: Ideal) -> Ideal:
     """(a : b^infinity) as the intersection of the saturations by b's
-    generators.  Returns a itself when the saturation does not change
-    it, otherwise the saturation's monic reduced grevlex basis."""
+    generators.  A generator of b that lies in a saturates a to the
+    unit ideal, the identity of the intersection, so it is skipped.
+    Returns a itself when the saturation does not change it, otherwise
+    the saturation's monic reduced grevlex basis."""
     if a.ring != b.ring:
         raise RingMismatch("ideal saturation across different rings")
-    parts = [_saturate_principal(a, g) for g in b.generators]
+    gb_a = a.gb()
+    parts = [_saturate_principal(a, g) for g in b.generators
+             if not gb_a.contains(g)]
     result = parts[0] if parts else Ideal(a.ring, [a.ring.one()])
     for part in parts[1:]:
         result = intersect(result, part)
@@ -427,9 +429,7 @@ def saturate_irrelevant(a: Ideal) -> Ideal:
     candidates = ring.variables()
     rng = SplitMix64(0xC1D_5A7)
     for _ in range(6):
-        coeffs = [field.from_int(rng.unit_coefficient())
-                  for _ in range(ring.arity)]
-        candidates.append(ring.linear_form(coeffs))
+        candidates.append(ring.linear_form(rng.vector(field, ring.arity)))
     for h in candidates:
         sat = _saturate_principal(a, h)
         if _hilbert.hilbert_series(sat).hilbert_poly == target:

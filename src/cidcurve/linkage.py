@@ -117,9 +117,7 @@ def choose_chart(avoid: Ideal, seed: int = 0) -> Polynomial:
     candidates = [ring.variable(i) for i in range(ring.arity)]
     rng = SplitMix64(seed ^ 0xCAA7)
     for _ in range(12):
-        coeffs = [ring.field.from_int(rng.unit_coefficient())
-                  for _ in range(ring.arity)]
-        candidates.append(ring.linear_form(coeffs))
+        candidates.append(ring.linear_form(rng.vector(ring.field, ring.arity)))
     for h in candidates:
         if krull_dimension(Ideal(ring, list(avoid.generators) + [h])) == 0:
             return h
@@ -206,19 +204,14 @@ def _validate_coeffs(curve: CurveInput, coeff_matrix):
 def _draw_ells(curve: CurveInput, rng: SplitMix64, count: int):
     out = []
     for _ in range(count):
-        coeffs = [curve.ring.field.from_int(rng.unit_coefficient())
-                  for _ in range(curve.ring.arity)]
-        out.append(curve.ring.linear_form(coeffs))
+        out.append(curve.ring.linear_form(
+            rng.vector(curve.ring.field, curve.ring.arity)))
     return tuple(out)
 
 
 def _draw_coeffs(curve: CurveInput, rng: SplitMix64):
-    fld = curve.ring.field
-    return tuple(
-        tuple(fld.from_int(rng.unit_coefficient())
-              for _ in range(curve.r - i))
-        for i in range(curve.n - 1)
-    )
+    return tuple(rng.vector(curve.ring.field, curve.r - i)
+                 for i in range(curve.n - 1))
 
 
 def _combine_rows(curve: CurveInput, ells, coeffs, transversal: bool):

@@ -33,8 +33,21 @@ class SplitMix64:
         return low + self.next_u64() % span
 
     def unit_coefficient(self):
-        """Draw from {1, ..., 1000}: never zero, so diagonals stay invertible."""
+        """Draw from {1, ..., 1000}: a nonzero integer, but zero in F_p
+        when p divides it; `vector` draws field scalars that are not
+        all zero."""
         return self.randint(1, 1000)
+
+    def vector(self, field, length):
+        """`length` scalars of `field`, each `unit_coefficient` mapped
+        into it, drawn again while all are zero.  A random linear form
+        or combination is then never zero, and its entries still vary
+        over F_2, whose only nonzero scalar is 1."""
+        while True:
+            v = tuple(field.from_int(self.unit_coefficient())
+                      for _ in range(length))
+            if any(v) or not length:
+                return v
 
     def derive(self, index):
         """Independent child stream for attempt number `index`."""

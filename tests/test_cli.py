@@ -603,6 +603,22 @@ def test_branches_of_one_curve_at_two_parameters(tmp_path, capsys):
     assert "the germ" in record["message"]
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+@pytest.mark.parametrize("field", ["Fp:2", "Fp:3"])
+def test_germ_ci_draw_over_a_small_field(tmp_path, capsys, field, seed):
+    # the cusp with no ci: line draws its complete intersection as a
+    # random combination of the ideal's generators; a coefficient that
+    # vanishes in F_p would draw the zero form
+    path = tmp_path / "cusp.germ"
+    path.write_text("germ/1 over QQ vars x y\n"
+                    "branch a: x = t^2; y = t^3\n"
+                    "ideal: y^2 - x^3;\n")
+    code, payload = run_json(capsys, "local", "--input", str(path),
+                             "--field", field, "--seed", str(seed))
+    assert code == 0
+    assert payload["result"]["cid"] == payload["result"]["cid_direct"] == 0
+
+
 def test_reparametrized_branch_is_not_primitive(tmp_path, capsys):
     # y = x^2 traced twice: the attained orders are the even ones, so no
     # gap-free run certifies below any cap, and the branch meets x = 0

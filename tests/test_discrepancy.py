@@ -437,8 +437,9 @@ class _ScriptedDraws:
     def __init__(self, seed):
         self.values = iter((1, 0, 1, 2))
 
-    def unit_coefficient(self):
-        return next(self.values)
+    def vector(self, field, length):
+        return tuple(field.from_int(next(self.values))
+                     for _ in range(length))
 
 
 def test_linkage_colon_rejects_a_larger_candidate(monkeypatch):

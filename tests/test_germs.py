@@ -341,8 +341,9 @@ def _moved_single_minor(Z_germ, branches, seed=0):
     if len(Z_gens) != n - 1:
         raise InputError(f"{len(Z_gens)} generators in {n} variables")
     rng = SplitMix64(seed ^ 0x51_4C7A)
+    draws = iter(rng.vector(field, n * (n - 1) // 2))
     upper = {
-        (i, j): field.from_int(rng.unit_coefficient())
+        (i, j): next(draws)
         for i in range(n) for j in range(i + 1, n)
     }
     images = []

@@ -25,6 +25,14 @@ from cidcurve.rng import SplitMix64
 from conftest import rnc_curve, twisted_cubic_gens
 
 QQ = Field.rationals()
+FP = Field.prime_field(32003)
+
+
+def field_params(fields, seeds):
+    """(field, seed) cases; the QQ ones keep their seed-only ids."""
+    return [pytest.param(field, seed, id=f"F{field.characteristic}-{seed}"
+                         if field.characteristic else str(seed))
+            for field in fields for seed in seeds]
 
 
 def tc_ring():
@@ -66,9 +74,9 @@ def random_polys(ring, seed, count, max_deg=2, terms=3):
 @pytest.mark.parametrize(
     "order", [GREVLEX, LEX, Block(1), WeightedGrevLex((2, 1, 1))],
     ids=["grevlex", "lex", "block(1)", "wgrevlex(2,1,1)"])
-@pytest.mark.parametrize("seed", [1, 2, 3, 4])
-def test_buchberger_criterion_and_reducedness(order, seed):
-    ring = PolyRing(QQ, ("x", "y", "z"))
+@pytest.mark.parametrize("field,seed", field_params([QQ, FP], [1, 2, 3, 4]))
+def test_buchberger_criterion_and_reducedness(order, field, seed):
+    ring = PolyRing(field, ("x", "y", "z"))
     gens = random_polys(ring, seed, 3)
     basis = groebner_basis(gens, order=order, ring=ring)
     elements = list(basis.elements)
@@ -89,20 +97,23 @@ def test_buchberger_criterion_and_reducedness(order, seed):
                 assert not all(a >= b for a, b in zip(exps, lm))
 
 
-@pytest.mark.parametrize("seed", [1, 2, 3, 4, 5, 6])
-def test_matches_independent_system(seed):
-    ring = PolyRing(QQ, ("x", "y", "z"))
+@pytest.mark.parametrize("field,seed", field_params(
+    [QQ, Field.prime_field(7), FP], [1, 2, 3, 4, 5, 6]))
+def test_matches_independent_system(field, seed):
+    ring = PolyRing(field, ("x", "y", "z"))
     gens = random_polys(ring, seed * 101, 3)
     basis = groebner_basis(gens, order=GREVLEX, ring=ring)
     symbols = sympy.symbols("x y z")
     names = dict(zip(("x", "y", "z"), symbols))
+    options = ({"modulus": field.characteristic} if field.characteristic
+               else {"domain": "QQ"})
 
     def monic(expr):
-        lc = sympy.Poly(expr, *symbols).terms(order="grevlex")[0][1]
-        return sympy.expand(expr / lc)
+        return sympy.Poly(expr, *symbols, **options).monic().as_expr()
 
     translated = [sympy.sympify(str(g), names) for g in gens]
-    reference = sympy.groebner(translated, *symbols, order="grevlex")
+    reference = sympy.groebner(translated, *symbols, order="grevlex",
+                               **options)
     mine = {monic(sympy.sympify(str(f), names)) for f in basis.elements}
     theirs = {monic(p) for p in reference.exprs}
     assert mine == theirs
@@ -161,6 +172,18 @@ def test_normal_form_past_the_basis_packing():
     basis = groebner_basis([x * y - ring.one()], ring=ring)
     assert basis.normal_form(x**300 * y**299) == x
     assert normal_form(x**300 * y**299, [x * y - ring.one()]) == x
+
+
+@pytest.mark.parametrize("field,divisor,expected", [
+    (Field.prime_field(7), "3*x*y - 1", "4*x + y"),
+    (QQ, "-2*x*y + 1", "1/4*x + y"),
+], ids=["F7", "QQ"])
+def test_normal_form_by_non_monic_divisors(field, divisor, expected):
+    # a raw divisor list is scaled to reducer entries, which changes no
+    # remainder: x^3*y^2 = x * (x*y)^2 and x*y acts as 1/3 or 1/2
+    ring = PolyRing(field, ("x", "y"))
+    f = ring.parse("x^3*y^2 + y")
+    assert normal_form(f, [ring.parse(divisor)]) == ring.parse(expected)
 
 
 def test_twisted_cubic_basis():

@@ -235,6 +235,29 @@ def test_saturation_takes_any_number_of_steps():
     assert sat.generators == (y - ring.one(),)
 
 
+def test_saturate_skips_generators_already_in_the_ideal(monkeypatch):
+    # (a : g^infinity) is the unit ideal for g in a, so only the other
+    # generators take a principal saturation; the result is the full
+    # intersection's
+    ring = ring3()
+    x, y, z = ring.variables()
+    a = ideal(x * y, x * z**2)
+    divisors = []
+    real = ideals_module._saturate_principal
+
+    def spy(a, g):
+        divisors.append(g)
+        return real(a, g)
+
+    monkeypatch.setattr(ideals_module, "_saturate_principal", spy)
+    assert saturate(a, ideal(x * y, x * y * z + x * z**2)).is_unit()
+    assert divisors == []
+    sat = saturate(a, ideal(x * y, z, x))
+    assert divisors == [z, x]
+    assert ideal_equal(sat, intersect(real(a, z), real(a, x)))
+    assert ideal_equal(sat, a)
+
+
 def saturate_by_quotients(a, b):
     """(a : b^infinity) the old way: quotients until two steps agree."""
     current = a

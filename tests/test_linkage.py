@@ -38,6 +38,7 @@ from cidcurve.errors import (
 from cidcurve.ideals import INFINITE
 from cidcurve import linkage
 from cidcurve.linkage import TEST_NAMES
+from cidcurve.rng import SplitMix64
 
 from conftest import rnc_curve, twisted_cubic_gens
 
@@ -139,6 +140,25 @@ def test_char_p_construction():
     curve = rnc_curve(3, field=Field.prime_field(32003))
     witness = construct_ci(curve, seed=0)
     assert all(witness.tests.values())
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_construction_over_f2(seed):
+    # the only nonzero scalar of F_2 is 1, so nonzero draws alone would
+    # give every attempt the same forms; vectors that are not all zero
+    # still vary
+    curve = rnc_curve(3, field=Field.prime_field(2))
+    witness = construct_ci(curve, seed=seed)
+    assert all(witness.tests.values())
+
+
+def test_random_vectors_are_not_zero():
+    f2 = Field.prime_field(2)
+    rng = SplitMix64(0)
+    draws = [rng.vector(f2, 2) for _ in range(40)]
+    assert set(draws) == {(0, 1), (1, 0), (1, 1)}
+    assert rng.vector(f2, 1) == (1,)
+    assert rng.vector(f2, 0) == ()
 
 
 def test_plane_curve_witness():

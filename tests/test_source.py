@@ -47,3 +47,18 @@ def test_no_orphaned_private_functions():
                    if key != (module, line))
     ]
     assert not orphans, f"private names nothing else uses: {orphans}"
+
+
+def test_random_coefficients_are_drawn_as_nonzero_vectors():
+    # a draw from 1..1000 vanishes in F_p when p divides it, so every
+    # random form or combination is drawn through SplitMix64.vector,
+    # which draws again while all its entries vanish
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "rng.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute)
+                  and node.attr == "unit_coefficient"]
+    assert not found, f"unit_coefficient outside rng.py: {found}"
