@@ -48,10 +48,17 @@ from .orders import Block, order_from_name
 
 VERSION = "0.1.0"
 
-IDEAL_OPS = (
-    "sum", "product", "intersect", "quotient", "saturate",
-    "saturate-irrelevant", "eliminate", "radical",
-)
+# `--op` name -> (function, the option that names its second operand)
+IDEAL_OPS = {
+    "sum": (ideal_sum, "right"),
+    "product": (ideal_product, "right"),
+    "intersect": (intersect, "right"),
+    "quotient": (quotient, "right"),
+    "saturate": (saturate, "right"),
+    "saturate-irrelevant": (saturate_irrelevant, None),
+    "eliminate": (eliminate, "vars"),
+    "radical": (radical_zero_dim, None),
+}
 
 
 @functools.cache
@@ -158,27 +165,12 @@ def _cmd_ideal_op(args, ring_file):
     ring = ring_file.ring
     left_name, left_gens = _pick(ring_file, args.left)
     left = Ideal(ring, list(left_gens))
-    right = None
-    right_name = args.right
-    if args.op in ("sum", "product", "intersect", "quotient", "saturate"):
-        if right_name is None:
+    function, operand = IDEAL_OPS[args.op]
+    if operand == "right":
+        if args.right is None:
             raise InputError(f"--right is required for --op {args.op}")
-        right = Ideal(ring, list(ring_file.named(right_name)))
-    if args.op == "sum":
-        out = ideal_sum(left, right)
-    elif args.op == "product":
-        out = ideal_product(left, right)
-    elif args.op == "intersect":
-        out = intersect(left, right)
-    elif args.op == "quotient":
-        out = quotient(left, right)
-    elif args.op == "saturate":
-        out = saturate(left, right)
-    elif args.op == "saturate-irrelevant":
-        out = saturate_irrelevant(left)
-    elif args.op == "radical":
-        out = radical_zero_dim(left)
-    else:
+        out = function(left, Ideal(ring, list(ring_file.named(args.right))))
+    elif operand == "vars":
         if not args.vars:
             raise InputError("--vars is required for --op eliminate")
         index = {n: i for i, n in enumerate(ring.names)}
@@ -188,11 +180,13 @@ def _cmd_ideal_op(args, ring_file):
             raise InputError(f"unknown variable {err.args[0]!r}")
         if len(set(drop)) == ring.arity:
             raise InputError("cannot eliminate every variable")
-        out = eliminate(left, drop)
+        out = function(left, drop)
+    else:
+        out = function(left)
     result = {
         "op": args.op,
         "left": left_name,
-        "right": right_name,
+        "right": args.right,
         "ring": " ".join(out.ring.names),
         "generators": [str(g) for g in out.generators],
     }

@@ -14,7 +14,9 @@ once, and decide smoothness on that scheme.  On a smooth curve the
 Jacobian and saturation routes are one computation, so it runs once
 and its value is filed under both names.  Every Jacobian minor comes
 from one kernel, `_minors`, which works on integer rows and computes
-each shared sub-minor once per stream of minors.  The genus report
+each shared sub-minor once per stream of minors.  Smoothness and the
+transversal witness's singular test share one dimension bound that
+reads minors one at a time, `_minors_reach`.  The genus report
 bundles the discrepancy with the Hilbert-polynomial invariants and
 verifies the adjunction-type genus formula, Bezout and the linkage
 genus exchange (which the degree-certified linkage colon and the
@@ -185,36 +187,40 @@ def is_smooth_curve(i_x: Ideal, seed: int = 0) -> bool:
     The answer is kept with the ideal."""
     answer = i_x._data_cache.get("smooth")
     if answer is None:
-        answer = _empty_with_minors(i_x, i_x, 8, seed)
+        answer = _minors_reach(i_x, i_x.generators, 0, 8, seed)
         i_x._data_cache["smooth"] = answer
     return answer
 
 
-def _empty_with_minors(base: Ideal, i_x: Ideal, checkpoint: int,
-                       seed: int) -> bool:
-    """Whether base plus the curve's Jacobian minors cut out the empty
-    projective scheme.
+def _minors_reach(base: Ideal, forms, bound: int, checkpoint: int,
+                  seed) -> bool:
+    """Whether base plus the Jacobian minors of `forms` of the curve
+    codimension has Krull dimension at most `bound`; `seed` is the
+    minor order as for `_minor_stream`.
 
-    Minors are accumulated incrementally, with a finiteness check after
-    `checkpoint` new ones (doubling each time): once a partial minor
-    ideal already cuts out the empty set, the full one does too and the
-    remaining minors are not computed.  A negative answer always
-    consumes every minor.
+    Minors are reduced mod base and accumulated, with a dimension check
+    after `checkpoint` new ones (doubling each time): more generators
+    can only lower the dimension, so once a partial minor ideal reaches
+    the bound the full one does too and the remaining minors are not
+    computed.  A negative answer always consumes every minor.
     """
+    ring = base.ring
     gb = base.gb()
     collected = list(base.generators)
     pending = 0
-    for minor in _minor_stream(i_x.generators, curve_codim(i_x.ring), seed):
+    for minor in _minor_stream(forms, curve_codim(ring), seed):
         m = gb.normal_form(minor)
         if not m:
             continue
         collected.append(m)
         pending += 1
-        if pending >= checkpoint:
-            if _hilbert.krull_dimension(Ideal(i_x.ring, collected)) == 0:
+        if pending == checkpoint:
+            if _hilbert.krull_dimension(Ideal(ring, collected)) <= bound:
                 return True
             pending, checkpoint = 0, checkpoint * 2
-    return _hilbert.krull_dimension(Ideal(i_x.ring, collected)) == 0
+    if pending or len(collected) == len(base.generators):
+        return _hilbert.krull_dimension(Ideal(ring, collected)) <= bound
+    return False  # the last check already read every minor
 
 
 def _singular_locus(i_x: Ideal) -> Ideal:
@@ -296,7 +302,7 @@ def _smooth_on_witness(i_x: Ideal, witness) -> bool:
     if cached is not None and cached[0] is i_x:
         return cached[1]
     answer = (_hilbert.krull_dimension(on_curve) == 0
-              or _empty_with_minors(on_curve, i_x, 1, 0))
+              or _minors_reach(on_curve, i_x.generators, 0, 1, 0))
     on_curve._data_cache["curve_smooth"] = (i_x, answer)
     return answer
 
@@ -349,12 +355,12 @@ def _route_values(curve, witness, route, assume_lci, deg_x=None) -> dict:
     values = {}
     if route in ("auto", "direct"):
         values["direct"] = cid_direct(i_x, witness.i_w)
-    smooth = _smooth_on_witness(i_x, witness)
-    if route == "smooth" or (route == "auto" and smooth):
+    smooth = route == "auto" and _smooth_on_witness(i_x, witness)
+    if route == "smooth" or smooth:
         values["smooth_jacobian"] = cid_smooth_jacobian(i_x, witness)
     if route == "lci" or (route == "auto" and assume_lci and not smooth):
         values["lci_general"] = cid_lci_general(i_x, witness)
-    elif route == "auto" and smooth:
+    elif smooth:
         values["lci_general"] = values["smooth_jacobian"]
     if route == "aci" or (route == "auto" and curve.r == curve.n):
         if curve.r != curve.n:

@@ -58,11 +58,14 @@ def _poly_trim(a):
         a.pop()
     return a
 
-def _poly_eval_one(a):
-    return sum(a)
-
-def _poly_derivative_at_one(a):
-    return sum(i * c for i, c in enumerate(a))
+def _koszul(degrees, numerator=(1,)):
+    """numerator * prod (1 - t^d) over the degrees d; with the default
+    numerator, the K-polynomial of a complete intersection of forms of
+    those degrees."""
+    out = list(numerator)
+    for d in degrees:
+        out = _poly_mul(out, [1] + [0] * (d - 1) + [-1])
+    return out
 
 def _divide_one_minus_t(a):
     """Exact division by (1 - t); returns None if not divisible."""
@@ -125,13 +128,8 @@ def lt_numerator(gens, arity, weights=None, memo=None):
             mixed = [g for g in gens_m if arity - g.count(0) >= 2]
             if not mixed:
                 # pure powers of distinct variables: Koszul product
-                result = [1]
-                for g in gens_m:
-                    top = sum(w * e for w, e in zip(weights, g))
-                    factor = [0] * (top + 1)
-                    factor[0] = 1
-                    factor[-1] = -1
-                    result = _poly_mul(result, factor)
+                result = _koszul(sum(w * e for w, e in zip(weights, g))
+                                 for g in gens_m)
             else:
                 counts = [0] * arity
                 for g in mixed:
@@ -247,9 +245,10 @@ def data_from_numerator(numerator, arity) -> HilbertData:
                 for a, v in enumerate(term):
                     scaled[a] += c * v
         hp = tuple(Fraction(v, factorial(k)) for v in scaled)
-        degree = _poly_eval_one(q)
+        degree = sum(q)
         p_a = Fraction(1) - hp[0]
-        e_term = Fraction(_poly_derivative_at_one(q)) if krull == 2 else None
+        e_term = (Fraction(sum(i * c for i, c in enumerate(q)))
+                  if krull == 2 else None)
     return HilbertData(tuple(num), krull, proj_dim, degree, e_term, p_a, hp)
 
 
@@ -325,10 +324,4 @@ def graded_dimension(ideal_like, mu: int) -> int:
 
 def ci_hilbert_data(degrees, arity) -> HilbertData:
     """HilbertData of a complete intersection of the given form degrees."""
-    num = [1]
-    for d in degrees:
-        factor = [0] * (d + 1)
-        factor[0] = 1
-        factor[-1] = -1
-        num = _poly_mul(num, factor)
-    return data_from_numerator(num, arity)
+    return data_from_numerator(_koszul(degrees), arity)

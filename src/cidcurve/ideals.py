@@ -228,8 +228,7 @@ def _bayer_basis(a: Ideal, g: Polynomial):
     data = a._data_cache.get("hilbert")
     target = None
     if data is not None:
-        target = _hilbert._poly_mul(data.numerator,
-                                    [1] + [0] * (d - 1) + [-1])
+        target = _hilbert._koszul([d], data.numerator)
     weights = (1,) * ring.arity + (d,)
     basis = groebner_basis(gens, WeightedGrevLex(weights), ring=aux,
                            target=target)
@@ -253,13 +252,6 @@ def _reduced(a: Ideal) -> Ideal:
     return out
 
 
-def _colon_homogeneous(a: Ideal, g: Polynomial) -> Ideal:
-    """(a : g) for homogeneous a and g, from the Bayer basis."""
-    pairs, back = _bayer_basis(a, g)
-    lowered = back((1, f) for k, f in pairs if k)
-    return _reduced(Ideal(a.ring, list(a.generators) + lowered))
-
-
 def colon_principal(a: Ideal, g: Polynomial) -> Ideal:
     """(a : g) for a single polynomial: one weighted-grevlex basis when
     a and g are homogeneous (returned as its reduced grevlex basis),
@@ -271,7 +263,9 @@ def colon_principal(a: Ideal, g: Polynomial) -> Ideal:
     if g.is_constant():
         return a
     if a.is_homogeneous() and g.is_homogeneous():
-        return _colon_homogeneous(a, g)
+        pairs, back = _bayer_basis(a, g)
+        lowered = back((1, f) for k, f in pairs if k)
+        return _reduced(Ideal(a.ring, list(a.generators) + lowered))
     meet = intersect(a, Ideal(a.ring, [g]))
     return Ideal(a.ring, [divide_exact(f, g) for f in meet.generators])
 

@@ -15,7 +15,10 @@ measuring hyperplane, and the double link: W linked back by Z is X).
 Each reads the grevlex Hilbert series of an ideal of Z, X or W (Z's
 singular points on X and on W): a finiteness is a Krull dimension, and
 the double link is the degree and genus relation linkage by Z fixes
-between X and W, with no second colon.  A failing attempt is redrawn;
+between X and W, with no second colon.  The singular test reads F's
+minors on W one at a time through the kernel that decides smoothness
+(`discrepancy._minors_reach`) and stops at the first partial minor
+ideal that bounds the dimension.  A failing attempt is redrawn;
 persistent double-link failure is evidence that the input curve is not
 generically a complete intersection.
 
@@ -31,7 +34,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 from math import prod
 
-from .discrepancy import _linkage_genus_holds, jacobian_ideal, residual
+from .discrepancy import (
+    _linkage_genus_holds,
+    _minors_reach,
+    jacobian_ideal,
+    residual,
+)
 from .errors import (
     EmptyInput,
     ExhaustedCandidates,
@@ -330,15 +338,15 @@ def _construct(curve: CurveInput, seed: int, max_attempts: int,
             continue
 
         i_w = residual(i_z, i_x, seed=seed ^ attempt)
-        if transversal:
-            # V(I_Z) = V(I_X) u V(I_W), and Z's Jacobian scheme on X is
-            # on_curve, finite once reduced_along_input passes.  So Z
-            # has finitely many singular points exactly when its
-            # Jacobian scheme on W is finite.
-            jac_w = jacobian_ideal(F, curve.n - 1, ambient=i_w)
-            if not record("singular_locus_finite",
-                          krull_dimension(ideal_sum(i_w, jac_w)) <= 1):
-                continue
+        # V(I_Z) = V(I_X) u V(I_W), and Z's Jacobian scheme on X is
+        # on_curve, finite once reduced_along_input passes.  So Z has
+        # finitely many singular points exactly when I_W plus F's
+        # minors has dimension <= 1; minors are drawn in plain order
+        # and the first one mod I_W usually settles it.
+        if transversal and not record(
+                "singular_locus_finite",
+                _minors_reach(i_w, F, 1, 1, None)):
+            continue
 
         try:
             h = choose_chart(on_curve, seed=seed ^ attempt)

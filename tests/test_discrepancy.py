@@ -419,6 +419,22 @@ def test_lci_route_computed_when_not_shared(monkeypatch):
     assert len(calls) == 2
 
 
+def test_direct_route_draws_no_curve_minors(monkeypatch, capsys, tmp_path):
+    # only "auto" reads the smoothness decision, so a single selected
+    # route never takes the curve's Jacobian minors for it
+    calls = []
+    _spy(monkeypatch, cidcurve.discrepancy._smooth_on_witness, calls)
+    path = tmp_path / "nodal.ring"
+    path.write_text("ring/1 over QQ vars x0 x1 x2 x3\n"
+                    "ideal X = x1^2*x2 - x0^3 - x0^2*x2, x3;\n")
+    code = cidcurve.cli.main(["cid", "--input", str(path), "--route",
+                              "direct", "--output", "json"])
+    payload = json.loads(capsys.readouterr().out)
+    assert code == 0
+    assert payload["result"]["routes"] == {"direct": 0}
+    assert calls == []
+
+
 # --- certificates from data in hand ------------------------------------
 
 

@@ -112,6 +112,11 @@ def _jobs():
     add("cid-transversal-rnc4-qq",
         ("cid", "--input", str(INPUTS / "rnc4.ring"), "--seed", "0",
          "--transversal"))
+    # in P^5 the first 4 x 4 minor of Z mod I_W already bounds the
+    # singular locus, so most minors are never drawn
+    add("cid-transversal-rnc5-qq",
+        ("cid", "--input", str(INPUTS / "rnc5.ring"), "--seed", "0",
+         "--transversal"))
     nodal = "{dir}/nodal.ring"
     for route in ("direct", "smooth", "lci"):
         add(f"cid-nodal-{route}",

@@ -1,5 +1,7 @@
 """Curve input validation and certified linking complete intersections."""
 
+from math import comb
+
 import pytest
 
 from cidcurve import (
@@ -36,7 +38,7 @@ from cidcurve.errors import (
     WrongCharacteristic,
 )
 from cidcurve.ideals import INFINITE
-from cidcurve import linkage
+from cidcurve import discrepancy, linkage
 from cidcurve.linkage import TEST_NAMES
 from cidcurve.rng import SplitMix64
 
@@ -327,6 +329,29 @@ def test_singular_locus_verdict_matches_full_jacobian(name):
         witness = construct_ci_transversal(curve, seed=seed)
         assert witness.tests["singular_locus_finite"]
         assert _reference_singular_locus_finite(curve, witness)
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_singular_locus_test_stops_at_a_partial_minor_ideal(n, monkeypatch):
+    # a partial minor ideal that reaches dimension <= 1 proves the full
+    # one does, so an accepted draw leaves most minors of F undrawn
+    streams = []
+    real_stream = discrepancy._minor_stream
+
+    def stream(gens, codim, seed=None):
+        drawn = [tuple(gens), 0]
+        streams.append(drawn)
+        for minor in real_stream(gens, codim, seed):
+            drawn[1] += 1
+            yield minor
+
+    monkeypatch.setattr(discrepancy, "_minor_stream", stream)
+    witness = construct_ci_transversal(rnc_curve(n), seed=0)
+    assert witness.tests["singular_locus_finite"]
+    # the first stream over F is on_curve's, which takes every minor
+    counts = [drawn for gens, drawn in streams if gens == witness.F]
+    assert counts[0] == comb(n + 1, n - 1)
+    assert len(counts) == 2 and 0 < counts[1] < counts[0]
 
 
 def test_transversal_rejects_singular_residual():
