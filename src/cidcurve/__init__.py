@@ -64,7 +64,6 @@ from .hilbert import (
 from .ideals import (
     INFINITE,
     Ideal,
-    colon_certified,
     distinct_point_count,
     eliminate,
     ideal,

@@ -49,10 +49,10 @@ from . import hilbert as _hilbert
 from .ideals import (
     Ideal,
     chart_ideal,
-    colon_certified,
     distinct_point_count,
     ideal_equal,
     ideal_sum,
+    quotient,
     saturate,
     saturate_irrelevant,
 )
@@ -243,12 +243,12 @@ def residual(i_z: Ideal, i_x: Ideal, seed: int = 0) -> Ideal:
     unmixed, hence saturated, so the colon needs no saturation step:
     (I_Z : I_X) : m^inf = (I_Z : m^inf) : I_X = I_Z : I_X.
     When I_X has the dimension of I_Z, linkage fixes the colon's degree,
-    and `colon_certified` certifies it by that degree."""
+    and `quotient` certifies it by that degree."""
     gb_x = i_x.gb()
     for g in i_z.generators:
         if not gb_x.contains(g):
             raise NotContained(f"{g} does not lie in the curve ideal")
-    return colon_certified(i_z, i_x, seed=seed)
+    return quotient(i_z, i_x, seed=seed)
 
 
 def _check_chart(finite_ideal: Ideal, h: Polynomial) -> None:
@@ -519,7 +519,7 @@ def omega_jacobian(i_x: Ideal, witness, seed: int = 0) -> Ideal:
     curve's coordinate ring; presented as an ambient ideal over I_X."""
     if witness.i_w.is_unit():
         return witness.on_curve
-    return colon_certified(witness.on_curve, witness.i_w, seed=seed)
+    return quotient(witness.on_curve, witness.i_w, seed=seed)
 
 
 def omega_matches_jacobian(i_x: Ideal, witness, seed: int = 0) -> bool:

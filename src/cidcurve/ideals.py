@@ -10,8 +10,11 @@ weight deg g (Bayer's trick), mapped back by y -> g: the quotient from
 the elements y divides, divided by y once, and the saturation from
 every element divided by its top power of y.  Otherwise a principal
 quotient divides the generators of I ∩ (g) by g, and a principal
-saturation eliminates t from I + (1 - t*g) (Rabinowitsch).  Quotients
-and saturations by several generators intersect the principal ones.
+saturation eliminates t from I + (1 - t*g) (Rabinowitsch), projecting
+through `eliminate` as intersections do.  A saturation by several
+generators intersects the principal ones by those outside I; a quotient
+does so only when (I : g) for a random combination g of them twice
+fails its certificate, the degree linkage fixes or a product test.
 Saturation by the irrelevant maximal ideal of a homogeneous ideal
 saturates by one linear form, and a Hilbert-polynomial comparison
 certifies that the form missed every relevant associated prime; when
@@ -180,8 +183,7 @@ def intersect(a: Ideal, b: Ideal) -> Ideal:
     one_minus_t = aux.one() - t
     gens = [t * g for g in _relabel(a.generators, aux).generators]
     gens += [one_minus_t * g for g in _relabel(b.generators, aux).generators]
-    gb = groebner_basis(gens, Block(1), ring=aux)
-    return _relabel(gb.elements, a.ring)
+    return eliminate(Ideal(aux, gens), [0])
 
 
 def divide_exact(f: Polynomial, g: Polynomial) -> Polynomial:
@@ -270,78 +272,82 @@ def colon_principal(a: Ideal, g: Polynomial) -> Ideal:
     return Ideal(a.ring, [divide_exact(f, g) for f in meet.generators])
 
 
-def quotient(a: Ideal, b: Ideal) -> Ideal:
-    """(a : b) as the intersection of single-generator quotients.  A
-    generator of b that lies in a has the unit ideal as its quotient,
-    the identity of the intersection, so it is skipped."""
-    if a.ring != b.ring:
-        raise RingMismatch("ideal quotient across different rings")
+def _outside(a: Ideal, gens) -> list:
+    """The gens that a does not contain: a's colon and saturation by
+    each of the others are the unit ideal."""
     gb_a = a.gb()
-    parts = [colon_principal(a, g) for g in b.generators
-             if not gb_a.contains(g)]
-    if not parts:
-        return Ideal(a.ring, [a.ring.one()])
-    result = parts[0]
+    return [g for g in gens if not gb_a.contains(g)]
+
+
+def _fold(a: Ideal, gens, principal) -> Ideal:
+    """The intersection of principal(a, g) over gens, the unit ideal for
+    none: the exact colon or saturation by gens outside a, for principal
+    `colon_principal` or `_saturate_principal`."""
+    parts = [principal(a, g) for g in gens]
+    result = parts[0] if parts else Ideal(a.ring, [a.ring.one()])
     for part in parts[1:]:
         result = intersect(result, part)
     return result
 
 
-def colon_certified(a: Ideal, b: Ideal, seed=0) -> Ideal:
-    """(a : b) via a single random combination g of b's generators,
-    certified exact by the product test (a : g) * b ⊆ a; falls back to
-    the full quotient when certification fails.  When a and b are
-    homogeneous but b's generators differ in degree, each generator is
-    first raised to the top degree by a power of one random linear
-    form, so g is homogeneous and (a : g) takes the homogeneous colon.
+def quotient(a: Ideal, b: Ideal, seed=0) -> Ideal:
+    """(a : b).  With at most one generator of b outside a, that is the
+    unit ideal or the generator's principal colon.  Otherwise it is
+    (a : g) for one random combination g of b's generators, certified
+    exact and returned as its monic reduced grevlex basis; two failed
+    draws fall back to the intersection of the principal colons.  When
+    a and b are homogeneous but the generators differ in degree, each
+    is first raised to the top degree by a power of one random linear
+    form, so g is homogeneous and takes the homogeneous colon.
 
     When a is a homogeneous complete intersection and b contains it with
     the same Krull dimension, linkage fixes the degree of (a : b) (see
-    `_linked_degree`).  Then (a : g) is unmixed too and contains (a : b),
-    so it equals (a : b) exactly when it has a's Krull dimension and that
-    degree; a candidate that matches is accepted without the product
-    test, and one that does not is strictly larger than (a : b), cannot
-    pass it, and is discarded for the next draw.  Degree 0 leaves no
-    component, so that colon is the unit ideal and nothing is drawn."""
+    `_linked_degree`), read before any membership test.  Then (a : g)
+    is unmixed and contains (a : b), so it equals (a : b) exactly when
+    it has a's Krull dimension and that degree; one that does not is
+    strictly larger and is redrawn.  Degree 0 leaves no component, so
+    the colon is the unit ideal and nothing is drawn.  Any other
+    candidate is certified by the product test (a : g) * b ⊆ a."""
     if a.ring != b.ring:
         raise RingMismatch("ideal quotient across different rings")
-    if not b.generators:
+    gens = b.generators
+    degree = _linked_degree(a, b) if len(gens) > 1 else None
+    if degree == 0:
+        # b's top-dimensional part is a itself, so (a : b) = (a : a)
         return Ideal(a.ring, [a.ring.one()])
-    if len(b.generators) == 1:
-        return colon_principal(a, b.generators[0])
+    if degree is None:
+        gens = _outside(a, gens)
+        if len(gens) < 2:
+            return _fold(a, gens, colon_principal)
     rng = SplitMix64(seed ^ 0x5EED_C010)
     field = a.ring.field
-    gens = b.generators
+    draws = gens
     degrees = [gen.total_degree() for gen in gens]
     top = max(degrees)
     if a.is_homogeneous() and b.is_homogeneous() and min(degrees) < top:
         ell = a.ring.linear_form(rng.vector(field, a.ring.arity))
-        gens = [gen * ell**(top - d) for gen, d in zip(gens, degrees)]
-    degree = _linked_degree(a, b)
-    if degree == 0:
-        # b's top-dimensional part is a itself, so (a : b) = (a : a)
-        return Ideal(a.ring, [a.ring.one()])
+        draws = [gen * ell**(top - d) for gen, d in zip(gens, degrees)]
     gb_a = a.gb()
     for _ in range(2):
         g = a.ring.zero()
-        for gen, c in zip(gens, rng.vector(field, len(gens))):
+        for gen, c in zip(draws, rng.vector(field, len(draws))):
             g = g + gen.scale(c)
         if not g:
             continue
         candidate = colon_principal(a, g)
         if degree is not None:
+            # a homogeneous colon, so already its reduced grevlex basis,
+            # returned with the Hilbert data just cached on it
             data = _hilbert.hilbert_series(candidate)
             if (data.krull_dim == _hilbert.krull_dimension(a)
                     and data.degree == degree):
                 return candidate
-            continue
-        if all(
-            gb_a.contains(q * h)
-            for q in candidate.generators
-            for h in b.generators
-        ):
-            return candidate
-    return quotient(a, b)
+        elif all(gb_a.contains(q * h)
+                 for q in candidate.generators for h in gens):
+            return _reduced(candidate)
+    if degree is not None:
+        gens = _outside(a, gens)
+    return _fold(a, gens, colon_principal)
 
 
 def _linked_degree(a: Ideal, b: Ideal):
@@ -384,24 +390,17 @@ def _saturate_principal(a: Ideal, g: Polynomial) -> Ideal:
     t = aux.variable(0)
     gens = list(_relabel(a.generators, aux).generators)
     gens.append(aux.one() - t * _relabel([g], aux).generators[0])
-    gb = groebner_basis(gens, Block(1), ring=aux)
-    return _relabel(gb.elements, a.ring)
+    return eliminate(Ideal(aux, gens), [0])
 
 
 def saturate(a: Ideal, b: Ideal) -> Ideal:
-    """(a : b^infinity) as the intersection of the saturations by b's
-    generators.  A generator of b that lies in a saturates a to the
-    unit ideal, the identity of the intersection, so it is skipped.
-    Returns a itself when the saturation does not change it, otherwise
-    the saturation's monic reduced grevlex basis."""
+    """(a : b^infinity) as the intersection of the saturations by the
+    generators of b outside a.  Returns a itself when the saturation
+    does not change it, otherwise the saturation's monic reduced grevlex
+    basis."""
     if a.ring != b.ring:
         raise RingMismatch("ideal saturation across different rings")
-    gb_a = a.gb()
-    parts = [_saturate_principal(a, g) for g in b.generators
-             if not gb_a.contains(g)]
-    result = parts[0] if parts else Ideal(a.ring, [a.ring.one()])
-    for part in parts[1:]:
-        result = intersect(result, part)
+    result = _fold(a, _outside(a, b.generators), _saturate_principal)
     if ideal_equal(result, a):
         return a
     return _reduced(result)

@@ -26,7 +26,7 @@ Certification derives I_Z, the residual I_W = (I_Z : I_X) and the
 Jacobian scheme of Z on X; the accepted witness carries all three, so
 the discrepancy routes and the genus report read them instead of
 deriving them again.  The one linkage colon, I_W, is certified by the
-degree linkage fixes (see `ideals.colon_certified`).
+degree linkage fixes (see `ideals.quotient`).
 """
 
 from __future__ import annotations

@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from cidcurve import CurveInput, Field, PolyRing
+from cidcurve import ideals
 
 
 @pytest.fixture(scope="session")
@@ -25,6 +26,14 @@ def twisted_cubic_gens(ring):
 @pytest.fixture(scope="session")
 def twisted_cubic(p3):
     return CurveInput(p3, twisted_cubic_gens(p3))
+
+
+def exact_colon(a, b):
+    """(a : b) by the exact fold, the reference for `quotient`: the
+    intersection of the principal colons by the generators of b that a
+    does not contain."""
+    return ideals._fold(a, ideals._outside(a, b.generators),
+                        ideals.colon_principal)
 
 
 def rnc_curve(n, field=None):

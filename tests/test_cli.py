@@ -237,6 +237,22 @@ def test_verify_germ(capsys):
     assert payload["checks"]["multiplicities_match_direct"] is True
 
 
+def test_verify_exits_2_naming_the_failed_checks(monkeypatch, capsys):
+    # a failed report check is no error for `genus`, but `verify` exits
+    # 2 with a CheckFailed error that names it
+    monkeypatch.setattr(cidcurve.discrepancy, "_linkage_genus_holds",
+                        lambda *args: False)
+    code, payload = run_json(capsys, "genus", "--input", TC)
+    assert code == 0
+    assert payload["checks"]["peskine_szpiro"] is False
+    assert payload["errors"] == []
+    code, payload = run_json(capsys, "verify", "--input", TC)
+    assert code == 2
+    assert payload["checks"]["peskine_szpiro"] is False
+    assert payload["errors"] == [{"type": "CheckFailed",
+                                  "message": "failed checks: peskine_szpiro"}]
+
+
 def test_missing_file_exit_code(capsys):
     code, payload = run_json(capsys, "cid", "--input", "no_such_file.ring")
     assert code == 1

@@ -1,5 +1,6 @@
 """Discrepancy routes, genus reports, and the Jacobian comparisons."""
 
+import dataclasses
 import json
 import pathlib
 import sys
@@ -40,19 +41,21 @@ from cidcurve import hilbert as hilbert_module
 from cidcurve import ideals as ideals_module
 from cidcurve.errors import (
     BadCodim,
+    ChartMeetsIntersection,
     NotContained,
     NotSmooth,
     NotSmoothableRoute,
     OutOfHypothesis,
+    RouteDisagreement,
     TooManySubsets,
     WrongCharacteristic,
 )
 from cidcurve.groebner import GroebnerBasis
-from cidcurve.ideals import chart_ideal, colon_certified
+from cidcurve.ideals import chart_ideal
 from cidcurve.polynomials import Chart
 from cidcurve.rng import SplitMix64
 
-from conftest import rnc_curve, twisted_cubic_gens
+from conftest import exact_colon, rnc_curve, twisted_cubic_gens
 
 QQ = Field.rationals()
 RNC4 = str(pathlib.Path(__file__).resolve().parent.parent
@@ -380,7 +383,7 @@ def test_genus_reads_certified_witness(monkeypatch, capsys):
     # once; the report reads them from the witness, and on a smooth
     # curve lci_general is the smooth_jacobian computation
     colons, jacobians, lci = [], [], []
-    _spy(monkeypatch, cidcurve.ideals.colon_certified, colons)
+    _spy(monkeypatch, cidcurve.ideals.quotient, colons)
     _spy(monkeypatch, cidcurve.discrepancy.jacobian_ideal, jacobians)
     _spy(monkeypatch, cidcurve.discrepancy.cid_lci_general, lci)
     code = cidcurve.cli.main(["genus", "--input", RNC4, "--output", "json"])
@@ -488,7 +491,7 @@ def test_linkage_colon_rejects_a_larger_candidate(monkeypatch):
     assert g1 == ring.variable(0)
     assert (first.krull_dim, first.degree) == (2, 2)
     assert (second.krull_dim, second.degree) == (2, 3)
-    assert ideal_equal(result, quotient(i_z, j))
+    assert ideal_equal(result, exact_colon(i_z, j))
     assert hilbert_module.proj_degree(result) == 4 - 1
 
 
@@ -509,22 +512,27 @@ def test_residual_certifies_only_complete_intersections(monkeypatch):
     ring, i_z, j = _four_lines()
     x0, x1, x2, x3 = ring.variables()
     degrees = _spy_linked_degrees(monkeypatch)
-    assert ideal_equal(residual(i_z, j), quotient(i_z, j))
+    assert ideal_equal(residual(i_z, j), exact_colon(i_z, j))
     # three generators in codimension 2: not a complete intersection,
     # so the colon takes the product test
     extra = Ideal(ring, [x0 * x2, x1 * x3, x0 * x3])
-    assert ideal_equal(residual(extra, j), quotient(extra, j))
+    assert ideal_equal(residual(extra, j), exact_colon(extra, j))
     # J a point, not a curve: its degree says nothing about the colon
     point = Ideal(ring, [x0, x1, x3])
-    assert ideal_equal(residual(i_z, point), quotient(i_z, point))
+    assert ideal_equal(residual(i_z, point), exact_colon(i_z, point))
     # J not containing I_Z: linkage says nothing either
-    assert ideal_equal(colon_certified(i_z, Ideal(ring, [x0, x2 + x3])),
-                       quotient(i_z, Ideal(ring, [x0, x2 + x3])))
+    assert ideal_equal(quotient(i_z, Ideal(ring, [x0, x2 + x3])),
+                       exact_colon(i_z, Ideal(ring, [x0, x2 + x3])))
     # J = I_Z: the colon has degree 0, so it is the unit ideal, with no
-    # fallback to the full quotient
+    # fallback to the exact fold
     fallbacks = []
-    monkeypatch.setattr(ideals_module, "quotient",
-                        lambda a, b: fallbacks.append(b) or quotient(a, b))
+    real_fold = ideals_module._fold
+
+    def fold(a, gens, principal):
+        fallbacks.append(gens)
+        return real_fold(a, gens, principal)
+
+    monkeypatch.setattr(ideals_module, "_fold", fold)
     assert residual(i_z, i_z).is_unit()
     assert fallbacks == []
     assert degrees == [3, None, None, None, 0]
@@ -595,6 +603,42 @@ def test_smoothness_on_the_witness_scheme(name):
     assert on_witness == plain
 
 
+@pytest.mark.parametrize("name", ["cuspidal_cubic", "nodal_cubic",
+                                  "nodal_cubic_in_p3"])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_omega_matches_jacobian_on_singular_complete_intersections(name,
+                                                                   seed):
+    # Z = X, so W is empty and the omega-Jacobian is X's own Jacobian
+    # scheme; the curve is singular, so the ideals are compared
+    curve = SMOOTHNESS_CURVES[name]()
+    witness = construct_ci(curve, seed=seed)
+    assert witness.i_w.is_unit()
+    assert not discrepancy_module._smooth_on_witness(curve.ideal(), witness)
+    assert omega_matches_jacobian(curve.ideal(), witness, seed=seed)
+
+
+def test_chart_through_the_node_is_rejected():
+    # the line x = 0 passes through the node (0:0:1) of the nodal cubic,
+    # a point of the witness Jacobian scheme on X
+    curve = SMOOTHNESS_CURVES["nodal_cubic"]()
+    witness = construct_ci(curve, seed=0)
+    through_node = dataclasses.replace(witness, h=curve.ring.variable(0))
+    with pytest.raises(ChartMeetsIntersection):
+        transversality_count(curve, through_node)
+
+
+def test_routes_disagree_on_a_foreign_witness():
+    # the (2, 3) complete intersection's witness does not link the nodal
+    # cubic in P^3, and the auto routes say so
+    nodal = LENGTH_CURVES["nodal_cubic_in_p3"]()
+    foreign = construct_ci(LENGTH_CURVES["ci_2_3"](), seed=0)
+    with pytest.raises(RouteDisagreement) as caught:
+        cid_routes(nodal, foreign)
+    message = str(caught.value)
+    assert "'direct': 0" in message
+    assert "'smooth_jacobian': 9" in message
+
+
 def test_witness_smoothness_stays_off_the_public_answer():
     # a complete-intersection witness has an empty Jacobian scheme on its
     # own curve; handed in with a singular curve it must not make the
@@ -611,7 +655,7 @@ def test_genus_certifies_from_data_in_hand(monkeypatch, capsys):
     charts, products, minors = [], [], []
     _spy(monkeypatch, cidcurve.ideals.chart_ideal, charts)
     depth = []
-    real_colon = cidcurve.ideals.colon_certified
+    real_colon = cidcurve.ideals.quotient
 
     def colon(a, *args, **kwargs):
         depth.append(a)
@@ -622,8 +666,8 @@ def test_genus_certifies_from_data_in_hand(monkeypatch, capsys):
 
     for module in list(sys.modules.values()):
         if getattr(module, "__name__", "").startswith("cidcurve") and \
-                getattr(module, "colon_certified", None) is real_colon:
-            monkeypatch.setattr(module, "colon_certified", colon)
+                getattr(module, "quotient", None) is real_colon:
+            monkeypatch.setattr(module, "quotient", colon)
     real_contains = GroebnerBasis.contains
 
     def contains(self, f):

@@ -186,6 +186,25 @@ def test_normal_form_by_non_monic_divisors(field, divisor, expected):
     assert normal_form(f, [ring.parse(divisor)]) == ring.parse(expected)
 
 
+def test_normal_form_widens_the_packing_until_the_remainder_fits(
+        monkeypatch):
+    # x^50 needs 7-bit exponent fields, and its remainder y^150 does not
+    # fit those, so the reducer is repacked twice
+    ring = PolyRing(QQ, ("x", "y"))
+    x, y = ring.variables()
+    basis = groebner_basis([x - y**3], LEX)
+    widths = []
+    real = groebner._Reducer.widened
+
+    def widened(self, bits):
+        widths.append(bits)
+        return real(self, bits)
+
+    monkeypatch.setattr(groebner._Reducer, "widened", widened)
+    assert basis.normal_form(x**50) == y**150
+    assert widths == [7, 14]
+
+
 def test_twisted_cubic_basis():
     ring = tc_ring()
     gens = tc_gens(ring)

@@ -11,7 +11,6 @@ from cidcurve import (
     Ideal,
     LEX,
     PolyRing,
-    colon_certified,
     distinct_point_count,
     eliminate,
     ideal,
@@ -37,7 +36,7 @@ from cidcurve.ideals import colon_principal, divide_exact
 from cidcurve.orders import Block
 from cidcurve.rng import SplitMix64
 
-from conftest import twisted_cubic_gens
+from conftest import exact_colon, twisted_cubic_gens
 
 QQ = Field.rationals()
 
@@ -111,7 +110,8 @@ def test_quotient_examples():
 
 def test_quotient_skips_generators_already_in_the_ideal(monkeypatch):
     # (a : g) is the unit ideal for g in a, so only the other generators
-    # take a principal colon; the result is the full intersection's
+    # take a principal colon or enter the random combination; the result
+    # is the full intersection's
     ring = ring3()
     x, y, z = ring.variables()
     a = ideal(x * y, x * z**2)
@@ -123,20 +123,19 @@ def test_quotient_skips_generators_already_in_the_ideal(monkeypatch):
         return real(a, g)
 
     monkeypatch.setattr(ideals_module, "colon_principal", spy)
+    assert quotient(a, ideal(x * y)).is_unit()
     assert quotient(a, ideal(x * y, x * y * z + x * z**2)).is_unit()
     assert divisors == []
+    colon = quotient(a, ideal(x * y, z))
+    assert divisors == [z]
+    assert colon.generators == real(a, z).generators
+    divisors.clear()
     colon = quotient(a, ideal(x * y, z, x))
-    assert divisors == [z, x]
+    # every divisor tried, drawn or in the exact fold, lies in (z, x)
+    assert divisors
+    assert all(set(g.terms) <= {(1, 0, 0), (0, 0, 1)} for g in divisors)
     assert ideal_equal(colon, intersect(real(a, z), real(a, x)))
     assert ideal_equal(colon, a)
-
-
-def test_colon_certified_matches_quotient():
-    ring = ring3()
-    for seed in (3, 5):
-        a = random_ideal(ring, seed)
-        b = random_ideal(ring, seed + 7)
-        assert ideal_equal(colon_certified(a, b), quotient(a, b))
 
 
 def random_form(ring, rng, degree, terms=4):
@@ -155,6 +154,41 @@ def colon_by_elimination(a, g):
     """(a : g) the old way: exact division of a ∩ (g) by g."""
     meet = intersect(a, Ideal(a.ring, [g]))
     return Ideal(a.ring, [divide_exact(f, g) for f in meet.generators])
+
+
+def _colon_cases(field, homogeneous, seed):
+    """A seeded dividend a and divisors of 2 or 3 generators, some of
+    them in a; every form is shifted by a unit when not homogeneous."""
+    ring = PolyRing(field, ("x0", "x1", "x2"))
+    rng = SplitMix64(seed)
+    shift = ring.zero() if homogeneous else ring.one()
+
+    def form(degree):
+        return random_form(ring, rng, degree, terms=3) + shift
+
+    u, v = form(1), form(1)
+    a = Ideal(ring, [u * form(1), u * v * form(1), v * form(2)])
+    inside = a.generators[0] * form(1)
+    divisors = [Ideal(ring, [v, form(2)]),
+                Ideal(ring, [u * form(1), inside]),
+                Ideal(ring, [inside, v * form(1), form(1)]),
+                Ideal(ring, [u, v, a.generators[1]])]
+    return a, divisors
+
+
+@pytest.mark.parametrize("field", [QQ, Field.prime_field(32003)],
+                         ids=["QQ", "Fp32003"])
+@pytest.mark.parametrize("homogeneous", [True, False],
+                         ids=["homogeneous", "affine"])
+def test_quotient_prints_the_exact_folds_generators(field, homogeneous):
+    # the random combination, once certified, is returned as the same
+    # monic reduced grevlex basis the exact fold prints
+    for seed in (1, 2, 3):
+        a, divisors = _colon_cases(field, homogeneous, seed)
+        for b in divisors:
+            expected = [str(g) for g in exact_colon(a, b).generators]
+            got = quotient(a, b, seed=seed)
+            assert [str(g) for g in got.generators] == expected
 
 
 @pytest.mark.parametrize("field", [QQ, Field.prime_field(32003)],
@@ -192,7 +226,7 @@ def test_homogeneous_colon_edge_cases():
     assert colon_principal(Ideal(ring, []), x0).is_zero()
 
 
-def test_colon_certified_mixed_degrees(monkeypatch):
+def test_quotient_mixed_degrees(monkeypatch):
     ring = PolyRing(QQ, ("x0", "x1", "x2", "x3"))
     x0, x1, x2, x3 = ring.variables()
     tc = Ideal(ring, twisted_cubic_gens(ring))
@@ -208,11 +242,11 @@ def test_colon_certified_mixed_degrees(monkeypatch):
         return real(gens, order, ring=ring, target=target)
 
     monkeypatch.setattr(ideals_module, "groebner_basis", spy)
-    result = colon_certified(a, b, seed=4)
+    result = quotient(a, b, seed=4)
     assert not any(isinstance(order, Block) for order in orders)
     monkeypatch.undo()
     assert ideal_equal(result, tc)
-    assert ideal_equal(result, quotient(a, b))
+    assert ideal_equal(result, exact_colon(a, b))
 
 
 def test_saturation():

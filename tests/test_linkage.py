@@ -10,7 +10,6 @@ from cidcurve import (
     Ideal,
     PolyRing,
     choose_chart,
-    colon_certified,
     construct_ci,
     construct_ci_transversal,
     hilbert_polynomial,
@@ -21,6 +20,7 @@ from cidcurve import (
     jacobian_ideal,
     krull_dimension,
     proj_degree,
+    quotient,
     residual,
     saturate_irrelevant,
     vdim,
@@ -300,7 +300,7 @@ def test_double_link_verdict_matches_saturated_comparison(name, monkeypatch):
         if not links:
             continue  # an earlier test rejected the draw
         i_z, i_w, link_seed = links[0]
-        back = colon_certified(i_z, i_w, seed=link_seed)
+        back = quotient(i_z, i_w, seed=link_seed)
         assert verdict == (hilbert_polynomial(back) == hilbert_polynomial(i_x))
         assert verdict == ideal_equal(back, sat_x)
         verdicts.append(verdict)
