@@ -14,9 +14,11 @@ once, and decide smoothness on that scheme.  On a smooth curve the
 Jacobian and saturation routes are one computation, so it runs once
 and its value is filed under both names.  Every Jacobian minor comes
 from one kernel, `_minors`, which works on integer rows and computes
-each shared sub-minor once per stream of minors.  Smoothness and the
-transversal witness's singular test share one dimension bound that
-reads minors one at a time, `_minors_reach`.  The genus report
+each shared sub-minor once per stream of minors.  Minors reduced mod
+a base ideal come from one generator, `_reduced_minors`:
+`_jacobian_scheme` takes them all (the witness scheme, X's singular
+locus), and `_minors_reach` (smoothness, the transversal singular
+test) only until a dimension bound is reached.  The genus report
 bundles the discrepancy with the Hilbert-polynomial invariants and
 verifies the adjunction-type genus formula, Bezout and the linkage
 genus exchange (which the degree-certified linkage colon and the
@@ -115,13 +117,16 @@ def _minors(rows, pairs):
             return {e: c % char for e, c in total.items() if c % char}
         return {e: c for e, c in total.items() if c}
 
-    for ri, ci in pairs:
-        d = det(ri, ci)
-        if char:
-            yield Polynomial(ring, d)
-            continue
-        m = prod(mults[i] for i in ri)
-        yield Polynomial(ring, {e: Fraction(c, m) for e, c in d.items()})
+    try:
+        for ri, ci in pairs:
+            d = det(ri, ci)
+            if char:
+                yield Polynomial(ring, d)
+                continue
+            m = prod(mults[i] for i in ri)
+            yield Polynomial(ring, {e: Fraction(c, m) for e, c in d.items()})
+    finally:
+        del det  # empties its own cell: no cycle is left for the collector
 
 
 def _determinant(rows):
@@ -150,13 +155,8 @@ def _minor_stream(gens, codim: int, seed=None):
     yield from _minors(rows, pairs)
 
 
-def jacobian_ideal(gens, codim: int, ambient: Ideal | None = None) -> Ideal:
-    """Ideal of all codim x codim minors of the Jacobian matrix of gens.
-
-    With ambient given, each minor is replaced by its normal form against
-    the ambient basis, i.e. the result presents the image of the minor
-    ideal in the ambient coordinate ring.
-    """
+def jacobian_ideal(gens, codim: int) -> Ideal:
+    """Ideal of all codim x codim minors of the Jacobian matrix of gens."""
     gens = [g for g in gens if g]
     if not gens:
         raise BadCodim("no generators to differentiate")
@@ -165,15 +165,9 @@ def jacobian_ideal(gens, codim: int, ambient: Ideal | None = None) -> Ideal:
         raise BadCodim(
             f"codim {codim} outside 1..min({len(gens)}, {ring.arity})"
         )
-    reduce = ambient.gb().normal_form if ambient is not None else (lambda f: f)
-    minors = []
-    for d in _minor_stream(gens, codim):
-        d = reduce(d)
-        if d:
-            # content normalization keeps downstream basis
-            # computations in small integers
-            minors.append(d.primitive_int())
-    return Ideal(ring, minors)
+    # primitive minors keep downstream bases in small integers
+    return Ideal(ring, [d.primitive_int() for d in _minor_stream(gens, codim)
+                        if d])
 
 
 def curve_codim(ring) -> int:
@@ -182,56 +176,66 @@ def curve_codim(ring) -> int:
     return ring.arity - 2
 
 
+def _reduced_minors(base: Ideal, forms, seed=None):
+    """The nonzero Jacobian minors of `forms` of the curve codimension
+    mod base, made primitive, in `_minor_stream` order for `seed`."""
+    normal_form = base.gb().normal_form
+    for minor in _minor_stream(forms, curve_codim(base.ring), seed):
+        minor = normal_form(minor)
+        if minor:
+            yield minor.primitive_int()
+
+
+def _jacobian_scheme(base: Ideal, forms) -> Ideal:
+    """base plus the reduced Jacobian minors of `forms`: the Jacobian
+    scheme of V(forms) on V(base).  With the base's own generators as
+    forms it is the singular locus of V(base), kept with the base."""
+    own = tuple(forms) == base.generators
+    scheme = base._data_cache.get("jacobian_scheme") if own else None
+    if scheme is None:
+        scheme = Ideal(base.ring,
+                       [*base.generators, *_reduced_minors(base, forms)])
+        if own:
+            base._data_cache["jacobian_scheme"] = scheme
+    return scheme
+
+
 def is_smooth_curve(i_x: Ideal, seed: int = 0) -> bool:
-    """Jacobian criterion: the singular scheme of the curve is empty.
-    The answer is kept with the ideal."""
-    answer = i_x._data_cache.get("smooth")
-    if answer is None:
-        answer = _minors_reach(i_x, i_x.generators, 0, 8, seed)
-        i_x._data_cache["smooth"] = answer
-    return answer
+    """Jacobian criterion: the singular scheme of the curve is empty."""
+    return _minors_reach(i_x, i_x.generators, 0, seed)
 
 
-def _minors_reach(base: Ideal, forms, bound: int, checkpoint: int,
-                  seed) -> bool:
-    """Whether base plus the Jacobian minors of `forms` of the curve
-    codimension has Krull dimension at most `bound`; `seed` is the
-    minor order as for `_minor_stream`.
+def _minors_reach(base: Ideal, forms, bound: int, seed) -> bool:
+    """Whether `_jacobian_scheme(base, forms)` has Krull dimension at
+    most `bound`, reading minors in `_minor_stream` order for `seed`;
+    the verdict is kept with base, by forms and bound.
 
-    Minors are reduced mod base and accumulated, with a dimension check
-    after `checkpoint` new ones (doubling each time): more generators
-    can only lower the dimension, so once a partial minor ideal reaches
-    the bound the full one does too and the remaining minors are not
-    computed.  A negative answer always consumes every minor.
+    A generator lowers the dimension by at most one, so the first check
+    comes after dim(base) - bound minors, then after twice as many new
+    ones each time.  Once a partial minor ideal reaches the bound the
+    full one does too, and the remaining minors are not computed; a
+    negative answer consumes every minor.
     """
-    ring = base.ring
-    gb = base.gb()
-    collected = list(base.generators)
-    pending = 0
-    for minor in _minor_stream(forms, curve_codim(ring), seed):
-        m = gb.normal_form(minor)
-        if not m:
-            continue
-        collected.append(m)
-        pending += 1
-        if pending == checkpoint:
-            if _hilbert.krull_dimension(Ideal(ring, collected)) <= bound:
-                return True
-            pending, checkpoint = 0, checkpoint * 2
-    if pending or len(collected) == len(base.generators):
-        return _hilbert.krull_dimension(Ideal(ring, collected)) <= bound
-    return False  # the last check already read every minor
-
-
-def _singular_locus(i_x: Ideal) -> Ideal:
-    """I_X plus the curve's Jacobian minors, built once per ideal."""
-    locus = i_x._data_cache.get("singular_locus")
-    if locus is None:
-        minors = jacobian_ideal(i_x.generators, curve_codim(i_x.ring),
-                                ambient=i_x)
-        locus = ideal_sum(i_x, minors)
-        i_x._data_cache["singular_locus"] = locus
-    return locus
+    key = (tuple(forms), bound)
+    answer = base._data_cache.get(key)
+    if answer is None:
+        collected = list(base.generators)
+        checkpoint = _hilbert.krull_dimension(base) - bound
+        answer, pending = checkpoint <= 0, 0
+        for minor in () if answer else _reduced_minors(base, forms, seed):
+            collected.append(minor)
+            pending += 1
+            if pending == checkpoint:
+                answer = _hilbert.krull_dimension(
+                    Ideal(base.ring, collected)) <= bound
+                if answer:
+                    break
+                pending, checkpoint = 0, checkpoint * 2
+        if pending and not answer:  # else the last check read every minor
+            answer = _hilbert.krull_dimension(
+                Ideal(base.ring, collected)) <= bound
+        base._data_cache[key] = answer
+    return answer
 
 
 # --- residual and charts -----------------------------------------------
@@ -251,11 +255,16 @@ def residual(i_z: Ideal, i_x: Ideal, seed: int = 0) -> Ideal:
     return quotient(i_z, i_x, seed=seed)
 
 
+def _hyperplane_misses(finite: Ideal, h: Polynomial) -> bool:
+    """Whether the hyperplane h misses the finite projective scheme of
+    `finite`: finite plus h has Krull dimension 0."""
+    with_h = Ideal(finite.ring, [*finite.generators, h])
+    return _hilbert.krull_dimension(with_h) == 0
+
+
 def _check_chart(finite_ideal: Ideal, h: Polynomial) -> None:
     """The hyperplane h must miss the (finite) projective support."""
-    with_h = Ideal(finite_ideal.ring,
-                   list(finite_ideal.generators) + [h])
-    if _hilbert.krull_dimension(with_h) > 0:
+    if not _hyperplane_misses(finite_ideal, h):
         raise ChartMeetsIntersection(
             f"hyperplane {h} meets the finite scheme being measured"
         )
@@ -291,20 +300,9 @@ def _smooth_on_witness(i_x: Ideal, witness) -> bool:
     and plane curve), X is smooth with no minor drawn.  Otherwise it is
     finite on a witness that passed `reduced_along_input`, so a single
     minor may already finish the check.  The answer depends on the
-    witness, so it is kept with `on_curve` for this I_X and never under
-    the key that `is_smooth_curve` answers from.
+    witness, so it is kept with `on_curve`, not with I_X.
     """
-    answer = i_x._data_cache.get("smooth")
-    if answer is not None:
-        return answer
-    on_curve = witness.on_curve
-    cached = on_curve._data_cache.get("curve_smooth")
-    if cached is not None and cached[0] is i_x:
-        return cached[1]
-    answer = (_hilbert.krull_dimension(on_curve) == 0
-              or _minors_reach(on_curve, i_x.generators, 0, 1, 0))
-    on_curve._data_cache["curve_smooth"] = (i_x, answer)
-    return answer
+    return _minors_reach(witness.on_curve, i_x.generators, 0, 0)
 
 
 def _witness_locus(i_x: Ideal, witness) -> Ideal:
@@ -315,7 +313,8 @@ def _witness_locus(i_x: Ideal, witness) -> Ideal:
     large)."""
     if _smooth_on_witness(i_x, witness):
         return witness.on_curve
-    return saturate(witness.on_curve, _singular_locus(i_x))
+    return saturate(witness.on_curve,
+                    _jacobian_scheme(i_x, i_x.generators))
 
 
 def cid_smooth_jacobian(i_x: Ideal, witness) -> int:
@@ -538,7 +537,7 @@ def omega_matches_jacobian(i_x: Ideal, witness, seed: int = 0) -> bool:
         # only the omega side still needs checking: it is trivial when it
         # cuts out the empty projective scheme.
         return _hilbert.krull_dimension(j) == 0
-    jac_x = _singular_locus(i_x)
+    jac_x = _jacobian_scheme(i_x, i_x.generators)
     if ideal_equal(j, jac_x):
         return True
     return ideal_equal(saturate_irrelevant(j), saturate_irrelevant(jac_x))

@@ -37,7 +37,7 @@ from heapq import heappop, heappush
 from itertools import combinations
 from math import gcd
 
-from .discrepancy import _determinant, _minors, jacobian_ideal
+from .discrepancy import _determinant, _minor_stream, jacobian_ideal
 from .errors import (
     DerivativeVanishes,
     EmptyInput,
@@ -61,7 +61,6 @@ from .polynomials import (
     Polynomial,
     PolyRing,
     _substitute,
-    partial_derivative,
 )
 from .rng import SplitMix64
 
@@ -571,10 +570,9 @@ def e_jacobian_single_minor(Z_germ, branches, seed: int = 0) -> int:
             change[i][j] = ring.constant(next(upper))
     k = len(Z_gens)
     subsets = list(combinations(range(n), k))
-    jacobian = [[partial_derivative(g, j) for j in range(n)] for g in Z_gens]
-    minors = _minors(jacobian, [(tuple(range(k)), s) for s in subsets])
+    # the one row set, then the column subsets in `combinations` order
     minor = ring.zero()
-    for s, m in zip(subsets, minors):
+    for s, m in zip(subsets, _minor_stream(Z_gens, k)):
         weight = _determinant([change[i][1:k + 1] for i in s])
         minor = minor + weight * m
     return hs_multiplicity_pullback([minor], branches)

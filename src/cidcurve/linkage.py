@@ -15,7 +15,9 @@ measuring hyperplane, and the double link: W linked back by Z is X).
 Each reads the grevlex Hilbert series of an ideal of Z, X or W (Z's
 singular points on X and on W): a finiteness is a Krull dimension, and
 the double link is the degree and genus relation linkage by Z fixes
-between X and W, with no second colon.  The singular test reads F's
+between X and W, with no second colon.  The reducedness and chart
+tests ask whether a hyperplane misses Z's Jacobian scheme on X,
+`discrepancy._jacobian_scheme(I_X, F)`.  The singular test reads F's
 minors on W one at a time through the kernel that decides smoothness
 (`discrepancy._minors_reach`) and stops at the first partial minor
 ideal that bounds the dimension.  A failing attempt is redrawn;
@@ -35,9 +37,10 @@ from dataclasses import dataclass, field as dc_field
 from math import prod
 
 from .discrepancy import (
+    _hyperplane_misses,
+    _jacobian_scheme,
     _linkage_genus_holds,
     _minors_reach,
-    jacobian_ideal,
     residual,
 )
 from .errors import (
@@ -53,7 +56,7 @@ from .errors import (
     WrongCharacteristic,
 )
 from .hilbert import ci_hilbert_data, hilbert_series, krull_dimension
-from .ideals import Ideal, ideal_sum
+from .ideals import Ideal
 from .orders import GREVLEX
 from .polynomials import Polynomial, PolyRing
 from .rng import SplitMix64
@@ -127,7 +130,7 @@ def choose_chart(avoid: Ideal, seed: int = 0) -> Polynomial:
     for _ in range(12):
         candidates.append(ring.linear_form(rng.vector(ring.field, ring.arity)))
     for h in candidates:
-        if krull_dimension(Ideal(ring, list(avoid.generators) + [h])) == 0:
+        if _hyperplane_misses(avoid, h):
             return h
     raise ExhaustedCandidates("no hyperplane misses the locus to avoid")
 
@@ -252,7 +255,7 @@ def _plane_curve_witness(curve: CurveInput, seed: int,
         raise InputError("a plane curve must be given by a single form")
     i_x = curve.ideal()
     F = (curve.generators[0],)
-    on_curve = ideal_sum(i_x, jacobian_ideal(F, 1, ambient=i_x))
+    on_curve = _jacobian_scheme(i_x, F)  # X's singular locus, kept on I_X
     try:
         h = choose_chart(on_curve, seed=seed)
     except NotZeroDimensional:
@@ -331,10 +334,9 @@ def _construct(curve: CurveInput, seed: int, max_attempts: int,
                       all(F) and _is_complete_intersection(i_z)):
             continue
 
-        jac = jacobian_ideal(F, curve.n - 1, ambient=i_x)
-        on_curve = ideal_sum(i_x, jac)
-        along = Ideal(curve.ring, list(on_curve.generators) + [ells[-1]])
-        if not record("reduced_along_input", krull_dimension(along) == 0):
+        on_curve = _jacobian_scheme(i_x, F)
+        if not record("reduced_along_input",
+                      _hyperplane_misses(on_curve, ells[-1])):
             continue
 
         i_w = residual(i_z, i_x, seed=seed ^ attempt)
@@ -345,7 +347,7 @@ def _construct(curve: CurveInput, seed: int, max_attempts: int,
         # and the first one mod I_W usually settles it.
         if transversal and not record(
                 "singular_locus_finite",
-                _minors_reach(i_w, F, 1, 1, None)):
+                _minors_reach(i_w, F, 1, None)):
             continue
 
         try:

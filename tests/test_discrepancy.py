@@ -218,9 +218,10 @@ def test_jacobian_minor_bytes_are_pinned():
         for n in (4, 5):
             curve = rnc_curve(n, field)
             witness = construct_ci(curve, seed=0)
-            ideal = jacobian_ideal(list(witness.F), n - 1,
-                                   ambient=curve.ideal())
-            got[f"rnc{n}-{name}"] = [str(g) for g in ideal.generators]
+            i_x = curve.ideal()
+            scheme = discrepancy_module._jacobian_scheme(i_x, witness.F)
+            got[f"rnc{n}-{name}"] = [
+                str(g) for g in scheme.generators[len(i_x.generators):]]
         cubic = rnc_curve(3, field)
         got[f"twisted_cubic-{name}"] = [
             str(g) for g in jacobian_ideal(cubic.generators, 2).generators]
@@ -384,7 +385,7 @@ def test_genus_reads_certified_witness(monkeypatch, capsys):
     # curve lci_general is the smooth_jacobian computation
     colons, jacobians, lci = [], [], []
     _spy(monkeypatch, cidcurve.ideals.quotient, colons)
-    _spy(monkeypatch, cidcurve.discrepancy.jacobian_ideal, jacobians)
+    _spy(monkeypatch, cidcurve.discrepancy._jacobian_scheme, jacobians)
     _spy(monkeypatch, cidcurve.discrepancy.cid_lci_general, lci)
     code = cidcurve.cli.main(["genus", "--input", RNC4, "--output", "json"])
     payload = json.loads(capsys.readouterr().out)
@@ -394,7 +395,7 @@ def test_genus_reads_certified_witness(monkeypatch, capsys):
     # W = (I_Z : I_X) per attempt, and no back colon (I_Z : I_W)
     assert len(colons) == witness["attempts"]
     builds = [args for args in jacobians
-              if [str(g) for g in args[0]] == witness["forms"]]
+              if [str(g) for g in args[1]] == witness["forms"]]
     assert len(builds) == 1
     assert lci == []
     routes = payload["result"]["cid_routes"]
@@ -757,3 +758,87 @@ def test_lci_route_and_transversality_build_no_chart(monkeypatch):
     assert transversality_count(twisted, transversal) == (2, True)
     assert charts == []
     assert forms == []
+
+
+# --- the Jacobian scheme and its memo ---------------------------------
+
+
+CAUCHY_BINET_CURVES = {
+    "twisted_cubic": lambda: rnc_curve(3),
+    "rnc4": lambda: rnc_curve(4),
+    "nodal_cubic_in_p3": SMOOTHNESS_CURVES["nodal_cubic_in_p3"],
+    "coordinate_axes": _coordinate_axes,
+    "twisted_cubic_and_line": _twisted_cubic_and_line,
+    "nodal_cubic": SMOOTHNESS_CURVES["nodal_cubic"],
+    "cuspidal_cubic": SMOOTHNESS_CURVES["cuspidal_cubic"],
+    "fermat_cubic": SMOOTHNESS_CURVES["fermat_cubic"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(CAUCHY_BINET_CURVES))
+@pytest.mark.parametrize("seed", [0, 1])
+def test_witness_scheme_plus_curve_minors_is_the_singular_locus(name, seed):
+    # F lies in I_X, so by Cauchy-Binet the witness Jacobian scheme on X
+    # contains X's singular locus, and the curve's minors added to it cut
+    # out exactly that locus: `_smooth_on_witness` rests on this
+    curve = CAUCHY_BINET_CURVES[name]()
+    i_x = curve.ideal()
+    witness = construct_ci(curve, seed=seed)
+    locus = discrepancy_module._jacobian_scheme(i_x, i_x.generators)
+    on_curve = witness.on_curve
+    assert all(locus.contains(g) for g in on_curve.generators)
+    on_witness = discrepancy_module._jacobian_scheme(on_curve,
+                                                     i_x.generators)
+    assert ideal_equal(on_witness, locus)
+
+
+@pytest.mark.parametrize("name", ["twisted_cubic_and_line", "rnc4"])
+def test_smoothness_verdicts_are_kept(name, monkeypatch):
+    # both answers are kept with their base ideal, so asking again draws
+    # no minor
+    curve = CAUCHY_BINET_CURVES[name]()
+    witness = construct_ci(curve, seed=0)
+    drawn = []
+    real_stream = discrepancy_module._minor_stream
+
+    def stream(gens, codim, seed=None):
+        for minor in real_stream(gens, codim, seed):
+            drawn.append(minor)
+            yield minor
+
+    monkeypatch.setattr(discrepancy_module, "_minor_stream", stream)
+    first = discrepancy_module._smooth_on_witness(curve.ideal(), witness)
+    smooth = is_smooth_curve(curve.ideal())
+    assert first == smooth == (name == "rnc4")
+    assert drawn
+    drawn.clear()
+    assert discrepancy_module._smooth_on_witness(curve.ideal(),
+                                                 witness) == first
+    assert is_smooth_curve(curve.ideal()) == smooth
+    assert drawn == []
+
+
+def test_plane_witness_reads_the_cached_singular_locus():
+    curve = SMOOTHNESS_CURVES["nodal_cubic"]()
+    i_x = curve.ideal()
+    witness = construct_ci(curve, seed=0)
+    assert witness.on_curve is discrepancy_module._jacobian_scheme(
+        i_x, i_x.generators)
+
+
+def test_smoothness_first_checks_two_minors(monkeypatch):
+    # the curve ideal has dimension 2 and each minor lowers it by at most
+    # one, so no check comes before two minors
+    i_x = rnc_curve(4).ideal()
+    checked = []
+    real = hilbert_module.krull_dimension
+
+    def krull_dimension(ideal_like):
+        checked.append(ideal_like)
+        return real(ideal_like)
+
+    monkeypatch.setattr(hilbert_module, "krull_dimension", krull_dimension)
+    assert is_smooth_curve(i_x)
+    assert checked[0] is i_x
+    assert checked[1].generators[:len(i_x.generators)] == i_x.generators
+    assert len(checked[1].generators) == len(i_x.generators) + 2

@@ -235,7 +235,7 @@ def test_witness_carries_certified_ideals(name):
     assert ideal_equal(witness.i_z, i_z)
     assert ideal_equal(witness.i_w, residual(i_z, i_x))
     assert is_saturated(witness.i_w)
-    minors = jacobian_ideal(witness.F, curve.n - 1, ambient=i_x)
+    minors = jacobian_ideal(witness.F, curve.n - 1)
     assert ideal_equal(witness.on_curve, ideal_sum(i_x, minors))
     # the certification tests are recorded in the order they run
     assert list(witness.tests) == [t for t in TEST_NAMES
@@ -306,6 +306,30 @@ def test_double_link_verdict_matches_saturated_comparison(name, monkeypatch):
         verdicts.append(verdict)
     assert verdicts
     assert set(verdicts) == {name != "line_with_embedded_point"}
+
+
+def test_rejected_draws_leave_nothing_on_the_curve_ideal(monkeypatch):
+    # every draw on the line with an embedded point fails the double
+    # link after its witness Jacobian scheme was built; none of those
+    # schemes, nor a verdict on their forms, stays with I_X
+    curve = _line_with_embedded_point()
+    builds = []
+    real = discrepancy._jacobian_scheme
+
+    def build(base, forms):
+        scheme = real(base, forms)
+        builds.append((tuple(forms), scheme))
+        return scheme
+
+    monkeypatch.setattr(linkage, "_jacobian_scheme", build)
+    with pytest.raises(NotGenericallyCI):
+        construct_ci(curve, seed=0, max_attempts=2)
+    assert len(builds) == 2
+    cache = curve.ideal()._data_cache
+    for forms, scheme in builds:
+        assert all(value is not scheme for value in cache.values())
+        assert all(forms not in key for key in cache
+                   if isinstance(key, tuple))
 
 
 def _reference_singular_locus_finite(curve, witness):

@@ -62,3 +62,13 @@ def test_random_coefficients_are_drawn_as_nonzero_vectors():
                   if isinstance(node, ast.Attribute)
                   and node.attr == "unit_coefficient"]
     assert not found, f"unit_coefficient outside rng.py: {found}"
+
+
+def test_minor_kernel_stays_in_discrepancy():
+    # every Jacobian minor is drawn through `discrepancy`'s streams, so
+    # no other module reaches for the kernel itself
+    found = [path.name for path in sorted(SRC.glob("*.py"))
+             if path.name != "discrepancy.py"
+             and "_minors" in _referenced_names(
+                 ast.parse(path.read_text(), filename=str(path)))]
+    assert not found, f"_minors referenced outside discrepancy: {found}"
