@@ -1,6 +1,9 @@
 """Command-line surface: parse input files, run the linkage and germ
 pipelines, and emit deterministic text or JSON reports.
 
+`COMMANDS` is the one table of subcommands: the parser takes from it
+each command's options, and `run` its body for the input file's kind.
+
 Exit codes: 0 success, 1 for I/O and syntax problems, 2 when a
 mathematical precondition fails (and for `verify` when a check fails).
 """
@@ -59,65 +62,6 @@ IDEAL_OPS = {
     "eliminate": (eliminate, "vars"),
     "radical": (radical_zero_dim, None),
 }
-
-
-@functools.cache
-def _build_parser() -> argparse.ArgumentParser:
-    """The command-line parser, built on the first call and shared by
-    every later `main` in the process; parsing does not change it."""
-    parser = argparse.ArgumentParser(
-        prog="cidcurve",
-        description="exact linkage invariants for projective curves "
-                    "and curve germs",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def command(name, help_text):
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("--input", required=True, help="ring or germ file")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--field", default=None,
-                       help="QQ or Fp:<p>; overrides the file header")
-        p.add_argument("--route", default="auto",
-                       choices=("auto", "direct", "smooth", "lci", "aci"))
-        p.add_argument("--output", default="text", choices=("text", "json"))
-        p.add_argument("--precision-cap", dest="precision_cap", type=int,
-                       default=256)
-        p.add_argument("--max-attempts", dest="max_attempts", type=int,
-                       default=24)
-        p.add_argument("--transversal", action="store_true")
-        return p
-
-    gb = command("gb", "reduced Groebner basis of a named ideal")
-    gb.add_argument("--ideal", default=None)
-    gb.add_argument("--order", default="grevlex")
-
-    op = command("ideal-op", "binary and unary ideal operations")
-    op.add_argument("--op", required=True, choices=IDEAL_OPS)
-    op.add_argument("--left", default=None)
-    op.add_argument("--right", default=None)
-    op.add_argument("--vars", default=None,
-                    help="comma-separated variables to eliminate")
-
-    inv = command("invariants", "dimension, degree and genus of an ideal")
-    inv.add_argument("--ideal", default=None)
-
-    cc = command("construct-ci", "draw and certify a linking complete "
-                                 "intersection through the curve")
-    cc.add_argument("--ideal", default=None)
-
-    cid = command("cid", "complete-intersection discrepancy by the "
-                         "selected routes")
-    cid.add_argument("--ideal", default=None)
-
-    gen = command("genus", "degrees, discrepancy and genus identities")
-    gen.add_argument("--ideal", default=None)
-
-    command("local", "invariants of a curve germ from its branches")
-
-    ver = command("verify", "run every check the input supports")
-    ver.add_argument("--ideal", default=None)
-    return parser
 
 
 # --- command bodies ----------------------------------------------------
@@ -263,6 +207,76 @@ def _cmd_local(args, germ_file):
     return result, {"multiplicities_match_direct": inv.cid == direct}
 
 
+# --- command table -----------------------------------------------------
+
+
+# option -> its `add_argument` keywords
+OPTIONS = {
+    "--ideal": {"default": None},
+    "--order": {"default": "grevlex"},
+    "--op": {"required": True, "choices": IDEAL_OPS},
+    "--left": {"default": None},
+    "--right": {"default": None},
+    "--vars": {"default": None,
+               "help": "comma-separated variables to eliminate"},
+    "--route": {"default": "auto",
+                "choices": ("auto", "direct", "smooth", "lci", "aci")},
+    "--precision-cap": {"dest": "precision_cap", "type": int, "default": 256},
+    "--max-attempts": {"dest": "max_attempts", "type": int, "default": 24},
+    "--transversal": {"action": "store_true"},
+}
+
+# the options of the commands that draw a linking complete intersection
+WITNESS = ("--ideal", "--max-attempts", "--transversal")
+
+# command -> (help text, its body for each input kind it takes, the
+# options it reads besides --input, --seed, --field and --output)
+COMMANDS = {
+    "gb": ("reduced Groebner basis of a named ideal",
+           {"ring": _cmd_gb}, ("--ideal", "--order")),
+    "ideal-op": ("binary and unary ideal operations",
+                 {"ring": _cmd_ideal_op},
+                 ("--op", "--left", "--right", "--vars")),
+    "invariants": ("dimension, degree and genus of an ideal",
+                   {"ring": _cmd_invariants}, ("--ideal",)),
+    "construct-ci": ("draw and certify a linking complete intersection "
+                     "through the curve", {"ring": _cmd_construct_ci},
+                     WITNESS),
+    "cid": ("complete-intersection discrepancy by the selected routes",
+            {"ring": _cmd_cid}, WITNESS + ("--route",)),
+    "genus": ("degrees, discrepancy and genus identities",
+              {"ring": _cmd_genus}, WITNESS),
+    "local": ("invariants of a curve germ from its branches",
+              {"germ": _cmd_local}, ("--precision-cap",)),
+    "verify": ("run every check the input supports",
+               {"ring": _cmd_genus, "germ": _cmd_local},
+               WITNESS + ("--precision-cap",)),
+}
+
+
+@functools.cache
+def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built from `COMMANDS` on the first call
+    and shared by every later `main` in the process; parsing does not
+    change it."""
+    parser = argparse.ArgumentParser(
+        prog="cidcurve",
+        description="exact linkage invariants for projective curves "
+                    "and curve germs",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, _, options) in COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument("--input", required=True, help="ring or germ file")
+        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--field", default=None,
+                       help="QQ or Fp:<p>; overrides the file header")
+        p.add_argument("--output", default="text", choices=("text", "json"))
+        for option in options:
+            p.add_argument(option, **OPTIONS[option])
+    return parser
+
+
 # --- report plumbing ---------------------------------------------------
 
 
@@ -317,30 +331,14 @@ def run(args) -> int:
         override = parse_field_flag(args.field) if args.field else None
         text = load_text(args.input)
         kind = sniff_format(text)
-        if kind == "germ":
-            parsed = parse_germ_text(text, field_override=override)
-        else:
-            parsed = parse_ring_text(text, field_override=override)
+        parse = parse_germ_text if kind == "germ" else parse_ring_text
+        parsed = parse(text, field_override=override)
         field_name = parsed.ring.field.name()
-        if args.command == "local":
-            if kind != "germ":
-                raise InputError("`local` needs a germ input file")
-            result, checks = _cmd_local(args, parsed)
-        elif args.command == "verify":
-            verify = _cmd_local if kind == "germ" else _cmd_genus
-            result, checks = verify(args, parsed)
-        else:
-            if kind != "ring":
-                raise InputError(f"`{args.command}` needs a ring input file")
-            handler = {
-                "gb": _cmd_gb,
-                "ideal-op": _cmd_ideal_op,
-                "invariants": _cmd_invariants,
-                "construct-ci": _cmd_construct_ci,
-                "cid": _cmd_cid,
-                "genus": _cmd_genus,
-            }[args.command]
-            result, checks = handler(args, parsed)
+        _, bodies, _ = COMMANDS[args.command]
+        if kind not in bodies:
+            raise InputError(
+                f"`{args.command}` needs a {' or '.join(bodies)} input file")
+        result, checks = bodies[kind](args, parsed)
         if args.command == "verify" and not all(checks.values()):
             failed = sorted(k for k, v in checks.items() if not v)
             errors.append({

@@ -451,7 +451,7 @@ class GenusReport:
         }
 
 
-def genus_report(curve, witness, assume_lci: bool = False) -> GenusReport:
+def genus_report(curve, witness) -> GenusReport:
     i_x = curve.ideal()
 
     degrees = curve.degrees[: curve.n - 1]
@@ -471,7 +471,8 @@ def genus_report(curve, witness, assume_lci: bool = False) -> GenusReport:
     p_a_x = data_x.p_a
     p_a_w = data_w.p_a
 
-    values = _route_values(curve, witness, "auto", assume_lci, deg_x)
+    values = _route_values(curve, witness, "auto", assume_lci=False,
+                           deg_x=deg_x)
     cid = values["direct"]
 
     numerator = (sigma - 2) * deg_x - cid

@@ -32,7 +32,7 @@ that maps only t = 0 to the origin is that branch again.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from heapq import heappop, heappush
 from itertools import combinations
 from math import gcd
@@ -454,6 +454,11 @@ def cid_local_multiplicities(X_ideal, branches, Z_germ,
     ring = X_gens[0].ring
     n = ring.arity
     branches = _check_branches(branches, n)
+    for b in branches:
+        for g, q in zip(X_gens, _pullbacks(X_gens, b)):
+            if q:
+                raise InputError(
+                    f"{g} does not vanish along branch {b.label!r}")
     Z_gens = [g for g in Z_germ if g]
     _check_ci_count(Z_gens, n)
     gb_x = Ideal(ring, X_gens).gb()
@@ -471,17 +476,8 @@ def cid_local_multiplicities(X_ideal, branches, Z_germ,
         )
     e_jac_x = hs_multiplicity_pullback(
         jacobian_ideal(X_gens, n - 1).generators, branches)
-    return GermInvariants(
-        m=base.m,
-        r=base.r,
-        delta=base.delta,
-        milnor=base.milnor,
-        e_ramification=base.e_ramification,
-        tame=base.tame,
-        e_jac_ci=e_jac_z,
-        cid=cid,
-        nash_degree=e_jac_x - cid,
-    )
+    return replace(base, e_jac_ci=e_jac_z, cid=cid,
+                   nash_degree=e_jac_x - cid)
 
 
 def cid_local_direct(X_ideal, Z_germ) -> int:

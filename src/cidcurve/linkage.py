@@ -352,7 +352,7 @@ def _construct(curve: CurveInput, seed: int, max_attempts: int,
 
         try:
             h = choose_chart(on_curve, seed=seed ^ attempt)
-        except (NotZeroDimensional, ExhaustedCandidates):
+        except ExhaustedCandidates:
             h = None
         if not record("chart_misses_intersection", h is not None):
             continue

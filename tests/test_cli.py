@@ -664,7 +664,7 @@ def _captured(argv):
 
 def test_one_parser_serves_every_call_in_a_process():
     jobs = [
-        ["genus", "--input", TC, "--route", "nope"],
+        ["cid", "--input", TC, "--route", "nope"],
         ["genus", "--input", TC, "--output", "json"],
         ["local", "--input", CUSP, "--output", "json"],
         ["genus", "--input", TC],
@@ -681,3 +681,68 @@ def test_one_parser_serves_every_call_in_a_process():
     code, out, err = shared[0]
     assert code == 1 and out == "" and "invalid choice: 'nope'" in err
     assert [code for code, _, _ in shared[1:]] == [0, 0, 0]
+
+
+# a value each option takes on the commands that declare it
+OPTION_VALUES = {
+    "--ideal": ["X"], "--order": ["lex"], "--op": ["sum"], "--left": ["X"],
+    "--right": ["X"], "--vars": ["x0"], "--route": ["smooth"],
+    "--precision-cap": ["64"], "--max-attempts": ["3"], "--transversal": [],
+}
+INPUT_OF_KIND = {"ring": TC, "germ": CUSP}
+
+
+def _argv_with(command, option):
+    """A command line of `command` with `option` and the command's other
+    required options, each with its sample value."""
+    _, bodies, options = cidcurve.cli.COMMANDS[command]
+    required = [other for other in options if other != option
+                and cidcurve.cli.OPTIONS[other].get("required")]
+    argv = [command, "--input", INPUT_OF_KIND[next(iter(bodies))]]
+    for each in [option] + required:
+        argv += [each] + OPTION_VALUES[each]
+    return argv
+
+
+@pytest.mark.parametrize("command, option", [
+    (command, option)
+    for command, (_, _, options) in cidcurve.cli.COMMANDS.items()
+    for option in cidcurve.cli.OPTIONS if option not in options
+])
+def test_undeclared_option_is_rejected(command, option):
+    # an option a command does not read is argparse's error, before any
+    # input is read, not a silent no-op
+    code, out, err = _captured(_argv_with(command, option))
+    assert code == 1 and out == ""
+    assert "unrecognized arguments" in err
+
+
+@pytest.mark.parametrize("command, option", [
+    (command, option)
+    for command, (_, _, options) in cidcurve.cli.COMMANDS.items()
+    for option in options
+])
+def test_declared_option_parses(command, option):
+    args = cidcurve.cli._build_parser().parse_args(_argv_with(command, option))
+    keywords = cidcurve.cli.OPTIONS[option]
+    values = OPTION_VALUES[option]
+    expected = keywords.get("type", str)(values[0]) if values else True
+    assert getattr(args, keywords.get("dest", option[2:])) == expected
+
+
+@pytest.mark.parametrize("text, generator", [
+    ("germ/1 over QQ vars x y\nbranch a: x = t^2; y = t^3\n"
+     "ideal: y^2 - x^3, x*y;\n", "x*y"),
+    ("germ/1 over QQ vars x\nbranch a: x = t\nideal: x;\n", "x"),
+])
+def test_germ_ideal_off_its_branch_is_an_input_error(tmp_path, capsys,
+                                                     text, generator):
+    # the ideal must vanish on every branch; one that does not is
+    # rejected as such, before any discrepancy is formed
+    path = tmp_path / "off.germ"
+    path.write_text(text)
+    code, payload = run_json(capsys, "local", "--input", str(path))
+    assert code == 1
+    (record,) = payload["errors"]
+    assert record["type"] == "InputError"
+    assert record["message"] == f"{generator} does not vanish along branch 'a'"
