@@ -64,6 +64,7 @@ from .hilbert import (
 from .ideals import (
     INFINITE,
     Ideal,
+    dimension_at_most,
     distinct_point_count,
     eliminate,
     ideal,

@@ -3,6 +3,8 @@ pipelines, and emit deterministic text or JSON reports.
 
 `COMMANDS` is the one table of subcommands: the parser takes from it
 each command's options, and `run` its body for the input file's kind.
+For `verify`, which takes either kind, `KIND_OPTIONS` names the options
+each kind reads; another one given is an input error.
 
 Exit codes: 0 success, 1 for I/O and syntax problems, 2 when a
 mathematical precondition fails (and for `verify` when a check fails).
@@ -106,10 +108,13 @@ def _cmd_gb(args, ring_file):
 
 
 def _cmd_ideal_op(args, ring_file):
+    function, operand = IDEAL_OPS[args.op]
+    for option in ("right", "vars"):
+        if option != operand and getattr(args, option) is not None:
+            raise InputError(f"--op {args.op} does not read --{option}")
     ring = ring_file.ring
     left_name, left_gens = _pick(ring_file, args.left)
     left = Ideal(ring, list(left_gens))
-    function, operand = IDEAL_OPS[args.op]
     if operand == "right":
         if args.right is None:
             raise InputError(f"--right is required for --op {args.op}")
@@ -223,11 +228,15 @@ OPTIONS = {
                 "choices": ("auto", "direct", "smooth", "lci", "aci")},
     "--precision-cap": {"dest": "precision_cap", "type": int, "default": 256},
     "--max-attempts": {"dest": "max_attempts", "type": int, "default": 24},
-    "--transversal": {"action": "store_true"},
+    "--transversal": {"action": "store_true", "default": False},
 }
 
 # the options of the commands that draw a linking complete intersection
 WITNESS = ("--ideal", "--max-attempts", "--transversal")
+
+# input kind -> the options its bodies read, for a command that takes
+# either kind
+KIND_OPTIONS = {"ring": WITNESS, "germ": ("--precision-cap",)}
 
 # command -> (help text, its body for each input kind it takes, the
 # options it reads besides --input, --seed, --field and --output)
@@ -265,7 +274,7 @@ def _build_parser() -> argparse.ArgumentParser:
                     "and curve germs",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (help_text, _, options) in COMMANDS.items():
+    for name, (help_text, bodies, options) in COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--input", required=True, help="ring or germ file")
         p.add_argument("--seed", type=int, default=0)
@@ -273,8 +282,28 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="QQ or Fp:<p>; overrides the file header")
         p.add_argument("--output", default="text", choices=("text", "json"))
         for option in options:
-            p.add_argument(option, **OPTIONS[option])
+            keywords = OPTIONS[option]
+            if len(bodies) > 1:
+                # whether the option is read depends on the input's kind,
+                # so the parser sets only the options given, and
+                # `_kind_options` checks them and fills in the defaults
+                keywords = {**keywords, "default": argparse.SUPPRESS}
+            p.add_argument(option, **keywords)
     return parser
+
+
+def _kind_options(args, kind, options):
+    """For a command that takes either kind of input: an option given
+    that the input's kind does not read is an InputError, and an option
+    it reads that was not given takes its default."""
+    for option in options:
+        dest = OPTIONS[option].get("dest", option[2:])
+        if option not in KIND_OPTIONS[kind]:
+            if hasattr(args, dest):
+                raise InputError(f"`{args.command}` on a {kind} input file "
+                                 f"does not read {option}")
+        elif not hasattr(args, dest):
+            setattr(args, dest, OPTIONS[option]["default"])
 
 
 # --- report plumbing ---------------------------------------------------
@@ -334,10 +363,12 @@ def run(args) -> int:
         parse = parse_germ_text if kind == "germ" else parse_ring_text
         parsed = parse(text, field_override=override)
         field_name = parsed.ring.field.name()
-        _, bodies, _ = COMMANDS[args.command]
+        _, bodies, options = COMMANDS[args.command]
         if kind not in bodies:
             raise InputError(
                 f"`{args.command}` needs a {' or '.join(bodies)} input file")
+        if len(bodies) > 1:
+            _kind_options(args, kind, options)
         result, checks = bodies[kind](args, parsed)
         if args.command == "verify" and not all(checks.values()):
             failed = sorted(k for k, v in checks.items() if not v)

@@ -24,6 +24,10 @@ verifies the adjunction-type genus formula, Bezout and the linkage
 genus exchange (which the degree-certified linkage colon and the
 double-link certification make hold by construction), and the
 degree/e-term identity.
+
+When W is empty the witness Jacobian scheme on X is expected to be
+empty too, and `_empty_on_curve` certifies that from its mod-p image
+(`ideals.dimension_at_most`), with no exact basis of it.
 """
 
 from __future__ import annotations
@@ -51,6 +55,7 @@ from . import hilbert as _hilbert
 from .ideals import (
     Ideal,
     chart_ideal,
+    dimension_at_most,
     distinct_point_count,
     ideal_equal,
     ideal_sum,
@@ -289,6 +294,18 @@ def cid_direct(i_x: Ideal, i_w: Ideal) -> int:
     return _projective_length(ideal_sum(i_x, i_w))
 
 
+def _empty_on_curve(witness) -> bool:
+    """Whether W and the witness Jacobian scheme on X are both empty.
+
+    V(on_curve) contains X ∩ W, which is not empty when W is not: a
+    complete-intersection curve is connected.  So only an empty W asks
+    `dimension_at_most` about `on_curve`, whose mod-p image then
+    usually certifies the empty scheme with no exact basis of it; the
+    W test decides whether that question is asked and certifies
+    nothing."""
+    return witness.i_w.is_unit() and dimension_at_most(witness.on_curve, 0)
+
+
 def _smooth_on_witness(i_x: Ideal, witness) -> bool:
     """`is_smooth_curve(i_x)`, decided on the witness Jacobian scheme.
 
@@ -297,12 +314,14 @@ def _smooth_on_witness(i_x: Ideal, witness) -> bool:
     lies on V(on_curve).  Adding the curve's minors to `on_curve`
     instead of to I_X therefore cuts out the same singular scheme.
     When `on_curve` is already empty (every smooth complete intersection
-    and plane curve), X is smooth with no minor drawn.  Otherwise it is
+    and plane curve), X is smooth with no minor drawn, and
+    `_empty_on_curve` certifies that mod p.  Otherwise `on_curve` is
     finite on a witness that passed `reduced_along_input`, so a single
     minor may already finish the check.  The answer depends on the
     witness, so it is kept with `on_curve`, not with I_X.
     """
-    return _minors_reach(witness.on_curve, i_x.generators, 0, 0)
+    return (_empty_on_curve(witness)
+            or _minors_reach(witness.on_curve, i_x.generators, 0, 0))
 
 
 def _witness_locus(i_x: Ideal, witness) -> Ideal:
@@ -320,6 +339,8 @@ def _witness_locus(i_x: Ideal, witness) -> Ideal:
 def cid_smooth_jacobian(i_x: Ideal, witness) -> int:
     """Discrepancy as the length of the witness Jacobian scheme on X;
     valid when X is smooth."""
+    if _empty_on_curve(witness):
+        return 0
     if not _smooth_on_witness(i_x, witness):
         raise NotSmooth("the Jacobian route requires a smooth curve")
     return _projective_length(witness.on_curve)
@@ -537,7 +558,7 @@ def omega_matches_jacobian(i_x: Ideal, witness, seed: int = 0) -> bool:
         # is irrelevant-primary by the smoothness certificate itself, so
         # only the omega side still needs checking: it is trivial when it
         # cuts out the empty projective scheme.
-        return _hilbert.krull_dimension(j) == 0
+        return dimension_at_most(j, 0)
     jac_x = _jacobian_scheme(i_x, i_x.generators)
     if ideal_equal(j, jac_x):
         return True

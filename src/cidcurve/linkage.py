@@ -17,7 +17,9 @@ singular points on X and on W): a finiteness is a Krull dimension, and
 the double link is the degree and genus relation linkage by Z fixes
 between X and W, with no second colon.  The reducedness and chart
 tests ask whether a hyperplane misses Z's Jacobian scheme on X,
-`discrepancy._jacobian_scheme(I_X, F)`.  The singular test reads F's
+`discrepancy._jacobian_scheme(I_X, F)`; a hyperplane that misses it
+proves it finite, so no basis of the scheme itself is built unless the
+first chart candidate fails.  The singular test reads F's
 minors on W one at a time through the kernel that decides smoothness
 (`discrepancy._minors_reach`) and stops at the first partial minor
 ideal that bounds the dimension.  A failing attempt is redrawn;
@@ -121,17 +123,23 @@ class CurveInput:
 def choose_chart(avoid: Ideal, seed: int = 0) -> Polynomial:
     """A linear form whose hyperplane misses the finite projective locus
     of `avoid`, that is, `avoid` plus the form has Krull dimension 0;
-    coordinate forms are tried before random ones."""
+    coordinate forms are tried before random ones.
+
+    A hyperplane lowers the Krull dimension by at most one, so a form
+    that passes proves the locus finite.  Only when x0 fails is the
+    locus's own dimension read, to raise NotZeroDimensional on a
+    positive-dimensional one; a passing x0 never builds `avoid`'s
+    basis."""
     ring = avoid.ring
-    if not avoid.is_unit() and krull_dimension(avoid) > 1:
-        raise NotZeroDimensional("locus to avoid has positive dimension")
     candidates = [ring.variable(i) for i in range(ring.arity)]
     rng = SplitMix64(seed ^ 0xCAA7)
     for _ in range(12):
         candidates.append(ring.linear_form(rng.vector(ring.field, ring.arity)))
-    for h in candidates:
+    for k, h in enumerate(candidates):
         if _hyperplane_misses(avoid, h):
             return h
+        if not k and krull_dimension(avoid) > 1:
+            raise NotZeroDimensional("locus to avoid has positive dimension")
     raise ExhaustedCandidates("no hyperplane misses the locus to avoid")
 
 

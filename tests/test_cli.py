@@ -491,9 +491,10 @@ def test_ring_envelope_property(tmp_path_factory, case):
     path.write_text(f"ring/1 over QQ vars {' '.join(names)}\n"
                     f"ideal A = {left};\nideal B = {right};\n")
     _envelope_of(["gb", "--input", str(path), "--order", order])
-    argv = ["ideal-op", "--input", str(path), "--op", op,
-            "--left", "A", "--right", "B"]
-    _envelope_of(argv + (["--vars", drop] if op == "eliminate" else []))
+    argv = ["ideal-op", "--input", str(path), "--op", op, "--left", "A"]
+    operand = cidcurve.cli.IDEAL_OPS[op][1]
+    _envelope_of(argv + {"right": ["--right", "B"], "vars": ["--vars", drop],
+                         None: []}[operand])
 
 
 @st.composite
@@ -728,6 +729,51 @@ def test_declared_option_parses(command, option):
     values = OPTION_VALUES[option]
     expected = keywords.get("type", str)(values[0]) if values else True
     assert getattr(args, keywords.get("dest", option[2:])) == expected
+
+
+@pytest.mark.parametrize("op, option", [
+    (op, option) for op, (_, operand) in cidcurve.cli.IDEAL_OPS.items()
+    for option in ("--right", "--vars") if option != f"--{operand}"
+])
+def test_ideal_op_rejects_an_operand_it_does_not_read(capsys, op, option):
+    # each operation reads at most one operand option; another one given
+    # is an input error that names it, before any ideal is formed
+    argv = ["ideal-op", "--input", TC, "--op", op, option,
+            OPTION_VALUES[option][0]]
+    operand = cidcurve.cli.IDEAL_OPS[op][1]
+    if operand is not None:
+        argv += [f"--{operand}", OPTION_VALUES[f"--{operand}"][0]]
+    code, payload = run_json(capsys, *argv)
+    assert code == 1
+    assert payload["errors"] == [{"type": "InputError",
+                                  "message": f"--op {op} does not read "
+                                             f"{option}"}]
+
+
+@pytest.mark.parametrize("kind, option", [
+    ("germ", "--ideal"), ("germ", "--max-attempts"),
+    ("germ", "--transversal"), ("ring", "--precision-cap"),
+])
+def test_verify_rejects_an_option_its_input_kind_does_not_read(
+        capsys, kind, option):
+    # `verify` reads the witness options on a ring file and the precision
+    # cap on a germ file; one the input's kind does not read, even at its
+    # default, is an input error that names it
+    value = {"--max-attempts": ["24"], "--precision-cap": ["256"]}.get(
+        option, OPTION_VALUES[option])
+    code, payload = run_json(capsys, "verify", "--input",
+                             INPUT_OF_KIND[kind], option, *value)
+    assert code == 1
+    assert payload["result"] == {}
+    assert payload["errors"] == [{
+        "type": "InputError",
+        "message": f"`verify` on a {kind} input file does not read {option}"}]
+    # the options that kind reads are taken
+    read = {"ring": ["--max-attempts", "3", "--transversal"],
+            "germ": ["--precision-cap", "64"]}[kind]
+    code, payload = run_json(capsys, "verify", "--input",
+                             INPUT_OF_KIND[kind], *read)
+    assert code == 0 and payload["errors"] == []
 
 
 @pytest.mark.parametrize("text, generator", [

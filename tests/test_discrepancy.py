@@ -618,6 +618,61 @@ def test_omega_matches_jacobian_on_singular_complete_intersections(name,
     assert omega_matches_jacobian(curve.ideal(), witness, seed=seed)
 
 
+# a smooth complete intersection of two cubics in P^3, with W empty
+CI33 = ("x0^3 + x1^3 + x2^3 + x3^3 + x0*x1*x2",
+        "x0^3 + 2*x1^3 + 3*x2^3 + 4*x3^3 + x1*x2*x3")
+
+
+def test_smooth_complete_intersection_builds_no_witness_scheme_basis():
+    # W is empty, so the witness Jacobian scheme on X is screened mod p:
+    # its image certifies the empty scheme, and no exact basis of it is
+    # ever built, by the genus report or the omega comparison
+    curve = _p3_curve(*CI33)
+    witness = construct_ci(curve, seed=0)
+    report = genus_report(curve, witness)
+    assert report.cid_routes == {"direct": 0, "smooth_jacobian": 0,
+                                 "lci_general": 0}
+    assert report.all_checks_pass() and report.p_a_hilbert == 10
+    assert omega_matches_jacobian(curve.ideal(), witness)
+    assert witness.on_curve._gb_cache == {}
+    assert "mod_p" in witness.on_curve._data_cache
+
+
+def _exact_dimension_at_most(a, bound):
+    return hilbert_module.krull_dimension(a) <= bound
+
+
+@pytest.mark.parametrize("name", ["twisted_cubic", "nodal_cubic",
+                                  "nodal_cubic_in_p3"])
+def test_screen_keeps_the_exact_verdicts(name, monkeypatch):
+    # smoothness, the Jacobian length and the omega comparison, each on a
+    # fresh witness, with the mod-p screen and with the exact dimension
+    curve = SMOOTHNESS_CURVES[name]()
+
+    def verdicts():
+        witness = construct_ci(curve, seed=0)
+        i_x = Ideal(curve.ring, list(curve.generators))
+        smooth = discrepancy_module._smooth_on_witness(i_x, witness)
+        try:
+            length = discrepancy_module.cid_smooth_jacobian(i_x, witness)
+        except NotSmooth:
+            length = None
+        omega = omega_matches_jacobian(i_x, witness)
+        return witness, (smooth, length, omega)
+
+    witness, screened = verdicts()
+    # no image is built: W is not empty on the twisted cubic, and on the
+    # nodal cubics x0 meets the node, so choosing the chart already read
+    # the scheme's exact dimension
+    assert "mod_p" not in witness.on_curve._data_cache
+    monkeypatch.setattr(discrepancy_module, "dimension_at_most",
+                        _exact_dimension_at_most)
+    _, exact = verdicts()
+    assert screened == exact == {"twisted_cubic": (True, 2, True),
+                                 "nodal_cubic": (False, None, True),
+                                 "nodal_cubic_in_p3": (False, None, True)}[name]
+
+
 def test_chart_through_the_node_is_rejected():
     # the line x = 0 passes through the node (0:0:1) of the nodal cubic,
     # a point of the witness Jacobian scheme on X

@@ -14,7 +14,7 @@ import sys
 
 import pytest
 
-from cidcurve.cli import main
+from cidcurve.cli import IDEAL_OPS, main
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 INPUTS = ROOT / "inputs"
@@ -69,7 +69,14 @@ AXES3 = (
     "branch c: z = t\n"
     "ideal: x*y, x*z, y*z;\n"
 )
-WRITTEN = {"two.ring": TWO_IDEALS, "nodal.ring": NODAL,
+# a smooth complete intersection of two cubics in P^3: the residual is
+# empty, and so is the witness Jacobian scheme on the curve
+CI33 = (
+    "ring/1 over QQ vars x0 x1 x2 x3\n"
+    "ideal X = x0^3 + x1^3 + x2^3 + x3^3 + x0*x1*x2, "
+    "x0^3 + 2*x1^3 + 3*x2^3 + 4*x3^3 + x1*x2*x3;\n"
+)
+WRITTEN = {"two.ring": TWO_IDEALS, "nodal.ring": NODAL, "ci33.ring": CI33,
            "dirty_cubic.ring": DIRTY_CUBIC, "homogeneous.ring": HOMOGENEOUS,
            "lines5.germ": LINES5, "lines3_fp.germ": LINES3_FP,
            "axes3.germ": AXES3}
@@ -121,6 +128,9 @@ def _jobs():
     for route in ("direct", "smooth", "lci"):
         add(f"cid-nodal-{route}",
             ("cid", "--input", nodal, "--route", route))
+    add("genus-ci33-qq-s0",
+        ("genus", "--input", "{dir}/ci33.ring", "--seed", "0"),
+        ("json", "text"))
     add("invariants-dirty-cubic",
         ("invariants", "--input", "{dir}/dirty_cubic.ring"))
 
@@ -134,12 +144,13 @@ def _jobs():
             ("local", "--input", f"{{dir}}/{germ}.germ", "--seed", "3"),
             ("json", "text"))
 
-    for op in ("sum", "product", "intersect", "quotient", "saturate",
-               "saturate-irrelevant", "eliminate", "radical"):
+    # each operation is given only the operand it reads
+    operands = {"right": ("--right", "B"), "vars": ("--vars", "x"), None: ()}
+    for op, (_, operand) in IDEAL_OPS.items():
         left = "B" if op == "saturate-irrelevant" else "A"
         add(f"ideal-op-{op}",
             ("ideal-op", "--input", "{dir}/two.ring", "--op", op,
-             "--left", left, "--right", "B", "--vars", "x"))
+             "--left", left) + operands[operand])
     for tag, left in (("changes", "P"), ("unchanged", "C")):
         add(f"ideal-op-saturate-{tag}",
             ("ideal-op", "--input", "{dir}/homogeneous.ring", "--op",

@@ -11,6 +11,7 @@ from cidcurve import (
     Ideal,
     LEX,
     PolyRing,
+    dimension_at_most,
     distinct_point_count,
     eliminate,
     ideal,
@@ -19,6 +20,7 @@ from cidcurve import (
     ideal_sum,
     intersect,
     is_saturated,
+    krull_dimension,
     local_vdim_origin,
     quotient,
     radical_zero_dim,
@@ -28,6 +30,7 @@ from cidcurve import (
 )
 from cidcurve import ideals as ideals_module
 from cidcurve.errors import (
+    NotHomogeneous,
     NotZeroDimensional,
     PrecisionCapExceeded,
     RingMismatch,
@@ -534,6 +537,48 @@ def test_krull_dimension_bounds():
     assert krull_dimension(a) == 2
     x0 = ring.variable(0)
     assert krull_dimension(ideal_sum(a, ideal(x0))) == 1
+
+
+def test_dimension_at_most_falls_back_on_an_unlucky_prime():
+    # (x + p*y, x, z) is the irrelevant ideal over QQ, but its image mod
+    # the screening prime p is (x, z), of dimension 1: the exact basis
+    # decides, and the answer stays right
+    p = ideals_module._SCREEN_FIELD.characteristic
+    ring = PolyRing(QQ, ("x", "y", "z"))
+    x, y, z = ring.variables()
+    a = Ideal(ring, [x + y.scale(QQ.from_int(p)), x, z])
+    assert dimension_at_most(a, 0)
+    assert GREVLEX in a._gb_cache
+    assert krull_dimension(a._data_cache["mod_p"]) == 1
+    # a lucky image certifies the bound with no exact basis
+    b = Ideal(ring, [x + y.scale(QQ.from_int(p + 1)), x, z])
+    assert dimension_at_most(b, 0)
+    assert not b._gb_cache
+
+
+def test_dimension_at_most_builds_no_image_over_fp():
+    ring = PolyRing(Field.prime_field(32003), ("x0", "x1", "x2", "x3"))
+    a = Ideal(ring, twisted_cubic_gens(ring))
+    assert dimension_at_most(a, 2) and not dimension_at_most(a, 1)
+    assert "mod_p" not in a._data_cache
+    assert GREVLEX in a._gb_cache
+
+
+@pytest.mark.parametrize("field", [QQ, Field.prime_field(32003)],
+                         ids=["QQ", "Fp32003"])
+def test_dimension_at_most_agrees_with_krull_dimension(field):
+    # each call gets a fresh copy of its ideal, so nothing cached makes
+    # the answer exact before the image is tried
+    for seed in (1, 2, 3):
+        a, divisors = _colon_cases(field, True, seed)
+        for b in [a] + divisors + [ideal_sum(a, d) for d in divisors]:
+            dim = krull_dimension(Ideal(b.ring, b.generators))
+            for bound in range(b.ring.arity + 1):
+                fresh = Ideal(b.ring, b.generators)
+                assert dimension_at_most(fresh, bound) == (dim <= bound)
+        affine, _ = _colon_cases(field, False, seed)
+        with pytest.raises(NotHomogeneous):
+            dimension_at_most(affine, 1)
 
 
 def test_ring_mismatch_rejected():

@@ -220,6 +220,36 @@ def test_choose_chart(twisted_cubic):
         choose_chart(i_x, seed=0)
 
 
+def test_choose_chart_reads_the_loci_dimension_only_after_x0_fails(p3):
+    x0, x1, x2, x3 = p3.variables()
+    tc = twisted_cubic_gens(p3)
+    # x0 misses the point (1:0:0:0): it proves the locus finite, and no
+    # basis of the locus is built
+    avoid = Ideal(p3, tc + [x3])
+    assert choose_chart(avoid, seed=0) == x0
+    assert not avoid._gb_cache
+    # x0, x1 and x2 pass through (0:0:0:1); x3 misses it
+    avoid = Ideal(p3, tc + [x0])
+    assert choose_chart(avoid, seed=0) == x3
+    assert krull_dimension(avoid) == 1
+    # a positive-dimensional locus still raises, the curve or a plane
+    for gens in (tc, [x1]):
+        with pytest.raises(NotZeroDimensional):
+            choose_chart(Ideal(p3, gens), seed=0)
+
+
+def test_non_reduced_plane_curve_falls_back_to_x0():
+    # the singular locus of a double conic is the conic itself, so no
+    # chart misses it; the residual is empty, and x0 measures it
+    ring = PolyRing(QQ, ("x", "y", "z"))
+    x, y, z = ring.variables()
+    curve = CurveInput(ring, [(y**2 - x * z)**2])
+    witness = construct_ci(curve, seed=0)
+    assert witness.h == x
+    assert krull_dimension(witness.on_curve) == 2
+    assert witness.i_w.is_unit()
+
+
 def test_witness_degrees_weakly_descending(twisted_cubic):
     witness = construct_ci(twisted_cubic, seed=3)
     degs = [f.total_degree() for f in witness.F]
