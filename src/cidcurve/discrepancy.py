@@ -535,15 +535,15 @@ def degree_lower_bound(n: int, d_n: int) -> Fraction:
     return Fraction(d_n**n - 2, n * d_n - n - 1)
 
 
-def omega_jacobian(i_x: Ideal, witness, seed: int = 0) -> Ideal:
+def omega_jacobian(i_x: Ideal, witness) -> Ideal:
     """The colon of the witness Jacobian by the residual ideal inside the
     curve's coordinate ring; presented as an ambient ideal over I_X."""
     if witness.i_w.is_unit():
         return witness.on_curve
-    return quotient(witness.on_curve, witness.i_w, seed=seed)
+    return quotient(witness.on_curve, witness.i_w)
 
 
-def omega_matches_jacobian(i_x: Ideal, witness, seed: int = 0) -> bool:
+def omega_matches_jacobian(i_x: Ideal, witness) -> bool:
     """Whether the omega-Jacobian agrees with the curve's own Jacobian
     ideal as ideal sheaves on the curve.
 
@@ -552,7 +552,7 @@ def omega_matches_jacobian(i_x: Ideal, witness, seed: int = 0) -> bool:
     generator comparison is tried first and the saturated comparison,
     which is exactly sheaf equality, decides.
     """
-    j = omega_jacobian(i_x, witness, seed=seed)
+    j = omega_jacobian(i_x, witness)
     if _smooth_on_witness(i_x, witness):
         # Both sheaves are trivial on a smooth curve: the Jacobian side
         # is irrelevant-primary by the smoothness certificate itself, so

@@ -54,27 +54,6 @@ from .orders import GREVLEX
 from .polynomials import Polynomial, PolyRing
 
 
-# --- integer representation --------------------------------------------
-
-
-def poly_to_int_dict(f: Polynomial):
-    """Primitive integer form of f (QQ: clear denominators and content;
-    F_p: the residue dict).  Returns (dict, multiplier) with
-    dict == multiplier * f as exact scalar multiple."""
-    if f.ring.field.characteristic:
-        return dict(f.terms), 1
-    den = 1
-    for c in f.terms.values():
-        den = den * c.denominator // gcd(den, c.denominator)
-    content = 0
-    for c in f.terms.values():
-        content = gcd(content, c.numerator * (den // c.denominator))
-    if content == 0:
-        return {}, Fraction(1)
-    out = {e: c.numerator * (den // c.denominator) // content for e, c in f.terms.items()}
-    return out, Fraction(den, content)
-
-
 def _normalize(d: dict, lm, char) -> dict:
     """d as a reducer entry with leading monomial lm: monic over F_p,
     primitive with a positive leading coefficient over QQ."""
@@ -411,7 +390,7 @@ class GroebnerBasis:
     def normal_form(self, f: Polynomial) -> Polynomial:
         if f.ring != self.ring:
             raise RingMismatch("polynomial not in the basis ring")
-        d, mult = poly_to_int_dict(f)
+        d, mult = f.int_terms()
         if not d:
             return self.ring.zero()
         r, scale = self._reducer.normal_form(d)
@@ -444,7 +423,7 @@ def groebner_basis(gens, order=GREVLEX, ring: PolyRing = None,
         if g.ring != ring:
             raise RingMismatch("generators live in different rings")
     char = ring.field.characteristic
-    int_gens = [poly_to_int_dict(g)[0] for g in gens]
+    int_gens = [g.int_terms()[0] for g in gens]
     packing = _packing_for(order, ring.arity, int_gens)
     while True:
         try:
@@ -466,7 +445,7 @@ def normal_form(f: Polynomial, basis, order=GREVLEX) -> Polynomial:
     latter is divided as-is, without completing it to a basis)."""
     if isinstance(basis, GroebnerBasis):
         return basis.normal_form(f)
-    ints = [poly_to_int_dict(g)[0] for g in basis if g]
+    ints = [g.int_terms()[0] for g in basis if g]
     packing = _packing_for(order, f.ring.arity, ints)
     char = f.ring.field.characteristic
     reducer = _Reducer(packing, char)

@@ -12,9 +12,10 @@ every element divided by its top power of y.  Otherwise a principal
 quotient divides the generators of I ∩ (g) by g, and a principal
 saturation eliminates t from I + (1 - t*g) (Rabinowitsch), projecting
 through `eliminate` as intersections do.  A saturation by several
-generators intersects the principal ones by those outside I; a quotient
-does so only when (I : g) for a random combination g of them twice
-fails its certificate, the degree linkage fixes or a product test.
+generators intersects the principal ones by those outside I, and so
+does a quotient, except a linked one: when I is a complete intersection
+and linkage fixes the degree of the quotient, (I : g) for a random
+combination g of the generators is certified by that degree.
 Saturation by the irrelevant maximal ideal of a homogeneous ideal
 saturates by one linear form, and a Hilbert-polynomial comparison
 certifies that the form missed every relevant associated prime; when
@@ -317,18 +318,13 @@ def colon_principal(a: Ideal, g: Polynomial) -> Ideal:
     return Ideal(a.ring, [divide_exact(f, g) for f in meet.generators])
 
 
-def _outside(a: Ideal, gens) -> list:
-    """The gens that a does not contain: a's colon and saturation by
-    each of the others are the unit ideal."""
-    gb_a = a.gb()
-    return [g for g in gens if not gb_a.contains(g)]
-
-
 def _fold(a: Ideal, gens, principal) -> Ideal:
-    """The intersection of principal(a, g) over gens, the unit ideal for
-    none: the exact colon or saturation by gens outside a, for principal
-    `colon_principal` or `_saturate_principal`."""
-    parts = [principal(a, g) for g in gens]
+    """The intersection of principal(a, g) over the gens that a does not
+    contain, the unit ideal for none: the exact colon or saturation by
+    gens, for principal `colon_principal` or `_saturate_principal` (both
+    are the unit ideal for a gen in a)."""
+    gb_a = a.gb()
+    parts = [principal(a, g) for g in gens if not gb_a.contains(g)]
     result = parts[0] if parts else Ideal(a.ring, [a.ring.one()])
     for part in parts[1:]:
         result = intersect(result, part)
@@ -336,23 +332,22 @@ def _fold(a: Ideal, gens, principal) -> Ideal:
 
 
 def quotient(a: Ideal, b: Ideal, seed=0) -> Ideal:
-    """(a : b).  With at most one generator of b outside a, that is the
-    unit ideal or the generator's principal colon.  Otherwise it is
-    (a : g) for one random combination g of b's generators, certified
-    exact and returned as its monic reduced grevlex basis; two failed
-    draws fall back to the intersection of the principal colons.  When
-    a and b are homogeneous but the generators differ in degree, each
-    is first raised to the top degree by a power of one random linear
-    form, so g is homogeneous and takes the homogeneous colon.
+    """(a : b).  The exact fold answers: the intersection of the
+    principal colons by the generators of b outside a, the unit ideal
+    for none.
 
-    When a is a homogeneous complete intersection and b contains it with
-    the same Krull dimension, linkage fixes the degree of (a : b) (see
-    `_linked_degree`), read before any membership test.  Then (a : g)
-    is unmixed and contains (a : b), so it equals (a : b) exactly when
-    it has a's Krull dimension and that degree; one that does not is
-    strictly larger and is redrawn.  Degree 0 leaves no component, so
-    the colon is the unit ideal and nothing is drawn.  Any other
-    candidate is certified by the product test (a : g) * b ⊆ a."""
+    The one exception is a linked colon: a is a homogeneous complete
+    intersection and b contains it with the same Krull dimension, so
+    linkage fixes the degree of (a : b) (see `_linked_degree`).  Then
+    (a : g) for a random combination g of b's generators is unmixed and
+    contains (a : b), so it equals (a : b) exactly when it has a's Krull
+    dimension and that degree; one that does not is strictly larger and
+    is redrawn once.  Generators of different degrees are first raised
+    to the top degree by a power of one random linear form, so g is
+    homogeneous and takes the homogeneous colon.  A certified draw is
+    returned as its monic reduced grevlex basis, the fold's own, and the
+    fold runs when both draws fail.  Degree 0 leaves no component, so
+    the colon is the unit ideal and nothing is drawn."""
     if a.ring != b.ring:
         raise RingMismatch("ideal quotient across different rings")
     gens = b.generators
@@ -360,38 +355,28 @@ def quotient(a: Ideal, b: Ideal, seed=0) -> Ideal:
     if degree == 0:
         # b's top-dimensional part is a itself, so (a : b) = (a : a)
         return Ideal(a.ring, [a.ring.one()])
-    if degree is None:
-        gens = _outside(a, gens)
-        if len(gens) < 2:
-            return _fold(a, gens, colon_principal)
-    rng = SplitMix64(seed ^ 0x5EED_C010)
-    field = a.ring.field
-    draws = gens
-    degrees = [gen.total_degree() for gen in gens]
-    top = max(degrees)
-    if a.is_homogeneous() and b.is_homogeneous() and min(degrees) < top:
-        ell = a.ring.linear_form(rng.vector(field, a.ring.arity))
-        draws = [gen * ell**(top - d) for gen, d in zip(gens, degrees)]
-    gb_a = a.gb()
-    for _ in range(2):
-        g = a.ring.zero()
-        for gen, c in zip(draws, rng.vector(field, len(draws))):
-            g = g + gen.scale(c)
-        if not g:
-            continue
-        candidate = colon_principal(a, g)
-        if degree is not None:
+    if degree is not None:
+        rng = SplitMix64(seed ^ 0x5EED_C010)
+        field = a.ring.field
+        draws = gens
+        degrees = [gen.total_degree() for gen in gens]
+        top = max(degrees)
+        if min(degrees) < top:
+            ell = a.ring.linear_form(rng.vector(field, a.ring.arity))
+            draws = [gen * ell**(top - d) for gen, d in zip(gens, degrees)]
+        for _ in range(2):
+            g = a.ring.zero()
+            for gen, c in zip(draws, rng.vector(field, len(draws))):
+                g = g + gen.scale(c)
+            if not g:
+                continue
             # a homogeneous colon, so already its reduced grevlex basis,
             # returned with the Hilbert data just cached on it
+            candidate = colon_principal(a, g)
             data = _hilbert.hilbert_series(candidate)
             if (data.krull_dim == _hilbert.krull_dimension(a)
                     and data.degree == degree):
                 return candidate
-        elif all(gb_a.contains(q * h)
-                 for q in candidate.generators for h in gens):
-            return _reduced(candidate)
-    if degree is not None:
-        gens = _outside(a, gens)
     return _fold(a, gens, colon_principal)
 
 
@@ -445,7 +430,7 @@ def saturate(a: Ideal, b: Ideal) -> Ideal:
     basis."""
     if a.ring != b.ring:
         raise RingMismatch("ideal saturation across different rings")
-    result = _fold(a, _outside(a, b.generators), _saturate_principal)
+    result = _fold(a, b.generators, _saturate_principal)
     if ideal_equal(result, a):
         return a
     return _reduced(result)

@@ -23,6 +23,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 
 from .errors import (
     DivisionByZero,
@@ -286,25 +287,33 @@ class Polynomial:
 
     # --- integer normalization (rationals only) ------------------------
 
+    def int_terms(self):
+        """(d, m) with d the exponent -> int dict of m * f: over QQ the
+        primitive integer multiple of f (denominators and content
+        cleared, m a Fraction), over F_p the residues and m = 1."""
+        if self.ring.field.characteristic:
+            return dict(self.terms), 1
+        den = 1
+        for c in self.terms.values():
+            den = den * c.denominator // gcd(den, c.denominator)
+        content = 0
+        for c in self.terms.values():
+            content = gcd(content, c.numerator * (den // c.denominator))
+        if content == 0:
+            return {}, Fraction(1)
+        return ({e: c.numerator * (den // c.denominator) // content
+                 for e, c in self.terms.items()}, Fraction(den, content))
+
     def primitive_int(self) -> "Polynomial":
         """Scale to integer coefficients with content 1 and positive leading
         coefficient (grevlex); identity over F_p."""
         if not self.terms or self.ring.field.characteristic:
             return self
-        from math import gcd
-
-        den = 1
-        for c in self.terms.values():
-            den = den * c.denominator // gcd(den, c.denominator)
-        num_gcd = 0
-        for c in self.terms.values():
-            num_gcd = gcd(num_gcd, c.numerator)
-        factor = Fraction(den, num_gcd)
-        scaled = self.scale(factor)
-        _, lc = scaled.leading(GREVLEX)
-        if lc < 0:
-            scaled = -scaled
-        return scaled
+        ints, _ = self.int_terms()
+        lm, _ = self.leading(GREVLEX)
+        sign = -1 if ints[lm] < 0 else 1
+        return Polynomial(self.ring, {e: Fraction(sign * c)
+                                      for e, c in ints.items()})
 
     # --- printing -------------------------------------------------------
 

@@ -32,8 +32,7 @@ def exact_colon(a, b):
     """(a : b) by the exact fold, the reference for `quotient`: the
     intersection of the principal colons by the generators of b that a
     does not contain."""
-    return ideals._fold(a, ideals._outside(a, b.generators),
-                        ideals.colon_principal)
+    return ideals._fold(a, b.generators, ideals.colon_principal)
 
 
 def rnc_curve(n, field=None):

@@ -515,7 +515,7 @@ def test_residual_certifies_only_complete_intersections(monkeypatch):
     degrees = _spy_linked_degrees(monkeypatch)
     assert ideal_equal(residual(i_z, j), exact_colon(i_z, j))
     # three generators in codimension 2: not a complete intersection,
-    # so the colon takes the product test
+    # so the colon takes the exact fold
     extra = Ideal(ring, [x0 * x2, x1 * x3, x0 * x3])
     assert ideal_equal(residual(extra, j), exact_colon(extra, j))
     # J a point, not a curve: its degree says nothing about the colon
@@ -615,7 +615,7 @@ def test_omega_matches_jacobian_on_singular_complete_intersections(name,
     witness = construct_ci(curve, seed=seed)
     assert witness.i_w.is_unit()
     assert not discrepancy_module._smooth_on_witness(curve.ideal(), witness)
-    assert omega_matches_jacobian(curve.ideal(), witness, seed=seed)
+    assert omega_matches_jacobian(curve.ideal(), witness)
 
 
 # a smooth complete intersection of two cubics in P^3, with W empty
@@ -727,7 +727,8 @@ def test_genus_certifies_from_data_in_hand(monkeypatch, capsys):
     real_contains = GroebnerBasis.contains
 
     def contains(self, f):
-        # the product test reduces modulo the dividend's basis; the
+        # a colon not certified by degree filters the divisor's
+        # generators by the dividend's basis in the exact fold; the
         # containment check of the divisor's basis is not counted
         if depth and self is depth[-1].gb():
             products.append(f)

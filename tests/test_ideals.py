@@ -113,8 +113,7 @@ def test_quotient_examples():
 
 def test_quotient_skips_generators_already_in_the_ideal(monkeypatch):
     # (a : g) is the unit ideal for g in a, so only the other generators
-    # take a principal colon or enter the random combination; the result
-    # is the full intersection's
+    # take a principal colon; the result is the full intersection's
     ring = ring3()
     x, y, z = ring.variables()
     a = ideal(x * y, x * z**2)
@@ -134,9 +133,7 @@ def test_quotient_skips_generators_already_in_the_ideal(monkeypatch):
     assert colon.generators == real(a, z).generators
     divisors.clear()
     colon = quotient(a, ideal(x * y, z, x))
-    # every divisor tried, drawn or in the exact fold, lies in (z, x)
-    assert divisors
-    assert all(set(g.terms) <= {(1, 0, 0), (0, 0, 1)} for g in divisors)
+    assert divisors == [z, x]
     assert ideal_equal(colon, intersect(real(a, z), real(a, x)))
     assert ideal_equal(colon, a)
 
@@ -184,8 +181,8 @@ def _colon_cases(field, homogeneous, seed):
 @pytest.mark.parametrize("homogeneous", [True, False],
                          ids=["homogeneous", "affine"])
 def test_quotient_prints_the_exact_folds_generators(field, homogeneous):
-    # the random combination, once certified, is returned as the same
-    # monic reduced grevlex basis the exact fold prints
+    # no dividend here is a complete intersection, so no colon is linked
+    # and each is the exact fold, whatever the seed
     for seed in (1, 2, 3):
         a, divisors = _colon_cases(field, homogeneous, seed)
         for b in divisors:
@@ -231,12 +228,16 @@ def test_homogeneous_colon_edge_cases():
 
 def test_quotient_mixed_degrees(monkeypatch):
     ring = PolyRing(QQ, ("x0", "x1", "x2", "x3"))
-    x0, x1, x2, x3 = ring.variables()
-    tc = Ideal(ring, twisted_cubic_gens(ring))
-    # the cubic plus the line x0 = x1 = 0 through its point (0:0:0:1)
-    a = intersect(tc, ideal(x0, x1))
-    # b cuts out the line but not the cubic, and mixes degrees 1 and 2
-    b = ideal(x0, x1**2 + x0 * x3)
+    x3 = ring.variable(3)
+    q = ring.parse("x0*x2 - x1^2")
+    # b is the conic x3 = q = 0, of degree 2 with generators of degrees 1
+    # and 2, inside the complete intersection a of a quadric and a cubic;
+    # linkage fixes deg (a : b) = 6 - 2 = 4
+    b = ideal(x3, q)
+    a = ideal(x3 * ring.parse("x0 + 2*x1 + 3*x2"),
+              q * ring.parse("x0 - x3")
+              + x3 * ring.parse("x1^2 + x2^2 + 5*x0*x3"))
+    assert ideals_module._linked_degree(a, b) == 4
     orders = []
     real = ideals_module.groebner_basis
 
@@ -246,10 +247,41 @@ def test_quotient_mixed_degrees(monkeypatch):
 
     monkeypatch.setattr(ideals_module, "groebner_basis", spy)
     result = quotient(a, b, seed=4)
+    # the draw raised x3 to degree 2 and took the homogeneous colon; the
+    # exact fold would have intersected with a block elimination
     assert not any(isinstance(order, Block) for order in orders)
     monkeypatch.undo()
-    assert ideal_equal(result, tc)
     assert ideal_equal(result, exact_colon(a, b))
+
+
+@pytest.mark.parametrize("homogeneous", [True, False],
+                         ids=["homogeneous", "affine"])
+def test_quotient_folds_a_colon_that_is_not_linked(monkeypatch,
+                                                    homogeneous):
+    # a is not a complete intersection, so nothing fixes the degree of
+    # the colon: quotient draws nothing and takes one principal colon per
+    # generator of b outside a, in b's order
+    a, divisors = _colon_cases(QQ, homogeneous, 1)
+    b = divisors[2]
+    assert ideals_module._linked_degree(a, b) is None
+    outside = [g for g in b.generators if not a.gb().contains(g)]
+    assert len(outside) >= 2
+    divisors_seen = []
+    real = ideals_module.colon_principal
+
+    def spy(a, g):
+        divisors_seen.append(g)
+        return real(a, g)
+
+    def no_draw(seed):
+        raise AssertionError("quotient drew a random combination")
+
+    monkeypatch.setattr(ideals_module, "colon_principal", spy)
+    monkeypatch.setattr(ideals_module, "SplitMix64", no_draw)
+    colon = quotient(a, b, seed=1)
+    assert divisors_seen == outside
+    monkeypatch.undo()
+    assert colon.generators == exact_colon(a, b).generators
 
 
 def test_saturation():
