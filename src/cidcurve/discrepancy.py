@@ -25,9 +25,9 @@ genus exchange (which the degree-certified linkage colon and the
 double-link certification make hold by construction), and the
 degree/e-term identity.
 
-When W is empty the witness Jacobian scheme on X is expected to be
-empty too, and `_empty_on_curve` certifies that from its mod-p image
-(`ideals.dimension_at_most`), with no exact basis of it.
+Every bound on a Krull dimension (a hyperplane miss, a partial minor
+ideal, an empty scheme) is asked of `ideals.dimension_at_most`, which
+alone decides whether a mod-p image answers first.
 """
 
 from __future__ import annotations
@@ -231,14 +231,12 @@ def _minors_reach(base: Ideal, forms, bound: int, seed) -> bool:
             collected.append(minor)
             pending += 1
             if pending == checkpoint:
-                answer = _hilbert.krull_dimension(
-                    Ideal(base.ring, collected)) <= bound
+                answer = dimension_at_most(Ideal(base.ring, collected), bound)
                 if answer:
                     break
                 pending, checkpoint = 0, checkpoint * 2
         if pending and not answer:  # else the last check read every minor
-            answer = _hilbert.krull_dimension(
-                Ideal(base.ring, collected)) <= bound
+            answer = dimension_at_most(Ideal(base.ring, collected), bound)
         base._data_cache[key] = answer
     return answer
 
@@ -263,8 +261,7 @@ def residual(i_z: Ideal, i_x: Ideal, seed: int = 0) -> Ideal:
 def _hyperplane_misses(finite: Ideal, h: Polynomial) -> bool:
     """Whether the hyperplane h misses the finite projective scheme of
     `finite`: finite plus h has Krull dimension 0."""
-    with_h = Ideal(finite.ring, [*finite.generators, h])
-    return _hilbert.krull_dimension(with_h) == 0
+    return dimension_at_most(Ideal(finite.ring, [*finite.generators, h]), 0)
 
 
 def _check_chart(finite_ideal: Ideal, h: Polynomial) -> None:
@@ -299,10 +296,7 @@ def _empty_on_curve(witness) -> bool:
 
     V(on_curve) contains X ∩ W, which is not empty when W is not: a
     complete-intersection curve is connected.  So only an empty W asks
-    `dimension_at_most` about `on_curve`, whose mod-p image then
-    usually certifies the empty scheme with no exact basis of it; the
-    W test decides whether that question is asked and certifies
-    nothing."""
+    `dimension_at_most` about `on_curve`."""
     return witness.i_w.is_unit() and dimension_at_most(witness.on_curve, 0)
 
 
@@ -314,11 +308,10 @@ def _smooth_on_witness(i_x: Ideal, witness) -> bool:
     lies on V(on_curve).  Adding the curve's minors to `on_curve`
     instead of to I_X therefore cuts out the same singular scheme.
     When `on_curve` is already empty (every smooth complete intersection
-    and plane curve), X is smooth with no minor drawn, and
-    `_empty_on_curve` certifies that mod p.  Otherwise `on_curve` is
-    finite on a witness that passed `reduced_along_input`, so a single
-    minor may already finish the check.  The answer depends on the
-    witness, so it is kept with `on_curve`, not with I_X.
+    and plane curve), X is smooth with no minor drawn.  Otherwise
+    `on_curve` is finite on a witness that passed `reduced_along_input`,
+    so a single minor may already finish the check.  The answer depends
+    on the witness, so it is kept with `on_curve`, not with I_X.
     """
     return (_empty_on_curve(witness)
             or _minors_reach(witness.on_curve, i_x.generators, 0, 0))

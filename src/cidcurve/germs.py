@@ -306,7 +306,11 @@ def delta_invariant(branches,
     precision_cap.  Past the cap, a branch that does not certify alone
     gets the degree-one check; a branch on the curve of an earlier branch
     a that maps only t = 0 to the origin is a again, NotMPrimary, since
-    that curve has one branch there; else PrecisionCapExceeded."""
+    that curve has one branch there; else PrecisionCapExceeded.  A cap
+    below 1 is a window with no positions, an InputError."""
+    if precision_cap < 1:
+        raise InputError(
+            f"precision_cap must be at least 1, not {precision_cap}")
     branches = _check_branches(branches)
     for b in branches:
         common = gcd(*(e[0] for p in b.coords for e in p.terms))

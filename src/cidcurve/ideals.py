@@ -21,10 +21,10 @@ saturates by one linear form, and a Hilbert-polynomial comparison
 certifies that the form missed every relevant associated prime; when
 no form is certified, the ideal is saturated by all the coordinates.
 
-`dimension_at_most` bounds the Krull dimension of a homogeneous QQ
-ideal by that of its image mod a fixed prime, which can only be larger
-(ranks only drop mod p), and takes the exact basis only when the image
-does not certify the bound.
+`dimension_at_most` is the one test of a bound on a Krull dimension.
+A homogeneous QQ ideal whose coefficients reach a fixed prime p is read
+mod p first: the image's dimension can only be larger (ranks only drop
+mod p), and the exact basis decides only when it misses the bound.
 
 A zero-dimensional ideal has finite length `vdim`, counted from the
 Hilbert series numerator of its leading-term ideal.  Its radical adds
@@ -46,7 +46,7 @@ from .errors import (
     RingMismatch,
 )
 from . import hilbert as _hilbert
-from .fields import MAX_CHARACTERISTIC, Field
+from .fields import Field
 from .groebner import GroebnerBasis, groebner_basis
 from .orders import Block, GREVLEX, WeightedGrevLex
 from .polynomials import Chart, Polynomial, PolyRing, _substitute
@@ -107,42 +107,45 @@ class Ideal:
         return f"Ideal({inside})"
 
 
-# the prime of every mod-p image: the largest field characteristic
-_SCREEN_FIELD = Field.prime_field(MAX_CHARACTERISTIC)
+# the largest prime below 2^15: two residues multiply in one 30-bit digit
+_SCREEN_FIELD = Field.prime_field(32749)
 
 
-def _mod_p(a: Ideal) -> Ideal:
-    """The image of a QQ ideal mod the screening prime: each generator
-    scaled to primitive integers, then reduced; kept with a."""
+def _mod_p(a: Ideal):
+    """The image of a QQ ideal mod the screening prime p, kept with a,
+    or None when no primitive integer coefficient reaches p."""
     image = a._data_cache.get("mod_p")
     if image is None:
         p = _SCREEN_FIELD.characteristic
+        if all(c.denominator == 1 and -p < c.numerator < p
+               for g in a.generators for c in g.terms.values()):
+            return None
+        ints = [g.int_terms()[0] for g in a.generators]
+        if all(abs(c) < p for d in ints for c in d.values()):
+            return None
         ring = PolyRing(_SCREEN_FIELD, a.ring.names)
         image = a._data_cache["mod_p"] = Ideal(ring, [
-            ring.polynomial({e: c.numerator % p
-                             for e, c in g.primitive_int().terms.items()})
-            for g in a.generators])
+            ring.polynomial({e: c % p for e, c in d.items()}) for d in ints])
     return image
 
 
 def dimension_at_most(a: Ideal, bound: int) -> bool:
     """Whether the homogeneous ideal a has Krull dimension at most
-    `bound`; exact when a's Hilbert data or grevlex basis is cached, or
-    over F_p.
-
-    Otherwise the image of a mod the screening prime answers first.  In
-    each degree the forms of a are spanned by monomial multiples of its
-    primitive integer generators, an integer matrix whose rank can only
-    drop mod p, so the image's Hilbert function is at least a's in every
-    degree (Arnold 2003) and its Krull dimension bounds a's.  An image
-    within the bound certifies the answer; otherwise a's exact basis
-    decides, so an unlucky prime costs time and never changes an answer.
-    The screen pays off only where the answer is expected to be yes and
-    a's exact basis is not needed later."""
-    exact = (a.ring.field.characteristic or "hilbert" in a._data_cache
-             or GREVLEX in a._gb_cache or not a.is_homogeneous())
-    if not exact and _hilbert.krull_dimension(_mod_p(a)) <= bound:
-        return True
+    `bound`.  A QQ ideal with no Hilbert data or grevlex basis cached and
+    a primitive integer coefficient of at least the screening prime p is
+    read mod p first: in each degree its forms are spanned by monomial
+    multiples of its primitive generators, an integer matrix whose rank
+    can only drop mod p, so the image's Hilbert function is at least a's
+    in every degree (Arnold 2003), and an image within the bound
+    certifies the answer.  Otherwise a's exact basis decides, so an
+    unlucky prime costs time and never changes an answer; narrower
+    coefficients would shrink nothing mod p."""
+    if not (a.ring.field.characteristic or "hilbert" in a._data_cache
+            or GREVLEX in a._gb_cache):
+        image = _mod_p(a)
+        if (image is not None and a.is_homogeneous()
+                and _hilbert.krull_dimension(image) <= bound):
+            return True
     return _hilbert.krull_dimension(a) <= bound
 
 

@@ -12,15 +12,16 @@ Random draws are certified, never trusted: each attempt runs a battery
 of exact tests (expected dimension, reducedness along the input curve,
 finitely many singular points of Z for the shared-form variant, a
 measuring hyperplane, and the double link: W linked back by Z is X).
-Each reads the grevlex Hilbert series of an ideal of Z, X or W (Z's
-singular points on X and on W): a finiteness is a Krull dimension, and
-the double link is the degree and genus relation linkage by Z fixes
-between X and W, with no second colon.  The reducedness and chart
-tests ask whether a hyperplane misses Z's Jacobian scheme on X,
-`discrepancy._jacobian_scheme(I_X, F)`; a hyperplane that misses it
+A finiteness is a bound on the Krull dimension of an ideal of Z, X or
+W (Z's singular points on X and on W), asked of
+`ideals.dimension_at_most`, which may answer it mod p; the double link
+is the degree and genus relation linkage by Z fixes between X and W,
+read off their Hilbert series with no second colon.  The reducedness
+and chart tests ask whether a hyperplane misses Z's Jacobian scheme on
+X, `discrepancy._jacobian_scheme(I_X, F)`; a hyperplane that misses it
 proves it finite, so no basis of the scheme itself is built unless the
-first chart candidate fails.  The singular test reads F's
-minors on W one at a time through the kernel that decides smoothness
+first chart candidate fails.  The singular test reads F's minors on W
+one at a time through the kernel that decides smoothness
 (`discrepancy._minors_reach`) and stops at the first partial minor
 ideal that bounds the dimension.  A failing attempt is redrawn;
 persistent double-link failure is evidence that the input curve is not
@@ -57,8 +58,8 @@ from .errors import (
     RingMismatch,
     WrongCharacteristic,
 )
-from .hilbert import ci_hilbert_data, hilbert_series, krull_dimension
-from .ideals import Ideal
+from .hilbert import ci_hilbert_data, hilbert_series
+from .ideals import Ideal, dimension_at_most
 from .orders import GREVLEX
 from .polynomials import Polynomial, PolyRing
 from .rng import SplitMix64
@@ -127,9 +128,8 @@ def choose_chart(avoid: Ideal, seed: int = 0) -> Polynomial:
 
     A hyperplane lowers the Krull dimension by at most one, so a form
     that passes proves the locus finite.  Only when x0 fails is the
-    locus's own dimension read, to raise NotZeroDimensional on a
-    positive-dimensional one; a passing x0 never builds `avoid`'s
-    basis."""
+    locus itself bounded, to raise NotZeroDimensional on a
+    positive-dimensional one, so a passing x0 asks nothing of it."""
     ring = avoid.ring
     candidates = [ring.variable(i) for i in range(ring.arity)]
     rng = SplitMix64(seed ^ 0xCAA7)
@@ -138,7 +138,7 @@ def choose_chart(avoid: Ideal, seed: int = 0) -> Polynomial:
     for k, h in enumerate(candidates):
         if _hyperplane_misses(avoid, h):
             return h
-        if not k and krull_dimension(avoid) > 1:
+        if not k and not dimension_at_most(avoid, 1):
             raise NotZeroDimensional("locus to avoid has positive dimension")
     raise ExhaustedCandidates("no hyperplane misses the locus to avoid")
 
@@ -295,7 +295,7 @@ def _is_complete_intersection(i_z: Ideal) -> bool:
     runs to the end."""
     degrees = [f.total_degree() for f in i_z.generators]
     i_z.gb(GREVLEX, target=ci_hilbert_data(degrees, i_z.ring.arity).numerator)
-    return krull_dimension(i_z) <= 2
+    return dimension_at_most(i_z, 2)
 
 
 def _construct(curve: CurveInput, seed: int, max_attempts: int,

@@ -341,13 +341,24 @@ def test_text_output(capsys):
 
 def test_precision_cap_below_first_order(capsys):
     # caps too small to see any positive order of the cusp t^2, t^3
-    for cap in ("0", "1", "2"):
+    for cap in ("1", "2"):
         code, payload = run_json(capsys, "local", "--input", CUSP,
                                  "--precision-cap", cap)
         assert code == 2
         (record,) = payload["errors"]
         assert record["type"] == "PrecisionCapExceeded"
         assert record["cap"] == int(cap)
+
+
+def test_precision_cap_below_one_is_an_input_error(capsys):
+    # a window with no positions: an input error, not an exceeded cap
+    for cap in ("0", "-5"):
+        code, payload = run_json(capsys, "local", "--input", CUSP,
+                                 "--precision-cap", cap)
+        assert code == 1
+        (record,) = payload["errors"]
+        assert record["type"] == "InputError"
+        assert f"not {cap}" in record["message"]
 
 
 def test_bad_order_is_an_input_error(capsys):

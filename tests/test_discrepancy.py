@@ -5,7 +5,7 @@ import json
 import pathlib
 import sys
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement
 
 import pytest
 import sympy
@@ -17,6 +17,7 @@ import cidcurve.cli
 from cidcurve import (
     CurveInput,
     Field,
+    GREVLEX,
     Ideal,
     PolyRing,
     cid_aci,
@@ -39,6 +40,7 @@ from cidcurve import (
 from cidcurve import discrepancy as discrepancy_module
 from cidcurve import hilbert as hilbert_module
 from cidcurve import ideals as ideals_module
+from cidcurve import linkage as linkage_module
 from cidcurve.errors import (
     BadCodim,
     ChartMeetsIntersection,
@@ -623,19 +625,52 @@ CI33 = ("x0^3 + x1^3 + x2^3 + x3^3 + x0*x1*x2",
         "x0^3 + 2*x1^3 + 3*x2^3 + 4*x3^3 + x1*x2*x3")
 
 
-def test_smooth_complete_intersection_builds_no_witness_scheme_basis():
-    # W is empty, so the witness Jacobian scheme on X is screened mod p:
-    # its image certifies the empty scheme, and no exact basis of it is
-    # ever built, by the genus report or the omega comparison
-    curve = _p3_curve(*CI33)
+def _dense_cubics():
+    # two dense cubics in P^3 with seeded coefficients in 1..50, like the
+    # forms of the benchmark's genus:ci33 job
+    ring = PolyRing(QQ, ("x0", "x1", "x2", "x3"))
+    rng = SplitMix64(0)
+    forms = []
+    for _ in range(2):
+        terms = {}
+        for combo in combinations_with_replacement(range(4), 3):
+            exps = [0] * 4
+            for i in combo:
+                exps[i] += 1
+            terms[tuple(exps)] = Fraction(rng.randint(1, 50))
+        forms.append(ring.polynomial(terms))
+    return CurveInput(ring, forms)
+
+
+def _smooth_ci_witness(curve):
+    # the genus report and the omega comparison of a smooth complete
+    # intersection of two cubics, whose W is empty
     witness = construct_ci(curve, seed=0)
     report = genus_report(curve, witness)
     assert report.cid_routes == {"direct": 0, "smooth_jacobian": 0,
                                  "lci_general": 0}
     assert report.all_checks_pass() and report.p_a_hilbert == 10
     assert omega_matches_jacobian(curve.ideal(), witness)
+    return witness
+
+
+def test_smooth_complete_intersection_builds_no_witness_scheme_basis():
+    # W is empty, so only the emptiness of the witness Jacobian scheme on
+    # X is asked.  Dense forms give it coefficients far wider than the
+    # screening prime: its image certifies the empty scheme, and no exact
+    # basis of it is ever built, by the genus report or the omega
+    # comparison
+    witness = _smooth_ci_witness(_dense_cubics())
     assert witness.on_curve._gb_cache == {}
     assert "mod_p" in witness.on_curve._data_cache
+
+
+def test_narrow_complete_intersection_builds_no_image():
+    # CI33's coefficients stay below the screening prime, so the same
+    # questions are answered exactly and no image is built
+    witness = _smooth_ci_witness(_p3_curve(*CI33))
+    assert GREVLEX in witness.on_curve._gb_cache
+    assert "mod_p" not in witness.on_curve._data_cache
 
 
 def _exact_dimension_at_most(a, bound):
@@ -661,12 +696,12 @@ def test_screen_keeps_the_exact_verdicts(name, monkeypatch):
         return witness, (smooth, length, omega)
 
     witness, screened = verdicts()
-    # no image is built: W is not empty on the twisted cubic, and on the
-    # nodal cubics x0 meets the node, so choosing the chart already read
-    # the scheme's exact dimension
+    # no image is built: every coefficient of the scheme is below the
+    # screening prime, so the kernel answers it exactly
     assert "mod_p" not in witness.on_curve._data_cache
-    monkeypatch.setattr(discrepancy_module, "dimension_at_most",
-                        _exact_dimension_at_most)
+    for module in (discrepancy_module, linkage_module):
+        monkeypatch.setattr(module, "dimension_at_most",
+                            _exact_dimension_at_most)
     _, exact = verdicts()
     assert screened == exact == {"twisted_cubic": (True, 2, True),
                                  "nodal_cubic": (False, None, True),

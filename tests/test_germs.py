@@ -201,7 +201,7 @@ def test_cap_names_the_branch_that_does_not_certify_alone():
 def test_not_primitive_is_certified():
     # every exponent is even: the subalgebra lies in k[t^2] at any cap
     branch = BranchParam((t**2, t**4 + t**6))
-    for cap in (0, 256):
+    for cap in (1, 256):
         with pytest.raises(NotPrimitive, match="share the factor 2"):
             delta_invariant([branch], precision_cap=cap)
 
@@ -218,6 +218,16 @@ def test_precision_cap_below_first_order():
     with pytest.raises(PrecisionCapExceeded) as info:
         delta_invariant([BranchParam((t**2, t**3))], precision_cap=1)
     assert info.value.cap == 1
+
+
+def test_precision_cap_below_one_is_an_input_error():
+    # a window with no positions is not a cap the germ exceeded; it is
+    # rejected before the branches are read
+    for cap in (0, -5):
+        for branches in ([BranchParam((t**2, t**3))], []):
+            with pytest.raises(InputError,
+                               match=f"at least 1, not {cap}$"):
+                delta_invariant(branches, precision_cap=cap)
 
 
 def test_branch_ideal_cusp():

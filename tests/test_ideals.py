@@ -1,5 +1,7 @@
 """Ideal operations: membership laws, elimination, saturation, lengths."""
 
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -588,6 +590,27 @@ def test_dimension_at_most_falls_back_on_an_unlucky_prime():
     assert not b._gb_cache
 
 
+def test_dimension_at_most_screens_only_wide_coefficients():
+    # the twisted cubic cut by a hyperplane is three points: dimension 1.
+    # With every primitive coefficient below the screening prime p it is
+    # answered exactly and no image is built; a coefficient that reaches
+    # p builds the image, which certifies the same answer with no exact
+    # basis.  The width is read after denominators are cleared.
+    p = ideals_module._SCREEN_FIELD.characteristic
+    ring = PolyRing(QQ, ("x0", "x1", "x2", "x3"))
+    x0, x1, x2, x3 = ring.variables()
+    for h, wide in ((x0 + x3.scale(Fraction(p - 1)), False),
+                    ((x0 + x3).scale(Fraction(1, p)), False),
+                    (x0 + x3.scale(Fraction(p)), True),
+                    (x0 + x3.scale(Fraction(1, p)), True)):
+        gens = [*twisted_cubic_gens(ring), h]
+        a = Ideal(ring, gens)
+        assert dimension_at_most(a, 1)
+        assert ("mod_p" in a._data_cache) == wide
+        assert (GREVLEX in a._gb_cache) != wide
+        assert not dimension_at_most(Ideal(ring, gens), 0)
+
+
 def test_dimension_at_most_builds_no_image_over_fp():
     ring = PolyRing(Field.prime_field(32003), ("x0", "x1", "x2", "x3"))
     a = Ideal(ring, twisted_cubic_gens(ring))
@@ -600,14 +623,21 @@ def test_dimension_at_most_builds_no_image_over_fp():
                          ids=["QQ", "Fp32003"])
 def test_dimension_at_most_agrees_with_krull_dimension(field):
     # each call gets a fresh copy of its ideal, so nothing cached makes
-    # the answer exact before the image is tried
+    # the answer exact before the image is tried; x0 -> x0 + (p + 1)*x2
+    # changes coordinates with a coefficient past the screening prime p,
+    # so over QQ the moved copy is screened
+    p = ideals_module._SCREEN_FIELD.characteristic
     for seed in (1, 2, 3):
         a, divisors = _colon_cases(field, True, seed)
+        x0, x1, x2 = a.ring.variables()
+        move = (x0 + x2.scale(field.from_int(p + 1)), x1, x2)
         for b in [a] + divisors + [ideal_sum(a, d) for d in divisors]:
             dim = krull_dimension(Ideal(b.ring, b.generators))
-            for bound in range(b.ring.arity + 1):
-                fresh = Ideal(b.ring, b.generators)
-                assert dimension_at_most(fresh, bound) == (dim <= bound)
+            moved = [g.compose(b.ring, move) for g in b.generators]
+            for gens in (b.generators, moved):
+                for bound in range(b.ring.arity + 1):
+                    fresh = Ideal(b.ring, gens)
+                    assert dimension_at_most(fresh, bound) == (dim <= bound)
         affine, _ = _colon_cases(field, False, seed)
         with pytest.raises(NotHomogeneous):
             dimension_at_most(affine, 1)

@@ -72,3 +72,20 @@ def test_minor_kernel_stays_in_discrepancy():
              and "_minors" in _referenced_names(
                  ast.parse(path.read_text(), filename=str(path)))]
     assert not found, f"_minors referenced outside discrepancy: {found}"
+
+
+def test_dimension_bounds_ask_the_kernel():
+    # "dim <= bound" has one answer, `ideals.dimension_at_most`, which
+    # alone decides whether to screen mod p; elsewhere a Krull dimension
+    # is read only as a value, never compared
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "ideals.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Compare)
+                  for operand in (node.left, *node.comparators)
+                  if isinstance(operand, ast.Call)
+                  and "krull_dimension" in _referenced_names(operand.func)]
+    assert not found, f"krull_dimension compared outside ideals: {found}"
