@@ -39,6 +39,19 @@ before, so the output does not depend on the target.  Output bases are
 reduced, monic and listed in ascending leading-monomial order, which
 makes them unique for the ideal and order, hence byte-identical across
 runs.
+
+A yes-or-no question about the Krull dimension stops earlier still
+(`basis_unless_dimension_at_most`).  G lies in J, so LT(G) lies in LT(J)
+and dim S/J = dim S/LT(J) <= dim S/LT(G).  The dimension of S/M for a
+monomial ideal M is the size of the largest set of variables that holds
+the support of no generator of M: the coordinate subspace on those
+variables lies in V(M), and a larger subspace does not.  So the run
+keeps, as bit masks, the (b + 1)-sets of variables that hold the
+support of no leading monomial found so far; once none is left,
+dim S/J <= b is proved and the run stops, with no interreduction and no
+basis.  If the pairs run out first, G is a basis, LT(G) generates
+LT(J), some (b + 1)-set holds the support of no generator of LT(J), and
+dim S/J > b: the answer is no and the reduced basis is returned.
 """
 
 from __future__ import annotations
@@ -46,6 +59,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
+from itertools import combinations
 from math import gcd
 
 from .errors import RingMismatch
@@ -301,13 +315,15 @@ def _update_pairs(pairs, lms, t, packing):
     return survivors
 
 
-def _buchberger(gens, packing, char, target=None):
+def _buchberger(gens, packing, char, target=None, bound=None):
     """The reduced basis of packed integer dicts, as a `_Reducer` whose
     entries ascend by leading monomial; raises `_FieldOverflow` when a
     new monomial does not fit the packing.  With a `target` K-polynomial
     (see `groebner_basis`) the K-polynomial of the leading monomials is
     kept up to date, and the pair loop stops once it reaches the
-    target."""
+    target.  With a Krull-dimension `bound` b >= 0 the run returns None
+    as soon as every (b + 1)-set of variables holds the support of a
+    leading monomial (see the module docstring)."""
     lms = []  # leading exponent tuples, for the pair criteria
     reducer = _Reducer(packing, char)
     entries = reducer.entries
@@ -316,9 +332,18 @@ def _buchberger(gens, packing, char, target=None):
         weights = getattr(packing.order, "weights", None)
         memo = {}
     numerator = [1]
+    # the (bound + 1)-sets of variables, as bit masks, that hold the
+    # support of no leading monomial yet
+    uncovered = None
+    if bound is not None:
+        uncovered = [sum(1 << i for i in s)
+                     for s in combinations(range(packing.arity), bound + 1)]
+
+    def certified():
+        return uncovered is not None and not uncovered
 
     def insert(s, pairs):
-        nonlocal numerator
+        nonlocal numerator, uncovered
         r, _ = reducer.reduce(s)
         if not r:
             return pairs
@@ -328,20 +353,27 @@ def _buchberger(gens, packing, char, target=None):
         if target is not None:
             numerator = lt_numerator_extend(numerator, lms, exps, weights,
                                             memo)
+        if uncovered is not None:
+            support = sum(1 << i for i, e in enumerate(exps) if e)
+            uncovered = [u for u in uncovered if support & ~u]
         lms.append(exps)
         reducer.add(lm, r)
         return _update_pairs(pairs, lms, len(lms) - 1, packing)
 
     pairs = []
     for g in gens:
+        if certified():
+            return None
         pairs = insert(g, pairs)
-    while pairs:
+    while pairs and not certified():
         if target is not None and numerator == target:
             break
         _, l, i, j = heapq.heappop(pairs)
         s = _spoly(entries[i], entries[j], l, packing.guard, char)
         if s:
             pairs = insert(s, pairs)
+    if certified():
+        return None
     return _interreduce(reducer, char)
 
 
@@ -414,6 +446,20 @@ def groebner_basis(gens, order=GREVLEX, ring: PolyRing = None,
     serves too.  Buchberger then stops as soon as the leading monomials
     reach it (see the module docstring).  The basis is the same either
     way."""
+    return _basis(gens, order, ring, target)
+
+
+def basis_unless_dimension_at_most(gens, bound: int, ring: PolyRing = None):
+    """None when the grevlex leading monomials of a partial basis prove
+    that the ideal the gens generate has Krull dimension at most
+    `bound` >= 0; otherwise its reduced grevlex basis, and then the
+    dimension is larger than `bound` (see the module docstring)."""
+    return _basis(gens, GREVLEX, ring, bound=bound)
+
+
+def _basis(gens, order, ring, target=None, bound=None):
+    """`groebner_basis` with `_buchberger`'s dimension stop: None when
+    it fires."""
     gens = [g for g in gens if g]
     if ring is None:
         if not gens:
@@ -429,10 +475,12 @@ def groebner_basis(gens, order=GREVLEX, ring: PolyRing = None,
         try:
             reducer = _buchberger(
                 [{packing.pack(e): c for e, c in d.items()} for d in int_gens],
-                packing, char, target)
+                packing, char, target, bound)
             break
         except _FieldOverflow:
             packing = Packing(order, ring.arity, 2 * packing.bits)
+    if reducer is None:
+        return None
     elements = tuple(
         ring.polynomial({packing.unpack(e): c if char else Fraction(c, lc)
                          for e, c in items})

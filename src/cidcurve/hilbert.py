@@ -67,20 +67,17 @@ def _koszul(degrees, numerator=(1,)):
         out = _poly_mul(out, [1] + [0] * (d - 1) + [-1])
     return out
 
-def _divide_one_minus_t(a):
-    """Exact division by (1 - t); returns None if not divisible."""
-    if not a:
-        return []
-    out = [0] * (len(a) - 1)
-    # (1 - t) * q = a  =>  q_i = a_i + q_{i-1}
-    prev = 0
-    for i in range(len(a) - 1):
-        prev = a[i] + prev
-        out[i] = prev
-    if a[-1] + prev != 0 and len(a) > 1:
-        return None
-    if len(a) == 1:
-        return None if a[0] != 0 else []
+def _divide_one_minus_t(a, d=1):
+    """Exact division by (1 - t^d); returns None if not divisible."""
+    # (1 - t^d) * q = a  =>  q_i = a_i + q_(i-d), and the top d
+    # coefficients of a cancel against those of q
+    out = [0] * max(len(a) - d, 0)
+    for i in range(len(a)):
+        carried = a[i] + (out[i - d] if i >= d else 0)
+        if i < len(out):
+            out[i] = carried
+        elif carried:
+            return None
     return out
 
 

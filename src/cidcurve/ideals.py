@@ -8,7 +8,9 @@ from t*I + (1-t)*J).  For homogeneous I and g, the principal quotient
 weighted-grevlex basis of I + (y - g) in a fresh last variable y of
 weight deg g (Bayer's trick), mapped back by y -> g: the quotient from
 the elements y divides, divided by y once, and the saturation from
-every element divided by its top power of y.  Otherwise a principal
+every element divided by its top power of y.  The leading monomials of
+that basis fix the Hilbert series of S/(I : g), so the quotient's own
+grevlex basis stops once it reaches that series.  Otherwise a principal
 quotient divides the generators of I ∩ (g) by g, and a principal
 saturation eliminates t from I + (1 - t*g) (Rabinowitsch), projecting
 through `eliminate` as intersections do.  A saturation by several
@@ -22,9 +24,11 @@ certifies that the form missed every relevant associated prime; when
 no form is certified, the ideal is saturated by all the coordinates.
 
 `dimension_at_most` is the one test of a bound on a Krull dimension.
-A homogeneous QQ ideal whose coefficients reach a fixed prime p is read
-mod p first: the image's dimension can only be larger (ranks only drop
-mod p), and the exact basis decides only when it misses the bound.
+It asks a Buchberger run that stops as soon as its leading monomials
+prove the bound, and keeps the bound it proved.  A homogeneous QQ ideal
+whose coefficients reach a fixed prime p is asked mod p first: the
+image's dimension can only be larger (ranks only drop mod p), and the
+ideal itself is asked only when the image misses the bound.
 
 A zero-dimensional ideal has finite length `vdim`, counted from the
 Hilbert series numerator of its leading-term ideal.  Its radical adds
@@ -47,7 +51,11 @@ from .errors import (
 )
 from . import hilbert as _hilbert
 from .fields import Field
-from .groebner import GroebnerBasis, groebner_basis
+from .groebner import (
+    GroebnerBasis,
+    basis_unless_dimension_at_most,
+    groebner_basis,
+)
 from .orders import Block, GREVLEX, WeightedGrevLex
 from .polynomials import Chart, Polynomial, PolyRing, _substitute
 from .rng import SplitMix64
@@ -131,22 +139,35 @@ def _mod_p(a: Ideal):
 
 def dimension_at_most(a: Ideal, bound: int) -> bool:
     """Whether the homogeneous ideal a has Krull dimension at most
-    `bound`.  A QQ ideal with no Hilbert data or grevlex basis cached and
-    a primitive integer coefficient of at least the screening prime p is
-    read mod p first: in each degree its forms are spanned by monomial
-    multiples of its primitive generators, an integer matrix whose rank
-    can only drop mod p, so the image's Hilbert function is at least a's
-    in every degree (Arnold 2003), and an image within the bound
-    certifies the answer.  Otherwise a's exact basis decides, so an
-    unlucky prime costs time and never changes an answer; narrower
-    coefficients would shrink nothing mod p."""
-    if not (a.ring.field.characteristic or "hilbert" in a._data_cache
-            or GREVLEX in a._gb_cache):
-        image = _mod_p(a)
-        if (image is not None and a.is_homogeneous()
-                and _hilbert.krull_dimension(image) <= bound):
-            return True
-    return _hilbert.krull_dimension(a) <= bound
+    `bound`; NotHomogeneous before any work otherwise.
+
+    An ideal with Hilbert data or a grevlex basis cached reads its
+    dimension off them.  Any other ideal asks a grevlex Buchberger run
+    that stops once its leading monomials prove the bound
+    (`groebner.basis_unless_dimension_at_most`); a certified bound is
+    kept with a, and a run that ends without one caches the basis that
+    proves the answer no.  A QQ ideal with a primitive integer
+    coefficient of at least the screening prime p asks its image mod p
+    first: in each degree its forms are spanned by monomial multiples
+    of its primitive generators, an integer matrix whose rank can only
+    drop mod p, so the image's Hilbert function is at least a's in every
+    degree (Arnold 2003), and an image within the bound certifies the
+    answer.  Otherwise a itself is asked, so an unlucky prime costs time
+    and never changes an answer; narrower coefficients would shrink
+    nothing mod p."""
+    _hilbert._check_homogeneous(a)
+    if bound < 0 or "hilbert" in a._data_cache or GREVLEX in a._gb_cache:
+        return _hilbert.krull_dimension(a) <= bound
+    if bound >= a._data_cache.get("dimension_at_most", INFINITE):
+        return True
+    image = None if a.ring.field.characteristic else _mod_p(a)
+    if image is None or not dimension_at_most(image, bound):
+        basis = basis_unless_dimension_at_most(a.generators, bound, a.ring)
+        if basis is not None:
+            a._gb_cache[GREVLEX] = basis
+            return False
+    a._data_cache["dimension_at_most"] = bound
+    return True
 
 
 def ideal(*gens) -> Ideal:
@@ -295,18 +316,42 @@ def _bayer_basis(a: Ideal, g: Polynomial):
     return pairs, back
 
 
-def _reduced(a: Ideal) -> Ideal:
-    """a presented by its monic reduced grevlex basis, kept cached."""
-    gb = a.gb()
+def _reduced(a: Ideal, numerator=None) -> Ideal:
+    """a presented by its monic reduced grevlex basis, kept cached.  A
+    known K-polynomial `numerator` of S/a is the basis's target, and
+    the Hilbert data read from it is kept too."""
+    gb = a.gb(GREVLEX, target=numerator)
     out = Ideal(a.ring, gb.elements)
     out._gb_cache[GREVLEX] = gb
+    if numerator is not None:
+        out._data_cache["hilbert"] = _hilbert.data_from_numerator(
+            numerator, a.ring.arity)
     return out
+
+
+def _colon_numerator(pairs, ring: PolyRing, d: int):
+    """The K-polynomial of S/(a : g) from the pairs of `_bayer_basis(a,
+    g)`, g of degree d.  The elements y divides, divided by y once, and
+    the others form a basis of (J : y), and y -> g is a graded
+    isomorphism S[y]/(J : y) -> S/(a : g).  So the weighted K-polynomial
+    of their leading monomials, over (1 - t)^n (1 - t^d), is the series
+    of S/(a : g), and dividing it by 1 - t^d leaves the K-polynomial."""
+    weights = (1,) * ring.arity + (d,)
+    order = WeightedGrevLex(weights)
+    lts = []
+    for k, f in pairs:
+        e = f.leading(order)[0]
+        lts.append(e[:-1] + (e[-1] - 1,) if k else e)
+    numerator = _hilbert.lt_numerator(lts, ring.arity + 1, weights)
+    return _hilbert._divide_one_minus_t(numerator, d)
 
 
 def colon_principal(a: Ideal, g: Polynomial) -> Ideal:
     """(a : g) for a single polynomial: one weighted-grevlex basis when
-    a and g are homogeneous (returned as its reduced grevlex basis),
-    otherwise exact division of the generators of a ∩ (g)."""
+    a and g are homogeneous, returned as its reduced grevlex basis,
+    which stops at the series that basis fixes (`_colon_numerator`) and
+    comes with its Hilbert data; otherwise exact division of the
+    generators of a ∩ (g)."""
     if g.ring != a.ring:
         raise RingMismatch("colon divisor outside the ideal's ring")
     if not g:
@@ -316,7 +361,8 @@ def colon_principal(a: Ideal, g: Polynomial) -> Ideal:
     if a.is_homogeneous() and g.is_homogeneous():
         pairs, back = _bayer_basis(a, g)
         lowered = back((1, f) for k, f in pairs if k)
-        return _reduced(Ideal(a.ring, list(a.generators) + lowered))
+        return _reduced(Ideal(a.ring, list(a.generators) + lowered),
+                        _colon_numerator(pairs, a.ring, g.total_degree()))
     meet = intersect(a, Ideal(a.ring, [g]))
     return Ideal(a.ring, [divide_exact(f, g) for f in meet.generators])
 
@@ -374,7 +420,7 @@ def quotient(a: Ideal, b: Ideal, seed=0) -> Ideal:
             if not g:
                 continue
             # a homogeneous colon, so already its reduced grevlex basis,
-            # returned with the Hilbert data just cached on it
+            # with the Hilbert data its Bayer basis fixed kept on it
             candidate = colon_principal(a, g)
             data = _hilbert.hilbert_series(candidate)
             if (data.krull_dim == _hilbert.krull_dimension(a)

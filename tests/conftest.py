@@ -35,6 +35,20 @@ def exact_colon(a, b):
     return ideals._fold(a, b.generators, ideals.colon_principal)
 
 
+def stopped_runs(monkeypatch):
+    """The dimension-stopped Buchberger runs `ideals.dimension_at_most`
+    asks for from now on, as (generators, bound, ring), in order."""
+    runs = []
+    real = ideals.basis_unless_dimension_at_most
+
+    def spy(gens, bound, ring=None):
+        runs.append((tuple(gens), bound, ring))
+        return real(gens, bound, ring)
+
+    monkeypatch.setattr(ideals, "basis_unless_dimension_at_most", spy)
+    return runs
+
+
 def rnc_curve(n, field=None):
     """Rational normal curve of degree n: the 2x2 minors of the moving
     row matrix of monomial products."""

@@ -17,7 +17,6 @@ import cidcurve.cli
 from cidcurve import (
     CurveInput,
     Field,
-    GREVLEX,
     Ideal,
     PolyRing,
     cid_aci,
@@ -57,7 +56,7 @@ from cidcurve.ideals import chart_ideal
 from cidcurve.polynomials import Chart
 from cidcurve.rng import SplitMix64
 
-from conftest import exact_colon, rnc_curve, twisted_cubic_gens
+from conftest import exact_colon, rnc_curve, stopped_runs, twisted_cubic_gens
 
 QQ = Field.rationals()
 RNC4 = str(pathlib.Path(__file__).resolve().parent.parent
@@ -665,11 +664,14 @@ def test_smooth_complete_intersection_builds_no_witness_scheme_basis():
     assert "mod_p" in witness.on_curve._data_cache
 
 
-def test_narrow_complete_intersection_builds_no_image():
+def test_narrow_complete_intersection_builds_no_image(monkeypatch):
     # CI33's coefficients stay below the screening prime, so the same
-    # questions are answered exactly and no image is built
+    # questions are asked of the exact witness scheme and no image is
+    # built
+    runs = stopped_runs(monkeypatch)
     witness = _smooth_ci_witness(_p3_curve(*CI33))
-    assert GREVLEX in witness.on_curve._gb_cache
+    assert [(gens, ring) for gens, _, ring in runs].count(
+        (witness.on_curve.generators, witness.on_curve.ring)) == 1
     assert "mod_p" not in witness.on_curve._data_cache
 
 
@@ -919,16 +921,24 @@ def test_plane_witness_reads_the_cached_singular_locus():
 
 def test_smoothness_first_checks_two_minors(monkeypatch):
     # the curve ideal has dimension 2 and each minor lowers it by at most
-    # one, so no check comes before two minors
+    # one, so no check comes before two minors.  The curve's dimension is
+    # read as a value, each partial minor ideal asked as a bound
     i_x = rnc_curve(4).ideal()
     checked = []
     real = hilbert_module.krull_dimension
+    real_bound = discrepancy_module.dimension_at_most
 
     def krull_dimension(ideal_like):
         checked.append(ideal_like)
         return real(ideal_like)
 
+    def dimension_at_most(a, bound):
+        checked.append(a)
+        return real_bound(a, bound)
+
     monkeypatch.setattr(hilbert_module, "krull_dimension", krull_dimension)
+    monkeypatch.setattr(discrepancy_module, "dimension_at_most",
+                        dimension_at_most)
     assert is_smooth_curve(i_x)
     assert checked[0] is i_x
     assert checked[1].generators[:len(i_x.generators)] == i_x.generators

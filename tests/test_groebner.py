@@ -17,7 +17,7 @@ from cidcurve import (
     normal_form,
     saturate_irrelevant,
 )
-from cidcurve import groebner, ideals, linkage
+from cidcurve import groebner, hilbert, ideals, linkage
 from cidcurve.hilbert import ci_hilbert_data
 from cidcurve.orders import Block, WeightedGrevLex
 from cidcurve.rng import SplitMix64
@@ -353,14 +353,15 @@ def _spolys(monkeypatch, gens, order, ring, target=None):
 @pytest.mark.parametrize("field", [QQ, Field.prime_field(32003)],
                          ids=["QQ", "Fp"])
 def test_hilbert_stop_keeps_the_linkage_bases(n, field, monkeypatch):
-    # the I_Z test basis (grevlex, the complete-intersection series)
-    # and the residual colon's Bayer basis (weighted, I_Z's series
-    # times 1 - t^d) are the same with and without their targets, and
+    # the I_Z test basis (grevlex, the complete-intersection series),
+    # the residual colon's Bayer basis (weighted, I_Z's series times
+    # 1 - t^d) and the colon's own grevlex basis (the series its Bayer
+    # basis fixes) are the same with and without their targets, and
     # each stops before its pair queue runs out
     calls = _targeted_bases(
         monkeypatch, lambda: construct_ci(rnc_curve(n, field), seed=0))
     assert sorted(type(order).__name__ for _, order, _, _ in calls) == [
-        "GrevLex", "WeightedGrevLex"]
+        "GrevLex", "GrevLex", "WeightedGrevLex"]
     for gens, order, ring, target in calls:
         with_target, count = _spolys(monkeypatch, gens, order, ring, target)
         without, full = _spolys(monkeypatch, gens, order, ring)
@@ -421,3 +422,83 @@ def test_hilbert_stop_reduces_fewer_pairs_on_rnc5(monkeypatch):
     monkeypatch.setattr(groebner._Reducer, "reduce", reduce)
     construct_ci(rnc_curve(5), seed=0)
     assert count <= 465
+
+
+def _linked_pair(name):
+    """A fresh complete intersection a and a curve b inside it whose
+    colon (a : b) is linked, with the seed of its draw."""
+    if name == "conic_in_ci23":
+        # the conic x3 = q = 0, with generators of degrees 1 and 2, in a
+        # quadric-cubic complete intersection: the draw raises x3 to
+        # degree 2
+        ring = PolyRing(QQ, ("x0", "x1", "x2", "x3"))
+        x3 = ring.variable(3)
+        q = ring.parse("x0*x2 - x1^2")
+        a = Ideal(ring, [x3 * ring.parse("x0 + 2*x1 + 3*x2"),
+                         q * ring.parse("x0 - x3")
+                         + x3 * ring.parse("x1^2 + x2^2 + 5*x0*x3")])
+        return a, Ideal(ring, [x3, q]), 4
+    curve = rnc_curve(int(name[-1]))
+    witness = construct_ci(curve, seed=0)
+    return (Ideal(curve.ring, witness.i_z.generators),
+            Ideal(curve.ring, curve.generators), 0)
+
+
+@pytest.mark.parametrize("name", ["rnc3", "rnc4", "rnc5", "conic_in_ci23"])
+def test_colon_target_keeps_the_basis_and_its_series(name, monkeypatch):
+    # the linked colon's grevlex basis stops at the series its Bayer
+    # basis fixes: the same basis and Hilbert data as with no target,
+    # with fewer S-pairs, and quotient's degree check reads the data
+    # with no pass over the basis's leading monomials
+    def colon(targeted):
+        a, b, seed = _linked_pair(name)
+        assert ideals._linked_degree(a, b) is not None
+        if not targeted:
+            monkeypatch.setattr(ideals, "_colon_numerator",
+                                lambda *args: None)
+        passes = []
+        real_lt_gens = hilbert._lt_gens
+        monkeypatch.setattr(hilbert, "_lt_gens",
+                            lambda i: passes.append(i) or real_lt_gens(i))
+        count = 0
+        real_spoly = groebner._spoly
+
+        def spoly(*args):
+            nonlocal count
+            count += 1
+            return real_spoly(*args)
+
+        monkeypatch.setattr(groebner, "_spoly", spoly)
+        result = ideals.quotient(a, b, seed=seed)
+        monkeypatch.undo()
+        return result, count, passes
+
+    targeted, count, passes = colon(True)
+    plain, full, plain_passes = colon(False)
+    assert targeted.generators == plain.generators
+    assert targeted._data_cache["hilbert"] == hilbert.hilbert_series(plain)
+    assert count < full
+    assert targeted not in passes and plain in plain_passes
+
+
+def test_dimension_stop_reduces_less_than_the_full_basis(monkeypatch):
+    # RNC5 has dimension 2: the stopped run proves dim <= 2 before its
+    # pair queue runs out, and dim <= 1 is refused with the full basis
+    curve = rnc_curve(5)
+    gens, ring = list(curve.generators), curve.ring
+    count = 0
+    real = groebner._Reducer.reduce
+
+    def reduce(self, d, scale=1):
+        nonlocal count
+        count += 1
+        return real(self, d, scale)
+
+    monkeypatch.setattr(groebner._Reducer, "reduce", reduce)
+    assert groebner.basis_unless_dimension_at_most(gens, 2, ring) is None
+    stopped, count = count, 0
+    basis = groebner_basis(gens, ring=ring)
+    full, count = count, 0
+    refused = groebner.basis_unless_dimension_at_most(gens, 1, ring)
+    assert refused.elements == basis.elements
+    assert stopped < full == count

@@ -37,11 +37,12 @@ from cidcurve.errors import (
     PrecisionCapExceeded,
     RingMismatch,
 )
+from cidcurve.groebner import basis_unless_dimension_at_most, groebner_basis
 from cidcurve.ideals import colon_principal, divide_exact
 from cidcurve.orders import Block
 from cidcurve.rng import SplitMix64
 
-from conftest import exact_colon, twisted_cubic_gens
+from conftest import exact_colon, stopped_runs, twisted_cubic_gens
 
 QQ = Field.rationals()
 
@@ -573,42 +574,139 @@ def test_krull_dimension_bounds():
     assert krull_dimension(ideal_sum(a, ideal(x0))) == 1
 
 
-def test_dimension_at_most_falls_back_on_an_unlucky_prime():
+def test_dimension_at_most_falls_back_on_an_unlucky_prime(monkeypatch):
     # (x + p*y, x, z) is the irrelevant ideal over QQ, but its image mod
-    # the screening prime p is (x, z), of dimension 1: the exact basis
-    # decides, and the answer stays right
+    # the screening prime p is (x, z), of dimension 1: a itself is asked
+    # next, and the answer stays right
     p = ideals_module._SCREEN_FIELD.characteristic
     ring = PolyRing(QQ, ("x", "y", "z"))
     x, y, z = ring.variables()
     a = Ideal(ring, [x + y.scale(QQ.from_int(p)), x, z])
+    runs = stopped_runs(monkeypatch)
     assert dimension_at_most(a, 0)
-    assert GREVLEX in a._gb_cache
-    assert krull_dimension(a._data_cache["mod_p"]) == 1
-    # a lucky image certifies the bound with no exact basis
+    image = a._data_cache["mod_p"]
+    assert runs == [(image.generators, 0, image.ring),
+                    (a.generators, 0, ring)]
+    assert krull_dimension(image) == 1
+    # a lucky image certifies the bound with no run on b itself
     b = Ideal(ring, [x + y.scale(QQ.from_int(p + 1)), x, z])
+    runs.clear()
     assert dimension_at_most(b, 0)
+    assert [run_ring for _, _, run_ring in runs] == [
+        b._data_cache["mod_p"].ring]
     assert not b._gb_cache
 
 
-def test_dimension_at_most_screens_only_wide_coefficients():
+def test_dimension_at_most_screens_only_wide_coefficients(monkeypatch):
     # the twisted cubic cut by a hyperplane is three points: dimension 1.
     # With every primitive coefficient below the screening prime p it is
-    # answered exactly and no image is built; a coefficient that reaches
-    # p builds the image, which certifies the same answer with no exact
-    # basis.  The width is read after denominators are cleared.
+    # asked exactly and no image is built; a coefficient that reaches p
+    # builds the image, which certifies the same answer with no run on
+    # the ideal itself.  The width is read after denominators are
+    # cleared.
     p = ideals_module._SCREEN_FIELD.characteristic
     ring = PolyRing(QQ, ("x0", "x1", "x2", "x3"))
     x0, x1, x2, x3 = ring.variables()
+    runs = stopped_runs(monkeypatch)
     for h, wide in ((x0 + x3.scale(Fraction(p - 1)), False),
                     ((x0 + x3).scale(Fraction(1, p)), False),
                     (x0 + x3.scale(Fraction(p)), True),
                     (x0 + x3.scale(Fraction(1, p)), True)):
         gens = [*twisted_cubic_gens(ring), h]
         a = Ideal(ring, gens)
+        runs.clear()
         assert dimension_at_most(a, 1)
         assert ("mod_p" in a._data_cache) == wide
-        assert (GREVLEX in a._gb_cache) != wide
+        assert [run_ring.field for _, _, run_ring in runs] == [
+            ideals_module._SCREEN_FIELD if wide else QQ]
         assert not dimension_at_most(Ideal(ring, gens), 0)
+
+
+def test_dimension_at_most_rejects_an_affine_ideal_before_any_image():
+    # a wide ideal that is not homogeneous is rejected before its image
+    # mod p or any Buchberger run is built
+    p = ideals_module._SCREEN_FIELD.characteristic
+    ring = PolyRing(QQ, ("x", "y", "z"))
+    x, y, z = ring.variables()
+    a = Ideal(ring, [x + y.scale(QQ.from_int(p)), z**2 - ring.one()])
+    with pytest.raises(NotHomogeneous):
+        dimension_at_most(a, 1)
+    assert "mod_p" not in a._data_cache
+    assert not a._gb_cache
+
+
+def test_dimension_at_most_keeps_a_certified_bound(monkeypatch):
+    # a stopped run proves dim <= 1 and leaves no basis; the bound is
+    # kept, so it and any larger bound are answered with no second run,
+    # and a smaller one runs again
+    ring = PolyRing(QQ, ("x0", "x1", "x2", "x3"))
+    a = Ideal(ring, [*twisted_cubic_gens(ring), ring.parse("x0 + x3")])
+    runs = stopped_runs(monkeypatch)
+    assert dimension_at_most(a, 1)
+    assert not a._gb_cache and a._data_cache["dimension_at_most"] == 1
+    assert dimension_at_most(a, 1) and dimension_at_most(a, 2)
+    assert len(runs) == 1
+    assert not dimension_at_most(a, 0)
+    assert len(runs) == 2
+    assert a._gb_cache[GREVLEX].elements == groebner_basis(
+        a.generators, ring=ring).elements
+
+
+def test_dimension_stop_needs_every_set_of_variables():
+    # (x0, x1) in P^3 covers every 2-set of variables but {x2, x3}:
+    # dimension 2, so a run that stopped with one set left would answer
+    # dim <= 1 wrongly
+    ring = PolyRing(QQ, ("x0", "x1", "x2", "x3"))
+    x0, x1, x2, x3 = ring.variables()
+    assert not dimension_at_most(Ideal(ring, [x0, x1]), 1)
+    assert dimension_at_most(Ideal(ring, [x0, x1]), 2)
+    assert dimension_at_most(Ideal(ring, [x0, x1, x2 * x3]), 1)
+    assert not dimension_at_most(Ideal(ring, [x0, x1 * x2, x1 * x3]), 1)
+
+
+@st.composite
+def _homogeneous_ideals(draw):
+    """One to four forms of degrees 1 to 3 in three or four variables
+    over QQ or F_7, each with one to three terms and small coefficients
+    (over QQ some reach the screening prime)."""
+    field = draw(st.sampled_from((QQ, Field.prime_field(7))))
+    arity = draw(st.integers(3, 4))
+    ring = PolyRing(field, tuple(f"x{i}" for i in range(arity)))
+    p = ideals_module._SCREEN_FIELD.characteristic
+    gens = []
+    for _ in range(draw(st.integers(1, 4))):
+        degree = draw(st.integers(1, 3))
+        terms = {}
+        for _ in range(draw(st.integers(1, 3))):
+            exps = [0] * arity
+            for _ in range(degree):
+                exps[draw(st.integers(0, arity - 1))] += 1
+            c = draw(st.sampled_from((1, -1, 2, 3, p, p + 1)))
+            terms[tuple(exps)] = field.from_int(c)
+        f = ring.polynomial(terms)
+        if f:
+            gens.append(f)
+    return ring, gens
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(case=_homogeneous_ideals())
+def test_dimension_stop_agrees_with_the_exact_dimension(case):
+    # at every bound the stopped verdict is the fresh exact dimension's,
+    # and a no leaves the reduced grevlex basis of the generators
+    ring, gens = case
+    dim = krull_dimension(Ideal(ring, gens))
+    basis = groebner_basis(gens, ring=ring)
+    for bound in range(ring.arity + 1):
+        fresh = Ideal(ring, gens)
+        answer = dimension_at_most(fresh, bound)
+        assert answer == (dim <= bound)
+        if not answer:
+            assert fresh._gb_cache[GREVLEX].elements == basis.elements
+        stopped = basis_unless_dimension_at_most(gens, bound, ring)
+        assert (stopped is None) == (dim <= bound)
+        if stopped is not None:
+            assert stopped.elements == basis.elements
 
 
 def test_dimension_at_most_builds_no_image_over_fp():
