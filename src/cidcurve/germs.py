@@ -23,11 +23,16 @@ every branch then lies in O, and delta counts the positions missing
 below N.  For one branch that is a gap-free run of length m in the
 value semigroup.  The window P doubles up to the precision cap.  No
 window proves the opposite, so a germ that never certifies is judged
-only on certificates: a branch whose exponents share a factor d > 1, or
-that meets the hyperplane of a least-order coordinate with a length
-below that order (a reparametrization such as x = t^2 + t^3, y = x^2),
-is not primitive; a branch on the implicit curve of an earlier branch
-that maps only t = 0 to the origin is that branch again.
+only on certificates.  A branch whose exponents share a factor d > 1 is
+not primitive.  Past the cap the other verdicts read the pairs (s, t)
+with p_a(s) = p_b(t).  By Lüroth, p = Q(u) for a polynomial u and a Q
+birational onto the image (Schinzel, Selected Topics on Polynomials,
+1982), so a branch's pairs with itself are the diagonal, the curve
+(u(s) - u(t))/(s - t) = 0 and finitely many points.  That curve passes
+through (0, 0) iff u'(0) = 0: t -> p(t) has local degree above 1 at
+t = 0, not primitive (x = t^2 + t^3, y = x^2).  A curve of pairs of two
+branches through (0, 0) makes them one germ, so the germ is not
+m-primary.
 """
 
 from __future__ import annotations
@@ -49,14 +54,18 @@ from .errors import (
     PrecisionCapExceeded,
     RingMismatch,
 )
+from .groebner import basis_unless_dimension_at_most
 from .ideals import (
     Ideal,
+    divide_exact,
     eliminate,
     ideal_equal,
     ideal_sum,
     local_vdim_origin,
     quotient,
+    saturate,
 )
+from .orders import GREVLEX
 from .polynomials import (
     Polynomial,
     PolyRing,
@@ -252,30 +261,6 @@ def _conductor_delta(branches, precision: int):
     return None
 
 
-def _check_degree_one(branch: BranchParam) -> None:
-    """NotPrimitive when t -> p(t) is visibly not of degree 1 onto its
-    image.  For the coordinate x_i of least positive order m, the branch
-    meets the hyperplane x_i = 0 at the origin with length L >= m / d,
-    where d is that degree; so m > L forces d > 1."""
-    m = branch_multiplicity(branch)
-    i = next(k for k, p in enumerate(branch.coords) if _ord(p) == m)
-    ambient = _germ_ambient(branch)
-    cut = Ideal(ambient, [ambient.variable(i)])
-    length = local_vdim_origin(ideal_sum(branch_ideal(branch, ambient), cut))
-    if m > length:
-        raise NotPrimitive(
-            f"branch {branch.label!r} has order {m} in coordinate {i + 1} "
-            f"but meets its hyperplane with length {length}; the "
-            f"parametrization is not primitive"
-        )
-
-
-def _germ_ambient(branch: BranchParam) -> PolyRing:
-    """Coordinate ring u0, u1, ... for the branch's implicit ideal."""
-    return PolyRing(branch.ring.field,
-                    tuple(f"u{i}" for i in range(branch.arity)))
-
-
 def branch_ideal(branch: BranchParam, ambient: PolyRing) -> Ideal:
     """Implicit ideal of the branch in the given coordinate ring, by
     eliminating the parameter from (x_i - p_i(t))."""
@@ -292,11 +277,26 @@ def branch_ideal(branch: BranchParam, ambient: PolyRing) -> Ideal:
     return eliminate(Ideal(join, gens), (0,))
 
 
-def _meets_origin_once(branch: BranchParam) -> bool:
-    """The gcd of the coordinates, their ideal's generator in k[t], is a
-    monomial: only t = 0 maps to the origin."""
-    basis = Ideal(branch.ring, [p for p in branch.coords if p]).gb()
-    return len(basis.elements[0].terms) == 1
+def _same_germ(a: BranchParam, b: BranchParam) -> bool:
+    """Whether b parametrizes the germ of a at the origin: a curve of
+    pairs (s, t) with p_a(s) = p_b(t) passes through (0, 0).  For a
+    branch with itself each p(s) - p(t) is divided by s - t, which drops
+    the diagonal when some p_i' is nonzero.  Pairs that a stopped
+    Buchberger run proves finite answer no; else the saturation by
+    (s, t) drops (0, 0) as an isolated pair and keeps it on a curve."""
+    ring = PolyRing(a.ring.field, ("s", "t"))
+    s, t = ring.variables()
+    gens = [p.compose(ring, [s]) - q.compose(ring, [t])
+            for p, q in zip(a.coords, b.coords)]
+    if a is b:
+        gens = [divide_exact(g, s - t) for g in gens]
+    basis = basis_unless_dimension_at_most(gens, 0, ring)
+    if basis is None:
+        return False
+    pairs = Ideal(ring, basis.elements)
+    pairs._gb_cache[GREVLEX] = basis
+    curve = saturate(pairs, Ideal(ring, [s, t]))
+    return not any(g.coefficient_of((0, 0)) for g in curve.generators)
 
 
 def delta_invariant(branches,
@@ -304,10 +304,12 @@ def delta_invariant(branches,
     """Colength of the germ's local ring in its normalization, at the
     first conductor certificate in windows of 32, 64, ... up to
     precision_cap.  Past the cap, a branch that does not certify alone
-    gets the degree-one check; a branch on the curve of an earlier branch
-    a that maps only t = 0 to the origin is a again, NotMPrimary, since
-    that curve has one branch there; else PrecisionCapExceeded.  A cap
-    below 1 is a window with no positions, an InputError."""
+    is NotPrimitive when it meets itself in a curve of parameter pairs
+    through (0, 0) (`_same_germ`), else PrecisionCapExceeded naming it;
+    when every branch certifies alone, a branch that parametrizes the
+    germ of an earlier one is NotMPrimary, else the germ's
+    PrecisionCapExceeded.  A cap below 1 is a window with no positions,
+    an InputError."""
     if precision_cap < 1:
         raise InputError(
             f"precision_cap must be at least 1, not {precision_cap}")
@@ -329,18 +331,19 @@ def delta_invariant(branches,
         precision = min(precision * 2, precision_cap)
     for b in branches:
         if len(branches) == 1 or _conductor_delta([b], precision) is None:
-            _check_degree_one(b)
+            if _same_germ(b, b):
+                raise NotPrimitive(
+                    f"branch {b.label!r} has local degree above 1 at "
+                    f"t = 0; the parametrization is not primitive"
+                )
             raise PrecisionCapExceeded(
                 f"delta of branch {b.label!r} did not certify below "
                 f"precision {precision_cap}",
                 cap=precision_cap,
             )
-    ambient = _germ_ambient(branches[0])
-    curves = [branch_ideal(a, ambient) if _meets_origin_once(a) else None
-              for a in branches[:-1]]
     for k, b in enumerate(branches):
-        for a, curve in zip(branches[:k], curves):
-            if curve is not None and _lies_on(b, curve):
+        for a in branches[:k]:
+            if _same_germ(a, b):
                 raise NotMPrimary(
                     f"branch {b.label!r} traces the curve of branch "
                     f"{a.label!r}; the two meet in a curve, not a point"
@@ -350,13 +353,6 @@ def delta_invariant(branches,
         f"{precision_cap}",
         cap=precision_cap,
     )
-
-
-def _lies_on(branch: BranchParam, ideal: Ideal) -> bool:
-    """Every generator of the ideal pulls back to zero along the branch,
-    exactly; the pullbacks share one table of coordinate powers and stop
-    at the first nonzero one."""
-    return not any(_pullbacks(ideal.generators, branch))
 
 
 def milnor_number(branches,
@@ -379,11 +375,12 @@ def hs_multiplicity_pullback(gens, branches) -> int:
     per branch, the minimal pullback order over the generators; summed.
     Exact for reduced one-dimensional germs.  Per branch, the generators
     are pulled back through one table of the coordinates' powers, each
-    power made from the one before it."""
+    power made from the one before it.  A branch needs one coordinate
+    per variable of the generators' ring, else RingMismatch."""
     gens = [g for g in gens if g]
     if not gens:
         raise EmptyInput("no generators")
-    branches = _check_branches(branches)
+    branches = _check_branches(branches, gens[0].ring.arity)
     total = 0
     for b in branches:
         orders = [_ord(q) for q in _pullbacks(gens, b) if q]

@@ -42,10 +42,13 @@ runs.
 
 A yes-or-no question about the Krull dimension stops earlier still
 (`basis_unless_dimension_at_most`).  G lies in J, so LT(G) lies in LT(J)
-and dim S/J = dim S/LT(J) <= dim S/LT(G).  The dimension of S/M for a
-monomial ideal M is the size of the largest set of variables that holds
-the support of no generator of M: the coordinate subspace on those
-variables lies in V(M), and a larger subspace does not.  So the run
+and dim S/J = dim S/LT(J) <= dim S/LT(G).  The equality needs no
+homogeneity: grevlex refines the total degree, so S/J and S/LT(J) have
+one affine Hilbert function, and the stop holds for affine J too.  The
+dimension of S/M for a monomial ideal M is the size of the largest set
+of variables that holds the support of no generator of M: the
+coordinate subspace on those variables lies in V(M), and a larger
+subspace does not.  So the run
 keeps, as bit masks, the (b + 1)-sets of variables that hold the
 support of no leading monomial found so far; once none is left,
 dim S/J <= b is proved and the run stops, with no interreduction and no

@@ -23,9 +23,10 @@ saturates by one linear form, and a Hilbert-polynomial comparison
 certifies that the form missed every relevant associated prime; when
 no form is certified, the ideal is saturated by all the coordinates.
 
-`dimension_at_most` is the one test of a bound on a Krull dimension.
-It asks a Buchberger run that stops as soon as its leading monomials
-prove the bound, and keeps the bound it proved.  A homogeneous QQ ideal
+`dimension_at_most` is the one test of a bound on the Krull dimension
+of a homogeneous ideal.  It asks a Buchberger run that stops as soon as
+its leading monomials prove the bound, and keeps the bound it proved.
+A homogeneous QQ ideal
 whose coefficients reach a fixed prime p is asked mod p first: the
 image's dimension can only be larger (ranks only drop mod p), and the
 ideal itself is asked only when the image misses the bound.

@@ -1,14 +1,16 @@
 """Time the paths the benchmark does not run, each in fresh processes.
 
-    python3 tests/offbench_timing.py SRC [--runs N] [--rnc6-qq]
+    python3 tests/offbench_timing.py SRC [--runs N] [--timeout S] [--rnc6-qq]
 
 SRC is the `src/` directory of the checkout to time.  Each case runs N
 times (default 3), every run in a new Python process that imports
 cidcurve from SRC, builds its inputs untimed and then times the path
 alone in process CPU seconds.  One line per case gives the median, the
 smallest and largest run, and a hash of the result; a case whose runs
-disagree on the hash prints every hash.  Compare the hashes of two
-checkouts to see that a change returns the same witnesses and reports.
+disagree on the hash prints every hash.  A run still going after S
+wall-clock seconds (default 60) is killed, and its case is reported as
+killed with no further runs.  Compare the hashes of two checkouts to
+see that a change returns the same witnesses and reports.
 
 - `construct_ci_transversal` on the degree-5 rational normal curve (RNC5)
   at seeds 0 and 1;
@@ -16,7 +18,10 @@ checkouts to see that a change returns the same witnesses and reports.
 - `cid_routes(route="lci")` on the twisted cubic and its tangent line;
 - `construct_ci` plus `genus_report` on RNC6 over F_32003, and, with
   `--rnc6-qq`, over QQ (about 10 s a run);
-- `local --field Fp:3` on the space monomial germ (t^3, t^4, t^5).
+- `local --field Fp:3` on the space monomial germ (t^3, t^4, t^5);
+- `local --precision-cap 16` over F_3 and over QQ on the slow germ
+  x = t^14 + t^6, y = 2t^8 + 2t^6 + 2t^3, which certifies no delta
+  below the cap and is reported as `PrecisionCapExceeded`.
 """
 
 from __future__ import annotations
@@ -36,11 +41,14 @@ from pathlib import Path
 CASES = ("transversal_rnc5_s0", "transversal_rnc5_s1",
          "transversality_count_rnc5_s0", "transversality_count_rnc5_s1",
          "lci_cubic_and_tangent", "rnc6_fp", "rnc6_qq",
-         "local_space_3_4_5_f3")
+         "local_space_3_4_5_f3", "local_slow_germ_cap16_f3",
+         "local_slow_germ_cap16_qq")
 
 GERM_3_4_5 = ("germ/1 over QQ vars x y z\n"
               "branch a: x = t^3; y = t^4; z = t^5\n"
               "ideal: x*z - y^2, x^3 - y*z, x^2*y - z^2;\n")
+SLOW_GERM = ("germ/1 over QQ vars x y\n"
+             "branch a: x = t^14 + t^6; y = 2*t^8 + 2*t^6 + 2*t^3\n")
 
 
 def _rnc(cid, n, field):
@@ -64,6 +72,23 @@ def _cubic_and_tangent(cid):
 
 def _witness_json(cid, witness):
     return json.dumps(cid.witness_to_dict(witness), sort_keys=True)
+
+
+def _local(tmp, name, text, field, *options):
+    """The `local` command on the germ `text`, written to `name` in
+    `tmp`, over `field`, as a call returning its exit code and JSON."""
+    import cidcurve.cli as cli
+    path = Path(tmp) / name
+    path.write_text(text)
+    argv = ["local", "--input", str(path), "--field", field,
+            "--output", "json", *options]
+
+    def run():
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = cli.main(argv)
+        return f"{code}\n{out.getvalue()}".replace(tmp, "{dir}")
+    return run
 
 
 def _prepare(cid, case, tmp):
@@ -92,17 +117,11 @@ def _prepare(cid, case, tmp):
             return _witness_json(cid, witness) + repr(report.to_dict())
         return run
     if case == "local_space_3_4_5_f3":
-        import cidcurve.cli as cli
-        path = Path(tmp) / "space_3_4_5.germ"
-        path.write_text(GERM_3_4_5)
-
-        def run():
-            out = io.StringIO()
-            with contextlib.redirect_stdout(out):
-                code = cli.main(["local", "--input", str(path), "--field",
-                                 "Fp:3", "--output", "json"])
-            return f"{code}\n{out.getvalue()}".replace(tmp, "{dir}")
-        return run
+        return _local(tmp, "space_3_4_5.germ", GERM_3_4_5, "Fp:3")
+    if case.startswith("local_slow_germ_cap16_"):
+        field = "Fp:3" if case.endswith("_f3") else "QQ"
+        return _local(tmp, "slow.germ", SLOW_GERM, field,
+                      "--precision-cap", "16")
     raise SystemExit(f"unknown case {case!r}")
 
 
@@ -127,6 +146,8 @@ def main(argv=None) -> int:
         description=__doc__.split("\n\n")[0])
     parser.add_argument("src", type=Path)
     parser.add_argument("--runs", type=int, default=3)
+    parser.add_argument("--timeout", type=float, default=60.0,
+                        help="wall-clock seconds before a run is killed")
     parser.add_argument("--rnc6-qq", action="store_true",
                         help="also time RNC6 over QQ")
     parser.add_argument("--case", help=argparse.SUPPRESS)
@@ -140,13 +161,18 @@ def main(argv=None) -> int:
     cases = [c for c in CASES if args.rnc6_qq or c != "rnc6_qq"]
     for case in cases:
         times, hashes = [], []
-        for _ in range(args.runs):
-            done = subprocess.run(
-                [sys.executable, __file__, str(src), "--case", case],
-                capture_output=True, text=True, check=True)
-            record = json.loads(done.stdout.strip().splitlines()[-1])
-            times.append(record["cpu_s"])
-            hashes.append(record["hash"])
+        try:
+            for _ in range(args.runs):
+                done = subprocess.run(
+                    [sys.executable, __file__, str(src), "--case", case],
+                    capture_output=True, text=True, check=True,
+                    timeout=args.timeout)
+                record = json.loads(done.stdout.strip().splitlines()[-1])
+                times.append(record["cpu_s"])
+                hashes.append(record["hash"])
+        except subprocess.TimeoutExpired:
+            print(f"{case:30s} killed at {args.timeout:g} s", flush=True)
+            continue
         shown = hashes[0] if len(set(hashes)) == 1 else ",".join(hashes)
         print(f"{case:30s} {statistics.median(times):8.3f} s  "
               f"[{min(times):.3f}-{max(times):.3f}]  {shown}", flush=True)

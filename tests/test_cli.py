@@ -667,6 +667,22 @@ def test_reparametrized_branch_is_not_primitive(tmp_path, capsys):
     assert record["cap"] == 3
 
 
+@pytest.mark.parametrize("field", ["Fp:3", "QQ"])
+def test_slow_germ_past_the_cap_is_answered_quickly(tmp_path, capsys,
+                                                     field):
+    # primitive, with no certificate below 16: the verdict reads the
+    # branch's parameter pairs and never implicitizes it
+    path = tmp_path / "slow.germ"
+    path.write_text("germ/1 over QQ vars x y\n"
+                    "branch a: x = t^14 + t^6; y = 2*t^8 + 2*t^6 + 2*t^3\n")
+    code, payload = run_json(capsys, "local", "--input", str(path),
+                             "--field", field, "--precision-cap", "16")
+    assert code == 2
+    (record,) = payload["errors"]
+    assert record["type"] == "PrecisionCapExceeded"
+    assert record["cap"] == 16
+
+
 def _captured(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):

@@ -48,10 +48,9 @@ from cidcurve.errors import (
 from cidcurve.cli import main
 from cidcurve.germs import (
     _attained_orders,
-    _germ_ambient,
-    _lies_on,
     _ord,
     _pullbacks,
+    _same_germ,
 )
 from cidcurve.discrepancy import _determinant
 from cidcurve.polynomials import partial_derivative
@@ -187,7 +186,8 @@ def test_precision_cap():
 
 def test_cap_names_the_branch_that_does_not_certify_alone():
     line = BranchParam((t, T.zero()), "line")
-    # y = x^2 traced twice never certifies; the degree-one check finds it
+    # y = x^2 traced twice never certifies; its parameter pairs with
+    # equal images form a curve through (0, 0)
     twice = BranchParam((t**2 + t**3, (t**2 + t**3) ** 2), "twice")
     with pytest.raises(NotPrimitive, match="'twice'"):
         delta_invariant([line, twice], precision_cap=64)
@@ -211,6 +211,59 @@ def test_cap_before_certificate_is_not_a_verdict():
     with pytest.raises(PrecisionCapExceeded) as info:
         delta_invariant([BranchParam((t**2, t**3))], precision_cap=3)
     assert info.value.cap == 3
+
+
+def test_composed_branch_is_not_primitive_at_every_cap():
+    # Q(u) with Q = (x + x^2, x^2 + x^3) and u = t^2 + t^3: every
+    # exponent gcd is 1, but t -> (x, y) has local degree 2 at t = 0
+    branch = BranchParam((T.parse("t^2 + t^3 + t^4 + 2*t^5 + t^6"),
+                          T.parse("t^4 + 2*t^5 + 2*t^6 + 3*t^7 + 3*t^8 "
+                                  "+ t^9")), "twice")
+    for cap in (1, 16, 256):
+        with pytest.raises(NotPrimitive, match="'twice'"):
+            delta_invariant([branch], precision_cap=cap)
+
+
+def test_reparametrization_over_f5_is_not_primitive():
+    # (2u + 3u^3, u + 4u^2) with u = 2t^2 + 3t^3 has local degree 2
+    ring = PolyRing(Field.prime_field(5), ("t",))
+    line = PolyRing(ring.field, ("x",))
+    u = ring.parse("2*t^2 + 3*t^3")
+    branch = BranchParam(tuple(line.parse(r).compose(ring, [u])
+                               for r in ("2*x + 3*x^3", "x + 4*x^2")))
+    with pytest.raises(NotPrimitive):
+        delta_invariant([branch], precision_cap=16)
+
+
+def test_branch_through_the_origin_twice_is_primitive():
+    # (u^2, u^3) with u = t + t^2 is the cusp at t = 0 and again at
+    # t = -1; its self pairs meet (0, 0) only as an isolated point
+    u = t + t**2
+    branch = BranchParam((u**2, u**3))
+    assert delta_invariant([branch]) == 1
+    assert not _same_germ(branch, branch)
+    with pytest.raises(PrecisionCapExceeded) as info:
+        delta_invariant([branch], precision_cap=1)
+    assert info.value.cap == 1
+
+
+def test_delta_never_implicitizes_a_branch(monkeypatch):
+    # every verdict past the cap reads parameter pairs, not an implicit
+    # ideal
+    def spy(branch, ambient):
+        raise AssertionError("branch_ideal called")
+
+    monkeypatch.setattr(cidcurve.germs, "branch_ideal", spy)
+    cusp = BranchParam((t**2, t**3), "a")
+    twice = BranchParam((t**2 + t**3, (t**2 + t**3) ** 2), "twice")
+    with pytest.raises(NotPrimitive):
+        delta_invariant([twice])
+    with pytest.raises(NotMPrimary):
+        delta_invariant([cusp, BranchParam((t**2, -t**3), "b")])
+    with pytest.raises(PrecisionCapExceeded):
+        delta_invariant([BranchParam((t**4, t**6 + t**7))],
+                        precision_cap=16)
+    assert delta_invariant([cusp]) == 1
 
 
 def test_precision_cap_below_first_order():
@@ -251,6 +304,15 @@ def test_hs_multiplicity_examples():
         hs_multiplicity_pullback([Y], [BranchParam((t, T.zero()))])
     with pytest.raises(EmptyInput):
         hs_multiplicity_pullback([], [cusp])
+
+
+def test_hs_multiplicity_checks_branches_against_the_ring():
+    # a branch needs one coordinate per variable of the generators
+    R3 = PolyRing(QQ, ("x", "y", "z"))
+    gens = list(R3.variables())
+    for coords in ((t**2, t**3), (t, t**2, t**3, t**4)):
+        with pytest.raises(RingMismatch, match="not 3"):
+            hs_multiplicity_pullback(gens, [BranchParam(coords)])
 
 
 def test_multiplicity_route_cusp():
@@ -728,25 +790,36 @@ def test_pullbacks_match_term_by_term_substitution(case):
     assert [_ord(q) for q in got] == [_ord(q) for q in expected]
 
 
-@pytest.mark.parametrize("field,coords", [
-    (QQ, ("t^2", "t^3")),
-    (QQ, ("t^4", "t^6 + t^7")),
-    (QQ, ("t^3", "t^4", "t^5")),
-    (QQ, ("t", "0", "2*t")),
-    (Field.prime_field(3), ("t^2", "t^3 + t^4")),
-    (Field.prime_field(2), ("t^3 + t^4", "t^5")),
-], ids=["cusp", "4_6_7", "space_3_4_5", "line_3", "cusp_f3", "branch_f2"])
-def test_lies_on_is_an_exact_zero_test(field, coords):
+@st.composite
+def _branch_through_u(draw):
+    """(u, r(u)) for u of order 1, 2 or 3 and r with r(0) = 0, over QQ,
+    F_32003 or F_5; the branch has local degree ord u at t = 0.  With it
+    a reparametrization v of order 1."""
+    field = draw(st.sampled_from((QQ, Field.prime_field(32003),
+                                  Field.prime_field(5))))
     ring = PolyRing(field, ("t",))
-    branch = BranchParam(tuple(ring.parse(p) for p in coords))
-    ambient = _germ_ambient(branch)
-    own = branch_ideal(branch, ambient)
-    assert _lies_on(branch, own)
-    # adding x_i^2, x_i a nonzero coordinate, to any one generator
-    # leaves a pullback p_i^2 != 0
-    i = next(k for k, p in enumerate(branch.coords) if p)
-    bump = ambient.variable(i) ** 2
-    for k in range(len(own.generators)):
-        gens = list(own.generators)
-        gens[k] = gens[k] + bump
-        assert not _lies_on(branch, Ideal(ambient, gens))
+    line = PolyRing(field, ("x",))
+    coefficient = st.integers(-3, 3).filter(bool).map(field.from_int)
+
+    def poly(target, low, high, more):
+        lead = target.polynomial({(low,): draw(coefficient)})
+        return lead + target.polynomial(draw(st.dictionaries(
+            st.integers(low + 1, high).map(lambda e: (e,)), coefficient,
+            min_size=more, max_size=2)))
+
+    order = draw(st.integers(1, 3))
+    u = poly(ring, order, order + 3, 1)
+    r = poly(line, 1, 3, 0)
+    v = poly(ring, 1, 2, 0)
+    return order, BranchParam((u, r.compose(ring, [u]))), v
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(case=_branch_through_u())
+def test_same_germ_reads_the_local_degree(case):
+    order, branch, v = case
+    assume(gcd(*(e[0] for p in branch.coords for e in p.terms)) == 1)
+    assert _same_germ(branch, branch) == (order > 1)
+    moved = BranchParam(tuple(p.compose(branch.ring, [v])
+                              for p in branch.coords))
+    assert _same_germ(branch, moved)
