@@ -1,14 +1,14 @@
 """Time the paths the benchmark does not run, each in fresh processes.
 
-    python3 tests/offbench_timing.py SRC [--runs N] [--timeout S] [--rnc6-qq]
+    python3 tests/offbench_timing.py SRC [--runs N] [--rnc6-qq]
 
 SRC is the `src/` directory of the checkout to time.  Each case runs N
 times (default 3), every run in a new Python process that imports
 cidcurve from SRC, builds its inputs untimed and then times the path
 alone in process CPU seconds.  One line per case gives the median, the
 smallest and largest run, and a hash of the result; a case whose runs
-disagree on the hash prints every hash.  A run still going after S
-wall-clock seconds (default 60) is killed, and its case is reported as
+disagree on the hash prints every hash.  A run still going after
+TIMEOUT_S (60) wall-clock seconds is killed, and its case is reported as
 killed with no further runs.  Compare the hashes of two checkouts to
 see that a change returns the same witnesses and reports.
 
@@ -43,6 +43,7 @@ CASES = ("transversal_rnc5_s0", "transversal_rnc5_s1",
          "lci_cubic_and_tangent", "rnc6_fp", "rnc6_qq",
          "local_space_3_4_5_f3", "local_slow_germ_cap16_f3",
          "local_slow_germ_cap16_qq")
+TIMEOUT_S = 60
 
 GERM_3_4_5 = ("germ/1 over QQ vars x y z\n"
               "branch a: x = t^3; y = t^4; z = t^5\n"
@@ -146,8 +147,6 @@ def main(argv=None) -> int:
         description=__doc__.split("\n\n")[0])
     parser.add_argument("src", type=Path)
     parser.add_argument("--runs", type=int, default=3)
-    parser.add_argument("--timeout", type=float, default=60.0,
-                        help="wall-clock seconds before a run is killed")
     parser.add_argument("--rnc6-qq", action="store_true",
                         help="also time RNC6 over QQ")
     parser.add_argument("--case", help=argparse.SUPPRESS)
@@ -166,12 +165,12 @@ def main(argv=None) -> int:
                 done = subprocess.run(
                     [sys.executable, __file__, str(src), "--case", case],
                     capture_output=True, text=True, check=True,
-                    timeout=args.timeout)
+                    timeout=TIMEOUT_S)
                 record = json.loads(done.stdout.strip().splitlines()[-1])
                 times.append(record["cpu_s"])
                 hashes.append(record["hash"])
         except subprocess.TimeoutExpired:
-            print(f"{case:30s} killed at {args.timeout:g} s", flush=True)
+            print(f"{case:30s} killed at {TIMEOUT_S} s", flush=True)
             continue
         shown = hashes[0] if len(set(hashes)) == 1 else ",".join(hashes)
         print(f"{case:30s} {statistics.median(times):8.3f} s  "
