@@ -52,6 +52,7 @@ from .errors import (
     WrongCharacteristic,
 )
 from . import hilbert as _hilbert
+from .fields import rational
 from .ideals import (
     Ideal,
     chart_ideal,
@@ -129,7 +130,7 @@ def _minors(rows, pairs):
                 yield Polynomial(ring, d)
                 continue
             m = prod(mults[i] for i in ri)
-            yield Polynomial(ring, {e: Fraction(c, m) for e, c in d.items()})
+            yield Polynomial(ring, {e: rational(c, m) for e, c in d.items()})
     finally:
         del det  # empties its own cell: no cycle is left for the collector
 

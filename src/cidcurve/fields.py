@@ -1,9 +1,13 @@
 """Exact coefficient fields: the rationals and prime fields F_p.
 
-Scalars are plain Python values: fractions.Fraction over the rationals
-(always lowest terms, positive denominator, by Fraction's own
-invariants) and ints in [0, p) over F_p.  A Field object owns the
-arithmetic so polynomial code never has to branch on the field kind.
+Scalars are plain Python values: ints in [0, p) over F_p, and over the
+rationals an int when the value is integral, else a fractions.Fraction
+in lowest terms with denominator above 1, as `rational` builds them, so
+integral coefficients pay for no Fraction.  An int and a Fraction of one
+value compare, hash and print alike, so a sum or product that comes out
+as an integral Fraction is still the same coefficient.  A Field object
+owns the arithmetic so polynomial code never has to branch on the field
+kind.
 """
 
 from __future__ import annotations
@@ -17,6 +21,13 @@ DEFAULT_PRIME = 32003
 MAX_CHARACTERISTIC = 2**31 - 1
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
+def rational(n, d=1):
+    """n / d as a rational scalar: the int quotient when d divides n,
+    else a Fraction in lowest terms.  n and d are ints or Fractions."""
+    q, rem = divmod(n, d)
+    return Fraction(n, d) if rem else q
 
 
 def is_prime(n: int) -> bool:
@@ -79,11 +90,11 @@ class Field:
     def from_int(self, n: int):
         if self.characteristic:
             return n % self.characteristic
-        return Fraction(n)
+        return rational(n)
 
     def from_fraction(self, q: Fraction):
         if self.characteristic == 0:
-            return Fraction(q)
+            return rational(q)
         p = self.characteristic
         den = q.denominator % p
         if den == 0:
@@ -123,14 +134,15 @@ class Field:
             raise DivisionByZero("inverse of zero")
         if self.characteristic:
             return pow(a, -1, self.characteristic)
-        return 1 / a
+        return rational(a.denominator, a.numerator)
 
     def div(self, a, b):
         if not b:
             raise DivisionByZero("division by zero scalar")
         if self.characteristic:
             return a * pow(b, -1, self.characteristic) % self.characteristic
-        return a / b
+        return rational(a.numerator * b.denominator,
+                        a.denominator * b.numerator)
 
     # --- presentation --------------------------------------------------
 

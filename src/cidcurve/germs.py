@@ -14,7 +14,10 @@ Groupes algebriques et corps de classes, ch. IV).  Modulo t^P, O is the
 span of the unit vector closed under multiplication by the coordinate
 vectors, so an echelon basis over the positions e*r + i (order e on
 branch i) is grown by multiplying each representative by each
-coordinate and reducing the product.  Representatives are taken in
+coordinate and reducing the product.  The echelon is fraction-free:
+each coordinate is scaled by one common denominator over all branches,
+and the representatives are integer vectors, primitive over QQ and
+monic over F_p, as in `groebner`.  Representatives are taken in
 increasing position and a product gains at least the least branch
 multiplicity in order, so the low positions are final while the window
 is still open.  Delta is certified at the first N where every position
@@ -40,7 +43,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from heapq import heappop, heappush
 from itertools import combinations
-from math import gcd
+from math import gcd, lcm
 
 from .discrepancy import _determinant, _minor_stream, jacobian_ideal
 from .errors import (
@@ -54,7 +57,7 @@ from .errors import (
     PrecisionCapExceeded,
     RingMismatch,
 )
-from .groebner import basis_unless_dimension_at_most
+from .groebner import _normalize, basis_unless_dimension_at_most
 from .ideals import (
     Ideal,
     divide_exact,
@@ -193,19 +196,26 @@ def _attained_orders(branches, precision: int):
     t^precision, as a stream: after each echelon representative is
     multiplied out it yields (reps, bound), where reps maps every position
     attained so far to its representative and the positions of order below
-    bound are final.  The last bound is precision."""
-    field = branches[0].ring.field
+    bound are final.  The last bound is precision.
+
+    The reduction is `groebner._Reducer`'s term loop on integer vectors,
+    each representative made by `_normalize`.  A coordinate is scaled by
+    one denominator for all the branches: that keeps O, and clearing
+    each branch alone would not."""
+    char = branches[0].ring.field.characteristic
     r = len(branches)
     step = min(branch_multiplicity(b) for b in branches)
     limit = precision * r
     # coordinate j as a vector: per branch, its terms shifted to e*r
     coords = []
     for j in range(branches[0].arity):
-        vector = [[(e[0] * r, c) for e, c in b.coords[j].terms.items()
-                   if e[0] < precision] for b in branches]
-        if any(vector):
-            coords.append(vector)
-    reps = {0: {i: field.one() for i in range(r)}}
+        terms = [[(e[0] * r, c) for e, c in b.coords[j].terms.items()
+                  if e[0] < precision] for b in branches]
+        if any(terms):
+            den = lcm(*(c.denominator for branch in terms for _, c in branch))
+            coords.append([[(s, c.numerator * (den // c.denominator))
+                            for s, c in branch] for branch in terms])
+    reps = {0: dict.fromkeys(range(r), 1)}
     pending = [0]
     while pending:
         rep = reps[heappop(pending)]
@@ -214,22 +224,32 @@ def _attained_orders(branches, precision: int):
             for k, v in rep.items():
                 for s, c in coord[k % r]:
                     if k + s < limit:
-                        prod[k + s] = field.add(prod.get(k + s, 0),
-                                                field.mul(v, c))
+                        prod[k + s] = prod.get(k + s, 0) + v * c
             # reduce into the echelon; cancelled terms are dropped
+            if char:
+                prod = {k: c % char for k, c in prod.items()}
             prod = {k: c for k, c in prod.items() if c}
             while prod:
                 position = min(prod)
                 lead = prod[position]
                 pivot = reps.get(position)
                 if pivot is None:
-                    inv = field.inv(lead)
-                    reps[position] = {k: field.mul(inv, c)
-                                      for k, c in prod.items()}
+                    reps[position] = _normalize(prod, position, char)
                     heappush(pending, position)
                     break
+                # pivots are monic over F_p, so only QQ scales prod
+                lc = pivot[position]
+                if lc != 1:
+                    g = gcd(lead, lc)
+                    lead //= g
+                    mult = lc // g
+                    if mult != 1:
+                        for k in prod:
+                            prod[k] *= mult
                 for k, c in pivot.items():
-                    c = field.sub(prod.get(k, 0), field.mul(lead, c))
+                    c = prod.get(k, 0) - lead * c
+                    if char:
+                        c %= char
                     if c:
                         prod[k] = c
                     else:

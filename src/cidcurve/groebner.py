@@ -61,11 +61,11 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field as dc_field
-from fractions import Fraction
 from itertools import combinations
 from math import gcd
 
 from .errors import RingMismatch
+from .fields import rational
 from .hilbert import lt_numerator_extend
 from .orders import GREVLEX
 from .polynomials import Polynomial, PolyRing
@@ -433,7 +433,10 @@ class GroebnerBasis:
             return self.ring.zero()
         if self.ring.field.characteristic:
             return self.ring.polynomial(r)
-        return self.ring.polynomial({e: Fraction(c, scale) / mult for e, c in r.items()})
+        # d = mult * f reduces to r / scale
+        num, den = mult.denominator, scale * mult.numerator
+        return self.ring.polynomial({e: rational(c * num, den)
+                                     for e, c in r.items()})
 
     def contains(self, f: Polynomial) -> bool:
         return not self.normal_form(f)
@@ -485,7 +488,7 @@ def _basis(gens, order, ring, target=None, bound=None):
     if reducer is None:
         return None
     elements = tuple(
-        ring.polynomial({packing.unpack(e): c if char else Fraction(c, lc)
+        ring.polynomial({packing.unpack(e): c if char else rational(c, lc)
                          for e, c in items})
         for _, lc, items in reducer.entries)
     return GroebnerBasis(ring, order, elements, reducer)

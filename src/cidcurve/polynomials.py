@@ -34,7 +34,7 @@ from .errors import (
     RingMismatch,
     UnknownVariable,
 )
-from .fields import Field
+from .fields import Field, rational
 from .orders import GREVLEX
 
 _NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
@@ -290,7 +290,7 @@ class Polynomial:
     def int_terms(self):
         """(d, m) with d the exponent -> int dict of m * f: over QQ the
         primitive integer multiple of f (denominators and content
-        cleared, m a Fraction), over F_p the residues and m = 1."""
+        cleared, m a rational scalar), over F_p the residues and m = 1."""
         if self.ring.field.characteristic:
             return dict(self.terms), 1
         den = 1
@@ -300,9 +300,9 @@ class Polynomial:
         for c in self.terms.values():
             content = gcd(content, c.numerator * (den // c.denominator))
         if content == 0:
-            return {}, Fraction(1)
+            return {}, 1
         return ({e: c.numerator * (den // c.denominator) // content
-                 for e, c in self.terms.items()}, Fraction(den, content))
+                 for e, c in self.terms.items()}, rational(den, content))
 
     def primitive_int(self) -> "Polynomial":
         """Scale to integer coefficients with content 1 and positive leading
@@ -312,8 +312,7 @@ class Polynomial:
         ints, _ = self.int_terms()
         lm, _ = self.leading(GREVLEX)
         sign = -1 if ints[lm] < 0 else 1
-        return Polynomial(self.ring, {e: Fraction(sign * c)
-                                      for e, c in ints.items()})
+        return Polynomial(self.ring, {e: sign * c for e, c in ints.items()})
 
     # --- printing -------------------------------------------------------
 
@@ -352,8 +351,8 @@ def _substitute(polys, target: PolyRing, images):
     addition and, in one variable, the key is the exponent itself.
     Every term's product is added into its polynomial's dict in place.
     Over F_p residues are reduced as each power is stored and at the
-    end; over QQ integral coefficients work as ints, and each sum
-    becomes a Fraction at the end."""
+    end; over QQ integral coefficients work as ints, and each sum is
+    made a rational scalar at the end: an int stays an int."""
     for g in images:
         if g.ring != target:
             raise RingMismatch("substituted polynomial outside the target ring")
@@ -398,7 +397,7 @@ def _substitute(polys, target: PolyRing, images):
             terms = {tuple(k >> s & mask for s in shifts): r
                      for k, v in acc.items() if (r := v % p)}
         else:
-            terms = {tuple(k >> s & mask for s in shifts): Fraction(v)
+            terms = {tuple(k >> s & mask for s in shifts): rational(v)
                      for k, v in acc.items() if v}
         yield Polynomial(target, terms)
 

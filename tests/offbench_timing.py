@@ -21,7 +21,12 @@ see that a change returns the same witnesses and reports.
 - `local --field Fp:3` on the space monomial germ (t^3, t^4, t^5);
 - `local --precision-cap 16` over F_3 and over QQ on the slow germ
   x = t^14 + t^6, y = 2t^8 + 2t^6 + 2t^3, which certifies no delta
-  below the cap and is reported as `PrecisionCapExceeded`.
+  below the cap and is reported as `PrecisionCapExceeded`;
+- `local` over QQ at the default precision cap on the composed branch
+  Q(u) with Q = (x + x^2, x^2 + x^3) and u = t^2 + t^3, that is
+  x = t^2 + t^3 + t^4 + 2t^5 + t^6, y = t^4 + 2t^5 + 2t^6 + 3t^7 + 3t^8
+  + t^9, which runs every window up to the cap and is reported as
+  `NotPrimitive`.
 """
 
 from __future__ import annotations
@@ -42,7 +47,7 @@ CASES = ("transversal_rnc5_s0", "transversal_rnc5_s1",
          "transversality_count_rnc5_s0", "transversality_count_rnc5_s1",
          "lci_cubic_and_tangent", "rnc6_fp", "rnc6_qq",
          "local_space_3_4_5_f3", "local_slow_germ_cap16_f3",
-         "local_slow_germ_cap16_qq")
+         "local_slow_germ_cap16_qq", "local_composed_branch_qq")
 TIMEOUT_S = 60
 
 GERM_3_4_5 = ("germ/1 over QQ vars x y z\n"
@@ -50,6 +55,9 @@ GERM_3_4_5 = ("germ/1 over QQ vars x y z\n"
               "ideal: x*z - y^2, x^3 - y*z, x^2*y - z^2;\n")
 SLOW_GERM = ("germ/1 over QQ vars x y\n"
              "branch a: x = t^14 + t^6; y = 2*t^8 + 2*t^6 + 2*t^3\n")
+COMPOSED_BRANCH = ("germ/1 over QQ vars x y\n"
+                   "branch a: x = t^2 + t^3 + t^4 + 2*t^5 + t^6; "
+                   "y = t^4 + 2*t^5 + 2*t^6 + 3*t^7 + 3*t^8 + t^9\n")
 
 
 def _rnc(cid, n, field):
@@ -123,6 +131,8 @@ def _prepare(cid, case, tmp):
         field = "Fp:3" if case.endswith("_f3") else "QQ"
         return _local(tmp, "slow.germ", SLOW_GERM, field,
                       "--precision-cap", "16")
+    if case == "local_composed_branch_qq":
+        return _local(tmp, "composed.germ", COMPOSED_BRANCH, "QQ")
     raise SystemExit(f"unknown case {case!r}")
 
 

@@ -119,8 +119,11 @@ def _check_field_type(f):
     for c in f.terms.values():
         if field.characteristic:
             assert type(c) is int and 0 < c < field.characteristic
+        elif type(c) is int:
+            assert c
         else:
-            assert type(c) is Fraction and c
+            # a rational coefficient is an int exactly when it is integral
+            assert type(c) is Fraction and c.denominator > 1
 
 
 KERNEL_FIELDS = {"QQ": QQ, "Fp32003": Field.prime_field(32003),

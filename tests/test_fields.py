@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cidcurve import Field
+from cidcurve.fields import rational
 from cidcurve.errors import DivisionByZero, NotPrime
 
 FIELDS = [Field.rationals(), Field.prime_field(5), Field.prime_field(32003)]
@@ -72,3 +73,35 @@ def test_names():
     assert Field.prime_field(5).name() == "Fp(5)"
     assert Field.prime_field(5).to_str(3) == "3"
     assert Field.rationals().to_str(Fraction(1, 2)) == "1/2"
+
+
+def _is_the_rational(v, expected):
+    """v is the QQ scalar of value `expected`: an int when it is
+    integral, else a Fraction with a denominator above 1, never a
+    float."""
+    assert not isinstance(v, float)
+    assert v == expected
+    if expected.denominator == 1:
+        assert type(v) is int
+    else:
+        assert type(v) is Fraction and v.denominator > 1
+
+
+rationals = st.builds(Fraction, st.integers(-60, 60), st.integers(1, 6))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(n=scalars, d=scalars.filter(bool), a=rationals, b=rationals)
+def test_rational_scalars_are_ints_when_integral(n, d, a, b):
+    qq = Field.rationals()
+    _is_the_rational(rational(n, d), Fraction(n, d))
+    _is_the_rational(qq.from_int(n), Fraction(n))
+    _is_the_rational(qq.from_fraction(a), a)
+    if b:
+        _is_the_rational(rational(a, b), a / b)
+    # operands as the field builds them and as integral Fractions
+    for x, y in ((qq.from_fraction(a), qq.from_fraction(b)), (a, b)):
+        if x:
+            _is_the_rational(qq.inv(x), 1 / a)
+        if y:
+            _is_the_rational(qq.div(x, y), a / b)

@@ -161,6 +161,20 @@ def test_three_branch_star():
     assert plane_milnor_oracle(star) == 4
 
 
+def test_lines_with_rational_slopes_stay_apart():
+    # three distinct lines: delta 3, Milnor number 4.  Clearing the
+    # denominators of y on each branch alone would put (t, t/2) and
+    # (t, t/3) on one line, (t, t)
+    half, third, two_sevenths = (QQ.from_fraction(Fraction(n, d))
+                                 for n, d in ((1, 2), (1, 3), (2, 7)))
+    lines = [BranchParam((t, t.scale(half))),
+             BranchParam((t, t.scale(third))),
+             BranchParam((t.scale(two_sevenths), t))]
+    assert delta_invariant(lines) == 3
+    assert milnor_number(lines) == 4
+    assert plane_milnor_oracle(lines) == 4
+
+
 def test_delta_counts_only_the_branches_at_the_origin():
     # a = (t^2 - t, t^3 - t^2) also passes through the origin at t = 1,
     # a second branch of its image curve y^2 = x^3 + xy; the germ of a at
@@ -748,6 +762,52 @@ def _delta_or_error(fn, branches):
 def test_conductor_delta_matches_the_gluing_formula(branches):
     assert _delta_or_error(delta_invariant, branches) \
         == _delta_or_error(gluing_oracle, branches)
+
+
+@st.composite
+def _germ_and_coordinate_scale(draw):
+    """Up to three branches in 2 or 3 coordinates, the first t^a, over
+    QQ (with denominators) or F_32003, a coordinate index and a nonzero
+    constant.  Only t = 0 maps to the origin, as in
+    `_germ_meeting_the_origin_once`.  Every branch has the same a, and
+    its other coordinates are one shared tail with one coefficient
+    redrawn, so branches are often tangent and differ in a coefficient
+    with the same numerator and another denominator."""
+    field = draw(st.sampled_from((QQ, Field.prime_field(32003))))
+    arity = draw(st.integers(2, 3))
+    ring = PolyRing(field, ("t",))
+    coefficient = st.builds(Fraction, st.integers(-2, 2).filter(bool),
+                            st.integers(1, 3)).map(field.from_fraction)
+    exponent = st.integers(1, 4).map(lambda e: (e,))
+    tail = [draw(st.dictionaries(exponent, coefficient, max_size=2))
+            for _ in range(arity - 1)]
+    tails = []
+    for _ in range(draw(st.integers(1, 3))):
+        others = [dict(terms) for terms in tail]
+        others[draw(st.integers(0, arity - 2))][draw(exponent)] = \
+            draw(coefficient)
+        tails.append([ring.polynomial(terms) for terms in others])
+    common = gcd(*(e[0] for others in tails for p in others
+                   for e in p.terms))
+    a = draw(st.sampled_from([a for a in range(1, 5) if gcd(a, common) == 1]))
+    branches = [BranchParam((ring.variable(0) ** a, *others))
+                for others in tails]
+    scale = field.from_fraction(Fraction(
+        draw(st.integers(-5, 5).filter(bool)), draw(st.integers(1, 5))))
+    return branches, draw(st.integers(0, arity - 1)), scale
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(case=_germ_and_coordinate_scale())
+def test_delta_is_blind_to_scaling_a_coordinate(case):
+    # scaling coordinate j of every branch by one constant is a linear
+    # change of coordinates, so the local ring and delta stay the same
+    branches, j, scale = case
+    scaled = [BranchParam(tuple(p.scale(scale) if i == j else p
+                                for i, p in enumerate(b.coords)))
+              for b in branches]
+    assert _delta_or_error(delta_invariant, scaled) \
+        == _delta_or_error(delta_invariant, branches)
 
 
 @st.composite
