@@ -55,6 +55,7 @@ from . import hilbert as _hilbert
 from .fields import rational
 from .ideals import (
     Ideal,
+    _extension,
     chart_ideal,
     dimension_at_most,
     distinct_point_count,
@@ -199,8 +200,7 @@ def _jacobian_scheme(base: Ideal, forms) -> Ideal:
     own = tuple(forms) == base.generators
     scheme = base._data_cache.get("jacobian_scheme") if own else None
     if scheme is None:
-        scheme = Ideal(base.ring,
-                       [*base.generators, *_reduced_minors(base, forms)])
+        scheme = _extension(base, _reduced_minors(base, forms))
         if own:
             base._data_cache["jacobian_scheme"] = scheme
     return scheme
@@ -225,19 +225,19 @@ def _minors_reach(base: Ideal, forms, bound: int, seed) -> bool:
     key = (tuple(forms), bound)
     answer = base._data_cache.get(key)
     if answer is None:
-        collected = list(base.generators)
+        partial = base
         checkpoint = _hilbert.krull_dimension(base) - bound
-        answer, pending = checkpoint <= 0, 0
+        answer, pending = checkpoint <= 0, []
         for minor in () if answer else _reduced_minors(base, forms, seed):
-            collected.append(minor)
-            pending += 1
-            if pending == checkpoint:
-                answer = dimension_at_most(Ideal(base.ring, collected), bound)
+            pending.append(minor)
+            if len(pending) == checkpoint:
+                partial = _extension(partial, pending)
+                answer = dimension_at_most(partial, bound)
                 if answer:
                     break
-                pending, checkpoint = 0, checkpoint * 2
+                pending, checkpoint = [], checkpoint * 2
         if pending and not answer:  # else the last check read every minor
-            answer = dimension_at_most(Ideal(base.ring, collected), bound)
+            answer = dimension_at_most(_extension(partial, pending), bound)
         base._data_cache[key] = answer
     return answer
 
@@ -262,7 +262,7 @@ def residual(i_z: Ideal, i_x: Ideal, seed: int = 0) -> Ideal:
 def _hyperplane_misses(finite: Ideal, h: Polynomial) -> bool:
     """Whether the hyperplane h misses the finite projective scheme of
     `finite`: finite plus h has Krull dimension 0."""
-    return dimension_at_most(Ideal(finite.ring, [*finite.generators, h]), 0)
+    return dimension_at_most(_extension(finite, [h]), 0)
 
 
 def _check_chart(finite_ideal: Ideal, h: Polynomial) -> None:

@@ -9,7 +9,8 @@ boundary, `groebner_basis` and `normal_form`; a basis packs its
 elements once, and `Polynomial` keeps its exponent tuples.  The
 exponent width comes from the input; a monomial that outgrows it during
 the computation sets a guard bit, and the basis is computed again at
-twice the width.
+twice the width.  One packing serves each (order, arity, width), kept
+in a bounded cache.
 
 Every divisor a reduction runs against is made by `_normalize`: monic
 over F_p, primitive with integer coefficients and a positive leading
@@ -23,7 +24,30 @@ one exact division at the end.
 Pair management follows Gebauer-Moeller on packed lcms: the
 coprimality and chain criteria prune S-pairs at insertion time, and the
 normal selection strategy (minimal lcm degree, then the order's
-comparison, then indices) picks the next pair.
+comparison, then indices) picks the next pair.  Criterion M drops a new
+pair (i, t) when another new pair's lcm divides its own, properly or
+equally with a smaller index.  Such a divisor has a smaller key
+(degree, packed lcm, index), and one that was itself dropped has a kept
+divisor with a smaller key still, which divides too; so the candidates
+are scanned in key order and each is checked only against those
+already kept, which keeps the same set.
+
+A run may start from a reduced basis G0, in the same order, of an ideal
+I0 the generators extend (Gebauer and Moeller, JSC 6, 1988).  Every
+S-polynomial of two elements of G0 reduces to zero modulo G0, so no pair
+among them is formed: G0 enters the reducer as it stands, its leading
+monomials seed the Hilbert-target numerator and the dimension-stop masks
+below, and only the new generators are reduced and paired.  The chain
+criterion stays sound, since it drops a pair only when pairs that are
+treated cover it, and a pair inside G0 counts as treated.  The output is
+the unique reduced basis either way.
+
+During a run entries are only appended, so for each monomial the
+reducer remembers the index of the first entry that may divide it:
+the divisor found, or how many entries it has ruled out.  A later
+reduction that meets the monomial again resumes the scan there, and a
+miss recorded before an entry was appended scans that entry.  The memo
+is dropped when the run returns.
 
 A caller that knows the Hilbert series of S/J for homogeneous J may pass
 its K-polynomial as a target.  The K-polynomial of the leading monomials
@@ -61,12 +85,14 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field as dc_field
+from functools import lru_cache
 from itertools import combinations
 from math import gcd
+from operator import mul
 
 from .errors import RingMismatch
 from .fields import rational
-from .hilbert import lt_numerator_extend
+from .hilbert import lt_numerator, lt_numerator_extend
 from .orders import GREVLEX
 from .polynomials import Polynomial, PolyRing
 
@@ -86,10 +112,6 @@ def _normalize(d: dict, lm, char) -> dict:
     if lc < 0:
         content = -content
     return {e: c // content for e, c in d.items()}
-
-
-def _lcm(a, b):
-    return tuple(x if x > y else y for x, y in zip(a, b))
 
 
 def _coprime(a, b):
@@ -127,7 +149,7 @@ class Packing:
     `_FieldOverflow` sends the caller back to repack at twice the
     width."""
 
-    __slots__ = ("order", "arity", "bits", "units", "guard")
+    __slots__ = ("order", "arity", "bits", "units", "guard", "shifts")
 
     def __init__(self, order, arity: int, bits: int):
         self.order = order
@@ -145,20 +167,27 @@ class Packing:
             offset += (top * sum(abs(c) for c in coeffs)).bit_length()
         self.units = tuple(units)
         self.guard = sum(1 << (i * width + bits) for i in range(arity))
+        self.shifts = tuple(i * width for i in range(arity))
 
     def pack(self, exps) -> int:
-        return sum(e * u for e, u in zip(exps, self.units))
+        return sum(map(mul, exps, self.units))
 
     def unpack(self, m: int) -> tuple:
-        width = self.bits + 1
         mask = (1 << self.bits) - 1
-        return tuple((m >> (i * width)) & mask for i in range(self.arity))
+        return tuple([(m >> s) & mask for s in self.shifts])
+
+
+@lru_cache(maxsize=64)
+def _packing(order, arity, bits):
+    """The one `Packing` of (order, arity, bits) while it stays among the
+    most recently asked for."""
+    return Packing(order, arity, bits)
 
 
 def _packing_for(order, arity, dicts):
     """The packing for tuple-keyed dicts, sized by their exponents."""
     top = max((max(e, default=0) for d in dicts for e in d), default=0)
-    return Packing(order, arity, _exponent_bits(top))
+    return _packing(order, arity, _exponent_bits(top))
 
 
 # --- reduction ---------------------------------------------------------
@@ -167,13 +196,17 @@ def _packing_for(order, arity, dicts):
 class _Reducer:
     """Shared reduction core over a fixed basis list of packed dicts."""
 
-    __slots__ = ("packing", "char", "entries")
+    __slots__ = ("packing", "char", "entries", "memo")
 
     def __init__(self, packing, char, entries=()):
         self.packing = packing
         self.char = char
         # (lm, lc, items) over all terms, each made by `_normalize`
         self.entries = list(entries)
+        # packed monomial -> index of the first entry that may divide it,
+        # every entry before it being known not to; kept only while
+        # entries are appended and never removed (one Buchberger run)
+        self.memo = None
 
     def add(self, lm, d: dict):
         self.entries.append((lm, d[lm], list(d.items())))
@@ -187,6 +220,8 @@ class _Reducer:
         char = self.char
         guard = self.packing.guard
         entries = self.entries
+        count = len(entries)
+        memo = self.memo
         heappush, heappop = heapq.heappush, heapq.heappop
         work = dict(d)
         heap = [-m for m in work]
@@ -198,13 +233,16 @@ class _Reducer:
             if not c:
                 work.pop(m, None)
                 continue
-            for lm, lc, items in entries:
-                if not (m - lm) & guard:
-                    break
-            else:
+            k = 0 if memo is None else memo.get(m, 0)
+            while k < count and (m - entries[k][0]) & guard:
+                k += 1
+            if memo is not None:
+                memo[m] = k
+            if k == count:
                 del work[m]
                 rem.append((m, c, scale))
                 continue
+            lm, lc, items = entries[k]
             shift = m - lm
             # entries are monic over F_p, so only QQ scales the work
             if lc != 1:
@@ -213,8 +251,8 @@ class _Reducer:
                 mult = lc // g
                 if mult != 1:
                     scale *= mult
-                    for k in work:
-                        work[k] *= mult
+                    for key in work:
+                        work[key] *= mult
             for e, cc in items:
                 e2 = e + shift
                 new = work.get(e2, 0) - c * cc
@@ -230,15 +268,26 @@ class _Reducer:
                     work.pop(e2, None)
         return {m: c * (scale // stamp) for m, c, stamp in rem}, scale
 
+    def moved(self, packing):
+        """The same basis in `packing`, whose order must rank the
+        monomials of this packing's order alike; variables it adds come
+        last, each with exponent 0 in every entry."""
+        old = self.packing
+        if packing is old:
+            return self
+        pad = (0,) * (packing.arity - old.arity)
+
+        def move(m):
+            return packing.pack(old.unpack(m) + pad)
+
+        return _Reducer(packing, self.char, [
+            (move(lm), lc, [(move(e), c) for e, c in items])
+            for lm, lc, items in self.entries])
+
     def widened(self, bits):
         """The same basis repacked with `bits` exponent bits."""
-        old, new = self.packing, Packing(self.packing.order,
-                                         self.packing.arity, bits)
-        entries = []
-        for lm, lc, items in self.entries:
-            entries.append((new.pack(old.unpack(lm)), lc,
-                            [(new.pack(old.unpack(e)), c) for e, c in items]))
-        return _Reducer(new, self.char, entries)
+        packing = self.packing
+        return self.moved(_packing(packing.order, packing.arity, bits))
 
     def normal_form(self, d: dict):
         """`reduce` for a tuple-keyed dict, repacking the basis wider
@@ -288,21 +337,26 @@ def _update_pairs(pairs, lms, t, packing):
     """Gebauer-Moeller pair update when basis element t is appended.  A
     pair is (lcm degree, packed lcm, i, t), the normal strategy's key.
     Each candidate lcm is packed once, and the criteria test
-    divisibility on packed lcms with the guard mask."""
+    divisibility on packed lcms with the guard mask.  Criterion M scans
+    the candidates in key order, so whatever divides a candidate's lcm
+    (properly, or equally with a smaller index) comes before it, and
+    checks each only against those already kept (see the module
+    docstring)."""
     guard = packing.guard
     lm_t = lms[t]
     packed_t = packing.pack(lm_t)
     cand = []
     for i in range(t):
-        l = _lcm(lms[i], lm_t)
-        cand.append((sum(l), packing.pack(l)))
+        l = tuple(map(max, lms[i], lm_t))
+        cand.append((sum(l), packing.pack(l), i))
     kept = []
-    for i, (deg, pl) in enumerate(cand):
-        for j, (_, plj) in enumerate(cand):
-            if i != j and not (pl - plj) & guard and (plj != pl or j < i):
+    for pair in sorted(cand):
+        pl = pair[1]
+        for _, plj, _ in kept:
+            if not (pl - plj) & guard:
                 break
         else:
-            kept.append((deg, pl, i))
+            kept.append(pair)
     survivors = []
     for old in pairs:
         _, pl, i, j = old
@@ -318,23 +372,27 @@ def _update_pairs(pairs, lms, t, packing):
     return survivors
 
 
-def _buchberger(gens, packing, char, target=None, bound=None):
+def _buchberger(gens, packing, char, target=None, bound=None, known=()):
     """The reduced basis of packed integer dicts, as a `_Reducer` whose
     entries ascend by leading monomial; raises `_FieldOverflow` when a
-    new monomial does not fit the packing.  With a `target` K-polynomial
-    (see `groebner_basis`) the K-polynomial of the leading monomials is
-    kept up to date, and the pair loop stops once it reaches the
-    target.  With a Krull-dimension `bound` b >= 0 the run returns None
-    as soon as every (b + 1)-set of variables holds the support of a
-    leading monomial (see the module docstring)."""
-    lms = []  # leading exponent tuples, for the pair criteria
-    reducer = _Reducer(packing, char)
+    new monomial does not fit the packing.  `known`, the entries of a
+    reduced basis in this packing of an ideal the gens extend, starts
+    the basis, and no pair among them is formed (see the module
+    docstring).  With a `target` K-polynomial (see `groebner_basis`)
+    the K-polynomial of the leading monomials is kept up to date, and
+    the pair loop stops once it reaches the target.  With a
+    Krull-dimension `bound` b >= 0 the run returns None as soon as
+    every (b + 1)-set of variables holds the support of a leading
+    monomial (see the module docstring)."""
+    reducer = _Reducer(packing, char, known)
     entries = reducer.entries
+    # leading exponent tuples, for the pair criteria
+    lms = [packing.unpack(lm) for lm, _, _ in entries]
     if target is not None:
         target = list(target)
         weights = getattr(packing.order, "weights", None)
         memo = {}
-    numerator = [1]
+        numerator = lt_numerator(lms, packing.arity, weights, memo)
     # the (bound + 1)-sets of variables, as bit masks, that hold the
     # support of no leading monomial yet
     uncovered = None
@@ -342,11 +400,16 @@ def _buchberger(gens, packing, char, target=None, bound=None):
         uncovered = [sum(1 << i for i in s)
                      for s in combinations(range(packing.arity), bound + 1)]
 
+    def cover(exps):
+        nonlocal uncovered
+        support = sum(1 << i for i, e in enumerate(exps) if e)
+        uncovered = [u for u in uncovered if support & ~u]
+
     def certified():
         return uncovered is not None and not uncovered
 
     def insert(s, pairs):
-        nonlocal numerator, uncovered
+        nonlocal numerator
         r, _ = reducer.reduce(s)
         if not r:
             return pairs
@@ -357,24 +420,30 @@ def _buchberger(gens, packing, char, target=None, bound=None):
             numerator = lt_numerator_extend(numerator, lms, exps, weights,
                                             memo)
         if uncovered is not None:
-            support = sum(1 << i for i, e in enumerate(exps) if e)
-            uncovered = [u for u in uncovered if support & ~u]
+            cover(exps)
         lms.append(exps)
         reducer.add(lm, r)
         return _update_pairs(pairs, lms, len(lms) - 1, packing)
 
-    pairs = []
-    for g in gens:
-        if certified():
-            return None
-        pairs = insert(g, pairs)
-    while pairs and not certified():
-        if target is not None and numerator == target:
-            break
-        _, l, i, j = heapq.heappop(pairs)
-        s = _spoly(entries[i], entries[j], l, packing.guard, char)
-        if s:
-            pairs = insert(s, pairs)
+    if uncovered is not None:
+        for exps in lms:
+            cover(exps)
+    reducer.memo = {}
+    try:
+        pairs = []
+        for g in gens:
+            if certified():
+                return None
+            pairs = insert(g, pairs)
+        while pairs and not certified():
+            if target is not None and numerator == target:
+                break
+            _, l, i, j = heapq.heappop(pairs)
+            s = _spoly(entries[i], entries[j], l, packing.guard, char)
+            if s:
+                pairs = insert(s, pairs)
+    finally:
+        reducer.memo = None
     if certified():
         return None
     return _interreduce(reducer, char)
@@ -463,9 +532,10 @@ def basis_unless_dimension_at_most(gens, bound: int, ring: PolyRing = None):
     return _basis(gens, GREVLEX, ring, bound=bound)
 
 
-def _basis(gens, order, ring, target=None, bound=None):
+def _basis(gens, order, ring, target=None, bound=None, known=None):
     """`groebner_basis` with `_buchberger`'s dimension stop: None when
-    it fires."""
+    it fires.  `known`, a reduced basis in `order` and `ring` of an
+    ideal the gens extend, starts the run (see the module docstring)."""
     gens = [g for g in gens if g]
     if ring is None:
         if not gens:
@@ -477,14 +547,17 @@ def _basis(gens, order, ring, target=None, bound=None):
     char = ring.field.characteristic
     int_gens = [g.int_terms()[0] for g in gens]
     packing = _packing_for(order, ring.arity, int_gens)
+    if known is not None and known._reducer.packing.bits > packing.bits:
+        packing = known._reducer.packing
     while True:
         try:
             reducer = _buchberger(
                 [{packing.pack(e): c for e, c in d.items()} for d in int_gens],
-                packing, char, target, bound)
+                packing, char, target, bound,
+                () if known is None else known._reducer.moved(packing).entries)
             break
         except _FieldOverflow:
-            packing = Packing(order, ring.arity, 2 * packing.bits)
+            packing = _packing(order, ring.arity, 2 * packing.bits)
     if reducer is None:
         return None
     elements = tuple(
@@ -492,6 +565,19 @@ def _basis(gens, order, ring, target=None, bound=None):
                          for e, c in items})
         for _, lc, items in reducer.entries)
     return GroebnerBasis(ring, order, elements, reducer)
+
+
+def _lifted(basis: GroebnerBasis, ring: PolyRing, order) -> GroebnerBasis:
+    """`basis` in `ring`, whose variables are those of basis.ring and
+    then new ones, under an `order` that ranks the monomials of
+    basis.ring as basis.order does.  Its elements keep their leading
+    monomials, so they are the reduced basis in `ring` of the ideal they
+    generate."""
+    packing = _packing(order, ring.arity, basis._reducer.packing.bits)
+    pad = (0,) * (ring.arity - basis.ring.arity)
+    elements = tuple(Polynomial(ring, {e + pad: c for e, c in f.terms.items()})
+                     for f in basis.elements)
+    return GroebnerBasis(ring, order, elements, basis._reducer.moved(packing))
 
 
 def normal_form(f: Polynomial, basis, order=GREVLEX) -> Polynomial:

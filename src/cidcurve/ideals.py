@@ -23,6 +23,25 @@ saturates by one linear form, and a Hilbert-polynomial comparison
 certifies that the form missed every relevant associated prime; when
 no form is certified, the ideal is saturated by all the coordinates.
 
+An ideal built as a base plus a few generators is an extension
+(`_extension`).  It records its base, and `_chain_basis` starts each
+of its bases from the basis cached on the nearest ideal up that chain,
+so a run reduces and pairs only the generators added since.  The
+extensions, with their bases:
+- `ideal_sum(a, b)`: a;
+- the colon's a plus the lowered Bayer elements: a;
+- a Jacobian scheme of `discrepancy`: the ideal its minors are reduced
+  mod;
+- a partial minor ideal of `discrepancy._minors_reach`: the previous
+  partial ideal, or that ideal for the first;
+- a finite scheme plus a hyperplane: the scheme;
+- the image mod p of an extension whose base keeps an image: that
+  image.
+The Bayer basis of a + (y - g) starts from a's cached grevlex basis
+lifted into S[y]: weights (1, ..., 1, d) rank the monomials free of y
+exactly as grevlex does, so that basis keeps its leading monomials and
+stays reduced.
+
 `dimension_at_most` is the one test of a bound on the Krull dimension
 of a homogeneous ideal.  It asks a Buchberger run that stops as soon as
 its leading monomials prove the bound, and keeps the bound it proved.
@@ -52,11 +71,7 @@ from .errors import (
 )
 from . import hilbert as _hilbert
 from .fields import Field
-from .groebner import (
-    GroebnerBasis,
-    basis_unless_dimension_at_most,
-    groebner_basis,
-)
+from .groebner import GroebnerBasis, _basis, _lifted, groebner_basis
 from .orders import Block, GREVLEX, WeightedGrevLex
 from .polynomials import Chart, Polynomial, PolyRing, _substitute
 from .rng import SplitMix64
@@ -72,7 +87,7 @@ class Ideal:
     same canonical basis and the dict store is atomic).
     """
 
-    __slots__ = ("ring", "generators", "_gb_cache", "_data_cache")
+    __slots__ = ("ring", "generators", "_gb_cache", "_data_cache", "_base")
 
     def __init__(self, ring: PolyRing, generators):
         self.ring = ring
@@ -88,15 +103,16 @@ class Ideal:
         self.generators = tuple(gens)
         self._gb_cache = {}
         self._data_cache = {}
+        # the ideal whose generators begin these, when built by
+        # `_extension`
+        self._base = None
 
     def gb(self, order=GREVLEX, target=None) -> GroebnerBasis:
-        """The reduced basis in `order`, computed once; `target` is
-        handed to `groebner_basis` when the basis is computed."""
+        """The reduced basis in `order`, computed once (`_chain_basis`);
+        `target` is handed to the run that computes it."""
         cached = self._gb_cache.get(order)
         if cached is None:
-            cached = groebner_basis(self.generators, order, ring=self.ring,
-                                    target=target)
-            self._gb_cache[order] = cached
+            cached = self._gb_cache[order] = _chain_basis(self, order, target)
         return cached
 
     def contains(self, f: Polynomial) -> bool:
@@ -116,13 +132,36 @@ class Ideal:
         return f"Ideal({inside})"
 
 
+def _extension(base: Ideal, extra) -> Ideal:
+    """base plus the `extra` generators, with base recorded, so that its
+    bases start from base's (`_chain_basis`)."""
+    out = Ideal(base.ring, [*base.generators, *extra])
+    out._base = base
+    return out
+
+
+def _chain_basis(a: Ideal, order, target=None, bound=None):
+    """a's reduced basis in `order`, or None when the dimension `bound`
+    stops the run (`groebner._basis`).  The run starts from the basis
+    cached on the nearest ideal up a's chain of bases that has one, and
+    reduces only the generators added since."""
+    base = a._base
+    while base is not None and order not in base._gb_cache:
+        base = base._base
+    if base is None:
+        return _basis(a.generators, order, a.ring, target, bound)
+    return _basis(a.generators[len(base.generators):], order, a.ring,
+                  target, bound, base._gb_cache[order])
+
+
 # the largest prime below 2^15: two residues multiply in one 30-bit digit
 _SCREEN_FIELD = Field.prime_field(32749)
 
 
 def _mod_p(a: Ideal):
     """The image of a QQ ideal mod the screening prime p, kept with a,
-    or None when no primitive integer coefficient reaches p."""
+    or None when no primitive integer coefficient reaches p.  When a's
+    base keeps an image, a's is that image's extension."""
     image = a._data_cache.get("mod_p")
     if image is None:
         p = _SCREEN_FIELD.characteristic
@@ -132,9 +171,15 @@ def _mod_p(a: Ideal):
         ints = [g.int_terms()[0] for g in a.generators]
         if all(abs(c) < p for d in ints for c in d.values()):
             return None
+        base = None if a._base is None else a._base._data_cache.get("mod_p")
         ring = PolyRing(_SCREEN_FIELD, a.ring.names)
-        image = a._data_cache["mod_p"] = Ideal(ring, [
-            ring.polynomial({e: c % p for e, c in d.items()}) for d in ints])
+        if base is not None:
+            ints = ints[len(a._base.generators):]
+        images = [ring.polynomial({e: c % p for e, c in d.items()})
+                  for d in ints]
+        image = (Ideal(ring, images) if base is None
+                 else _extension(base, images))
+        a._data_cache["mod_p"] = image
     return image
 
 
@@ -144,8 +189,9 @@ def dimension_at_most(a: Ideal, bound: int) -> bool:
 
     An ideal with Hilbert data or a grevlex basis cached reads its
     dimension off them.  Any other ideal asks a grevlex Buchberger run
-    that stops once its leading monomials prove the bound
-    (`groebner.basis_unless_dimension_at_most`); a certified bound is
+    that stops once its leading monomials prove the bound (the run of
+    `groebner.basis_unless_dimension_at_most`, started by `_chain_basis`
+    from the nearest basis cached up a's chain); a certified bound is
     kept with a, and a run that ends without one caches the basis that
     proves the answer no.  A QQ ideal with a primitive integer
     coefficient of at least the screening prime p asks its image mod p
@@ -163,7 +209,7 @@ def dimension_at_most(a: Ideal, bound: int) -> bool:
         return True
     image = None if a.ring.field.characteristic else _mod_p(a)
     if image is None or not dimension_at_most(image, bound):
-        basis = basis_unless_dimension_at_most(a.generators, bound, a.ring)
+        basis = _chain_basis(a, GREVLEX, bound=bound)
         if basis is not None:
             a._gb_cache[GREVLEX] = basis
             return False
@@ -180,7 +226,7 @@ def ideal(*gens) -> Ideal:
 def ideal_sum(a: Ideal, b: Ideal) -> Ideal:
     if a.ring != b.ring:
         raise RingMismatch("ideal sum across different rings")
-    return Ideal(a.ring, a.generators + b.generators)
+    return _extension(a, b.generators)
 
 
 def ideal_product(a: Ideal, b: Ideal) -> Ideal:
@@ -278,10 +324,14 @@ def divide_exact(f: Polynomial, g: Polynomial) -> Polynomial:
 def _bayer_basis(a: Ideal, g: Polynomial):
     """The weighted-grevlex basis of J = a + (y - g) for homogeneous a
     and g of degree d, in a fresh last variable y of weight d (Bayer's
-    trick; Eisenbud, Prop. 15.12), as pairs (k, f) of a basis element f
-    and the top power k of y dividing it, with the map that sends a list
-    of such pairs to the f / y^k under y -> g, all through one table of
-    powers of g.  J is weighted-homogeneous, so in weighted grevlex y
+    trick; Eisenbud, Prop. 15.12), started from a's cached grevlex
+    basis when there is one (see the module docstring).  It comes as
+    pairs (k, f) of a basis element f and the top power k of y dividing
+    it, with the map that sends a list of such pairs to the f / y^k
+    under y -> g, all through one table of powers of g; each f is
+    lowered in its primitive integer form, which generates what its
+    monic form does with no Fraction arithmetic.  J is
+    weighted-homogeneous, so in weighted grevlex y
     divides a basis element exactly when it divides its leading term:
     the elements y divides, divided by y once, generate (J : y) together
     with J, and every element divided by its top power of y gives a
@@ -295,22 +345,25 @@ def _bayer_basis(a: Ideal, g: Polynomial):
     ring = a.ring
     aux = PolyRing(ring.field, ring.names + (_fresh_name(ring, "y"),))
     y = aux.variable(ring.arity)
-    gens = list(_relabel(a.generators, aux).generators)
-    gens.append(y - _relabel([g], aux).generators[0])
     d = g.total_degree()
     data = a._data_cache.get("hilbert")
     target = None
     if data is not None:
         target = _hilbert._koszul([d], data.numerator)
-    weights = (1,) * ring.arity + (d,)
-    basis = groebner_basis(gens, WeightedGrevLex(weights), ring=aux,
-                           target=target)
+    order = WeightedGrevLex((1,) * ring.arity + (d,))
+    lifted = _relabel(a.generators, aux)
+    if GREVLEX in a._gb_cache:
+        lifted._gb_cache[order] = _lifted(a._gb_cache[GREVLEX], aux, order)
+    basis = _extension(lifted, [y - _relabel([g], aux).generators[0]]).gb(
+        order, target)
     images = ring.variables() + [g]
 
     def back(pairs):
-        lowered = [aux.polynomial(
-            {e[:-1] + (e[-1] - k,): c for e, c in f.terms.items()})
-            for k, f in pairs]
+        lowered = []
+        for k, f in pairs:
+            ints, _ = f.int_terms()
+            lowered.append(aux.polynomial(
+                {e[:-1] + (e[-1] - k,): c for e, c in ints.items()}))
         return list(_substitute(lowered, ring, images))
 
     pairs = [(min(e[-1] for e in f.terms), f) for f in basis.elements]
@@ -362,7 +415,7 @@ def colon_principal(a: Ideal, g: Polynomial) -> Ideal:
     if a.is_homogeneous() and g.is_homogeneous():
         pairs, back = _bayer_basis(a, g)
         lowered = back((1, f) for k, f in pairs if k)
-        return _reduced(Ideal(a.ring, list(a.generators) + lowered),
+        return _reduced(_extension(a, lowered),
                         _colon_numerator(pairs, a.ring, g.total_degree()))
     meet = intersect(a, Ideal(a.ring, [g]))
     return Ideal(a.ring, [divide_exact(f, g) for f in meet.generators])

@@ -19,8 +19,11 @@ is the degree and genus relation linkage by Z fixes between X and W,
 read off their Hilbert series with no second colon.  The reducedness
 and chart tests ask whether a hyperplane misses Z's Jacobian scheme on
 X, `discrepancy._jacobian_scheme(I_X, F)`; a hyperplane that misses it
-proves it finite, so no basis of the scheme itself is built unless the
-first chart candidate fails.  The singular test reads F's minors on W
+proves it finite.  Once the residual shows W is not empty, the genus
+report will read the scheme's grevlex basis, so it is computed before
+the chart is chosen and each chart candidate starts from it; otherwise
+no basis of the scheme itself is built unless the first chart
+candidate fails.  The singular test reads F's minors on W
 one at a time through the kernel that decides smoothness
 (`discrepancy._minors_reach`) and stops at the first partial minor
 ideal that bounds the dimension.  A failing attempt is redrawn;
@@ -358,6 +361,11 @@ def _construct(curve: CurveInput, seed: int, max_attempts: int,
                 _minors_reach(i_w, F, 1, None)):
             continue
 
+        # a nonempty W is met by X, so the genus report reads on_curve's
+        # grevlex basis (smoothness, the Jacobian length); computed now,
+        # it makes every chart candidate a one-generator extension
+        if not i_w.is_unit():
+            on_curve.gb()
         try:
             h = choose_chart(on_curve, seed=seed ^ attempt)
         except ExhaustedCandidates:

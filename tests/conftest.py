@@ -39,13 +39,14 @@ def stopped_runs(monkeypatch):
     """The dimension-stopped Buchberger runs `ideals.dimension_at_most`
     asks for from now on, as (generators, bound, ring), in order."""
     runs = []
-    real = ideals.basis_unless_dimension_at_most
+    real = ideals._chain_basis
 
-    def spy(gens, bound, ring=None):
-        runs.append((tuple(gens), bound, ring))
-        return real(gens, bound, ring)
+    def spy(a, order, target=None, bound=None):
+        if bound is not None:
+            runs.append((a.generators, bound, a.ring))
+        return real(a, order, target, bound)
 
-    monkeypatch.setattr(ideals, "basis_unless_dimension_at_most", spy)
+    monkeypatch.setattr(ideals, "_chain_basis", spy)
     return runs
 
 

@@ -165,15 +165,21 @@ def test_genus_computes_no_block_basis(monkeypatch, capsys):
     # elimination
     orders = []
     real = cidcurve.groebner.groebner_basis
+    real_chain = cidcurve.ideals._chain_basis
 
     def spy(gens, order=cidcurve.GREVLEX, ring=None, target=None):
         orders.append(order)
         return real(gens, order, ring=ring, target=target)
 
+    def spy_chain(a, order, target=None, bound=None):
+        orders.append(order)
+        return real_chain(a, order, target, bound)
+
     for module in list(sys.modules.values()):
         if getattr(module, "__name__", "").startswith("cidcurve") and \
                 getattr(module, "groebner_basis", None) is real:
             monkeypatch.setattr(module, "groebner_basis", spy)
+    monkeypatch.setattr(cidcurve.ideals, "_chain_basis", spy_chain)
     code, payload = run_json(capsys, "genus", "--input", RNC4)
     assert code == 0
     assert orders

@@ -694,12 +694,18 @@ def test_concurrent_lines_build_no_groebner_basis(monkeypatch):
     # intersection or local length is formed
     orders = []
     real_basis = cidcurve.ideals.groebner_basis
+    real_chain = cidcurve.ideals._chain_basis
 
     def spy_basis(gens, order, ring=None, target=None):
         orders.append(order)
         return real_basis(gens, order, ring=ring, target=target)
 
+    def spy_chain(a, order, target=None, bound=None):
+        orders.append(order)
+        return real_chain(a, order, target, bound)
+
     monkeypatch.setattr(cidcurve.ideals, "groebner_basis", spy_basis)
+    monkeypatch.setattr(cidcurve.ideals, "_chain_basis", spy_chain)
     lines = [BranchParam((t, t.scale(QQ.from_int(s)))) for s in
              (1, -2, 3, 5, 7)]
     assert delta_invariant(lines) == 10

@@ -1,8 +1,12 @@
 """Groebner bases: defining properties, examples, and a cross-check
 against an independent computer-algebra system."""
 
+from itertools import product
+
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cidcurve import (
     GREVLEX,
@@ -317,17 +321,17 @@ def test_pair_criteria_keep_the_spoly_count(name, order, field,
 
 
 def _targeted_bases(monkeypatch, run):
-    """The groebner_basis calls that `run()` makes through the ideal
-    layer with a target, as (gens, order, ring, target)."""
+    """The bases that `run()` computes through the ideal layer with a
+    target, as (gens, order, ring, target)."""
     calls = []
-    real = ideals.groebner_basis
+    real = ideals._chain_basis
 
-    def spy(gens, order=GREVLEX, ring=None, target=None):
+    def spy(a, order, target=None, bound=None):
         if target is not None:
-            calls.append((list(gens), order, ring, target))
-        return real(gens, order, ring=ring, target=target)
+            calls.append((list(a.generators), order, a.ring, target))
+        return real(a, order, target, bound)
 
-    monkeypatch.setattr(ideals, "groebner_basis", spy)
+    monkeypatch.setattr(ideals, "_chain_basis", spy)
     run()
     monkeypatch.undo()
     return calls
@@ -502,3 +506,126 @@ def test_dimension_stop_reduces_less_than_the_full_basis(monkeypatch):
     refused = groebner.basis_unless_dimension_at_most(gens, 1, ring)
     assert refused.elements == basis.elements
     assert stopped < full == count
+
+
+@st.composite
+def _extension_cases(draw):
+    """A ring of three or four variables over QQ or F_7, an order
+    (grevlex, weighted grevlex or a block order) with the grading of its
+    K-polynomial, and two to five forms homogeneous in that grading,
+    split into the generators of a base ideal and the rest."""
+    field = draw(st.sampled_from((QQ, Field.prime_field(7))))
+    arity = draw(st.integers(3, 4))
+    ring = PolyRing(field, tuple(f"x{i}" for i in range(arity)))
+    kind = draw(st.sampled_from(("grevlex", "weighted", "block")))
+    weights = (1,) * arity
+    if kind == "grevlex":
+        order = GREVLEX
+    elif kind == "weighted":
+        weights = tuple(draw(st.integers(1, 3)) for _ in range(arity))
+        order = WeightedGrevLex(weights)
+    else:
+        order = Block(draw(st.integers(1, arity - 1)))
+    gens = []
+    count = draw(st.integers(2, 5))
+    while len(gens) < count:
+        degree = draw(st.integers(1, 4))
+        monomials = [e for e in product(range(degree + 1), repeat=arity)
+                     if sum(w * k for w, k in zip(weights, e)) == degree]
+        if not monomials:
+            continue
+        terms = {draw(st.sampled_from(monomials)):
+                 field.from_int(draw(st.sampled_from((1, -1, 2, 3, 5))))
+                 for _ in range(draw(st.integers(1, 3)))}
+        f = ring.polynomial(terms)
+        if f:
+            gens.append(f)
+    split = draw(st.integers(1, len(gens) - 1))
+    return ring, order, gens[:split], gens[split:]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(case=_extension_cases(), targeted=st.booleans())
+def test_basis_from_a_known_basis_is_the_fresh_basis(case, targeted):
+    # a run started from the base's reduced basis, directly or through
+    # an extension ideal, ends at the basis computed from scratch, with
+    # or without the exact K-polynomial as its target; its divisor memo
+    # is gone once it returns
+    ring, order, base, extra = case
+    fresh = groebner_basis(base + extra, order, ring=ring)
+    target = None
+    if targeted:
+        target = hilbert.lt_numerator(
+            [f.leading(order)[0] for f in fresh.elements], ring.arity,
+            getattr(order, "weights", None))
+    known = groebner_basis(base, order, ring=ring)
+    started = groebner._basis(extra, order, ring, target, known=known)
+    assert started.elements == fresh.elements
+    assert started._reducer.memo is None
+    a = Ideal(ring, base)
+    a.gb(order)
+    extension = ideals._extension(a, extra)
+    assert extension.gb(order, target).elements == fresh.elements
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(case=_extension_cases(), d=st.integers(1, 3))
+def test_lifted_grevlex_basis_is_the_weighted_basis(case, d):
+    # weights (1, ..., 1, d) rank the monomials free of a new last
+    # variable as grevlex does, so a grevlex basis lifted into the
+    # larger ring is the weighted basis of the same generators there
+    ring, _, base, extra = case
+    aux = PolyRing(ring.field, ring.names + ("y",))
+    order = WeightedGrevLex((1,) * ring.arity + (d,))
+    gens = base + extra
+    lifted = groebner._lifted(groebner_basis(gens, ring=ring), aux, order)
+    assert lifted.elements == groebner_basis(
+        ideals._relabel(gens, aux).generators, order, ring=aux).elements
+
+
+def _divides(a, b):
+    return all(x <= y for x, y in zip(a, b))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(lms=st.lists(st.tuples(*[st.integers(0, 3)] * 3), min_size=2,
+                    max_size=14))
+def test_sorted_criterion_m_keeps_the_quadratic_set(lms):
+    # criterion M by its definition: (i, t) goes when another new pair's
+    # lcm divides its own, properly or equally with a smaller index;
+    # then the coprime pairs go.  The sorted scan forms the same pairs
+    packing = groebner._packing(GREVLEX, 3, 3)
+    t = len(lms) - 1
+    lcms = [tuple(map(max, lm, lms[t])) for lm in lms[:t]]
+    kept = [i for i in range(t)
+            if not any(j != i and _divides(lcms[j], lcms[i])
+                       and (lcms[j] != lcms[i] or j < i) for j in range(t))]
+    expected = sorted(
+        (sum(lcms[i]), packing.pack(lcms[i]), i, t) for i in kept
+        if not all(x == 0 or y == 0 for x, y in zip(lms[i], lms[t])))
+    assert sorted(groebner._update_pairs([], lms, t, packing)) == expected
+
+
+def test_divisor_memo_scans_an_entry_appended_after_a_miss():
+    # the memo keeps, per monomial, how far the divisor scan got: a miss
+    # recorded before an entry is appended scans that entry afterwards,
+    # and a divisor found is found again at once
+    packing = groebner._packing(GREVLEX, 2, 3)
+    x2, y2, y, x3 = (packing.pack(e) for e in ((2, 0), (0, 2), (0, 1),
+                                               (3, 0)))
+    reducer = groebner._Reducer(packing, 0)
+    reducer.add(x2, {x2: 1})
+    reducer.memo = {}
+    assert reducer.reduce({y2: 1, x3: 1}) == ({y2: 1}, 1)
+    assert reducer.memo == {x3: 0, y2: 1}
+    reducer.add(y, {y: 1})
+    assert reducer.reduce({y2: 1, x3: 1}) == ({}, 1)
+    assert reducer.memo == {x3: 0, y2: 1}
+
+
+def test_packings_are_shared():
+    # one Packing per (order, arity, bits), from a bounded cache
+    assert groebner._packing(GREVLEX, 4, 5) is groebner._packing(GREVLEX, 4, 5)
+    assert groebner._packing(GREVLEX, 4, 5) is not groebner._packing(
+        GREVLEX, 4, 6)
+    assert groebner._packing.cache_info().maxsize is not None

@@ -242,13 +242,13 @@ def test_quotient_mixed_degrees(monkeypatch):
               + x3 * ring.parse("x1^2 + x2^2 + 5*x0*x3"))
     assert ideals_module._linked_degree(a, b) == 4
     orders = []
-    real = ideals_module.groebner_basis
+    real = ideals_module._chain_basis
 
-    def spy(gens, order, ring=None, target=None):
+    def spy(a, order, target=None, bound=None):
         orders.append(order)
-        return real(gens, order, ring=ring, target=target)
+        return real(a, order, target, bound)
 
-    monkeypatch.setattr(ideals_module, "groebner_basis", spy)
+    monkeypatch.setattr(ideals_module, "_chain_basis", spy)
     result = quotient(a, b, seed=4)
     # the draw raised x3 to degree 2 and took the homogeneous colon; the
     # exact fold would have intersected with a block elimination
@@ -707,6 +707,40 @@ def test_dimension_stop_agrees_with_the_exact_dimension(case):
         assert (stopped is None) == (dim <= bound)
         if stopped is not None:
             assert stopped.elements == basis.elements
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(case=_homogeneous_ideals(), split=st.integers(1, 3),
+       warm=st.sampled_from(("nothing", "basis", "image")))
+def test_dimension_at_most_on_an_extension_gives_the_fresh_verdict(
+        case, split, warm):
+    # an extension's stopped runs start from what its base keeps: its
+    # grevlex basis, or its image mod p with the image's basis.  At
+    # every bound the verdict is the fresh one, a no leaves the reduced
+    # grevlex basis of all the generators, and an image of the extension
+    # extends the base's
+    ring, gens = case
+    if len(gens) < 2:
+        return
+    base = Ideal(ring, gens[:min(split, len(gens) - 1)])
+    extra = gens[len(base.generators):]
+    image = None
+    if warm == "basis":
+        base.gb()
+    elif warm == "image" and not ring.field.characteristic:
+        image = ideals_module._mod_p(base)
+        if image is not None:
+            image.gb()
+    dim = krull_dimension(Ideal(ring, gens))
+    basis = groebner_basis(gens, ring=ring)
+    for bound in range(ring.arity + 1):
+        extension = ideals_module._extension(base, extra)
+        answer = dimension_at_most(extension, bound)
+        assert answer == (dim <= bound)
+        if not answer:
+            assert extension._gb_cache[GREVLEX].elements == basis.elements
+        if image is not None:
+            assert extension._data_cache["mod_p"]._base is image
 
 
 def test_dimension_at_most_builds_no_image_over_fp():

@@ -38,7 +38,8 @@ from cidcurve.errors import (
     WrongCharacteristic,
 )
 from cidcurve.ideals import INFINITE
-from cidcurve import discrepancy, linkage
+from cidcurve import discrepancy, ideals, linkage
+from cidcurve.orders import GREVLEX
 from cidcurve.linkage import TEST_NAMES
 from cidcurve.rng import SplitMix64
 
@@ -422,3 +423,25 @@ def test_transversal_rejects_singular_residual():
         construct_ci_transversal(curve, seed=0, coeff_matrix=rows)
     assert info.value.failures == {
         name: int(name == "singular_locus_finite") for name in TEST_NAMES}
+
+
+@pytest.mark.parametrize("degree", [3, 4])
+def test_chart_candidates_start_from_the_witness_scheme_basis(
+        degree, monkeypatch):
+    # W is not empty, so the genus report will read on_curve's grevlex
+    # basis: it is computed before the chart is chosen, and the chosen
+    # chart's run starts from it with the chart as its one new
+    # generator.  Over F_p every such question is asked exactly
+    runs = []
+    real = ideals._basis
+
+    def spy(gens, order, ring, target=None, bound=None, known=None):
+        runs.append((tuple(gens), known))
+        return real(gens, order, ring, target, bound, known)
+
+    monkeypatch.setattr(ideals, "_basis", spy)
+    witness = construct_ci(rnc_curve(degree, Field.prime_field(32003)),
+                           seed=0)
+    basis = witness.on_curve._gb_cache[GREVLEX]
+    assert not witness.i_w.is_unit()
+    assert ((witness.h,), basis) in runs

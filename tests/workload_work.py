@@ -7,7 +7,7 @@ SRC is the `src/` directory of the checkout to measure; the job lists
 come from this checkout's `perfbench/workloads.py`.  Every job of the
 four workloads, for workload seed N (default 1), runs once in this
 process through `cidcurve.cli.main` with `--output json`.  The counters
-are installed from outside by rebinding two names of SRC's
+are installed from outside by rebinding three names of SRC's
 `cidcurve.groebner` and the constructors of `fractions.Fraction`, so
 neither SRC nor `perfbench/` changes:
 
@@ -18,12 +18,16 @@ neither SRC nor `perfbench/` changes:
 - zeros: those reductions whose normal form is zero;
 - fractions: `Fraction` objects built, by the program or by Fraction's
   own arithmetic (`Fraction.__new__`, and `Fraction._from_coprime_ints`
-  on Pythons whose arithmetic builds its results there).
+  on Pythons whose arithmetic builds its results there);
+- pairs: S-pairs that `_update_pairs` forms for a new basis element,
+  those the criteria keep;
+- known: runs that start from the entries of a known basis (the sixth
+  argument of `_buchberger`, `known`; 0 for a checkout without it).
 
 Each job prints one line `workload:seed:job runs reductions zeros
-fractions`, and each workload a line `workload:seed:total runs
-reductions zeros fractions`.  The counts are deterministic, so `diff`
-the output of two checkouts.
+fractions pairs known`, and each workload a line `workload:seed:total`
+with the same columns.  The counts are deterministic, so `diff` the
+output of two checkouts.
 """
 
 from __future__ import annotations
@@ -41,17 +45,23 @@ WORKLOADS = ("link_qq", "link_fp", "germ", "reject")
 
 
 class _Counter:
-    """Buchberger runs, reductions, zero reductions and Fractions built."""
+    """Buchberger runs, reductions, zero reductions, Fractions built,
+    S-pairs formed and runs started from a known basis."""
+
+    NAMES = ("runs", "reductions", "zeros", "fractions", "pairs", "known")
 
     def __init__(self):
-        self.runs = self.reductions = self.zeros = self.fractions = 0
+        self.take()
 
     def install(self, groebner):
         buchberger = groebner._buchberger
         reduce = groebner._Reducer.reduce
+        update_pairs = groebner._update_pairs
 
         def counted_buchberger(*args, **kwargs):
             self.runs += 1
+            known = args[5] if len(args) > 5 else kwargs.get("known")
+            self.known += bool(known)
             return buchberger(*args, **kwargs)
 
         def counted_reduce(reducer, *args, **kwargs):
@@ -60,8 +70,14 @@ class _Counter:
             self.zeros += not out[0]
             return out
 
+        def counted_update_pairs(pairs, lms, t, packing):
+            out = update_pairs(pairs, lms, t, packing)
+            self.pairs += sum(pair[3] == t for pair in out)
+            return out
+
         groebner._buchberger = counted_buchberger
         groebner._Reducer.reduce = counted_reduce
+        groebner._update_pairs = counted_update_pairs
         self._count_fractions(fractions.Fraction)
 
     def _count_fractions(self, cls):
@@ -82,8 +98,9 @@ class _Counter:
             cls._from_coprime_ints = classmethod(counted_from_ints)
 
     def take(self):
-        counts = (self.runs, self.reductions, self.zeros, self.fractions)
-        self.runs = self.reductions = self.zeros = self.fractions = 0
+        counts = tuple(getattr(self, name, 0) for name in self.NAMES)
+        for name in self.NAMES:
+            setattr(self, name, 0)
         return counts
 
 
@@ -106,7 +123,7 @@ def main(argv=None) -> int:
     counter.install(groebner)
     with tempfile.TemporaryDirectory() as tmp:
         for name in WORKLOADS:
-            totals = [0, 0, 0, 0]
+            totals = [0] * len(_Counter.NAMES)
             for job in workloads.build(name, args.seed):
                 path = Path(tmp) / job.filename
                 path.write_text(job.text)
