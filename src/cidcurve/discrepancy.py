@@ -10,11 +10,12 @@ is the designed detector for insufficiently general witnesses.  Every
 length is a constant Hilbert polynomial, read off a grevlex basis with
 no chart.  The routes read I_Z, I_W and the witness Jacobian scheme on
 X from the certified witness (`linkage.CIWitness`), which derived them
-once, and decide smoothness on that scheme.  On a smooth curve the
-Jacobian and saturation routes are one computation, so it runs once
-and its value is filed under both names.  Every Jacobian minor comes
-from one kernel, `_minors`, which works on integer rows and computes
-each shared sub-minor once per stream of minors.  Minors reduced mod
+once, and decide smoothness on that scheme, once per route computation
+(`_smooth_length`).  On a smooth curve the Jacobian and saturation
+routes are one computation, so it runs once and its value is filed
+under both names.  Every Jacobian minor comes from one kernel,
+`_minors`, which works on integer rows and computes each shared
+sub-minor once per stream of minors.  Minors reduced mod
 a base ideal come from one generator, `_reduced_minors`:
 `_jacobian_scheme` takes them all (the witness scheme, X's singular
 locus), and `_minors_reach` (smoothness, the transversal singular
@@ -196,14 +197,8 @@ def _reduced_minors(base: Ideal, forms, seed=None):
 def _jacobian_scheme(base: Ideal, forms) -> Ideal:
     """base plus the reduced Jacobian minors of `forms`: the Jacobian
     scheme of V(forms) on V(base).  With the base's own generators as
-    forms it is the singular locus of V(base), kept with the base."""
-    own = tuple(forms) == base.generators
-    scheme = base._data_cache.get("jacobian_scheme") if own else None
-    if scheme is None:
-        scheme = _extension(base, _reduced_minors(base, forms))
-        if own:
-            base._data_cache["jacobian_scheme"] = scheme
-    return scheme
+    forms it is the singular locus of V(base)."""
+    return _extension(base, _reduced_minors(base, forms))
 
 
 def is_smooth_curve(i_x: Ideal, seed: int = 0) -> bool:
@@ -213,8 +208,7 @@ def is_smooth_curve(i_x: Ideal, seed: int = 0) -> bool:
 
 def _minors_reach(base: Ideal, forms, bound: int, seed) -> bool:
     """Whether `_jacobian_scheme(base, forms)` has Krull dimension at
-    most `bound`, reading minors in `_minor_stream` order for `seed`;
-    the verdict is kept with base, by forms and bound.
+    most `bound`, reading minors in `_minor_stream` order for `seed`.
 
     A generator lowers the dimension by at most one, so the first check
     comes after dim(base) - bound minors, then after twice as many new
@@ -222,24 +216,20 @@ def _minors_reach(base: Ideal, forms, bound: int, seed) -> bool:
     full one does too, and the remaining minors are not computed; a
     negative answer consumes every minor.
     """
-    key = (tuple(forms), bound)
-    answer = base._data_cache.get(key)
-    if answer is None:
-        partial = base
-        checkpoint = _hilbert.krull_dimension(base) - bound
-        answer, pending = checkpoint <= 0, []
-        for minor in () if answer else _reduced_minors(base, forms, seed):
-            pending.append(minor)
-            if len(pending) == checkpoint:
-                partial = _extension(partial, pending)
-                answer = dimension_at_most(partial, bound)
-                if answer:
-                    break
-                pending, checkpoint = [], checkpoint * 2
-        if pending and not answer:  # else the last check read every minor
-            answer = dimension_at_most(_extension(partial, pending), bound)
-        base._data_cache[key] = answer
-    return answer
+    checkpoint = _hilbert.krull_dimension(base) - bound
+    if checkpoint <= 0:
+        return True
+    partial, pending = base, []
+    for minor in _reduced_minors(base, forms, seed):
+        pending.append(minor)
+        if len(pending) == checkpoint:
+            partial = _extension(partial, pending)
+            if dimension_at_most(partial, bound):
+                return True
+            pending, checkpoint = [], checkpoint * 2
+    # with nothing pending, the last check read every minor
+    return bool(pending) and dimension_at_most(_extension(partial, pending),
+                                               bound)
 
 
 # --- residual and charts -----------------------------------------------
@@ -301,50 +291,53 @@ def _empty_on_curve(witness) -> bool:
     return witness.i_w.is_unit() and dimension_at_most(witness.on_curve, 0)
 
 
-def _smooth_on_witness(i_x: Ideal, witness) -> bool:
-    """`is_smooth_curve(i_x)`, decided on the witness Jacobian scheme.
+def _smooth_length(i_x: Ideal, witness):
+    """The length of the witness Jacobian scheme on X when X is smooth,
+    None when it is not: `is_smooth_curve(i_x)`, decided on that scheme.
 
     F lies in I_X, so on X the Jacobian of F is A times that of the
     curve's generators, and by Cauchy-Binet every singular point of X
     lies on V(on_curve).  Adding the curve's minors to `on_curve`
     instead of to I_X therefore cuts out the same singular scheme.
     When `on_curve` is already empty (every smooth complete intersection
-    and plane curve), X is smooth with no minor drawn.  Otherwise
-    `on_curve` is finite on a witness that passed `reduced_along_input`,
-    so a single minor may already finish the check.  The answer depends
-    on the witness, so it is kept with `on_curve`, not with I_X.
+    and plane curve), X is smooth and the length is 0, with no minor
+    drawn and no basis of `on_curve` built.  Otherwise `on_curve` is
+    finite on a witness that passed `reduced_along_input`, so a single
+    minor may already finish the check, and the length is read off the
+    Hilbert data that check computed.  Nothing is kept, so each route
+    computation asks this once.
     """
-    return (_empty_on_curve(witness)
-            or _minors_reach(witness.on_curve, i_x.generators, 0, 0))
+    if _empty_on_curve(witness):
+        return 0
+    if not _minors_reach(witness.on_curve, i_x.generators, 0, 0):
+        return None
+    return _projective_length(witness.on_curve)
 
 
-def _witness_locus(i_x: Ideal, witness) -> Ideal:
+def _singular_stripped(i_x: Ideal, witness) -> Ideal:
     """The witness Jacobian scheme on X with the singular locus of X
-    saturated away, as a homogeneous ideal.  On a smooth curve that
-    locus is empty and saturation by it is the identity, so that step is
-    skipped rather than paid for (the curve's full minor ideal is
-    large)."""
-    if _smooth_on_witness(i_x, witness):
-        return witness.on_curve
-    return saturate(witness.on_curve,
-                    _jacobian_scheme(i_x, i_x.generators))
+    saturated away.  On a smooth X it is `on_curve`, which callers take
+    rather than pay for the curve's full minor ideal."""
+    return saturate(witness.on_curve, _jacobian_scheme(i_x, i_x.generators))
 
 
 def cid_smooth_jacobian(i_x: Ideal, witness) -> int:
     """Discrepancy as the length of the witness Jacobian scheme on X;
     valid when X is smooth."""
-    if _empty_on_curve(witness):
-        return 0
-    if not _smooth_on_witness(i_x, witness):
+    length = _smooth_length(i_x, witness)
+    if length is None:
         raise NotSmooth("the Jacobian route requires a smooth curve")
-    return _projective_length(witness.on_curve)
+    return length
 
 
 def cid_lci_general(i_x: Ideal, witness) -> int:
     """Discrepancy for a reduced local complete intersection X with a
     general witness: contributions along the singular locus of X are
     stripped by saturation."""
-    return _projective_length(_witness_locus(i_x, witness))
+    length = _smooth_length(i_x, witness)
+    if length is None:
+        length = _projective_length(_singular_stripped(i_x, witness))
+    return length
 
 
 def cid_aci(degrees, deg_x: int) -> int:
@@ -362,20 +355,25 @@ def cid_aci(degrees, deg_x: int) -> int:
 
 def _route_values(curve, witness, route, assume_lci, deg_x=None) -> dict:
     """Route values as selected by `route`; deg X is computed here only
-    when the aci route needs it and none is passed.  Under "auto" on a
-    smooth curve the lci_general route is the smooth_jacobian
-    computation, so its value is reused."""
+    when the aci route needs it and none is passed.  "auto" asks
+    smoothness once: on a smooth curve the smooth_jacobian and
+    lci_general routes are that one length, and on a singular one only
+    the lci_general route, when assumed, runs (by saturation)."""
     i_x = curve.ideal()
     values = {}
     if route in ("auto", "direct"):
         values["direct"] = cid_direct(i_x, witness.i_w)
-    smooth = route == "auto" and _smooth_on_witness(i_x, witness)
-    if route == "smooth" or smooth:
+    if route == "smooth":
         values["smooth_jacobian"] = cid_smooth_jacobian(i_x, witness)
-    if route == "lci" or (route == "auto" and assume_lci and not smooth):
+    elif route == "lci":
         values["lci_general"] = cid_lci_general(i_x, witness)
-    elif smooth:
-        values["lci_general"] = values["smooth_jacobian"]
+    elif route == "auto":
+        length = _smooth_length(i_x, witness)
+        if length is not None:
+            values["smooth_jacobian"] = values["lci_general"] = length
+        elif assume_lci:
+            values["lci_general"] = _projective_length(
+                _singular_stripped(i_x, witness))
     if route == "aci" or (route == "auto" and curve.r == curve.n):
         if curve.r != curve.n:
             raise OutOfHypothesis(
@@ -547,12 +545,14 @@ def omega_matches_jacobian(i_x: Ideal, witness) -> bool:
     which is exactly sheaf equality, decides.
     """
     j = omega_jacobian(i_x, witness)
-    if _smooth_on_witness(i_x, witness):
+    length = _smooth_length(i_x, witness)
+    if length is not None:
         # Both sheaves are trivial on a smooth curve: the Jacobian side
         # is irrelevant-primary by the smoothness certificate itself, so
         # only the omega side still needs checking: it is trivial when it
-        # cuts out the empty projective scheme.
-        return dimension_at_most(j, 0)
+        # cuts out the empty projective scheme.  It contains `on_curve`,
+        # which length 0 proves empty.
+        return length == 0 or dimension_at_most(j, 0)
     jac_x = _jacobian_scheme(i_x, i_x.generators)
     if ideal_equal(j, jac_x):
         return True
@@ -613,7 +613,9 @@ def transversality_count(curve, witness):
     if i_x.ring.field.characteristic != 0:
         raise WrongCharacteristic("transversality analysis needs char 0")
     _check_chart(witness.on_curve, witness.h)
-    locus = _witness_locus(i_x, witness)
+    locus = witness.on_curve
+    if _smooth_length(i_x, witness) is None:
+        locus = _singular_stripped(i_x, witness)
     in_chart = ideal_sum(locus,
                          Ideal(locus.ring, [witness.h - locus.ring.one()]))
     count = distinct_point_count(in_chart)

@@ -44,8 +44,7 @@ stays reduced.
 
 `dimension_at_most` is the one test of a bound on the Krull dimension
 of a homogeneous ideal.  It asks a Buchberger run that stops as soon as
-its leading monomials prove the bound, and keeps the bound it proved.
-A homogeneous QQ ideal
+its leading monomials prove the bound.  A homogeneous QQ ideal
 whose coefficients reach a fixed prime p is asked mod p first: the
 image's dimension can only be larger (ranks only drop mod p), and the
 ideal itself is asked only when the image misses the bound.
@@ -191,9 +190,9 @@ def dimension_at_most(a: Ideal, bound: int) -> bool:
     dimension off them.  Any other ideal asks a grevlex Buchberger run
     that stops once its leading monomials prove the bound (the run of
     `groebner.basis_unless_dimension_at_most`, started by `_chain_basis`
-    from the nearest basis cached up a's chain); a certified bound is
-    kept with a, and a run that ends without one caches the basis that
-    proves the answer no.  A QQ ideal with a primitive integer
+    from the nearest basis cached up a's chain); a run that ends
+    without a certified bound caches the basis that proves the answer
+    no.  A QQ ideal with a primitive integer
     coefficient of at least the screening prime p asks its image mod p
     first: in each degree its forms are spanned by monomial multiples
     of its primitive generators, an integer matrix whose rank can only
@@ -205,15 +204,12 @@ def dimension_at_most(a: Ideal, bound: int) -> bool:
     _hilbert._check_homogeneous(a)
     if bound < 0 or "hilbert" in a._data_cache or GREVLEX in a._gb_cache:
         return _hilbert.krull_dimension(a) <= bound
-    if bound >= a._data_cache.get("dimension_at_most", INFINITE):
-        return True
     image = None if a.ring.field.characteristic else _mod_p(a)
     if image is None or not dimension_at_most(image, bound):
         basis = _chain_basis(a, GREVLEX, bound=bound)
         if basis is not None:
             a._gb_cache[GREVLEX] = basis
             return False
-    a._data_cache["dimension_at_most"] = bound
     return True
 
 

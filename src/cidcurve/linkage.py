@@ -266,7 +266,7 @@ def _plane_curve_witness(curve: CurveInput, seed: int,
         raise InputError("a plane curve must be given by a single form")
     i_x = curve.ideal()
     F = (curve.generators[0],)
-    on_curve = _jacobian_scheme(i_x, F)  # X's singular locus, kept on I_X
+    on_curve = _jacobian_scheme(i_x, F)  # X's singular locus
     try:
         h = choose_chart(on_curve, seed=seed)
     except NotZeroDimensional:

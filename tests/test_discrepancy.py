@@ -408,10 +408,11 @@ def test_genus_reads_certified_witness(monkeypatch, capsys):
 
 
 def test_lci_route_computed_when_not_shared(monkeypatch):
-    # lci_general reuses the smooth_jacobian value only under "auto" on
-    # a smooth curve; on a singular curve, or when selected, it runs
+    # on a smooth curve lci_general is the smooth_jacobian length; on a
+    # singular curve, when assumed under "auto" or selected, it runs its
+    # own saturation
     calls = []
-    _spy(monkeypatch, cidcurve.discrepancy.cid_lci_general, calls)
+    _spy(monkeypatch, cidcurve.discrepancy._singular_stripped, calls)
     ring = PolyRing(QQ, ("x0", "x1", "x2", "x3"))
     nodal = CurveInput(ring, [ring.parse("x1^2*x2 - x0^3 - x0^2*x2"),
                               ring.parse("x3")])
@@ -421,6 +422,8 @@ def test_lci_route_computed_when_not_shared(monkeypatch):
     assert cid_routes(nodal, witness, assume_lci=True) == {
         "direct": 0, "lci_general": 0}
     assert len(calls) == 1
+    assert cid_routes(nodal, witness, route="lci") == {"lci_general": 0}
+    assert len(calls) == 2
     twisted = rnc_curve(3)
     assert cid_routes(twisted, construct_ci(twisted, seed=0),
                       route="lci") == {"lci_general": 2}
@@ -431,7 +434,7 @@ def test_direct_route_draws_no_curve_minors(monkeypatch, capsys, tmp_path):
     # only "auto" reads the smoothness decision, so a single selected
     # route never takes the curve's Jacobian minors for it
     calls = []
-    _spy(monkeypatch, cidcurve.discrepancy._smooth_on_witness, calls)
+    _spy(monkeypatch, cidcurve.discrepancy._smooth_length, calls)
     path = tmp_path / "nodal.ring"
     path.write_text("ring/1 over QQ vars x0 x1 x2 x3\n"
                     "ideal X = x1^2*x2 - x0^3 - x0^2*x2, x3;\n")
@@ -602,10 +605,10 @@ SMOOTHNESS_CURVES = {
 def test_smoothness_on_the_witness_scheme(name):
     curve = SMOOTHNESS_CURVES[name]()
     witness = construct_ci(curve, seed=0)
-    on_witness = discrepancy_module._smooth_on_witness(curve.ideal(), witness)
-    # a fresh ideal, so the cached answer is not read back
-    plain = is_smooth_curve(Ideal(curve.ring, list(curve.generators)))
-    assert on_witness == plain
+    length = discrepancy_module._smooth_length(curve.ideal(), witness)
+    assert (length is not None) == is_smooth_curve(curve.ideal())
+    # on a smooth curve the witness Jacobian length is the discrepancy
+    assert length in (None, cid_direct(curve.ideal(), witness.i_w))
 
 
 @pytest.mark.parametrize("name", ["cuspidal_cubic", "nodal_cubic",
@@ -618,7 +621,7 @@ def test_omega_matches_jacobian_on_singular_complete_intersections(name,
     curve = SMOOTHNESS_CURVES[name]()
     witness = construct_ci(curve, seed=seed)
     assert witness.i_w.is_unit()
-    assert not discrepancy_module._smooth_on_witness(curve.ideal(), witness)
+    assert discrepancy_module._smooth_length(curve.ideal(), witness) is None
     assert omega_matches_jacobian(curve.ideal(), witness)
 
 
@@ -670,11 +673,12 @@ def test_smooth_complete_intersection_builds_no_witness_scheme_basis():
 def test_narrow_complete_intersection_builds_no_image(monkeypatch):
     # CI33's coefficients stay below the screening prime, so the same
     # questions are asked of the exact witness scheme and no image is
-    # built
+    # built.  No verdict is kept, so the genus report and the omega
+    # comparison each ask once
     runs = stopped_runs(monkeypatch)
     witness = _smooth_ci_witness(_p3_curve(*CI33))
     assert [(gens, ring) for gens, _, ring in runs].count(
-        (witness.on_curve.generators, witness.on_curve.ring)) == 1
+        (witness.on_curve.generators, witness.on_curve.ring)) == 2
     assert "mod_p" not in witness.on_curve._data_cache
 
 
@@ -692,7 +696,8 @@ def test_screen_keeps_the_exact_verdicts(name, monkeypatch):
     def verdicts():
         witness = construct_ci(curve, seed=0)
         i_x = Ideal(curve.ring, list(curve.generators))
-        smooth = discrepancy_module._smooth_on_witness(i_x, witness)
+        smooth = discrepancy_module._smooth_length(
+            i_x, witness) is not None
         try:
             length = discrepancy_module.cid_smooth_jacobian(i_x, witness)
         except NotSmooth:
@@ -876,7 +881,7 @@ CAUCHY_BINET_CURVES = {
 def test_witness_scheme_plus_curve_minors_is_the_singular_locus(name, seed):
     # F lies in I_X, so by Cauchy-Binet the witness Jacobian scheme on X
     # contains X's singular locus, and the curve's minors added to it cut
-    # out exactly that locus: `_smooth_on_witness` rests on this
+    # out exactly that locus: `_smooth_length` rests on this
     curve = CAUCHY_BINET_CURVES[name]()
     i_x = curve.ideal()
     witness = construct_ci(curve, seed=seed)
@@ -888,38 +893,76 @@ def test_witness_scheme_plus_curve_minors_is_the_singular_locus(name, seed):
     assert ideal_equal(on_witness, locus)
 
 
+ROUTE_SELECTIONS = [("auto", False), ("auto", True), ("smooth", False),
+                    ("lci", False), ("direct", False)]
+
+
 @pytest.mark.parametrize("name", ["twisted_cubic_and_line", "rnc4"])
-def test_smoothness_verdicts_are_kept(name, monkeypatch):
-    # both answers are kept with their base ideal, so asking again draws
-    # no minor
+def test_route_values_ask_smoothness_once(name, monkeypatch):
+    # no smoothness verdict is kept, so each route computation asks the
+    # emptiness of the witness scheme and the curve's minors at most
+    # once, whatever the selection; twisted_cubic_and_line is singular,
+    # so there "auto" with assume_lci saturates after that one question
     curve = CAUCHY_BINET_CURVES[name]()
     witness = construct_ci(curve, seed=0)
+    calls = {"_empty_on_curve": 0, "_minors_reach": 0}
+
+    def counted(attr):
+        real = getattr(discrepancy_module, attr)
+
+        def spy(*args):
+            calls[attr] += 1
+            return real(*args)
+        return spy
+
+    for attr in calls:
+        monkeypatch.setattr(discrepancy_module, attr, counted(attr))
+    for route, assume_lci in ROUTE_SELECTIONS:
+        for attr in calls:
+            calls[attr] = 0
+        try:
+            values = discrepancy_module._route_values(curve, witness, route,
+                                                      assume_lci)
+        except NotSmooth:
+            assert (name, route) == ("twisted_cubic_and_line", "smooth")
+        else:
+            assert set(values.values()) == {6 if name == "rnc4" else 4}
+        # W is not empty on either curve, so every question but the
+        # direct route's reaches the curve's minors
+        assert calls == dict.fromkeys(calls, int(route != "direct")), (
+            route, assume_lci, calls)
+
+
+def test_genus_draws_each_minor_once(monkeypatch, capsys):
+    # certification draws the witness minors of each attempt's forms,
+    # and the genus report draws the curve's minors for one smoothness
+    # question; no stream of minors is read twice
     drawn = []
     real_stream = discrepancy_module._minor_stream
 
     def stream(gens, codim, seed=None):
-        for minor in real_stream(gens, codim, seed):
-            drawn.append(minor)
+        for k, minor in enumerate(real_stream(gens, codim, seed)):
+            drawn.append((tuple(gens), seed, k))
             yield minor
 
     monkeypatch.setattr(discrepancy_module, "_minor_stream", stream)
-    first = discrepancy_module._smooth_on_witness(curve.ideal(), witness)
-    smooth = is_smooth_curve(curve.ideal())
-    assert first == smooth == (name == "rnc4")
-    assert drawn
-    drawn.clear()
-    assert discrepancy_module._smooth_on_witness(curve.ideal(),
-                                                 witness) == first
-    assert is_smooth_curve(curve.ideal()) == smooth
-    assert drawn == []
+    code = cidcurve.cli.main(["genus", "--input", RNC4, "--output", "json"])
+    payload = json.loads(capsys.readouterr().out)
+    assert code == 0
+    assert set(payload["result"]["cid_routes"].values()) == {6}
+    curve_gens = rnc_curve(4).ideal().generators
+    assert any(gens == curve_gens for gens, _, _ in drawn)
+    assert len(drawn) == len(set(drawn))
 
 
 def test_plane_witness_reads_the_cached_singular_locus():
+    # a plane curve is its own complete intersection, so its witness
+    # Jacobian scheme is its singular locus
     curve = SMOOTHNESS_CURVES["nodal_cubic"]()
     i_x = curve.ideal()
     witness = construct_ci(curve, seed=0)
-    assert witness.on_curve is discrepancy_module._jacobian_scheme(
-        i_x, i_x.generators)
+    assert ideal_equal(witness.on_curve, discrepancy_module._jacobian_scheme(
+        i_x, i_x.generators))
 
 
 def test_smoothness_first_checks_two_minors(monkeypatch):

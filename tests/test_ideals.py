@@ -635,23 +635,6 @@ def test_dimension_at_most_rejects_an_affine_ideal_before_any_image():
     assert not a._gb_cache
 
 
-def test_dimension_at_most_keeps_a_certified_bound(monkeypatch):
-    # a stopped run proves dim <= 1 and leaves no basis; the bound is
-    # kept, so it and any larger bound are answered with no second run,
-    # and a smaller one runs again
-    ring = PolyRing(QQ, ("x0", "x1", "x2", "x3"))
-    a = Ideal(ring, [*twisted_cubic_gens(ring), ring.parse("x0 + x3")])
-    runs = stopped_runs(monkeypatch)
-    assert dimension_at_most(a, 1)
-    assert not a._gb_cache and a._data_cache["dimension_at_most"] == 1
-    assert dimension_at_most(a, 1) and dimension_at_most(a, 2)
-    assert len(runs) == 1
-    assert not dimension_at_most(a, 0)
-    assert len(runs) == 2
-    assert a._gb_cache[GREVLEX].elements == groebner_basis(
-        a.generators, ring=ring).elements
-
-
 def test_dimension_stop_needs_every_set_of_variables():
     # (x0, x1) in P^3 covers every 2-set of variables but {x2, x3}:
     # dimension 2, so a run that stopped with one set left would answer

@@ -89,3 +89,13 @@ def test_dimension_bounds_ask_the_kernel():
                   if isinstance(operand, ast.Call)
                   and "krull_dimension" in _referenced_names(operand.func)]
     assert not found, f"krull_dimension compared outside ideals: {found}"
+
+
+def test_cached_ideal_data_stays_in_the_ideal_layer():
+    # what an `Ideal` keeps beside its bases, and under which keys, is
+    # the business of `ideals` and of `hilbert`, which fills the Hilbert
+    # data; no other module reads or writes that dict
+    found = [path.name for path in sorted(SRC.glob("*.py"))
+             if path.name not in ("ideals.py", "hilbert.py")
+             and "_data_cache" in path.read_text()]
+    assert not found, f"_data_cache mentioned outside ideals: {found}"

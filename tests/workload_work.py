@@ -7,7 +7,7 @@ SRC is the `src/` directory of the checkout to measure; the job lists
 come from this checkout's `perfbench/workloads.py`.  Every job of the
 four workloads, for workload seed N (default 1), runs once in this
 process through `cidcurve.cli.main` with `--output json`.  The counters
-are installed from outside by rebinding three names of SRC's
+are installed from outside by rebinding four names of SRC's
 `cidcurve.groebner` and the constructors of `fractions.Fraction`, so
 neither SRC nor `perfbench/` changes:
 
@@ -22,12 +22,18 @@ neither SRC nor `perfbench/` changes:
 - pairs: S-pairs that `_update_pairs` forms for a new basis element,
   those the criteria keep;
 - known: runs that start from the entries of a known basis (the sixth
-  argument of `_buchberger`, `known`; 0 for a checkout without it).
+  argument of `_buchberger`, `known`; 0 for a checkout without it);
+- stopped: runs that return no basis because their dimension bound
+  stopped them (`_buchberger` returning None);
+- bits: the largest bit length of a coefficient of any entry added to
+  a reducer (`_Reducer.add`) during the job; over QQ the size of the
+  numbers the runs carry, which a falling reduction count can hide.
 
 Each job prints one line `workload:seed:job runs reductions zeros
-fractions pairs known`, and each workload a line `workload:seed:total`
-with the same columns.  The counts are deterministic, so `diff` the
-output of two checkouts.
+fractions pairs known stopped bits`, and each workload a line
+`workload:seed:total` with the same columns, each summed over the jobs
+except bits, their maximum.  The counts are deterministic, so `diff`
+the output of two checkouts.
 """
 
 from __future__ import annotations
@@ -46,9 +52,11 @@ WORKLOADS = ("link_qq", "link_fp", "germ", "reject")
 
 class _Counter:
     """Buchberger runs, reductions, zero reductions, Fractions built,
-    S-pairs formed and runs started from a known basis."""
+    S-pairs formed, runs started from a known basis, runs stopped by a
+    dimension bound, and the widest reducer coefficient."""
 
-    NAMES = ("runs", "reductions", "zeros", "fractions", "pairs", "known")
+    NAMES = ("runs", "reductions", "zeros", "fractions", "pairs", "known",
+             "stopped", "bits")
 
     def __init__(self):
         self.take()
@@ -56,13 +64,21 @@ class _Counter:
     def install(self, groebner):
         buchberger = groebner._buchberger
         reduce = groebner._Reducer.reduce
+        add = groebner._Reducer.add
         update_pairs = groebner._update_pairs
 
         def counted_buchberger(*args, **kwargs):
             self.runs += 1
             known = args[5] if len(args) > 5 else kwargs.get("known")
             self.known += bool(known)
-            return buchberger(*args, **kwargs)
+            out = buchberger(*args, **kwargs)
+            self.stopped += out is None
+            return out
+
+        def counted_add(reducer, lm, d):
+            self.bits = max(self.bits, *(abs(c).bit_length()
+                                         for c in d.values()))
+            return add(reducer, lm, d)
 
         def counted_reduce(reducer, *args, **kwargs):
             out = reduce(reducer, *args, **kwargs)
@@ -77,6 +93,7 @@ class _Counter:
 
         groebner._buchberger = counted_buchberger
         groebner._Reducer.reduce = counted_reduce
+        groebner._Reducer.add = counted_add
         groebner._update_pairs = counted_update_pairs
         self._count_fractions(fractions.Fraction)
 
@@ -133,7 +150,9 @@ def main(argv=None) -> int:
                         contextlib.redirect_stderr(io.StringIO()):
                     cli.main(argv)
                 counts = counter.take()
-                totals = [t + c for t, c in zip(totals, counts)]
+                totals = [max(t, c) if key == "bits" else t + c
+                          for key, t, c in zip(_Counter.NAMES, totals,
+                                               counts)]
                 print(f"{name}:{args.seed}:{job.name}", *counts)
             print(f"{name}:{args.seed}:total", *totals, flush=True)
     return 0
