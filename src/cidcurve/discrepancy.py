@@ -37,7 +37,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 from math import comb, lcm, prod
-from operator import add
 
 from .errors import (
     BadCodim,
@@ -81,23 +80,28 @@ def _minors(rows, pairs):
 
     Each row is converted once to integer term dicts: over QQ it is
     scaled by the lcm of its denominators, over F_p its entries are
-    already residues.  A minor is expanded along its first row, and
-    each sub-minor (row tail, column subset) is computed once for the
-    whole stream and kept until the stream is done; the minors
-    themselves are not kept.  Dividing each minor once by the product
-    of its rows' multipliers gives exactly the determinant of the
-    given entries."""
+    already residues.  Their exponents are packed into ints wide enough
+    for a k x k minor, and each minor is unpacked once.  A minor is
+    expanded along its first row, and each sub-minor (row tail, column
+    subset) is computed once for the whole stream and kept until the
+    stream is done; the minors themselves are not kept.  Dividing each
+    minor once by the product of its rows' multipliers gives exactly
+    the determinant of the given entries."""
     ring = rows[0][0].ring
     char = ring.field.characteristic
+    pairs = list(pairs)
+    size = max((len(ri) for ri, _ in pairs), default=0)
+    width = (size * max((k for row in rows for f in row for e in f.terms
+                         for k in e), default=0)).bit_length()
+    shifts = [j * width for j in range(ring.arity)]
+    mask = (1 << width) - 1
     entries, mults = [], []
     for row in rows:
-        if char:
-            entries.append([f.terms for f in row])
-            mults.append(1)
-            continue
+        # residues over F_p, where every denominator is 1
         m = lcm(*(c.denominator for f in row for c in f.terms.values()))
-        entries.append([{e: c.numerator * (m // c.denominator)
-                         for e, c in f.terms.items()} for f in row])
+        entries.append([{sum(k << s for k, s in zip(e, shifts)):
+                          c.numerator * (m // c.denominator)
+                          for e, c in f.terms.items()} for f in row])
         mults.append(m)
     memo = {}
 
@@ -119,7 +123,7 @@ def _minors(rows, pairs):
                 if k % 2:
                     c1 = -c1
                 for e2, c2 in sub.items():
-                    e = tuple(map(add, e1, e2))
+                    e = e1 + e2
                     total[e] = total.get(e, 0) + c1 * c2
         if char:
             return {e: c % char for e, c in total.items() if c % char}
@@ -128,11 +132,11 @@ def _minors(rows, pairs):
     try:
         for ri, ci in pairs:
             d = det(ri, ci)
-            if char:
-                yield Polynomial(ring, d)
-                continue
             m = prod(mults[i] for i in ri)
-            yield Polynomial(ring, {e: rational(c, m) for e, c in d.items()})
+            yield Polynomial(ring, {
+                tuple([e >> s & mask for s in shifts]):
+                    c if char else rational(c, m)
+                for e, c in d.items()})
     finally:
         del det  # empties its own cell: no cycle is left for the collector
 

@@ -5,8 +5,8 @@ single ints (see `Packing`): a shift is an int addition, the order's
 comparison an int comparison, and a divisibility test one subtraction
 and one mask (Monagan and Pearce, "Sparse polynomial division using a
 heap", JSC 46, 2011).  Monomials are packed and unpacked only at the
-boundary, `groebner_basis` and `normal_form`; a basis packs its
-elements once, and `Polynomial` keeps its exponent tuples.  The
+boundary; a basis is its packed reducer, and its `elements` are built
+the first time they are read.  The
 exponent width comes from the input; a monomial that outgrows it during
 the computation sets a guard bit, and the basis is computed again at
 twice the width.  One packing serves each (order, arity, width), kept
@@ -85,7 +85,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field as dc_field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations
 from math import gcd
 from operator import mul
@@ -479,17 +479,39 @@ def _interreduce(reducer, char):
 # --- public surface ----------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GroebnerBasis:
+    """A reduced basis, held as its packed reducer (see `_normalize`)."""
     ring: PolyRing
     order: object
-    elements: tuple
-    # the elements as reducer entries (see `_normalize`), packed once
-    # per basis
-    _reducer: _Reducer = dc_field(repr=False, compare=False)
+    _reducer: _Reducer = dc_field(repr=False)
+
+    @cached_property
+    def elements(self) -> tuple:
+        """The monic elements, built the first time they are read."""
+        unpack = self._reducer.packing.unpack
+        char = self.ring.field.characteristic
+        return tuple(Polynomial(self.ring, {unpack(e): c if char
+                                            else rational(c, lc)
+                                            for e, c in items})
+                     for _, lc, items in self._reducer.entries)
+
+    def leading_exponents(self) -> list:
+        """The leading exponent tuples, in the order of `elements`."""
+        unpack = self._reducer.packing.unpack
+        return [unpack(lm) for lm, _, _ in self._reducer.entries]
+
+    def primitive_terms(self) -> list:
+        """The elements as the entries' {exponent tuple: int} dicts, each
+        listing its leading term first."""
+        unpack = self._reducer.packing.unpack
+        return [{unpack(e): c for e, c in items}
+                for _, _, items in self._reducer.entries]
 
     def is_unit(self) -> bool:
-        return len(self.elements) == 1 and self.elements[0].is_constant() and bool(self.elements[0])
+        # a reduced basis with a constant is {1}, whose monomial packs to 0
+        entries = self._reducer.entries
+        return len(entries) == 1 and entries[0][0] == 0
 
     def normal_form(self, f: Polynomial) -> Polynomial:
         if f.ring != self.ring:
@@ -560,11 +582,7 @@ def _basis(gens, order, ring, target=None, bound=None, known=None):
             packing = _packing(order, ring.arity, 2 * packing.bits)
     if reducer is None:
         return None
-    elements = tuple(
-        ring.polynomial({packing.unpack(e): c if char else rational(c, lc)
-                         for e, c in items})
-        for _, lc, items in reducer.entries)
-    return GroebnerBasis(ring, order, elements, reducer)
+    return GroebnerBasis(ring, order, reducer)
 
 
 def _lifted(basis: GroebnerBasis, ring: PolyRing, order) -> GroebnerBasis:
@@ -574,10 +592,23 @@ def _lifted(basis: GroebnerBasis, ring: PolyRing, order) -> GroebnerBasis:
     monomials, so they are the reduced basis in `ring` of the ideal they
     generate."""
     packing = _packing(order, ring.arity, basis._reducer.packing.bits)
-    pad = (0,) * (ring.arity - basis.ring.arity)
-    elements = tuple(Polynomial(ring, {e + pad: c for e, c in f.terms.items()})
-                     for f in basis.elements)
-    return GroebnerBasis(ring, order, elements, basis._reducer.moved(packing))
+    return GroebnerBasis(ring, order, basis._reducer.moved(packing))
+
+
+def _image_mod(basis: GroebnerBasis, ring: PolyRing):
+    """A reduced QQ basis G of a homogeneous ideal mod p, the
+    characteristic of `ring`: the reduced basis of the image, or None
+    when p divides a primitive leading coefficient (see `ideals`)."""
+    p = ring.field.characteristic
+    entries = []
+    for lm, lc, items in basis._reducer.entries:
+        if not lc % p:
+            return None
+        inv = pow(lc, -1, p)
+        entries.append((lm, 1, [(e, r) for e, c in items
+                                if (r := c * inv % p)]))
+    return GroebnerBasis(ring, basis.order,
+                         _Reducer(basis._reducer.packing, p, entries))
 
 
 def normal_form(f: Polynomial, basis, order=GREVLEX) -> Polynomial:
@@ -593,7 +624,7 @@ def normal_form(f: Polynomial, basis, order=GREVLEX) -> Polynomial:
         packed = {packing.pack(e): c for e, c in d.items()}
         lm = max(packed)
         reducer.add(lm, _normalize(packed, lm, char))
-    return GroebnerBasis(f.ring, order, tuple(basis), reducer).normal_form(f)
+    return GroebnerBasis(f.ring, order, reducer).normal_form(f)
 
 
 def is_member(f: Polynomial, gb: GroebnerBasis) -> bool:

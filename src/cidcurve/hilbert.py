@@ -11,9 +11,9 @@ itself is still reported, and callers who want the saturated numerator
 can saturate first.
 
 This module deliberately avoids importing the ideal layer (which
-imports us); public functions accept any object exposing `.ring` and
-`.gb(order)`.  `hilbert_series` keeps its result in the object's
-`_data_cache` when it has one (an `Ideal` is immutable).
+imports us); public functions accept any object exposing `.ring`,
+`.generators`, `.is_homogeneous()` and `.gb(order)`.  `hilbert_series`
+keeps its result in the object's `_data_cache` when it has one.
 """
 
 from __future__ import annotations
@@ -250,14 +250,15 @@ def data_from_numerator(numerator, arity) -> HilbertData:
 
 
 def _check_homogeneous(ideal_like):
+    if ideal_like.is_homogeneous():
+        return
     for g in ideal_like.generators:
-        if g and not g.is_homogeneous():
+        if not g.is_homogeneous():
             raise NotHomogeneous(f"generator {g} is not homogeneous")
 
 
 def _lt_gens(ideal_like):
-    gb = ideal_like.gb(GREVLEX)
-    return [f.leading(GREVLEX)[0] for f in gb.elements]
+    return ideal_like.gb(GREVLEX).leading_exponents()
 
 
 def hilbert_series(ideal_like) -> HilbertData:

@@ -35,8 +35,7 @@ extensions, with their bases:
 - a partial minor ideal of `discrepancy._minors_reach`: the previous
   partial ideal, or that ideal for the first;
 - a finite scheme plus a hyperplane: the scheme;
-- the image mod p of an extension whose base keeps an image: that
-  image.
+- the image mod p of an extension: its base's image.
 The Bayer basis of a + (y - g) starts from a's cached grevlex basis
 lifted into S[y]: weights (1, ..., 1, d) rank the monomials free of y
 exactly as grevlex does, so that basis keeps its leading monomials and
@@ -45,9 +44,14 @@ stays reduced.
 `dimension_at_most` is the one test of a bound on the Krull dimension
 of a homogeneous ideal.  It asks a Buchberger run that stops as soon as
 its leading monomials prove the bound.  A homogeneous QQ ideal
-whose coefficients reach a fixed prime p is asked mod p first: the
-image's dimension can only be larger (ranks only drop mod p), and the
-ideal itself is asked only when the image misses the bound.
+whose coefficients reach a fixed prime p is asked mod p first, and
+a itself only when the image misses the bound.  Image generators
+reduce primitive integer elements of a, so the image lies in a', the
+reduction of a ∩ Z_(p)[x], and HF(S/a') = HF(S/a) (Arnold, JSC 35,
+2003).  A cached grevlex basis G, p dividing none of its primitive
+leading coefficients, gives the image G mod p, the reduced basis of a'
+as HF(S/a') <= HF(S/(G mod p)) <= HF(S/LT(G)) = HF(S/a); any other
+ideal's image is its base's plus its own generators' images.
 
 A zero-dimensional ideal has finite length `vdim`, counted from the
 Hilbert series numerator of its leading-term ideal.  Its radical adds
@@ -70,7 +74,8 @@ from .errors import (
 )
 from . import hilbert as _hilbert
 from .fields import Field
-from .groebner import GroebnerBasis, _basis, _lifted, groebner_basis
+from .groebner import (GroebnerBasis, _basis, _image_mod, _lifted,
+                       groebner_basis)
 from .orders import Block, GREVLEX, WeightedGrevLex
 from .polynomials import Chart, Polynomial, PolyRing, _substitute
 from .rng import SplitMix64
@@ -86,7 +91,8 @@ class Ideal:
     same canonical basis and the dict store is atomic).
     """
 
-    __slots__ = ("ring", "generators", "_gb_cache", "_data_cache", "_base")
+    __slots__ = ("ring", "generators", "_gb_cache", "_data_cache", "_base",
+                 "_homogeneous")
 
     def __init__(self, ring: PolyRing, generators):
         self.ring = ring
@@ -105,6 +111,7 @@ class Ideal:
         # the ideal whose generators begin these, when built by
         # `_extension`
         self._base = None
+        self._homogeneous = None
 
     def gb(self, order=GREVLEX, target=None) -> GroebnerBasis:
         """The reduced basis in `order`, computed once (`_chain_basis`);
@@ -124,7 +131,13 @@ class Ideal:
         return not self.generators
 
     def is_homogeneous(self) -> bool:
-        return all(g.is_homogeneous() for g in self.generators)
+        """Decided once; an extension asks its base and its own gens."""
+        if self._homogeneous is None:
+            base = self._base
+            own = self.generators[len(base.generators) if base else 0:]
+            self._homogeneous = ((base is None or base.is_homogeneous())
+                                 and all(g.is_homogeneous() for g in own))
+        return self._homogeneous
 
     def __repr__(self):
         inside = ", ".join(str(g) for g in self.generators) or "0"
@@ -157,28 +170,35 @@ def _chain_basis(a: Ideal, order, target=None, bound=None):
 _SCREEN_FIELD = Field.prime_field(32749)
 
 
-def _mod_p(a: Ideal):
-    """The image of a QQ ideal mod the screening prime p, kept with a,
-    or None when no primitive integer coefficient reaches p.  When a's
-    base keeps an image, a's is that image's extension."""
+def _wide(a: Ideal) -> bool:
+    """Whether a primitive integer coefficient of a QQ ideal's
+    generators reaches the screening prime."""
+    p = _SCREEN_FIELD.characteristic
+    return any(abs(c) >= p for g in a.generators
+               for c in g.int_terms()[0].values())
+
+
+def _mod_p(a: Ideal) -> Ideal:
+    """The image of a homogeneous QQ ideal mod the screening prime p,
+    kept with a (see the module docstring); a kept image with no basis
+    gives way to a's cached grevlex basis mod p when p passes it."""
     image = a._data_cache.get("mod_p")
+    exact = a._gb_cache.get(GREVLEX)
+    ring = PolyRing(_SCREEN_FIELD, a.ring.names)
+    if exact is not None and (image is None or GREVLEX not in image._gb_cache):
+        basis = _image_mod(exact, ring)
+        if basis is not None:
+            image = Ideal(ring, basis.elements)
+            image._gb_cache[GREVLEX] = basis
     if image is None:
-        p = _SCREEN_FIELD.characteristic
-        if all(c.denominator == 1 and -p < c.numerator < p
-               for g in a.generators for c in g.terms.values()):
-            return None
-        ints = [g.int_terms()[0] for g in a.generators]
-        if all(abs(c) < p for d in ints for c in d.values()):
-            return None
-        base = None if a._base is None else a._base._data_cache.get("mod_p")
-        ring = PolyRing(_SCREEN_FIELD, a.ring.names)
-        if base is not None:
-            ints = ints[len(a._base.generators):]
-        images = [ring.polynomial({e: c % p for e, c in d.items()})
-                  for d in ints]
+        base = a._base
+        gens = a.generators[0 if base is None else len(base.generators):]
+        images = [ring.polynomial({e: c % ring.field.characteristic
+                                   for e, c in g.int_terms()[0].items()})
+                  for g in gens]
         image = (Ideal(ring, images) if base is None
-                 else _extension(base, images))
-        a._data_cache["mod_p"] = image
+                 else _extension(_mod_p(base), images))
+    a._data_cache["mod_p"] = image
     return image
 
 
@@ -194,18 +214,16 @@ def dimension_at_most(a: Ideal, bound: int) -> bool:
     without a certified bound caches the basis that proves the answer
     no.  A QQ ideal with a primitive integer
     coefficient of at least the screening prime p asks its image mod p
-    first: in each degree its forms are spanned by monomial multiples
-    of its primitive generators, an integer matrix whose rank can only
-    drop mod p, so the image's Hilbert function is at least a's in every
-    degree (Arnold 2003), and an image within the bound certifies the
-    answer.  Otherwise a itself is asked, so an unlucky prime costs time
-    and never changes an answer; narrower coefficients would shrink
-    nothing mod p."""
+    first (`_mod_p`): the image's Hilbert function is at least a's in
+    every degree (see the module docstring), so an image within the
+    bound certifies the answer.  Otherwise a itself is asked, so an
+    unlucky prime costs time and never changes an answer; narrower
+    coefficients would shrink nothing mod p."""
     _hilbert._check_homogeneous(a)
     if bound < 0 or "hilbert" in a._data_cache or GREVLEX in a._gb_cache:
         return _hilbert.krull_dimension(a) <= bound
-    image = None if a.ring.field.characteristic else _mod_p(a)
-    if image is None or not dimension_at_most(image, bound):
+    if (a.ring.field.characteristic or not _wide(a)
+            or not dimension_at_most(_mod_p(a), bound)):
         basis = _chain_basis(a, GREVLEX, bound=bound)
         if basis is not None:
             a._gb_cache[GREVLEX] = basis
@@ -322,11 +340,12 @@ def _bayer_basis(a: Ideal, g: Polynomial):
     and g of degree d, in a fresh last variable y of weight d (Bayer's
     trick; Eisenbud, Prop. 15.12), started from a's cached grevlex
     basis when there is one (see the module docstring).  It comes as
-    pairs (k, f) of a basis element f and the top power k of y dividing
-    it, with the map that sends a list of such pairs to the f / y^k
-    under y -> g, all through one table of powers of g; each f is
-    lowered in its primitive integer form, which generates what its
-    monic form does with no Fraction arithmetic.  J is
+    pairs (k, f) of a basis element f, as the {exponent: int} dict of
+    its primitive integer form (`GroebnerBasis.primitive_terms`), and
+    the top power k of y dividing it, with the map that sends a list of
+    such pairs to the f / y^k under y -> g, all through one table of
+    powers of g; the primitive form generates what the monic one does,
+    with no Fraction arithmetic.  J is
     weighted-homogeneous, so in weighted grevlex y
     divides a basis element exactly when it divides its leading term:
     the elements y divides, divided by y once, generate (J : y) together
@@ -355,14 +374,13 @@ def _bayer_basis(a: Ideal, g: Polynomial):
     images = ring.variables() + [g]
 
     def back(pairs):
-        lowered = []
-        for k, f in pairs:
-            ints, _ = f.int_terms()
-            lowered.append(aux.polynomial(
-                {e[:-1] + (e[-1] - k,): c for e, c in ints.items()}))
+        lowered = [aux.polynomial({e[:-1] + (e[-1] - k,): c
+                                   for e, c in terms.items()})
+                   for k, terms in pairs]
         return list(_substitute(lowered, ring, images))
 
-    pairs = [(min(e[-1] for e in f.terms), f) for f in basis.elements]
+    pairs = [(min(e[-1] for e in terms), terms)
+             for terms in basis.primitive_terms()]
     return pairs, back
 
 
@@ -387,10 +405,9 @@ def _colon_numerator(pairs, ring: PolyRing, d: int):
     of their leading monomials, over (1 - t)^n (1 - t^d), is the series
     of S/(a : g), and dividing it by 1 - t^d leaves the K-polynomial."""
     weights = (1,) * ring.arity + (d,)
-    order = WeightedGrevLex(weights)
     lts = []
-    for k, f in pairs:
-        e = f.leading(order)[0]
+    for k, terms in pairs:
+        e = next(iter(terms))
         lts.append(e[:-1] + (e[-1] - 1,) if k else e)
     numerator = _hilbert.lt_numerator(lts, ring.arity + 1, weights)
     return _hilbert._divide_one_minus_t(numerator, d)
@@ -410,7 +427,7 @@ def colon_principal(a: Ideal, g: Polynomial) -> Ideal:
         return a
     if a.is_homogeneous() and g.is_homogeneous():
         pairs, back = _bayer_basis(a, g)
-        lowered = back((1, f) for k, f in pairs if k)
+        lowered = back((1, terms) for k, terms in pairs if k)
         return _reduced(_extension(a, lowered),
                         _colon_numerator(pairs, a.ring, g.total_degree()))
     meet = intersect(a, Ideal(a.ring, [g]))
@@ -587,8 +604,8 @@ def vdim(a: Ideal, order=GREVLEX):
     gb = a.gb(order)
     if gb.is_unit():
         return 0
-    lt = [f.leading(order)[0] for f in gb.elements]
-    count = _hilbert.count_standard_monomials(lt, a.ring.arity)
+    count = _hilbert.count_standard_monomials(gb.leading_exponents(),
+                                              a.ring.arity)
     if count is None:
         return INFINITE
     return count

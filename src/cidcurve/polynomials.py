@@ -117,12 +117,13 @@ class PolyRing:
 class Polynomial:
     """Immutable sparse polynomial; `terms` maps exponent tuple to coeff."""
 
-    __slots__ = ("ring", "terms", "_hash")
+    __slots__ = ("ring", "terms", "_hash", "_ints")
 
     def __init__(self, ring: PolyRing, terms: dict):
         self.ring = ring
         self.terms = terms
         self._hash = None
+        self._ints = None
 
     # --- basic protocol -------------------------------------------------
 
@@ -290,9 +291,15 @@ class Polynomial:
     def int_terms(self):
         """(d, m) with d the exponent -> int dict of m * f: over QQ the
         primitive integer multiple of f (denominators and content
-        cleared, m a rational scalar), over F_p the residues and m = 1."""
+        cleared, m a rational scalar), over F_p the residues and m = 1.
+        Computed once and shared, so callers must not change d."""
+        if self._ints is None:
+            self._ints = self._int_terms()
+        return self._ints
+
+    def _int_terms(self):
         if self.ring.field.characteristic:
-            return dict(self.terms), 1
+            return self.terms, 1
         den = 1
         for c in self.terms.values():
             den = den * c.denominator // gcd(den, c.denominator)

@@ -705,10 +705,21 @@ def test_screen_keeps_the_exact_verdicts(name, monkeypatch):
         omega = omega_matches_jacobian(i_x, witness)
         return witness, (smooth, length, omega)
 
-    witness, screened = verdicts()
-    # no image is built: every coefficient of the scheme is below the
-    # screening prime, so the kernel answers it exactly
-    assert "mod_p" not in witness.on_curve._data_cache
+    # the partial minor ideals of the twisted cubic's witness scheme
+    # reach the screening prime (its seed-0 minors reach 265506), and
+    # on_curve's grevlex basis is cached before any of them is screened,
+    # so each image starts from the image of that basis
+    screens = []
+    real = ideals_module._basis
+
+    def spy(gens, order, ring, target=None, bound=None, known=None):
+        if ring.field == ideals_module._SCREEN_FIELD:
+            screens.append(known is not None)
+        return real(gens, order, ring, target, bound, known)
+
+    monkeypatch.setattr(ideals_module, "_basis", spy)
+    _, screened = verdicts()
+    assert all(screens) and bool(screens) == (name == "twisted_cubic")
     for module in (discrepancy_module, linkage_module):
         monkeypatch.setattr(module, "dimension_at_most",
                             _exact_dimension_at_most)

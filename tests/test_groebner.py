@@ -629,3 +629,25 @@ def test_packings_are_shared():
     assert groebner._packing(GREVLEX, 4, 5) is not groebner._packing(
         GREVLEX, 4, 6)
     assert groebner._packing.cache_info().maxsize is not None
+
+
+@pytest.mark.parametrize("field", [QQ, FP], ids=["QQ", "Fp32003"])
+def test_a_basis_answers_before_its_elements_are_built(field):
+    # a basis is its packed reducer: membership, normal forms, the unit
+    # test and the Hilbert series read it, and its elements are built
+    # only when read, then equal to a fresh basis's
+    ring = PolyRing(field, ("x0", "x1", "x2", "x3"))
+    gens = twisted_cubic_gens(ring)
+    a = Ideal(ring, gens)
+    basis = a.gb()
+    x0, x1, x2, x3 = ring.variables()
+    assert basis.contains(x0 * x3 * x3 - x1 * x2 * x3)
+    assert not basis.contains(x0 * x3)
+    assert basis.normal_form(x1 * x1 + x0 * x3) == x0 * x2 + x0 * x3
+    assert not basis.is_unit()
+    assert hilbert.hilbert_series(a).degree == 3
+    assert ideals.vdim(a) == ideals.INFINITE
+    assert "elements" not in vars(basis)
+    assert basis.elements == groebner_basis(gens, ring=ring).elements
+    assert basis.leading_exponents() == [
+        f.leading(GREVLEX)[0] for f in basis.elements]

@@ -710,10 +710,10 @@ def test_dimension_at_most_on_an_extension_gives_the_fresh_verdict(
     image = None
     if warm == "basis":
         base.gb()
-    elif warm == "image" and not ring.field.characteristic:
+    elif (warm == "image" and not ring.field.characteristic
+            and ideals_module._wide(base)):
         image = ideals_module._mod_p(base)
-        if image is not None:
-            image.gb()
+        image.gb()
     dim = krull_dimension(Ideal(ring, gens))
     basis = groebner_basis(gens, ring=ring)
     for bound in range(ring.arity + 1):
@@ -724,6 +724,66 @@ def test_dimension_at_most_on_an_extension_gives_the_fresh_verdict(
             assert extension._gb_cache[GREVLEX].elements == basis.elements
         if image is not None:
             assert extension._data_cache["mod_p"]._base is image
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(case=_homogeneous_ideals())
+def test_image_of_a_cached_basis_is_the_reduced_basis_mod_p(case):
+    # with a's exact basis cached and p dividing none of its primitive
+    # leading coefficients, the image is that basis mod p, already the
+    # reduced basis of the ideal it generates.  The generators' images
+    # lie in it, and they generate it whenever their own basis has the
+    # same leading monomials, that is the same Hilbert function
+    ring, gens = case
+    if ring.field.characteristic:
+        return
+    p = ideals_module._SCREEN_FIELD.characteristic
+    a = Ideal(ring, gens)
+    exact = a.gb()
+    lucky = all(terms[lead] % p
+                for terms, lead in zip(exact.primitive_terms(),
+                                       exact.leading_exponents()))
+    image = ideals_module._mod_p(a)
+    assert (GREVLEX in image._gb_cache) == lucky
+    if not lucky:
+        return
+    basis = image._gb_cache[GREVLEX]
+    assert basis.leading_exponents() == exact.leading_exponents()
+    assert groebner_basis(basis.elements).elements == basis.elements
+    images = [image.ring.polynomial({e: c % p for e, c in
+                                     g.int_terms()[0].items()})
+              for g in gens]
+    assert all(basis.contains(f) for f in images)
+    fresh = groebner_basis(images, ring=image.ring)
+    if fresh.leading_exponents() == exact.leading_exponents():
+        assert fresh.elements == basis.elements
+
+
+@pytest.mark.parametrize("extra", ["x3", "x0 + x3"])
+def test_an_unlucky_base_basis_falls_back_to_the_generator_image(
+        extra, monkeypatch):
+    # the primitive basis element p*x0 - x1 of the base has leading
+    # coefficient p, so its image mod p is not the image's basis: the
+    # base's image is its generators' image, with no basis, and an
+    # extension's image extends it and still gives the exact verdicts
+    p = ideals_module._SCREEN_FIELD.characteristic
+    ring = PolyRing(QQ, ("x0", "x1", "x2", "x3"))
+    x0, x1, x2, x3 = ring.variables()
+    base = Ideal(ring, [x0.scale(QQ.from_int(p)) - x1, x2])
+    base.gb()
+    runs = stopped_runs(monkeypatch)
+    for bound, verdict in ((0, False), (1, True)):
+        extension = ideals_module._extension(base, [ring.parse(extra)])
+        assert dimension_at_most(extension, bound) == verdict
+        image = base._data_cache["mod_p"]
+        assert GREVLEX not in image._gb_cache
+        assert image.generators == tuple(
+            image.ring.polynomial({e: c % p for e, c in
+                                   g.int_terms()[0].items()})
+            for g in base.generators)
+        assert extension._data_cache["mod_p"]._base is image
+    assert [run_ring.field for _, _, run_ring in runs] == [
+        ideals_module._SCREEN_FIELD, QQ, ideals_module._SCREEN_FIELD]
 
 
 def test_dimension_at_most_builds_no_image_over_fp():

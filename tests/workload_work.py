@@ -27,10 +27,13 @@ neither SRC nor `perfbench/` changes:
   stopped them (`_buchberger` returning None);
 - bits: the largest bit length of a coefficient of any entry added to
   a reducer (`_Reducer.add`) during the job; over QQ the size of the
-  numbers the runs carry, which a falling reduction count can hide.
+  numbers the runs carry, which a falling reduction count can hide;
+- sumbits: the sum, over those `_Reducer.add` calls, of the entry's
+  largest coefficient bit length; over QQ a measure of the work the
+  entries carry, where bits gives only the widest.
 
 Each job prints one line `workload:seed:job runs reductions zeros
-fractions pairs known stopped bits`, and each workload a line
+fractions pairs known stopped bits sumbits`, and each workload a line
 `workload:seed:total` with the same columns, each summed over the jobs
 except bits, their maximum.  The counts are deterministic, so `diff`
 the output of two checkouts.
@@ -53,10 +56,11 @@ WORKLOADS = ("link_qq", "link_fp", "germ", "reject")
 class _Counter:
     """Buchberger runs, reductions, zero reductions, Fractions built,
     S-pairs formed, runs started from a known basis, runs stopped by a
-    dimension bound, and the widest reducer coefficient."""
+    dimension bound, the widest reducer coefficient, and the summed
+    width of the entries added to reducers."""
 
     NAMES = ("runs", "reductions", "zeros", "fractions", "pairs", "known",
-             "stopped", "bits")
+             "stopped", "bits", "sumbits")
 
     def __init__(self):
         self.take()
@@ -76,8 +80,9 @@ class _Counter:
             return out
 
         def counted_add(reducer, lm, d):
-            self.bits = max(self.bits, *(abs(c).bit_length()
-                                         for c in d.values()))
+            widest = max(abs(c).bit_length() for c in d.values())
+            self.bits = max(self.bits, widest)
+            self.sumbits += widest
             return add(reducer, lm, d)
 
         def counted_reduce(reducer, *args, **kwargs):
