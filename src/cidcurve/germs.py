@@ -60,6 +60,7 @@ from .errors import (
 from .groebner import _normalize, basis_unless_dimension_at_most
 from .ideals import (
     Ideal,
+    _presented,
     divide_exact,
     eliminate,
     ideal_equal,
@@ -68,7 +69,6 @@ from .ideals import (
     quotient,
     saturate,
 )
-from .orders import GREVLEX
 from .polynomials import (
     Polynomial,
     PolyRing,
@@ -313,9 +313,7 @@ def _same_germ(a: BranchParam, b: BranchParam) -> bool:
     basis = basis_unless_dimension_at_most(gens, 0, ring)
     if basis is None:
         return False
-    pairs = Ideal(ring, basis.elements)
-    pairs._gb_cache[GREVLEX] = basis
-    curve = saturate(pairs, Ideal(ring, [s, t]))
+    curve = saturate(_presented(basis), Ideal(ring, [s, t]))
     return not any(g.coefficient_of((0, 0)) for g in curve.generators)
 
 

@@ -59,7 +59,9 @@ basis and every pair left would reduce to zero (Traverso, "Hilbert
 functions and the Buchberger algorithm", JSC 22, 1996).  A target that
 is only a lower bound of the series is safe for the same reason; one
 that is never reached leaves plain Buchberger.  Interreduction runs as
-before, so the output does not depend on the target.  Output bases are
+before, so the output does not depend on the target, and keeps LT(G),
+so in an unweighted order the K-polynomial the run ended with is the
+basis's Hilbert data (`GroebnerBasis.hilbert`).  Output bases are
 reduced, monic and listed in ascending leading-monomial order, which
 makes them unique for the ideal and order, hence byte-identical across
 runs.
@@ -92,7 +94,8 @@ from operator import mul
 
 from .errors import RingMismatch
 from .fields import rational
-from .hilbert import lt_numerator, lt_numerator_extend
+from .hilbert import (HilbertData, data_from_numerator, lt_numerator,
+                      lt_numerator_extend)
 from .orders import GREVLEX
 from .polynomials import Polynomial, PolyRing
 
@@ -374,16 +377,17 @@ def _update_pairs(pairs, lms, t, packing):
 
 def _buchberger(gens, packing, char, target=None, bound=None, known=()):
     """The reduced basis of packed integer dicts, as a `_Reducer` whose
-    entries ascend by leading monomial; raises `_FieldOverflow` when a
-    new monomial does not fit the packing.  `known`, the entries of a
-    reduced basis in this packing of an ideal the gens extend, starts
-    the basis, and no pair among them is formed (see the module
-    docstring).  With a `target` K-polynomial (see `groebner_basis`)
-    the K-polynomial of the leading monomials is kept up to date, and
-    the pair loop stops once it reaches the target.  With a
-    Krull-dimension `bound` b >= 0 the run returns None as soon as
-    every (b + 1)-set of variables holds the support of a leading
-    monomial (see the module docstring)."""
+    entries ascend by leading monomial, paired with the K-polynomial of
+    its leading monomials in the standard grading when the run kept it,
+    else None; raises `_FieldOverflow` when a new monomial does not fit
+    the packing.  `known`, the entries of a reduced basis in this
+    packing of an ideal the gens extend, starts the basis, and no pair
+    among them is formed (see the module docstring).  With a `target`
+    K-polynomial (see `groebner_basis`) the K-polynomial of the leading
+    monomials is kept up to date, and the pair loop stops once it
+    reaches the target.  With a Krull-dimension `bound` b >= 0 the run
+    returns None as soon as every (b + 1)-set of variables holds the
+    support of a leading monomial (see the module docstring)."""
     reducer = _Reducer(packing, char, known)
     entries = reducer.entries
     # leading exponent tuples, for the pair criteria
@@ -446,7 +450,9 @@ def _buchberger(gens, packing, char, target=None, bound=None, known=()):
         reducer.memo = None
     if certified():
         return None
-    return _interreduce(reducer, char)
+    # a weighted order keeps the numerator in its own grading
+    kept = target is not None and weights is None
+    return _interreduce(reducer, char), tuple(numerator) if kept else None
 
 
 def _interreduce(reducer, char):
@@ -485,6 +491,19 @@ class GroebnerBasis:
     ring: PolyRing
     order: object
     _reducer: _Reducer = dc_field(repr=False)
+    # the K-polynomial of S/LT(G) that the run making the basis kept
+    _numerator: tuple = dc_field(default=None, repr=False)
+
+    @cached_property
+    def hilbert(self) -> HilbertData:
+        """The Hilbert data of S/LT(G), that of a homogeneous ideal
+        itself, from the K-polynomial the run kept or else read off the
+        leading monomials, once."""
+        arity = self.ring.arity
+        numerator = self._numerator
+        if numerator is None:
+            numerator = lt_numerator(self.leading_exponents(), arity)
+        return data_from_numerator(numerator, arity)
 
     @cached_property
     def elements(self) -> tuple:
@@ -573,16 +592,16 @@ def _basis(gens, order, ring, target=None, bound=None, known=None):
         packing = known._reducer.packing
     while True:
         try:
-            reducer = _buchberger(
+            out = _buchberger(
                 [{packing.pack(e): c for e, c in d.items()} for d in int_gens],
                 packing, char, target, bound,
                 () if known is None else known._reducer.moved(packing).entries)
             break
         except _FieldOverflow:
             packing = _packing(order, ring.arity, 2 * packing.bits)
-    if reducer is None:
+    if out is None:
         return None
-    return GroebnerBasis(ring, order, reducer)
+    return GroebnerBasis(ring, order, *out)
 
 
 def _lifted(basis: GroebnerBasis, ring: PolyRing, order) -> GroebnerBasis:

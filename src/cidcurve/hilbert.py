@@ -10,16 +10,18 @@ Hilbert polynomial, hence are insensitive to saturation; the numerator
 itself is still reported, and callers who want the saturated numerator
 can saturate first.
 
-This module deliberately avoids importing the ideal layer (which
-imports us); public functions accept any object exposing `.ring`,
-`.generators`, `.is_homogeneous()` and `.gb(order)`.  `hilbert_series`
-keeps its result in the object's `_data_cache` when it has one.
+This module deliberately avoids importing the ideal and Groebner
+layers (which import us); public functions accept any object exposing
+`.ring`, `.generators`, `.is_homogeneous()` and `.gb(order)`.  The
+Hilbert data of S/I is that of its grevlex basis
+(`GroebnerBasis.hilbert`), computed once per basis and kept with it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations_with_replacement
 from math import factorial
 from operator import le
 
@@ -182,14 +184,6 @@ def _h_polynomial(numerator, arity):
     return numerator
 
 
-def count_standard_monomials(gens, arity):
-    """Number of monomials outside the monomial ideal spanned by gens:
-    the K-polynomial divided by (1 - t)^arity, at t = 1.  Returns None
-    if infinite, when some division is not exact."""
-    h = _h_polynomial(lt_numerator(gens, arity), arity)
-    return None if h is None else sum(h)
-
-
 # --- series data -------------------------------------------------------
 
 
@@ -257,22 +251,10 @@ def _check_homogeneous(ideal_like):
             raise NotHomogeneous(f"generator {g} is not homogeneous")
 
 
-def _lt_gens(ideal_like):
-    return ideal_like.gb(GREVLEX).leading_exponents()
-
-
 def hilbert_series(ideal_like) -> HilbertData:
-    """HilbertData of S/I.  The input must be homogeneous."""
+    """HilbertData of S/I for homogeneous I, kept with its grevlex basis."""
     _check_homogeneous(ideal_like)
-    cache = getattr(ideal_like, "_data_cache", None)
-    data = cache.get("hilbert") if cache is not None else None
-    if data is None:
-        arity = ideal_like.ring.arity
-        num = lt_numerator(_lt_gens(ideal_like), arity)
-        data = data_from_numerator(num, arity)
-        if cache is not None:
-            cache["hilbert"] = data
-    return data
+    return ideal_like.gb(GREVLEX).hilbert
 
 
 def krull_dimension(ideal_like) -> int:
@@ -295,7 +277,6 @@ def hilbert_polynomial(ideal_like) -> tuple:
 def arithmetic_genus(ideal_like) -> int:
     """p_a = 1 - P(0) for a projective curve, read off the input's own
     Hilbert polynomial, which saturation does not change."""
-    _check_homogeneous(ideal_like)
     data = hilbert_series(ideal_like)
     if data.proj_dim != 1:
         raise NotACurve(f"projective dimension is {data.proj_dim}, not 1")
@@ -306,9 +287,7 @@ def arithmetic_genus(ideal_like) -> int:
 
 def graded_dimension(ideal_like, mu: int) -> int:
     """dim_k (S/I)_mu by direct staircase count; the series oracle."""
-    from itertools import combinations_with_replacement
-
-    lt = minimalize(_lt_gens(ideal_like))
+    lt = minimalize(ideal_like.gb(GREVLEX).leading_exponents())
     arity = ideal_like.ring.arity
     count = 0
     for combo in combinations_with_replacement(range(arity), mu):

@@ -10,10 +10,11 @@ weight deg g (Bayer's trick), mapped back by y -> g: the quotient from
 the elements y divides, divided by y once, and the saturation from
 every element divided by its top power of y.  The leading monomials of
 that basis fix the Hilbert series of S/(I : g), so the quotient's own
-grevlex basis stops once it reaches that series.  Otherwise a principal
-quotient divides the generators of I ∩ (g) by g, and a principal
-saturation eliminates t from I + (1 - t*g) (Rabinowitsch), projecting
-through `eliminate` as intersections do.  A saturation by several
+grevlex basis stops once it reaches that series and keeps it as its
+Hilbert data.  Otherwise a principal quotient divides the generators
+of I ∩ (g) by g, and a principal saturation eliminates t from
+I + (1 - t*g) (Rabinowitsch), projecting through `eliminate` as
+intersections do.  A saturation by several
 generators intersects the principal ones by those outside I, and so
 does a quotient, except a linked one: when I is a complete intersection
 and linkage fixes the degree of the quotient, (I : g) for a random
@@ -53,6 +54,10 @@ leading coefficients, gives the image G mod p, the reduced basis of a'
 as HF(S/a') <= HF(S/(G mod p)) <= HF(S/LT(G)) = HF(S/a); any other
 ideal's image is its base's plus its own generators' images.
 
+An ideal keeps only its bases, by order, and its image mod p; Hilbert
+data lives on a basis (`GroebnerBasis.hilbert`), shared by the ideals
+that share the basis (`_presented`).
+
 A zero-dimensional ideal has finite length `vdim`, counted from the
 Hilbert series numerator of its leading-term ideal.  Its radical adds
 the squarefree part of each variable's univariate generator, the single
@@ -91,7 +96,7 @@ class Ideal:
     same canonical basis and the dict store is atomic).
     """
 
-    __slots__ = ("ring", "generators", "_gb_cache", "_data_cache", "_base",
+    __slots__ = ("ring", "generators", "_gb_cache", "_mod_p_image", "_base",
                  "_homogeneous")
 
     def __init__(self, ring: PolyRing, generators):
@@ -107,7 +112,8 @@ class Ideal:
             gens.append(g)
         self.generators = tuple(gens)
         self._gb_cache = {}
-        self._data_cache = {}
+        # the image mod the screening prime, when built (`_mod_p`)
+        self._mod_p_image = None
         # the ideal whose generators begin these, when built by
         # `_extension`
         self._base = None
@@ -142,6 +148,13 @@ class Ideal:
     def __repr__(self):
         inside = ", ".join(str(g) for g in self.generators) or "0"
         return f"Ideal({inside})"
+
+
+def _presented(basis: GroebnerBasis) -> Ideal:
+    """The ideal the reduced `basis` generates, with `basis` cached."""
+    out = Ideal(basis.ring, basis.elements)
+    out._gb_cache[basis.order] = basis
+    return out
 
 
 def _extension(base: Ideal, extra) -> Ideal:
@@ -182,14 +195,13 @@ def _mod_p(a: Ideal) -> Ideal:
     """The image of a homogeneous QQ ideal mod the screening prime p,
     kept with a (see the module docstring); a kept image with no basis
     gives way to a's cached grevlex basis mod p when p passes it."""
-    image = a._data_cache.get("mod_p")
+    image = a._mod_p_image
     exact = a._gb_cache.get(GREVLEX)
     ring = PolyRing(_SCREEN_FIELD, a.ring.names)
     if exact is not None and (image is None or GREVLEX not in image._gb_cache):
         basis = _image_mod(exact, ring)
         if basis is not None:
-            image = Ideal(ring, basis.elements)
-            image._gb_cache[GREVLEX] = basis
+            image = _presented(basis)
     if image is None:
         base = a._base
         gens = a.generators[0 if base is None else len(base.generators):]
@@ -198,7 +210,7 @@ def _mod_p(a: Ideal) -> Ideal:
                   for g in gens]
         image = (Ideal(ring, images) if base is None
                  else _extension(_mod_p(base), images))
-    a._data_cache["mod_p"] = image
+    a._mod_p_image = image
     return image
 
 
@@ -206,8 +218,8 @@ def dimension_at_most(a: Ideal, bound: int) -> bool:
     """Whether the homogeneous ideal a has Krull dimension at most
     `bound`; NotHomogeneous before any work otherwise.
 
-    An ideal with Hilbert data or a grevlex basis cached reads its
-    dimension off them.  Any other ideal asks a grevlex Buchberger run
+    An ideal with a grevlex basis cached reads its dimension off the
+    basis's Hilbert data.  Any other ideal asks a grevlex Buchberger run
     that stops once its leading monomials prove the bound (the run of
     `groebner.basis_unless_dimension_at_most`, started by `_chain_basis`
     from the nearest basis cached up a's chain); a run that ends
@@ -220,7 +232,7 @@ def dimension_at_most(a: Ideal, bound: int) -> bool:
     unlucky prime costs time and never changes an answer; narrower
     coefficients would shrink nothing mod p."""
     _hilbert._check_homogeneous(a)
-    if bound < 0 or "hilbert" in a._data_cache or GREVLEX in a._gb_cache:
+    if bound < 0 or GREVLEX in a._gb_cache:
         return _hilbert.krull_dimension(a) <= bound
     if (a.ring.field.characteristic or not _wide(a)
             or not dimension_at_most(_mod_p(a), bound)):
@@ -355,20 +367,20 @@ def _bayer_basis(a: Ideal, g: Polynomial):
 
     The same map is a graded isomorphism S[y]/J -> S/a, so S[y]/J has
     a's Hilbert series, and its K-polynomial over (1 - t)^n (1 - t^d) is
-    a's times (1 - t^d).  When a's series is cached, that is the target
-    at which Buchberger stops (Traverso 1996)."""
+    a's times (1 - t^d).  When a's grevlex basis is cached, that read
+    off its Hilbert data is the target at which Buchberger stops
+    (Traverso 1996)."""
     ring = a.ring
     aux = PolyRing(ring.field, ring.names + (_fresh_name(ring, "y"),))
     y = aux.variable(ring.arity)
     d = g.total_degree()
-    data = a._data_cache.get("hilbert")
-    target = None
-    if data is not None:
-        target = _hilbert._koszul([d], data.numerator)
     order = WeightedGrevLex((1,) * ring.arity + (d,))
     lifted = _relabel(a.generators, aux)
-    if GREVLEX in a._gb_cache:
-        lifted._gb_cache[order] = _lifted(a._gb_cache[GREVLEX], aux, order)
+    known = a._gb_cache.get(GREVLEX)
+    target = None
+    if known is not None:
+        lifted._gb_cache[order] = _lifted(known, aux, order)
+        target = _hilbert._koszul([d], known.hilbert.numerator)
     basis = _extension(lifted, [y - _relabel([g], aux).generators[0]]).gb(
         order, target)
     images = ring.variables() + [g]
@@ -387,14 +399,8 @@ def _bayer_basis(a: Ideal, g: Polynomial):
 def _reduced(a: Ideal, numerator=None) -> Ideal:
     """a presented by its monic reduced grevlex basis, kept cached.  A
     known K-polynomial `numerator` of S/a is the basis's target, and
-    the Hilbert data read from it is kept too."""
-    gb = a.gb(GREVLEX, target=numerator)
-    out = Ideal(a.ring, gb.elements)
-    out._gb_cache[GREVLEX] = gb
-    if numerator is not None:
-        out._data_cache["hilbert"] = _hilbert.data_from_numerator(
-            numerator, a.ring.arity)
-    return out
+    the basis keeps it as its Hilbert data."""
+    return _presented(a.gb(GREVLEX, target=numerator))
 
 
 def _colon_numerator(pairs, ring: PolyRing, d: int):
@@ -599,16 +605,13 @@ def eliminate(a: Ideal, var_indices) -> Ideal:
 
 
 def vdim(a: Ideal, order=GREVLEX):
-    """dim_k of the quotient ring, or INFINITE.  Counts standard
-    monomials of the leading-term ideal."""
+    """dim_k of the quotient ring, or INFINITE: the h-polynomial of its
+    basis's Hilbert data at t = 1, counting standard monomials."""
     gb = a.gb(order)
     if gb.is_unit():
         return 0
-    count = _hilbert.count_standard_monomials(gb.leading_exponents(),
-                                              a.ring.arity)
-    if count is None:
-        return INFINITE
-    return count
+    h = _hilbert._h_polynomial(gb.hilbert.numerator, a.ring.arity)
+    return INFINITE if h is None else sum(h)
 
 
 def _degree_monomials(ring: PolyRing, degree: int):

@@ -783,6 +783,19 @@ def test_ideal_op_rejects_an_operand_it_does_not_read(capsys, op, option):
                                              f"{option}"}]
 
 
+@pytest.mark.parametrize("operands, message", [
+    (["--op", "quotient"], "--right is required for --op quotient"),
+    (["--op", "eliminate"], "--vars is required for --op eliminate"),
+    (["--op", "eliminate", "--vars", "x0,q"], "unknown variable 'q'"),
+])
+def test_ideal_op_rejects_a_missing_operand(capsys, operands, message):
+    # an operation without the operand it reads, or with a variable the
+    # ring does not name, is one input error
+    code, payload = run_json(capsys, "ideal-op", "--input", TC, *operands)
+    assert code == 1
+    assert payload["errors"] == [{"type": "InputError", "message": message}]
+
+
 @pytest.mark.parametrize("kind, option", [
     ("germ", "--ideal"), ("germ", "--max-attempts"),
     ("germ", "--transversal"), ("ring", "--precision-cap"),

@@ -667,7 +667,7 @@ def test_smooth_complete_intersection_builds_no_witness_scheme_basis():
     # comparison
     witness = _smooth_ci_witness(_dense_cubics())
     assert witness.on_curve._gb_cache == {}
-    assert "mod_p" in witness.on_curve._data_cache
+    assert witness.on_curve._mod_p_image is not None
 
 
 def test_narrow_complete_intersection_builds_no_image(monkeypatch):
@@ -679,7 +679,7 @@ def test_narrow_complete_intersection_builds_no_image(monkeypatch):
     witness = _smooth_ci_witness(_p3_curve(*CI33))
     assert [(gens, ring) for gens, _, ring in runs].count(
         (witness.on_curve.generators, witness.on_curve.ring)) == 2
-    assert "mod_p" not in witness.on_curve._data_cache
+    assert witness.on_curve._mod_p_image is None
 
 
 def _exact_dimension_at_most(a, bound):
@@ -834,6 +834,19 @@ def test_lci_route_on_the_cubic_and_a_tangent_line(seed):
     assert cid_routes(curve, witness, route="lci") == {"lci_general": 4}
     assert cid_routes(curve, witness, assume_lci=True) == {
         "direct": 4, "lci_general": 4, "aci": 4}
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_transversality_on_the_cubic_and_a_tangent_line(seed, monkeypatch):
+    # the curve is singular where the line meets the cubic, so the count
+    # strips its singular locus from the witness scheme first; the four
+    # points left make up the whole intersection length
+    curve = _twisted_cubic_and_line()
+    witness = cidcurve.construct_ci_transversal(curve, seed=seed)
+    stripped = []
+    _spy(monkeypatch, discrepancy_module._singular_stripped, stripped)
+    assert transversality_count(curve, witness) == (4, True)
+    assert len(stripped) == 1
 
 
 @pytest.mark.parametrize("seed", [0, 1])

@@ -584,7 +584,7 @@ def test_dimension_at_most_falls_back_on_an_unlucky_prime(monkeypatch):
     a = Ideal(ring, [x + y.scale(QQ.from_int(p)), x, z])
     runs = stopped_runs(monkeypatch)
     assert dimension_at_most(a, 0)
-    image = a._data_cache["mod_p"]
+    image = a._mod_p_image
     assert runs == [(image.generators, 0, image.ring),
                     (a.generators, 0, ring)]
     assert krull_dimension(image) == 1
@@ -593,7 +593,7 @@ def test_dimension_at_most_falls_back_on_an_unlucky_prime(monkeypatch):
     runs.clear()
     assert dimension_at_most(b, 0)
     assert [run_ring for _, _, run_ring in runs] == [
-        b._data_cache["mod_p"].ring]
+        b._mod_p_image.ring]
     assert not b._gb_cache
 
 
@@ -616,7 +616,7 @@ def test_dimension_at_most_screens_only_wide_coefficients(monkeypatch):
         a = Ideal(ring, gens)
         runs.clear()
         assert dimension_at_most(a, 1)
-        assert ("mod_p" in a._data_cache) == wide
+        assert (a._mod_p_image is not None) == wide
         assert [run_ring.field for _, _, run_ring in runs] == [
             ideals_module._SCREEN_FIELD if wide else QQ]
         assert not dimension_at_most(Ideal(ring, gens), 0)
@@ -631,7 +631,7 @@ def test_dimension_at_most_rejects_an_affine_ideal_before_any_image():
     a = Ideal(ring, [x + y.scale(QQ.from_int(p)), z**2 - ring.one()])
     with pytest.raises(NotHomogeneous):
         dimension_at_most(a, 1)
-    assert "mod_p" not in a._data_cache
+    assert a._mod_p_image is None
     assert not a._gb_cache
 
 
@@ -723,7 +723,7 @@ def test_dimension_at_most_on_an_extension_gives_the_fresh_verdict(
         if not answer:
             assert extension._gb_cache[GREVLEX].elements == basis.elements
         if image is not None:
-            assert extension._data_cache["mod_p"]._base is image
+            assert extension._mod_p_image._base is image
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
@@ -775,13 +775,13 @@ def test_an_unlucky_base_basis_falls_back_to_the_generator_image(
     for bound, verdict in ((0, False), (1, True)):
         extension = ideals_module._extension(base, [ring.parse(extra)])
         assert dimension_at_most(extension, bound) == verdict
-        image = base._data_cache["mod_p"]
+        image = base._mod_p_image
         assert GREVLEX not in image._gb_cache
         assert image.generators == tuple(
             image.ring.polynomial({e: c % p for e, c in
                                    g.int_terms()[0].items()})
             for g in base.generators)
-        assert extension._data_cache["mod_p"]._base is image
+        assert extension._mod_p_image._base is image
     assert [run_ring.field for _, _, run_ring in runs] == [
         ideals_module._SCREEN_FIELD, QQ, ideals_module._SCREEN_FIELD]
 
@@ -790,7 +790,7 @@ def test_dimension_at_most_builds_no_image_over_fp():
     ring = PolyRing(Field.prime_field(32003), ("x0", "x1", "x2", "x3"))
     a = Ideal(ring, twisted_cubic_gens(ring))
     assert dimension_at_most(a, 2) and not dimension_at_most(a, 1)
-    assert "mod_p" not in a._data_cache
+    assert a._mod_p_image is None
     assert GREVLEX in a._gb_cache
 
 

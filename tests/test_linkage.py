@@ -356,10 +356,11 @@ def test_rejected_draws_leave_nothing_on_the_curve_ideal(monkeypatch):
     with pytest.raises(NotGenericallyCI):
         construct_ci(curve, seed=0, max_attempts=2)
     assert len(builds) == 2
-    cache = curve.ideal()._data_cache
+    # beside its bases, keyed by order, an ideal keeps only its image
+    kept = curve.ideal()
     for forms, scheme in builds:
-        assert all(value is not scheme for value in cache.values())
-        assert all(forms not in key for key in cache
+        assert kept._mod_p_image is not scheme
+        assert all(forms not in key for key in kept._gb_cache
                    if isinstance(key, tuple))
 
 

@@ -92,10 +92,10 @@ def test_dimension_bounds_ask_the_kernel():
 
 
 def test_cached_ideal_data_stays_in_the_ideal_layer():
-    # what an `Ideal` keeps beside its bases, and under which keys, is
-    # the business of `ideals` and of `hilbert`, which fills the Hilbert
-    # data; no other module reads or writes that dict
-    found = [path.name for path in sorted(SRC.glob("*.py"))
-             if path.name not in ("ideals.py", "hilbert.py")
-             and "_data_cache" in path.read_text()]
-    assert not found, f"_data_cache mentioned outside ideals: {found}"
+    # what an `Ideal` keeps, its bases and its image mod p, is the
+    # business of `ideals` alone; Hilbert data lives on the basis
+    found = [f"{path.name} {name}" for path in sorted(SRC.glob("*.py"))
+             if path.name != "ideals.py"
+             for name in ("_gb_cache", "_mod_p_image")
+             if name in path.read_text()]
+    assert not found, f"ideal caches mentioned outside ideals: {found}"

@@ -8,8 +8,9 @@ come from this checkout's `perfbench/workloads.py`.  Every job of the
 four workloads, for workload seed N (default 1), runs once in this
 process through `cidcurve.cli.main` with `--output json`.  The counters
 are installed from outside by rebinding four names of SRC's
-`cidcurve.groebner` and the constructors of `fractions.Fraction`, so
-neither SRC nor `perfbench/` changes:
+`cidcurve.groebner`, its `lt_numerator` and `cidcurve.hilbert`'s, and
+the constructors of `fractions.Fraction`, so neither SRC nor
+`perfbench/` changes:
 
 - runs: calls of `_buchberger`, one per Buchberger run;
 - reductions: calls of `_Reducer.reduce`: inside a run, the reduction
@@ -30,10 +31,13 @@ neither SRC nor `perfbench/` changes:
   numbers the runs carry, which a falling reduction count can hide;
 - sumbits: the sum, over those `_Reducer.add` calls, of the entry's
   largest coefficient bit length; over QQ a measure of the work the
-  entries carry, where bits gives only the widest.
+  entries carry, where bits gives only the widest;
+- kpolys: calls of `hilbert.lt_numerator` made outside `_buchberger`,
+  the K-polynomials computed for Hilbert data (and for the colon's
+  series); those a targeted run keeps up to date are not counted.
 
 Each job prints one line `workload:seed:job runs reductions zeros
-fractions pairs known stopped bits sumbits`, and each workload a line
+fractions pairs known stopped bits sumbits kpolys`, and each workload a line
 `workload:seed:total` with the same columns, each summed over the jobs
 except bits, their maximum.  The counts are deterministic, so `diff`
 the output of two checkouts.
@@ -56,16 +60,20 @@ WORKLOADS = ("link_qq", "link_fp", "germ", "reject")
 class _Counter:
     """Buchberger runs, reductions, zero reductions, Fractions built,
     S-pairs formed, runs started from a known basis, runs stopped by a
-    dimension bound, the widest reducer coefficient, and the summed
-    width of the entries added to reducers."""
+    dimension bound, the widest reducer coefficient, the summed width
+    of the entries added to reducers, and the K-polynomials computed
+    outside a Buchberger run."""
 
     NAMES = ("runs", "reductions", "zeros", "fractions", "pairs", "known",
-             "stopped", "bits", "sumbits")
+             "stopped", "bits", "sumbits", "kpolys")
 
     def __init__(self):
         self.take()
+        # the Buchberger runs under way, so that a K-polynomial a run
+        # keeps is not counted
+        self.depth = 0
 
-    def install(self, groebner):
+    def install(self, groebner, hilbert):
         buchberger = groebner._buchberger
         reduce = groebner._Reducer.reduce
         add = groebner._Reducer.add
@@ -75,7 +83,11 @@ class _Counter:
             self.runs += 1
             known = args[5] if len(args) > 5 else kwargs.get("known")
             self.known += bool(known)
-            out = buchberger(*args, **kwargs)
+            self.depth += 1
+            try:
+                out = buchberger(*args, **kwargs)
+            finally:
+                self.depth -= 1
             self.stopped += out is None
             return out
 
@@ -100,7 +112,18 @@ class _Counter:
         groebner._Reducer.reduce = counted_reduce
         groebner._Reducer.add = counted_add
         groebner._update_pairs = counted_update_pairs
+        for module in (hilbert, groebner):
+            if hasattr(module, "lt_numerator"):
+                module.lt_numerator = self._counted_numerator(
+                    module.lt_numerator)
         self._count_fractions(fractions.Fraction)
+
+    def _counted_numerator(self, lt_numerator):
+        def counted(*args, **kwargs):
+            self.kpolys += not self.depth
+            return lt_numerator(*args, **kwargs)
+
+        return counted
 
     def _count_fractions(self, cls):
         new = cls.__new__
@@ -136,13 +159,14 @@ def main(argv=None) -> int:
     sys.path.insert(0, str(ROOT / "perfbench"))
     import cidcurve.cli as cli
     import cidcurve.groebner as groebner
+    import cidcurve.hilbert as hilbert
     import workloads
 
     if not Path(cli.__file__).resolve().is_relative_to(src):
         raise SystemExit(f"imported cidcurve from {cli.__file__}, "
                          f"not from {src}")
     counter = _Counter()
-    counter.install(groebner)
+    counter.install(groebner, hilbert)
     with tempfile.TemporaryDirectory() as tmp:
         for name in WORKLOADS:
             totals = [0] * len(_Counter.NAMES)
