@@ -32,12 +32,13 @@ divisor with a smaller key still, which divides too; so the candidates
 are scanned in key order and each is checked only against those
 already kept, which keeps the same set.
 
-A run may start from a reduced basis G0, in the same order, of an ideal
-I0 the generators extend (Gebauer and Moeller, JSC 6, 1988).  Every
-S-polynomial of two elements of G0 reduces to zero modulo G0, so no pair
-among them is formed: G0 enters the reducer as it stands, its leading
-monomials seed the Hilbert-target numerator and the dimension-stop masks
-below, and only the new generators are reduced and paired.  The chain
+A run may start from a reduced basis G0, in the same ring and order, of
+an ideal I0 the generators extend (Gebauer and Moeller, JSC 6, 1988).
+Every S-polynomial of two elements of G0 reduces to zero modulo G0, so
+no pair among them is formed: G0 enters the reducer as it stands, its
+leading monomials seed the Hilbert-target numerator and the
+dimension-stop masks below, and only the new generators are reduced and
+paired.  The chain
 criterion stays sound, since it drops a pair only when pairs that are
 treated cover it, and a pair inside G0 counts as treated.  The output is
 the unique reduced basis either way.
@@ -271,26 +272,20 @@ class _Reducer:
                     work.pop(e2, None)
         return {m: c * (scale // stamp) for m, c, stamp in rem}, scale
 
-    def moved(self, packing):
-        """The same basis in `packing`, whose order must rank the
-        monomials of this packing's order alike; variables it adds come
-        last, each with exponent 0 in every entry."""
+    def widened(self, bits):
+        """The same basis repacked with `bits` exponent bits, in the
+        same order and arity."""
         old = self.packing
-        if packing is old:
+        if bits == old.bits:
             return self
-        pad = (0,) * (packing.arity - old.arity)
+        packing = _packing(old.order, old.arity, bits)
 
         def move(m):
-            return packing.pack(old.unpack(m) + pad)
+            return packing.pack(old.unpack(m))
 
         return _Reducer(packing, self.char, [
             (move(lm), lc, [(move(e), c) for e, c in items])
             for lm, lc, items in self.entries])
-
-    def widened(self, bits):
-        """The same basis repacked with `bits` exponent bits."""
-        packing = self.packing
-        return self.moved(_packing(packing.order, packing.arity, bits))
 
     def normal_form(self, d: dict):
         """`reduce` for a tuple-keyed dict, repacking the basis wider
@@ -595,23 +590,14 @@ def _basis(gens, order, ring, target=None, bound=None, known=None):
             out = _buchberger(
                 [{packing.pack(e): c for e, c in d.items()} for d in int_gens],
                 packing, char, target, bound,
-                () if known is None else known._reducer.moved(packing).entries)
+                () if known is None
+                else known._reducer.widened(packing.bits).entries)
             break
         except _FieldOverflow:
             packing = _packing(order, ring.arity, 2 * packing.bits)
     if out is None:
         return None
     return GroebnerBasis(ring, order, *out)
-
-
-def _lifted(basis: GroebnerBasis, ring: PolyRing, order) -> GroebnerBasis:
-    """`basis` in `ring`, whose variables are those of basis.ring and
-    then new ones, under an `order` that ranks the monomials of
-    basis.ring as basis.order does.  Its elements keep their leading
-    monomials, so they are the reduced basis in `ring` of the ideal they
-    generate."""
-    packing = _packing(order, ring.arity, basis._reducer.packing.bits)
-    return GroebnerBasis(ring, order, basis._reducer.moved(packing))
 
 
 def _image_mod(basis: GroebnerBasis, ring: PolyRing):

@@ -37,10 +37,10 @@ extensions, with their bases:
   partial ideal, or that ideal for the first;
 - a finite scheme plus a hyperplane: the scheme;
 - the image mod p of an extension: its base's image.
-The Bayer basis of a + (y - g) starts from a's cached grevlex basis
-lifted into S[y]: weights (1, ..., 1, d) rank the monomials free of y
-exactly as grevlex does, so that basis keeps its leading monomials and
-stays reduced.
+A run's known basis is always in that run's own ring and order.  The
+Bayer basis of a + (y - g) lives in S[y] under a weighted order, so its
+run starts from a's generators, relabelled into S[y], and y - g; a's
+cached grevlex basis gives only its Hilbert target.
 
 `dimension_at_most` is the one test of a bound on the Krull dimension
 of a homogeneous ideal.  It asks a Buchberger run that stops as soon as
@@ -72,6 +72,7 @@ from math import prod
 
 from .errors import (
     DivisionFailure,
+    IndexOutOfRange,
     NotHomogeneous,
     NotZeroDimensional,
     PrecisionCapExceeded,
@@ -79,8 +80,7 @@ from .errors import (
 )
 from . import hilbert as _hilbert
 from .fields import Field
-from .groebner import (GroebnerBasis, _basis, _image_mod, _lifted,
-                       groebner_basis)
+from .groebner import GroebnerBasis, _basis, _image_mod, groebner_basis
 from .orders import Block, GREVLEX, WeightedGrevLex
 from .polynomials import Chart, Polynomial, PolyRing, _substitute
 from .rng import SplitMix64
@@ -350,10 +350,10 @@ def divide_exact(f: Polynomial, g: Polynomial) -> Polynomial:
 def _bayer_basis(a: Ideal, g: Polynomial):
     """The weighted-grevlex basis of J = a + (y - g) for homogeneous a
     and g of degree d, in a fresh last variable y of weight d (Bayer's
-    trick; Eisenbud, Prop. 15.12), started from a's cached grevlex
-    basis when there is one (see the module docstring).  It comes as
-    pairs (k, f) of a basis element f, as the {exponent: int} dict of
-    its primitive integer form (`GroebnerBasis.primitive_terms`), and
+    trick; Eisenbud, Prop. 15.12), computed from a's generators and
+    y - g (see the module docstring).  It comes as pairs (k, f) of a
+    basis element f, as the {exponent: int} dict of its primitive
+    integer form (`GroebnerBasis.primitive_terms`), and
     the top power k of y dividing it, with the map that sends a list of
     such pairs to the f / y^k under y -> g, all through one table of
     powers of g; the primitive form generates what the monic one does,
@@ -375,14 +375,13 @@ def _bayer_basis(a: Ideal, g: Polynomial):
     y = aux.variable(ring.arity)
     d = g.total_degree()
     order = WeightedGrevLex((1,) * ring.arity + (d,))
-    lifted = _relabel(a.generators, aux)
     known = a._gb_cache.get(GREVLEX)
     target = None
     if known is not None:
-        lifted._gb_cache[order] = _lifted(known, aux, order)
         target = _hilbert._koszul([d], known.hilbert.numerator)
-    basis = _extension(lifted, [y - _relabel([g], aux).generators[0]]).gb(
-        order, target)
+    gens = [*_relabel(a.generators, aux).generators,
+            y - _relabel([g], aux).generators[0]]
+    basis = Ideal(aux, gens).gb(order, target)
     images = ring.variables() + [g]
 
     def back(pairs):
@@ -590,6 +589,9 @@ def eliminate(a: Ideal, var_indices) -> Ideal:
     the remaining variables."""
     ring = a.ring
     drop = sorted(set(var_indices))
+    for i in drop:
+        if not 0 <= i < ring.arity:
+            raise IndexOutOfRange(f"variable index {i} out of range")
     if not drop:
         return a
     if len(drop) >= ring.arity:

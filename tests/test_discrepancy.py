@@ -26,6 +26,7 @@ from cidcurve import (
     degree_lower_bound,
     genus_report,
     ideal_equal,
+    ideal_product,
     ideal_sum,
     is_smooth_curve,
     jacobian_cover_check,
@@ -33,6 +34,7 @@ from cidcurve import (
     omega_matches_jacobian,
     quotient,
     residual,
+    saturate_irrelevant,
     transversality_count,
     vdim,
 )
@@ -859,6 +861,31 @@ def test_lci_route_on_the_coordinate_axes(seed):
     with pytest.raises(NotSmoothableRoute):
         cid_routes(curve, witness, assume_lci=True)
     assert cid_routes(curve, witness) == {"direct": 2, "aci": 2}
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_omega_differs_from_the_jacobian_on_the_coordinate_axes(
+        seed, monkeypatch):
+    # three non-coplanar lines through a point are not Gorenstein there:
+    # delta = 2, but the conductor, the maximal ideal m, has colength
+    # 3 != 2 * delta in the normalization.  So omega_X is not
+    # invertible, and the omega-Jacobian need not be the Jacobian ideal.
+    # Here it is not: Z is the cone over four points and W its fourth
+    # line.  In the local ring of X at the point, Z's minors and X's
+    # Jacobian ideal both give m^2, and I_W gives linear forms outside
+    # m^2, so the colon (m^2 : I_W) is m.  The raw graded ideals differ
+    # too, so the saturated comparison is the one that decides
+    curve = _coordinate_axes()
+    witness = construct_ci(curve, seed=seed)
+    i_x = curve.ideal()
+    saturated = []
+    _spy(monkeypatch, saturate_irrelevant, saturated)
+    assert not omega_matches_jacobian(i_x, witness)
+    assert len(saturated) == 2
+    m = Ideal(i_x.ring, i_x.ring.variables()[1:])
+    omega, jacobian = (saturate_irrelevant(a) for (a,) in saturated)
+    assert ideal_equal(omega, m)
+    assert ideal_equal(jacobian, ideal_product(m, m))
 
 
 def test_lci_route_and_transversality_build_no_chart(monkeypatch):

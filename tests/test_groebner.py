@@ -570,21 +570,6 @@ def test_basis_from_a_known_basis_is_the_fresh_basis(case, targeted):
     assert extension.gb(order, target).elements == fresh.elements
 
 
-@settings(max_examples=60, deadline=None, derandomize=True)
-@given(case=_extension_cases(), d=st.integers(1, 3))
-def test_lifted_grevlex_basis_is_the_weighted_basis(case, d):
-    # weights (1, ..., 1, d) rank the monomials free of a new last
-    # variable as grevlex does, so a grevlex basis lifted into the
-    # larger ring is the weighted basis of the same generators there
-    ring, _, base, extra = case
-    aux = PolyRing(ring.field, ring.names + ("y",))
-    order = WeightedGrevLex((1,) * ring.arity + (d,))
-    gens = base + extra
-    lifted = groebner._lifted(groebner_basis(gens, ring=ring), aux, order)
-    assert lifted.elements == groebner_basis(
-        ideals._relabel(gens, aux).generators, order, ring=aux).elements
-
-
 def _divides(a, b):
     return all(x <= y for x, y in zip(a, b))
 

@@ -32,6 +32,7 @@ from cidcurve import (
 )
 from cidcurve import ideals as ideals_module
 from cidcurve.errors import (
+    IndexOutOfRange,
     NotHomogeneous,
     NotZeroDimensional,
     PrecisionCapExceeded,
@@ -431,6 +432,38 @@ def test_eliminate_two_lines():
     x, y = ring.variables()
     meet = intersect(ideal(x), ideal(y))
     assert ideal_equal(meet, ideal(x * y))
+
+
+@pytest.mark.parametrize("index", [3, -1])
+def test_eliminate_rejects_an_index_outside_the_ring(index):
+    ring = ring3()
+    x, y, z = ring.variables()
+    with pytest.raises(IndexOutOfRange):
+        eliminate(ideal(x - y, y - z), [index])
+
+
+@pytest.mark.parametrize("op,operand,expected", [
+    (lambda a: intersect(a, Ideal(a.ring, [])), "a", "zero"),
+    (lambda a: saturate(a, Ideal(a.ring, [a.ring.from_int(5)])), "a", "a"),
+    (saturate_irrelevant, "zero", "zero"),
+    (lambda a: eliminate(a, []), "a", "a"),
+    (radical_zero_dim, "unit", "unit"),
+], ids=["intersect_with_zero", "saturate_by_a_constant",
+        "saturate_irrelevant_of_zero", "eliminate_nothing",
+        "radical_of_the_unit_ideal"])
+def test_degenerate_operands(op, operand, expected):
+    # an empty, constant or unit operand has its answer at hand: the
+    # zero ideal, or the operand itself
+    ring = ring3()
+    x, y, z = ring.variables()
+    operands = {"a": ideal(x * y - z**2, y**2 - x * z),
+                "zero": Ideal(ring, []),
+                "unit": Ideal(ring, [ring.one()])}
+    result = op(operands[operand])
+    if expected == "zero":
+        assert result.ring == ring and result.is_zero()
+    else:
+        assert result is operands[expected]
 
 
 def test_vdim_examples_and_order_independence():

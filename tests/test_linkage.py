@@ -28,6 +28,7 @@ from cidcurve import (
 )
 from cidcurve.errors import (
     EmptyInput,
+    ExhaustedCandidates,
     InputError,
     MaxAttemptsExceeded,
     NotACurve,
@@ -424,6 +425,21 @@ def test_transversal_rejects_singular_residual():
         construct_ci_transversal(curve, seed=0, coeff_matrix=rows)
     assert info.value.failures == {
         name: int(name == "singular_locus_finite") for name in TEST_NAMES}
+
+
+def test_a_draw_with_no_chart_fails_chart_misses_intersection(monkeypatch):
+    # a draw that passes every earlier test but finds no chart is
+    # rejected by chart_misses_intersection alone, and the next draw
+    # is tried
+    def no_chart(avoid, seed=0):
+        raise ExhaustedCandidates("no hyperplane misses the locus to avoid")
+
+    monkeypatch.setattr(linkage, "choose_chart", no_chart)
+    with pytest.raises(MaxAttemptsExceeded) as info:
+        construct_ci(rnc_curve(3), seed=0, max_attempts=2)
+    assert info.value.failures == {
+        name: 2 * (name == "chart_misses_intersection")
+        for name in TEST_NAMES}
 
 
 @pytest.mark.parametrize("degree", [3, 4])

@@ -10,12 +10,17 @@ process through `cidcurve.cli.main` with `--output json`.  The counters
 are installed from outside by rebinding four names of SRC's
 `cidcurve.groebner`, its `lt_numerator` and `cidcurve.hilbert`'s, and
 the constructors of `fractions.Fraction`, so neither SRC nor
-`perfbench/` changes:
+`perfbench/` changes; SRC's `cidcurve.ideals._SCREEN_FIELD` names the
+screening prime p:
 
 - runs: calls of `_buchberger`, one per Buchberger run;
 - reductions: calls of `_Reducer.reduce`: inside a run, the reduction
   of each generator and S-polynomial and each tail reduction of the
   interreduction; outside, each normal form against a basis;
+- image: those reductions run by a reducer over F_p for the screening
+  prime p, the work on images mod p of QQ ideals; the rest is exact
+  work, over QQ or over the job's own field (0 for a checkout without
+  a screening prime);
 - zeros: those reductions whose normal form is zero;
 - fractions: `Fraction` objects built, by the program or by Fraction's
   own arithmetic (`Fraction.__new__`, and `Fraction._from_coprime_ints`
@@ -36,11 +41,11 @@ the constructors of `fractions.Fraction`, so neither SRC nor
   the K-polynomials computed for Hilbert data (and for the colon's
   series); those a targeted run keeps up to date are not counted.
 
-Each job prints one line `workload:seed:job runs reductions zeros
-fractions pairs known stopped bits sumbits kpolys`, and each workload a line
-`workload:seed:total` with the same columns, each summed over the jobs
-except bits, their maximum.  The counts are deterministic, so `diff`
-the output of two checkouts.
+Each job prints one line `workload:seed:job runs reductions image
+zeros fractions pairs known stopped bits sumbits kpolys`, and each
+workload a line `workload:seed:total` with the same columns, each
+summed over the jobs except bits, their maximum.  The counts are
+deterministic, so `diff` the output of two checkouts.
 """
 
 from __future__ import annotations
@@ -58,14 +63,14 @@ WORKLOADS = ("link_qq", "link_fp", "germ", "reject")
 
 
 class _Counter:
-    """Buchberger runs, reductions, zero reductions, Fractions built,
-    S-pairs formed, runs started from a known basis, runs stopped by a
-    dimension bound, the widest reducer coefficient, the summed width
-    of the entries added to reducers, and the K-polynomials computed
-    outside a Buchberger run."""
+    """Buchberger runs, reductions, those over the screening prime, zero
+    reductions, Fractions built, S-pairs formed, runs started from a
+    known basis, runs stopped by a dimension bound, the widest reducer
+    coefficient, the summed width of the entries added to reducers, and
+    the K-polynomials computed outside a Buchberger run."""
 
-    NAMES = ("runs", "reductions", "zeros", "fractions", "pairs", "known",
-             "stopped", "bits", "sumbits", "kpolys")
+    NAMES = ("runs", "reductions", "image", "zeros", "fractions", "pairs",
+             "known", "stopped", "bits", "sumbits", "kpolys")
 
     def __init__(self):
         self.take()
@@ -73,7 +78,7 @@ class _Counter:
         # keeps is not counted
         self.depth = 0
 
-    def install(self, groebner, hilbert):
+    def install(self, groebner, hilbert, screen):
         buchberger = groebner._buchberger
         reduce = groebner._Reducer.reduce
         add = groebner._Reducer.add
@@ -100,6 +105,7 @@ class _Counter:
         def counted_reduce(reducer, *args, **kwargs):
             out = reduce(reducer, *args, **kwargs)
             self.reductions += 1
+            self.image += reducer.char == screen
             self.zeros += not out[0]
             return out
 
@@ -160,13 +166,16 @@ def main(argv=None) -> int:
     import cidcurve.cli as cli
     import cidcurve.groebner as groebner
     import cidcurve.hilbert as hilbert
+    import cidcurve.ideals as ideals
     import workloads
 
     if not Path(cli.__file__).resolve().is_relative_to(src):
         raise SystemExit(f"imported cidcurve from {cli.__file__}, "
                          f"not from {src}")
     counter = _Counter()
-    counter.install(groebner, hilbert)
+    screen = getattr(ideals, "_SCREEN_FIELD", None)
+    counter.install(groebner, hilbert,
+                    screen.characteristic if screen else None)
     with tempfile.TemporaryDirectory() as tmp:
         for name in WORKLOADS:
             totals = [0] * len(_Counter.NAMES)
