@@ -65,7 +65,9 @@ from .ideals import (
     saturate,
     saturate_irrelevant,
 )
-from .polynomials import Chart, Polynomial, partial_derivative
+from .orders import GREVLEX, _packing
+from .polynomials import (Chart, Polynomial, _reduced, _times,
+                          partial_derivative)
 from .rng import SplitMix64
 
 ROUTE_NAMES = ("direct", "smooth_jacobian", "lci_general", "aci")
@@ -80,9 +82,10 @@ def _minors(rows, pairs):
 
     Each row is converted once to integer term dicts: over QQ it is
     scaled by the lcm of its denominators, over F_p its entries are
-    already residues.  Their exponents are packed into ints wide enough
-    for a k x k minor, and each minor is unpacked once.  A minor is
-    expanded along its first row, and each sub-minor (row tail, column
+    already residues.  Their exponents are packed by the grevlex
+    `Packing` sized for a k x k minor, and each minor is unpacked once.
+    A minor is expanded along its first row, each pivot times its
+    sub-minor added up by `_times`, and each sub-minor (row tail, column
     subset) is computed once for the whole stream and kept until the
     stream is done; the minors themselves are not kept.  Dividing each
     minor once by the product of its rows' multipliers gives exactly
@@ -91,17 +94,16 @@ def _minors(rows, pairs):
     char = ring.field.characteristic
     pairs = list(pairs)
     size = max((len(ri) for ri, _ in pairs), default=0)
-    width = (size * max((k for row in rows for f in row for e in f.terms
-                         for k in e), default=0)).bit_length()
-    shifts = [j * width for j in range(ring.arity)]
-    mask = (1 << width) - 1
+    largest = max((k for row in rows for f in row for e in f.terms
+                   for k in e), default=0)
+    packing = _packing(GREVLEX, ring.arity, (size * largest).bit_length())
+    pack, unpack = packing.pack, packing.unpack
     entries, mults = [], []
     for row in rows:
         # residues over F_p, where every denominator is 1
         m = lcm(*(c.denominator for f in row for c in f.terms.values()))
-        entries.append([{sum(k << s for k, s in zip(e, shifts)):
-                          c.numerator * (m // c.denominator)
-                          for e, c in f.terms.items()} for f in row])
+        entries.append([{pack(e): c.numerator * (m // c.denominator)
+                         for e, c in f.terms.items()} for f in row])
         mults.append(m)
     memo = {}
 
@@ -119,24 +121,17 @@ def _minors(rows, pairs):
             sub = memo.get(key)
             if sub is None:
                 sub = memo[key] = det(*key)
-            for e1, c1 in pivot.items():
-                if k % 2:
-                    c1 = -c1
-                for e2, c2 in sub.items():
-                    e = e1 + e2
-                    total[e] = total.get(e, 0) + c1 * c2
-        if char:
-            return {e: c % char for e, c in total.items() if c % char}
-        return {e: c for e, c in total.items() if c}
+            if k % 2:
+                pivot = {e: -v for e, v in pivot.items()}
+            _times(pivot, sub, char, total)
+        return _reduced(total, char)
 
     try:
         for ri, ci in pairs:
             d = det(ri, ci)
             m = prod(mults[i] for i in ri)
-            yield Polynomial(ring, {
-                tuple([e >> s & mask for s in shifts]):
-                    c if char else rational(c, m)
-                for e, c in d.items()})
+            yield Polynomial(ring, {unpack(e): c if char else rational(c, m)
+                                    for e, c in d.items()})
     finally:
         del det  # empties its own cell: no cycle is left for the collector
 

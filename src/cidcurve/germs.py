@@ -286,14 +286,10 @@ def branch_ideal(branch: BranchParam, ambient: PolyRing) -> Ideal:
     eliminating the parameter from (x_i - p_i(t))."""
     if ambient.arity != branch.arity:
         raise RingMismatch("ambient ring arity differs from the branch")
-    field = branch.ring.field
-    join = PolyRing(field, ("t__",) + ambient.names)
-    gens = []
-    for i, p in enumerate(branch.coords):
-        expr = join.variable(1 + i)
-        for e, c in p.terms.items():
-            expr = expr - join.polynomial({(e[0],) + (0,) * ambient.arity: c})
-        gens.append(expr)
+    join = PolyRing(branch.ring.field, ("t__",) + ambient.names)
+    t = join.variable(0)
+    gens = [join.variable(1 + i) - p.compose(join, [t])
+            for i, p in enumerate(branch.coords)]
     return eliminate(Ideal(join, gens), (0,))
 
 

@@ -1,16 +1,16 @@
 """Groebner bases via Buchberger's algorithm.
 
 The engine works on {monomial: int} dictionaries whose monomials are
-single ints (see `Packing`): a shift is an int addition, the order's
-comparison an int comparison, and a divisibility test one subtraction
-and one mask (Monagan and Pearce, "Sparse polynomial division using a
-heap", JSC 46, 2011).  Monomials are packed and unpacked only at the
-boundary; a basis is its packed reducer, and its `elements` are built
-the first time they are read.  The
-exponent width comes from the input; a monomial that outgrows it during
+single ints (see `orders.Packing`): a shift is an int addition, the
+order's comparison an int comparison, and a divisibility test one
+subtraction and one mask (Monagan and Pearce, "Sparse polynomial
+division using a heap", JSC 46, 2011).  Monomials are packed and
+unpacked only at the boundary; a basis is its packed reducer, and its
+`elements` are built the first time they are read.  The exponent width
+comes from the input; a monomial that outgrows it during
 the computation sets a guard bit, and the basis is computed again at
 twice the width.  One packing serves each (order, arity, width), kept
-in a bounded cache.
+in a bounded cache (`orders._packing`).
 
 Every divisor a reduction runs against is made by `_normalize`: monic
 over F_p, primitive with integer coefficients and a positive leading
@@ -88,16 +88,15 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field as dc_field
-from functools import cached_property, lru_cache
+from functools import cached_property
 from itertools import combinations
 from math import gcd
-from operator import mul
 
 from .errors import RingMismatch
 from .fields import rational
 from .hilbert import (HilbertData, data_from_numerator, lt_numerator,
                       lt_numerator_extend)
-from .orders import GREVLEX
+from .orders import GREVLEX, _packing
 from .polynomials import Polynomial, PolyRing
 
 
@@ -134,58 +133,6 @@ def _exponent_bits(top: int) -> int:
     for twice that.  A basis that outgrows it is recomputed at twice
     the width, which squares the room."""
     return max(top, 1).bit_length() + 1
-
-
-class Packing:
-    """Monomials of one order and arity packed into single ints.
-
-    The low bits hold the plain exponents, variable i in the bits from
-    i * (bits + 1) up, each field topped by a guard bit.  Above them sit
-    the order's `fields`, the last field lowest, each as wide as the
-    largest difference it can take between two monomials with exponents
-    below 2**bits; all the bits below a field then differ by less than
-    one unit of it, so the int order is the monomial order.  Packing is
-    linear, so a shift is an int addition, and lm divides m exactly when
-    (m - lm) & guard is 0, because a negative exponent difference
-    borrows into its own guard bit.  Adding two packed monomials sets a
-    guard bit exactly when some exponent reaches 2**bits: every new
-    monomial of an S-polynomial or a reduction is checked for that, and
-    `_FieldOverflow` sends the caller back to repack at twice the
-    width."""
-
-    __slots__ = ("order", "arity", "bits", "units", "guard", "shifts")
-
-    def __init__(self, order, arity: int, bits: int):
-        self.order = order
-        self.arity = arity
-        self.bits = bits
-        width = bits + 1
-        unit_fields = [order.fields(tuple(int(i == j) for j in range(arity)))
-                       for i in range(arity)]
-        units = [1 << (i * width) for i in range(arity)]
-        offset = arity * width
-        top = (1 << bits) - 1
-        for coeffs in reversed(list(zip(*unit_fields))):
-            for i, c in enumerate(coeffs):
-                units[i] += c << offset
-            offset += (top * sum(abs(c) for c in coeffs)).bit_length()
-        self.units = tuple(units)
-        self.guard = sum(1 << (i * width + bits) for i in range(arity))
-        self.shifts = tuple(i * width for i in range(arity))
-
-    def pack(self, exps) -> int:
-        return sum(map(mul, exps, self.units))
-
-    def unpack(self, m: int) -> tuple:
-        mask = (1 << self.bits) - 1
-        return tuple([(m >> s) & mask for s in self.shifts])
-
-
-@lru_cache(maxsize=64)
-def _packing(order, arity, bits):
-    """The one `Packing` of (order, arity, bits) while it stays among the
-    most recently asked for."""
-    return Packing(order, arity, bits)
 
 
 def _packing_for(order, arity, dicts):

@@ -527,11 +527,9 @@ def _linked_degree(a: Ideal, b: Ideal):
 
 
 def _saturate_principal(a: Ideal, g: Polynomial) -> Ideal:
-    """(a : g^infinity) for a single polynomial: the Bayer basis divided
-    by its top powers of y when a and g are homogeneous, otherwise the
-    elimination of t from a + (1 - t*g) (Rabinowitsch)."""
-    if not g:
-        return Ideal(a.ring, [a.ring.one()])
+    """(a : g^infinity) for a single nonzero polynomial: the Bayer basis
+    divided by its top powers of y when a and g are homogeneous,
+    otherwise the elimination of t from a + (1 - t*g) (Rabinowitsch)."""
     if g.is_constant():
         return a
     if a.is_homogeneous() and g.is_homogeneous():

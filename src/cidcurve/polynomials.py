@@ -35,7 +35,7 @@ from .errors import (
     UnknownVariable,
 )
 from .fields import Field, rational
-from .orders import GREVLEX
+from .orders import GREVLEX, _packing
 
 _NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
 
@@ -333,17 +333,25 @@ class Polynomial:
 # --- substitution ------------------------------------------------------
 
 
-def _times(a: dict, b: dict, p: int) -> dict:
-    """Product of two packed term dicts, reduced mod p when p > 0."""
-    out = {}
+def _times(a: dict, b: dict, p: int, into: dict = None) -> dict:
+    """a * b for two packed term dicts, reduced mod p when p > 0 and with
+    no zero terms.  With `into`, the products are added into that dict
+    as they stand and it is returned: a sum of products is reduced once,
+    by `_reduced`."""
+    out = {} if into is None else into
     get = out.get
     for ka, va in a.items():
         for kb, vb in b.items():
             k = ka + kb
             out[k] = get(k, 0) + va * vb
+    return out if into is not None else _reduced(out, p)
+
+
+def _reduced(d: dict, p: int) -> dict:
+    """d with its coefficients reduced mod p when p > 0, zeros dropped."""
     if p:
-        return {k: r for k, v in out.items() if (r := v % p)}
-    return {k: v for k, v in out.items() if v}
+        return {k: r for k, v in d.items() if (r := v % p)}
+    return {k: v for k, v in d.items() if v}
 
 
 def _substitute(polys, target: PolyRing, images):
@@ -352,14 +360,13 @@ def _substitute(polys, target: PolyRing, images):
     power k of image i is power k - 1 times image i, made the first
     time a term asks for it.
 
-    The work is done on {packed exponent: coefficient} dicts: variable j
-    of `target` sits in the bits from j * w up, with w wide enough for
-    every exponent a product can reach, so a monomial product is an int
-    addition and, in one variable, the key is the exponent itself.
-    Every term's product is added into its polynomial's dict in place.
-    Over F_p residues are reduced as each power is stored and at the
-    end; over QQ integral coefficients work as ints, and each sum is
-    made a rational scalar at the end: an int stays an int."""
+    The work is done on {packed exponent: coefficient} dicts, packed by
+    the grevlex `Packing` of `target` sized for every exponent a product
+    can reach, so a monomial product is an int addition.  Every term's
+    product is added into its polynomial's dict by `_times`.  Over F_p
+    residues are reduced as each power is stored and at the end; over QQ
+    integral coefficients work as ints, and each sum is made a rational
+    scalar at the end: an int stays an int."""
     for g in images:
         if g.ring != target:
             raise RingMismatch("substituted polynomial outside the target ring")
@@ -372,14 +379,10 @@ def _substitute(polys, target: PolyRing, images):
     tops = [max((k for e in g.terms for k in e), default=0) for g in images]
     bound = max((sum(k * tops[i] for i, k in enumerate(e) if k)
                  for f in polys for e in f.terms), default=0)
-    width = bound.bit_length()
-    shifts = [j * width for j in range(target.arity)]
-    mask = (1 << width) - 1
-    powers = [
-        [{0: 1}, {sum(k << s for k, s in zip(e, shifts)): raw(c)
-                  for e, c in g.terms.items()}]
-        for g in images
-    ]
+    packing = _packing(GREVLEX, target.arity, bound.bit_length())
+    pack, unpack = packing.pack, packing.unpack
+    powers = [[{0: 1}, {pack(e): raw(c) for e, c in g.terms.items()}]
+              for g in images]
 
     def power(i, k):
         table = powers[i]
@@ -389,23 +392,16 @@ def _substitute(polys, target: PolyRing, images):
 
     for f in polys:
         acc = {}
-        get = acc.get
         for e, c in f.terms.items():
             factors = [power(i, k) for i, k in enumerate(e) if k]
             head = {0: raw(c)}
             for factor in factors[:-1]:
                 head = _times(head, factor, p)
-            last = factors[-1] if factors else {0: 1}
-            for kh, vh in head.items():
-                for kl, vl in last.items():
-                    k = kh + kl
-                    acc[k] = get(k, 0) + vh * vl
+            _times(head, factors[-1] if factors else {0: 1}, p, acc)
         if p:
-            terms = {tuple(k >> s & mask for s in shifts): r
-                     for k, v in acc.items() if (r := v % p)}
+            terms = {unpack(k): r for k, v in acc.items() if (r := v % p)}
         else:
-            terms = {tuple(k >> s & mask for s in shifts): rational(v)
-                     for k, v in acc.items() if v}
+            terms = {unpack(k): rational(v) for k, v in acc.items() if v}
         yield Polynomial(target, terms)
 
 

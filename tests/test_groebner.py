@@ -23,7 +23,7 @@ from cidcurve import (
 )
 from cidcurve import groebner, hilbert, ideals, linkage
 from cidcurve.hilbert import ci_hilbert_data
-from cidcurve.orders import Block, WeightedGrevLex
+from cidcurve.orders import Block, WeightedGrevLex, _packing
 from cidcurve.rng import SplitMix64
 
 from conftest import rnc_curve, twisted_cubic_gens
@@ -581,7 +581,7 @@ def test_sorted_criterion_m_keeps_the_quadratic_set(lms):
     # criterion M by its definition: (i, t) goes when another new pair's
     # lcm divides its own, properly or equally with a smaller index;
     # then the coprime pairs go.  The sorted scan forms the same pairs
-    packing = groebner._packing(GREVLEX, 3, 3)
+    packing = _packing(GREVLEX, 3, 3)
     t = len(lms) - 1
     lcms = [tuple(map(max, lm, lms[t])) for lm in lms[:t]]
     kept = [i for i in range(t)
@@ -597,7 +597,7 @@ def test_divisor_memo_scans_an_entry_appended_after_a_miss():
     # the memo keeps, per monomial, how far the divisor scan got: a miss
     # recorded before an entry is appended scans that entry afterwards,
     # and a divisor found is found again at once
-    packing = groebner._packing(GREVLEX, 2, 3)
+    packing = _packing(GREVLEX, 2, 3)
     x2, y2, y, x3 = (packing.pack(e) for e in ((2, 0), (0, 2), (0, 1),
                                                (3, 0)))
     reducer = groebner._Reducer(packing, 0)
@@ -612,10 +612,9 @@ def test_divisor_memo_scans_an_entry_appended_after_a_miss():
 
 def test_packings_are_shared():
     # one Packing per (order, arity, bits), from a bounded cache
-    assert groebner._packing(GREVLEX, 4, 5) is groebner._packing(GREVLEX, 4, 5)
-    assert groebner._packing(GREVLEX, 4, 5) is not groebner._packing(
-        GREVLEX, 4, 6)
-    assert groebner._packing.cache_info().maxsize is not None
+    assert _packing(GREVLEX, 4, 5) is _packing(GREVLEX, 4, 5)
+    assert _packing(GREVLEX, 4, 5) is not _packing(GREVLEX, 4, 6)
+    assert _packing.cache_info().maxsize is not None
 
 
 @pytest.mark.parametrize("field", [QQ, FP], ids=["QQ", "Fp32003"])

@@ -1,6 +1,6 @@
 """Monomial order laws: total, multiplicative, with 1 minimal; and the
 packing of monomials into ints that the Groebner core compares, shifts
-and divides.
+and divides, and that the minor kernel and substitution add.
 
 `less` below compares the `fields` tuples that `Packing` packs.
 """
@@ -10,8 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cidcurve import GREVLEX, LEX, order_from_name
-from cidcurve.groebner import Packing
-from cidcurve.orders import Block, WeightedGrevLex
+from cidcurve.orders import Block, Packing, WeightedGrevLex
 
 exps = st.tuples(*[st.integers(0, 6)] * 3)
 

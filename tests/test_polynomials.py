@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cidcurve import Chart, Field, PolyRing, parse_polynomial
@@ -227,8 +227,19 @@ def _substitutions(draw):
     return polys, target, images
 
 
+def _ninth_power_of_seventh(field, f, image):
+    """f in x0 under x0 -> image in u0: x0^9 under u0^7 reaches
+    u0^63 = u0^(2^6 - 1), the largest exponent of the layout sized for
+    the substitution."""
+    source, target = _ring_of(field, 1, "x"), _ring_of(field, 1, "u")
+    return [source.parse(f)], target, [target.parse(image)]
+
+
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(case=_substitutions())
+@example(case=_ninth_power_of_seventh(QQ, "x0^9 - 1/2*x0", "u0^7"))
+@example(case=_ninth_power_of_seventh(Field.prime_field(3), "x0^9 + 2*x0",
+                                      "u0^7 + u0"))
 def test_compose_matches_term_by_term_substitution(case):
     polys, target, images = case
     expected = [compose_by_powers(f, target, images) for f in polys]

@@ -99,3 +99,18 @@ def test_cached_ideal_data_stays_in_the_ideal_layer():
              for name in ("_gb_cache", "_mod_p_image")
              if name in path.read_text()]
     assert not found, f"ideal caches mentioned outside ideals: {found}"
+
+
+def test_packed_monomials_unpack_only_in_orders():
+    # `orders.Packing` is the one map between exponent tuples and ints, so
+    # a right shift, the unpacking of a packed monomial, appears only
+    # there and in `rng`'s bit mixing
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name in ("orders.py", "rng.py"):
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.BinOp)
+                  and isinstance(node.op, ast.RShift)]
+    assert not found, f"right shifts outside orders.py and rng.py: {found}"
