@@ -50,16 +50,26 @@ reduction that meets the monomial again resumes the scan there, and a
 miss recorded before an entry was appended scans that entry.  The memo
 is dropped when the run returns.
 
-A caller that knows the Hilbert series of S/J for homogeneous J may pass
-its K-polynomial as a target.  The K-polynomial of the leading monomials
-of G is then kept up to date, one new leading monomial at a time, and
-the pair loop stops once it equals the target: G lies in J and LT(G) in
+A caller that knows the Hilbert series of S/J for J homogeneous in the
+order's grading (variable i of degree w_i, the order's weight for a
+weighted order and 1 otherwise) may pass its K-polynomial as a target.
+The K-polynomial of the leading monomials of G is then kept up to date,
+one new leading monomial at a time, and a popped pair whose lcm has
+degree D in that grading is skipped, unreduced, when S/LT(G) has the
+target's Hilbert function in degree D (Traverso, "Hilbert functions and
+the Buchberger algorithm", JSC 22, 1996).  G lies in J and LT(G) in
 LT(J), so S/LT(G) has at least the series of S/LT(J), which is that of
-S/J, in every degree; equal series make LT(G) = LT(J), so G is already a
-basis and every pair left would reduce to zero (Traverso, "Hilbert
-functions and the Buchberger algorithm", JSC 22, 1996).  A target that
-is only a lower bound of the series is safe for the same reason; one
-that is never reached leaves plain Buchberger.  Interreduction runs as
+S/J, in every degree; equal values in degree D make LT(G)_D = LT(J)_D.
+Every entry is homogeneous, so the pair's S-polynomial lies in J_D, and
+a nonzero normal form of it would have a leading monomial in LT(J)_D,
+hence divisible by one in LT(G): the S-polynomial reduces to zero, and
+has a standard representation by G.  A skipped pair therefore counts as
+treated, and the chain criterion, which drops a pair only when treated
+pairs cover it, stays sound.  LT(G) only grows, so a degree once filled
+stays filled; once the whole series is reached every pair left is
+skipped.  A target that is only a coefficientwise lower bound of the
+series is safe for the same reason, and in a degree it never reaches
+the pairs are reduced as in plain Buchberger.  Interreduction runs as
 before, so the output does not depend on the target, and keeps LT(G),
 so in an unweighted order the K-polynomial the run ended with is the
 basis's Hilbert data (`GroebnerBasis.hilbert`).  Output bases are
@@ -91,6 +101,7 @@ from dataclasses import dataclass, field as dc_field
 from functools import cached_property
 from itertools import combinations
 from math import gcd
+from operator import mul
 
 from .errors import RingMismatch
 from .fields import rational
@@ -278,6 +289,29 @@ def _spoly(a, b, l, guard, char):
 # --- Buchberger --------------------------------------------------------
 
 
+def _filled(numerator, target, weights, degree, count, memo):
+    """Whether S/LT(G), of K-polynomial `numerator`, has the target's
+    Hilbert function in `degree`: the coefficient of t^degree in
+    (numerator - target) / prod (1 - t^w_i) is zero.  The quotient is
+    expanded up to t^degree by one prefix sum of stride w_i per
+    variable.  A run's numerator changes only when an entry is added,
+    so the answer is kept in `memo` under (entries `count`, degree)."""
+    key = (count, degree)
+    hit = memo.get(key)
+    if hit is None:
+        size = degree + 1
+        series = [0] * size
+        for k, c in enumerate(numerator[:size]):
+            series[k] = c
+        for k, c in enumerate(target[:size]):
+            series[k] -= c
+        for w in weights:
+            for k in range(w, size):
+                series[k] += series[k - w]
+        hit = memo[key] = not series[degree]
+    return hit
+
+
 def _update_pairs(pairs, lms, t, packing):
     """Gebauer-Moeller pair update when basis element t is appended.  A
     pair is (lcm degree, packed lcm, i, t), the normal strategy's key.
@@ -326,8 +360,10 @@ def _buchberger(gens, packing, char, target=None, bound=None, known=()):
     packing of an ideal the gens extend, starts the basis, and no pair
     among them is formed (see the module docstring).  With a `target`
     K-polynomial (see `groebner_basis`) the K-polynomial of the leading
-    monomials is kept up to date, and the pair loop stops once it
-    reaches the target.  With a Krull-dimension `bound` b >= 0 the run
+    monomials is kept up to date, and a pair is skipped when `_filled`
+    finds the target's Hilbert function reached in the degree of its
+    lcm: the weighted degree in a weighted order, else the total degree
+    the pair's key holds.  With a Krull-dimension `bound` b >= 0 the run
     returns None as soon as every (b + 1)-set of variables holds the
     support of a leading monomial (see the module docstring)."""
     reducer = _Reducer(packing, char, known)
@@ -339,6 +375,8 @@ def _buchberger(gens, packing, char, target=None, bound=None, known=()):
         weights = getattr(packing.order, "weights", None)
         memo = {}
         numerator = lt_numerator(lms, packing.arity, weights, memo)
+        grading = weights or (1,) * packing.arity
+        filled = {}
     # the (bound + 1)-sets of variables, as bit masks, that hold the
     # support of no leading monomial yet
     uncovered = None
@@ -382,9 +420,13 @@ def _buchberger(gens, packing, char, target=None, bound=None, known=()):
                 return None
             pairs = insert(g, pairs)
         while pairs and not certified():
-            if target is not None and numerator == target:
-                break
-            _, l, i, j = heapq.heappop(pairs)
+            degree, l, i, j = heapq.heappop(pairs)
+            if target is not None:
+                if weights is not None:
+                    degree = sum(map(mul, weights, packing.unpack(l)))
+                if _filled(numerator, target, grading, degree, len(entries),
+                           filled):
+                    continue
             s = _spoly(entries[i], entries[j], l, packing.guard, char)
             if s:
                 pairs = insert(s, pairs)
@@ -501,9 +543,9 @@ def groebner_basis(gens, order=GREVLEX, ring: PolyRing = None,
     prod (1 - t^w_i)) for homogeneous gens, in the grading that gives
     variable i the degree w_i = order.weights[i] for a weighted order
     and 1 otherwise; a coefficientwise lower bound of that series
-    serves too.  Buchberger then stops as soon as the leading monomials
-    reach it (see the module docstring).  The basis is the same either
-    way."""
+    serves too.  Buchberger then skips every S-pair in a degree where
+    the leading monomials already have the target's Hilbert function
+    (see the module docstring).  The basis is the same either way."""
     return _basis(gens, order, ring, target)
 
 

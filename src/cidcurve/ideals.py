@@ -10,8 +10,8 @@ weight deg g (Bayer's trick), mapped back by y -> g: the quotient from
 the elements y divides, divided by y once, and the saturation from
 every element divided by its top power of y.  The leading monomials of
 that basis fix the Hilbert series of S/(I : g), so the quotient's own
-grevlex basis stops once it reaches that series and keeps it as its
-Hilbert data.  Otherwise a principal quotient divides the generators
+grevlex basis takes that series as its target, skips the S-pairs of
+every degree it already fills, and keeps it as its Hilbert data.  Otherwise a principal quotient divides the generators
 of I ∩ (g) by g, and a principal saturation eliminates t from
 I + (1 - t*g) (Rabinowitsch), projecting through `eliminate` as
 intersections do.  A saturation by several
@@ -368,8 +368,10 @@ def _bayer_basis(a: Ideal, g: Polynomial):
     The same map is a graded isomorphism S[y]/J -> S/a, so S[y]/J has
     a's Hilbert series, and its K-polynomial over (1 - t)^n (1 - t^d) is
     a's times (1 - t^d).  When a's grevlex basis is cached, that read
-    off its Hilbert data is the target at which Buchberger stops
-    (Traverso 1996)."""
+    off its Hilbert data is the Bayer run's target, in the grading that
+    gives y the weight d: Buchberger skips every S-pair whose lcm has a
+    weighted degree in which the leading monomials already have that
+    series (Traverso 1996)."""
     ring = a.ring
     aux = PolyRing(ring.field, ring.names + (_fresh_name(ring, "y"),))
     y = aux.variable(ring.arity)
@@ -421,8 +423,8 @@ def _colon_numerator(pairs, ring: PolyRing, d: int):
 def colon_principal(a: Ideal, g: Polynomial) -> Ideal:
     """(a : g) for a single polynomial: one weighted-grevlex basis when
     a and g are homogeneous, returned as its reduced grevlex basis,
-    which stops at the series that basis fixes (`_colon_numerator`) and
-    comes with its Hilbert data; otherwise exact division of the
+    whose target is the series that basis fixes (`_colon_numerator`) and
+    which comes with its Hilbert data; otherwise exact division of the
     generators of a ∩ (g)."""
     if g.ring != a.ring:
         raise RingMismatch("colon divisor outside the ideal's ring")

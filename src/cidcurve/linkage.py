@@ -292,10 +292,11 @@ def _is_complete_intersection(i_z: Ideal) -> bool:
     prod (1 - t^d_i) / (1 - t)^(n + 1), in every degree: the degree-k
     part of the ideal is the image of (a_i) -> sum a_i F_i, whose rank
     is largest for generic forms, and generic forms are a regular
-    sequence.  So that series is a lower bound at which the grevlex
-    basis may stop, and reaching it proves the forms a regular
-    sequence; forms that are not one never reach it, and their basis
-    runs to the end."""
+    sequence.  So that series is a lower bound that the grevlex basis
+    takes as its target, skipping the S-pairs of every degree where its
+    leading monomials reach it, and reaching it in every degree proves
+    the forms a regular sequence; forms that are not one fall short of
+    it in some degree, whose pairs their basis still reduces."""
     degrees = [f.total_degree() for f in i_z.generators]
     i_z.gb(GREVLEX, target=ci_hilbert_data(degrees, i_z.ring.arity).numerator)
     return dimension_at_most(i_z, 2)

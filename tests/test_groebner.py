@@ -412,8 +412,9 @@ def test_hilbert_stop_undershoot_runs_plain_buchberger(forms, monkeypatch):
 
 
 # _Reducer.reduce calls in construct_ci(rnc_curve(5), seed=0) over QQ:
-# 508 when every basis runs its pair queue to the end, 465 with the
-# Hilbert-driven stop
+# 508 when every basis runs its pair queue to the end, 256 with the
+# global Hilbert stop and the known-basis starts, 239 when every pair
+# whose degree the target already fills is skipped
 def test_hilbert_stop_reduces_fewer_pairs_on_rnc5(monkeypatch):
     count = 0
     real = groebner._Reducer.reduce
@@ -425,7 +426,89 @@ def test_hilbert_stop_reduces_fewer_pairs_on_rnc5(monkeypatch):
 
     monkeypatch.setattr(groebner._Reducer, "reduce", reduce)
     construct_ci(rnc_curve(5), seed=0)
-    assert count <= 465
+    assert count <= 239
+
+
+@pytest.mark.parametrize("field", [QQ, Field.prime_field(32003)],
+                         ids=["QQ", "Fp"])
+def test_degree_skip_fires_before_the_target_is_reached(field,
+                                                        monkeypatch):
+    # the residual colon's Bayer run on RNC5 drops pairs whose weighted
+    # degree its leading monomials already fill while the K-polynomial
+    # of S/LT(G) still differs from the target, and every targeted run
+    # ends at the basis computed with no target
+    calls = _targeted_bases(
+        monkeypatch, lambda: construct_ci(rnc_curve(5, field), seed=0))
+    assert any(isinstance(order, WeightedGrevLex) for _, order, _, _ in calls)
+    real = groebner._filled
+    for gens, order, ring, target in calls:
+        early = []
+
+        def filled(numerator, target, *args):
+            out = real(numerator, target, *args)
+            early.append(out and numerator != target)
+            return out
+
+        monkeypatch.setattr(groebner, "_filled", filled)
+        with_target = groebner_basis(gens, order, ring=ring, target=target)
+        monkeypatch.undo()
+        without = groebner_basis(gens, order, ring=ring)
+        assert with_target.elements == without.elements
+        if isinstance(order, WeightedGrevLex):
+            assert any(early)
+
+
+@st.composite
+def _graded_ideals(draw):
+    """A ring over QQ or F_7 with an order and the weights of its
+    grading, and forms homogeneous in that grading: two to four forms
+    in three or four variables under grevlex, or, Bayer style, two or
+    three forms in the first three variables and y - g for a fresh last
+    variable y of weight d and a form g of degree d, under weighted
+    grevlex."""
+    field = draw(st.sampled_from((QQ, Field.prime_field(7))))
+    bayer = draw(st.booleans())
+    arity = 4 if bayer else draw(st.integers(3, 4))
+    ring = PolyRing(field, tuple(f"x{i}" for i in range(arity)))
+    plain = 3 if bayer else arity
+    coeffs = st.sampled_from((1, -1, 2, 3, 5))
+
+    def form(degree):
+        monomials = [e + (0,) * (arity - plain)
+                     for e in product(range(degree + 1), repeat=plain)
+                     if sum(e) == degree]
+        return ring.polynomial({
+            draw(st.sampled_from(monomials)): field.from_int(draw(coeffs))
+            for _ in range(draw(st.integers(1, 3)))})
+
+    gens = [form(draw(st.integers(1, 3)))
+            for _ in range(draw(st.integers(2, 3 if bayer else 4)))]
+    weights = (1,) * arity
+    order = GREVLEX
+    if bayer:
+        d = draw(st.integers(1, 3))
+        weights = (1,) * plain + (d,)
+        order = WeightedGrevLex(weights)
+        gens.append(ring.variable(plain) - form(d))
+    return ring, order, weights, gens
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(case=_graded_ideals(), extra=st.lists(st.integers(0, 2),
+                                             min_size=4, max_size=4))
+def test_degree_skip_keeps_the_basis(case, extra):
+    # the per-degree skip is exact for the ideal's own K-polynomial and
+    # for a coefficientwise lower bound of its series, here that of
+    # LT(J) plus one more monomial
+    ring, order, weights, gens = case
+    plain = groebner_basis(gens, order, ring=ring)
+    lms = plain.leading_exponents()
+    monomial = tuple(extra[:ring.arity])
+    for target in (hilbert.lt_numerator(lms, ring.arity, weights),
+                   hilbert.lt_numerator(lms + [monomial], ring.arity,
+                                        weights)):
+        basis = groebner_basis(gens, order, ring=ring, target=target)
+        assert basis.elements == plain.elements
 
 
 def _linked_pair(name):

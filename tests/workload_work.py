@@ -7,7 +7,7 @@ SRC is the `src/` directory of the checkout to measure; the job lists
 come from this checkout's `perfbench/workloads.py`.  Every job of the
 four workloads, for workload seed N (default 1), runs once in this
 process through `cidcurve.cli.main` with `--output json`.  The counters
-are installed from outside by rebinding four names of SRC's
+are installed from outside by rebinding five names of SRC's
 `cidcurve.groebner`, its `lt_numerator` and `cidcurve.hilbert`'s, and
 the constructors of `fractions.Fraction`, so neither SRC nor
 `perfbench/` changes; SRC's `cidcurve.ideals._SCREEN_FIELD` names the
@@ -22,6 +22,10 @@ screening prime p:
   work, over QQ or over the job's own field (0 for a checkout without
   a screening prime);
 - zeros: those reductions whose normal form is zero;
+- skipped: S-pairs that a run with a Hilbert target drops unreduced
+  because S/LT(G) already has the target's Hilbert function in the
+  degree of their lcm (`_filled` answering yes), those popped after
+  the target is reached included (0 for a checkout without `_filled`);
 - fractions: `Fraction` objects built, by the program or by Fraction's
   own arithmetic (`Fraction.__new__`, and `Fraction._from_coprime_ints`
   on Pythons whose arithmetic builds its results there);
@@ -42,7 +46,7 @@ screening prime p:
   series); those a targeted run keeps up to date are not counted.
 
 Each job prints one line `workload:seed:job runs reductions image
-zeros fractions pairs known stopped bits sumbits kpolys`, and each
+zeros skipped fractions pairs known stopped bits sumbits kpolys`, and each
 workload a line `workload:seed:total` with the same columns, each
 summed over the jobs except bits, their maximum.  The counts are
 deterministic, so `diff` the output of two checkouts.
@@ -64,13 +68,14 @@ WORKLOADS = ("link_qq", "link_fp", "germ", "reject")
 
 class _Counter:
     """Buchberger runs, reductions, those over the screening prime, zero
-    reductions, Fractions built, S-pairs formed, runs started from a
-    known basis, runs stopped by a dimension bound, the widest reducer
-    coefficient, the summed width of the entries added to reducers, and
-    the K-polynomials computed outside a Buchberger run."""
+    reductions, S-pairs skipped by a Hilbert target, Fractions built,
+    S-pairs formed, runs started from a known basis, runs stopped by a
+    dimension bound, the widest reducer coefficient, the summed width of
+    the entries added to reducers, and the K-polynomials computed
+    outside a Buchberger run."""
 
-    NAMES = ("runs", "reductions", "image", "zeros", "fractions", "pairs",
-             "known", "stopped", "bits", "sumbits", "kpolys")
+    NAMES = ("runs", "reductions", "image", "zeros", "skipped", "fractions",
+             "pairs", "known", "stopped", "bits", "sumbits", "kpolys")
 
     def __init__(self):
         self.take()
@@ -118,6 +123,15 @@ class _Counter:
         groebner._Reducer.reduce = counted_reduce
         groebner._Reducer.add = counted_add
         groebner._update_pairs = counted_update_pairs
+        if hasattr(groebner, "_filled"):
+            filled = groebner._filled
+
+            def counted_filled(*args, **kwargs):
+                out = filled(*args, **kwargs)
+                self.skipped += out
+                return out
+
+            groebner._filled = counted_filled
         for module in (hilbert, groebner):
             if hasattr(module, "lt_numerator"):
                 module.lt_numerator = self._counted_numerator(
