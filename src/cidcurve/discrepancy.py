@@ -78,12 +78,14 @@ ROUTE_NAMES = ("direct", "smooth_jacobian", "lci_general", "aci")
 
 def _minors(rows, pairs):
     """det(rows[i][j] for i in ri, j in ci) for each (ri, ci) in pairs,
-    in that order; ri and ci are equally long index tuples.
+    in that order, each pair read when its minor is; ri and ci are
+    equally long index tuples.
 
     Each row is converted once to integer term dicts: over QQ it is
     scaled by the lcm of its denominators, over F_p its entries are
     already residues.  Their exponents are packed by the grevlex
-    `Packing` sized for a k x k minor, and each minor is unpacked once.
+    `Packing` sized for the largest square minor the rows have, and
+    each minor is unpacked once.
     A minor is expanded along its first row, each pivot times its
     sub-minor added up by `_times`, and each sub-minor (row tail, column
     subset) is computed once for the whole stream and kept until the
@@ -92,10 +94,9 @@ def _minors(rows, pairs):
     the determinant of the given entries."""
     ring = rows[0][0].ring
     char = ring.field.characteristic
-    pairs = list(pairs)
-    size = max((len(ri) for ri, _ in pairs), default=0)
     largest = max((k for row in rows for f in row for e in f.terms
                    for k in e), default=0)
+    size = min(len(rows), len(rows[0]))
     packing = _packing(GREVLEX, ring.arity, (size * largest).bit_length())
     pack, unpack = packing.pack, packing.unpack
     entries, mults = [], []
@@ -143,23 +144,33 @@ def _determinant(rows):
 
 
 def _minor_stream(gens, codim: int, seed=None):
-    """Minors of the Jacobian matrix, one at a time; with a seed, in a
-    seeded random order so that early minors sample many row subsets."""
+    """Minors of the Jacobian matrix, one at a time, row subsets outside
+    and column subsets inside; with a seed, in a seeded random order so
+    that early minors sample many row subsets.  That order is a
+    Fisher-Yates shuffle run forward and drawn as the minors are read:
+    position k swaps with a uniform position from k on and is yielded."""
     ring = gens[0].ring
-    pairs = [
-        (ri, ci)
-        for ri in combinations(range(len(gens)), codim)
-        for ci in combinations(range(ring.arity), codim)
-    ]
+    row_sets = list(combinations(range(len(gens)), codim))
+    col_sets = list(combinations(range(ring.arity), codim))
+    width = len(col_sets)
+    order = range(len(row_sets) * width)
     if seed is not None:
-        rng = SplitMix64(seed ^ 0x3140085)
-        for k in range(len(pairs) - 1, 0, -1):
-            j = rng.randint(0, k)
-            pairs[k], pairs[j] = pairs[j], pairs[k]
+        order = _drawn(len(order), SplitMix64(seed ^ 0x3140085))
     rows = [
         [partial_derivative(g, j) for j in range(ring.arity)] for g in gens
     ]
-    yield from _minors(rows, pairs)
+    yield from _minors(rows, ((row_sets[k // width], col_sets[k % width])
+                              for k in order))
+
+
+def _drawn(count, rng):
+    """range(count) in a random order, each position drawn from rng as
+    it is read; only the entries a swap has moved are stored."""
+    moved = {}
+    for k in range(count):
+        j = rng.randint(k, count - 1)
+        moved[k], moved[j] = moved.get(j, j), moved.get(k, k)
+        yield moved.pop(k)
 
 
 def jacobian_ideal(gens, codim: int) -> Ideal:

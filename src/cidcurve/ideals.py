@@ -17,8 +17,9 @@ I + (1 - t*g) (Rabinowitsch), projecting through `eliminate` as
 intersections do.  A saturation by several
 generators intersects the principal ones by those outside I, and so
 does a quotient, except a linked one: when I is a complete intersection
-and linkage fixes the degree of the quotient, (I : g) for a random
-combination g of the generators is certified by that degree.
+and linkage fixes the degree of the quotient, (I : g) for one g in the
+divisor is certified by that degree, trying the sparsest generator
+before two random combinations of all of them.
 Saturation by the irrelevant maximal ideal of a homogeneous ideal
 saturates by one linear form, and a Hilbert-polynomial comparison
 certifies that the form missed every relevant associated prime; when
@@ -461,16 +462,16 @@ def quotient(a: Ideal, b: Ideal, seed=0) -> Ideal:
 
     The one exception is a linked colon: a is a homogeneous complete
     intersection and b contains it with the same Krull dimension, so
-    linkage fixes the degree of (a : b) (see `_linked_degree`).  Then
-    (a : g) for a random combination g of b's generators is unmixed and
-    contains (a : b), so it equals (a : b) exactly when it has a's Krull
-    dimension and that degree; one that does not is strictly larger and
-    is redrawn once.  Generators of different degrees are first raised
-    to the top degree by a power of one random linear form, so g is
-    homogeneous and takes the homogeneous colon.  A certified draw is
-    returned as its monic reduced grevlex basis, the fold's own, and the
-    fold runs when both draws fail.  Degree 0 leaves no component, so
-    the colon is the unit ideal and nothing is drawn."""
+    linkage fixes the degree of (a : b) (see `_linked_degree`).  For any
+    g in b, (a : g) contains (a : b) and is unmixed, as a is, so it
+    equals (a : b) exactly when it has a's Krull dimension and that
+    degree; one that does not is strictly larger.  The candidates are
+    the sparsest generator of b first, then two seeded random
+    combinations (`_linked_candidates`), each homogeneous, so each takes
+    the homogeneous colon.  The first certified one is returned as its
+    monic reduced grevlex basis, the fold's own, and the fold runs when
+    none is.  Degree 0 leaves no component, so the colon is the unit
+    ideal and nothing is tried."""
     if a.ring != b.ring:
         raise RingMismatch("ideal quotient across different rings")
     gens = b.generators
@@ -479,20 +480,7 @@ def quotient(a: Ideal, b: Ideal, seed=0) -> Ideal:
         # b's top-dimensional part is a itself, so (a : b) = (a : a)
         return Ideal(a.ring, [a.ring.one()])
     if degree is not None:
-        rng = SplitMix64(seed ^ 0x5EED_C010)
-        field = a.ring.field
-        draws = gens
-        degrees = [gen.total_degree() for gen in gens]
-        top = max(degrees)
-        if min(degrees) < top:
-            ell = a.ring.linear_form(rng.vector(field, a.ring.arity))
-            draws = [gen * ell**(top - d) for gen, d in zip(gens, degrees)]
-        for _ in range(2):
-            g = a.ring.zero()
-            for gen, c in zip(draws, rng.vector(field, len(draws))):
-                g = g + gen.scale(c)
-            if not g:
-                continue
+        for g in _linked_candidates(a.ring, gens, seed):
             # a homogeneous colon, so already its reduced grevlex basis,
             # with the Hilbert data its Bayer basis fixed kept on it
             candidate = colon_principal(a, g)
@@ -501,6 +489,28 @@ def quotient(a: Ideal, b: Ideal, seed=0) -> Ideal:
                     and data.degree == degree):
                 return candidate
     return _fold(a, gens, colon_principal)
+
+
+def _linked_candidates(ring, gens, seed):
+    """The divisors g that `quotient` tries on a linked colon, in order:
+    the sparsest generator (lowest degree, then fewest terms, then first
+    in gens) as it stands, then two nonzero seeded combinations of all
+    of gens, raised to one degree by powers of a random linear form when
+    their degrees differ.  Nothing is drawn before the second."""
+    yield min(gens, key=lambda g: (g.total_degree(), len(g.terms)))
+    rng = SplitMix64(seed ^ 0x5EED_C010)
+    field = ring.field
+    degrees = [gen.total_degree() for gen in gens]
+    top = max(degrees)
+    if min(degrees) < top:
+        ell = ring.linear_form(rng.vector(field, ring.arity))
+        gens = [gen * ell**(top - d) for gen, d in zip(gens, degrees)]
+    for _ in range(2):
+        g = ring.zero()
+        for gen, c in zip(gens, rng.vector(field, len(gens))):
+            g = g + gen.scale(c)
+        if g:
+            yield g
 
 
 def _linked_degree(a: Ideal, b: Ideal):

@@ -202,14 +202,15 @@ def test_minor_kernel_matches_cofactor_expansion(rows, shuffle):
 
 def _oracle_stream(gens, codim, seed):
     """The Jacobian's codim-minors in the stream's order: row subsets
-    outside, column subsets inside, shuffled by the seed."""
+    outside, column subsets inside, shuffled by the seed front to back,
+    position k swapped with a uniform position from k on."""
     ring = gens[0].ring
     pairs = [(ri, ci) for ri in combinations(range(len(gens)), codim)
              for ci in combinations(range(ring.arity), codim)]
     if seed is not None:
         rng = SplitMix64(seed ^ 0x3140085)
-        for k in range(len(pairs) - 1, 0, -1):
-            j = rng.randint(0, k)
+        for k in range(len(pairs)):
+            j = rng.randint(k, len(pairs) - 1)
             pairs[k], pairs[j] = pairs[j], pairs[k]
     rows = [[g.derivative(j) for j in range(ring.arity)] for g in gens]
     return [_oracle_minor(rows, ri, ci) for ri, ci in pairs]
@@ -495,10 +496,10 @@ def _four_lines():
 
 class _ScriptedDraws:
     """Stands in for the colon's SplitMix64: the first combination is
-    g = x0, one generator of J, and the second is x0 + 2*x1."""
+    x0 + 2*x1, after the sparsest generator x0 of J."""
 
     def __init__(self, seed):
-        self.values = iter((1, 0, 1, 2))
+        self.values = iter((1, 2))
 
     def vector(self, field, length):
         return tuple(field.from_int(next(self.values))
@@ -532,11 +533,37 @@ def test_linkage_colon_rejects_a_larger_candidate(monkeypatch):
     assert products == []
     # (I_Z : x0) is two of the lines: right dimension, degree 2, not 3
     (g1, first), (g2, second) = candidates
-    assert g1 == ring.variable(0)
+    assert (g1, g2) == (ring.variable(0), ring.parse("x0 + 2*x1"))
     assert (first.krull_dim, first.degree) == (2, 2)
     assert (second.krull_dim, second.degree) == (2, 3)
     assert ideal_equal(result, exact_colon(i_z, j))
     assert hilbert_module.proj_degree(result) == 4 - 1
+
+
+@pytest.mark.parametrize("field", [QQ, Field.prime_field(32003)],
+                         ids=["QQ", "Fp32003"])
+def test_linked_colon_takes_the_sparsest_generator_first(monkeypatch,
+                                                         field):
+    # every generator of RNC4 is a two-term quadric, so the first one is
+    # the sparsest; it is certified, and nothing is drawn
+    curve = rnc_curve(4, field)
+    i_z, i_x = construct_ci(curve, seed=0).i_z, curve.ideal()
+    divisors = []
+    real = ideals_module.colon_principal
+
+    def spy(a, g):
+        divisors.append(g)
+        return real(a, g)
+
+    def no_draw(seed):
+        raise AssertionError("the linked colon drew a random combination")
+
+    monkeypatch.setattr(ideals_module, "colon_principal", spy)
+    monkeypatch.setattr(ideals_module, "SplitMix64", no_draw)
+    result = residual(i_z, i_x)
+    monkeypatch.undo()
+    assert divisors == [curve.ring.parse("x0*x2 - x1^2")]
+    assert ideal_equal(result, exact_colon(i_z, i_x))
 
 
 def _spy_linked_degrees(monkeypatch):

@@ -251,8 +251,11 @@ def test_quotient_mixed_degrees(monkeypatch):
 
     monkeypatch.setattr(ideals_module, "_chain_basis", spy)
     result = quotient(a, b, seed=4)
-    # the draw raised x3 to degree 2 and took the homogeneous colon; the
-    # exact fold would have intersected with a block elimination
+    # the sparsest generator x3 is tried first, but (a : x3) also drops
+    # the line x0 = x3 = 0 of a, which lies in the plane x3 = 0, so it
+    # has degree 3 and is rejected; the first draw raised x3 to degree 2
+    # and took the homogeneous colon; the exact fold would have
+    # intersected with a block elimination
     assert not any(isinstance(order, Block) for order in orders)
     monkeypatch.undo()
     assert ideal_equal(result, exact_colon(a, b))

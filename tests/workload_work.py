@@ -8,10 +8,10 @@ come from this checkout's `perfbench/workloads.py`.  Every job of the
 four workloads, for workload seed N (default 1), runs once in this
 process through `cidcurve.cli.main` with `--output json`.  The counters
 are installed from outside by rebinding five names of SRC's
-`cidcurve.groebner`, its `lt_numerator` and `cidcurve.hilbert`'s, and
-the constructors of `fractions.Fraction`, so neither SRC nor
-`perfbench/` changes; SRC's `cidcurve.ideals._SCREEN_FIELD` names the
-screening prime p:
+`cidcurve.groebner`, its `lt_numerator` and `cidcurve.hilbert`'s,
+`cidcurve.ideals.colon_principal` and the constructors of
+`fractions.Fraction`, so neither SRC nor `perfbench/` changes; SRC's
+`cidcurve.ideals._SCREEN_FIELD` names the screening prime p:
 
 - runs: calls of `_buchberger`, one per Buchberger run;
 - reductions: calls of `_Reducer.reduce`: inside a run, the reduction
@@ -43,13 +43,16 @@ screening prime p:
   entries carry, where bits gives only the widest;
 - kpolys: calls of `hilbert.lt_numerator` made outside `_buchberger`,
   the K-polynomials computed for Hilbert data (and for the colon's
-  series); those a targeted run keeps up to date are not counted.
+  series); those a targeted run keeps up to date are not counted;
+- colons: calls of `ideals.colon_principal`, one per principal colon:
+  each candidate a linked colon certifies or rejects, and each
+  generator the exact fold divides by.
 
 Each job prints one line `workload:seed:job runs reductions image
-zeros skipped fractions pairs known stopped bits sumbits kpolys`, and each
-workload a line `workload:seed:total` with the same columns, each
-summed over the jobs except bits, their maximum.  The counts are
-deterministic, so `diff` the output of two checkouts.
+zeros skipped fractions pairs known stopped bits sumbits kpolys
+colons`, and each workload a line `workload:seed:total` with the same
+columns, each summed over the jobs except bits, their maximum.  The
+counts are deterministic, so `diff` the output of two checkouts.
 """
 
 from __future__ import annotations
@@ -71,11 +74,12 @@ class _Counter:
     reductions, S-pairs skipped by a Hilbert target, Fractions built,
     S-pairs formed, runs started from a known basis, runs stopped by a
     dimension bound, the widest reducer coefficient, the summed width of
-    the entries added to reducers, and the K-polynomials computed
-    outside a Buchberger run."""
+    the entries added to reducers, the K-polynomials computed outside a
+    Buchberger run, and the principal colons."""
 
     NAMES = ("runs", "reductions", "image", "zeros", "skipped", "fractions",
-             "pairs", "known", "stopped", "bits", "sumbits", "kpolys")
+             "pairs", "known", "stopped", "bits", "sumbits", "kpolys",
+             "colons")
 
     def __init__(self):
         self.take()
@@ -83,7 +87,7 @@ class _Counter:
         # keeps is not counted
         self.depth = 0
 
-    def install(self, groebner, hilbert, screen):
+    def install(self, groebner, hilbert, ideals, screen):
         buchberger = groebner._buchberger
         reduce = groebner._Reducer.reduce
         add = groebner._Reducer.add
@@ -132,6 +136,13 @@ class _Counter:
                 return out
 
             groebner._filled = counted_filled
+        colon_principal = ideals.colon_principal
+
+        def counted_colon(*args, **kwargs):
+            self.colons += 1
+            return colon_principal(*args, **kwargs)
+
+        ideals.colon_principal = counted_colon
         for module in (hilbert, groebner):
             if hasattr(module, "lt_numerator"):
                 module.lt_numerator = self._counted_numerator(
@@ -188,7 +199,7 @@ def main(argv=None) -> int:
                          f"not from {src}")
     counter = _Counter()
     screen = getattr(ideals, "_SCREEN_FIELD", None)
-    counter.install(groebner, hilbert,
+    counter.install(groebner, hilbert, ideals,
                     screen.characteristic if screen else None)
     with tempfile.TemporaryDirectory() as tmp:
         for name in WORKLOADS:
