@@ -143,19 +143,20 @@ def _determinant(rows):
     return next(_minors(rows, [(square, square)]))
 
 
-def _minor_stream(gens, codim: int, seed=None):
+def _minor_stream(gens, codim: int, shuffled=False):
     """Minors of the Jacobian matrix, one at a time, row subsets outside
-    and column subsets inside; with a seed, in a seeded random order so
-    that early minors sample many row subsets.  That order is a
-    Fisher-Yates shuffle run forward and drawn as the minors are read:
-    position k swaps with a uniform position from k on and is yielded."""
+    and column subsets inside; `shuffled`, in a random order from a
+    fixed stream so that early minors sample many row subsets.  That
+    order is a Fisher-Yates shuffle run forward and drawn as the minors
+    are read: position k swaps with a uniform position from k on and is
+    yielded."""
     ring = gens[0].ring
     row_sets = list(combinations(range(len(gens)), codim))
     col_sets = list(combinations(range(ring.arity), codim))
     width = len(col_sets)
     order = range(len(row_sets) * width)
-    if seed is not None:
-        order = _drawn(len(order), SplitMix64(seed ^ 0x3140085))
+    if shuffled:
+        order = _drawn(len(order), SplitMix64(0x3140085))
     rows = [
         [partial_derivative(g, j) for j in range(ring.arity)] for g in gens
     ]
@@ -194,11 +195,11 @@ def curve_codim(ring) -> int:
     return ring.arity - 2
 
 
-def _reduced_minors(base: Ideal, forms, seed=None):
+def _reduced_minors(base: Ideal, forms, shuffled=False):
     """The nonzero Jacobian minors of `forms` of the curve codimension
-    mod base, made primitive, in `_minor_stream` order for `seed`."""
+    mod base, made primitive, in `_minor_stream` order."""
     normal_form = base.gb().normal_form
-    for minor in _minor_stream(forms, curve_codim(base.ring), seed):
+    for minor in _minor_stream(forms, curve_codim(base.ring), shuffled):
         minor = normal_form(minor)
         if minor:
             yield minor.primitive_int()
@@ -211,14 +212,15 @@ def _jacobian_scheme(base: Ideal, forms) -> Ideal:
     return _extension(base, _reduced_minors(base, forms))
 
 
-def is_smooth_curve(i_x: Ideal, seed: int = 0) -> bool:
+def is_smooth_curve(i_x: Ideal) -> bool:
     """Jacobian criterion: the singular scheme of the curve is empty."""
-    return _minors_reach(i_x, i_x.generators, 0, seed)
+    return _minors_reach(i_x, i_x.generators, 0, shuffled=True)
 
 
-def _minors_reach(base: Ideal, forms, bound: int, seed) -> bool:
+def _minors_reach(base: Ideal, forms, bound: int, shuffled: bool) -> bool:
     """Whether `_jacobian_scheme(base, forms)` has Krull dimension at
-    most `bound`, reading minors in `_minor_stream` order for `seed`.
+    most `bound`, reading minors in `_minor_stream` order, `shuffled` or
+    plain.
 
     A generator lowers the dimension by at most one, so the first check
     comes after dim(base) - bound minors, then after twice as many new
@@ -230,7 +232,7 @@ def _minors_reach(base: Ideal, forms, bound: int, seed) -> bool:
     if checkpoint <= 0:
         return True
     partial, pending = base, []
-    for minor in _reduced_minors(base, forms, seed):
+    for minor in _reduced_minors(base, forms, shuffled):
         pending.append(minor)
         if len(pending) == checkpoint:
             partial = _extension(partial, pending)
@@ -245,7 +247,7 @@ def _minors_reach(base: Ideal, forms, bound: int, seed) -> bool:
 # --- residual and charts -----------------------------------------------
 
 
-def residual(i_z: Ideal, i_x: Ideal, seed: int = 0) -> Ideal:
+def residual(i_z: Ideal, i_x: Ideal) -> Ideal:
     """Saturated ideal (I_Z : I_X) of the residual curve W = closure of
     Z minus X, for a complete intersection I_Z inside I_X.  That I_Z is
     unmixed, hence saturated, so the colon needs no saturation step:
@@ -256,7 +258,7 @@ def residual(i_z: Ideal, i_x: Ideal, seed: int = 0) -> Ideal:
     for g in i_z.generators:
         if not gb_x.contains(g):
             raise NotContained(f"{g} does not lie in the curve ideal")
-    return quotient(i_z, i_x, seed=seed)
+    return quotient(i_z, i_x)
 
 
 def _hyperplane_misses(finite: Ideal, h: Polynomial) -> bool:
@@ -319,7 +321,7 @@ def _smooth_length(i_x: Ideal, witness):
     """
     if _empty_on_curve(witness):
         return 0
-    if not _minors_reach(witness.on_curve, i_x.generators, 0, 0):
+    if not _minors_reach(witness.on_curve, i_x.generators, 0, shuffled=True):
         return None
     return _projective_length(witness.on_curve)
 

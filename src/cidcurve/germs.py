@@ -42,10 +42,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from heapq import heappop, heappush
-from itertools import combinations
 from math import gcd, lcm
 
-from .discrepancy import _determinant, _minor_stream, jacobian_ideal
+from .discrepancy import _determinant, jacobian_ideal
 from .errors import (
     DerivativeVanishes,
     EmptyInput,
@@ -73,6 +72,7 @@ from .polynomials import (
     Polynomial,
     PolyRing,
     _substitute,
+    partial_derivative,
 )
 from .rng import SplitMix64
 
@@ -557,33 +557,27 @@ def e_jacobian_single_minor(Z_germ, branches, seed: int = 0) -> int:
     sufficiently general change).
 
     With x = U x', U the unipotent change, the moved Jacobian along the
-    moved branch is J(p(t)) U, so the minor is det(J U[:, 1..k]) for k
-    generators, pulled back along the branches as given, for the n - 1
-    generators of a complete intersection in n variables and branches
-    with n coordinates.  Cauchy-Binet
-    expands it as the sum over k-subsets S of the coordinates of
-    det(U[S, 1..k]) times the Jacobian minor on the columns S."""
+    moved branch is J(p(t)) U, so the minor is det(J U[:, 1..k]) for the
+    k = n - 1 generators of a complete intersection in n variables,
+    pulled back along the branches as given, which have n coordinates.
+    Column c of J U is J_c + sum_{i < c} u_ic J_i, so the minor is one
+    determinant of polynomial entries; by Cauchy-Binet it is the sum
+    over k-subsets S of the coordinates of det(U[S, 1..k]) times the
+    Jacobian minor on the columns S."""
     Z_gens = [g for g in Z_germ if g]
     if not Z_gens:
         raise EmptyInput("no complete-intersection generators")
     ring = Z_gens[0].ring
-    field = ring.field
     n = ring.arity
     _check_ci_count(Z_gens, n)
     branches = _check_branches(branches, n)
     rng = SplitMix64(seed ^ 0x51_4C7A)
-    # x_i -> x_i + sum_{j > i} c_ij x_j: unipotent, hence invertible
-    change = [[ring.one() if i == j else ring.zero() for j in range(n)]
-              for i in range(n)]
-    upper = iter(rng.vector(field, n * (n - 1) // 2))
-    for i in range(n):
-        for j in range(i + 1, n):
-            change[i][j] = ring.constant(next(upper))
-    k = len(Z_gens)
-    subsets = list(combinations(range(n), k))
-    # the one row set, then the column subsets in `combinations` order
-    minor = ring.zero()
-    for s, m in zip(subsets, _minor_stream(Z_gens, k)):
-        weight = _determinant([change[i][1:k + 1] for i in s])
-        minor = minor + weight * m
-    return hs_multiplicity_pullback([minor], branches)
+    # x_i -> x_i + sum_{j > i} u_ij x_j: unipotent, hence invertible
+    upper = iter(rng.vector(ring.field, n * (n - 1) // 2))
+    u = {(i, j): next(upper) for i in range(n) for j in range(i + 1, n)}
+    rows = []
+    for g in Z_gens:
+        jac = [partial_derivative(g, j) for j in range(n)]
+        rows.append([sum((jac[i].scale(u[i, c]) for i in range(c)), jac[c])
+                     for c in range(1, n)])
+    return hs_multiplicity_pullback([_determinant(rows)], branches)

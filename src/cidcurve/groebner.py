@@ -50,9 +50,10 @@ reduction that meets the monomial again resumes the scan there, and a
 miss recorded before an entry was appended scans that entry.  The memo
 is dropped when the run returns.
 
-A caller that knows the Hilbert series of S/J for J homogeneous in the
-order's grading (variable i of degree w_i, the order's weight for a
-weighted order and 1 otherwise) may pass its K-polynomial as a target.
+When the ideal layer knows the Hilbert series of S/J for J homogeneous
+in the order's grading (variable i of degree w_i, the order's weight
+for a weighted order and 1 otherwise), it passes its K-polynomial to
+the private `_basis` as a target (`ideals._cached_basis`).
 The K-polynomial of the leading monomials of G is then kept up to date,
 one new leading monomial at a time, and a popped pair whose lcm has
 degree D in that grading is skipped, unreduced, when S/LT(G) has the
@@ -536,17 +537,11 @@ class GroebnerBasis:
         return not self.normal_form(f)
 
 
-def groebner_basis(gens, order=GREVLEX, ring: PolyRing = None,
-                   target=None) -> GroebnerBasis:
-    """The reduced basis of the ideal J the gens generate.  `target`, if
-    given, is the K-polynomial of S/J (its Hilbert series times
-    prod (1 - t^w_i)) for homogeneous gens, in the grading that gives
-    variable i the degree w_i = order.weights[i] for a weighted order
-    and 1 otherwise; a coefficientwise lower bound of that series
-    serves too.  Buchberger then skips every S-pair in a degree where
-    the leading monomials already have the target's Hilbert function
-    (see the module docstring).  The basis is the same either way."""
-    return _basis(gens, order, ring, target)
+def groebner_basis(gens, order=GREVLEX,
+                   ring: PolyRing = None) -> GroebnerBasis:
+    """The reduced basis of the ideal J the gens generate, monic and in
+    ascending leading-monomial order: unique for J and `order`."""
+    return _basis(gens, order, ring)
 
 
 def basis_unless_dimension_at_most(gens, bound: int, ring: PolyRing = None):
@@ -558,9 +553,12 @@ def basis_unless_dimension_at_most(gens, bound: int, ring: PolyRing = None):
 
 
 def _basis(gens, order, ring, target=None, bound=None, known=None):
-    """`groebner_basis` with `_buchberger`'s dimension stop: None when
-    it fires.  `known`, a reduced basis in `order` and `ring` of an
-    ideal the gens extend, starts the run (see the module docstring)."""
+    """`groebner_basis` with `_buchberger`'s Hilbert-target skip and
+    dimension stop: None when the stop fires.  `target` is the
+    K-polynomial of S/J, or a coefficientwise lower bound of its series,
+    in the order's grading; `known`, a reduced basis in `order` and
+    `ring` of an ideal the gens extend, starts the run (see the module
+    docstring)."""
     gens = [g for g in gens if g]
     if ring is None:
         if not gens:

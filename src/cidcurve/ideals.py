@@ -120,13 +120,9 @@ class Ideal:
         self._base = None
         self._homogeneous = None
 
-    def gb(self, order=GREVLEX, target=None) -> GroebnerBasis:
-        """The reduced basis in `order`, computed once (`_chain_basis`);
-        `target` is handed to the run that computes it."""
-        cached = self._gb_cache.get(order)
-        if cached is None:
-            cached = self._gb_cache[order] = _chain_basis(self, order, target)
-        return cached
+    def gb(self, order=GREVLEX) -> GroebnerBasis:
+        """The reduced basis in `order`, computed once (`_cached_basis`)."""
+        return _cached_basis(self, order)
 
     def contains(self, f: Polynomial) -> bool:
         return self.gb().contains(f)
@@ -164,6 +160,19 @@ def _extension(base: Ideal, extra) -> Ideal:
     out = Ideal(base.ring, [*base.generators, *extra])
     out._base = base
     return out
+
+
+def _cached_basis(a: Ideal, order, target=None) -> GroebnerBasis:
+    """a's reduced basis in `order`, computed once (`_chain_basis`) and
+    cached: the one place a Hilbert target enters a run.  `target` must
+    be the K-polynomial of S/a in the order's grading, or of a
+    coefficientwise lower bound of its series; then it changes only the
+    work (see `groebner`).  A larger target drops S-pairs that do not
+    reduce to zero, and the wrong basis is cached with no check."""
+    cached = a._gb_cache.get(order)
+    if cached is None:
+        cached = a._gb_cache[order] = _chain_basis(a, order, target)
+    return cached
 
 
 def _chain_basis(a: Ideal, order, target=None, bound=None):
@@ -384,7 +393,7 @@ def _bayer_basis(a: Ideal, g: Polynomial):
         target = _hilbert._koszul([d], known.hilbert.numerator)
     gens = [*_relabel(a.generators, aux).generators,
             y - _relabel([g], aux).generators[0]]
-    basis = Ideal(aux, gens).gb(order, target)
+    basis = _cached_basis(Ideal(aux, gens), order, target)
     images = ring.variables() + [g]
 
     def back(pairs):
@@ -400,9 +409,9 @@ def _bayer_basis(a: Ideal, g: Polynomial):
 
 def _reduced(a: Ideal, numerator=None) -> Ideal:
     """a presented by its monic reduced grevlex basis, kept cached.  A
-    known K-polynomial `numerator` of S/a is the basis's target, and
-    the basis keeps it as its Hilbert data."""
-    return _presented(a.gb(GREVLEX, target=numerator))
+    known K-polynomial `numerator` of S/a is the basis's target
+    (`_cached_basis`), and the basis keeps it as its Hilbert data."""
+    return _presented(_cached_basis(a, GREVLEX, numerator))
 
 
 def _colon_numerator(pairs, ring: PolyRing, d: int):
@@ -455,7 +464,7 @@ def _fold(a: Ideal, gens, principal) -> Ideal:
     return result
 
 
-def quotient(a: Ideal, b: Ideal, seed=0) -> Ideal:
+def quotient(a: Ideal, b: Ideal) -> Ideal:
     """(a : b).  The exact fold answers: the intersection of the
     principal colons by the generators of b outside a, the unit ideal
     for none.
@@ -466,11 +475,12 @@ def quotient(a: Ideal, b: Ideal, seed=0) -> Ideal:
     g in b, (a : g) contains (a : b) and is unmixed, as a is, so it
     equals (a : b) exactly when it has a's Krull dimension and that
     degree; one that does not is strictly larger.  The candidates are
-    the sparsest generator of b first, then two seeded random
-    combinations (`_linked_candidates`), each homogeneous, so each takes
-    the homogeneous colon.  The first certified one is returned as its
-    monic reduced grevlex basis, the fold's own, and the fold runs when
-    none is.  Degree 0 leaves no component, so the colon is the unit
+    the sparsest generator of b first, then two random combinations from
+    a fixed stream (`_linked_candidates`), each homogeneous, so each
+    takes the homogeneous colon.  The first certified one is returned as
+    its monic reduced grevlex basis, the fold's own, and the fold runs
+    when none is; the colon is unique, so the draw changes only the
+    work.  Degree 0 leaves no component, so the colon is the unit
     ideal and nothing is tried."""
     if a.ring != b.ring:
         raise RingMismatch("ideal quotient across different rings")
@@ -480,7 +490,7 @@ def quotient(a: Ideal, b: Ideal, seed=0) -> Ideal:
         # b's top-dimensional part is a itself, so (a : b) = (a : a)
         return Ideal(a.ring, [a.ring.one()])
     if degree is not None:
-        for g in _linked_candidates(a.ring, gens, seed):
+        for g in _linked_candidates(a, gens):
             # a homogeneous colon, so already its reduced grevlex basis,
             # with the Hilbert data its Bayer basis fixed kept on it
             candidate = colon_principal(a, g)
@@ -491,15 +501,28 @@ def quotient(a: Ideal, b: Ideal, seed=0) -> Ideal:
     return _fold(a, gens, colon_principal)
 
 
-def _linked_candidates(ring, gens, seed):
-    """The divisors g that `quotient` tries on a linked colon, in order:
-    the sparsest generator (lowest degree, then fewest terms, then first
-    in gens) as it stands, then two nonzero seeded combinations of all
-    of gens, raised to one degree by powers of a random linear form when
-    their degrees differ.  Nothing is drawn before the second."""
-    yield min(gens, key=lambda g: (g.total_degree(), len(g.terms)))
-    rng = SplitMix64(seed ^ 0x5EED_C010)
+def _linked_candidates(a: Ideal, gens):
+    """The divisors g that `quotient` tries on a linked colon (a : gens),
+    in order: the sparsest generator (lowest degree, then fewest terms,
+    then first in gens) as it stands, unless it is a scalar multiple of
+    a generator of a, whose colon is the unit ideal; then two nonzero
+    combinations of all of gens from a fixed stream, raised to one
+    degree by powers of a random linear form when their degrees differ.
+    Nothing is drawn before the second."""
+    ring = a.ring
     field = ring.field
+
+    def line(g):
+        # equal exactly for scalar multiples; over QQ read off the integer
+        # terms g's basis run cached, so no Fraction is built
+        if field.characteristic:
+            return g.scale(field.inv(g.leading(GREVLEX)[1]))
+        return g.primitive_int()
+
+    sparsest = min(gens, key=lambda g: (g.total_degree(), len(g.terms)))
+    if line(sparsest) not in {line(f) for f in a.generators}:
+        yield sparsest
+    rng = SplitMix64(0x5EED_C010)
     degrees = [gen.total_degree() for gen in gens]
     top = max(degrees)
     if min(degrees) < top:
@@ -616,10 +639,11 @@ def eliminate(a: Ideal, var_indices) -> Ideal:
 # --- dimensions --------------------------------------------------------
 
 
-def vdim(a: Ideal, order=GREVLEX):
+def vdim(a: Ideal):
     """dim_k of the quotient ring, or INFINITE: the h-polynomial of its
-    basis's Hilbert data at t = 1, counting standard monomials."""
-    gb = a.gb(order)
+    grevlex basis's Hilbert data at t = 1, counting standard monomials.
+    The count is the same in every order."""
+    gb = a.gb()
     if gb.is_unit():
         return 0
     h = _hilbert._h_polynomial(gb.hilbert.numerator, a.ring.arity)

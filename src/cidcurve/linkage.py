@@ -62,7 +62,7 @@ from .errors import (
     WrongCharacteristic,
 )
 from .hilbert import ci_hilbert_data, hilbert_series
-from .ideals import Ideal, dimension_at_most
+from .ideals import Ideal, _cached_basis, dimension_at_most
 from .orders import GREVLEX
 from .polynomials import Polynomial, PolyRing
 from .rng import SplitMix64
@@ -293,12 +293,14 @@ def _is_complete_intersection(i_z: Ideal) -> bool:
     part of the ideal is the image of (a_i) -> sum a_i F_i, whose rank
     is largest for generic forms, and generic forms are a regular
     sequence.  So that series is a lower bound that the grevlex basis
-    takes as its target, skipping the S-pairs of every degree where its
-    leading monomials reach it, and reaching it in every degree proves
-    the forms a regular sequence; forms that are not one fall short of
-    it in some degree, whose pairs their basis still reduces."""
+    takes as its target (`ideals._cached_basis`), skipping the S-pairs
+    of every degree where its leading monomials reach it, and reaching
+    it in every degree proves the forms a regular sequence; forms that
+    are not one fall short of it in some degree, whose pairs their basis
+    still reduces."""
     degrees = [f.total_degree() for f in i_z.generators]
-    i_z.gb(GREVLEX, target=ci_hilbert_data(degrees, i_z.ring.arity).numerator)
+    _cached_basis(i_z, GREVLEX,
+                  ci_hilbert_data(degrees, i_z.ring.arity).numerator)
     return dimension_at_most(i_z, 2)
 
 
@@ -351,7 +353,7 @@ def _construct(curve: CurveInput, seed: int, max_attempts: int,
                       _hyperplane_misses(on_curve, ells[-1])):
             continue
 
-        i_w = residual(i_z, i_x, seed=seed ^ attempt)
+        i_w = residual(i_z, i_x)
         # V(I_Z) = V(I_X) u V(I_W), and Z's Jacobian scheme on X is
         # on_curve, finite once reduced_along_input passes.  So Z has
         # finitely many singular points exactly when I_W plus F's
@@ -359,7 +361,7 @@ def _construct(curve: CurveInput, seed: int, max_attempts: int,
         # and the first one mod I_W usually settles it.
         if transversal and not record(
                 "singular_locus_finite",
-                _minors_reach(i_w, F, 1, None)):
+                _minors_reach(i_w, F, 1, shuffled=False)):
             continue
 
         # a nonempty W is met by X, so the genus report reads on_curve's

@@ -265,13 +265,13 @@ class Polynomial:
             out[tuple(e2)] = coeff
         return Polynomial(self.ring, out)
 
-    def compose(self, target: PolyRing, images) -> "Polynomial":
-        """Substitute images[i] (a polynomial of `target`) for variable i,
+    def compose(self, ring: PolyRing, images) -> "Polynomial":
+        """Substitute images[i] (a polynomial of `ring`) for variable i,
         by `_substitute`: each power of an image is computed once, from
         the one before it, and the terms are summed in place."""
         if len(images) != self.ring.arity:
             raise ValueError("need one image per variable")
-        return next(_substitute([self], target, images))
+        return next(_substitute([self], ring, images))
 
     def evaluate(self, point):
         """Value at a scalar point (list of field elements)."""

@@ -26,7 +26,12 @@ see that a change returns the same witnesses and reports.
   Q(u) with Q = (x + x^2, x^2 + x^3) and u = t^2 + t^3, that is
   x = t^2 + t^3 + t^4 + 2t^5 + t^6, y = t^4 + 2t^5 + 2t^6 + 3t^7 + 3t^8
   + t^9, which runs every window up to the cap and is reported as
-  `NotPrimitive`.
+  `NotPrimitive`;
+- `local` over QQ at the default precision cap on the dense branch
+  x = t^5 + t^6 + ... + t^40, y = 7t^7 + 8t^8 + ... + 40t^40 (delta 12),
+  whose 36 and 34 terms no benchmark germ has: it times the doubling
+  window schedule of `germs.delta_invariant`, which pays off only on a
+  dense branch.
 """
 
 from __future__ import annotations
@@ -47,7 +52,8 @@ CASES = ("transversal_rnc5_s0", "transversal_rnc5_s1",
          "transversality_count_rnc5_s0", "transversality_count_rnc5_s1",
          "lci_cubic_and_tangent", "rnc6_fp", "rnc6_qq",
          "local_space_3_4_5_f3", "local_slow_germ_cap16_f3",
-         "local_slow_germ_cap16_qq", "local_composed_branch_qq")
+         "local_slow_germ_cap16_qq", "local_composed_branch_qq",
+         "local_dense_branch_qq")
 TIMEOUT_S = 60
 
 GERM_3_4_5 = ("germ/1 over QQ vars x y z\n"
@@ -58,6 +64,10 @@ SLOW_GERM = ("germ/1 over QQ vars x y\n"
 COMPOSED_BRANCH = ("germ/1 over QQ vars x y\n"
                    "branch a: x = t^2 + t^3 + t^4 + 2*t^5 + t^6; "
                    "y = t^4 + 2*t^5 + 2*t^6 + 3*t^7 + 3*t^8 + t^9\n")
+DENSE_BRANCH = ("germ/1 over QQ vars x y\n"
+                "branch a: x = " + " + ".join(f"t^{k}" for k in range(5, 41))
+                + "; y = " + " + ".join(f"{k}*t^{k}" for k in range(7, 41))
+                + "\n")
 
 
 def _rnc(cid, n, field):
@@ -133,6 +143,8 @@ def _prepare(cid, case, tmp):
                       "--precision-cap", "16")
     if case == "local_composed_branch_qq":
         return _local(tmp, "composed.germ", COMPOSED_BRANCH, "QQ")
+    if case == "local_dense_branch_qq":
+        return _local(tmp, "dense.germ", DENSE_BRANCH, "QQ")
     raise SystemExit(f"unknown case {case!r}")
 
 

@@ -216,16 +216,18 @@ def _oracle_stream(gens, codim, seed):
     return [_oracle_minor(rows, ri, ci) for ri, ci in pairs]
 
 
-@pytest.mark.parametrize("seed", [None, 0, 5])
+@pytest.mark.parametrize("seed", [None, 0])
 @pytest.mark.parametrize("field", [QQ, Field.prime_field(7)],
                          ids=["QQ", "F7"])
 @pytest.mark.parametrize("n", [3, 4])
 def test_minor_stream_order_matches_the_oracle(n, field, seed):
+    # the plain order, and the shuffled one, which is seed 0's
     curve = rnc_curve(n, field)
     gens = list(curve.generators)
     # a rational row multiplier: the stream must divide it back out
     gens[0] = gens[0].scale(field.from_fraction(Fraction(3, 2)))
-    got = list(discrepancy_module._minor_stream(gens, n - 1, seed))
+    got = list(discrepancy_module._minor_stream(gens, n - 1,
+                                                shuffled=seed is not None))
     assert got == _oracle_stream(gens, n - 1, seed)
 
 
@@ -566,6 +568,30 @@ def test_linked_colon_takes_the_sparsest_generator_first(monkeypatch,
     assert ideal_equal(result, exact_colon(i_z, i_x))
 
 
+@pytest.mark.parametrize("field", [QQ, Field.prime_field(32003)],
+                         ids=["QQ", "Fp32003"])
+def test_linked_colon_skips_a_generator_of_the_dividend(monkeypatch,
+                                                        field):
+    # the first row of the coefficient matrix makes F_1 = x0*x2 - x1^2,
+    # the sparsest generator of the twisted cubic; its colon would be
+    # the unit ideal, so it is not tried, and the first draw is certified
+    curve = rnc_curve(3, field)
+    sparsest = curve.ring.parse("x0*x2 - x1^2")
+    divisors = []
+    real = ideals_module.colon_principal
+
+    def spy(a, g):
+        divisors.append(g)
+        return real(a, g)
+
+    monkeypatch.setattr(ideals_module, "colon_principal", spy)
+    witness = construct_ci(curve, coeff_matrix=((1, 0, 0), (1, 2)))
+    monkeypatch.undo()
+    assert witness.F[0] == sparsest
+    assert len(divisors) == 1 and divisors[0] != sparsest
+    assert ideal_equal(witness.i_w, exact_colon(witness.i_z, curve.ideal()))
+
+
 def _spy_linked_degrees(monkeypatch):
     degrees = []
     real = ideals_module._linked_degree
@@ -594,6 +620,9 @@ def test_residual_certifies_only_complete_intersections(monkeypatch):
     # J not containing I_Z: linkage says nothing either
     assert ideal_equal(quotient(i_z, Ideal(ring, [x0, x2 + x3])),
                        exact_colon(i_z, Ideal(ring, [x0, x2 + x3])))
+    # a constant among the dividend's generators: not forms of positive
+    # degree, so nothing is linked, and the fold finds J inside
+    assert quotient(Ideal(ring, [ring.one(), x0 * x1]), j).is_unit()
     # J = I_Z: the colon has degree 0, so it is the unit ideal, with no
     # fallback to the exact fold
     fallbacks = []
@@ -606,7 +635,7 @@ def test_residual_certifies_only_complete_intersections(monkeypatch):
     monkeypatch.setattr(ideals_module, "_fold", fold)
     assert residual(i_z, i_z).is_unit()
     assert fallbacks == []
-    assert degrees == [3, None, None, None, 0]
+    assert degrees == [3, None, None, None, None, 0]
 
 
 def _skew_lines():
@@ -1022,9 +1051,9 @@ def test_route_values_ask_smoothness_once(name, monkeypatch):
     def counted(attr):
         real = getattr(discrepancy_module, attr)
 
-        def spy(*args):
+        def spy(*args, **kwargs):
             calls[attr] += 1
-            return real(*args)
+            return real(*args, **kwargs)
         return spy
 
     for attr in calls:

@@ -696,9 +696,9 @@ def test_concurrent_lines_build_no_groebner_basis(monkeypatch):
     real_basis = cidcurve.ideals.groebner_basis
     real_chain = cidcurve.ideals._chain_basis
 
-    def spy_basis(gens, order, ring=None, target=None):
+    def spy_basis(gens, order, ring=None):
         orders.append(order)
-        return real_basis(gens, order, ring=ring, target=target)
+        return real_basis(gens, order, ring=ring)
 
     def spy_chain(a, order, target=None, bound=None):
         orders.append(order)

@@ -315,9 +315,9 @@ def test_double_link_verdict_matches_saturated_comparison(name, monkeypatch):
     sat_x = saturate_irrelevant(i_x)
     links = []
 
-    def spy(a, b, seed=0):
-        i_w = residual(a, b, seed=seed)
-        links.append((a, i_w, seed))
+    def spy(a, b):
+        i_w = residual(a, b)
+        links.append((a, i_w))
         return i_w
 
     monkeypatch.setattr(linkage, "residual", spy)
@@ -331,8 +331,8 @@ def test_double_link_verdict_matches_saturated_comparison(name, monkeypatch):
             verdict = err.failures["double_link"] == 0
         if not links:
             continue  # an earlier test rejected the draw
-        i_z, i_w, link_seed = links[0]
-        back = quotient(i_z, i_w, seed=link_seed)
+        i_z, i_w = links[0]
+        back = quotient(i_z, i_w)
         assert verdict == (hilbert_polynomial(back) == hilbert_polynomial(i_x))
         assert verdict == ideal_equal(back, sat_x)
         verdicts.append(verdict)

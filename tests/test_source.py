@@ -114,3 +114,30 @@ def test_packed_monomials_unpack_only_in_orders():
                   if isinstance(node, ast.BinOp)
                   and isinstance(node.op, ast.RShift)]
     assert not found, f"right shifts outside orders.py and rng.py: {found}"
+
+
+def _public(name):
+    return not name.startswith("_") or name.startswith("__")
+
+
+def test_no_public_hilbert_target():
+    # a Hilbert target changes only the work, and one above the true
+    # series gives a wrong basis, so it enters a run only through the
+    # private `ideals._cached_basis`: no public function, and no public
+    # method of a public class, takes a parameter named `target`
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        functions = [node for node in tree.body
+                     if isinstance(node, ast.FunctionDef)]
+        functions += [method for node in tree.body
+                      if isinstance(node, ast.ClassDef)
+                      and _public(node.name)
+                      for method in node.body
+                      if isinstance(method, ast.FunctionDef)]
+        found += [f"{path.name}:{node.lineno} {node.name}"
+                  for node in functions if _public(node.name)
+                  and "target" in {arg.arg for arg in (
+                      *node.args.posonlyargs, *node.args.args,
+                      *node.args.kwonlyargs)}]
+    assert not found, f"public parameters named target: {found}"
