@@ -37,6 +37,8 @@ extensions, with their bases:
 - a partial minor ideal of `discrepancy._minors_reach`: the previous
   partial ideal, or that ideal for the first;
 - a finite scheme plus a hyperplane: the scheme;
+- the zero-dimensional radical: the ideal, whose basis it keeps when
+  the ideal is its own radical;
 - the image mod p of an extension: its base's image.
 A run's known basis is always in that run's own ring and order.  The
 Bayer basis of a + (y - g) lives in S[y] under a weighted order, so its
@@ -61,9 +63,12 @@ that share the basis (`_presented`).
 
 A zero-dimensional ideal has finite length `vdim`, counted from the
 Hilbert series numerator of its leading-term ideal.  Its radical adds
-the squarefree part of each variable's univariate generator, the single
-element of the elimination ideal a ∩ k[x_i] (Seidenberg's lemma), and
-its distinct points are the length of that radical.
+the squarefree part of each variable's univariate generator, the
+generator of a ∩ k[x_i] (Seidenberg's lemma), and its distinct points
+are the length of that radical.  That generator is the minimal
+polynomial of x_i on S/a, read off the normal forms of its powers
+against a's grevlex basis (Faugère, Gianni, Lazard and Mora, JSC 16,
+1993), so the radical needs no elimination.
 """
 
 from __future__ import annotations
@@ -643,10 +648,7 @@ def vdim(a: Ideal):
     """dim_k of the quotient ring, or INFINITE: the h-polynomial of its
     grevlex basis's Hilbert data at t = 1, counting standard monomials.
     The count is the same in every order."""
-    gb = a.gb()
-    if gb.is_unit():
-        return 0
-    h = _hilbert._h_polynomial(gb.hilbert.numerator, a.ring.arity)
+    h = _hilbert._h_polynomial(a.gb().hilbert.numerator, a.ring.arity)
     return INFINITE if h is None else sum(h)
 
 
@@ -739,22 +741,51 @@ def _squarefree_part(f: Polynomial, index: int) -> Polynomial:
     return w * _squarefree_part(y, index)
 
 
+def _minimal_polynomial(basis: GroebnerBasis, i: int) -> Polynomial:
+    """The monic generator of a ∩ k[x_i], a the zero-dimensional ideal
+    of the reduced `basis`: the minimal polynomial of x_i on S/a.  The
+    normal forms of 1, x_i, x_i^2, ... go into an echelon keyed by
+    leading monomial, each row carrying the polynomial in x_i it is the
+    normal form of; the first power whose normal form reduces to zero
+    there leaves that power minus its combination of the rows."""
+    field = basis.ring.field
+    x = basis.ring.variable(i)
+    rows = {}
+    power = basis.ring.one()
+    form = basis.normal_form(power)
+    while True:
+        rest, source = form, power
+        while rest:
+            m, c = rest.leading(GREVLEX)
+            if m not in rows:
+                inv = field.inv(c)
+                rows[m] = (rest.scale(inv), source.scale(inv))
+                break
+            row, row_source = rows[m]
+            rest = rest - row.scale(c)
+            source = source - row_source.scale(c)
+        else:
+            return source
+        power = power * x
+        form = basis.normal_form(form * x)
+
+
 def radical_zero_dim(a: Ideal) -> Ideal:
-    """Radical of a zero-dimensional ideal: add the squarefree part of
-    each variable's univariate generator of a ∩ k[x_i], read off the
-    elimination basis (Seidenberg's lemma)."""
+    """Radical of a zero-dimensional ideal: a plus the squarefree part
+    of each variable's minimal polynomial, the generator of a ∩ k[x_i]
+    (Seidenberg's lemma).  When every minimal polynomial is squarefree,
+    a is its own radical and the result keeps a's grevlex basis."""
     if a.is_unit():
         return a
     if vdim(a) == INFINITE:
         raise NotZeroDimensional("radical_zero_dim needs a finite quotient")
-    ring = a.ring
-    gens = list(a.generators)
-    for i in range(ring.arity):
-        others = [j for j in range(ring.arity) if j != i]
-        meet = eliminate(a, others) if others else a
-        generator = meet.gb().elements[0]
-        gens += _relabel([_squarefree_part(generator, 0)], ring).generators
-    return Ideal(ring, gens)
+    basis = a.gb()
+    minimal = [_minimal_polynomial(basis, i) for i in range(a.ring.arity)]
+    parts = [_squarefree_part(m, i) for i, m in enumerate(minimal)]
+    out = _extension(a, parts)
+    if parts == minimal:
+        out._gb_cache[GREVLEX] = basis
+    return out
 
 
 def distinct_point_count(a: Ideal) -> int:

@@ -15,6 +15,10 @@ see that a change returns the same witnesses and reports.
 - `construct_ci_transversal` on the degree-5 rational normal curve (RNC5)
   at seeds 0 and 1;
 - `transversality_count` on those two witnesses;
+- `radical_zero_dim` over F_32003 of RNC5's witness scheme on its chart,
+  `on_curve + (h - 1)` for the `construct_ci` witness at seed 0, hashed
+  by its printed generators: `transversality_count` needs characteristic
+  0, so no other case takes the radical over F_p;
 - `cid_routes(route="lci")` on the twisted cubic and its tangent line;
 - `construct_ci` plus `genus_report` on RNC6 over F_32003, and, with
   `--rnc6-qq`, over QQ (about 10 s a run);
@@ -50,6 +54,7 @@ from pathlib import Path
 
 CASES = ("transversal_rnc5_s0", "transversal_rnc5_s1",
          "transversality_count_rnc5_s0", "transversality_count_rnc5_s1",
+         "radical_rnc5_fp",
          "lci_cubic_and_tangent", "rnc6_fp", "rnc6_qq",
          "local_space_3_4_5_f3", "local_slow_germ_cap16_f3",
          "local_slow_germ_cap16_qq", "local_composed_branch_qq",
@@ -122,6 +127,14 @@ def _prepare(cid, case, tmp):
         curve = _rnc(cid, 5, qq)
         witness = cid.construct_ci_transversal(curve, seed=int(case[-1]))
         return lambda: repr(cid.transversality_count(curve, witness))
+    if case == "radical_rnc5_fp":
+        witness = cid.construct_ci(_rnc(cid, 5, cid.Field.prime_field(32003)),
+                                   seed=0)
+        ring = witness.on_curve.ring
+        scheme = cid.ideal_sum(witness.on_curve,
+                               cid.Ideal(ring, [witness.h - ring.one()]))
+        return lambda: "\n".join(
+            str(g) for g in cid.radical_zero_dim(scheme).generators)
     if case == "lci_cubic_and_tangent":
         curve = _cubic_and_tangent(cid)
         witness = cid.construct_ci(curve, seed=0)

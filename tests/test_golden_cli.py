@@ -151,6 +151,12 @@ def _jobs():
         add(f"ideal-op-{op}",
             ("ideal-op", "--input", "{dir}/two.ring", "--op", op,
              "--left", left) + operands[operand])
+    # over F_3, z^3 - 1 = (z - 1)^3 takes the squarefree part's p-th
+    # root descent; over F_7 every univariate generator is squarefree
+    for p in (3, 7):
+        add(f"ideal-op-radical-f{p}",
+            ("ideal-op", "--input", "{dir}/two.ring", "--op", "radical",
+             "--left", "A", "--field", f"Fp:{p}"))
     for tag, left in (("changes", "P"), ("unchanged", "C")):
         add(f"ideal-op-saturate-{tag}",
             ("ideal-op", "--input", "{dir}/homogeneous.ring", "--op",

@@ -13,6 +13,7 @@ from cidcurve import (
     Ideal,
     LEX,
     PolyRing,
+    construct_ci_transversal,
     dimension_at_most,
     distinct_point_count,
     eliminate,
@@ -30,6 +31,7 @@ from cidcurve import (
     saturate_irrelevant,
     vdim,
 )
+from cidcurve import groebner as groebner_module
 from cidcurve import ideals as ideals_module
 from cidcurve.errors import (
     IndexOutOfRange,
@@ -44,7 +46,12 @@ from cidcurve.ideals import colon_principal, divide_exact
 from cidcurve.orders import Block
 from cidcurve.rng import SplitMix64
 
-from conftest import exact_colon, stopped_runs, twisted_cubic_gens
+from conftest import (
+    exact_colon,
+    rnc_curve,
+    stopped_runs,
+    twisted_cubic_gens,
+)
 
 QQ = Field.rationals()
 
@@ -511,6 +518,15 @@ def test_radical_zero_dim():
     # squarefree but non-radical input over an extension: (x^2+1) stays
     rad2 = radical_zero_dim(ideal(x**2 + ring.one(), y))
     assert ideal_equal(rad2, ideal(x**2 + ring.one(), y))
+    # over F_3 the minimal polynomial (y - 1)^3 (y + 1) of y leaves the
+    # cube (y - 1)^3 = y^3 - 1 after its gcd with the derivative, and
+    # the squarefree part takes its cube root in y, at index 1
+    f3 = PolyRing(Field.prime_field(3), ("x", "y"))
+    x, y = f3.variables()
+    one = f3.one()
+    a = ideal(x - one, (y - one)**3 * (y + one))
+    assert ideal_equal(radical_zero_dim(a), ideal(x - one, y**2 - one))
+    assert distinct_point_count(a) == 2
 
 
 def test_distinct_point_count():
@@ -587,7 +603,7 @@ def test_radical_of_random_point_unions(field, names):
 
 
 def test_radical_in_one_variable():
-    # a one-variable ring has no other variable to eliminate
+    # in a one-variable ring the minimal polynomial of x generates a
     for field in (QQ, Field.prime_field(7)):
         ring = PolyRing(field, ("x",))
         x = ring.variable(0)
@@ -598,15 +614,68 @@ def test_radical_in_one_variable():
         assert distinct_point_count(a) == 3
 
 
+def _eliminated(a, i):
+    """The generator of a ∩ k[x_i] by elimination, moved into a's ring."""
+    others = [j for j in range(a.ring.arity) if j != i]
+    (generator,) = eliminate(a, others).generators
+    return ideals_module._relabel([generator], a.ring).generators[0]
+
+
 def test_minimal_polynomial():
     ring = PolyRing(QQ, ("x", "y"))
     x, y = ring.variables()
-    one = ring.one()
     a = ideal(x**2 - x, y - x)
     # y satisfies y^2 - y, the generator of a ∩ k[y]
     (generator,) = eliminate(a, (0,)).generators
     t = generator.ring.variable(0)
     assert generator == t**2 - t
+    assert ideals_module._minimal_polynomial(a.gb(), 1) == y**2 - y
+    # elimination is the oracle on random point unions and on the
+    # golden ideal-op operand A
+    schemes = []
+    for field in (QQ, Field.prime_field(7), Field.prime_field(32003)):
+        for names in (("x", "y"), ("x", "y", "z")):
+            rng = SplitMix64(0x7AD1_CA15 + len(names))
+            ring = PolyRing(field, names)
+            schemes += [random_points_scheme(ring, rng)[0] for _ in range(4)]
+    ring = ring3()
+    x, y, z = ring.variables()
+    schemes.append(ideal(x**3 - y * z, y**2 - x * z, z**3 - ring.one()))
+    for a in schemes:
+        for i in range(a.ring.arity):
+            assert (ideals_module._minimal_polynomial(a.gb(), i)
+                    == _eliminated(a, i))
+
+
+def test_radical_reads_minimal_polynomials_off_the_basis(monkeypatch):
+    # the twelve reduced points of RNC5's transversal witness on its
+    # chart h = 1, as `transversality_count` counts them: a's grevlex
+    # basis and one univariate gcd per variable, no elimination
+    witness = construct_ci_transversal(rnc_curve(5), seed=0)
+    ring = witness.on_curve.ring
+    a = ideal_sum(witness.on_curve, Ideal(ring, [witness.h - ring.one()]))
+
+    def eliminate(*args):
+        raise AssertionError("radical_zero_dim eliminated")
+
+    orders = []
+    real = groebner_module._buchberger
+
+    def buchberger(gens, packing, *args):
+        orders.append(packing.order)
+        return real(gens, packing, *args)
+
+    monkeypatch.setattr(ideals_module, "eliminate", eliminate)
+    monkeypatch.setattr(groebner_module, "_buchberger", buchberger)
+    assert distinct_point_count(a) == 12
+    assert len(orders) <= 7
+    assert not any(isinstance(order, Block) for order in orders)
+    # a reduced scheme is its own radical and keeps its basis
+    assert radical_zero_dim(a).gb() is a.gb()
+    ring = PolyRing(QQ, ("x", "y"))
+    x, y = ring.variables()
+    b = ideal(x * (x - ring.one()), y - x)
+    assert radical_zero_dim(b).gb() is b.gb()
 
 
 def test_krull_dimension_bounds():
