@@ -35,7 +35,8 @@ birational onto the image (Schinzel, Selected Topics on Polynomials,
 through (0, 0) iff u'(0) = 0: t -> p(t) has local degree above 1 at
 t = 0, not primitive (x = t^2 + t^3, y = x^2).  A curve of pairs of two
 branches through (0, 0) makes them one germ, so the germ is not
-m-primary.
+m-primary.  Both ask whether (0, 0) is a point of the pairs that is
+not isolated (`ideals._local_h`).
 """
 
 from __future__ import annotations
@@ -59,14 +60,14 @@ from .errors import (
 from .groebner import _normalize, basis_unless_dimension_at_most
 from .ideals import (
     Ideal,
-    _presented,
+    _fresh_name,
+    _local_h,
     divide_exact,
     eliminate,
     ideal_equal,
     ideal_sum,
     local_vdim_origin,
     quotient,
-    saturate,
 )
 from .polynomials import (
     Polynomial,
@@ -286,7 +287,8 @@ def branch_ideal(branch: BranchParam, ambient: PolyRing) -> Ideal:
     eliminating the parameter from (x_i - p_i(t))."""
     if ambient.arity != branch.arity:
         raise RingMismatch("ambient ring arity differs from the branch")
-    join = PolyRing(branch.ring.field, ("t__",) + ambient.names)
+    field = branch.ring.field
+    join = PolyRing(field, (_fresh_name(ambient),) + ambient.names)
     t = join.variable(0)
     gens = [join.variable(1 + i) - p.compose(join, [t])
             for i, p in enumerate(branch.coords)]
@@ -298,19 +300,17 @@ def _same_germ(a: BranchParam, b: BranchParam) -> bool:
     pairs (s, t) with p_a(s) = p_b(t) passes through (0, 0).  For a
     branch with itself each p(s) - p(t) is divided by s - t, which drops
     the diagonal when some p_i' is nonzero.  Pairs that a stopped
-    Buchberger run proves finite answer no; else the saturation by
-    (s, t) drops (0, 0) as an isolated pair and keeps it on a curve."""
+    Buchberger run proves finite answer no; else the answer is whether
+    (0, 0) is on them and not isolated (`ideals._local_h`)."""
     ring = PolyRing(a.ring.field, ("s", "t"))
     s, t = ring.variables()
     gens = [p.compose(ring, [s]) - q.compose(ring, [t])
             for p, q in zip(a.coords, b.coords)]
     if a is b:
         gens = [divide_exact(g, s - t) for g in gens]
-    basis = basis_unless_dimension_at_most(gens, 0, ring)
-    if basis is None:
+    if basis_unless_dimension_at_most(gens, 0, ring) is None:
         return False
-    curve = saturate(_presented(basis), Ideal(ring, [s, t]))
-    return not any(g.coefficient_of((0, 0)) for g in curve.generators)
+    return _local_h(Ideal(ring, gens)) is None
 
 
 def delta_invariant(branches,

@@ -69,11 +69,14 @@ are the length of that radical.  That generator is the minimal
 polynomial of x_i on S/a, read off the normal forms of its powers
 against a's grevlex basis (Faugère, Gianni, Lazard and Mora, JSC 16,
 1993), so the radical needs no elimination.
+
+The length at the origin sums the Hilbert function of the tangent cone
+there, read off one basis in one more variable by Lazard's
+homogenization (`_local_h`), which also tells an isolated origin.
 """
 
 from __future__ import annotations
 
-from itertools import combinations_with_replacement
 from math import prod
 
 from .errors import (
@@ -88,7 +91,7 @@ from . import hilbert as _hilbert
 from .fields import Field
 from .groebner import GroebnerBasis, _basis, _image_mod, groebner_basis
 from .orders import Block, GREVLEX, WeightedGrevLex
-from .polynomials import Chart, Polynomial, PolyRing, _substitute
+from .polynomials import Chart, Polynomial, PolyRing, _substitute, homogenize
 from .rng import SplitMix64
 
 INFINITE = float("inf")
@@ -652,50 +655,43 @@ def vdim(a: Ideal):
     return INFINITE if h is None else sum(h)
 
 
-def _degree_monomials(ring: PolyRing, degree: int):
-    out = []
-    for combo in combinations_with_replacement(range(ring.arity), degree):
-        exps = [0] * ring.arity
-        for i in combo:
-            exps[i] += 1
-        out.append(ring.polynomial({tuple(exps): ring.field.one()}))
-    return out
+def _local_h(a: Ideal):
+    """The Hilbert function of a's tangent cone at the origin as a list:
+    [] when the origin is off V(a), None when it is not isolated.  It is
+    read off the leading monomials of a standard basis in the local
+    degree order (lowest degree first, then grevlex): those, z dropped,
+    of the `Block(1)` basis of a's generators homogenized by a fresh
+    first variable z (Lazard; Greuel and Pfister, ch. 1).  A homogeneous
+    a is its own homogenization and reads its grevlex basis; a generator
+    with a constant term is a unit at the origin and asks for none."""
+    ring = a.ring
+    if any(g.coefficient_of((0,) * ring.arity) for g in a.generators):
+        return []
+    if a.is_homogeneous():
+        numerator = a.gb().hilbert.numerator
+    else:
+        aux = PolyRing(ring.field, (_fresh_name(ring, "z"),) + ring.names)
+        basis = groebner_basis([homogenize(g, aux, 0) for g in a.generators],
+                               Block(1), aux)
+        numerator = _hilbert.lt_numerator(
+            [e[1:] for e in basis.leading_exponents()], ring.arity)
+    return _hilbert._h_polynomial(numerator, ring.arity)
 
 
 def local_vdim_origin(a: Ideal, cap: int = 256):
-    """Length of the quotient localized at the origin: vdim(a + m^n) for
-    n = 2, 4, 8, ... up to cap, returned once two consecutive values
-    agree; PrecisionCapExceeded when none do.
-
-    A homogeneous a takes one grevlex basis instead, and the same cap.
-    When S/a is finite it is graded, so it lives at the origin and its
-    length is vdim(a), its h-polynomial at t = 1.  The doubling returns
-    that at n = 2N, N the least power of two >= 2 above the socle degree
-    D (the degree of the h-polynomial), since while n <= D the step to
-    2n adds H(n) > 0.  When S/a is infinite every step adds H(n) > 0,
-    and the doubling never returns."""
-    if a.is_unit():
-        return 0
-    if a.is_homogeneous():
-        numerator = _hilbert.hilbert_series(a).numerator
-        h = _hilbert._h_polynomial(numerator, a.ring.arity)
-        if h is not None:
-            n = 4
-            while n // 2 < len(h):
-                n *= 2
-            if n <= cap:
-                return sum(h)
-    else:
-        previous = None
-        n = 2
-        while n <= cap:
-            truncated = Ideal(a.ring, list(a.generators)
-                              + _degree_monomials(a.ring, n))
-            value = vdim(truncated)
-            if previous is not None and value == previous:
-                return value
-            previous = value
+    """Length of the quotient localized at the origin, the sum of
+    `_local_h`.  The cap is that of vdim(a + m^n), which sums it below
+    n, for n = 2, 4, 8, ...: the length is returned if two consecutive
+    values agree by n = cap, at n = 2N, N the least power of two >= 2
+    above the socle degree; else, or when the origin is not isolated,
+    PrecisionCapExceeded.  The unit ideal has length 0 at every cap."""
+    h = _local_h(a)
+    if h is not None:
+        n = 4
+        while n // 2 < len(h):
             n *= 2
+        if n <= cap or not h and a.is_unit():
+            return sum(h)
     raise PrecisionCapExceeded(
         f"local length did not stabilize up to truncation order {cap}", cap=cap
     )

@@ -35,7 +35,12 @@ see that a change returns the same witnesses and reports.
   x = t^5 + t^6 + ... + t^40, y = 7t^7 + 8t^8 + ... + 40t^40 (delta 12),
   whose 36 and 34 terms no benchmark germ has: it times the doubling
   window schedule of `germs.delta_invariant`, which pays off only on a
-  dense branch.
+  dense branch;
+- `local_vdim_origin` at cap 32 on the QQ ideal (y - x^3 - x^2,
+  z^2 - xyz + y^3) in x, y, z, whose origin lies on a curve, hashed by
+  the `PrecisionCapExceeded` it ends with: it times the local length of
+  a non-homogeneous ideal whose origin is not isolated, which the
+  benchmark never asks.
 """
 
 from __future__ import annotations
@@ -58,7 +63,7 @@ CASES = ("transversal_rnc5_s0", "transversal_rnc5_s1",
          "lci_cubic_and_tangent", "rnc6_fp", "rnc6_qq",
          "local_space_3_4_5_f3", "local_slow_germ_cap16_f3",
          "local_slow_germ_cap16_qq", "local_composed_branch_qq",
-         "local_dense_branch_qq")
+         "local_dense_branch_qq", "local_length_not_isolated")
 TIMEOUT_S = 60
 
 GERM_3_4_5 = ("germ/1 over QQ vars x y z\n"
@@ -158,6 +163,18 @@ def _prepare(cid, case, tmp):
         return _local(tmp, "composed.germ", COMPOSED_BRANCH, "QQ")
     if case == "local_dense_branch_qq":
         return _local(tmp, "dense.germ", DENSE_BRANCH, "QQ")
+    if case == "local_length_not_isolated":
+        from cidcurve.errors import PrecisionCapExceeded
+        ring = cid.PolyRing(qq, ("x", "y", "z"))
+        x, y, z = ring.variables()
+        a = cid.Ideal(ring, [y - x**3 - x**2, z**2 - x * y * z + y**3])
+
+        def run():
+            try:
+                return repr(cid.local_vdim_origin(a, 32))
+            except PrecisionCapExceeded as exc:
+                return f"PrecisionCapExceeded {exc.cap}: {exc}"
+        return run
     raise SystemExit(f"unknown case {case!r}")
 
 

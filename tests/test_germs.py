@@ -302,6 +302,16 @@ def test_branch_ideal_cusp():
     assert ideal_equal(out, Ideal(R2, [Y**2 - X**3]))
 
 
+def test_branch_ideal_names_its_parameter_afresh():
+    # the parameter takes a name the ambient ring does not use, so a
+    # coordinate may be called t__ or t
+    for names in (("t__", "y"), ("t", "t_")):
+        ring = PolyRing(QQ, names)
+        u, v = ring.variables()
+        out = branch_ideal(BranchParam((t**2, t**3)), ring)
+        assert ideal_equal(out, Ideal(ring, [v**2 - u**3]))
+
+
 def test_hs_multiplicity_examples():
     cusp = BranchParam((t**2, t**3))
     # the Jacobian generators of the cusp equation

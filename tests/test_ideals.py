@@ -1,6 +1,7 @@
 """Ideal operations: membership laws, elimination, saturation, lengths."""
 
 from fractions import Fraction
+from itertools import combinations_with_replacement
 
 import pytest
 from hypothesis import given, settings
@@ -979,15 +980,28 @@ def test_squarefree_part(case):
     assert Ideal(ring, [part, part.derivative(index)]).is_unit()
 
 
+def _degree_monomials(ring, degree):
+    """The monomials of one degree, generators of m^degree."""
+    out = []
+    for combo in combinations_with_replacement(range(ring.arity), degree):
+        exps = [0] * ring.arity
+        for i in combo:
+            exps[i] += 1
+        out.append(ring.polynomial({tuple(exps): ring.field.one()}))
+    return out
+
+
 def _doubling_local_vdim(a, cap=256):
-    """The doubling loop every ideal once took, kept as the oracle."""
+    """The doubling loop every ideal once took, kept as the oracle:
+    vdim(a + m^n) for n = 2, 4, 8, ... up to cap, returned once two
+    consecutive values agree."""
     if a.is_unit():
         return 0
     previous = None
     n = 2
     while n <= cap:
         truncated = Ideal(a.ring, list(a.generators)
-                          + ideals_module._degree_monomials(a.ring, n))
+                          + _degree_monomials(a.ring, n))
         value = vdim(truncated)
         if previous is not None and value == previous:
             return value
@@ -1014,11 +1028,13 @@ def _oracle_or_cap(a, cap):
 
 @st.composite
 def _local_length_cases(draw):
-    """(ideal, cap): half of the time an m-primary ideal (pure powers
+    """(ideal, cap): two times in five an m-primary ideal (pure powers
     plus forms, a power perturbed by a term of higher degree one time in
-    four), else a homogeneous one with fewer forms than variables or a
-    homogeneous monomial one, over QQ, F_32003 or F_2 in 2 or 3
-    variables."""
+    four), else a homogeneous one with fewer forms than variables, a
+    homogeneous monomial one, or an affine one with fewer generators
+    than variables, each the sum of forms of two degrees with no
+    constant term, so the origin is not isolated; over QQ, F_32003 or
+    F_2 in 2 or 3 variables."""
     field = draw(st.sampled_from((QQ, Field.prime_field(32003),
                                   Field.prime_field(2))))
     ring = PolyRing(field, ("x", "y", "z")[:draw(st.integers(2, 3))])
@@ -1038,7 +1054,7 @@ def _local_length_cases(draw):
         return f
 
     kind = draw(st.sampled_from(("m_primary", "positive_dim", "monomial",
-                                 "m_primary")))
+                                 "m_primary", "affine")))
     if kind == "m_primary":
         gens = []
         for i, v in enumerate(ring.variables()):
@@ -1052,14 +1068,20 @@ def _local_length_cases(draw):
     elif kind == "positive_dim":
         gens = [form(draw(st.integers(1, 3)))
                 for _ in range(draw(st.integers(1, n - 1)))]
-    else:
+    elif kind == "monomial":
         gens = [monomial(draw(st.integers(1, 4)))
                 for _ in range(draw(st.integers(1, n + 1)))]
+    else:
+        gens = []
+        for _ in range(draw(st.integers(1, n - 1))):
+            low = draw(st.integers(1, 2))
+            gens.append(form(low) + form(low + draw(st.integers(1, 2))))
     cap = draw(st.sampled_from((256, 16, 4, 2, 1)))
-    if cap == 256 and n == 3 and kind != "m_primary":
+    if kind == "affine" or cap == 256 and n == 3 and kind != "m_primary":
         # the oracle runs to the cap on an infinite quotient, and m^256
-        # in three variables makes that too slow to repeat
-        cap = 16
+        # in three variables, or any truncation of an affine ideal past
+        # m^16, makes that too slow to repeat
+        cap = min(cap, 16)
     return Ideal(ring, gens), cap
 
 
@@ -1079,7 +1101,39 @@ def test_local_vdim_origin_caps_where_the_doubling_did():
              (Ideal(ring, [x**3, y]), 4, ("cap", 4)),
              # socle degree 0 still takes two doublings
              (Ideal(ring, [x, y]), 4, 1),
-             (Ideal(ring, [x, y]), 2, ("cap", 2))]
+             (Ideal(ring, [x, y]), 2, ("cap", 2)),
+             # the origin is off V(a), an empty tangent cone, and that
+             # too takes two doublings; the unit ideal takes none
+             (Ideal(ring, [x - ring.one(), y]), 4, 0),
+             (Ideal(ring, [x - ring.one(), y]), 2, ("cap", 2)),
+             (Ideal(ring, [ring.one()]), 1, 0)]
     for a, cap, expected in cases:
         assert _local_vdim_or_cap(a, cap) == expected
         assert _oracle_or_cap(a, cap) == expected
+
+
+def test_local_vdim_origin_takes_one_run(monkeypatch):
+    # one Block(1) run on the homogenized generators, whatever the cap;
+    # an origin on a curve raises at once, even at the default cap
+    ring = PolyRing(QQ, ("x", "y", "z"))
+    x, y, z = ring.variables()
+    m_primary = Ideal(ring, [x**2 - y**3, y**2 + x * z, z**3 - x**4])
+    on_curve = Ideal(ring, [y - x**3 - x**2, z**2 - x * y * z + y**3])
+    runs = []
+    real = groebner_module._buchberger
+
+    def buchberger(gens, packing, *args):
+        runs.append(packing.order)
+        return real(gens, packing, *args)
+
+    monkeypatch.setattr(groebner_module, "_buchberger", buchberger)
+    assert local_vdim_origin(m_primary, 16) == 12
+    assert runs == [Block(1)]
+    runs.clear()
+    with pytest.raises(PrecisionCapExceeded) as info:
+        local_vdim_origin(on_curve, 16)
+    assert info.value.cap == 16
+    assert runs == [Block(1)]
+    with pytest.raises(PrecisionCapExceeded) as info:
+        local_vdim_origin(on_curve)
+    assert info.value.cap == 256
