@@ -14,29 +14,30 @@ Groupes algebriques et corps de classes, ch. IV).  Modulo t^P, O is the
 span of the unit vector closed under multiplication by the coordinate
 vectors, so an echelon basis over the positions e*r + i (order e on
 branch i) is grown by multiplying each representative by each
-coordinate and reducing the product.  The echelon is fraction-free:
-each coordinate is scaled by one common denominator over all branches,
-and the representatives are integer vectors, primitive over QQ and
-monic over F_p, as in `groebner`.  Representatives are taken in
-increasing position and a product gains at least the least branch
-multiplicity in order, so the low positions are final while the window
-is still open.  Delta is certified at the first N where every position
-of order N <= e < N + m_i on each branch i is attained: t^N k[[t]] on
-every branch then lies in O, and delta counts the positions missing
-below N.  For one branch that is a gap-free run of length m in the
-value semigroup.  The window P doubles up to the precision cap.  No
-window proves the opposite, so a germ that never certifies is judged
-only on certificates.  A branch whose exponents share a factor d > 1 is
-not primitive.  Past the cap the other verdicts read the pairs (s, t)
-with p_a(s) = p_b(t).  By Lüroth, p = Q(u) for a polynomial u and a Q
-birational onto the image (Schinzel, Selected Topics on Polynomials,
-1982), so a branch's pairs with itself are the diagonal, the curve
-(u(s) - u(t))/(s - t) = 0 and finitely many points.  That curve passes
-through (0, 0) iff u'(0) = 0: t -> p(t) has local degree above 1 at
-t = 0, not primitive (x = t^2 + t^3, y = x^2).  A curve of pairs of two
-branches through (0, 0) makes them one germ, so the germ is not
-m-primary.  Both ask whether (0, 0) is a point of the pairs that is
-not isolated (`ideals._local_h`).
+coordinate and reducing the product by `groebner._echelon_insert`,
+the one fraction-free echelon step: each coordinate is scaled by one
+common denominator over all branches, and the representatives are
+integer vectors, primitive over QQ and monic over F_p.
+Representatives are taken in increasing position and a product gains
+at least the least branch multiplicity in order, so the low positions
+are final while the window is still open.  Delta is certified at the
+first N where every position of order N <= e < N + m_i on each branch
+i is attained: t^N k[[t]] on every branch then lies in O, and delta
+counts the positions missing below N.  For one branch that is a
+gap-free run of length m in the value semigroup.  The window P doubles
+up to the precision cap.  No window proves the opposite, so a germ
+that never certifies is judged only on certificates.  A branch whose
+exponents share a factor d > 1 is not primitive.  Past the cap the
+other verdicts read the pairs (s, t) with p_a(s) = p_b(t).  By Lüroth,
+p = Q(u) for a polynomial u and a Q birational onto the image
+(Schinzel, Selected Topics on Polynomials, 1982), so a branch's pairs
+with itself are the diagonal, the curve (u(s) - u(t))/(s - t) = 0 and
+finitely many points.  That curve passes through (0, 0) iff u'(0) = 0:
+t -> p(t) has local degree above 1 at t = 0, not primitive
+(x = t^2 + t^3, y = x^2).  A curve of pairs of two branches through
+(0, 0) makes them one germ, so the germ is not m-primary.  Both ask
+whether (0, 0) is a point of the pairs that is not isolated
+(`ideals._local_h`).
 """
 
 from __future__ import annotations
@@ -57,7 +58,7 @@ from .errors import (
     PrecisionCapExceeded,
     RingMismatch,
 )
-from .groebner import _normalize, basis_unless_dimension_at_most
+from .groebner import _echelon_insert, basis_unless_dimension_at_most
 from .ideals import (
     Ideal,
     _fresh_name,
@@ -72,6 +73,7 @@ from .ideals import (
 from .polynomials import (
     Polynomial,
     PolyRing,
+    _reduced,
     _substitute,
     partial_derivative,
 )
@@ -199,10 +201,9 @@ def _attained_orders(branches, precision: int):
     attained so far to its representative and the positions of order below
     bound are final.  The last bound is precision.
 
-    The reduction is `groebner._Reducer`'s term loop on integer vectors,
-    each representative made by `_normalize`.  A coordinate is scaled by
-    one denominator for all the branches: that keeps O, and clearing
-    each branch alone would not."""
+    Products go into the echelon by `groebner._echelon_insert`.  A
+    coordinate is scaled by one denominator for all the branches: that
+    keeps O, and clearing each branch alone would not."""
     char = branches[0].ring.field.characteristic
     r = len(branches)
     step = min(branch_multiplicity(b) for b in branches)
@@ -226,35 +227,9 @@ def _attained_orders(branches, precision: int):
                 for s, c in coord[k % r]:
                     if k + s < limit:
                         prod[k + s] = prod.get(k + s, 0) + v * c
-            # reduce into the echelon; cancelled terms are dropped
-            if char:
-                prod = {k: c % char for k, c in prod.items()}
-            prod = {k: c for k, c in prod.items() if c}
-            while prod:
-                position = min(prod)
-                lead = prod[position]
-                pivot = reps.get(position)
-                if pivot is None:
-                    reps[position] = _normalize(prod, position, char)
-                    heappush(pending, position)
-                    break
-                # pivots are monic over F_p, so only QQ scales prod
-                lc = pivot[position]
-                if lc != 1:
-                    g = gcd(lead, lc)
-                    lead //= g
-                    mult = lc // g
-                    if mult != 1:
-                        for k in prod:
-                            prod[k] *= mult
-                for k, c in pivot.items():
-                    c = prod.get(k, 0) - lead * c
-                    if char:
-                        c %= char
-                    if c:
-                        prod[k] = c
-                    else:
-                        del prod[k]
+            position = _echelon_insert(reps, _reduced(prod, char), char)
+            if position is not None:
+                heappush(pending, position)
         yield reps, (min(pending[0] // r + step, precision) if pending
                      else precision)
 

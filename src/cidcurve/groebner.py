@@ -129,6 +129,33 @@ def _normalize(d: dict, lm, char) -> dict:
     return {e: c // content for e, c in d.items()}
 
 
+def _echelon_insert(rows: dict, d: dict, char):
+    """Reduce d, an integer dict with no zero value (residues over F_p),
+    at its least key against `rows`, each keyed by its least key, by
+    `_Reducer.reduce`'s step, and store what is left as a row made by
+    `_normalize`: returns its key, or None when d reduces to zero."""
+    while d:
+        key = min(d)
+        pivot = rows.get(key)
+        if pivot is None:
+            rows[key] = _normalize(d, key, char)
+            return key
+        g = gcd(d[key], pivot[key])
+        lead, mult = d[key] // g, pivot[key] // g
+        if mult != 1:
+            for k in d:
+                d[k] *= mult
+        for k, c in pivot.items():
+            c = d.get(k, 0) - lead * c
+            if char:
+                c %= char
+            if c:
+                d[k] = c
+            else:
+                del d[k]
+    return None
+
+
 def _coprime(a, b):
     return all(x == 0 or y == 0 for x, y in zip(a, b))
 

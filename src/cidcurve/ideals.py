@@ -11,19 +11,20 @@ the elements y divides, divided by y once, and the saturation from
 every element divided by its top power of y.  The leading monomials of
 that basis fix the Hilbert series of S/(I : g), so the quotient's own
 grevlex basis takes that series as its target, skips the S-pairs of
-every degree it already fills, and keeps it as its Hilbert data.  Otherwise a principal quotient divides the generators
-of I ∩ (g) by g, and a principal saturation eliminates t from
-I + (1 - t*g) (Rabinowitsch), projecting through `eliminate` as
-intersections do.  A saturation by several
-generators intersects the principal ones by those outside I, and so
-does a quotient, except a linked one: when I is a complete intersection
-and linkage fixes the degree of the quotient, (I : g) for one g in the
-divisor is certified by that degree, trying the sparsest generator
-before two random combinations of all of them.
-Saturation by the irrelevant maximal ideal of a homogeneous ideal
-saturates by one linear form, and a Hilbert-polynomial comparison
-certifies that the form missed every relevant associated prime; when
-no form is certified, the ideal is saturated by all the coordinates.
+every degree it already fills, and keeps it as its Hilbert data.
+Otherwise a principal quotient divides the generators of I ∩ (g) by g,
+and a principal saturation eliminates t from I + (1 - t*g)
+(Rabinowitsch), projecting through `eliminate` as intersections do.  A
+saturation by several generators intersects the principal ones by
+those outside I, and so does a quotient, except a linked one: when I
+is a complete intersection and linkage fixes the degree of the
+quotient, (I : g) for one g in the divisor is certified by that
+degree, trying the sparsest generator before two random combinations
+of all of them.  Saturation by the irrelevant maximal ideal of a
+homogeneous ideal saturates by one linear form, and a
+Hilbert-polynomial comparison certifies that the form missed every
+relevant associated prime; when no form is certified, the ideal is
+saturated by all the coordinates.
 
 An ideal built as a base plus a few generators is an extension
 (`_extension`).  It records its base, and `_chain_basis` starts each
@@ -68,7 +69,8 @@ generator of a ∩ k[x_i] (Seidenberg's lemma), and its distinct points
 are the length of that radical.  That generator is the minimal
 polynomial of x_i on S/a, read off the normal forms of its powers
 against a's grevlex basis (Faugère, Gianni, Lazard and Mora, JSC 16,
-1993), so the radical needs no elimination.
+1993), so the radical needs no elimination; the echelon keeps integer
+rows (`groebner._echelon_insert`).
 
 The length at the origin sums the Hilbert function of the tangent cone
 there, read off one basis in one more variable by Lazard's
@@ -89,7 +91,8 @@ from .errors import (
 )
 from . import hilbert as _hilbert
 from .fields import Field
-from .groebner import GroebnerBasis, _basis, _image_mod, groebner_basis
+from .groebner import (GroebnerBasis, _basis, _echelon_insert, _image_mod,
+                       groebner_basis)
 from .orders import Block, GREVLEX, WeightedGrevLex
 from .polynomials import Chart, Polynomial, PolyRing, _substitute, homogenize
 from .rng import SplitMix64
@@ -740,30 +743,25 @@ def _squarefree_part(f: Polynomial, index: int) -> Polynomial:
 def _minimal_polynomial(basis: GroebnerBasis, i: int) -> Polynomial:
     """The monic generator of a ∩ k[x_i], a the zero-dimensional ideal
     of the reduced `basis`: the minimal polynomial of x_i on S/a.  The
-    normal forms of 1, x_i, x_i^2, ... go into an echelon keyed by
-    leading monomial, each row carrying the polynomial in x_i it is the
-    normal form of; the first power whose normal form reduces to zero
-    there leaves that power minus its combination of the rows."""
-    field = basis.ring.field
-    x = basis.ring.variable(i)
-    rows = {}
-    power = basis.ring.one()
-    form = basis.normal_form(power)
+    integer normal forms of 1, x_i, x_i^2, ... go into one echelon, their
+    monomials keyed -1, -2, ... and the factor scaling x_i^n keyed n; the
+    first row keyed by a power, above every monomial, is the relation
+    among the powers, made monic."""
+    ring = basis.ring
+    zero = (0,) * ring.arity
+    slots, rows = {}, {}
+    form, scale, n = {zero: 1}, 1, 0  # scale * x_i^n ≡ form modulo a
     while True:
-        rest, source = form, power
-        while rest:
-            m, c = rest.leading(GREVLEX)
-            if m not in rows:
-                inv = field.inv(c)
-                rows[m] = (rest.scale(inv), source.scale(inv))
-                break
-            row, row_source = rows[m]
-            rest = rest - row.scale(c)
-            source = source - row_source.scale(c)
-        else:
-            return source
-        power = power * x
-        form = basis.normal_form(form * x)
+        vector = {~slots.setdefault(m, len(slots)): c for m, c in form.items()}
+        vector[n] = scale
+        key = _echelon_insert(rows, vector, ring.field.characteristic)
+        if key is not None and key >= 0:
+            return ring.polynomial({zero[:i] + (k,) + zero[i + 1:]:
+                                    ring.field.div(c, rows[key][n])
+                                    for k, c in rows[key].items()})
+        form, mult = basis._reducer.normal_form(
+            {m[:i] + (m[i] + 1,) + m[i + 1:]: c for m, c in form.items()})
+        scale, n = scale * mult, n + 1
 
 
 def radical_zero_dim(a: Ideal) -> Ideal:

@@ -26,7 +26,6 @@ from fractions import Fraction
 from math import gcd
 
 from .errors import (
-    DivisionByZero,
     IndexOutOfRange,
     NotHomogeneous,
     NotLinear,
@@ -555,13 +554,14 @@ class _Parser:
             kind2, value2, _, _ = self.peek()
             if kind2 == "op" and value2 == "/":
                 self.advance()
-                kind3, value3, _, _ = self.peek()
+                kind3, value3, line3, col3 = self.peek()
                 if kind3 != "int":
                     self.fail("expected integer denominator")
                 self.advance()
                 den = int(value3)
                 if den == 0:
-                    raise DivisionByZero("zero denominator in coefficient")
+                    raise ParseError("zero denominator in coefficient",
+                                     line3, col3)
                 return self.ring.constant(self.ring.field.from_fraction(Fraction(num, den)))
             return self.ring.from_int(num)
         if kind == "name":

@@ -281,6 +281,25 @@ def test_syntax_error_exit_code(tmp_path, capsys):
     assert "nested deeper" in payload["errors"][0]["message"]
 
 
+def test_zero_denominator_is_a_parse_error(tmp_path, capsys):
+    # 1/0 is a malformed literal, not a failed computation: exit 1 and a
+    # ParseError, from a ring file and from a germ branch alike
+    cases = [
+        ("gb", "zero.ring", "ring/1 over QQ vars x y\nideal A = x + 1/0*y;\n"),
+        ("local", "zero.germ", "germ/1 over QQ vars x y\n"
+         "branch a: x = t^2; y = 1/0*t^3\n"),
+    ]
+    for command, filename, text in cases:
+        path = tmp_path / filename
+        path.write_text(text)
+        code, payload = run_json(capsys, command, "--input", str(path))
+        assert code == 1
+        (record,) = payload["errors"]
+        assert record["type"] == "ParseError"
+        assert record["message"].startswith(
+            "zero denominator in coefficient (line 1, column ")
+
+
 def test_statement_without_keyword_is_a_parse_error(tmp_path, capsys):
     # a statement that starts with `:` names no keyword: it is an
     # unknown statement at its line, never a raw IndexError

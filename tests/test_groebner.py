@@ -1,6 +1,7 @@
 """Groebner bases: defining properties, examples, and a cross-check
 against an independent computer-algebra system."""
 
+from fractions import Fraction
 from itertools import product
 
 import pytest
@@ -24,6 +25,7 @@ from cidcurve import (
 from cidcurve import groebner, hilbert, ideals, linkage
 from cidcurve.hilbert import ci_hilbert_data
 from cidcurve.orders import Block, WeightedGrevLex, _packing
+from cidcurve.polynomials import _reduced
 from cidcurve.rng import SplitMix64
 
 from conftest import rnc_curve, twisted_cubic_gens
@@ -721,3 +723,72 @@ def test_a_basis_answers_before_its_elements_are_built(field):
     assert basis.elements == groebner_basis(gens, ring=ring).elements
     assert basis.leading_exponents() == [
         f.leading(GREVLEX)[0] for f in basis.elements]
+
+
+def _fraction_rref(vectors, char):
+    """Reduced row echelon form of integer dicts by Gaussian elimination
+    in `Fraction`s over QQ and residues over F_p, each pivot at its
+    row's least key: {pivot key: row}, the oracle for the echelon."""
+    def inv(c):
+        return pow(c, -1, char) if char else 1 / Fraction(c)
+
+    def residue(c):
+        return c % char if char else c
+
+    rows = {}
+    for vector in vectors:
+        v = {k: residue(c) for k, c in vector.items() if residue(c)}
+        for key, row in rows.items():
+            c = v.get(key)
+            if c:
+                for k, rc in row.items():
+                    v[k] = residue(v.get(k, 0) - c * rc)
+                v = {k: vc for k, vc in v.items() if vc}
+        if not v:
+            continue
+        key = min(v)
+        scale = inv(v[key])
+        new = {k: residue(c * scale) for k, c in v.items()}
+        for other, row in rows.items():
+            c = row.get(key)
+            if c:
+                for k, nc in new.items():
+                    row[k] = residue(row.get(k, 0) - c * nc)
+                rows[other] = {k: rc for k, rc in row.items() if rc}
+        rows[key] = new
+    return rows
+
+
+@pytest.mark.parametrize("char", [0, 7], ids=["QQ", "F7"])
+@pytest.mark.parametrize("seed", range(6))
+def test_echelon_insert_matches_a_fraction_oracle(char, seed):
+    # every vector goes into one echelon; it adds a row exactly when it
+    # raises the rank, under the oracle's new pivot, and the rows span
+    # the oracle's row space with the same pivots, each made by
+    # `_normalize`
+    rng = SplitMix64(0xEC4E_1017 + seed)
+    vectors = []
+    for n in range(14):
+        if n % 3 == 2:
+            # a combination of two earlier vectors, scaled: often in
+            # the span already
+            a, b = (vectors[rng.randint(0, n - 1)] for _ in range(2))
+            s, t = rng.randint(-6, 6), rng.randint(-6, 6)
+            vectors.append({k: s * a.get(k, 0) + t * b.get(k, 0)
+                            for k in a.keys() | b.keys()})
+        else:
+            vectors.append({k: rng.randint(-9, 9) * rng.randint(1, 4)
+                            for k in range(10) if rng.randint(0, 2)})
+    rows = {}
+    for n, vector in enumerate(vectors):
+        before = _fraction_rref(vectors[:n], char)
+        after = _fraction_rref(vectors[:n + 1], char)
+        key = groebner._echelon_insert(rows, _reduced(vector, char), char)
+        new = set(after) - set(before)
+        assert key == (new.pop() if new else None)
+    oracle = _fraction_rref(vectors, char)
+    assert set(rows) == set(oracle)
+    assert _fraction_rref(rows.values(), char) == oracle
+    for key, row in rows.items():
+        assert min(row) == key
+        assert row == groebner._normalize(dict(row), key, char)

@@ -30,6 +30,7 @@ from cidcurve import (
     radical_zero_dim,
     saturate,
     saturate_irrelevant,
+    transversality_count,
     vdim,
 )
 from cidcurve import groebner as groebner_module
@@ -677,6 +678,33 @@ def test_radical_reads_minimal_polynomials_off_the_basis(monkeypatch):
     x, y = ring.variables()
     b = ideal(x * (x - ring.one()), y - x)
     assert radical_zero_dim(b).gb() is b.gb()
+
+
+def test_transversality_count_echelon_builds_few_fractions(monkeypatch):
+    # the minimal polynomials behind the count come from integer rows,
+    # made monic only at the end: a few hundred `Fraction`s, where an
+    # echelon of `Fraction` rows builds thousands
+    curve = rnc_curve(5)
+    witness = construct_ci_transversal(curve, seed=0)
+    built = []
+    new = Fraction.__new__
+
+    def counted_new(*args, **kwargs):
+        built.append(None)
+        return new(*args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counted_new))
+    if "_from_coprime_ints" in vars(Fraction):
+        from_ints = vars(Fraction)["_from_coprime_ints"].__func__
+
+        def counted_from_ints(*args, **kwargs):
+            built.append(None)
+            return from_ints(*args, **kwargs)
+
+        monkeypatch.setattr(Fraction, "_from_coprime_ints",
+                            classmethod(counted_from_ints))
+    assert transversality_count(curve, witness) == (12, True)
+    assert len(built) <= 250
 
 
 def test_krull_dimension_bounds():

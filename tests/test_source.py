@@ -74,6 +74,17 @@ def test_minor_kernel_stays_in_discrepancy():
     assert not found, f"_minors referenced outside discrepancy: {found}"
 
 
+def test_echelon_rows_are_made_in_groebner():
+    # every echelon row is made by `groebner._normalize`, through the
+    # reducer or the one echelon step `_echelon_insert`, so no other
+    # module normalizes a row itself
+    found = [path.name for path in sorted(SRC.glob("*.py"))
+             if path.name != "groebner.py"
+             and "_normalize" in _referenced_names(
+                 ast.parse(path.read_text(), filename=str(path)))]
+    assert not found, f"_normalize referenced outside groebner: {found}"
+
+
 def test_dimension_bounds_ask_the_kernel():
     # "dim <= bound" has one answer, `ideals.dimension_at_most`, which
     # alone decides whether to screen mod p; elsewhere a Krull dimension
