@@ -86,20 +86,26 @@ class NotACurve(MathPrecondition):
 
 # --- linkage construction ----------------------------------------------
 
-class MaxAttemptsExceeded(MathPrecondition):
+class _DrawFailures(MathPrecondition):
+    """A construction that stopped, carrying `failures`: for each
+    certification test, how many draws it rejected."""
+
+    def __init__(self, message, failures=None):
+        self.failures = dict(failures or {})
+        super().__init__(message)
+
+
+class MaxAttemptsExceeded(_DrawFailures):
     """Random choices failed the construction tests on every attempt."""
 
-    def __init__(self, message, failures=None):
-        self.failures = dict(failures or {})
-        super().__init__(message)
 
-
-class NotGenericallyCI(MathPrecondition):
+class NotGenericallyCI(_DrawFailures):
     """Input curve is not generically a complete intersection."""
 
-    def __init__(self, message, failures=None):
-        self.failures = dict(failures or {})
-        super().__init__(message)
+
+class NotGenericallyReduced(_DrawFailures):
+    """Input curve has infinitely many singular points, so it is not
+    generically reduced."""
 
 
 class WrongCharacteristic(MathPrecondition):

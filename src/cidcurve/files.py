@@ -200,7 +200,11 @@ def parse_germ_text(text: str, field_override: Field = None) -> GermFile:
                     raise ParseError(f"coordinate {var!r} assigned twice",
                                      line=no, column=1)
                 seen.add(var)
-                coords[index[var]] = t_ring.parse(expr.strip())
+                expr = expr.strip()
+                try:
+                    coords[index[var]] = t_ring.parse(expr)
+                except ParseError as err:
+                    raise ParseError(f"{err} in {expr!r}", line=no, column=1)
             try:
                 branches.append(BranchParam(tuple(coords), label=label))
             except InputError as err:

@@ -26,9 +26,16 @@ no basis of the scheme itself is built unless the first chart
 candidate fails.  The singular test reads F's minors on W
 one at a time through the kernel that decides smoothness
 (`discrepancy._minors_reach`) and stops at the first partial minor
-ideal that bounds the dimension.  A failing attempt is redrawn;
-persistent double-link failure is evidence that the input curve is not
-generically a complete intersection.
+ideal that bounds the dimension.
+
+A failing attempt is redrawn, except where no other draw can pass.
+On X, F's Jacobian is C times that of I_X's generators, so Z's
+Jacobian scheme on X contains Sing(X) for every draw: the first
+reducedness failure asks once whether Sing(X) is finite, and if it is
+not, X is not generically reduced (`NotGenericallyReduced`).  Linking
+back by any Z gives the top-dimensional part of I_X, so the first
+double-link failure is final too (`NotGenericallyCI`).  Otherwise the
+draws run out as `MaxAttemptsExceeded`.
 
 Certification derives I_Z, the residual I_W = (I_Z : I_X) and the
 Jacobian scheme of Z on X; the accepted witness carries all three, so
@@ -56,6 +63,7 @@ from .errors import (
     MaxAttemptsExceeded,
     NotACurve,
     NotGenericallyCI,
+    NotGenericallyReduced,
     NotHomogeneous,
     NotZeroDimensional,
     RingMismatch,
@@ -329,6 +337,7 @@ def _construct(curve: CurveInput, seed: int, max_attempts: int,
     sigma = sum(d - 1 for d in degrees)
     tallies = {name: 0 for name in TEST_NAMES}
     attempts_allowed = 1 if coeff_matrix is not None else max_attempts
+    singular_finite = None  # whether Sing(X) is finite, asked at most once
 
     for attempt in range(1, attempts_allowed + 1):
         rng = SplitMix64(seed).derive(attempt)
@@ -351,6 +360,20 @@ def _construct(curve: CurveInput, seed: int, max_attempts: int,
         on_curve = _jacobian_scheme(i_x, F)
         if not record("reduced_along_input",
                       _hyperplane_misses(on_curve, ells[-1])):
+            # on X, F's Jacobian is C times that of I_X's generators, so
+            # by Cauchy-Binet on_curve contains Sing(X) for every draw;
+            # over a perfect field Sing(X) is finite exactly when X is
+            # generically reduced
+            if singular_finite is None:
+                singular_finite = _minors_reach(i_x, i_x.generators, 1,
+                                                shuffled=True)
+            if not singular_finite:
+                raise NotGenericallyReduced(
+                    "the curve has infinitely many singular points, so it "
+                    "is not generically reduced and no complete "
+                    "intersection through it is reduced along it",
+                    failures=tallies,
+                )
             continue
 
         i_w = residual(i_z, i_x)
@@ -382,24 +405,27 @@ def _construct(curve: CurveInput, seed: int, max_attempts: int,
         # I_X's Hilbert polynomial, which is back = I_X^sat, exactly when
         # deg X + deg W = prod d_i and the linkage genus relation holds.
         # Both series are cached: I_X's by the curve check above, I_W's
-        # by the degree certificate of its colon.
+        # by the degree certificate of its colon.  For every complete
+        # intersection of X's dimension through X, back is the
+        # top-dimensional part of I_X, so the verdict is X's alone.
         data_w = hilbert_series(i_w)
         if not record("double_link",
                       data_x.degree + data_w.degree == prod(degrees)
                       and _linkage_genus_holds(data_x, data_w, sigma)):
-            continue
+            raise NotGenericallyCI(
+                "the double-link test failed, and no other draw can pass "
+                "it: linking twice returns the curve's top-dimensional "
+                "part, whose Hilbert polynomial is not the curve's; the "
+                "curve does not look generically like a complete "
+                "intersection",
+                failures=tallies,
+            )
 
         return CIWitness(F=F, ells=ells, coeffs=coeffs, h=h, seed=seed,
                          attempts=attempt, i_z=i_z, i_w=i_w,
                          on_curve=on_curve, tests=tests,
                          transversal=transversal)
 
-    if tallies["double_link"] == attempts_allowed:
-        raise NotGenericallyCI(
-            "every attempt failed the double-link test; the curve does "
-            "not look generically like a complete intersection",
-            failures=tallies,
-        )
     raise MaxAttemptsExceeded(
         f"no draw passed certification in {attempts_allowed} attempts",
         failures=tallies,

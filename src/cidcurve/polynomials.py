@@ -26,6 +26,7 @@ from fractions import Fraction
 from math import gcd
 
 from .errors import (
+    DivisionByZero,
     IndexOutOfRange,
     NotHomogeneous,
     NotLinear,
@@ -562,7 +563,11 @@ class _Parser:
                 if den == 0:
                     raise ParseError("zero denominator in coefficient",
                                      line3, col3)
-                return self.ring.constant(self.ring.field.from_fraction(Fraction(num, den)))
+                try:
+                    coeff = self.ring.field.from_fraction(Fraction(num, den))
+                except DivisionByZero as err:
+                    raise ParseError(str(err), line3, col3) from None
+                return self.ring.constant(coeff)
             return self.ring.from_int(num)
         if kind == "name":
             index = self.var_index.get(value)

@@ -40,7 +40,13 @@ see that a change returns the same witnesses and reports.
   z^2 - xyz + y^3) in x, y, z, whose origin lies on a curve, hashed by
   the `PrecisionCapExceeded` it ends with: it times the local length of
   a non-homogeneous ideal whose origin is not isolated, which the
-  benchmark never asks.
+  benchmark never asks;
+- `construct_ci` at seed 0 and the default 24 attempts on two QQ curves
+  that no draw can certify, each hashed by the error it ends with and
+  its tally of failed tests: the double line (x0^2, x0*x1, x1^2), not
+  generically reduced, as in the benchmark's `reject` workload, and the
+  line x1 = x2 = 0 with an embedded point at (1:0:0:0), whose double
+  link fails, which no workload runs.
 """
 
 from __future__ import annotations
@@ -63,7 +69,8 @@ CASES = ("transversal_rnc5_s0", "transversal_rnc5_s1",
          "lci_cubic_and_tangent", "rnc6_fp", "rnc6_qq",
          "local_space_3_4_5_f3", "local_slow_germ_cap16_f3",
          "local_slow_germ_cap16_qq", "local_composed_branch_qq",
-         "local_dense_branch_qq", "local_length_not_isolated")
+         "local_dense_branch_qq", "local_length_not_isolated",
+         "reject_double_line_qq", "not_generically_ci_embedded_qq")
 TIMEOUT_S = 60
 
 GERM_3_4_5 = ("germ/1 over QQ vars x y z\n"
@@ -97,6 +104,30 @@ def _cubic_and_tangent(cid):
     x0, x1 = curve.ring.variable(0), curve.ring.variable(1)
     union = cid.intersect(curve.ideal(), cid.Ideal(curve.ring, [x0, x1]))
     return cid.CurveInput(curve.ring, list(union.generators))
+
+
+def _embedded_point_line(cid):
+    """The line x1 = x2 = 0 with an embedded point at (1:0:0:0)."""
+    ring = cid.PolyRing(cid.Field.rationals(), ("x0", "x1", "x2", "x3"))
+    x0, x1, x2, x3 = ring.variables()
+    mixed = cid.intersect(cid.Ideal(ring, [x1, x2]),
+                          cid.Ideal(ring, [x0, x1**2, x3]))
+    return cid.CurveInput(ring, list(mixed.generators))
+
+
+def _rejected(cid, curve):
+    """`construct_ci` on a curve no draw certifies, as the call returning
+    the type, tally and message of the error it ends with."""
+    from cidcurve.errors import MathPrecondition
+
+    def run():
+        try:
+            cid.construct_ci(curve, seed=0)
+        except MathPrecondition as exc:
+            failures = getattr(exc, "failures", None)
+            return f"{type(exc).__name__} {failures}: {exc}"
+        return "certified"
+    return run
 
 
 def _witness_json(cid, witness):
@@ -175,6 +206,12 @@ def _prepare(cid, case, tmp):
             except PrecisionCapExceeded as exc:
                 return f"PrecisionCapExceeded {exc.cap}: {exc}"
         return run
+    if case == "reject_double_line_qq":
+        ring = cid.PolyRing(qq, ("x0", "x1", "x2", "x3"))
+        x0, x1 = ring.variable(0), ring.variable(1)
+        return _rejected(cid, cid.CurveInput(ring, [x0**2, x0 * x1, x1**2]))
+    if case == "not_generically_ci_embedded_qq":
+        return _rejected(cid, _embedded_point_line(cid))
     raise SystemExit(f"unknown case {case!r}")
 
 

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 import cidcurve
 from cidcurve import Ideal, PolyRing, intersect
 from cidcurve.cli import main
+from cidcurve.linkage import TEST_NAMES
 from cidcurve.orders import Block
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -188,7 +189,8 @@ def test_genus_computes_no_block_basis(monkeypatch, capsys):
 
 
 def test_error_records_carry_structured_data(tmp_path, capsys):
-    # a line with an embedded point fails every double link
+    # a line with an embedded point fails the double link, which no
+    # other draw can pass
     ring = PolyRing(cidcurve.Field.rationals(), ("x0", "x1", "x2", "x3"))
     x0, x1, x2, x3 = ring.variables()
     mixed = intersect(Ideal(ring, [x1, x2]), Ideal(ring, [x0, x1**2, x3]))
@@ -200,14 +202,14 @@ def test_error_records_carry_structured_data(tmp_path, capsys):
     assert code == 2
     (record,) = payload["errors"]
     assert record["type"] == "NotGenericallyCI"
-    assert record["failures"]["double_link"] == 3
-    assert sum(record["failures"].values()) == 3
+    assert record["failures"]["double_link"] == 1
+    assert sum(record["failures"].values()) == 1
     assert "cap" not in record
     # the text report is unchanged: type and message only
     assert main(["genus", "--input", str(path), "--max-attempts", "3"]) == 2
     out = capsys.readouterr().out
     assert out.rstrip().splitlines()[-1].startswith(
-        "error (NotGenericallyCI): every attempt failed")
+        "error (NotGenericallyCI): the double-link test failed")
     # a germ whose delta does not certify below the precision cap
     germ = tmp_path / "slow.germ"
     germ.write_text("germ/1 over QQ vars x y\n"
@@ -228,6 +230,19 @@ def test_non_curve_exit_code(tmp_path, capsys):
         code, payload = run_json(capsys, "genus", "--input", str(path))
         assert code == 2
         assert payload["errors"][0]["type"] == "NotACurve"
+
+
+def test_non_reduced_curve_exit_code(tmp_path, capsys):
+    # a double line is rejected as not generically reduced after one draw
+    path = tmp_path / "double_line.ring"
+    path.write_text("ring/1 over QQ vars x0 x1 x2 x3\n"
+                    "ideal X = x0^2, x0*x1, x1^2;\n")
+    code, payload = run_json(capsys, "genus", "--input", str(path))
+    assert code == 2
+    (record,) = payload["errors"]
+    assert record["type"] == "NotGenericallyReduced"
+    assert record["failures"] == {
+        name: int(name == "reduced_along_input") for name in TEST_NAMES}
 
 
 def test_verify_ring(capsys):
@@ -298,6 +313,27 @@ def test_zero_denominator_is_a_parse_error(tmp_path, capsys):
         assert record["type"] == "ParseError"
         assert record["message"].startswith(
             "zero denominator in coefficient (line 1, column ")
+
+
+def test_denominator_zero_mod_p_is_a_parse_error(tmp_path, capsys):
+    # 1/7 over F_7 is as malformed as 1/0: exit 1 and a ParseError at
+    # the denominator, anchored at its statement's line
+    cases = [
+        ("gb", "zero.ring", "ring/1 over Fp(7) vars x y\nideal A = 1/7*y;\n",
+         "'1/7*y'"),
+        ("local", "zero.germ", "germ/1 over Fp(7) vars x y\n"
+         "branch a: x = t^2; y = 1/7*t^3\n", "'1/7*t^3'"),
+    ]
+    for command, filename, text, chunk in cases:
+        path = tmp_path / filename
+        path.write_text(text)
+        code, payload = run_json(capsys, command, "--input", str(path))
+        assert code == 1
+        (record,) = payload["errors"]
+        assert record["type"] == "ParseError"
+        assert record["message"] == (
+            "denominator of 1/7 vanishes mod 7 (line 1, column 3) "
+            f"in {chunk} (line 2, column 1)")
 
 
 def test_statement_without_keyword_is_a_parse_error(tmp_path, capsys):

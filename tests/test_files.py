@@ -114,6 +114,16 @@ def test_parse_error_carries_line():
         raise AssertionError("expected a parse error")
 
 
+def test_branch_parse_error_carries_the_statement_line():
+    # a branch coordinate is parsed on its own, then anchored at the
+    # statement's line, as an ideal generator is
+    with pytest.raises(ParseError) as info:
+        parse_germ_text("germ/1 over QQ vars x y\n"
+                        "branch a: x = t^2; y = t^3 +* t\n")
+    assert (info.value.line, info.value.column) == (2, 1)
+    assert str(info.value).endswith("in 't^3 +* t' (line 2, column 1)")
+
+
 def test_field_flag():
     assert parse_field_flag("QQ") == Field.rationals()
     assert parse_field_flag("Fp:11") == Field.prime_field(11)

@@ -33,6 +33,7 @@ from cidcurve.errors import (
     MaxAttemptsExceeded,
     NotACurve,
     NotGenericallyCI,
+    NotGenericallyReduced,
     NotHomogeneous,
     NotZeroDimensional,
     RingMismatch,
@@ -195,12 +196,13 @@ def test_non_curves_rejected_up_front(p3):
 def test_not_generically_ci(p3):
     x0, x1, x2, x3 = p3.variables()
     # a line with an embedded point: linkage strips the embedded
-    # component, so the double-link test can never pass
+    # component, so the double-link test can never pass, and its first
+    # failure ends the construction
     mixed = intersect(Ideal(p3, [x1, x2]), Ideal(p3, [x0, x1**2, x3]))
     curve = CurveInput(p3, list(mixed.generators))
     with pytest.raises(NotGenericallyCI) as info:
         construct_ci(curve, seed=0, max_attempts=3)
-    assert info.value.failures["double_link"] == 3
+    assert info.value.failures["double_link"] == 1
 
 
 def test_max_attempts_below_one(twisted_cubic):
@@ -341,9 +343,9 @@ def test_double_link_verdict_matches_saturated_comparison(name, monkeypatch):
 
 
 def test_rejected_draws_leave_nothing_on_the_curve_ideal(monkeypatch):
-    # every draw on the line with an embedded point fails the double
-    # link after its witness Jacobian scheme was built; none of those
-    # schemes, nor a verdict on their forms, stays with I_X
+    # the draw on the line with an embedded point fails the double link
+    # after its witness Jacobian scheme was built, and no other draw is
+    # made; neither that scheme nor a verdict on its forms stays with I_X
     curve = _line_with_embedded_point()
     builds = []
     real = discrepancy._jacobian_scheme
@@ -356,13 +358,74 @@ def test_rejected_draws_leave_nothing_on_the_curve_ideal(monkeypatch):
     monkeypatch.setattr(linkage, "_jacobian_scheme", build)
     with pytest.raises(NotGenericallyCI):
         construct_ci(curve, seed=0, max_attempts=2)
-    assert len(builds) == 2
+    assert len(builds) == 1
     # beside its bases, keyed by order, an ideal keeps only its image
     kept = curve.ideal()
     for forms, scheme in builds:
         assert kept._mod_p_image is not scheme
         assert all(forms not in key for key in kept._gb_cache
                    if isinstance(key, tuple))
+
+
+def test_double_link_failure_stops_at_the_first_draw():
+    # back = (I_Z : I_W) is the top-dimensional part of I_X for every Z,
+    # so the first double-link failure is final at the default
+    # max_attempts too; each rejected draw fails exactly one test
+    with pytest.raises(NotGenericallyCI) as info:
+        construct_ci(_line_with_embedded_point(), seed=0)
+    assert info.value.failures == {
+        name: int(name == "double_link") for name in TEST_NAMES}
+
+
+NON_REDUCED_CURVES = {
+    "first_order_line": ["x0^2", "x0*x1", "x1^2"],
+    "double_line_in_plane": ["x0^2", "x1"],
+}
+
+
+@pytest.mark.parametrize("field", [QQ, FP], ids=["qq", "fp"])
+@pytest.mark.parametrize("name", sorted(NON_REDUCED_CURVES))
+def test_non_reduced_curve_stops_at_the_first_draw(name, field):
+    # on X the Jacobian of F is C times that of I_X's generators, so Z's
+    # Jacobian scheme on X contains Sing(X) for every draw; a non-reduced
+    # curve is singular everywhere, and its first reduced_along_input
+    # failure is final
+    ring = PolyRing(field, P3)
+    curve = CurveInput(ring, [ring.parse(g) for g in NON_REDUCED_CURVES[name]])
+    with pytest.raises(NotGenericallyReduced) as info:
+        construct_ci(curve, seed=0)
+    assert info.value.failures == {
+        test: int(test == "reduced_along_input") for test in TEST_NAMES}
+
+
+def test_a_reducedness_failure_on_a_reduced_curve_redraws(monkeypatch):
+    # two twisted-cubic draws are made to fail reduced_along_input; the
+    # first failure asks once whether Sing(X) is finite, it is, so both
+    # are redrawn and the third draw certifies
+    curve = rnc_curve(3)
+    fails = [2]
+    real_misses = linkage._hyperplane_misses
+
+    def misses(finite, h):
+        if fails[0]:
+            fails[0] -= 1
+            return False
+        return real_misses(finite, h)
+
+    asked = []
+    real_reach = linkage._minors_reach
+
+    def reach(base, forms, bound, shuffled):
+        asked.append((base, tuple(forms), bound))
+        return real_reach(base, forms, bound, shuffled)
+
+    monkeypatch.setattr(linkage, "_hyperplane_misses", misses)
+    monkeypatch.setattr(linkage, "_minors_reach", reach)
+    witness = construct_ci(curve, seed=0)
+    i_x = curve.ideal()
+    assert asked == [(i_x, i_x.generators, 1)]
+    assert witness.attempts == 3
+    assert all(witness.tests.values())
 
 
 def _reference_singular_locus_finite(curve, witness):
