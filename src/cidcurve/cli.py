@@ -127,8 +127,6 @@ def _cmd_ideal_op(args, ring_file):
             drop = tuple(index[v.strip()] for v in args.vars.split(","))
         except KeyError as err:
             raise InputError(f"unknown variable {err.args[0]!r}")
-        if len(set(drop)) == ring.arity:
-            raise InputError("cannot eliminate every variable")
         out = function(left, drop)
     else:
         out = function(left)

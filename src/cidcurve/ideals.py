@@ -2,29 +2,33 @@
 saturation, elimination, vector-space dimensions and zero-dimensional
 radicals.
 
-Intersections use the classic auxiliary-variable trick (eliminate t
-from t*I + (1-t)*J).  For homogeneous I and g, the principal quotient
-(I : g) and the saturation (I : g^infinity) both come from one
-weighted-grevlex basis of I + (y - g) in a fresh last variable y of
-weight deg g (Bayer's trick), mapped back by y -> g: the quotient from
-the elements y divides, divided by y once, and the saturation from
-every element divided by its top power of y.  The leading monomials of
+Each operation has one kernel.  Intersections eliminate t from
+t*I + (1-t)*J.  The principal colon (I : g) of homogeneous I and g
+comes from one weighted-grevlex basis of I + (y - g) in a fresh last
+variable y of weight deg g (Bayer's trick): the elements y divides,
+divided by y once and mapped back by y -> g.  The leading monomials of
 that basis fix the Hilbert series of S/(I : g), so the quotient's own
 grevlex basis takes that series as its target, skips the S-pairs of
-every degree it already fills, and keeps it as its Hilbert data.
-Otherwise a principal quotient divides the generators of I ∩ (g) by g,
-and a principal saturation eliminates t from I + (1 - t*g)
-(Rabinowitsch), projecting through `eliminate` as intersections do.  A
-saturation by several generators intersects the principal ones by
-those outside I, and so does a quotient, except a linked one: when I
-is a complete intersection and linkage fixes the degree of the
-quotient, (I : g) for one g in the divisor is certified by that
-degree, trying the sparsest generator before two random combinations
-of all of them.  Saturation by the irrelevant maximal ideal of a
-homogeneous ideal saturates by one linear form, and a
+every degree it already fills, and keeps it as its Hilbert data.  The
+principal saturation (I : g^infinity) eliminates t from I + (1 - t*g)
+(Rabinowitsch), projecting through `eliminate` as intersections do,
+for every I and g.  A saturation by several generators intersects the
+principal ones by those outside I, and so does a quotient, except a
+linked one: when I is a complete intersection and linkage fixes the
+degree of the quotient, (I : g) for one g in the divisor is certified
+by that degree, trying the sparsest generator before two random
+combinations of all of them.  Saturation by the irrelevant maximal
+ideal of a homogeneous ideal saturates by one linear form, and a
 Hilbert-polynomial comparison certifies that the form missed every
 relevant associated prime; when no form is certified, the ideal is
 saturated by all the coordinates.
+
+Of the colon and saturation kernels only the colon needs forms, and
+`quotient` is where affine input crosses over: it homogenizes the
+generators of I and of the divisor by a fresh first variable z, takes
+the homogeneous quotient in S[z], where the linked-degree certificate
+and the fold both apply, and sets z = 1.  Lazard's local length
+(`_local_h`) homogenizes the same way.
 
 An ideal built as a base plus a few generators is an extension
 (`_extension`).  It records its base, and `_chain_basis` starts each
@@ -84,6 +88,7 @@ from math import prod
 from .errors import (
     DivisionFailure,
     IndexOutOfRange,
+    InputError,
     NotHomogeneous,
     NotZeroDimensional,
     PrecisionCapExceeded,
@@ -333,6 +338,14 @@ def chart_ideal(a: Ideal, chart: Chart) -> Ideal:
     return Ideal(chart.ring, [chart.apply(g) for g in a.generators])
 
 
+def _homogenized(ring: PolyRing, gens) -> Ideal:
+    """The ideal of S[z] generated by gens, polynomials of `ring`, each
+    homogenized by a fresh first variable z; z = 1 maps it onto the
+    ideal they generate."""
+    aux = PolyRing(ring.field, (_fresh_name(ring, "z"),) + ring.names)
+    return Ideal(aux, [homogenize(g, aux, 0) for g in gens])
+
+
 # --- intersection, quotient, saturation --------------------------------
 
 
@@ -368,56 +381,6 @@ def divide_exact(f: Polynomial, g: Polynomial) -> Polynomial:
     return quotient_poly
 
 
-def _bayer_basis(a: Ideal, g: Polynomial):
-    """The weighted-grevlex basis of J = a + (y - g) for homogeneous a
-    and g of degree d, in a fresh last variable y of weight d (Bayer's
-    trick; Eisenbud, Prop. 15.12), computed from a's generators and
-    y - g (see the module docstring).  It comes as pairs (k, f) of a
-    basis element f, as the {exponent: int} dict of its primitive
-    integer form (`GroebnerBasis.primitive_terms`), and
-    the top power k of y dividing it, with the map that sends a list of
-    such pairs to the f / y^k under y -> g, all through one table of
-    powers of g; the primitive form generates what the monic one does,
-    with no Fraction arithmetic.  J is
-    weighted-homogeneous, so in weighted grevlex y
-    divides a basis element exactly when it divides its leading term:
-    the elements y divides, divided by y once, generate (J : y) together
-    with J, and every element divided by its top power of y gives a
-    basis of (J : y^infinity).  Mapping y to g sends J onto a, (J : y)
-    onto (a : g) and (J : y^infinity) onto (a : g^infinity).
-
-    The same map is a graded isomorphism S[y]/J -> S/a, so S[y]/J has
-    a's Hilbert series, and its K-polynomial over (1 - t)^n (1 - t^d) is
-    a's times (1 - t^d).  When a's grevlex basis is cached, that read
-    off its Hilbert data is the Bayer run's target, in the grading that
-    gives y the weight d: Buchberger skips every S-pair whose lcm has a
-    weighted degree in which the leading monomials already have that
-    series (Traverso 1996)."""
-    ring = a.ring
-    aux = PolyRing(ring.field, ring.names + (_fresh_name(ring, "y"),))
-    y = aux.variable(ring.arity)
-    d = g.total_degree()
-    order = WeightedGrevLex((1,) * ring.arity + (d,))
-    known = a._gb_cache.get(GREVLEX)
-    target = None
-    if known is not None:
-        target = _hilbert._koszul([d], known.hilbert.numerator)
-    gens = [*_relabel(a.generators, aux).generators,
-            y - _relabel([g], aux).generators[0]]
-    basis = _cached_basis(Ideal(aux, gens), order, target)
-    images = ring.variables() + [g]
-
-    def back(pairs):
-        lowered = [aux.polynomial({e[:-1] + (e[-1] - k,): c
-                                   for e, c in terms.items()})
-                   for k, terms in pairs]
-        return list(_substitute(lowered, ring, images))
-
-    pairs = [(min(e[-1] for e in terms), terms)
-             for terms in basis.primitive_terms()]
-    return pairs, back
-
-
 def _reduced(a: Ideal, numerator=None) -> Ideal:
     """a presented by its monic reduced grevlex basis, kept cached.  A
     known K-polynomial `numerator` of S/a is the basis's target
@@ -425,41 +388,69 @@ def _reduced(a: Ideal, numerator=None) -> Ideal:
     return _presented(_cached_basis(a, GREVLEX, numerator))
 
 
-def _colon_numerator(pairs, ring: PolyRing, d: int):
-    """The K-polynomial of S/(a : g) from the pairs of `_bayer_basis(a,
-    g)`, g of degree d.  The elements y divides, divided by y once, and
-    the others form a basis of (J : y), and y -> g is a graded
-    isomorphism S[y]/(J : y) -> S/(a : g).  So the weighted K-polynomial
-    of their leading monomials, over (1 - t)^n (1 - t^d), is the series
-    of S/(a : g), and dividing it by 1 - t^d leaves the K-polynomial."""
+def _colon_numerator(lts, ring: PolyRing, d: int):
+    """The K-polynomial of S/(a : g), g of degree d, from the leading
+    exponents `lts` of a basis of (J : y) in S[y] (see `colon_principal`).
+    y -> g is a graded isomorphism S[y]/(J : y) -> S/(a : g), so with y
+    of weight d the K-polynomial of `lts`, over (1 - t)^n (1 - t^d), is
+    the series of S/(a : g): dividing it by 1 - t^d leaves the answer."""
     weights = (1,) * ring.arity + (d,)
-    lts = []
-    for k, terms in pairs:
-        e = next(iter(terms))
-        lts.append(e[:-1] + (e[-1] - 1,) if k else e)
     numerator = _hilbert.lt_numerator(lts, ring.arity + 1, weights)
     return _hilbert._divide_one_minus_t(numerator, d)
 
 
 def colon_principal(a: Ideal, g: Polynomial) -> Ideal:
-    """(a : g) for a single polynomial: one weighted-grevlex basis when
-    a and g are homogeneous, returned as its reduced grevlex basis,
-    whose target is the series that basis fixes (`_colon_numerator`) and
-    which comes with its Hilbert data; otherwise exact division of the
-    generators of a ∩ (g)."""
+    """(a : g) for a single polynomial, as its monic reduced grevlex
+    basis; a and g not both homogeneous go through `quotient`, which
+    homogenizes them.
+
+    For homogeneous a and g of degree d it is read off the
+    weighted-grevlex basis of J = a + (y - g), in a fresh last variable
+    y of weight d (Bayer's trick; Eisenbud, Prop. 15.12), computed from
+    a's generators and y - g (see the module docstring).  J is
+    weighted-homogeneous, so in weighted grevlex y divides a basis
+    element exactly when it divides its leading term: the elements y
+    divides, divided by y once, generate (J : y) together with J, and
+    y -> g sends J onto a and (J : y) onto (a : g).  They are read as
+    primitive integer forms (`GroebnerBasis.primitive_terms`), so no
+    Fraction is built, and mapped back through one table of powers of g.
+
+    y -> g is also a graded isomorphism S[y]/J -> S/a, so when a's
+    grevlex basis is cached, a's K-polynomial times 1 - t^d is the Bayer
+    run's target in the grading that gives y the weight d (Traverso
+    1996).  The colon's own grevlex basis takes the series the Bayer
+    basis fixes as its target (`_colon_numerator`) and keeps it as its
+    Hilbert data."""
     if g.ring != a.ring:
         raise RingMismatch("colon divisor outside the ideal's ring")
+    ring = a.ring
     if not g:
-        return Ideal(a.ring, [a.ring.one()])
+        return Ideal(ring, [ring.one()])
     if g.is_constant():
-        return a
-    if a.is_homogeneous() and g.is_homogeneous():
-        pairs, back = _bayer_basis(a, g)
-        lowered = back((1, terms) for k, terms in pairs if k)
-        return _reduced(_extension(a, lowered),
-                        _colon_numerator(pairs, a.ring, g.total_degree()))
-    meet = intersect(a, Ideal(a.ring, [g]))
-    return Ideal(a.ring, [divide_exact(f, g) for f in meet.generators])
+        return _reduced(a)
+    if not (a.is_homogeneous() and g.is_homogeneous()):
+        return quotient(a, Ideal(ring, [g]))
+    aux = PolyRing(ring.field, ring.names + (_fresh_name(ring, "y"),))
+    y = aux.variable(ring.arity)
+    d = g.total_degree()
+    known = a._gb_cache.get(GREVLEX)
+    target = None
+    if known is not None:
+        target = _hilbert._koszul([d], known.hilbert.numerator)
+    gens = [*_relabel(a.generators, aux).generators,
+            y - _relabel([g], aux).generators[0]]
+    basis = _cached_basis(Ideal(aux, gens),
+                          WeightedGrevLex((1,) * ring.arity + (d,)), target)
+    lowered, lts = [], []
+    for terms in basis.primitive_terms():
+        lead = next(iter(terms))
+        if lead[-1]:
+            terms = {e[:-1] + (e[-1] - 1,): c for e, c in terms.items()}
+            lowered.append(aux.polynomial(terms))
+            lead = next(iter(terms))
+        lts.append(lead)
+    back = _substitute(lowered, ring, ring.variables() + [g])
+    return _reduced(_extension(a, back), _colon_numerator(lts, ring, d))
 
 
 def _fold(a: Ideal, gens, principal) -> Ideal:
@@ -476,9 +467,18 @@ def _fold(a: Ideal, gens, principal) -> Ideal:
 
 
 def quotient(a: Ideal, b: Ideal) -> Ideal:
-    """(a : b).  The exact fold answers: the intersection of the
-    principal colons by the generators of b outside a, the unit ideal
-    for none.
+    """(a : b).  When a or b is not homogeneous, the generators of b
+    that a contains are dropped, the unit ideal for none, and a's
+    generators and the rest are homogenized by a fresh first variable z
+    (`_homogenized`); their homogeneous quotient in S[z], mapped back by
+    z = 1, is returned as its monic reduced grevlex basis.  Setting z = 1
+    is localizing at z and taking degree-0 parts, and colon commutes
+    with localization, so the map sends (J : G) onto (a : b) for J and
+    G the homogenized a and b.
+
+    For homogeneous a and b the exact fold answers: the intersection of
+    the principal colons by the generators of b outside a, the unit
+    ideal for none.
 
     The one exception is a linked colon: a is a homogeneous complete
     intersection and b contains it with the same Krull dimension, so
@@ -495,11 +495,21 @@ def quotient(a: Ideal, b: Ideal) -> Ideal:
     ideal and nothing is tried."""
     if a.ring != b.ring:
         raise RingMismatch("ideal quotient across different rings")
+    ring = a.ring
+    if not (a.is_homogeneous() and b.is_homogeneous()):
+        gb_a = a.gb()
+        rest = [g for g in b.generators if not gb_a.contains(g)]
+        if not rest:
+            return Ideal(ring, [ring.one()])
+        colon = quotient(_homogenized(ring, a.generators),
+                         _homogenized(ring, rest))
+        z = colon.ring.variable(0)
+        return _reduced(chart_ideal(colon, Chart.from_form(z)))
     gens = b.generators
     degree = _linked_degree(a, b) if len(gens) > 1 else None
     if degree == 0:
         # b's top-dimensional part is a itself, so (a : b) = (a : a)
-        return Ideal(a.ring, [a.ring.one()])
+        return Ideal(ring, [ring.one()])
     if degree is not None:
         for g in _linked_candidates(a, gens):
             # a homogeneous colon, so already its reduced grevlex basis,
@@ -548,16 +558,14 @@ def _linked_candidates(a: Ideal, gens):
 
 
 def _linked_degree(a: Ideal, b: Ideal):
-    """deg (a : b) when a is a homogeneous complete intersection (forms
-    of positive degree, as many as its codimension) and b is homogeneous,
-    contains a and has a's Krull dimension; None otherwise.
+    """For homogeneous a and b: deg (a : b) when a is a complete
+    intersection (forms of positive degree, as many as its codimension)
+    and b contains a and has a's Krull dimension; None otherwise.
 
     Only the top-dimensional part of b meets the associated primes of
     the unmixed a, and it has b's degree, so Gorenstein linkage gives
     deg (a : b) = deg a - deg b = prod d_i - deg b (Peskine-Szpiro
     1974)."""
-    if not (a.is_homogeneous() and b.is_homogeneous()):
-        return None
     if any(g.total_degree() < 1 for g in a.generators):
         return None
     dim_a = _hilbert.krull_dimension(a)
@@ -573,14 +581,10 @@ def _linked_degree(a: Ideal, b: Ideal):
 
 
 def _saturate_principal(a: Ideal, g: Polynomial) -> Ideal:
-    """(a : g^infinity) for a single nonzero polynomial: the Bayer basis
-    divided by its top powers of y when a and g are homogeneous,
-    otherwise the elimination of t from a + (1 - t*g) (Rabinowitsch)."""
+    """(a : g^infinity) for a single nonzero polynomial: the elimination
+    of t from a + (1 - t*g) (Rabinowitsch)."""
     if g.is_constant():
         return a
-    if a.is_homogeneous() and g.is_homogeneous():
-        pairs, back = _bayer_basis(a, g)
-        return Ideal(a.ring, back(pairs))
     aux = PolyRing(a.ring.field, (_fresh_name(a.ring),) + a.ring.names)
     t = aux.variable(0)
     gens = list(_relabel(a.generators, aux).generators)
@@ -639,7 +643,7 @@ def eliminate(a: Ideal, var_indices) -> Ideal:
     if not drop:
         return a
     if len(drop) >= ring.arity:
-        raise ValueError("cannot eliminate every variable")
+        raise InputError("cannot eliminate every variable")
     keep = tuple(n for i, n in enumerate(ring.names) if i not in drop)
     dropped = tuple(ring.names[i] for i in drop)
     moved = _relabel(a.generators, PolyRing(ring.field, dropped + keep))
@@ -673,9 +677,7 @@ def _local_h(a: Ideal):
     if a.is_homogeneous():
         numerator = a.gb().hilbert.numerator
     else:
-        aux = PolyRing(ring.field, (_fresh_name(ring, "z"),) + ring.names)
-        basis = groebner_basis([homogenize(g, aux, 0) for g in a.generators],
-                               Block(1), aux)
+        basis = _homogenized(ring, a.generators).gb(Block(1))
         numerator = _hilbert.lt_numerator(
             [e[1:] for e in basis.leading_exponents()], ring.arity)
     return _hilbert._h_polynomial(numerator, ring.arity)

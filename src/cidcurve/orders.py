@@ -63,9 +63,9 @@ class Block:
 class WeightedGrevLex:
     """Weighted degree sum(w_i * e_i) first, then ties broken as in
     grevlex (the smaller exponent of the last variable wins).  Weights
-    must be positive.  Not offered by `order_from_name`: the weighted
-    basis behind the homogeneous colon and saturation in `ideals` is
-    its only user."""
+    must be positive.  Not offered by `order_from_name`: the Bayer
+    basis behind the colon, `ideals.colon_principal`, is its only
+    user."""
 
     weights: tuple
 

@@ -35,6 +35,23 @@ def exact_colon(a, b):
     return ideals._fold(a, b.generators, ideals.colon_principal)
 
 
+def colon_by_elimination(a, g):
+    """(a : g) by exact division of the generators of a ∩ (g) by g, the
+    reference for `ideals.colon_principal`."""
+    meet = ideals.intersect(a, ideals.Ideal(a.ring, [g]))
+    return ideals.Ideal(a.ring, [ideals.divide_exact(f, g)
+                                 for f in meet.generators])
+
+
+def quotient_by_elimination(a, b):
+    """(a : b) as the intersection of `colon_by_elimination(a, g)` over
+    the generators g of b, the reference for `ideals.quotient`."""
+    out = colon_by_elimination(a, b.generators[0])
+    for g in b.generators[1:]:
+        out = ideals.intersect(out, colon_by_elimination(a, g))
+    return out
+
+
 def stopped_runs(monkeypatch):
     """The dimension-stopped Buchberger runs `ideals.dimension_at_most`
     asks for from now on, as (generators, bound, ring), in order."""

@@ -46,7 +46,16 @@ see that a change returns the same witnesses and reports.
   its tally of failed tests: the double line (x0^2, x0*x1, x1^2), not
   generically reduced, as in the benchmark's `reject` workload, and the
   line x1 = x2 = 0 with an embedded point at (1:0:0:0), whose double
-  link fails, which no workload runs.
+  link fails, which no workload runs;
+- `quotient` over QQ of the affine ideal A = (x^3 - yz, y^2 - xz,
+  z^3 - 1) by B = (x^2z - y^3, xyz, x^4), the golden `ideal-op`
+  quotient, which the benchmark's only affine colon, the residual of
+  the space germ, does not cover;
+- `saturate_irrelevant` over QQ of RNC5's generators times x0 and x1,
+  and `saturate` by (x0) of the ideal of RNC5's generators times x0^2
+  and its first generator: homogeneous saturations, which the `germ`
+  workload never asks and `link_qq` asks only of Jacobian schemes.
+Each of these three is hashed by the printed generators.
 """
 
 from __future__ import annotations
@@ -70,7 +79,9 @@ CASES = ("transversal_rnc5_s0", "transversal_rnc5_s1",
          "local_space_3_4_5_f3", "local_slow_germ_cap16_f3",
          "local_slow_germ_cap16_qq", "local_composed_branch_qq",
          "local_dense_branch_qq", "local_length_not_isolated",
-         "reject_double_line_qq", "not_generically_ci_embedded_qq")
+         "reject_double_line_qq", "not_generically_ci_embedded_qq",
+         "affine_quotient_qq", "saturate_irrelevant_dirty_rnc5_qq",
+         "saturate_x0_rnc5_qq")
 TIMEOUT_S = 60
 
 GERM_3_4_5 = ("germ/1 over QQ vars x y z\n"
@@ -128,6 +139,10 @@ def _rejected(cid, curve):
             return f"{type(exc).__name__} {failures}: {exc}"
         return "certified"
     return run
+
+
+def _printed(ideal):
+    return "\n".join(str(g) for g in ideal.generators)
 
 
 def _witness_json(cid, witness):
@@ -212,6 +227,23 @@ def _prepare(cid, case, tmp):
         return _rejected(cid, cid.CurveInput(ring, [x0**2, x0 * x1, x1**2]))
     if case == "not_generically_ci_embedded_qq":
         return _rejected(cid, _embedded_point_line(cid))
+    if case == "affine_quotient_qq":
+        ring = cid.PolyRing(qq, ("x", "y", "z"))
+        a = cid.Ideal(ring, [ring.parse(f) for f in
+                             ("x^3 - y*z", "y^2 - x*z", "z^3 - 1")])
+        b = cid.Ideal(ring, [ring.parse(f) for f in
+                             ("x^2*z - y^3", "x*y*z", "x^4")])
+        return lambda: _printed(cid.quotient(a, b))
+    if case.endswith("_rnc5_qq"):
+        curve = _rnc(cid, 5, qq)
+        x0, x1 = curve.ring.variable(0), curve.ring.variable(1)
+        gens = curve.generators
+        if case == "saturate_irrelevant_dirty_rnc5_qq":
+            dirty = cid.Ideal(curve.ring, [v * g for v in (x0, x1)
+                                           for g in gens])
+            return lambda: _printed(cid.saturate_irrelevant(dirty))
+        a = cid.Ideal(curve.ring, [x0**2 * g for g in gens] + [gens[0]])
+        return lambda: _printed(cid.saturate(a, cid.Ideal(curve.ring, [x0])))
     raise SystemExit(f"unknown case {case!r}")
 
 

@@ -147,6 +147,23 @@ def test_ideal_op_quotient_homogeneous(tmp_path, capsys):
     assert payload["result"]["generators"] == ["x*z", "x*y"]
 
 
+def test_ideal_op_quotient_by_a_constant_prints_the_reduced_basis(
+        tmp_path, capsys):
+    # (T : 2) = T, printed from its monic reduced grevlex basis like every
+    # quotient, the basis the intersection with (2) prints too
+    path = tmp_path / "unit.ring"
+    path.write_text("ring/1 over QQ vars x y z\n"
+                    "ideal T = x*y*z - y^3, y^2*z - x*z^2;\nideal K = 2;\n")
+    printed = {}
+    for op in ("quotient", "intersect"):
+        code, payload = run_json(capsys, "ideal-op", "--input", str(path),
+                                 "--op", op, "--left", "T", "--right", "K")
+        assert code == 0
+        printed[op] = payload["result"]["generators"]
+    assert printed["quotient"] == printed["intersect"] == [
+        "y^2*z - x*z^2", "y^3 - x*y*z"]
+
+
 def test_ideal_op_saturate_past_seventy_steps(tmp_path, capsys):
     # (x^70*y - x^70) : x^infinity = (y - 1); iterated quotients need 71
     # steps for it
@@ -441,6 +458,17 @@ def test_eliminate_every_variable_is_an_input_error(capsys):
                              "--op", "eliminate", "--vars", "x0,x1,x2,x3")
     assert code == 1
     assert payload["errors"][0]["type"] == "InputError"
+
+
+def test_eliminate_every_variable_reports_the_library_error():
+    # the library raises the InputError; the command reports it as is,
+    # a repeated variable included
+    code, out, err = _captured(["ideal-op", "--input", TC, "--op",
+                                "eliminate", "--vars", "x0,x1,x2,x3,x1"])
+    assert code == 1 and out == ""
+    assert err == ("command: ideal-op\nseed: 0\nfield: QQ\n"
+                   "result: (none)\nchecks: (none)\n"
+                   "error (InputError): cannot eliminate every variable\n")
 
 
 def test_max_attempts_below_one_is_an_input_error(capsys):

@@ -34,7 +34,9 @@ from cidcurve import (
     is_tame,
     local_vdim_origin,
     milnor_number,
+    quotient,
 )
+from cidcurve import ideals as ideals_module
 from cidcurve.errors import (
     DerivativeVanishes,
     EmptyInput,
@@ -56,7 +58,7 @@ from cidcurve.discrepancy import _determinant
 from cidcurve.polynomials import partial_derivative
 from cidcurve.rng import SplitMix64
 
-from conftest import compose_by_powers
+from conftest import compose_by_powers, quotient_by_elimination
 
 QQ = Field.rationals()
 T = PolyRing(QQ, ("t",))
@@ -372,6 +374,30 @@ def test_space_germ_routes_agree():
         assert inv.cid >= 0
         # Jacobian multiplicity identity under tameness
         assert inv.e_jac_ci - inv.cid == inv.milnor + inv.m - 1
+
+
+def test_space_germ_colon_is_one_linked_principal_colon(monkeypatch):
+    # the residual colon of the germ (t^3, t^4, t^5) is affine; its
+    # generators homogenized by a fresh z are linked in S[z], so the
+    # colon is one principal colon, certified by the linked degree, and
+    # no intersection is taken
+    ring = PolyRing(QQ, ("x", "y", "z"))
+    x, y, z = ring.variables()
+    gens = [x * z - y**2, x**3 - y * z, x**2 * y - z**2]
+    i_x = Ideal(ring, gens)
+    for seed in (0, 1, 2, 5):
+        i_z = Ideal(ring, list(general_ci_germ(gens, seed=seed)))
+        calls = []
+        for name in ("colon_principal", "intersect"):
+            real = getattr(ideals_module, name)
+            monkeypatch.setattr(
+                ideals_module, name,
+                lambda *args, name=name, real=real:
+                    calls.append(name) or real(*args))
+        i_w = quotient(i_z, i_x)
+        monkeypatch.undo()
+        assert calls == ["colon_principal"]
+        assert ideal_equal(i_w, quotient_by_elimination(i_z, i_x))
 
 
 def test_cid_local_aci():

@@ -20,7 +20,6 @@ from cidcurve import (
     is_member,
     krull_dimension,
     normal_form,
-    saturate_irrelevant,
 )
 from cidcurve import groebner, hilbert, ideals, linkage
 from cidcurve.hilbert import ci_hilbert_data
@@ -373,20 +372,6 @@ def test_hilbert_stop_keeps_the_linkage_bases(n, field, monkeypatch):
         without, full = _spolys(monkeypatch, gens, order, ring)
         assert with_target == without
         assert count < full
-
-
-def test_hilbert_stop_keeps_the_irrelevant_saturation(monkeypatch):
-    # saturate_irrelevant reads a's series first, so its Bayer bases
-    # stop at a's series times 1 - t
-    ring = PolyRing(QQ, ("x0", "x1", "x2", "x3"))
-    gens = twisted_cubic_gens(ring)
-    dirty = Ideal(ring, [v * g for v in ring.variables() for g in gens])
-    calls = _targeted_bases(monkeypatch, lambda: saturate_irrelevant(dirty))
-    assert calls
-    for gens, order, ring_y, target in calls:
-        assert isinstance(order, WeightedGrevLex)
-        assert (_spolys(monkeypatch, gens, order, ring_y, target)[0]
-                == _spolys(monkeypatch, gens, order, ring_y)[0])
 
 
 @pytest.mark.parametrize("forms", [

@@ -36,7 +36,9 @@ from cidcurve import (
 from cidcurve import groebner as groebner_module
 from cidcurve import ideals as ideals_module
 from cidcurve.errors import (
+    CidError,
     IndexOutOfRange,
+    InputError,
     NotHomogeneous,
     NotZeroDimensional,
     PrecisionCapExceeded,
@@ -44,12 +46,15 @@ from cidcurve.errors import (
 )
 from cidcurve.groebner import basis_unless_dimension_at_most, groebner_basis
 from cidcurve.hilbert import _h_polynomial
-from cidcurve.ideals import colon_principal, divide_exact
+from cidcurve.ideals import colon_principal
 from cidcurve.orders import Block
+from cidcurve.polynomials import homogenize
 from cidcurve.rng import SplitMix64
 
 from conftest import (
+    colon_by_elimination,
     exact_colon,
+    quotient_by_elimination,
     rnc_curve,
     stopped_runs,
     twisted_cubic_gens,
@@ -164,12 +169,6 @@ def random_form(ring, rng, degree, terms=4):
     return f
 
 
-def colon_by_elimination(a, g):
-    """(a : g) the old way: exact division of a ∩ (g) by g."""
-    meet = intersect(a, Ideal(a.ring, [g]))
-    return Ideal(a.ring, [divide_exact(f, g) for f in meet.generators])
-
-
 def _colon_cases(field, homogeneous, seed):
     """A seeded dividend a and divisors of 2 or 3 generators, some of
     them in a; every form is shifted by a unit when not homogeneous."""
@@ -226,6 +225,49 @@ def test_homogeneous_colon_matches_elimination(field, degree):
         assert new.gb() is new._gb_cache[GREVLEX]
 
 
+def _cancelling_case(field):
+    """A dividend a, the union of two curves through the origin, and a
+    divisor whose first generator is s + x1 for the element s = x1*(x0^3
+    + x2) - x0*x1*(x0^2 + x1) of a, whose top-degree terms cancel; with
+    the homogenized generators of a and a fresh first variable z."""
+    ring = PolyRing(field, ("x0", "x1", "x2"))
+    x0, x1, x2 = ring.variables()
+    a = Ideal(ring, [(x0**2 + x1) * x1, x0**3 + x2])
+    s = x1 * (x0**3 + x2) - x0 * x1 * (x0**2 + x1)
+    aux = PolyRing(field, ("z",) + ring.names)
+    homogenized = Ideal(aux, [homogenize(g, aux, 0) for g in a.generators])
+    b = Ideal(ring, [s + x1, x1 * (x0 + x2 + ring.one())])
+    return a, b, s, homogenized
+
+
+@pytest.mark.parametrize("field", [QQ, Field.prime_field(32003),
+                                   Field.prime_field(7)],
+                         ids=["QQ", "Fp32003", "F7"])
+def test_affine_quotient_matches_elimination(field):
+    # an affine quotient is taken in S[z] on the generators homogenized
+    # by a fresh z and mapped back by z = 1, and returned as its reduced
+    # basis; in the last case s lies in a but its homogenization, of a
+    # lower degree than x1*(x0^3 + x2)'s, does not lie in the ideal of
+    # the homogenized generators of a, so the fold in S[z] divides by a
+    # form that differs there from a multiple of x1 and agrees with x1
+    # at z = 1
+    cases = [_colon_cases(field, False, seed) for seed in (1, 2, 3)]
+    a, b, s, homogenized = _cancelling_case(field)
+    assert a.gb().contains(s)
+    assert not homogenized.gb().contains(homogenize(s, homogenized.ring, 0))
+    assert ideals_module._linked_degree(homogenized, Ideal(
+        homogenized.ring, [homogenize(g, homogenized.ring, 0)
+                           for g in b.generators])) is None
+    cases.append((a, [b]))
+    for a, divisors in cases:
+        for b in divisors:
+            got = quotient(a, b)
+            expected = quotient_by_elimination(a, b)
+            assert ideal_equal(got, expected)
+            assert ([str(h) for h in got.generators]
+                    == [str(h) for h in expected.gb().elements])
+
+
 def test_homogeneous_colon_edge_cases():
     ring = PolyRing(QQ, ("x0", "x1", "x2", "x3"))
     tc = Ideal(ring, twisted_cubic_gens(ring))
@@ -279,12 +321,19 @@ def test_quotient_folds_a_colon_that_is_not_linked(monkeypatch,
                                                     homogeneous):
     # a is not a complete intersection, so nothing fixes the degree of
     # the colon: quotient draws nothing and takes one principal colon per
-    # generator of b outside a, in b's order
+    # generator of b outside a, in b's order; an affine colon takes them
+    # in S[z], on the generators homogenized by a fresh first variable z
     a, divisors = _colon_cases(QQ, homogeneous, 1)
     b = divisors[2]
-    assert ideals_module._linked_degree(a, b) is None
     outside = [g for g in b.generators if not a.gb().contains(g)]
     assert len(outside) >= 2
+    dividend = a
+    if not homogeneous:
+        aux = PolyRing(QQ, ("z",) + a.ring.names)
+        dividend = Ideal(aux, [homogenize(g, aux, 0) for g in a.generators])
+        outside = [homogenize(g, aux, 0) for g in outside]
+    assert ideals_module._linked_degree(dividend, Ideal(dividend.ring,
+                                                        outside)) is None
     divisors_seen = []
     real = ideals_module.colon_principal
 
@@ -447,6 +496,15 @@ def test_eliminate_two_lines():
     x, y = ring.variables()
     meet = intersect(ideal(x), ideal(y))
     assert ideal_equal(meet, ideal(x * y))
+
+
+def test_eliminating_every_variable_is_an_input_error():
+    ring = ring3()
+    x, y, z = ring.variables()
+    with pytest.raises(InputError) as raised:
+        eliminate(ideal(x - y, y - z), [2, 0, 1, 0])
+    assert isinstance(raised.value, CidError)
+    assert str(raised.value) == "cannot eliminate every variable"
 
 
 @pytest.mark.parametrize("index", [3, -1])

@@ -127,6 +127,22 @@ def test_packed_monomials_unpack_only_in_orders():
     assert not found, f"right shifts outside orders.py and rng.py: {found}"
 
 
+def _ideals_function(name):
+    tree = ast.parse((SRC / "ideals.py").read_text())
+    return next(node for node in tree.body
+                if isinstance(node, ast.FunctionDef) and node.name == name)
+
+
+def test_one_kernel_per_ideal_operation():
+    # a principal saturation is Rabinowitsch's elimination and a
+    # principal colon a Bayer basis, whatever the input; neither keeps
+    # the other kernel as a second path
+    saturation = _referenced_names(_ideals_function("_saturate_principal"))
+    colon = _referenced_names(_ideals_function("colon_principal"))
+    assert not saturation & {"WeightedGrevLex", "_bayer_basis"}
+    assert not colon & {"intersect", "divide_exact"}
+
+
 def _public(name):
     return not name.startswith("_") or name.startswith("__")
 
