@@ -299,7 +299,9 @@ def _empty_on_curve(witness) -> bool:
 
     V(on_curve) contains X ∩ W, which is not empty when W is not: a
     complete-intersection curve is connected.  So only an empty W asks
-    `dimension_at_most` about `on_curve`."""
+    `dimension_at_most` about `on_curve`, and on a witness that passed
+    `reduced_along_input` that test has answered it already, by a kept
+    bound or a cached basis."""
     return witness.i_w.is_unit() and dimension_at_most(witness.on_curve, 0)
 
 

@@ -62,9 +62,10 @@ leading coefficients, gives the image G mod p, the reduced basis of a'
 as HF(S/a') <= HF(S/(G mod p)) <= HF(S/LT(G)) = HF(S/a); any other
 ideal's image is its base's plus its own generators' images.
 
-An ideal keeps only its bases, by order, and its image mod p; Hilbert
-data lives on a basis (`GroebnerBasis.hilbert`), shared by the ideals
-that share the basis (`_presented`).
+An ideal keeps only its bases, by order, its image mod p and the least
+dimension bound proved of it with no basis, which its extensions read
+too; Hilbert data lives on a basis (`GroebnerBasis.hilbert`), shared by
+the ideals that share the basis (`_presented`).
 
 A zero-dimensional ideal has finite length `vdim`, counted from the
 Hilbert series numerator of its leading-term ideal.  Its radical adds
@@ -114,7 +115,7 @@ class Ideal:
     """
 
     __slots__ = ("ring", "generators", "_gb_cache", "_mod_p_image", "_base",
-                 "_homogeneous")
+                 "_homogeneous", "_dim_bound")
 
     def __init__(self, ring: PolyRing, generators):
         self.ring = ring
@@ -135,6 +136,9 @@ class Ideal:
         # `_extension`
         self._base = None
         self._homogeneous = None
+        # the least Krull-dimension bound `dimension_at_most` proved with
+        # no basis; it holds for every extension of this ideal too
+        self._dim_bound = INFINITE
 
     def gb(self, order=GREVLEX) -> GroebnerBasis:
         """The reduced basis in `order`, computed once (`_cached_basis`)."""
@@ -256,16 +260,28 @@ def dimension_at_most(a: Ideal, bound: int) -> bool:
     every degree (see the module docstring), so an image within the
     bound certifies the answer.  Otherwise a itself is asked, so an
     unlucky prime costs time and never changes an answer; narrower
-    coefficients would shrink nothing mod p."""
+    coefficients would shrink nothing mod p.
+
+    A bound certified with no basis, by a stopped run or by the image,
+    is kept on a, and answers yes, with no run, every later question
+    with a bound at least as large asked of a or of an ideal whose chain
+    of bases reaches a: every base is a sub-ideal, and a larger ideal
+    has no larger dimension.  A smaller bound is asked anew."""
     _hilbert._check_homogeneous(a)
     if bound < 0 or GREVLEX in a._gb_cache:
         return _hilbert.krull_dimension(a) <= bound
+    link = a
+    while link is not None:
+        if link._dim_bound <= bound:
+            return True
+        link = link._base
     if (a.ring.field.characteristic or not _wide(a)
             or not dimension_at_most(_mod_p(a), bound)):
         basis = _chain_basis(a, GREVLEX, bound=bound)
         if basis is not None:
             a._gb_cache[GREVLEX] = basis
             return False
+    a._dim_bound = bound
     return True
 
 

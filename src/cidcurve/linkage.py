@@ -14,16 +14,23 @@ finitely many singular points of Z for the shared-form variant, a
 measuring hyperplane, and the double link: W linked back by Z is X).
 A finiteness is a bound on the Krull dimension of an ideal of Z, X or
 W (Z's singular points on X and on W), asked of
-`ideals.dimension_at_most`, which may answer it mod p; the double link
-is the degree and genus relation linkage by Z fixes between X and W,
-read off their Hilbert series with no second colon.  The reducedness
-and chart tests ask whether a hyperplane misses Z's Jacobian scheme on
-X, `discrepancy._jacobian_scheme(I_X, F)`; a hyperplane that misses it
-proves it finite.  Once the residual shows W is not empty, the genus
-report will read the scheme's grevlex basis, so it is computed before
-the chart is chosen and each chart candidate starts from it; otherwise
-no basis of the scheme itself is built unless the first chart
-candidate fails.  The singular test reads F's minors on W
+`ideals.dimension_at_most`, which may answer it mod p and keeps every
+bound it proves for the ideal and its extensions; the double link is
+the degree and genus relation linkage by Z fixes between X and W, read
+off their Hilbert series with no second colon.
+
+The reducedness test asks whether Z's Jacobian scheme on X,
+`discrepancy._jacobian_scheme(I_X, F)`, is finite, and that is asked of
+the scheme once.  Linkage fixes deg W = prod d_i - deg X (Peskine-Szpiro
+1974), so when deg X < prod d_i, W is a curve, which meets X
+(Hartshorne's connectedness theorem, 1962) where Z is singular: the
+scheme is not empty, and its grevlex basis, which the genus report
+reads anyway, is computed at once and answers the test.  Otherwise W is
+empty and the test asks whether the scheme is empty, which the mod-p
+screen may certify, before it asks whether it is finite.  The chart
+test asks whether a hyperplane misses the scheme: each candidate is an
+extension of it, so it starts from its basis or reads the bound the
+reducedness test kept.  The singular test reads F's minors on W
 one at a time through the kernel that decides smoothness
 (`discrepancy._minors_reach`) and stops at the first partial minor
 ideal that bounds the dimension.
@@ -140,7 +147,11 @@ def choose_chart(avoid: Ideal, seed: int = 0) -> Polynomial:
     A hyperplane lowers the Krull dimension by at most one, so a form
     that passes proves the locus finite.  Only when x0 fails is the
     locus itself bounded, to raise NotZeroDimensional on a
-    positive-dimensional one, so a passing x0 asks nothing of it."""
+    positive-dimensional one, so a passing x0 asks nothing of it.  Each
+    candidate is an extension of `avoid`, so on a locus already proved
+    empty x0 passes with no run (`dimension_at_most` keeps the bound),
+    and otherwise its run starts from the basis cached on `avoid` or
+    below it."""
     ring = avoid.ring
     candidates = [ring.variable(i) for i in range(ring.arity)]
     rng = SplitMix64(seed ^ 0xCAA7)
@@ -312,6 +323,14 @@ def _is_complete_intersection(i_z: Ideal) -> bool:
     return dimension_at_most(i_z, 2)
 
 
+def _finite(scheme: Ideal) -> bool:
+    """Whether the homogeneous `scheme` cuts out a finite projective
+    scheme, dim <= 1, asked after dim <= 0: an empty scheme keeps the
+    mod-p screen, and a no caches the basis the second question reads.
+    Either certified bound is kept on `scheme` (`dimension_at_most`)."""
+    return dimension_at_most(scheme, 0) or dimension_at_most(scheme, 1)
+
+
 def _construct(curve: CurveInput, seed: int, max_attempts: int,
                coeff_matrix, transversal: bool) -> CIWitness:
     if max_attempts < 1:
@@ -358,8 +377,15 @@ def _construct(curve: CurveInput, seed: int, max_attempts: int,
             continue
 
         on_curve = _jacobian_scheme(i_x, F)
-        if not record("reduced_along_input",
-                      _hyperplane_misses(on_curve, ells[-1])):
+        if data_x.degree < prod(degrees):
+            # deg W = prod d_i - deg X (Peskine-Szpiro 1974), so W is a
+            # curve, which meets X (Hartshorne 1962) where Z is singular:
+            # on_curve is not empty, and the genus report reads its
+            # grevlex basis (smoothness, the Jacobian length).  Computed
+            # now, it answers the finiteness below, and every chart
+            # candidate is a one-generator extension of it
+            on_curve.gb()
+        if not record("reduced_along_input", _finite(on_curve)):
             # on X, F's Jacobian is C times that of I_X's generators, so
             # by Cauchy-Binet on_curve contains Sing(X) for every draw;
             # over a perfect field Sing(X) is finite exactly when X is
@@ -387,11 +413,6 @@ def _construct(curve: CurveInput, seed: int, max_attempts: int,
                 _minors_reach(i_w, F, 1, shuffled=False)):
             continue
 
-        # a nonempty W is met by X, so the genus report reads on_curve's
-        # grevlex basis (smoothness, the Jacobian length); computed now,
-        # it makes every chart candidate a one-generator extension
-        if not i_w.is_unit():
-            on_curve.gb()
         try:
             h = choose_chart(on_curve, seed=seed ^ attempt)
         except ExhaustedCandidates:

@@ -22,6 +22,12 @@ see that a change returns the same witnesses and reports.
 - `cid_routes(route="lci")` on the twisted cubic and its tangent line;
 - `construct_ci` plus `genus_report` on RNC6 over F_32003, and, with
   `--rnc6-qq`, over QQ (about 10 s a run);
+- `genus --field Fp:2 --seed 2` on the twisted cubic, a small prime field
+  where a random stage form often meets the finite witness scheme;
+- `construct_ci` plus `genus_report` over QQ on two dense cubics in P^3,
+  coefficients 1 to 50 drawn by `SplitMix64(0)` as the benchmark's
+  `genus:ci33` job draws them: a smooth complete intersection, whose W is
+  empty and whose witness scheme is asked mod p;
 - `local --field Fp:3` on the space monomial germ (t^3, t^4, t^5);
 - `local --precision-cap 16` over F_3 and over QQ on the slow germ
   x = t^14 + t^6, y = 2t^8 + 2t^6 + 2t^3, which certifies no delta
@@ -76,6 +82,7 @@ CASES = ("transversal_rnc5_s0", "transversal_rnc5_s1",
          "transversality_count_rnc5_s0", "transversality_count_rnc5_s1",
          "radical_rnc5_fp",
          "lci_cubic_and_tangent", "rnc6_fp", "rnc6_qq",
+         "genus_twisted_cubic_f2_s2", "genus_dense_ci33_qq",
          "local_space_3_4_5_f3", "local_slow_germ_cap16_f3",
          "local_slow_germ_cap16_qq", "local_composed_branch_qq",
          "local_dense_branch_qq", "local_length_not_isolated",
@@ -84,6 +91,8 @@ CASES = ("transversal_rnc5_s0", "transversal_rnc5_s1",
          "saturate_x0_rnc5_qq")
 TIMEOUT_S = 60
 
+TWISTED_CUBIC = ("ring/1 over QQ vars x0 x1 x2 x3\n"
+                 "ideal X = x2^2 - x1*x3, x1^2 - x0*x2, x0*x3 - x1*x2;\n")
 GERM_3_4_5 = ("germ/1 over QQ vars x y z\n"
               "branch a: x = t^3; y = t^4; z = t^5\n"
               "ideal: x*z - y^2, x^3 - y*z, x^2*y - z^2;\n")
@@ -115,6 +124,25 @@ def _cubic_and_tangent(cid):
     x0, x1 = curve.ring.variable(0), curve.ring.variable(1)
     union = cid.intersect(curve.ideal(), cid.Ideal(curve.ring, [x0, x1]))
     return cid.CurveInput(curve.ring, list(union.generators))
+
+
+def _dense_cubics(cid):
+    """Two dense cubics in P^3, each coefficient drawn from 1..50 by
+    `SplitMix64(0)`."""
+    from itertools import combinations_with_replacement
+    from cidcurve.rng import SplitMix64
+    ring = cid.PolyRing(cid.Field.rationals(), ("x0", "x1", "x2", "x3"))
+    rng = SplitMix64(0)
+    forms = []
+    for _ in range(2):
+        terms = {}
+        for combo in combinations_with_replacement(range(4), 3):
+            exps = [0] * 4
+            for i in combo:
+                exps[i] += 1
+            terms[tuple(exps)] = ring.field.from_int(rng.randint(1, 50))
+        forms.append(ring.polynomial(terms))
+    return cid.CurveInput(ring, forms)
 
 
 def _embedded_point_line(cid):
@@ -149,13 +177,13 @@ def _witness_json(cid, witness):
     return json.dumps(cid.witness_to_dict(witness), sort_keys=True)
 
 
-def _local(tmp, name, text, field, *options):
-    """The `local` command on the germ `text`, written to `name` in
-    `tmp`, over `field`, as a call returning its exit code and JSON."""
+def _command(tmp, command, name, text, field, *options):
+    """The CLI `command` on the input `text`, written to `name` in `tmp`,
+    over `field`, as a call returning its exit code and JSON."""
     import cidcurve.cli as cli
     path = Path(tmp) / name
     path.write_text(text)
-    argv = ["local", "--input", str(path), "--field", field,
+    argv = [command, "--input", str(path), "--field", field,
             "--output", "json", *options]
 
     def run():
@@ -190,9 +218,13 @@ def _prepare(cid, case, tmp):
         curve = _cubic_and_tangent(cid)
         witness = cid.construct_ci(curve, seed=0)
         return lambda: repr(cid.cid_routes(curve, witness, route="lci"))
-    if case in ("rnc6_fp", "rnc6_qq"):
+    if case == "genus_twisted_cubic_f2_s2":
+        return _command(tmp, "genus", "twisted_cubic.ring", TWISTED_CUBIC,
+                        "Fp:2", "--seed", "2")
+    if case in ("rnc6_fp", "rnc6_qq", "genus_dense_ci33_qq"):
         field = cid.Field.prime_field(32003) if case == "rnc6_fp" else qq
-        curve = _rnc(cid, 6, field)
+        curve = (_dense_cubics(cid) if case == "genus_dense_ci33_qq"
+                 else _rnc(cid, 6, field))
 
         def run():
             witness = cid.construct_ci(curve, seed=0)
@@ -200,15 +232,15 @@ def _prepare(cid, case, tmp):
             return _witness_json(cid, witness) + repr(report.to_dict())
         return run
     if case == "local_space_3_4_5_f3":
-        return _local(tmp, "space_3_4_5.germ", GERM_3_4_5, "Fp:3")
+        return _command(tmp, "local", "space_3_4_5.germ", GERM_3_4_5, "Fp:3")
     if case.startswith("local_slow_germ_cap16_"):
         field = "Fp:3" if case.endswith("_f3") else "QQ"
-        return _local(tmp, "slow.germ", SLOW_GERM, field,
-                      "--precision-cap", "16")
+        return _command(tmp, "local", "slow.germ", SLOW_GERM, field,
+                        "--precision-cap", "16")
     if case == "local_composed_branch_qq":
-        return _local(tmp, "composed.germ", COMPOSED_BRANCH, "QQ")
+        return _command(tmp, "local", "composed.germ", COMPOSED_BRANCH, "QQ")
     if case == "local_dense_branch_qq":
-        return _local(tmp, "dense.germ", DENSE_BRANCH, "QQ")
+        return _command(tmp, "local", "dense.germ", DENSE_BRANCH, "QQ")
     if case == "local_length_not_isolated":
         from cidcurve.errors import PrecisionCapExceeded
         ring = cid.PolyRing(qq, ("x", "y", "z"))

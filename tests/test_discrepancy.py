@@ -18,6 +18,7 @@ import cidcurve.cli
 from cidcurve import (
     CurveInput,
     Field,
+    GREVLEX,
     Ideal,
     PolyRing,
     cid_aci,
@@ -765,13 +766,61 @@ def test_smooth_complete_intersection_builds_no_witness_scheme_basis():
 def test_narrow_complete_intersection_builds_no_image(monkeypatch):
     # CI33's coefficients stay below the screening prime, so the same
     # questions are asked of the exact witness scheme and no image is
-    # built.  No verdict is kept, so the genus report and the omega
-    # comparison each ask once
+    # built.  The reducedness test proves it empty with one stopped run,
+    # and that bound is kept: the chart, the genus report and the omega
+    # comparison read it
     runs = stopped_runs(monkeypatch)
     witness = _smooth_ci_witness(_p3_curve(*CI33))
     assert [(gens, ring) for gens, _, ring in runs].count(
-        (witness.on_curve.generators, witness.on_curve.ring)) == 2
+        (witness.on_curve.generators, witness.on_curve.ring)) == 1
     assert witness.on_curve._mod_p_image is None
+
+
+def _witness_scheme_runs(curve, monkeypatch):
+    """`construct_ci` at seed 0, the genus report and the omega
+    comparison on `curve`: the (order, bound) of every basis `ideals`
+    asked of the witness scheme, full or stopped, and, printed, the
+    linear forms of every hyperplane test, a stopped run on the scheme or
+    its image mod p extended by linear forms."""
+    runs = []
+    real = ideals_module._chain_basis
+
+    def spy(a, order, target=None, bound=None):
+        runs.append((a, order, bound))
+        return real(a, order, target, bound)
+
+    monkeypatch.setattr(ideals_module, "_chain_basis", spy)
+    witness = construct_ci(curve, seed=0)
+    assert genus_report(curve, witness).all_checks_pass()
+    assert omega_matches_jacobian(curve.ideal(), witness)
+    scheme = witness.on_curve
+    asked = [(order, bound) for a, order, bound in runs
+             if a.generators == scheme.generators]
+    added = [a.generators[len(a._base.generators):]
+             for a, _, bound in runs if bound is not None
+             and a._base is not None
+             and a._base in (scheme, scheme._mod_p_image)]
+    return asked, [tuple(str(g) for g in extra) for extra in added
+                   if all(g.total_degree() == 1 for g in extra)]
+
+
+@pytest.mark.parametrize("field", [QQ, Field.prime_field(32003)],
+                         ids=["QQ", "Fp32003"])
+def test_the_witness_scheme_is_certified_once(field, monkeypatch):
+    # the twisted cubic's W is a line, so its witness Jacobian scheme is
+    # not empty: its grevlex basis is built once, at the reducedness test,
+    # and the only stopped run on an extension of it, or of its image, is
+    # the chart x0's; none adds a stage form.  CI33's W is empty: the
+    # scheme is asked one bound-0 question, whose kept bound answers the
+    # chart, the genus report and the omega comparison
+    asked, added = _witness_scheme_runs(rnc_curve(3, field), monkeypatch)
+    assert asked == [(GREVLEX, None)]
+    assert added == [("x0",)]
+    ring = PolyRing(field, ("x0", "x1", "x2", "x3"))
+    ci33 = CurveInput(ring, [ring.parse(f) for f in CI33])
+    asked, added = _witness_scheme_runs(ci33, monkeypatch)
+    assert asked == [(GREVLEX, 0)]
+    assert added == []
 
 
 def _exact_dimension_at_most(a, bound):

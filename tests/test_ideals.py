@@ -927,6 +927,107 @@ def test_dimension_at_most_on_an_extension_gives_the_fresh_verdict(
             assert extension._mod_p_image._base is image
 
 
+def _buchberger_runs(monkeypatch):
+    """The characteristic of every Buchberger run from now on, in order."""
+    runs = []
+    real = groebner_module._buchberger
+
+    def spy(gens, packing, char, *args):
+        runs.append(char)
+        return real(gens, packing, char, *args)
+
+    monkeypatch.setattr(groebner_module, "_buchberger", spy)
+    return runs
+
+
+def test_a_proved_bound_answers_the_ideal_and_its_extensions(monkeypatch):
+    # the twisted cubic cut by x0 and x3 is empty: one stopped run proves
+    # dim <= 0, and no later question of a or of an extension of a with
+    # a bound at least as large runs again
+    ring = PolyRing(QQ, ("x0", "x1", "x2", "x3"))
+    x0, x1, x2, x3 = ring.variables()
+    a = Ideal(ring, [*twisted_cubic_gens(ring), x0, x3])
+    runs = _buchberger_runs(monkeypatch)
+    assert dimension_at_most(a, 0)
+    assert runs == [0]
+    extension = ideals_module._extension(a, [x1 + x2])
+    deeper = ideals_module._extension(extension, [x2 - x1])
+    for b in (a, extension, deeper):
+        assert dimension_at_most(b, 0) and dimension_at_most(b, 1)
+    assert runs == [0]
+    assert not a._gb_cache and not extension._gb_cache
+
+
+def test_a_proved_bound_does_not_answer_a_smaller_one(monkeypatch):
+    # the twisted cubic cut by a hyperplane is three points: dim <= 1 is
+    # proved once and kept, but dim <= 0 still runs, to the basis that
+    # proves it false, and an extension through the point (1:-1:1:-1)
+    # asks its own smaller bound too
+    ring = PolyRing(QQ, ("x0", "x1", "x2", "x3"))
+    x0, x1, x2, x3 = ring.variables()
+    a = Ideal(ring, [*twisted_cubic_gens(ring), x0 + x3])
+    runs = _buchberger_runs(monkeypatch)
+    assert dimension_at_most(a, 1)
+    assert dimension_at_most(a, 1) and dimension_at_most(a, 2)
+    assert runs == [0]
+    extension = ideals_module._extension(a, [x0 + x1])
+    assert dimension_at_most(extension, 1)
+    assert runs == [0]
+    assert not dimension_at_most(a, 0)
+    assert runs == [0, 0] and GREVLEX in a._gb_cache
+    assert not dimension_at_most(extension, 0)
+    assert runs == [0, 0, 0]
+
+
+def test_a_bound_the_image_certifies_is_kept(monkeypatch):
+    # a coefficient past the screening prime p sends the question to the
+    # image mod p, which certifies it; the bound is kept on the QQ ideal,
+    # so asking it again, or of an extension, runs nothing, and no exact
+    # basis is ever built
+    p = ideals_module._SCREEN_FIELD.characteristic
+    ring = PolyRing(QQ, ("x0", "x1", "x2", "x3"))
+    x0, x1, x2, x3 = ring.variables()
+    a = Ideal(ring, [*twisted_cubic_gens(ring), x0 + x3.scale(Fraction(p))])
+    runs = _buchberger_runs(monkeypatch)
+    assert dimension_at_most(a, 1)
+    assert runs == [p]
+    extension = ideals_module._extension(a, [x1 - x2])
+    assert dimension_at_most(a, 1) and dimension_at_most(extension, 1)
+    assert dimension_at_most(extension, 3)
+    assert runs == [p]
+    assert not a._gb_cache and extension._mod_p_image is None
+
+
+@pytest.mark.parametrize("field", [QQ, Field.prime_field(32003)],
+                         ids=["QQ", "Fp32003"])
+def test_kept_bounds_give_the_exact_verdicts(field, monkeypatch):
+    # the junk ideals of P^2 and two extensions of each by seeded linear
+    # forms, asked every bound the exact dimension meets, from the top
+    # down: asked again, each is answered by a kept bound with no run,
+    # and then every bound gets the exact verdict
+    runs = _buchberger_runs(monkeypatch)
+    for seed in (1, 2, 3, 4):
+        ring, _, _, (a, _) = _junk_ideals(field, seed)
+        rng = SplitMix64(seed ^ 0xB0B)
+        chain = [a]
+        for _ in range(2):
+            chain.append(ideals_module._extension(
+                chain[-1], [random_form(ring, rng, 1)]))
+        exact = [krull_dimension(Ideal(ring, b.generators)) for b in chain]
+        top = ring.arity
+        for b, dim in zip(chain, exact):
+            for bound in range(top, dim - 1, -1):
+                assert dimension_at_most(b, bound)
+        runs.clear()
+        for b, dim in zip(chain, exact):
+            for bound in range(top, dim - 1, -1):
+                assert dimension_at_most(b, bound)
+        assert runs == []
+        for b, dim in zip(chain, exact):
+            for bound in range(-1, top + 1):
+                assert dimension_at_most(b, bound) == (dim <= bound)
+
+
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(case=_homogeneous_ideals())
 def test_image_of_a_cached_basis_is_the_reduced_basis_mod_p(case):

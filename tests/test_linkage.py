@@ -404,13 +404,13 @@ def test_a_reducedness_failure_on_a_reduced_curve_redraws(monkeypatch):
     # are redrawn and the third draw certifies
     curve = rnc_curve(3)
     fails = [2]
-    real_misses = linkage._hyperplane_misses
+    real_finite = linkage._finite
 
-    def misses(finite, h):
+    def finite(scheme):
         if fails[0]:
             fails[0] -= 1
             return False
-        return real_misses(finite, h)
+        return real_finite(scheme)
 
     asked = []
     real_reach = linkage._minors_reach
@@ -419,7 +419,7 @@ def test_a_reducedness_failure_on_a_reduced_curve_redraws(monkeypatch):
         asked.append((base, tuple(forms), bound))
         return real_reach(base, forms, bound, shuffled)
 
-    monkeypatch.setattr(linkage, "_hyperplane_misses", misses)
+    monkeypatch.setattr(linkage, "_finite", finite)
     monkeypatch.setattr(linkage, "_minors_reach", reach)
     witness = construct_ci(curve, seed=0)
     i_x = curve.ideal()
