@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from .errors import InputError, ParseError
 from .fields import Field
 from .germs import BranchParam
-from .polynomials import PolyRing
+from .polynomials import PolyRing, line_and_column
 
 RING_HEADER = "ring/1"
 GERM_HEADER = "germ/1"
@@ -243,5 +243,21 @@ def sniff_format(text: str) -> str:
 
 
 def load_text(path: str) -> str:
-    with open(path, "r", encoding="utf-8") as handle:
-        return handle.read()
+    """The file's text, decoded as UTF-8 with a leading byte-order mark
+    dropped and every line ending read as "\\n".  A byte sequence that is
+    not UTF-8 is a ParseError naming its first byte and where it stands."""
+    with open(path, "rb") as handle:
+        data = handle.read()
+    try:
+        text = data.decode("utf-8-sig")
+    except UnicodeDecodeError as err:
+        # err.object is the data after any byte-order mark, and every
+        # byte before err.start decodes
+        before = _universal_newlines(err.object[:err.start].decode("utf-8"))
+        raise ParseError(f"invalid UTF-8 byte 0x{err.object[err.start]:02x}",
+                         *line_and_column(before, len(before))) from None
+    return _universal_newlines(text)
+
+
+def _universal_newlines(text: str) -> str:
+    return text.replace("\r\n", "\n").replace("\r", "\n")

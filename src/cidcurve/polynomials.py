@@ -453,56 +453,71 @@ _TOKEN_RE = re.compile(
     r"(?P<int>\d+)|(?P<name>[A-Za-z][A-Za-z0-9_]*)|(?P<op>[-+*^/()])|(?P<ws>\s+)|(?P<bad>.)"
 )
 
+# The longest prefix of a text that _TOKEN_RE splits into tokens none of
+# which is `bad`.  Digits, operators and whitespace may follow each other
+# in any order, and "_" only inside a name, so they are merged into runs
+# between names; the repeat is possessive, so one match never backtracks.
+_VALID_PREFIX_RE = re.compile(r"(?:[-+*^/()\s\d]+|[A-Za-z][A-Za-z0-9_]*)*+")
+
+
+def line_and_column(text: str, offset: int):
+    """(line, column) of text[offset], both counted from 1; only "\\n"
+    ends a line."""
+    start = text.rfind("\n", 0, offset) + 1
+    return text.count("\n", 0, start) + 1, offset - start + 1
+
 
 def _tokenize(text):
-    tokens = []
-    line, col = 1, 1
+    """Yield the (kind, value, offset) tokens of text, whitespace left
+    out, then ("end", "", len(text)).  A character that starts no token
+    is a ParseError raised before the first token, wherever it stands,
+    so it is reported ahead of any syntax error; past that, tokens are
+    made only as the parser asks for them."""
+    bad = _VALID_PREFIX_RE.match(text).end()
+    if bad < len(text):
+        raise ParseError(f"unexpected character {text[bad]!r}",
+                         *line_and_column(text, bad))
     for m in _TOKEN_RE.finditer(text):
         kind = m.lastgroup
-        value = m.group()
-        if kind == "bad":
-            raise ParseError(f"unexpected character {value!r}", line, col)
         if kind != "ws":
-            tokens.append((kind, value, line, col))
-        for ch in value:
-            if ch == "\n":
-                line += 1
-                col = 1
-            else:
-                col += 1
-    tokens.append(("end", "", line, col))
-    return tokens
+            yield kind, m.group(), m.start()
+    yield "end", "", len(text)
 
 
 class _Parser:
-    def __init__(self, ring: PolyRing, tokens):
+    """Recursive descent over _tokenize's tokens with one token of
+    lookahead.  Every rule looks at the lookahead before it advances, so
+    the "end" token is never advanced past."""
+
+    def __init__(self, ring: PolyRing, text: str):
         self.ring = ring
-        self.tokens = tokens
-        self.pos = 0
+        self.text = text
+        self.tokens = _tokenize(text)
+        self.lookahead = next(self.tokens)
         self.depth = 0
         self.var_index = {name: i for i, name in enumerate(ring.names)}
 
-    def peek(self):
-        return self.tokens[self.pos]
-
     def advance(self):
-        tok = self.tokens[self.pos]
-        self.pos += 1
+        tok = self.lookahead
+        self.lookahead = next(self.tokens)
         return tok
 
+    def where(self, offset):
+        return line_and_column(self.text, offset)
+
     def fail(self, message):
-        _, value, line, col = self.peek()
+        _, value, offset = self.lookahead
         shown = value or "end of input"
-        raise ParseError(f"{message}, found {shown!r}", line, col)
+        raise ParseError(f"{message}, found {shown!r}", *self.where(offset))
 
     def parse(self) -> Polynomial:
         result = self.expr()
-        if self.peek()[0] != "end":
+        if self.lookahead[0] != "end":
             self.fail("trailing input")
         return result
 
     def expr(self) -> Polynomial:
-        kind, value, _, _ = self.peek()
+        kind, value, _ = self.lookahead
         negate = False
         if kind == "op" and value in "+-":
             self.advance()
@@ -511,7 +526,7 @@ class _Parser:
         if negate:
             result = -result
         while True:
-            kind, value, _, _ = self.peek()
+            kind, value, _ = self.lookahead
             if kind == "op" and value in "+-":
                 self.advance()
                 rhs = self.term()
@@ -522,7 +537,7 @@ class _Parser:
     def term(self) -> Polynomial:
         result = self.factor()
         while True:
-            kind, value, _, _ = self.peek()
+            kind, value, _ = self.lookahead
             if kind == "op" and value == "*":
                 self.advance()
                 result = result * self.factor()
@@ -530,68 +545,69 @@ class _Parser:
                 return result
 
     def factor(self) -> Polynomial:
-        kind, value, _, _ = self.peek()
+        kind, value, _ = self.lookahead
         negate = False
         if kind == "op" and value in "+-":
             self.advance()
             negate = value == "-"
         base = self.base()
-        kind, value, _, _ = self.peek()
+        kind, value, _ = self.lookahead
         if kind == "op" and value == "^":
             self.advance()
-            kind, value, line, col = self.peek()
-            if kind != "int":
+            if self.lookahead[0] != "int":
                 self.fail("expected integer exponent")
-            self.advance()
-            base = base ** int(value)
+            base = base ** int(self.advance()[1])
         if negate:
             base = -base
         return base
 
     def base(self) -> Polynomial:
-        kind, value, line, col = self.advance()
+        kind, value, offset = self.lookahead
         if kind == "int":
+            self.advance()
             num = int(value)
-            kind2, value2, _, _ = self.peek()
+            kind2, value2, _ = self.lookahead
             if kind2 == "op" and value2 == "/":
                 self.advance()
-                kind3, value3, line3, col3 = self.peek()
-                if kind3 != "int":
+                if self.lookahead[0] != "int":
                     self.fail("expected integer denominator")
-                self.advance()
+                _, value3, offset3 = self.advance()
                 den = int(value3)
                 if den == 0:
                     raise ParseError("zero denominator in coefficient",
-                                     line3, col3)
+                                     *self.where(offset3))
                 try:
                     coeff = self.ring.field.from_fraction(Fraction(num, den))
                 except DivisionByZero as err:
-                    raise ParseError(str(err), line3, col3) from None
+                    raise ParseError(str(err), *self.where(offset3)) from None
                 return self.ring.constant(coeff)
             return self.ring.from_int(num)
         if kind == "name":
             index = self.var_index.get(value)
             if index is None:
-                raise UnknownVariable(f"unknown variable {value!r}", line, col)
+                raise UnknownVariable(f"unknown variable {value!r}",
+                                      *self.where(offset))
+            self.advance()
             return self.ring.variable(index)
         if kind == "op" and value == "(":
             if self.depth == MAX_NESTING:
                 raise ParseError(
-                    f"parentheses nested deeper than {MAX_NESTING}", line, col)
+                    f"parentheses nested deeper than {MAX_NESTING}",
+                    *self.where(offset))
+            self.advance()
             self.depth += 1
             inner = self.expr()
             self.depth -= 1
-            kind2, value2, _, _ = self.peek()
+            kind2, value2, _ = self.lookahead
             if not (kind2 == "op" and value2 == ")"):
                 self.fail("expected ')'")
             self.advance()
             return inner
-        self.pos -= 1
         self.fail("expected a number, variable or '('")
 
 
 def parse_polynomial(ring: PolyRing, text: str) -> Polynomial:
-    return _Parser(ring, _tokenize(text)).parse()
+    return _Parser(ring, text).parse()
 
 
 # --- op-style aliases ---------------------------------------------------

@@ -62,6 +62,13 @@ see that a change returns the same witnesses and reports.
   and its first generator: homogeneous saturations, which the `germ`
   workload never asks and `link_qq` asks only of Jacobian schemes.
 Each of these three is hashed by the printed generators.
+- `gb` on the benchmark's `reject` input of 3000 nested parentheses,
+  which the parser refuses at depth `MAX_NESTING`, hashed by the exit
+  code and error envelope;
+- `PolyRing.parse` of a valid dense QQ form in x0..x3: the first 2000
+  monomials of degree 21, each with a coefficient a/b, a in -50..50
+  nonzero and b in 1..9, drawn by `SplitMix64(0)`, hashed by the printed
+  polynomial.  It times the lexer and parser on input with no error.
 """
 
 from __future__ import annotations
@@ -88,7 +95,8 @@ CASES = ("transversal_rnc5_s0", "transversal_rnc5_s1",
          "local_dense_branch_qq", "local_length_not_isolated",
          "reject_double_line_qq", "not_generically_ci_embedded_qq",
          "affine_quotient_qq", "saturate_irrelevant_dirty_rnc5_qq",
-         "saturate_x0_rnc5_qq")
+         "saturate_x0_rnc5_qq", "parse_deep_parentheses",
+         "parse_dense_form")
 TIMEOUT_S = 60
 
 TWISTED_CUBIC = ("ring/1 over QQ vars x0 x1 x2 x3\n"
@@ -105,6 +113,8 @@ DENSE_BRANCH = ("germ/1 over QQ vars x y\n"
                 "branch a: x = " + " + ".join(f"t^{k}" for k in range(5, 41))
                 + "; y = " + " + ".join(f"{k}*t^{k}" for k in range(7, 41))
                 + "\n")
+DEEP_PARENTHESES = ("ring/1 over QQ vars x y z\n"
+                    f"ideal X = {'(' * 3000}x{')' * 3000};\n")
 
 
 def _rnc(cid, n, field):
@@ -145,6 +155,21 @@ def _dense_cubics(cid):
     return cid.CurveInput(ring, forms)
 
 
+def _dense_form_text():
+    """The first 2000 monomials of degree 21 in x0..x3, each with a
+    coefficient a/b drawn by `SplitMix64(0)`, as one polynomial text."""
+    from itertools import combinations_with_replacement, islice
+    from cidcurve.rng import SplitMix64
+    rng = SplitMix64(0)
+    terms = []
+    for combo in islice(combinations_with_replacement(range(4), 21), 2000):
+        exps = [combo.count(i) for i in range(4)]
+        monomial = "*".join(f"x{i}^{e}" for i, e in enumerate(exps) if e)
+        num = rng.randint(1, 50) * (-1 if rng.randint(0, 1) else 1)
+        terms.append(f"{num}/{rng.randint(1, 9)}*{monomial}")
+    return " + ".join(terms).replace("+ -", "- ")
+
+
 def _embedded_point_line(cid):
     """The line x1 = x2 = 0 with an embedded point at (1:0:0:0)."""
     ring = cid.PolyRing(cid.Field.rationals(), ("x0", "x1", "x2", "x3"))
@@ -179,7 +204,8 @@ def _witness_json(cid, witness):
 
 def _command(tmp, command, name, text, field, *options):
     """The CLI `command` on the input `text`, written to `name` in `tmp`,
-    over `field`, as a call returning its exit code and JSON."""
+    over `field`, as a call returning its exit code and JSON, which goes
+    to standard error on exit code 1."""
     import cidcurve.cli as cli
     path = Path(tmp) / name
     path.write_text(text)
@@ -187,10 +213,11 @@ def _command(tmp, command, name, text, field, *options):
             "--output", "json", *options]
 
     def run():
-        out = io.StringIO()
-        with contextlib.redirect_stdout(out):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = cli.main(argv)
-        return f"{code}\n{out.getvalue()}".replace(tmp, "{dir}")
+        text = f"{code}\n{out.getvalue()}{err.getvalue()}"
+        return text.replace(tmp, "{dir}")
     return run
 
 
@@ -253,6 +280,12 @@ def _prepare(cid, case, tmp):
             except PrecisionCapExceeded as exc:
                 return f"PrecisionCapExceeded {exc.cap}: {exc}"
         return run
+    if case == "parse_deep_parentheses":
+        return _command(tmp, "gb", "deep.ring", DEEP_PARENTHESES, "QQ")
+    if case == "parse_dense_form":
+        ring = cid.PolyRing(qq, ("x0", "x1", "x2", "x3"))
+        text = _dense_form_text()
+        return lambda: str(ring.parse(text))
     if case == "reject_double_line_qq":
         ring = cid.PolyRing(qq, ("x0", "x1", "x2", "x3"))
         x0, x1 = ring.variable(0), ring.variable(1)

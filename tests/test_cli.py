@@ -313,6 +313,33 @@ def test_syntax_error_exit_code(tmp_path, capsys):
     assert "nested deeper" in payload["errors"][0]["message"]
 
 
+@pytest.mark.parametrize("command, filename, data, message", [
+    ("gb", "bad.ring", b"ring/1 over QQ vars x y\nideal A = x + y,\n"
+     b"  x - \xff y;\n", "invalid UTF-8 byte 0xff (line 3, column 7)"),
+    ("local", "bad.germ", "germ/1 over QQ vars x y\n# \u00e9t\u00e9\n"
+     "branch a: x = t^2; y = t^3".encode() + b"\xc3\n",
+     "invalid UTF-8 byte 0xc3 (line 3, column 27)"),
+], ids=["ring", "germ"])
+def test_input_that_is_not_utf8_is_a_parse_error(tmp_path, capsys, command,
+                                                 filename, data, message):
+    # the undecodable byte and its line, in the error envelope on exit 1,
+    # never a UnicodeDecodeError traceback
+    path = tmp_path / filename
+    path.write_bytes(data)
+    code, payload = run_json(capsys, command, "--input", str(path))
+    assert code == 1
+    assert payload["errors"] == [{"type": "ParseError", "message": message}]
+
+
+def test_a_byte_order_mark_is_not_part_of_the_header(tmp_path, capsys):
+    path = tmp_path / "bom.ring"
+    path.write_bytes(b"\xef\xbb\xbfring/1 over QQ vars x y\r\n"
+                     b"ideal A = x*y - y^2;\r\n")
+    code, payload = run_json(capsys, "gb", "--input", str(path))
+    assert code == 0
+    assert payload["result"]["basis"] == ["x*y - y^2"]
+
+
 def test_zero_denominator_is_a_parse_error(tmp_path, capsys):
     # 1/0 is a malformed literal, not a failed computation: exit 1 and a
     # ParseError, from a ring file and from a germ branch alike

@@ -14,7 +14,11 @@ from cidcurve.errors import (
     RingMismatch,
     UnknownVariable,
 )
+from cidcurve import polynomials
 from cidcurve.polynomials import (
+    _TOKEN_RE,
+    _VALID_PREFIX_RE,
+    MAX_NESTING,
     _substitute,
     dehomogenize,
     homogenize,
@@ -104,6 +108,77 @@ def test_parser_examples():
 def test_parse_rational_coefficient():
     x, y, z = R.variables()
     assert R.parse("1/2*x") == x.scale(Fraction(1, 2))
+
+
+def test_deep_nesting_is_read_only_up_to_its_error(monkeypatch):
+    # the parser stops at the first "(" past MAX_NESTING, and the lexer
+    # makes no token the parser has not asked for
+    made = []
+    tokenize = polynomials._tokenize
+
+    def spy(text):
+        for token in tokenize(text):
+            made.append(token)
+            yield token
+
+    monkeypatch.setattr(polynomials, "_tokenize", spy)
+    with pytest.raises(ParseError) as info:
+        R.parse("(" * 3000 + "x" + ")" * 3000)
+    assert str(info.value) == (
+        f"parentheses nested deeper than {MAX_NESTING} "
+        f"(line 1, column {MAX_NESTING + 1})")
+    assert len(made) <= MAX_NESTING + 2
+
+
+@pytest.mark.parametrize("text, message", [
+    ("x y $", "unexpected character '$' (line 1, column 5)"),
+    ("(" * 150 + ")" * 150 + "$",
+     "unexpected character '$' (line 1, column 301)"),
+])
+def test_a_bad_character_is_reported_before_an_earlier_syntax_error(
+        text, message):
+    with pytest.raises(ParseError) as info:
+        R.parse(text)
+    assert type(info.value) is ParseError
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("text, error, message", [
+    ("x +\n  y +\n  w", UnknownVariable,
+     "unknown variable 'w' (line 3, column 3)"),
+    ("x*y\n\t+ 1/0*z", ParseError,
+     "zero denominator in coefficient (line 2, column 6)"),
+    ("x\t+ )", ParseError,
+     "expected a number, variable or '(', found ')' (line 1, column 5)"),
+    ("x +\n", ParseError, "expected a number, variable or '(', "
+     "found 'end of input' (line 2, column 1)"),
+    ("2_", ParseError, "unexpected character '_' (line 1, column 2)"),
+])
+def test_error_positions(text, error, message):
+    # a tab is one column, and only "\n" starts a line
+    with pytest.raises(error) as info:
+        R.parse(text)
+    assert str(info.value) == message
+
+
+def test_a_unicode_digit_is_an_integer():
+    x = R.variable(0)
+    assert R.parse("\u0663*x") == x.scale(Fraction(3))
+
+
+_LEXER_TEXT = st.text(
+    alphabet=st.sampled_from("xyzAZ09_+-*^/() \t\n\u0663\uff10$#.,;\u00e9\u00b2"),
+    max_size=30)
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=_LEXER_TEXT)
+@example(text="2_")
+@example(text="x_1 \u0663_")
+def test_valid_prefix_ends_at_the_first_bad_token(text):
+    first_bad = next((m.start() for m in _TOKEN_RE.finditer(text)
+                      if m.lastgroup == "bad"), len(text))
+    assert _VALID_PREFIX_RE.match(text).end() == first_bad
 
 
 def test_ring_mismatch():
