@@ -449,15 +449,21 @@ def render_polynomial(f: Polynomial, order=GREVLEX) -> str:
 # limit, so it fails as a ParseError.
 MAX_NESTING = 100
 
+# The lexical rules, shared by the two patterns below.  _OPS is used
+# inside a character class, so "-" stays first, where it is literal.
+_NAME = r"[A-Za-z][A-Za-z0-9_]*"
+_OPS = r"-+*^/()"
+
 _TOKEN_RE = re.compile(
-    r"(?P<int>\d+)|(?P<name>[A-Za-z][A-Za-z0-9_]*)|(?P<op>[-+*^/()])|(?P<ws>\s+)|(?P<bad>.)"
+    rf"(?P<int>\d+)|(?P<name>{_NAME})|(?P<op>[{_OPS}])|(?P<ws>\s+)|(?P<bad>.)"
 )
 
 # The longest prefix of a text that _TOKEN_RE splits into tokens none of
 # which is `bad`.  Digits, operators and whitespace may follow each other
 # in any order, and "_" only inside a name, so they are merged into runs
-# between names; the repeat is possessive, so one match never backtracks.
-_VALID_PREFIX_RE = re.compile(r"(?:[-+*^/()\s\d]+|[A-Za-z][A-Za-z0-9_]*)*+")
+# between names.  Both branches consume a maximal run and nothing follows
+# the repeat, so the greedy match succeeds without backtracking.
+_VALID_PREFIX_RE = re.compile(rf"(?:[{_OPS}\s\d]+|{_NAME})*")
 
 
 def line_and_column(text: str, offset: int):
